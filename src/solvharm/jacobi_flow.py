@@ -1,11 +1,16 @@
-"""Jacobi fields along geodesics: integration, stable limits, densities.
+"""Jacobi fields along geodesics: integration, stable tensors, densities.
 
 Everything is phrased in left-invariant frames, where the connection and
 the Jacobi operator along the distinguished geodesics have explicit
 closed forms.  Central geodesics (tangent to the top eigenvector Z of
-the center) get a dedicated orthonormal frame of the normal bundle; the
-volume-density test integrates the frame system along arbitrary
-directions using the full connection and curvature tensors.
+the center) get a dedicated orthonormal frame of the normal bundle, in
+which the stable Jacobi tensor is evaluated block by block from the
+paper's closed forms: e^{-t} on the H-Z normal, incomplete beta
+functions on the center and kernel slots, and the hypergeometric pair
+blocks of :mod:`hypergeom`.  The finite-horizon boundary problems, solved
+by ODE integration, remain as their oracle.  The volume-density test
+integrates the frame system along arbitrary directions using the full
+connection and curvature tensors.
 """
 
 import math
@@ -13,12 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import beta, betainc
 
 from .config import DEFAULT_TOLS, Tolerances
 from .curvature import (central_frame_split, central_jacobi_blocks,
                         curvature_tensor, levi_civita)
 from .errors import (ConjugatePointError, DimensionError, DomainError,
                      NumericalError)
+from .hypergeom import stable_block_and_derivative, z_of_t
 from .lie_metric import (MetricLieAlgebra, StandardSolvableData,
                          derived_algebra, _null_space)
 
@@ -229,61 +236,104 @@ def _block_finite_horizon(frame: CentralGeodesicFrame, offset: int, size: int,
     return e_blk, ep_blk
 
 
-def _assemble_horizon(frame: CentralGeodesicFrame, t_grid, r: float,
-                      tols: Tolerances) -> JacobiTensorSample:
+def finite_horizon_tensor(d: StandardSolvableData, z_vec, t_grid, r: float,
+                          tols: Tolerances = DEFAULT_TOLS) -> JacobiTensorSample:
+    """Jacobi tensor with E(0) = id, E(r) = 0, sampled on ``t_grid``.
+
+    Each decoupled frame block is integrated with DOP853 and shot to the
+    horizon r.  As r grows this converges to :func:`stable_jacobi_tensor`;
+    it is the numerical oracle for those closed forms.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid[-1] > r:
+        raise DomainError("horizon r must lie beyond the last grid point")
+    frame = CentralGeodesicFrame.build(d, z_vec, tols)
     k = frame.size
     e = np.zeros((t_grid.size, k, k))
     ep = np.zeros((t_grid.size, k, k))
     for offset, size in _frame_blocks(frame):
         sl = slice(offset, offset + size)
-        e_blk, ep_blk = _block_finite_horizon(frame, offset, size, t_grid,
-                                              r, tols)
-        e[:, sl, sl] = e_blk
-        ep[:, sl, sl] = ep_blk
+        e[:, sl, sl], ep[:, sl, sl] = _block_finite_horizon(
+            frame, offset, size, t_grid, r, tols)
     return JacobiTensorSample(t_grid=t_grid, e=e, e_prime=ep)
 
 
-def finite_horizon_tensor(d: StandardSolvableData, z_vec, t_grid, r: float,
-                          tols: Tolerances = DEFAULT_TOLS) -> JacobiTensorSample:
-    """Jacobi tensor with E(0) = id, E(r) = 0, sampled on ``t_grid``."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[-1] > r:
-        raise DomainError("horizon r must lie beyond the last grid point")
-    frame = CentralGeodesicFrame.build(d, z_vec, tols)
-    return _assemble_horizon(frame, t_grid, r, tols)
+def _scalar_stable_block(m: float, t: np.ndarray, z: np.ndarray):
+    """Stable solution of f'' = (m + m^2 sinh^2 t) / cosh^2 t * f, f(0) = 1.
+
+    Reduction of order against the Killing solution cosh^m t gives
+    f = cosh^m(t) int_t^oo cosh^(-2m)(s) ds / C_m, and z = z(s) turns the
+    integral into the incomplete beta function 2^(2m-1) B(m, m) I_z(m, m).
+    """
+    ch = np.cosh(t)
+    e = 2.0 * ch ** m * betainc(m, m, z)
+    c_m = 2.0 ** (2.0 * m - 2.0) * beta(m, m)
+    return e, m * np.tanh(t) * e - ch ** -m / c_m
+
+
+def _pair_stable_block(rho: float, theta: float, t_grid: np.ndarray,
+                       tols: Tolerances):
+    """E = M(t) M(0)^-1 and its covariant derivative for one pair block."""
+    m0, _ = stable_block_and_derivative(rho, theta, 0.0, tols)
+    cond = np.linalg.cond(m0)
+    if cond * tols.series_tol > tols.bvp_converged:
+        raise NumericalError(
+            f"stable pair block (rho, theta) = ({rho:.6g}, {theta:.6g}) is "
+            f"ill conditioned at t = 0: cond M(0) = {cond:.3g} limits its "
+            f"accuracy to {cond * tols.series_tol:.2g} > bvp_converged = "
+            f"{tols.bvp_converged:.2g}"
+        )
+    m0_inv = np.linalg.inv(m0)
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    e = np.empty((t_grid.size, 2, 2))
+    ep = np.empty((t_grid.size, 2, 2))
+    for n, t in enumerate(t_grid):
+        m_t, dm_t = stable_block_and_derivative(rho, theta, t, tols)
+        e[n] = m_t @ m0_inv
+        ep[n] = (dm_t + theta / (2.0 * math.cosh(t)) * rot @ m_t) @ m0_inv
+    return e, ep
 
 
 def stable_jacobi_tensor(d: StandardSolvableData, z_vec, t_grid,
-                         r_max: float = None,
                          tols: Tolerances = DEFAULT_TOLS) -> JacobiTensorSample:
-    """Stable Jacobi tensor as the doubling limit of finite horizons.
+    """Stable Jacobi tensor E(t), E(0) = id, from the paper's closed forms.
 
-    Solves the boundary problem E_r(0) = id, E_r(r) = 0 by shooting with
-    the two fundamental solutions of each decoupled frame block, then
-    doubles r until the sampled tensors agree within
-    ``tols.bvp_converged`` (or ``r_max``, default the horizon cap, is
-    exceeded).
+    E is the limit r -> oo of the boundary problems E_r(0) = id,
+    E_r(r) = 0 (see :func:`finite_horizon_tensor`, kept as the numerical
+    oracle).  In the central frame it is block diagonal, with z = z(t):
+
+    * xi slot: E = e^{-t};
+    * center and kernel slots with parameter m (mu_j or rho*_k):
+      E = 2 cosh^m(t) I_z(m, m), E' = m tanh(t) E - cosh^{-m}(t) / C_m,
+      C_m = 2^{2m-2} B(m, m), where
+      I_z(m, m) = z^m F(m, 1-m; 1+m; z) / (m B(m, m));
+    * pair slots (rho, theta): E = M(t) M(0)^{-1} with the hypergeometric
+      block M of :func:`hypergeom.stable_block_and_derivative`.
+
+    ``e_prime`` is the covariant derivative c' + W c.  A pair block whose
+    M(0) is so ill conditioned that ``cond M(0) * tols.series_tol``
+    exceeds ``tols.bvp_converged`` (theta -> 0) raises NumericalError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    r_max = tols.horizon_cap if r_max is None else float(r_max)
-    if t_grid[-1] >= r_max:
-        raise DomainError("r_max must lie beyond the last grid point")
     frame = CentralGeodesicFrame.build(d, z_vec, tols)
-    r = min(max(2.0 * t_grid[-1], 8.0), 0.5 * r_max)
-    prev = _assemble_horizon(frame, t_grid, r, tols)
-    while True:
-        r_next = 2.0 * r
-        if r_next > r_max * (1.0 + 1e-12):
-            raise NumericalError(
-                f"stable tensor did not converge by r_max = {r_max}; "
-                f"last horizon {r}"
-            )
-        cur = _assemble_horizon(frame, t_grid, r_next, tols)
-        gap = float(np.abs(cur.e - prev.e).max())
-        if gap <= tols.bvp_converged:
-            return cur
-        prev, r = cur, r_next
+    k = frame.size
+    e = np.zeros((t_grid.size, k, k))
+    ep = np.zeros((t_grid.size, k, k))
+    e[:, 0, 0] = np.exp(-t_grid)
+    ep[:, 0, 0] = -e[:, 0, 0]
+    z = np.array([z_of_t(t) for t in t_grid])
+    scalars = np.concatenate([frame.mus, frame.rho_stars])
+    for i, m in enumerate(scalars, start=1):
+        e[:, i, i], ep[:, i, i] = _scalar_stable_block(m, t_grid, z)
+    offset = 1 + len(scalars)
+    pair_blocks = {}   # equal pairs, e.g. all of a Damek-Ricci build, share one
+    for i, (rho, theta) in enumerate(frame.pairs):
+        key = (float(rho), float(theta))
+        if key not in pair_blocks:
+            pair_blocks[key] = _pair_stable_block(rho, theta, t_grid, tols)
+        sl = slice(offset + 2 * i, offset + 2 * i + 2)
+        e[:, sl, sl], ep[:, sl, sl] = pair_blocks[key]
+    return JacobiTensorSample(t_grid=t_grid, e=e, e_prime=ep)
 
 
 def mean_curvature_numeric(sample: JacobiTensorSample,

@@ -74,6 +74,39 @@ def test_analyze_perturbed_label(tmp_path):
     assert report["h_scan"]["constant"] is False
 
 
+def _analyze(tmp_path, g, *flags):
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(algebra_to_dict(g)))
+    out = tmp_path / "rep.json"
+    assert main(["analyze", str(alg), *flags, "--output", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_analyze_generic_pair_stable_tensor(tmp_path, generic_pair_algebra):
+    # rho = 0.3 decays too slowly for finite horizons; the closed form
+    # still gives the numeric mean curvature
+    report = _analyze(tmp_path, generic_pair_algebra)
+    assert "warnings" not in report
+    assert report["mean_curvature"]["numeric"] is not None
+    assert report["classification"] == "NotAsymptoticallyHarmonic"
+
+
+def test_tol_bvp_converged_reaches_pair_guard(tmp_path):
+    from solvharm.lie_metric import MetricLieAlgebra
+    g = MetricLieAlgebra(4, ((0, 1, 1, 0.5), (0, 2, 2, 0.5),
+                             (0, 3, 3, 1.0), (1, 2, 3, 1e-6)))
+    report = _analyze(tmp_path, g)
+    assert len(report["warnings"]) == 1
+    assert report["warnings"][0].startswith("mean-curvature:")
+    assert "ill conditioned" in report["warnings"][0]
+    assert report["mean_curvature"]["numeric"] is None
+    loose = _analyze(tmp_path, g, "--tol-bvp-converged", "1e-6")
+    assert "warnings" not in loose
+    assert loose["mean_curvature"]["numeric"] is not None
+    assert loose["tolerances"]["bvp_converged"] == 1e-6
+    assert loose["classification"] == report["classification"]
+
+
 def test_analyze_flat_motion_group(tmp_path):
     # non-abelian presentation of a flat space: [H, X] = Y, [H, Y] = -X
     from solvharm.lie_metric import MetricLieAlgebra

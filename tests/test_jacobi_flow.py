@@ -2,16 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta
 
-from solvharm.clifford_dr import build_flat, build_real_hyperbolic
-from solvharm.errors import ConjugatePointError, DomainError
-from solvharm.hypergeom import stable_block_and_derivative
+from solvharm import jacobi_flow
+from solvharm.clifford_dr import (build_damek_ricci, build_flat,
+                                  build_real_hyperbolic, clifford_generators)
+from solvharm.config import DEFAULT_TOLS
+from solvharm.errors import ConjugatePointError, DomainError, NumericalError
+from solvharm.hypergeom import gauss_f, stable_block_and_derivative, z_of_t
 from solvharm.jacobi_flow import (CentralGeodesicFrame, JacobiTensorSample,
                                   central_velocity, covariant_derivative_along,
                                   finite_horizon_tensor, integrate_jacobi,
                                   mean_curvature_numeric, stable_jacobi_tensor,
                                   to_parallel_frame, volume_density)
-from solvharm.lie_metric import standard_decomposition
+from solvharm.lie_metric import MetricLieAlgebra, standard_decomposition
+
+
+def _pair_block_algebra(rho, theta):
+    return MetricLieAlgebra(4, (
+        (0, 1, 1, rho), (0, 2, 2, 1.0 - rho), (0, 3, 3, 1.0),
+        (1, 2, 3, theta),
+    ))
 
 
 def test_central_velocity_values():
@@ -95,12 +106,7 @@ def test_integrate_center_factor_killing_and_stable(dr_data):
 
 @pytest.mark.parametrize("rho,theta", [(0.5, 1.0), (0.25, 0.5), (0.3, 0.8)])
 def test_integrate_pair_block_matches_closed_form(rho, theta):
-    from solvharm.lie_metric import MetricLieAlgebra
-    g = MetricLieAlgebra(4, (
-        (0, 1, 1, rho), (0, 2, 2, 1.0 - rho), (0, 3, 3, 1.0),
-        (1, 2, 3, theta),
-    ))
-    d = standard_decomposition(g)
+    d = standard_decomposition(_pair_block_algebra(rho, theta))
     frame = CentralGeodesicFrame.build(d)
     k = frame.size
     off = 1 + len(frame.mus) + len(frame.rho_stars)
@@ -177,6 +183,88 @@ def test_stable_tensor_norm_eventually_decreasing(dr_data):
     assert norms.max() <= norms[0] + 1e-9
     tail = norms[grid >= 2.0]
     assert np.all(np.diff(tail) <= 1e-12)
+
+
+@pytest.mark.parametrize("rho,theta", [(0.05, 1.0), (0.25, 0.5), (0.3, 0.8)])
+def test_stable_tensor_slow_pairs_solve_jacobi_forward(rho, theta):
+    # slowly decaying pairs, out of reach of finite horizons r <= 1280:
+    # the closed form is a Jacobi tensor with E(0) = id
+    d = standard_decomposition(_pair_block_algebra(rho, theta))
+    grid = np.linspace(0.0, 8.0, 41)
+    s = stable_jacobi_tensor(d, None, grid)
+    np.testing.assert_allclose(s.e[0], np.eye(s.e.shape[1]), atol=1e-14)
+    fwd = integrate_jacobi(d, None, s.e[0], s.e_prime[0], 8.0, steps=40)
+    np.testing.assert_allclose(fwd.t_grid, grid, atol=1e-14)
+    assert np.abs(fwd.e - s.e).max() <= 1e-8
+    assert np.abs(fwd.e_prime - s.e_prime).max() <= 1e-8
+
+
+@pytest.mark.parametrize("key", [(1, 1), (2, 1), (3, 1), "perturbed"])
+def test_stable_tensor_matches_finite_horizon_oracle(key, dr_data,
+                                                     perturbed_theta_algebra):
+    d = (standard_decomposition(perturbed_theta_algebra)
+         if key == "perturbed" else dr_data[key])
+    grid = np.linspace(0.0, 8.0, 33)
+    s = stable_jacobi_tensor(d, None, grid)
+    oracle = finite_horizon_tensor(d, None, grid, 64.0)
+    assert np.abs(s.e - oracle.e).max() <= 1e-9
+    assert np.abs(s.e_prime - oracle.e_prime).max() <= 1e-9
+
+
+def test_stable_tensor_scalar_slots_match_oracle():
+    # a lower center eigenvalue mu = 0.3 in the scalar slot
+    d = standard_decomposition(
+        MetricLieAlgebra(3, ((0, 1, 1, 1.0), (0, 2, 2, 0.3))))
+    grid = np.linspace(0.0, 8.0, 17)
+    s = stable_jacobi_tensor(d, None, grid)
+    oracle = finite_horizon_tensor(d, None, grid, 160.0)
+    assert np.abs(s.e - oracle.e).max() <= 1e-9
+    assert np.abs(s.e_prime - oracle.e_prime).max() <= 1e-9
+
+
+@pytest.mark.parametrize("m", [0.05, 0.3, 0.5, 1.0, 2.5])
+def test_scalar_block_betainc_matches_hypergeometric_form(m):
+    # I_z(m, m) = z^m F(m, 1-m; 1+m; z) / (m B(m, m))
+    t = np.linspace(0.0, 10.0, 21)
+    z = np.array([z_of_t(x) for x in t])
+    e, _ = jacobi_flow._scalar_stable_block(m, t, z)
+    expected = np.array([
+        2.0 * math.cosh(ti) ** m * zi ** m * gauss_f(m, 1.0 - m, 1.0 + m, zi)
+        / (m * beta(m, m))
+        for ti, zi in zip(t, z)
+    ])
+    np.testing.assert_allclose(e, expected, rtol=1e-12)
+    assert e[0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_stable_tensor_ill_conditioned_pair_guard():
+    # M(0) degrades like 0.5 / theta; at theta = 1e-6 its condition
+    # number times series_tol exceeds the default bvp_converged
+    d = standard_decomposition(_pair_block_algebra(0.5, 1e-6))
+    grid = np.linspace(0.5, 8.0, 26)
+    with pytest.raises(NumericalError, match="ill conditioned"):
+        stable_jacobi_tensor(d, None, grid)
+    loose = DEFAULT_TOLS.with_overrides(bvp_converged=1e-6)
+    s = stable_jacobi_tensor(d, None, grid, tols=loose)
+    assert np.all(np.isfinite(s.e))
+
+
+def test_stable_tensor_does_not_integrate(monkeypatch):
+    # structural guard: the dim-32 Damek-Ricci stable tensor never
+    # evaluates the frame Jacobi operator, so no ODE runs behind it
+    d = standard_decomposition(build_damek_ricci(clifford_generators(7, 3)))
+    assert d.algebra.dim == 32
+    calls = []
+    original = CentralGeodesicFrame.jacobi_operator
+
+    def counting(self, t):
+        calls.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(CentralGeodesicFrame, "jacobi_operator", counting)
+    s = stable_jacobi_tensor(d, None, np.linspace(0.5, 8.0, 26))
+    assert len(calls) == 0
+    assert s.e.shape == (26, 31, 31)
 
 
 def test_finite_horizon_monotone_shape_operators(dr_data):
