@@ -122,10 +122,10 @@ class _UsageError(Exception):
     pass
 
 
-def _load_algebra(path: str) -> lie_metric.MetricLieAlgebra:
+def _load_algebra(path: str, tols: Tolerances) -> lie_metric.MetricLieAlgebra:
     data = _load_json(path)
     try:
-        return lie_metric.algebra_from_dict(data)
+        return lie_metric.algebra_from_dict(data, tols)
     except (StructureError, ValueError, TypeError) as exc:
         raise _UsageError(f"malformed algebra file {path}: {exc}") from exc
 
@@ -154,11 +154,10 @@ def _factor_entry(spec, cls):
 def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
                  tols: Tolerances = DEFAULT_TOLS) -> dict:
     """Run the full analysis pipeline and assemble the report dict."""
-    gamma = curvature.levi_civita(g)
-    r_tensor = curvature.curvature_tensor(g, gamma)
+    gamma, r_tensor = g.geometry
     r_norm = curvature.curvature_norm(r_tensor)
     is_flat = r_norm <= tols.flat_norm
-    is_einstein, c_const, resid = curvature.einstein_check(g, tols)
+    is_einstein, c_const, resid = curvature.einstein_check(g, tols, r_tensor)
     growth = lie_metric.growth_type(g, seed=seed, tols=tols)
 
     derived = lie_metric.derived_algebra(g)
@@ -254,7 +253,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
         "factors": [_factor_entry(s, c) for s, c in rig.factors],
     }
 
-    nr = curvature.nabla_R_norm(g)
+    nr = curvature.nabla_R_norm(g, gamma, r_tensor)
     ratio = nr / r_norm if r_norm > 0 else 0.0
     symmetric = ratio <= tols.symmetry_ratio
     report["symmetry"] = {"nabla_r_norm": nr, "ratio": ratio,
@@ -275,14 +274,25 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     return report
 
 
-def _density_table(g, seed: int, directions: int, times, tols: Tolerances):
+def _thread_count(raw: str) -> int:
+    """Worker count from a ``SOLVHARM_THREADS`` value, clamped to
+    ``[1, os.cpu_count()]``; a non-integer value is a usage error."""
+    try:
+        requested = int(raw)
+    except ValueError:
+        raise _UsageError(
+            f"SOLVHARM_THREADS must be an integer, got {raw!r}") from None
+    return max(1, min(requested, os.cpu_count() or 1))
+
+
+def _density_table(g, seed: int, directions: int, times, tols: Tolerances,
+                   workers: int):
     """Per-direction volume densities, fanned out across worker threads."""
     rng = np.random.default_rng(seed)
     dirs = []
     for _ in range(directions):
         v = rng.standard_normal(g.dim)
         dirs.append(v / np.linalg.norm(v))
-    workers = max(1, int(os.environ.get("SOLVHARM_THREADS", "1")))
     t_arr = np.asarray(times, dtype=float)
 
     def run(v):
@@ -321,19 +331,21 @@ def cmd_build(args, tols: Tolerances) -> int:
 
 
 def cmd_analyze(args, tols: Tolerances) -> int:
-    g = _load_algebra(args.algebra)
+    g = _load_algebra(args.algebra, tols)
+    if args.density_csv:   # reject a bad value before any work is done
+        workers = _thread_count(os.environ.get("SOLVHARM_THREADS", "1"))
     report = build_report(g, seed=args.seed, tols=tols)
     _deliver(_render_json(report), args.output)
     if args.density_csv:
         table = _density_table(g, args.seed, args.density_directions,
                                [float(x) for x in args.density_times.split(",")],
-                               tols)
+                               tols, workers)
         _write_atomic(args.density_csv, table)
     return 0
 
 
 def cmd_scan_h(args, tols: Tolerances) -> int:
-    g = _load_algebra(args.algebra)
+    g = _load_algebra(args.algebra, tols)
     try:
         data = lie_metric.standard_decomposition(g, tols)
     except (StructureError, NotStandardError) as exc:
@@ -354,7 +366,7 @@ def cmd_scan_h(args, tols: Tolerances) -> int:
 
 
 def cmd_classify(args, tols: Tolerances) -> int:
-    g = _load_algebra(args.algebra)
+    g = _load_algebra(args.algebra, tols)
     try:
         data = lie_metric.standard_decomposition(g, tols)
     except (StructureError, NotStandardError) as exc:

@@ -6,6 +6,8 @@ operators and the covariant derivative of R are then pure tensor
 algebra.  Homogeneity makes values at the identity global.
 """
 
+import math
+
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
@@ -52,9 +54,15 @@ def curvature_norm(r: np.ndarray) -> float:
     return float(np.sqrt((r**2).sum()))
 
 
-def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS):
-    """Whether Ric = c id; returns (is_einstein, c, residual)."""
-    ric = ricci(g, curvature_tensor(g, levi_civita(g)))
+def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS,
+                   r=None):
+    """Whether Ric = c id; returns (is_einstein, c, residual).
+
+    ``r`` defaults to the curvature tensor of ``g.geometry``.
+    """
+    if r is None:
+        _, r = g.geometry
+    ric = ricci(g, r)
     c = float(np.trace(ric)) / g.dim
     residual = float(np.linalg.norm(ric - c * np.eye(g.dim)))
     return residual <= tols.einstein_residual, c, residual
@@ -187,7 +195,11 @@ def jacobi_operator_central(d: StandardSolvableData, z_vec, t: float,
 
 
 def nabla_R(g: MetricLieAlgebra, gamma=None, r=None) -> np.ndarray:
-    """Covariant derivative (nabla_{e_l} R)(e_i, e_j) e_k, index [l,i,j,k,:]."""
+    """Covariant derivative (nabla_{e_l} R)(e_i, e_j) e_k, index [l,i,j,k,:].
+
+    Holds four n^5 arrays; :func:`nabla_R_norm` computes the norm without
+    them, and this function stays as its oracle.
+    """
     if gamma is None:
         gamma = levi_civita(g)
     if r is None:
@@ -199,6 +211,37 @@ def nabla_R(g: MetricLieAlgebra, gamma=None, r=None) -> np.ndarray:
     return term0 - term1 - term2 - term3
 
 
-def nabla_R_norm(g: MetricLieAlgebra) -> float:
-    """Frobenius norm of nabla R; zero iff the space is locally symmetric."""
-    return float(np.sqrt((nabla_R(g) ** 2).sum()))
+def nabla_R_norm(g: MetricLieAlgebra, gamma=None, r=None) -> float:
+    """Frobenius norm of nabla R; zero iff the space is locally symmetric.
+
+    ``gamma`` and ``r`` default to ``g.geometry``.  The square norm is
+    accumulated one derivative index l at a time, so memory stays O(n^4):
+
+        (nabla_l R)(e_i, e_j) e_k = nabla_l (R(e_i, e_j) e_k)
+            - R(nabla_l e_i, e_j) e_k - R(e_i, nabla_l e_j) e_k
+            - R(e_i, e_j) nabla_l e_k,
+
+    each term a BLAS product of R with the matrix Gamma_l = gamma[l].
+    R is antisymmetric in (i, j), so the third term is minus the (i, j)
+    transpose of the second.
+    """
+    if gamma is None:
+        gamma = g.geometry[0]
+    if r is None:
+        r = g.geometry[1]
+    n = g.dim
+    by_first = r.reshape(n, n ** 3)           # [m, (j, k, p)]
+    by_third = r.reshape(n * n, n, n)         # [(i, j), m, p]
+    acc = np.empty(r.shape)                   # nabla_l R
+    buf = np.empty(r.shape)    # one term at a time; C order, so the
+                               # reshaped out= targets are views of it
+    total = 0.0
+    for gam in gamma:
+        np.matmul(r, gam, out=acc)
+        np.matmul(gam, by_first, out=buf.reshape(n, n ** 3))
+        acc -= buf
+        acc += buf.transpose(1, 0, 2, 3)
+        np.matmul(gam, by_third, out=buf.reshape(n * n, n, n))
+        acc -= buf
+        total += float(np.vdot(acc, acc))
+    return math.sqrt(total)

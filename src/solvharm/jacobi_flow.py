@@ -21,8 +21,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import beta, betainc
 
 from .config import DEFAULT_TOLS, Tolerances
-from .curvature import (central_frame_split, central_jacobi_blocks,
-                        curvature_tensor, levi_civita)
+from .curvature import central_frame_split, central_jacobi_blocks
 from .errors import (ConjugatePointError, DimensionError, DomainError,
                      NumericalError)
 from .hypergeom import stable_block_and_derivative, z_of_t
@@ -132,7 +131,7 @@ def covariant_derivative_along(d: StandardSolvableData, z_vec, t: float,
     z_vec = np.asarray(z_vec, dtype=float)
     vh, vz = central_velocity(t)
     u = vh * d.h_vector + vz * z_vec
-    gamma = levi_civita(d.algebra)
+    gamma, _ = d.algebra.geometry
     return np.einsum("i,ijk,j->k", u, gamma, field)
 
 
@@ -403,14 +402,15 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
     exponential per grid point; otherwise the geodesic equation
     u' = -nabla_u u and the frame Jacobi system are integrated jointly.
     Harmonicity makes the result independent of the direction v.
+    Gamma and R come from ``g.geometry``, so all directions of one
+    algebra share them.
     """
     v = np.asarray(v, dtype=float)
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise DomainError("direction v must be a unit vector")
     t_grid = np.asarray(t_grid, dtype=float)
     n = g.dim
-    gamma = levi_civita(g)
-    r_tensor = curvature_tensor(g, gamma)
+    gamma, r_tensor = g.geometry
     perp = _null_space(v[np.newaxis, :])
 
     derived = derived_algebra(g)
@@ -433,14 +433,18 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
         dets = np.array(dets)
     else:
         k = n - 1
+        # one matvec each for nabla_u (W^T[j, l]) and R(., u)u (R_u^T[j, l])
+        gamma_flat = gamma.reshape(n, n * n)                   # [i, (j, l)]
+        r_flat = r_tensor.transpose(1, 2, 0, 3).reshape(n * n, n * n)
 
         def rhs(t, y):
             u = y[:n]
             c = y[n: n + n * k].reshape(n, k)
             p = y[n + n * k:].reshape(n, k)
-            du = -np.einsum("i,j,ijl->l", u, u, gamma)
-            w = np.einsum("i,ijl->lj", u, gamma)
-            r_u = np.einsum("a,b,jabl->lj", u, u, r_tensor)
+            w_t = (u @ gamma_flat).reshape(n, n)
+            r_u = (np.outer(u, u).ravel() @ r_flat).reshape(n, n).T
+            du = -(u @ w_t)
+            w = w_t.T
             dc = p - w @ c
             dp = -r_u @ c - w @ p
             return np.concatenate([du, dc.ravel(), dp.ravel()])

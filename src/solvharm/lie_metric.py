@@ -10,6 +10,7 @@ geodesic and rigidity machinery downstream.
 """
 
 import enum
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,8 @@ __all__ = [
 
 _RANK_TOL = 1e-10
 _PRUNE_TOL = 1e-14
+# serializes the first computation of an algebra's connection and curvature
+_GEOMETRY_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -49,12 +52,18 @@ class MetricLieAlgebra:
 
     ``structure_constants`` holds sparse quadruples ``(i, j, k, c)`` with
     ``i < j``; antisymmetry is implicit in the storage.  Construction
-    validates the Jacobi identity.
+    validates the Jacobi identity within ``jacobi_tol``, which the
+    algebras derived from this one (rescaled, subalgebras, the adapted
+    basis of the standard decomposition) inherit.
     """
 
     dim: int
     structure_constants: tuple = ()
     _tensor: np.ndarray = field(repr=False, compare=False, default=None)
+    jacobi_tol: float = field(repr=False, compare=False,
+                              default=DEFAULT_TOLS.jacobi_identity)
+    _geometry: tuple = field(repr=False, compare=False, default=None,
+                             init=False)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -73,11 +82,13 @@ class MetricLieAlgebra:
         object.__setattr__(self, "structure_constants", tuple(cleaned))
         object.__setattr__(self, "_tensor", tensor)
         resid = self.jacobi_residual()
-        if resid > DEFAULT_TOLS.jacobi_identity:
+        if resid > self.jacobi_tol:
             raise StructureError(f"Jacobi identity violated: residual {resid:.3e}")
 
     @classmethod
-    def from_tensor(cls, tensor, prune: float = _PRUNE_TOL) -> "MetricLieAlgebra":
+    def from_tensor(cls, tensor, prune: float = _PRUNE_TOL,
+                    jacobi_tol: float = DEFAULT_TOLS.jacobi_identity
+                    ) -> "MetricLieAlgebra":
         """Build from a full bracket tensor ``T[i, j, :] = [e_i, e_j]``."""
         t = np.asarray(tensor, dtype=float)
         n = t.shape[0]
@@ -93,11 +104,31 @@ class MetricLieAlgebra:
                     c = t[i, j, k]
                     if abs(c) > prune:
                         triples.append((i, j, k, c))
-        return cls(n, tuple(triples))
+        return cls(n, tuple(triples), jacobi_tol=jacobi_tol)
 
     @property
     def tensor(self) -> np.ndarray:
         return self._tensor
+
+    @property
+    def geometry(self):
+        """``(Gamma, R)`` of :func:`curvature.levi_civita` and
+        :func:`curvature.curvature_tensor`, read-only.
+
+        Computed on first use and kept on this instance, so every consumer
+        of one algebra shares a single connection and curvature; the lock
+        makes concurrent first uses (worker threads) compute them once.
+        """
+        if self._geometry is None:
+            with _GEOMETRY_LOCK:
+                if self._geometry is None:
+                    from . import curvature   # curvature imports this module
+                    gamma = curvature.levi_civita(self)
+                    r = curvature.curvature_tensor(self, gamma)
+                    gamma.flags.writeable = False
+                    r.flags.writeable = False
+                    object.__setattr__(self, "_geometry", (gamma, r))
+        return self._geometry
 
     def jacobi_residual(self) -> float:
         """max norm of Jac(e_i, e_j, e_k) over all basis triples."""
@@ -108,7 +139,8 @@ class MetricLieAlgebra:
 
     def rescaled(self, factor: float) -> "MetricLieAlgebra":
         """Algebra of the metric scaled so all brackets pick up ``factor``."""
-        return MetricLieAlgebra.from_tensor(self._tensor * factor)
+        return MetricLieAlgebra.from_tensor(self._tensor * factor,
+                                            jacobi_tol=self.jacobi_tol)
 
 
 def bracket(x, y, g: MetricLieAlgebra) -> np.ndarray:
@@ -188,7 +220,7 @@ def subalgebra(g: MetricLieAlgebra, basis: np.ndarray,
                 )
             tensor[a, c] = coeffs
             tensor[c, a] = -coeffs
-    return MetricLieAlgebra.from_tensor(tensor)
+    return MetricLieAlgebra.from_tensor(tensor, jacobi_tol=g.jacobi_tol)
 
 
 def nilpotency_class(g: MetricLieAlgebra):
@@ -512,10 +544,9 @@ def standard_decomposition(g: MetricLieAlgebra,
     q_basis, _ = np.linalg.qr(basis)
     q_basis *= np.sign(np.sum(q_basis * basis, axis=0))
 
-    tensor = np.einsum(
-        "ia,jb,ijk,kc->abc", q_basis, q_basis, g_scaled.tensor, q_basis
-    )
-    adapted = MetricLieAlgebra.from_tensor(tensor)
+    tensor = np.einsum("ia,jb,ijk,kc->abc", q_basis, q_basis,
+                       g_scaled.tensor, q_basis, optimize=True)
+    adapted = MetricLieAlgebra.from_tensor(tensor, jacobi_tol=g.jacobi_tol)
 
     n_pairs = len(pairs)
     v_idx = tuple(range(1, 1 + m_v))
@@ -579,9 +610,13 @@ def algebra_to_dict(g: MetricLieAlgebra) -> dict:
     }
 
 
-def algebra_from_dict(data: dict) -> MetricLieAlgebra:
+def algebra_from_dict(data: dict,
+                      tols: Tolerances = DEFAULT_TOLS) -> MetricLieAlgebra:
+    """Inverse of :func:`algebra_to_dict`; the Jacobi identity is checked
+    within ``tols.jacobi_identity``."""
     if not isinstance(data, dict) or "dim" not in data:
         raise StructureError("algebra JSON must contain 'dim'")
     consts = data.get("structure_constants", [])
     return MetricLieAlgebra(int(data["dim"]),
-                            tuple(tuple(row) for row in consts))
+                            tuple(tuple(row) for row in consts),
+                            jacobi_tol=tols.jacobi_identity)

@@ -63,3 +63,17 @@ def generic_pair_algebra():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260810)
+
+
+def _haar_rotate(g, seed):
+    """``g`` in a Haar-random orthonormal basis drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((g.dim, g.dim)))
+    q = q * np.sign(np.diag(r))
+    tensor = np.einsum("ia,jb,ijk,kc->abc", q, q, g.tensor, q, optimize=True)
+    return lie_metric.MetricLieAlgebra.from_tensor(tensor)
+
+
+@pytest.fixture(scope="session")
+def haar_rotate():
+    return _haar_rotate

@@ -4,7 +4,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from solvharm import cli
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import build_damek_ricci, clifford_generators
 from solvharm.lie_metric import algebra_to_dict
@@ -222,3 +224,47 @@ def test_build_report_matches_cli(tmp_path):
     out = tmp_path / "rep.json"
     assert main(["analyze", str(alg), "--output", str(out)]) == 0
     assert json.loads(out.read_text())["classification"] == "RankOneSymmetric"
+
+
+def test_tol_jacobi_identity_reaches_construction_check(tmp_path, capsys):
+    data = algebra_to_dict(build_damek_ricci(clifford_generators(1)))
+    data["structure_constants"][0][3] += 1e-9   # Jacobi residual 1e-9
+    alg = tmp_path / "shifted.json"
+    alg.write_text(json.dumps(data))
+    out = tmp_path / "classify.json"
+    assert main(["classify", str(alg), "--output", str(out)]) == 2
+    assert "Jacobi identity violated" in capsys.readouterr().err
+    assert main(["classify", str(alg), "--tol-jacobi-identity", "1e-3",
+                 "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["is_rigid"] is True
+    assert report["tolerances"]["jacobi_identity"] == 1e-3
+
+
+def test_thread_count_is_clamped(monkeypatch):
+    # only the parser runs: no pool and no thread is started
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._thread_count("1") == 1
+    assert cli._thread_count("3") == 3
+    assert cli._thread_count(str(10 ** 12)) == 4
+    assert cli._thread_count("0") == 1
+    assert cli._thread_count("-7") == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._thread_count("8") == 1
+
+
+@pytest.mark.parametrize("raw", ["two", "1.5", ""])
+def test_thread_count_rejects_non_integers(raw):
+    with pytest.raises(cli._UsageError, match="SOLVHARM_THREADS"):
+        cli._thread_count(raw)
+
+
+def test_bad_thread_count_is_usage_error_before_any_work(tmp_path,
+                                                         monkeypatch):
+    alg = tmp_path / "dr.json"
+    main(["build", "damek-ricci", "--l", "1", "--output", str(alg)])
+    out = tmp_path / "rep.json"
+    monkeypatch.setenv("SOLVHARM_THREADS", "many")
+    assert main(["analyze", str(alg), "--output", str(out),
+                 "--density-csv", str(tmp_path / "d.csv")]) == 2
+    assert not out.exists()

@@ -1,14 +1,22 @@
+import sys
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from solvharm import curvature
+from solvharm.cli import build_report
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.curvature import (central_frame_split, curvature_norm,
                                 curvature_tensor, einstein_check,
                                 jacobi_operator_H, jacobi_operator_central,
-                                levi_civita, nabla_R_norm, ricci,
+                                levi_civita, nabla_R, nabla_R_norm, ricci,
                                 sectional_curvature)
 from solvharm.errors import DomainError
+from solvharm.jacobi_flow import volume_density
 from solvharm.lie_metric import (MetricLieAlgebra, ad_matrix,
                                  standard_decomposition,
                                  symmetric_skew_split)
@@ -251,3 +259,133 @@ def test_nabla_r_nonsymmetric_witness(dr_algebras):
         curvature_tensor(g, levi_civita(g))
     )
     assert ratio > 1e-3
+
+
+def _nabla_r_norm_oracle(g):
+    return float(np.sqrt((nabla_R(g) ** 2).sum()))
+
+
+@pytest.mark.parametrize("name", ["perturbed-theta", "generic-pair",
+                                  "dr-2-1", "dr-3-1"])
+@pytest.mark.parametrize("seed", [11, 12])
+def test_nabla_r_norm_matches_full_tensor(name, seed, dr_algebras,
+                                          perturbed_theta_algebra,
+                                          generic_pair_algebra, haar_rotate):
+    base = {"perturbed-theta": perturbed_theta_algebra,
+            "generic-pair": generic_pair_algebra,
+            "dr-2-1": dr_algebras[(2, 1)],
+            "dr-3-1": dr_algebras[(3, 1)]}[name]
+    g = haar_rotate(base, seed)
+    r_norm = curvature_norm(curvature_tensor(g, levi_civita(g)))
+    # absolute bound: DR (3, 1) is symmetric, its norm is pure roundoff
+    assert abs(nabla_R_norm(g) - _nabla_r_norm_oracle(g)) \
+        <= 1e-12 * max(1.0, r_norm)
+
+
+def test_nabla_r_norm_explicit_geometry_matches_default(dr_algebras):
+    g = dr_algebras[(2, 1)]
+    gamma = levi_civita(g)
+    r = curvature_tensor(g, gamma)
+    assert nabla_R_norm(g, gamma, r) == nabla_R_norm(g)
+    # a non-contiguous copy of R (same values) gives the same norm
+    r_f = np.asfortranarray(r)
+    assert nabla_R_norm(g, gamma, r_f) == nabla_R_norm(g)
+
+
+def test_nabla_r_norm_memory_stays_order_n4():
+    # one full n^5 term of nabla R on DR (7, 3) is 32^5 doubles = 268 MB
+    g = build_damek_ricci(clifford_generators(7, 3))
+    assert g.dim == 32
+    g.geometry    # Gamma and R are not part of the norm's own footprint
+    tracemalloc.start()
+    try:
+        value = nabla_R_norm(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value > 1.0
+    assert peak < 64 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# Gamma and R are computed once per algebra instance
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def geometry_calls(monkeypatch):
+    """Counts of levi_civita / curvature_tensor calls made from now on."""
+    calls = {"levi_civita": 0, "curvature_tensor": 0}
+
+    def counting(name):
+        original = getattr(curvature, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(curvature, name, wrapper)
+
+    counting("levi_civita")
+    counting("curvature_tensor")
+    return calls
+
+
+def test_build_report_computes_geometry_once(geometry_calls):
+    g = build_damek_ricci(clifford_generators(2, 1))   # fresh instance
+    report = build_report(g)
+    assert report["classification"] == "DamekRicciNonsymmetric"
+    assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 1}
+
+
+def test_volume_density_shares_geometry(geometry_calls, rng):
+    g = build_damek_ricci(clifford_generators(2, 1))
+    dirs = rng.standard_normal((8, g.dim))
+    dirs[0] = _basis(g.dim, 0)   # H: the one-parameter-subgroup branch
+    rows = [volume_density(g, v / np.linalg.norm(v), np.array([0.5, 1.0]))
+            for v in dirs]
+    assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 1}
+    assert np.ptp(rows, axis=0).max() <= 1e-8 * np.abs(rows).max()
+
+
+def test_geometry_is_read_only(dr_algebras):
+    gamma, r = dr_algebras[(1, 1)].geometry
+    with pytest.raises(ValueError):
+        r[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        gamma[0, 0, 0] = 1.0
+
+
+def test_geometry_first_use_from_many_threads(monkeypatch):
+    # more threads than cores, a short switch interval and a slow
+    # levi_civita: an unguarded check-then-set would compute twice
+    g = build_damek_ricci(clifford_generators(1, 2))
+    calls = []
+    original = curvature.levi_civita
+
+    def slow(alg):
+        calls.append(threading.get_ident())
+        time.sleep(0.05)
+        return original(alg)
+
+    monkeypatch.setattr(curvature, "levi_civita", slow)
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    seen = [None] * n_threads
+
+    def worker(i):
+        barrier.wait(timeout=10)
+        seen[i] = g.geometry
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert all(s is seen[0] for s in seen)

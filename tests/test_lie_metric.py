@@ -4,6 +4,7 @@ import pytest
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
                                   build_real_hyperbolic, clifford_generators)
+from solvharm.config import DEFAULT_TOLS
 from solvharm.errors import (DimensionError, NotStandardError, StructureError)
 from solvharm.lie_metric import (GrowthType, MetricLieAlgebra, ad_matrix,
                                  algebra_from_dict, algebra_to_dict, bracket,
@@ -287,3 +288,17 @@ def test_json_round_trip(dr_algebras):
     np.testing.assert_allclose(again.tensor, g.tensor)
     assert data["dim"] == 7
     assert all(i < j for i, j, _, _ in data["structure_constants"])
+
+
+def test_jacobi_tolerance_reaches_derived_algebras(dr_algebras):
+    data = algebra_to_dict(dr_algebras[(1, 1)])
+    data["structure_constants"][0][3] += 1e-9   # Jacobi residual 1e-9
+    with pytest.raises(StructureError, match="Jacobi identity"):
+        algebra_from_dict(data)
+    loose = DEFAULT_TOLS.with_overrides(jacobi_identity=1e-6)
+    g = algebra_from_dict(data, loose)
+    assert g.jacobi_tol == 1e-6
+    # each of these rebuilds the algebra and checks it again
+    assert g.rescaled(2.0).jacobi_tol == 1e-6
+    assert subalgebra(g, np.eye(g.dim)).jacobi_tol == 1e-6
+    assert standard_decomposition(g, loose).algebra.jacobi_tol == 1e-6
