@@ -7,23 +7,26 @@ the Damek-Ricci ones (centers mu = 1, pairs rho = 1/2 with theta = 1),
 which pins down the algebra completely.
 """
 
+import math
+
 import numpy as np
 
 from solvharm import (CenterFactor, KernelFactor, PairFactor, classify_factor,
                       gauss_f, h_function, monodromy_coeffs, HypergeomParams,
-                      stable_block)
+                      stable_block_and_derivative)
 
 np.set_printoptions(precision=8, suppress=True)
 
-# The series itself: F(a, b; c; z) with a few sanity values.
+# F(a, b; c; z) (scipy.special.hyp2f1) with a few sanity values.
 print("F(1, 1; 2; 1/2)          =", gauss_f(1.0, 1.0, 2.0, 0.5),
       " (= 2 log 2)")
 print("F(-1, 1; 1/2; z) at 0.3  =", gauss_f(-1.0, 1.0, 0.5, 0.3),
       " (= 1 - 2z)")
 
-# Stable-field blocks: bounded combinations of the fundamental pair.
+# Stable-field blocks: bounded combinations of the fundamental pair,
+# evaluated at the time t with z(t) = (1 - tanh t)/2 = 1/4.
 print("\nstable block at (rho, theta, z) = (0.5, 1, 0.25):")
-print(stable_block(0.5, 1.0, 0.25))
+print(stable_block_and_derivative(0.5, 1.0, math.atanh(0.5))[0])
 
 # h(z) for the 4-dimensional Damek-Ricci data is the constant -4 ...
 zs = np.linspace(0.05, 0.5, 6)

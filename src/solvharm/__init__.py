@@ -38,10 +38,10 @@ from .jacobi_flow import (CentralGeodesicFrame, JacobiTensorSample,
 from .hypergeom import (CenterFactor, FactorClassification, FactorSpec,
                         HypergeomParams, KernelFactor, MonodromyCoeffs,
                         PairFactor, RigidityReport, classify_factor,
-                        factors_from_data, fundamental_pair, gamma, gauss_F,
-                        gauss_f, h_factors, h_function,
-                        mean_curvature_analytic, monodromy_coeffs,
-                        pair_exponents, reciprocal_gamma, rigidity_conclusion,
-                        stable_block, stable_block_and_derivative, z_of_t)
+                        factors_from_data, fundamental_pair, gamma, gauss_f,
+                        h_factors, h_function, mean_curvature_analytic,
+                        monodromy_coeffs, pair_exponents, reciprocal_gamma,
+                        rigidity_conclusion, stable_block_and_derivative,
+                        z_of_t)
 
 __version__ = "0.1.0"

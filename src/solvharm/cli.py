@@ -233,7 +233,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     z_lo, z_hi, z_n = _H_GRID
     z_values = np.linspace(z_lo, z_hi, z_n)
     h_values = np.array([
-        hypergeom.h_function(mu_f, rho_star, pairs, z, tols) for z in z_values
+        hypergeom.h_function(mu_f, rho_star, pairs, z) for z in z_values
     ])
     h_scale = max(float(np.abs(h_values).max()), 1e-30)
     drift = float((h_values.max() - h_values.min()) / h_scale)
@@ -356,7 +356,7 @@ def cmd_scan_h(args, tols: Tolerances) -> int:
     header = "z,h," + ",".join(f"factor_{i + 1}" for i in range(n_factors))
     lines = [header]
     for z in np.linspace(args.z_min, args.z_max, args.count):
-        factors = hypergeom.h_factors(mu_f, rho_star, pairs, float(z), tols)
+        factors = hypergeom.h_factors(mu_f, rho_star, pairs, float(z))
         h = float(np.prod(factors))
         cells = [format(float(z), ".17g"), format(h, ".17g")]
         cells += [format(float(f), ".17g") for f in factors]

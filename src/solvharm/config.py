@@ -2,7 +2,10 @@
 
 Every module takes its thresholds from a single :class:`Tolerances`
 record so that a run can be tightened or relaxed in one place.  The
-defaults are the contract values used throughout the test suite.
+defaults are the contract values used throughout the test suite.  Each
+field is read by the check it names, and each one is also a ``--tol-*``
+flag of every subcommand; the special functions themselves come from
+``scipy.special`` and have no knobs.
 """
 
 from dataclasses import dataclass, replace
@@ -11,9 +14,7 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Tolerances:
     # dense linear algebra
-    eig_backward: float = 1e-10
     pivot_rel: float = 1e-13
-    solve_residual: float = 1e-10
 
     # Lie-algebra structure checks
     jacobi_identity: float = 1e-12
@@ -34,15 +35,14 @@ class Tolerances:
     bvp_converged: float = 1e-8
     det_floor: float = 1e-13
 
-    # hypergeometric series
+    # hypergeometric functions
+    # relative accuracy assumed of scipy.special.hyp2f1 by the pair-block
+    # conditioning guard of jacobi_flow (cond M(0) * series_tol)
     series_tol: float = 1e-13
-    series_euler_z: float = 0.7
-    series_max_terms: int = 100_000
     classifier_zero: float = 1e-10
     h_deriv_step: float = 1e-6
 
     # geometry verdicts
-    rigidity_param: float = 1e-8
     einstein_residual: float = 1e-8
     symmetry_ratio: float = 1e-8
     flat_norm: float = 1e-10

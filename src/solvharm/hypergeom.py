@@ -1,11 +1,12 @@
 """Gauss hypergeometric machinery for the rigidity analysis.
 
-Power-series evaluation of F(a,b;c;z), the fundamental solution pairs of
-the pair-block hypergeometric equation, the closed-form stable-field
-blocks, the product function h(z) whose constancy encodes asymptotic
-harmonicity, the analytic mean curvature, monodromy coefficients of the
-loop around z = 1, and the constant/polynomial/unbounded classifier for
-the factors of h.
+F(a,b;c;z) and the gamma function from ``scipy.special`` (arguments
+checked on the way in, a non-finite value raised as NumericalError), the
+fundamental solution pairs of the pair-block hypergeometric equation,
+the closed-form stable-field blocks, the product function h(z) whose
+constancy encodes asymptotic harmonicity, the analytic mean curvature,
+monodromy coefficients of the loop around z = 1, and the
+constant/polynomial/unbounded classifier for the factors of h.
 """
 
 import math
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from scipy import special
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DomainError, NumericalError
@@ -29,10 +31,8 @@ __all__ = [
     "RigidityReport",
     "z_of_t",
     "gauss_f",
-    "gauss_F",
     "fundamental_pair",
     "pair_exponents",
-    "stable_block",
     "stable_block_and_derivative",
     "h_factors",
     "h_function",
@@ -73,49 +73,23 @@ class MonodromyCoeffs:
     b12: complex
 
 
-def _series(a: float, b: float, c: float, z: float,
-            tols: Tolerances) -> float:
-    """Plain power series sum_k (a)_k (b)_k / ((c)_k k!) z^k for |z| < 1."""
-    total = 1.0
-    term = 1.0
-    settle = 4 + int(abs(a) + abs(b) + abs(c))
-    for k in range(tols.series_max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        if term == 0.0:
-            return total
-        total += term
-        # geometric tail bound once the term ratio has settled near |z|
-        if k >= settle and abs(term) <= tols.series_tol * max(abs(total), 1.0) * (1.0 - abs(z)):
-            return total
-    raise NumericalError(
-        f"hypergeometric series did not converge for z = {z}"
-    )
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} is not finite: {value}")
+    return value
 
 
-def gauss_f(a: float, b: float, c: float, z: float,
-            tols: Tolerances = DEFAULT_TOLS) -> float:
-    """F(a, b; c; z) on |z| < 1 with truncation error below series_tol.
-
-    For z above ``tols.series_euler_z`` the Euler transformation
-    (1-z)^(c-a-b) F(c-a, c-b; c; z) is applied (unless the direct series
-    terminates, which is always preferred as an exact finite sum).
-    """
+def gauss_f(a: float, b: float, c: float, z: float) -> float:
+    """F(a, b; c; z) on |z| < 1 by ``scipy.special.hyp2f1``."""
     if _nonpositive_int(c):
         raise DomainError(f"parameter pole: c = {c} is a nonpositive integer")
     if not abs(z) < 1.0:
         raise DomainError(f"series argument must satisfy |z| < 1, got {z}")
-    terminating = _nonpositive_int(a) or _nonpositive_int(b)
-    if z > tols.series_euler_z and not terminating:
-        return (1.0 - z) ** (c - a - b) * _series(c - a, c - b, c, z, tols)
-    return _series(a, b, c, z, tols)
+    return _finite(float(special.hyp2f1(a, b, c, z)),
+                   f"F({a}, {b}; {c}; {z})")
 
 
-# spec-facing alias matching the paper's capital F
-gauss_F = gauss_f
-
-
-def fundamental_pair(p: HypergeomParams, z: float,
-                     tols: Tolerances = DEFAULT_TOLS):
+def fundamental_pair(p: HypergeomParams, z: float):
     """The solution pair (u1, u1', u2, u2') of the hypergeometric equation.
 
     u1 = F(a,b;c;z) is regular at 0; u2 = z^(1-c) F(1+a-c,1+b-c;2-c;z)
@@ -128,13 +102,13 @@ def fundamental_pair(p: HypergeomParams, z: float,
         )
     if not 0.0 < z < 1.0:
         raise DomainError(f"z must lie in (0, 1), got {z}")
-    u1 = gauss_f(a, b, c, z, tols)
-    u1p = a * b / c * gauss_f(a + 1, b + 1, c + 1, z, tols)
-    u2 = z ** (1.0 - c) * gauss_f(1 + a - c, 1 + b - c, 2 - c, z, tols)
+    u1 = gauss_f(a, b, c, z)
+    u1p = a * b / c * gauss_f(a + 1, b + 1, c + 1, z)
+    u2 = z ** (1.0 - c) * gauss_f(1 + a - c, 1 + b - c, 2 - c, z)
     # on the pair surface a + b + 1 = 2c this equals the product form
     # (1-c) (z(1-z))^(-c) F(-a,-b;1-c;z); this version is the derivative
     # of u2 for arbitrary parameters
-    u2p = (1.0 - c) * z ** (-c) * gauss_f(1 + a - c, 1 + b - c, 1 - c, z, tols)
+    u2p = (1.0 - c) * z ** (-c) * gauss_f(1 + a - c, 1 + b - c, 1 - c, z)
     return u1, u1p, u2, u2p
 
 
@@ -155,40 +129,19 @@ def _check_pair_params(rho: float, theta: float):
         raise DomainError(f"pair parameter theta must be positive, got {theta}")
 
 
-def stable_block(rho: float, theta: float, z: float,
-                 tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """The 2x2 stable-field block B_rho(z) C_{rho,theta}(z).
+def stable_block_and_derivative(rho: float, theta: float, t: float):
+    """Stable block M(t) and its plain time derivative M'(t).
 
     Columns, read as coefficients (f, g) on the left-invariant pair
     (V, ~V), are the special bounded solutions of the pair Jacobi
-    equation; the block tends to 0 as z -> 0 (t -> infinity).
-    """
-    _check_pair_params(rho, theta)
-    if not 0.0 < z < 1.0:
-        raise DomainError(f"z must lie in (0, 1), got {z}")
-    a, b = pair_exponents(rho, theta)
-    u1, u1p, u2, u2p = fundamental_pair(HypergeomParams(a, b, rho), z, tols)
-    w = 4.0 * z * (1.0 - z)
-    b_mat = np.diag([w ** (-rho / 2.0), w ** ((rho - 1.0) / 2.0)])
-    c_mat = np.array([
-        [-(w ** rho) * u1p, -(w ** rho) * u2p + 4.0 ** rho * (1.0 - rho)],
-        [2.0 * theta * (u1 - 1.0), 2.0 * theta * u2],
-    ])
-    return b_mat @ c_mat
-
-
-def stable_block_and_derivative(rho: float, theta: float, t: float,
-                                tols: Tolerances = DEFAULT_TOLS):
-    """Stable block M(t) and its plain time derivative M'(t).
-
-    Each column is a first-kind solution from ker(d/dt - B(t)) plus a
+    equation; M(t) tends to 0 as t -> infinity (z -> 0).  Each column is a first-kind solution from ker(d/dt - B(t)) plus a
     Killing-field solution from ker(d/dt - A(t)); the derivative follows
     from those two linear factorizations without finite differences.
     """
     _check_pair_params(rho, theta)
     z = z_of_t(t)
     a, b = pair_exponents(rho, theta)
-    u1, u1p, u2, u2p = fundamental_pair(HypergeomParams(a, b, rho), z, tols)
+    u1, u1p, u2, u2p = fundamental_pair(HypergeomParams(a, b, rho), z)
     ch, th, sech = math.cosh(t), math.tanh(t), 1.0 / math.cosh(t)
     a_mat = th * np.diag([rho, 1.0 - rho])
     b_op = a_mat + sech * np.array([[0.0, -theta], [theta, 0.0]])
@@ -211,30 +164,28 @@ def stable_block_and_derivative(rho: float, theta: float, t: float,
 # the rigidity function h
 # ---------------------------------------------------------------------------
 
-def h_factors(mu, rho_star, pairs, z: float,
-              tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def h_factors(mu, rho_star, pairs, z: float) -> np.ndarray:
     """Individual factors of h at z, ordered (centers, kernels, pairs)."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     rho_star = np.atleast_1d(np.asarray(rho_star, dtype=float))
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
     values = []
     for m in mu:
-        values.append(1.0 if z == 0.0 else gauss_f(m, 1 - m, 1 + m, z, tols))
+        values.append(1.0 if z == 0.0 else gauss_f(m, 1 - m, 1 + m, z))
     for r in rho_star:
-        values.append(1.0 if z == 0.0 else gauss_f(r, 1 - r, 1 + r, z, tols))
+        values.append(1.0 if z == 0.0 else gauss_f(r, 1 - r, 1 + r, z))
     for rho, theta in pairs:
         a, b = pair_exponents(rho, theta)
         if z == 0.0:
             values.append(a * b / rho + a * b / (1.0 - rho))
         else:
-            num = (gauss_f(a, b, rho, z, tols)
-                   + gauss_f(-a, -b, 1 - rho, z, tols) - 2.0)
+            num = (gauss_f(a, b, rho, z)
+                   + gauss_f(-a, -b, 1 - rho, z) - 2.0)
             values.append(num / z)
     return np.array(values)
 
 
-def h_function(mu, rho_star, pairs, z: float,
-               tols: Tolerances = DEFAULT_TOLS) -> float:
+def h_function(mu, rho_star, pairs, z: float) -> float:
     """The product h(z) of hypergeometric factors of the spectral data.
 
     At z = 0 the continuous limit prod_i (a_i b_i / rho_i +
@@ -242,7 +193,7 @@ def h_function(mu, rho_star, pairs, z: float,
     """
     if not 0.0 <= z < 1.0:
         raise DomainError(f"h is evaluated on [0, 1), got z = {z}")
-    return float(np.prod(h_factors(mu, rho_star, pairs, z, tols)))
+    return float(np.prod(h_factors(mu, rho_star, pairs, z)))
 
 
 def mean_curvature_analytic(d: StandardSolvableData, t: float,
@@ -251,17 +202,17 @@ def mean_curvature_analytic(d: StandardSolvableData, t: float,
     mu_f, rho_star, pairs = d.frame_factor_data()
     z = z_of_t(t)
     step = tols.h_deriv_step
-    h0 = h_function(mu_f, rho_star, pairs, z, tols)
+    h0 = h_function(mu_f, rho_star, pairs, z)
     if abs(h0) < 1e-12:
         raise DomainError(f"h vanishes at z = {z}; mean curvature undefined")
     if z > step:
-        hp = h_function(mu_f, rho_star, pairs, z + step, tols)
-        hm = h_function(mu_f, rho_star, pairs, z - step, tols)
+        hp = h_function(mu_f, rho_star, pairs, z + step)
+        hm = h_function(mu_f, rho_star, pairs, z - step)
         dh_dz = (hp - hm) / (2.0 * step)
     else:
         # too close to z = 0 for the central stencil: one-sided, 2nd order
-        hp = h_function(mu_f, rho_star, pairs, z + step, tols)
-        hpp = h_function(mu_f, rho_star, pairs, z + 2.0 * step, tols)
+        hp = h_function(mu_f, rho_star, pairs, z + step)
+        hpp = h_function(mu_f, rho_star, pairs, z + 2.0 * step)
         dh_dz = (-3.0 * h0 + 4.0 * hp - hpp) / (2.0 * step)
     dz_dt = -2.0 * z * (1.0 - z)
     return d.trace_ad_h - dh_dz / h0 * dz_dt
@@ -271,39 +222,18 @@ def mean_curvature_analytic(d: StandardSolvableData, t: float,
 # gamma kernels and monodromy
 # ---------------------------------------------------------------------------
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma(x: float) -> float:
-    """Gamma function by the Lanczos approximation (g = 7, 9 terms)."""
+    """Gamma function by ``scipy.special.gamma``; a pole is a DomainError."""
     if _nonpositive_int(x):
         raise DomainError(f"gamma pole at x = {x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    xx = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, coeff in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += coeff / (xx + i)
-    t = xx + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (xx + 0.5) * math.exp(-t) * acc
+    return _finite(float(special.gamma(x)), f"gamma({x})")
 
 
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x), returning exactly 0 at the poles."""
+    """1/Gamma(x) by ``scipy.special.rgamma``, exactly 0 at the poles."""
     if _nonpositive_int(x):
         return 0.0
-    return 1.0 / gamma(x)
+    return _finite(float(special.rgamma(x)), f"1/gamma({x})")
 
 
 def monodromy_coeffs(p: HypergeomParams,
@@ -436,18 +366,12 @@ def rigidity_conclusion(d: StandardSolvableData,
                         tols: Tolerances = DEFAULT_TOLS) -> RigidityReport:
     """Whether the spectral data forces the Damek-Ricci structure.
 
-    Rigid iff no kernel factors are present, every center eigenvalue is
-    1 and every pair is (1/2, 1) -- equivalently ad_H = id on z, id/2 on
-    v and j(Z)^2 = -id.  The report carries every factor with its
-    classification.
+    Rigid iff every factor of h is bounded and every polynomial factor
+    has degree 0, i.e. h is constant.  By the classifier this means no
+    kernel factors, every frame center eigenvalue 1 and every pair
+    (1/2, 1) -- equivalently ad_H = id on z, id/2 on v and j(Z)^2 = -id.
+    The report carries every factor with its classification.
     """
-    tol = tols.rigidity_param
     entries = tuple((f, classify_factor(f, tols)) for f in factors_from_data(d))
-    rigid = (
-        len(d.rho_star) == 0
-        and (len(d.mu) == 0 or np.abs(d.mu - 1.0).max() <= tol)
-        and (len(d.pairs) == 0
-             or (np.abs(d.pairs[:, 0] - 0.5).max() <= tol
-                 and np.abs(d.pairs[:, 1] - 1.0).max() <= tol))
-    )
-    return RigidityReport(is_rigid=bool(rigid), factors=entries)
+    rigid = all(c.is_bounded and c.degree in (None, 0) for _, c in entries)
+    return RigidityReport(is_rigid=rigid, factors=entries)

@@ -273,7 +273,7 @@ def _scalar_stable_block(m: float, t: np.ndarray, z: np.ndarray):
 def _pair_stable_block(rho: float, theta: float, t_grid: np.ndarray,
                        tols: Tolerances):
     """E = M(t) M(0)^-1 and its covariant derivative for one pair block."""
-    m0, _ = stable_block_and_derivative(rho, theta, 0.0, tols)
+    m0, _ = stable_block_and_derivative(rho, theta, 0.0)
     cond = np.linalg.cond(m0)
     if cond * tols.series_tol > tols.bvp_converged:
         raise NumericalError(
@@ -287,7 +287,7 @@ def _pair_stable_block(rho: float, theta: float, t_grid: np.ndarray,
     e = np.empty((t_grid.size, 2, 2))
     ep = np.empty((t_grid.size, 2, 2))
     for n, t in enumerate(t_grid):
-        m_t, dm_t = stable_block_and_derivative(rho, theta, t, tols)
+        m_t, dm_t = stable_block_and_derivative(rho, theta, t)
         e[n] = m_t @ m0_inv
         ep[n] = (dm_t + theta / (2.0 * math.cosh(t)) * rot @ m_t) @ m0_inv
     return e, ep

@@ -97,13 +97,9 @@ class MetricLieAlgebra:
         anti = t + np.swapaxes(t, 0, 1)
         if np.abs(anti).max() > 1e-12:
             raise StructureError("bracket tensor is not antisymmetric")
-        triples = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    c = t[i, j, k]
-                    if abs(c) > prune:
-                        triples.append((i, j, k, c))
+        upper = np.triu(np.ones((n, n), dtype=bool), k=1)[:, :, None]
+        idx = np.argwhere(upper & (np.abs(t) > prune))   # (i, j, k) row-major
+        triples = zip(*idx.T.tolist(), t[tuple(idx.T)].tolist())
         return cls(n, tuple(triples), jacobi_tol=jacobi_tol)
 
     @property
@@ -229,13 +225,9 @@ def nilpotency_class(g: MetricLieAlgebra):
     step = 0
     while current.shape[1] > 0:
         step += 1
-        images = []
-        for i in range(g.dim):
-            basis_vec = np.zeros(g.dim)
-            basis_vec[i] = 1.0
-            for a in range(current.shape[1]):
-                images.append(bracket(basis_vec, current[:, a], g))
-        nxt = _orthonormal_span(np.array(images).T) if images else current[:, :0]
+        # images[k, (i, a)] = [e_i, current[:, a]]_k
+        images = np.einsum("ijk,ja->kia", g.tensor, current)
+        nxt = _orthonormal_span(images.reshape(g.dim, -1))
         if nxt.shape[1] >= current.shape[1]:
             return None
         current = nxt
@@ -570,20 +562,15 @@ def jmap_from_split(g: MetricLieAlgebra, v_indices, z_indices,
     j(Z_a) fails to be skew.
     """
     v_idx, z_idx = list(v_indices), list(z_indices)
-    for a in z_idx:
-        za = np.zeros(g.dim)
-        za[a] = 1.0
-        for b in v_idx + z_idx:
-            eb = np.zeros(g.dim)
-            eb[b] = 1.0
-            if np.linalg.norm(bracket(za, eb, g)) > 1e-10:
-                raise StructureError(f"z-basis vector {a} is not central in n")
-    m, l = len(v_idx), len(z_idx)
-    gens = np.zeros((l, m, m))
+    # [Z_a, e_b] for every a in z, b in v + z
+    z_brackets = g.tensor[np.ix_(z_idx, v_idx + z_idx)]
+    for a, row in zip(z_idx, np.linalg.norm(z_brackets, axis=2)):
+        if (row > 1e-10).any():
+            raise StructureError(f"z-basis vector {a} is not central in n")
+    # gens[a, p, q] = <[V_q, V_p], Z_a>
+    gens = np.ascontiguousarray(
+        g.tensor[np.ix_(v_idx, v_idx, z_idx)].transpose(2, 1, 0))
     for ai, a in enumerate(z_idx):
-        for qi, q in enumerate(v_idx):
-            for pi, p in enumerate(v_idx):
-                gens[ai, pi, qi] = g.tensor[q, p, a]
         asym = np.linalg.norm(gens[ai] + gens[ai].T)
         if asym > tol * max(1.0, np.linalg.norm(gens[ai])):
             raise StructureError(f"j(Z_{a}) is not skew (residual {asym:.3e})")

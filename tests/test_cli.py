@@ -213,6 +213,22 @@ def test_tolerance_flags_are_echoed(tmp_path):
     assert report["tolerances"]["einstein_residual"] == 1e-6
 
 
+def test_every_tolerance_is_read_by_a_check():
+    # a field no check reads would be a --tol-* flag that changes nothing
+    import dataclasses
+    import pathlib
+    import re
+
+    import solvharm
+    from solvharm.config import Tolerances
+    package = pathlib.Path(solvharm.__file__).parent
+    source = "\n".join(p.read_text() for p in sorted(package.glob("*.py"))
+                       if p.name != "config.py")
+    read = set(re.findall(r"\btols\.(\w+)", source))
+    fields = {f.name for f in dataclasses.fields(Tolerances)}
+    assert fields - read == set()
+
+
 def test_build_report_matches_cli(tmp_path):
     g = build_damek_ricci(clifford_generators(1))
     report = build_report(g, seed=0)

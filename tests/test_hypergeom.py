@@ -2,23 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from solvharm.errors import DomainError
+from solvharm.errors import DomainError, NumericalError
 from solvharm.hypergeom import (CenterFactor, HypergeomParams, KernelFactor,
                                 PairFactor, classify_factor, factors_from_data,
                                 fundamental_pair, gamma, gauss_f, h_factors,
                                 h_function, mean_curvature_analytic,
                                 monodromy_coeffs, pair_exponents,
                                 reciprocal_gamma, rigidity_conclusion,
-                                stable_block, stable_block_and_derivative,
-                                z_of_t)
+                                stable_block_and_derivative, z_of_t)
 from solvharm.lie_metric import standard_decomposition
 
 
 # ---------------------------------------------------------------------------
-# series evaluation
+# the Gauss hypergeometric function
 # ---------------------------------------------------------------------------
 
 def test_value_at_zero():
@@ -45,13 +42,16 @@ def test_parameter_pole_rejected():
         gauss_f(0.5, 0.5, 1.5, 1.0)
 
 
-def test_series_term_cap():
-    from solvharm.config import DEFAULT_TOLS
-    from solvharm.errors import NumericalError
-    slow = DEFAULT_TOLS.with_overrides(series_max_terms=40,
-                                       series_euler_z=1.0)
+def test_non_finite_kernel_value_raises():
+    # overflow inside scipy.special must not reach a factor or a label
     with pytest.raises(NumericalError):
-        gauss_f(0.5, 0.5, 1.5, 0.95, slow)
+        gauss_f(300.0, 300.0, 0.5, 0.9)
+    with pytest.raises(NumericalError):
+        gauss_f(1000.0, 1000.0, 1.5, 0.99)
+    with pytest.raises(NumericalError):
+        gamma(200.0)
+    with pytest.raises(NumericalError):
+        reciprocal_gamma(-200.5)
 
 
 def _second_derivative(f, z, h=1e-3):
@@ -90,25 +90,6 @@ def test_contiguity_relation(rng):
         lhs = gauss_f(a + 1, b, c, z) - gauss_f(a, b, c, z)
         rhs = b * z / c * gauss_f(a + 1, b + 1, c + 1, z)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0),
-    c=st.floats(0.25, 3.0), z=st.floats(0.0, 0.95),
-)
-def test_euler_transform_consistency(a, b, c, z):
-    # the Euler branch must agree with the direct series
-    from solvharm.config import DEFAULT_TOLS
-    direct = None
-    try:
-        direct = gauss_f(a, b, c, z, DEFAULT_TOLS.with_overrides(
-            series_euler_z=0.999))
-        euler = gauss_f(a, b, c, z, DEFAULT_TOLS.with_overrides(
-            series_euler_z=0.0))
-    except DomainError:
-        return
-    assert abs(direct - euler) <= 1e-9 * max(1.0, abs(direct))
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +173,18 @@ def test_fundamental_pair_product_form_on_pair_surface():
         assert abs(u2p - product) <= 1e-11 * abs(product)
 
 
+def _t_of_z(z):
+    return math.atanh(1.0 - 2.0 * z)
+
+
 def test_stable_block_vanishes_at_origin():
     # decay rate is z^(rho/2): slow but monotone toward zero
     rho = 0.5
-    zs = (0.3, 0.1, 1e-3, 1e-6, 1e-9, 1e-12)
-    norms = [np.linalg.norm(stable_block(rho, 1.0, z)) for z in zs]
+    ts = [_t_of_z(z) for z in (0.3, 0.1, 1e-3, 1e-6, 1e-9, 1e-12)]
+    norms = [np.linalg.norm(stable_block_and_derivative(rho, 1.0, t)[0])
+             for t in ts]
     assert all(n2 < n1 for n1, n2 in zip(norms, norms[1:]))
-    rates = [n / z ** (rho / 2.0) for n, z in zip(norms, zs)]
+    rates = [n / z_of_t(t) ** (rho / 2.0) for n, t in zip(norms, ts)]
     assert max(rates) <= 10.0 * min(rates)
 
 
@@ -208,7 +194,7 @@ def test_stable_block_determinant_law():
     a, b = pair_exponents(rho, theta)
     ratios = []
     for z in np.linspace(0.05, 0.45, 9):
-        block = stable_block(rho, theta, z)
+        block, _ = stable_block_and_derivative(rho, theta, _t_of_z(z))
         pair_term = (gauss_f(a, b, rho, z)
                      + gauss_f(-a, -b, 1.0 - rho, z) - 2.0) / z
         closed = (-(4.0 ** rho) * (1.0 - rho) * theta
@@ -238,13 +224,6 @@ def test_stable_block_solves_jacobi_system():
     resid = (d2 + 2 * w_conn @ d1
              + (w_dot + w_conn @ w_conn + r_op) @ m_mid)
     assert np.abs(resid).max() <= 1e-6
-
-
-def test_block_time_and_z_forms_agree():
-    for rho, theta, t in ((0.5, 1.0, 0.7), (0.25, 0.5, 2.0), (0.3, 0.8, 0.1)):
-        m_t, _ = stable_block_and_derivative(rho, theta, t)
-        np.testing.assert_allclose(m_t, stable_block(rho, theta, z_of_t(t)),
-                                   atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +412,44 @@ def test_rigidity_conclusion_cases(dr_data, perturbed_theta_algebra):
     offending = [s for s, c in rep.factors if c.label == "unbounded"]
     assert len(offending) == 1 and isinstance(offending[0], PairFactor)
     assert abs(offending[0].theta - 0.8) <= 1e-12
+
+
+def _parameter_rule(d, tol=1e-8):
+    """The former verdict: no kernel, every mu = 1, every pair (1/2, 1)."""
+    pairs = d.pairs.reshape(-1, 2)
+    return bool(len(d.rho_star) == 0
+                and np.all(np.abs(d.mu - 1.0) <= tol)
+                and np.all(np.abs(pairs[:, 0] - 0.5) <= tol)
+                and np.all(np.abs(pairs[:, 1] - 1.0) <= tol))
+
+
+def test_rigidity_verdict_matches_parameter_rule(haar_rotate,
+                                                 perturbed_theta_algebra,
+                                                 generic_pair_algebra):
+    from solvharm.clifford_dr import build_damek_ricci, clifford_generators
+    from solvharm.lie_metric import MetricLieAlgebra
+    cases = [(haar_rotate(build_damek_ricci(clifford_generators(l, c)), seed),
+              True)
+             for seed, (l, c) in enumerate(((1, 1), (2, 1), (3, 1), (5, 1),
+                                            (7, 2)), start=11)]
+    cases += [(perturbed_theta_algebra, False), (generic_pair_algebra, False)]
+    # pair (1/2, 2): bounded, but a polynomial of degree 1
+    cases.append((MetricLieAlgebra(4, ((0, 1, 1, 0.5), (0, 2, 2, 0.5),
+                                       (0, 3, 3, 1.0), (1, 2, 3, 2.0))), False))
+    # j(Z_top) vanishes on v: two kernel factors rho* = 0.4
+    kernel = MetricLieAlgebra(5, ((0, 1, 1, 0.4), (0, 2, 2, 0.4),
+                                  (0, 3, 3, 0.8), (0, 4, 4, 1.0),
+                                  (1, 2, 3, 0.9)))
+    cases.append((kernel, False))
+    labels = []
+    for g, rigid in cases:
+        d = standard_decomposition(g)
+        rep = rigidity_conclusion(d)
+        assert rep.is_rigid is rigid
+        assert _parameter_rule(d) is rigid
+        labels.append(sorted((c.label, c.degree) for _, c in rep.factors))
+    assert ("polynomial", 1) in labels[-2]
+    assert len(standard_decomposition(kernel).rho_star) == 2
 
 
 def test_classifier_evaluator_coherence(rng):

@@ -6,7 +6,8 @@ from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.config import DEFAULT_TOLS
 from solvharm.errors import (DimensionError, NotStandardError, StructureError)
-from solvharm.lie_metric import (GrowthType, MetricLieAlgebra, ad_matrix,
+from solvharm.lie_metric import (GrowthType, MetricLieAlgebra,
+                                 _orthonormal_span, ad_matrix,
                                  algebra_from_dict, algebra_to_dict, bracket,
                                  center_of, derived_algebra, extract_jmap,
                                  growth_type, jmap_from_split,
@@ -122,6 +123,13 @@ def test_nilpotency_class_cases(dr_algebras):
     assert nilpotency_class(build_flat(3)) == 1
     assert nilpotency_class(build_heisenberg_type(clifford_generators(2))) == 2
     assert nilpotency_class(dr_algebras[(1, 1)]) is None
+    filiform = MetricLieAlgebra(5, ((0, 1, 2, 1.0), (0, 2, 3, 1.0),
+                                    (0, 3, 4, 1.0)))
+    assert nilpotency_class(filiform) == 4
+    # Heisenberg + the class-3 filiform algebra: the larger class wins
+    heis_sum_l4 = MetricLieAlgebra(7, ((0, 1, 2, 1.0), (3, 4, 5, 1.0),
+                                       (3, 5, 6, 1.0)))
+    assert nilpotency_class(heis_sum_l4) == 3
 
 
 def test_growth_type_cases(dr_algebras):
@@ -302,3 +310,51 @@ def test_jacobi_tolerance_reaches_derived_algebras(dr_algebras):
     assert g.rescaled(2.0).jacobi_tol == 1e-6
     assert subalgebra(g, np.eye(g.dim)).jacobi_tol == 1e-6
     assert standard_decomposition(g, loose).algebra.jacobi_tol == 1e-6
+
+
+# ---------------------------------------------------------------------------
+# array forms of the bracket loops against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def _loop_triples(t, prune=1e-14):
+    n = t.shape[0]
+    return [(i, j, k, float(t[i, j, k])) for i in range(n)
+            for j in range(i + 1, n) for k in range(n)
+            if abs(t[i, j, k]) > prune]
+
+
+def _loop_nilpotency_class(g):
+    current = np.eye(g.dim)
+    step = 0
+    while current.shape[1] > 0:
+        step += 1
+        images = [bracket(_basis(g.dim, i), current[:, a], g)
+                  for i in range(g.dim) for a in range(current.shape[1])]
+        nxt = _orthonormal_span(np.array(images).T)
+        if nxt.shape[1] >= current.shape[1]:
+            return None
+        current = nxt
+    return step
+
+
+def _loop_jmap(g, v_idx, z_idx):
+    gens = np.zeros((len(z_idx), len(v_idx), len(v_idx)))
+    for ai, a in enumerate(z_idx):
+        for qi, q in enumerate(v_idx):
+            for pi, p in enumerate(v_idx):
+                gens[ai, pi, qi] = g.tensor[q, p, a]
+    return gens
+
+
+@pytest.mark.parametrize("key", [(1, 1), (2, 1), (3, 1), (7, 2)])
+def test_bracket_array_forms_match_loops(key, haar_rotate):
+    cm = clifford_generators(*key)
+    for g0 in (build_damek_ricci(cm), build_heisenberg_type(cm)):
+        for g in (g0, haar_rotate(g0, 7)):
+            rebuilt = MetricLieAlgebra.from_tensor(g.tensor)
+            assert rebuilt.structure_constants == tuple(_loop_triples(g.tensor))
+            assert nilpotency_class(g) == _loop_nilpotency_class(g)
+    d = standard_decomposition(build_damek_ricci(cm))
+    jmap = jmap_from_split(d.algebra, d.v_indices, d.z_indices)
+    loop = _loop_jmap(d.algebra, list(d.v_indices), list(d.z_indices))
+    assert np.array_equal(jmap.generators, loop)
