@@ -34,7 +34,7 @@ r = curvature_tensor(g, levi_civita(g))
 samples = []
 for _ in range(2000):
     x, y = rng.standard_normal((2, g.dim))
-    samples.append(sectional_curvature(g, r, x, y))
+    samples.append(sectional_curvature(r, x, y))
 print(f"\nsampled sectional curvature range: "
       f"[{min(samples):.4f}, {max(samples):.4f}]  (all <= 0)")
 

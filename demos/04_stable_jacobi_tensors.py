@@ -2,7 +2,8 @@
 
 Geodesics tangent to the top central direction Z admit an explicit
 orthonormal frame in which the Jacobi equation decouples into scalar
-blocks and 2x2 rotation blocks.  The stable tensor E(t) is the limit of
+blocks and 2x2 rotation blocks; it is the adapted basis that
+``standard_decomposition`` builds, with Z = ``d.z_top_vector``.  The stable tensor E(t) is the limit of
 boundary problems E_r(0) = id, E_r(r) = 0 (``finite_horizon_tensor``
 solves those by ODE integration), and each block has a closed form in
 z = z(t): e^{-t} on the H-Z normal, 2 cosh^m(t) I_z(m, m) (incomplete
@@ -29,7 +30,7 @@ print("frame blocks: xi (H-Z plane), centers mu =", frame.mus,
       ", pairs (rho, theta) =", frame.pairs.tolist())
 
 grid = np.linspace(0.5, 8.0, 16)
-sample = stable_jacobi_tensor(d, None, grid)
+sample = stable_jacobi_tensor(d, grid)
 dets = np.array([np.linalg.det(e) for e in sample.e])
 print("\n   t     det E(t)      det E(t) * e^{2t}")
 for t, det in list(zip(grid, dets))[::5]:
@@ -46,7 +47,7 @@ perturbed = MetricLieAlgebra(4, (
     (0, 1, 1, 0.5), (0, 2, 2, 0.5), (0, 3, 3, 1.0), (1, 2, 3, 0.8),
 ))
 dp = standard_decomposition(perturbed)
-sp = stable_jacobi_tensor(dp, None, np.linspace(0.0, 3.0, 16))
+sp = stable_jacobi_tensor(dp, np.linspace(0.0, 3.0, 16))
 _, m_perturbed = mean_curvature_numeric(sp)
 print(f"\ntheta = 0.8 perturbation: m(t) ranges over "
       f"[{m_perturbed.min():.6f}, {m_perturbed.max():.6f}]"

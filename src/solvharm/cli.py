@@ -212,8 +212,8 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     t_lo, t_hi, t_n = _MEAN_GRID
     grid = np.linspace(t_lo, t_hi, t_n)
     try:
-        sample = jacobi_flow.stable_jacobi_tensor(data, None, grid, tols=tols)
-        m_fd, _ = jacobi_flow.mean_curvature_numeric(sample, tols)
+        sample = jacobi_flow.stable_jacobi_tensor(data, grid, tols)
+        m_fd, _ = jacobi_flow.mean_curvature_numeric(sample)
         deviation = float(np.abs(m_fd - formula).max())
         numeric_mean = float(np.mean(m_fd))
     except (NumericalError, SolvharmError) as exc:
@@ -452,7 +452,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--copies", type=int, default=1,
                    help="number of irreducible module copies")
     p.add_argument("--output", default=None)
-    _add_tolerance_flags(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("analyze", help="full geometric analysis report")

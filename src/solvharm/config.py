@@ -4,8 +4,8 @@ Every module takes its thresholds from a single :class:`Tolerances`
 record so that a run can be tightened or relaxed in one place.  The
 defaults are the contract values used throughout the test suite.  Each
 field is read by the check it names, and each one is also a ``--tol-*``
-flag of every subcommand; the special functions themselves come from
-``scipy.special`` and have no knobs.
+flag of every subcommand but ``build``, which reads none; the special
+functions themselves come from ``scipy.special`` and have no knobs.
 """
 
 from dataclasses import dataclass, replace

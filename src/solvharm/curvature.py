@@ -13,7 +13,6 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DomainError
 from .lie_metric import (MetricLieAlgebra, StandardSolvableData, ad_matrix,
-                         extract_jmap, pair_decomposition,
                          symmetric_skew_split)
 
 __all__ = [
@@ -45,7 +44,7 @@ def curvature_tensor(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
     return second - np.einsum("jikl->ijkl", second) - bracket_term
 
 
-def ricci(g: MetricLieAlgebra, r: np.ndarray) -> np.ndarray:
+def ricci(r: np.ndarray) -> np.ndarray:
     """Ricci tensor Ric[j, k] = sum_i <R(e_i, e_j) e_k, e_i>."""
     return np.einsum("ijki->jk", r)
 
@@ -62,13 +61,13 @@ def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS,
     """
     if r is None:
         _, r = g.geometry
-    ric = ricci(g, r)
+    ric = ricci(r)
     c = float(np.trace(ric)) / g.dim
     residual = float(np.linalg.norm(ric - c * np.eye(g.dim)))
     return residual <= tols.einstein_residual, c, residual
 
 
-def sectional_curvature(g: MetricLieAlgebra, r: np.ndarray, x, y) -> float:
+def sectional_curvature(r: np.ndarray, x, y) -> float:
     """K(x, y) = <R(x,y)y, x> / (|x|^2 |y|^2 - <x,y>^2)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -97,65 +96,23 @@ def jacobi_operator_H(g, a_vec) -> np.ndarray:
     return -d @ d - (d @ s - s @ d)
 
 
-def central_frame_split(d: StandardSolvableData, z_vec,
-                        tols: Tolerances = DEFAULT_TOLS):
-    """Frame data of the geodesic tangent to a unit top-eigenvector Z.
+def central_frame_split(d: StandardSolvableData):
+    """Frame data of the geodesic tangent to the canonical top eigenvector Z.
 
-    Returns ``(mus, z_perp_cols, rho_stars, kernel_cols, pairs,
-    pair_cols)``: ad_H eigendata on z meet Z^perp and the kernel/pair split of
-    v for j(Z), all as columns in the adapted algebra basis.
+    The adapted basis of ``d`` already is this frame (see
+    :class:`StandardSolvableData`), so the split is read off it.  Returns
+    ``(mus, z_perp_cols, rho_stars, kernel_cols, pairs, pair_cols)``:
+    ``mus``, ``rho_stars`` and ``pairs`` are :meth:`frame_factor_data`,
+    and the column blocks are identity columns of the adapted basis: the
+    z-block except Z (ad_H eigenvalues ``mus``), the kernel of j(Z) in v
+    (``rho_stars``), and the pair planes (V_i, ~V_i) in v (``pairs``).
     """
-    alg = d.algebra
-    z_vec = np.asarray(z_vec, dtype=float)
-    if abs(np.linalg.norm(z_vec) - 1.0) > 1e-8:
-        raise DomainError("Z must be a unit vector")
-    off = [i for i in range(alg.dim) if i not in d.z_indices]
-    if off and np.abs(z_vec[off]).max() > 1e-10:
-        raise DomainError("Z must lie in the center block z")
-    ad_h = d.ad_h()
-    if np.linalg.norm(ad_h @ z_vec - z_vec) > 1e-8:
-        raise DomainError("Z is not an eigenvector for the top eigenvalue 1")
-
-    z_idx = list(d.z_indices)
-    l = len(z_idx)
-    # orthonormal basis of z meet Z^perp, diagonalizing ad_H there
-    z_block = np.zeros((alg.dim, l))
-    for col, idx in enumerate(z_idx):
-        z_block[idx, col] = 1.0
-    z_in_block = z_block.T @ z_vec
-    comp = np.eye(l) - np.outer(z_in_block, z_in_block)
-    u, s, _ = np.linalg.svd(comp)
-    perp = u[:, : l - 1] if l > 1 else np.zeros((l, 0))
-    ad_z = z_block.T @ ad_h @ z_block
-    small = perp.T @ (0.5 * (ad_z + ad_z.T)) @ perp
-    if l > 1:
-        mus, vecs = np.linalg.eigh(small)
-        z_perp_cols = z_block @ perp @ vecs
-    else:
-        mus = np.zeros(0)
-        z_perp_cols = np.zeros((alg.dim, 0))
-
-    # kernel / pair split of v for j(Z)
-    v_idx = list(d.v_indices)
-    m = len(v_idx)
-    v_block = np.zeros((alg.dim, m))
-    for col, idx in enumerate(v_idx):
-        v_block[idx, col] = 1.0
-    if m:
-        jmap = extract_jmap(alg, d)
-        j_z = jmap(z_vec[z_idx])
-        ad_v = v_block.T @ ad_h @ v_block
-        kernel_b, rho_stars, pair_b, pairs = pair_decomposition(
-            0.5 * (ad_v + ad_v.T), j_z, tols.eigen_merge
-        )
-        kernel_cols = v_block @ kernel_b
-        pair_cols = v_block @ pair_b
-    else:
-        rho_stars = np.zeros(0)
-        pairs = np.zeros((0, 2))
-        kernel_cols = np.zeros((alg.dim, 0))
-        pair_cols = np.zeros((alg.dim, 0))
-    return mus, z_perp_cols, rho_stars, kernel_cols, pairs, pair_cols
+    mus, rho_stars, pairs = d.frame_factor_data()
+    eye = np.eye(d.algebra.dim)
+    z_idx, v_idx = list(d.z_indices), list(d.v_indices)
+    k = len(rho_stars)
+    return (mus, eye[:, z_idx[:-1]], rho_stars, eye[:, v_idx[:k]],
+            pairs, eye[:, v_idx[k:]])
 
 
 def central_jacobi_blocks(mus, rho_stars, pairs, t: float) -> np.ndarray:
@@ -187,11 +144,9 @@ def central_jacobi_blocks(mus, rho_stars, pairs, t: float) -> np.ndarray:
     return out
 
 
-def jacobi_operator_central(d: StandardSolvableData, z_vec, t: float,
-                            tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def jacobi_operator_central(d: StandardSolvableData, t: float) -> np.ndarray:
     """R(t) along the central geodesic, in the canonical frame of Z."""
-    mus, _, rho_stars, _, pairs, _ = central_frame_split(d, z_vec, tols)
-    return central_jacobi_blocks(mus, rho_stars, pairs, t)
+    return central_jacobi_blocks(*d.frame_factor_data(), t)
 
 
 def nabla_R(g: MetricLieAlgebra, gamma=None, r=None) -> np.ndarray:

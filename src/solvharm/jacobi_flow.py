@@ -2,9 +2,10 @@
 
 Everything is phrased in left-invariant frames, where the connection and
 the Jacobi operator along the distinguished geodesics have explicit
-closed forms.  Central geodesics (tangent to the top eigenvector Z of
-the center) get a dedicated orthonormal frame of the normal bundle, in
-which the stable Jacobi tensor is evaluated block by block from the
+closed forms.  The central geodesic (tangent to the canonical top
+eigenvector Z of the center) gets a dedicated orthonormal frame of the
+normal bundle, read off the adapted basis of the standard decomposition,
+in which the stable Jacobi tensor is evaluated block by block from the
 paper's closed forms: e^{-t} on the H-Z normal, incomplete beta
 functions on the center and kernel slots, and the hypergeometric pair
 blocks of :mod:`hypergeom`.  The finite-horizon boundary problems, solved
@@ -64,16 +65,18 @@ class JacobiTensorSample:
 
 @dataclass(frozen=True)
 class CentralGeodesicFrame:
-    """Orthonormal frame of the normal bundle along a central geodesic.
+    """Orthonormal frame of the normal bundle along the central geodesic.
 
-    Slots: the parallel normal xi(t) inside the H-Z plane, the ad_H
-    eigenvectors of z cut down to Z^perp, the kernel of j(Z) in v, and
-    the rotation pairs (V_i, ~V_i).  Only xi depends on t; the pair
-    fields rotate with connection speed theta_i / (2 cosh t).
+    The geodesic is tangent to the canonical top eigenvector
+    Z = ``data.z_top_vector``.  Slots: the parallel normal xi(t) inside
+    the H-Z plane, then the adapted basis vectors of ``data`` (see
+    :func:`curvature.central_frame_split`): the ad_H eigenvectors of z
+    other than Z, the kernel of j(Z) in v, and the rotation pairs
+    (V_i, ~V_i).  Only xi depends on t; the pair fields rotate with
+    connection speed theta_i / (2 cosh t).
     """
 
     data: StandardSolvableData
-    z: np.ndarray
     mus: np.ndarray
     z_perp: np.ndarray
     rho_stars: np.ndarray
@@ -82,12 +85,8 @@ class CentralGeodesicFrame:
     pair_cols: np.ndarray
 
     @classmethod
-    def build(cls, d: StandardSolvableData, z_vec=None,
-              tols: Tolerances = DEFAULT_TOLS) -> "CentralGeodesicFrame":
-        z_vec = d.z_top_vector if z_vec is None else np.asarray(z_vec, float)
-        mus, z_perp, rho_stars, kernel, pairs, pair_cols = \
-            central_frame_split(d, z_vec, tols)
-        return cls(d, z_vec, mus, z_perp, rho_stars, kernel, pairs, pair_cols)
+    def build(cls, d: StandardSolvableData) -> "CentralGeodesicFrame":
+        return cls(d, *central_frame_split(d))
 
     @property
     def size(self) -> int:
@@ -95,11 +94,12 @@ class CentralGeodesicFrame:
 
     def velocity_vector(self, t: float) -> np.ndarray:
         vh, vz = central_velocity(t)
-        return vh * self.data.h_vector + vz * self.z
+        return vh * self.data.h_vector + vz * self.data.z_top_vector
 
     def xi(self, t: float) -> np.ndarray:
         """Parallel unit normal in the totally geodesic H-Z plane."""
-        return (self.data.h_vector / math.cosh(t)) + math.tanh(t) * self.z
+        return (self.data.h_vector / math.cosh(t)
+                + math.tanh(t) * self.data.z_top_vector)
 
     def frame_matrix(self, t: float) -> np.ndarray:
         """Columns of the frame in the algebra basis, (dim, dim-1)."""
@@ -122,15 +122,15 @@ class CentralGeodesicFrame:
         return central_jacobi_blocks(self.mus, self.rho_stars, self.pairs, t)
 
 
-def covariant_derivative_along(d: StandardSolvableData, z_vec, t: float,
+def covariant_derivative_along(d: StandardSolvableData, t: float,
                                field) -> np.ndarray:
-    """nabla_{gamma'(t)} of a left-invariant field, via the connection."""
+    """nabla_{gamma'(t)} of a left-invariant field along the central
+    geodesic, via the connection."""
     field = np.asarray(field, dtype=float)
     if field.shape != (d.algebra.dim,):
         raise DimensionError(f"field must have shape ({d.algebra.dim},)")
-    z_vec = np.asarray(z_vec, dtype=float)
     vh, vz = central_velocity(t)
-    u = vh * d.h_vector + vz * z_vec
+    u = vh * d.h_vector + vz * d.z_top_vector
     gamma, _ = d.algebra.geometry
     return np.einsum("i,ijk,j->k", u, gamma, field)
 
@@ -166,7 +166,7 @@ def _solve_frame_system(frame: CentralGeodesicFrame, c0, p0, t_span, t_eval,
     return sol.t, c, p, sol.y[:, -1]
 
 
-def integrate_jacobi(d: StandardSolvableData, z_vec, j0, j0prime,
+def integrate_jacobi(d: StandardSolvableData, j0, j0prime,
                      t_max: float, steps: int = 200,
                      tols: Tolerances = DEFAULT_TOLS) -> JacobiTensorSample:
     """Integrate the Jacobi system D^2 J + R(t) J = 0 in the central frame.
@@ -174,7 +174,7 @@ def integrate_jacobi(d: StandardSolvableData, z_vec, j0, j0prime,
     ``j0`` and ``j0prime`` are frame coefficients of the initial value
     and initial covariant derivative (vectors or matrices of columns).
     """
-    frame = CentralGeodesicFrame.build(d, z_vec, tols)
+    frame = CentralGeodesicFrame.build(d)
     t_eval = np.linspace(0.0, t_max, steps + 1)
     t, c, p, _ = _solve_frame_system(frame, j0, j0prime, (0.0, t_max),
                                      t_eval, tols)
@@ -235,7 +235,7 @@ def _block_finite_horizon(frame: CentralGeodesicFrame, offset: int, size: int,
     return e_blk, ep_blk
 
 
-def finite_horizon_tensor(d: StandardSolvableData, z_vec, t_grid, r: float,
+def finite_horizon_tensor(d: StandardSolvableData, t_grid, r: float,
                           tols: Tolerances = DEFAULT_TOLS) -> JacobiTensorSample:
     """Jacobi tensor with E(0) = id, E(r) = 0, sampled on ``t_grid``.
 
@@ -246,7 +246,7 @@ def finite_horizon_tensor(d: StandardSolvableData, z_vec, t_grid, r: float,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[-1] > r:
         raise DomainError("horizon r must lie beyond the last grid point")
-    frame = CentralGeodesicFrame.build(d, z_vec, tols)
+    frame = CentralGeodesicFrame.build(d)
     k = frame.size
     e = np.zeros((t_grid.size, k, k))
     ep = np.zeros((t_grid.size, k, k))
@@ -293,13 +293,17 @@ def _pair_stable_block(rho: float, theta: float, t_grid: np.ndarray,
     return e, ep
 
 
-def stable_jacobi_tensor(d: StandardSolvableData, z_vec, t_grid,
+def stable_jacobi_tensor(d: StandardSolvableData, t_grid,
                          tols: Tolerances = DEFAULT_TOLS) -> JacobiTensorSample:
     """Stable Jacobi tensor E(t), E(0) = id, from the paper's closed forms.
 
     E is the limit r -> oo of the boundary problems E_r(0) = id,
     E_r(r) = 0 (see :func:`finite_horizon_tensor`, kept as the numerical
-    oracle).  In the central frame it is block diagonal, with z = z(t):
+    oracle), along the geodesic tangent to the canonical top eigenvector
+    ``d.z_top_vector``.  In the central frame, whose slots are the adapted
+    basis of ``d`` (:class:`CentralGeodesicFrame`), it is block diagonal
+    with the spectral data of :meth:`StandardSolvableData.frame_factor_data`
+    (the numbers the h-scan reads), with z = z(t):
 
     * xi slot: E = e^{-t};
     * center and kernel slots with parameter m (mu_j or rho*_k):
@@ -314,7 +318,7 @@ def stable_jacobi_tensor(d: StandardSolvableData, z_vec, t_grid,
     exceeds ``tols.bvp_converged`` (theta -> 0) raises NumericalError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    frame = CentralGeodesicFrame.build(d, z_vec, tols)
+    frame = CentralGeodesicFrame.build(d)
     k = frame.size
     e = np.zeros((t_grid.size, k, k))
     ep = np.zeros((t_grid.size, k, k))
@@ -335,8 +339,7 @@ def stable_jacobi_tensor(d: StandardSolvableData, z_vec, t_grid,
     return JacobiTensorSample(t_grid=t_grid, e=e, e_prime=ep)
 
 
-def mean_curvature_numeric(sample: JacobiTensorSample,
-                           tols: Tolerances = DEFAULT_TOLS):
+def mean_curvature_numeric(sample: JacobiTensorSample):
     """Horosphere mean curvature m(t) = -d/dt log|det E(t)| on the grid.
 
     Returns ``(m_fd, m_trace)``: central finite differences of

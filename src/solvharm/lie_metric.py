@@ -269,8 +269,12 @@ class StandardSolvableData:
     The wrapped ``algebra`` is renormalized (top ad_H eigenvalue 1) and
     rebuilt in an adapted orthonormal basis: index 0 is H, then the
     v-block (kernel vectors of j(Z) first, then 2-dimensional pair
-    blocks), then the z-block with ad_H eigenvalues ascending, so the
-    last basis vector is the canonical top eigenvector Z.
+    blocks (V_i, j(Z)V_i / theta_i)), then the z-block with ad_H
+    eigenvalues ascending, so the last basis vector is the canonical top
+    eigenvector Z.  This basis is the central frame of Z: along the
+    geodesic tangent to Z the frame slots are its identity columns, with
+    the eigenvalues ``mu`` (all but Z's), ``rho_star`` and ``pairs``
+    (see :func:`curvature.central_frame_split`).
     """
 
     algebra: MetricLieAlgebra
@@ -305,12 +309,10 @@ class StandardSolvableData:
         """Spectral factors seen along the canonical central geodesic.
 
         Returns ``(mu_frame, rho_star, pairs)`` where ``mu_frame`` drops
-        one top eigenvalue (the Z direction itself).
+        the top eigenvalue (the Z direction itself, last in ascending
+        ``mu``).
         """
-        mu = list(self.mu)
-        top = int(np.argmax(mu))
-        mu_frame = np.array(mu[:top] + mu[top + 1:])
-        return mu_frame, self.rho_star.copy(), self.pairs.copy()
+        return self.mu[:-1].copy(), self.rho_star.copy(), self.pairs.copy()
 
 
 @dataclass(frozen=True)
@@ -460,6 +462,8 @@ def standard_decomposition(g: MetricLieAlgebra,
         raise StructureError(
             f"derived algebra has codimension {g.dim - n_basis.shape[1]}, expected 1"
         )
+    if n_basis.shape[1] == 0:
+        raise StructureError("derived algebra is trivial")
     h = _null_space(n_basis.T)
     if h.shape[1] != 1:
         raise StructureError("orthogonal complement of [s, s] is not a line")
@@ -577,8 +581,7 @@ def jmap_from_split(g: MetricLieAlgebra, v_indices, z_indices,
     return JMap(generators=gens)
 
 
-def extract_jmap(g: MetricLieAlgebra, d: StandardSolvableData,
-                 tol: float = 1e-12) -> JMap:
+def extract_jmap(d: StandardSolvableData, tol: float = 1e-12) -> JMap:
     """The j-map of the (adapted) algebra in ``d``."""
     return jmap_from_split(d.algebra, d.v_indices, d.z_indices, tol)
 

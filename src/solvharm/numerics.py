@@ -42,7 +42,7 @@ def sorted_spectrum(values) -> np.ndarray:
     return v[np.lexsort((v.imag, v.real))]
 
 
-def eigenvalues(m, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a square matrix, with multiplicity.
 
     Returns a complex array in canonical order; complex eigenvalues of a

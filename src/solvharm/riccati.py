@@ -96,23 +96,17 @@ def solve_algebraic_riccati_max(ad_a,
     big[:n, n:] = -np.eye(n)
     big[n:, n:] = a.T
 
-    if n_axis == 0:
-        _, z, sdim = ordered_real_schur(big, lambda x, y: x < cut)
-        if sdim != n:
-            raise DegenerateSpectrumError(
-                f"stable subspace has dimension {sdim}, expected {n}",
-                diagnostics={"eigenvalues": spec},
-            )
-        u = z[:, :n]
-    else:
-        # strictly stable part of the doubled system
-        _, z, sdim = ordered_real_schur(big, lambda x, y: x < cut)
-        if sdim != n - n_axis:
-            raise DegenerateSpectrumError(
-                f"strictly stable subspace has dimension {sdim}, "
-                f"expected {n - n_axis}",
-                diagnostics={"eigenvalues": spec},
-            )
+    # strictly stable part of the doubled system
+    _, z, sdim = ordered_real_schur(big, lambda x, y: x < cut)
+    if sdim != n - n_axis:
+        raise DegenerateSpectrumError(
+            f"strictly stable subspace has dimension {sdim}, "
+            f"expected {n - n_axis}",
+            diagnostics={"eigenvalues": spec},
+        )
+    u = np.zeros((2 * n, n))
+    u[:, : n - n_axis] = z[:, : n - n_axis]
+    if n_axis:
         # axis part: invariant subspace of ad_A itself, embedded as
         # graph directions on which X acts by zero
         _, q, sdim_axis = ordered_real_schur(a, lambda x, y: abs(x) < -cut)
@@ -121,8 +115,6 @@ def solve_algebraic_riccati_max(ad_a,
                 f"axis subspace has dimension {sdim_axis}, expected {n_axis}",
                 diagnostics={"eigenvalues": spec},
             )
-        u = np.zeros((2 * n, n))
-        u[:, : n - n_axis] = z[:, : n - n_axis]
         u[:n, n - n_axis:] = q[:, :n_axis]
 
     x = _graph_solution(u[:n], u[n:], tols)

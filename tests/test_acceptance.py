@@ -115,7 +115,7 @@ def test_criterion_3_closed_form_vs_integration():
         j0p = np.zeros((k, 2))
         j0p[off: off + 2] = m0p
         j0p += frame.connection(0.0) @ j0
-        s = integrate_jacobi(d, None, j0, j0p, 10.0, steps=100)
+        s = integrate_jacobi(d, j0, j0p, 10.0, steps=100)
         for i, t in enumerate(s.t_grid):
             mt, _ = stable_block_and_derivative(rho, theta, t)
             worst = max(worst, float(np.abs(s.e[i][off: off + 2] - mt).max()))
@@ -126,7 +126,7 @@ def test_criterion_3_closed_form_vs_integration():
 def test_criterion_4_determinant_law():
     d = standard_decomposition(build_damek_ricci(clifford_generators(1)))
     grid = np.linspace(0.5, 8.0, 31)
-    s = stable_jacobi_tensor(d, None, grid)
+    s = stable_jacobi_tensor(d, grid)
     dets = np.array([np.linalg.det(e) for e in s.e])
     log_consts = np.log(np.abs(dets)) + 2.0 * grid
     const = math.exp(float(np.mean(log_consts)))
@@ -150,7 +150,7 @@ def test_criterion_5_mean_curvature_constancy():
         d = standard_decomposition(build_damek_ricci(cm))
         expected = cm.m / 2.0 + cm.l
         grid = np.linspace(0.5, 8.0, 26)
-        s = stable_jacobi_tensor(d, None, grid)
+        s = stable_jacobi_tensor(d, grid)
         m_fd, _ = mean_curvature_numeric(s)
         worst_numeric = max(worst_numeric,
                             float(np.abs(m_fd - expected).max()))

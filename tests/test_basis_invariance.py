@@ -1,4 +1,5 @@
-"""Results must not depend on the orthonormal basis an algebra is given in."""
+"""Results must not depend on the orthonormal basis an algebra is given in,
+nor on a constant rescaling of its metric."""
 
 import numpy as np
 import pytest
@@ -8,29 +9,40 @@ from solvharm.config import DEFAULT_TOLS
 from solvharm.curvature import curvature_norm, einstein_check, nabla_R_norm
 from solvharm.lie_metric import standard_decomposition
 
+NAMES = ["dr-2-1", "dr-3-1", "perturbed-theta", "generic-pair"]
+
 
 @pytest.fixture(scope="module")
-def canonical(dr_algebras, perturbed_theta_algebra):
+def canonical(dr_algebras, perturbed_theta_algebra, generic_pair_algebra):
     return {"dr-2-1": dr_algebras[(2, 1)], "dr-3-1": dr_algebras[(3, 1)],
-            "perturbed-theta": perturbed_theta_algebra}
+            "perturbed-theta": perturbed_theta_algebra,
+            "generic-pair": generic_pair_algebra}
+
+
+@pytest.fixture(scope="module")
+def canonical_reports(canonical):
+    return {name: build_report(g) for name, g in canonical.items()}
 
 
 def _symmetry_ratio(g):
     return nabla_R_norm(g) / curvature_norm(g.geometry[1])
 
 
-@pytest.mark.parametrize("name", ["dr-2-1", "dr-3-1", "perturbed-theta"])
-@pytest.mark.parametrize("seed", [101, 202, 303])
-def test_rotated_basis_gives_canonical_results(name, seed, canonical,
-                                               haar_rotate):
-    g0 = canonical[name]
-    g = haar_rotate(g0, seed)
-
+def _assert_same_spectral_data(g0, g):
     d0, d = standard_decomposition(g0), standard_decomposition(g)
     for field in ("mu", "rho_star", "pairs"):
         a, b = getattr(d0, field), getattr(d, field)
         assert a.shape == b.shape
         assert a.size == 0 or np.abs(a - b).max() <= DEFAULT_TOLS.eigen_merge
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("seed", [101, 202, 303])
+def test_rotated_basis_gives_canonical_results(name, seed, canonical,
+                                               canonical_reports, haar_rotate):
+    g0 = canonical[name]
+    g = haar_rotate(g0, seed)
+    _assert_same_spectral_data(g0, g)
 
     _, c0, _ = einstein_check(g0)
     _, c, _ = einstein_check(g)
@@ -38,5 +50,21 @@ def test_rotated_basis_gives_canonical_results(name, seed, canonical,
 
     assert abs(_symmetry_ratio(g) - _symmetry_ratio(g0)) <= 1e-10
 
+    rep0, rep = canonical_reports[name], build_report(g)
+    assert rep["classification"] == rep0["classification"]
+    # the stable Jacobi tensor reads the frame off the adapted basis
+    assert abs(rep["mean_curvature"]["numeric"]
+               - rep0["mean_curvature"]["numeric"]) <= 1e-12
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("factor", [0.5, 3.0])
+def test_rescaled_metric_gives_canonical_results(name, factor, canonical,
+                                                 canonical_reports):
+    g0 = canonical[name]
+    g = g0.rescaled(factor)
+    _assert_same_spectral_data(g0, g)
+    # nabla R / R carries one inverse length, so it scales with the brackets
+    assert abs(_symmetry_ratio(g) - factor * _symmetry_ratio(g0)) <= 1e-10
     assert (build_report(g)["classification"]
-            == build_report(g0)["classification"])
+            == canonical_reports[name]["classification"])

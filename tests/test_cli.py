@@ -229,6 +229,61 @@ def test_every_tolerance_is_read_by_a_check():
     assert fields - read == set()
 
 
+def test_exported_function_parameters_are_read():
+    # a parameter no body reads is a knob that changes nothing
+    import ast
+    import importlib
+    import inspect
+    import pkgutil
+    import textwrap
+
+    import solvharm
+    unread = []
+    for info in pkgutil.iter_modules(solvharm.__path__):
+        module = importlib.import_module(f"solvharm.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if not inspect.isfunction(obj):
+                continue
+            fn = ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0]
+            args = fn.args
+            params = [a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs)]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a]
+            loaded = {node.id for node in ast.walk(fn)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Load)}
+            unread += [f"{info.name}.{name}({p})" for p in params
+                       if p not in loaded]
+    assert unread == []
+
+
+def test_build_takes_no_tolerance_flags(capsys):
+    # build reads no tolerance, so a --tol-* flag there is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "flat", "--tol-flat-norm", "1"])
+    assert exc.value.code == 2
+    assert "--tol-flat-norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "scan-h"])
+def test_trivial_derived_algebra_is_not_standard(command, tmp_path, capsys):
+    alg = tmp_path / "line.json"
+    alg.write_text(json.dumps({"dim": 1, "structure_constants": []}))
+    out = tmp_path / "out"
+    assert main([command, str(alg), "--output", str(out)]) == 3
+    assert "derived algebra is trivial" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_one_dimensional_algebra_is_flat(tmp_path):
+    alg = tmp_path / "line.json"
+    alg.write_text(json.dumps({"dim": 1, "structure_constants": []}))
+    out = tmp_path / "rep.json"
+    assert main(["analyze", str(alg), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["classification"] == "Flat"
+
+
 def test_build_report_matches_cli(tmp_path):
     g = build_damek_ricci(clifford_generators(1))
     report = build_report(g, seed=0)

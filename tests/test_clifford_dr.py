@@ -53,7 +53,7 @@ def test_heisenberg_type_identity_random_z(rng):
     cm = clifford_generators(3, copies=1)
     g = build_damek_ricci(cm)
     d = standard_decomposition(g)
-    j = extract_jmap(d.algebra, d)
+    j = extract_jmap(d)
     for _ in range(20):
         zc = rng.standard_normal(len(d.z_indices))
         zc /= np.linalg.norm(zc)

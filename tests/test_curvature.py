@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from solvharm import curvature
+from solvharm import curvature, lie_metric
 from solvharm.cli import build_report
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_real_hyperbolic, clifford_generators)
@@ -109,7 +109,7 @@ def test_einstein_cases(dr_algebras):
 
 def test_ricci_symmetric(dr_algebras):
     g = dr_algebras[(3, 1)]
-    ric = ricci(g, curvature_tensor(g, levi_civita(g)))
+    ric = ricci(curvature_tensor(g, levi_civita(g)))
     np.testing.assert_allclose(ric, ric.T, atol=1e-12)
 
 
@@ -117,21 +117,21 @@ def test_sectional_curvature_cases(dr_algebras, rng):
     g = build_real_hyperbolic(3)
     r = curvature_tensor(g, levi_civita(g))
     assert np.isclose(
-        sectional_curvature(g, r, _basis(3, 0), _basis(3, 1)), -1.0
+        sectional_curvature(r, _basis(3, 0), _basis(3, 1)), -1.0
     )
 
     flat = build_flat(3)
     rf = curvature_tensor(flat, levi_civita(flat))
-    assert sectional_curvature(flat, rf, _basis(3, 0), _basis(3, 1)) == 0.0
+    assert sectional_curvature(rf, _basis(3, 0), _basis(3, 1)) == 0.0
 
     gdr = dr_algebras[(2, 1)]
     rdr = curvature_tensor(gdr, levi_civita(gdr))
     for _ in range(200):
         x, y = rng.standard_normal((2, 7))
-        assert sectional_curvature(gdr, rdr, x, y) <= 1e-10
+        assert sectional_curvature(rdr, x, y) <= 1e-10
 
     with pytest.raises(DomainError):
-        sectional_curvature(g, r, _basis(3, 0), 2.0 * _basis(3, 0))
+        sectional_curvature(r, _basis(3, 0), 2.0 * _basis(3, 0))
 
 
 def test_jacobi_operator_h_real_hyperbolic():
@@ -179,11 +179,11 @@ def test_jacobi_operator_h_rejects_bad_direction(dr_data):
 
 def test_central_operator_at_zero_and_infinity(dr_data):
     d = dr_data[(2, 1)]
-    op0 = jacobi_operator_central(d, d.z_top_vector, 0.0)
+    op0 = jacobi_operator_central(d, 0.0)
     # center factor mu = 1 at slot 1: R(0) Z* = -mu Z*
     assert np.isclose(op0[1, 1], -1.0)
     # t -> infinity: center block tends to -mu^2
-    op_inf = jacobi_operator_central(d, d.z_top_vector, 40.0)
+    op_inf = jacobi_operator_central(d, 40.0)
     assert np.isclose(op_inf[1, 1], -1.0, atol=1e-12)
 
     # a center eigenvalue mu < 1 on an abelian nilpotent part
@@ -191,59 +191,96 @@ def test_central_operator_at_zero_and_infinity(dr_data):
     g = MetricLieAlgebra(3, ((0, 1, 1, mu), (0, 2, 2, 1.0)))
     dd = standard_decomposition(g)
     assert np.isclose(
-        jacobi_operator_central(dd, dd.z_top_vector, 0.0)[1, 1], -mu
+        jacobi_operator_central(dd, 0.0)[1, 1], -mu
     )
     assert np.isclose(
-        jacobi_operator_central(dd, dd.z_top_vector, 40.0)[1, 1], -mu * mu
+        jacobi_operator_central(dd, 40.0)[1, 1], -mu * mu
     )
 
 
-def test_central_operator_matches_transported_tensor(generic_pair_algebra):
-    d = standard_decomposition(generic_pair_algebra)
+def _assert_frame_matches_transported_tensor(d, times):
+    """The closed-form R(t) equals the curvature tensor of the adapted
+    algebra contracted along the central geodesic, in the frame of
+    :func:`central_frame_split`."""
     alg = d.algebra
     r = curvature_tensor(alg, levi_civita(alg))
-    mus, z_perp, rho_stars, kernel, pairs, pair_cols = \
-        central_frame_split(d, d.z_top_vector)
-    for t in (0.0, 0.4, 1.3, 3.0):
+    _, z_perp, _, kernel, _, pair_cols = central_frame_split(d)
+    for t in times:
         u = -np.tanh(t) * d.h_vector + d.z_top_vector / np.cosh(t)
         xi = d.h_vector / np.cosh(t) + np.tanh(t) * d.z_top_vector
         frame = np.column_stack([xi, z_perp, kernel, pair_cols])
         oracle = frame.T @ np.einsum("a,b,jabl->lj", u, u, r) @ frame
-        formula = jacobi_operator_central(d, d.z_top_vector, t)
+        formula = jacobi_operator_central(d, t)
         assert np.abs(oracle - formula).max() <= 1e-10
         # quadratic-form symmetry of R(t) in the transported frame
         assert np.abs(oracle - oracle.T).max() <= 1e-8
 
 
-def test_central_operator_general_standard_data():
-    # pair + kernel vectors + several center eigenvalues at once: the
-    # closed-form blocks must match the transported curvature tensor
-    g = MetricLieAlgebra(7, (
-        (0, 1, 1, 0.3), (0, 2, 2, 0.7), (0, 3, 3, 0.4), (0, 4, 4, 0.4),
-        (0, 5, 5, 0.8), (0, 6, 6, 1.0),
-        (1, 2, 6, 0.5), (3, 4, 5, 0.9),
-    ))
-    d = standard_decomposition(g)
-    np.testing.assert_allclose(d.mu, [0.8, 1.0], atol=1e-12)
-    np.testing.assert_allclose(d.rho_star, [0.4, 0.4], atol=1e-12)
-    np.testing.assert_allclose(d.pairs, [[0.3, 0.5]], atol=1e-12)
-    alg = d.algebra
-    r = curvature_tensor(alg, levi_civita(alg))
-    mus, z_perp, _, kernel, _, pair_cols = \
-        central_frame_split(d, d.z_top_vector)
-    for t in (0.0, 0.6, 1.7, 4.0):
-        u = -np.tanh(t) * d.h_vector + d.z_top_vector / np.cosh(t)
-        xi = d.h_vector / np.cosh(t) + np.tanh(t) * d.z_top_vector
-        frame = np.column_stack([xi, z_perp, kernel, pair_cols])
-        oracle = frame.T @ np.einsum("a,b,jabl->lj", u, u, r) @ frame
-        formula = jacobi_operator_central(d, d.z_top_vector, t)
-        assert np.abs(oracle - formula).max() <= 1e-10
+def test_central_operator_matches_transported_tensor(generic_pair_algebra,
+                                                     haar_rotate):
+    for g in [generic_pair_algebra] + [haar_rotate(generic_pair_algebra, s)
+                                       for s in (11, 12, 13)]:
+        _assert_frame_matches_transported_tensor(
+            standard_decomposition(g), (0.0, 0.4, 1.3, 3.0))
 
 
-def test_central_operator_rejects_non_top_vector(dr_data):
-    d = dr_data[(1, 1)]
-    with pytest.raises(DomainError):
-        jacobi_operator_central(d, d.h_vector, 0.0)
+# a pair, two kernel vectors and two center eigenvalues at once
+KERNEL_PAIR_CENTER = MetricLieAlgebra(7, (
+    (0, 1, 1, 0.3), (0, 2, 2, 0.7), (0, 3, 3, 0.4), (0, 4, 4, 0.4),
+    (0, 5, 5, 0.8), (0, 6, 6, 1.0),
+    (1, 2, 6, 0.5), (3, 4, 5, 0.9),
+))
+
+
+def test_central_operator_general_standard_data(haar_rotate):
+    # the closed-form blocks must match the transported curvature tensor
+    g = KERNEL_PAIR_CENTER
+    for alg in [g] + [haar_rotate(g, s) for s in (11, 12, 13)]:
+        d = standard_decomposition(alg)
+        np.testing.assert_allclose(d.mu, [0.8, 1.0], atol=1e-12)
+        np.testing.assert_allclose(d.rho_star, [0.4, 0.4], atol=1e-12)
+        np.testing.assert_allclose(d.pairs, [[0.3, 0.5]], atol=1e-12)
+        _assert_frame_matches_transported_tensor(d, (0.0, 0.6, 1.7, 4.0))
+
+
+def test_central_frame_split_reads_adapted_basis(dr_data, generic_pair_algebra,
+                                                 haar_rotate):
+    cases = list(dr_data.values()) + [
+        standard_decomposition(generic_pair_algebra),
+        standard_decomposition(KERNEL_PAIR_CENTER),
+        standard_decomposition(haar_rotate(dr_data[(3, 1)].algebra, 7)),
+    ]
+    for d in cases:
+        mus, z_perp, rho_stars, kernel, pairs, pair_cols = \
+            central_frame_split(d)
+        for got, want in zip((mus, rho_stars, pairs), d.frame_factor_data()):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(mus, d.mu[:-1])
+        columns = np.column_stack([z_perp, kernel, pair_cols])
+        eye = np.eye(d.algebra.dim)
+        assert np.array_equal(
+            columns, eye[:, list(d.z_indices[:-1]) + list(d.v_indices)])
+        assert kernel.shape[1] == len(rho_stars)
+        assert pair_cols.shape[1] == 2 * len(pairs)
+
+
+def test_build_report_runs_pair_decomposition_once(monkeypatch,
+                                                   generic_pair_algebra):
+    # the central frame and the h-scan read one spectral-data path
+    calls = []
+    original = lie_metric.pair_decomposition
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("solvharm") and hasattr(module,
+                                                   "pair_decomposition"):
+            monkeypatch.setattr(module, "pair_decomposition", counting)
+    g = MetricLieAlgebra(4, generic_pair_algebra.structure_constants)
+    assert build_report(g)["classification"] == "NotAsymptoticallyHarmonic"
+    assert len(calls) == 1
 
 
 def test_nabla_r_symmetric_spaces(dr_algebras):

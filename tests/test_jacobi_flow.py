@@ -35,20 +35,19 @@ def test_central_velocity_values():
 
 def test_covariant_derivative_closed_forms(dr_data):
     d = dr_data[(2, 1)]
-    z = d.z_top_vector
     # central fields orthogonal to Z are parallel
     z_star = np.zeros(d.algebra.dim)
     z_star[d.z_indices[0]] = 1.0
     for t in (0.0, 0.7, 2.5):
         np.testing.assert_allclose(
-            covariant_derivative_along(d, z, t, z_star), 0.0, atol=1e-12
+            covariant_derivative_along(d, t, z_star), 0.0, atol=1e-12
         )
     # v-fields rotate with speed theta / (2 cosh t) through j(Z)
     frame = CentralGeodesicFrame.build(d)
     v_col = frame.pair_cols[:, 0]
     vt_col = frame.pair_cols[:, 1]
     theta = frame.pairs[0, 1]
-    got = covariant_derivative_along(d, z, 0.0, v_col)
+    got = covariant_derivative_along(d, 0.0, v_col)
     np.testing.assert_allclose(got, -(theta / 2.0) * vt_col, atol=1e-12)
     # geodesic property: the connection term cancels the coefficient
     # derivative of the velocity field, D(gamma')/dt = 0
@@ -57,7 +56,7 @@ def test_covariant_derivative_closed_forms(dr_data):
         sech = 1.0 / math.cosh(t)
         coeff_dot = (-sech**2) * d.h_vector \
             + (-sech * math.tanh(t)) * d.z_top_vector
-        total = coeff_dot + covariant_derivative_along(d, z, t, vel)
+        total = coeff_dot + covariant_derivative_along(d, t, vel)
         np.testing.assert_allclose(total, 0.0, atol=1e-12)
 
 
@@ -81,7 +80,7 @@ def test_integrate_hz_block_decay(dr_data):
     j0[0] = 1.0
     j0p = np.zeros(k)
     j0p[0] = -1.0
-    s = integrate_jacobi(d, None, j0, j0p, 10.0, steps=50)
+    s = integrate_jacobi(d, j0, j0p, 10.0, steps=50)
     assert np.abs(s.e[:, 0, 0] - np.exp(-s.t_grid)).max() <= 1e-8
 
 
@@ -95,11 +94,11 @@ def test_integrate_center_factor_killing_and_stable(dr_data):
     j0[1] = 1.0
     j0p = np.zeros(k)
     j0p[1] = -mu
-    s = integrate_jacobi(d, None, j0, j0p, 10.0, steps=40)
+    s = integrate_jacobi(d, j0, j0p, 10.0, steps=40)
     assert np.abs(s.e[:, 1, 0] - np.exp(-s.t_grid)).max() <= 1e-8
     # Killing field cosh^mu(t): initial value 1, derivative 0
     j0p = np.zeros(k)
-    s = integrate_jacobi(d, None, j0, j0p, 6.0, steps=30)
+    s = integrate_jacobi(d, j0, j0p, 6.0, steps=30)
     expected = np.cosh(s.t_grid) ** mu
     assert np.abs(s.e[:, 1, 0] - expected).max() <= 1e-8 * expected.max()
 
@@ -116,7 +115,7 @@ def test_integrate_pair_block_matches_closed_form(rho, theta):
     j0p = np.zeros((k, 2))
     j0p[off: off + 2] = m0p
     j0p += frame.connection(0.0) @ j0
-    s = integrate_jacobi(d, None, j0, j0p, 10.0, steps=100)
+    s = integrate_jacobi(d, j0, j0p, 10.0, steps=100)
     sup = 0.0
     for i, t in enumerate(s.t_grid):
         mt, _ = stable_block_and_derivative(rho, theta, t)
@@ -135,7 +134,7 @@ def test_killing_pair_solutions_satisfy_jacobi(generic_pair_algebra):
         j0 = np.zeros(k)
         j0[off + component] = 1.0
         j0p = frame.connection(0.0) @ j0     # plain derivative vanishes at 0
-        s = integrate_jacobi(d, None, j0, j0p, 5.0, steps=25)
+        s = integrate_jacobi(d, j0, j0p, 5.0, steps=25)
         expected = np.cosh(s.t_grid) ** power
         got = s.e[:, off + component, 0]
         assert np.abs(got - expected).max() <= 1e-8 * expected.max()
@@ -148,7 +147,7 @@ def test_wronskian_conserved(dr_data):
     rng = np.random.default_rng(3)
     j0 = rng.standard_normal((k, 2))
     j0p = rng.standard_normal((k, 2))
-    s = integrate_jacobi(d, None, j0, j0p, 8.0, steps=60)
+    s = integrate_jacobi(d, j0, j0p, 8.0, steps=60)
     w = np.array([
         s.e_prime[i][:, 0] @ s.e[i][:, 1] - s.e[i][:, 0] @ s.e_prime[i][:, 1]
         for i in range(len(s.t_grid))
@@ -159,7 +158,7 @@ def test_wronskian_conserved(dr_data):
 def test_stable_tensor_real_hyperbolic_block():
     d = standard_decomposition(build_real_hyperbolic(3))
     grid = np.linspace(0.0, 6.0, 25)
-    s = stable_jacobi_tensor(d, None, grid)
+    s = stable_jacobi_tensor(d, grid)
     for i, t in enumerate(grid):
         np.testing.assert_allclose(s.e[i], math.exp(-t) * np.eye(2),
                                    atol=1e-8)
@@ -168,7 +167,7 @@ def test_stable_tensor_real_hyperbolic_block():
 def test_stable_tensor_det_law(dr_data):
     d = dr_data[(2, 1)]
     grid = np.linspace(0.5, 8.0, 26)
-    s = stable_jacobi_tensor(d, None, grid)
+    s = stable_jacobi_tensor(d, grid)
     dets = np.array([np.linalg.det(e) for e in s.e])
     logs = np.log(np.abs(dets))
     slope, _ = np.polyfit(grid, logs, 1)
@@ -178,7 +177,7 @@ def test_stable_tensor_det_law(dr_data):
 def test_stable_tensor_norm_eventually_decreasing(dr_data):
     d = dr_data[(1, 1)]
     grid = np.linspace(0.0, 10.0, 41)
-    s = stable_jacobi_tensor(d, None, grid)
+    s = stable_jacobi_tensor(d, grid)
     norms = np.array([np.linalg.norm(e, 2) for e in s.e])
     assert norms.max() <= norms[0] + 1e-9
     tail = norms[grid >= 2.0]
@@ -191,9 +190,9 @@ def test_stable_tensor_slow_pairs_solve_jacobi_forward(rho, theta):
     # the closed form is a Jacobi tensor with E(0) = id
     d = standard_decomposition(_pair_block_algebra(rho, theta))
     grid = np.linspace(0.0, 8.0, 41)
-    s = stable_jacobi_tensor(d, None, grid)
+    s = stable_jacobi_tensor(d, grid)
     np.testing.assert_allclose(s.e[0], np.eye(s.e.shape[1]), atol=1e-14)
-    fwd = integrate_jacobi(d, None, s.e[0], s.e_prime[0], 8.0, steps=40)
+    fwd = integrate_jacobi(d, s.e[0], s.e_prime[0], 8.0, steps=40)
     np.testing.assert_allclose(fwd.t_grid, grid, atol=1e-14)
     assert np.abs(fwd.e - s.e).max() <= 1e-8
     assert np.abs(fwd.e_prime - s.e_prime).max() <= 1e-8
@@ -205,8 +204,8 @@ def test_stable_tensor_matches_finite_horizon_oracle(key, dr_data,
     d = (standard_decomposition(perturbed_theta_algebra)
          if key == "perturbed" else dr_data[key])
     grid = np.linspace(0.0, 8.0, 33)
-    s = stable_jacobi_tensor(d, None, grid)
-    oracle = finite_horizon_tensor(d, None, grid, 64.0)
+    s = stable_jacobi_tensor(d, grid)
+    oracle = finite_horizon_tensor(d, grid, 64.0)
     assert np.abs(s.e - oracle.e).max() <= 1e-9
     assert np.abs(s.e_prime - oracle.e_prime).max() <= 1e-9
 
@@ -216,8 +215,8 @@ def test_stable_tensor_scalar_slots_match_oracle():
     d = standard_decomposition(
         MetricLieAlgebra(3, ((0, 1, 1, 1.0), (0, 2, 2, 0.3))))
     grid = np.linspace(0.0, 8.0, 17)
-    s = stable_jacobi_tensor(d, None, grid)
-    oracle = finite_horizon_tensor(d, None, grid, 160.0)
+    s = stable_jacobi_tensor(d, grid)
+    oracle = finite_horizon_tensor(d, grid, 160.0)
     assert np.abs(s.e - oracle.e).max() <= 1e-9
     assert np.abs(s.e_prime - oracle.e_prime).max() <= 1e-9
 
@@ -243,9 +242,9 @@ def test_stable_tensor_ill_conditioned_pair_guard():
     d = standard_decomposition(_pair_block_algebra(0.5, 1e-6))
     grid = np.linspace(0.5, 8.0, 26)
     with pytest.raises(NumericalError, match="ill conditioned"):
-        stable_jacobi_tensor(d, None, grid)
+        stable_jacobi_tensor(d, grid)
     loose = DEFAULT_TOLS.with_overrides(bvp_converged=1e-6)
-    s = stable_jacobi_tensor(d, None, grid, tols=loose)
+    s = stable_jacobi_tensor(d, grid, tols=loose)
     assert np.all(np.isfinite(s.e))
 
 
@@ -262,7 +261,7 @@ def test_stable_tensor_does_not_integrate(monkeypatch):
         return original(self, t)
 
     monkeypatch.setattr(CentralGeodesicFrame, "jacobi_operator", counting)
-    s = stable_jacobi_tensor(d, None, np.linspace(0.5, 8.0, 26))
+    s = stable_jacobi_tensor(d, np.linspace(0.5, 8.0, 26))
     assert len(calls) == 0
     assert s.e.shape == (26, 31, 31)
 
@@ -272,7 +271,7 @@ def test_finite_horizon_monotone_shape_operators(dr_data):
     t0 = np.array([0.0])
     shapes = []
     for r in (6.0, 10.0, 18.0, 30.0):
-        s = finite_horizon_tensor(d, None, t0, r)
+        s = finite_horizon_tensor(d, t0, r)
         shapes.append(-s.e_prime[0])
     for u_r, u_big in zip(shapes, shapes[1:]):
         assert np.linalg.eigvalsh(u_big - u_r).max() <= 1e-9
@@ -282,7 +281,7 @@ def test_mean_curvature_real_hyperbolic():
     n = 4
     d = standard_decomposition(build_real_hyperbolic(n))
     grid = np.linspace(0.5, 8.0, 26)
-    s = stable_jacobi_tensor(d, None, grid)
+    s = stable_jacobi_tensor(d, grid)
     m_fd, m_trace = mean_curvature_numeric(s)
     assert np.abs(m_fd - (n - 1)).max() <= 1e-6
     assert np.abs(m_trace - (n - 1)).max() <= 1e-7
@@ -292,7 +291,7 @@ def test_mean_curvature_real_hyperbolic():
 def test_mean_curvature_perturbed_not_constant(perturbed_theta_algebra):
     d = standard_decomposition(perturbed_theta_algebra)
     grid = np.linspace(0.0, 3.0, 31)
-    s = stable_jacobi_tensor(d, None, grid)
+    s = stable_jacobi_tensor(d, grid)
     m_fd, m_trace = mean_curvature_numeric(s)
     assert m_trace.max() - m_trace.min() > 1e-3
     assert m_fd.max() - m_fd.min() > 1e-3
@@ -313,7 +312,7 @@ def test_parallel_frame_preserves_determinants(dr_data):
     d = dr_data[(2, 1)]
     frame = CentralGeodesicFrame.build(d)
     grid = np.linspace(0.5, 5.0, 10)
-    s = stable_jacobi_tensor(d, None, grid)
+    s = stable_jacobi_tensor(d, grid)
     p = to_parallel_frame(s, frame)
     assert p.frame == "parallel"
     for i in range(len(grid)):
@@ -327,7 +326,7 @@ def test_parallel_frame_derivative_is_plain(dr_data):
     d = dr_data[(2, 1)]
     frame = CentralGeodesicFrame.build(d)
     grid = np.linspace(0.5, 3.0, 126)
-    s = stable_jacobi_tensor(d, None, grid)
+    s = stable_jacobi_tensor(d, grid)
     p = to_parallel_frame(s, frame)
     h = grid[1] - grid[0]
     fd = (p.e[2:] - p.e[:-2]) / (2.0 * h)
@@ -389,7 +388,7 @@ def test_volume_density_central_matches_stable_frame(dr_data):
     dets = volume_density(d.algebra, d.z_top_vector, t)
     frame = CentralGeodesicFrame.build(d)
     k = frame.size
-    s = integrate_jacobi(d, None, np.zeros((k, k)), np.eye(k), 2.0, steps=20)
+    s = integrate_jacobi(d, np.zeros((k, k)), np.eye(k), 2.0, steps=20)
     for ti, det in zip(t, dets):
         i = np.argmin(np.abs(s.t_grid - ti))
         assert np.isclose(det, np.linalg.det(s.e[i]), rtol=1e-8)

@@ -159,6 +159,12 @@ def test_standard_decomposition_rejects_nilpotent():
         standard_decomposition(HEISENBERG)
 
 
+def test_standard_decomposition_rejects_trivial_derived_algebra():
+    # dim 1: [s, s] = 0 has codimension one but leaves no v + z to split
+    with pytest.raises(StructureError, match="trivial"):
+        standard_decomposition(MetricLieAlgebra(1, ()))
+
+
 def test_standard_decomposition_rescales_metric():
     # scaling the metric scales every bracket; normalization undoes it
     # and recovers the canonical spectral data with top eigenvalue 1
@@ -199,7 +205,7 @@ def test_extract_jmap_heisenberg():
     g = build_heisenberg_type(clifford_generators(1))
     ext = build_damek_ricci(clifford_generators(1))
     d = standard_decomposition(ext)
-    j = extract_jmap(d.algebra, d)
+    j = extract_jmap(d)
     assert j.generators.shape == (1, 2, 2)
     np.testing.assert_allclose(np.abs(j.generators[0]),
                                [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
@@ -219,7 +225,7 @@ def test_extract_jmap_round_trip(dr_data):
     # after re-deriving the adapted basis the generators are conjugated
     # but keep the Clifford relations
     d = dr_data[(2, 1)]
-    j = extract_jmap(d.algebra, d)
+    j = extract_jmap(d)
     for gen in j.generators:
         np.testing.assert_allclose(gen @ gen, -np.eye(4), atol=1e-10)
         np.testing.assert_allclose(gen + gen.T, 0.0, atol=1e-12)
@@ -227,7 +233,7 @@ def test_extract_jmap_round_trip(dr_data):
 
 def test_extract_jmap_abelian_n_zero():
     d = standard_decomposition(build_real_hyperbolic(4))
-    j = extract_jmap(d.algebra, d)
+    j = extract_jmap(d)
     assert j.generators.shape == (3, 0, 0)
 
 
@@ -238,7 +244,7 @@ def test_extract_jmap_rejects_noncentral():
                   v_indices=(3,), z_indices=(1, 2),
                   mu=d.mu, rho_star=d.rho_star, pairs=d.pairs)
     with pytest.raises(StructureError):
-        extract_jmap(d.algebra, bad)
+        extract_jmap(bad)
 
 
 def test_jacobi_identity_guard():
@@ -249,7 +255,7 @@ def test_jacobi_identity_guard():
 
 def test_j_squared_commutes_with_ad_h(dr_data):
     d = dr_data[(3, 1)]
-    j = extract_jmap(d.algebra, d)
+    j = extract_jmap(d)
     v_idx = list(d.v_indices)
     ad_v = d.ad_h()[np.ix_(v_idx, v_idx)]
     rng = np.random.default_rng(7)
@@ -264,7 +270,7 @@ def test_j_squared_commutes_with_ad_h(dr_data):
 def test_j_maps_eigenspaces(generic_pair_algebra):
     # j(Z) sends the rho-eigenspace of ad_H|v to the (1-rho)-eigenspace
     d = standard_decomposition(generic_pair_algebra)
-    j = extract_jmap(d.algebra, d)
+    j = extract_jmap(d)
     jz = j(np.array([1.0]))
     v_idx = list(d.v_indices)
     ad_v = d.ad_h()[np.ix_(v_idx, v_idx)]
