@@ -232,9 +232,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     mu_f, rho_star, pairs = data.frame_factor_data()
     z_lo, z_hi, z_n = _H_GRID
     z_values = np.linspace(z_lo, z_hi, z_n)
-    h_values = np.array([
-        hypergeom.h_function(mu_f, rho_star, pairs, z) for z in z_values
-    ])
+    h_values = hypergeom.h_function(mu_f, rho_star, pairs, z_values)
     h_scale = max(float(np.abs(h_values).max()), 1e-30)
     drift = float((h_values.max() - h_values.min()) / h_scale)
     h_constant = drift <= tols.h_constancy
@@ -285,15 +283,36 @@ def _thread_count(raw: str) -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def _density_table(g, seed: int, directions: int, times, tols: Tolerances,
-                   workers: int):
+def _positive_count(value: int, flag: str) -> int:
+    if value < 1:
+        raise _UsageError(f"{flag} must be a positive integer, got {value}")
+    return value
+
+
+def _density_times(raw: str) -> np.ndarray:
+    """The ``--density-times`` grid: finite, nonnegative and strictly
+    increasing, as the geodesic integration needs it."""
+    try:
+        times = np.array([float(x) for x in raw.split(",")])
+    except ValueError:
+        raise _UsageError(
+            f"--density-times must be comma-separated numbers, got {raw!r}"
+        ) from None
+    if not (np.isfinite(times).all() and times[0] >= 0.0
+            and (np.diff(times) > 0.0).all()):
+        raise _UsageError("--density-times must be finite, nonnegative and "
+                          f"strictly increasing, got {raw!r}")
+    return times
+
+
+def _density_table(g, seed: int, directions: int, t_arr: np.ndarray,
+                   tols: Tolerances, workers: int):
     """Per-direction volume densities, fanned out across worker threads."""
     rng = np.random.default_rng(seed)
     dirs = []
     for _ in range(directions):
         v = rng.standard_normal(g.dim)
         dirs.append(v / np.linalg.norm(v))
-    t_arr = np.asarray(times, dtype=float)
 
     def run(v):
         return jacobi_flow.volume_density(g, v, t_arr, tols)
@@ -331,20 +350,22 @@ def cmd_build(args, tols: Tolerances) -> int:
 
 
 def cmd_analyze(args, tols: Tolerances) -> int:
-    g = _load_algebra(args.algebra, tols)
-    if args.density_csv:   # reject a bad value before any work is done
+    if args.density_csv:   # reject bad values before any work is done
         workers = _thread_count(os.environ.get("SOLVHARM_THREADS", "1"))
+        directions = _positive_count(args.density_directions,
+                                     "--density-directions")
+        times = _density_times(args.density_times)
+    g = _load_algebra(args.algebra, tols)
     report = build_report(g, seed=args.seed, tols=tols)
     _deliver(_render_json(report), args.output)
     if args.density_csv:
-        table = _density_table(g, args.seed, args.density_directions,
-                               [float(x) for x in args.density_times.split(",")],
-                               tols, workers)
+        table = _density_table(g, args.seed, directions, times, tols, workers)
         _write_atomic(args.density_csv, table)
     return 0
 
 
 def cmd_scan_h(args, tols: Tolerances) -> int:
+    count = _positive_count(args.count, "--count")
     g = _load_algebra(args.algebra, tols)
     try:
         data = lie_metric.standard_decomposition(g, tols)
@@ -354,12 +375,13 @@ def cmd_scan_h(args, tols: Tolerances) -> int:
     mu_f, rho_star, pairs = data.frame_factor_data()
     n_factors = len(mu_f) + len(rho_star) + len(pairs)
     header = "z,h," + ",".join(f"factor_{i + 1}" for i in range(n_factors))
+    z_values = np.linspace(args.z_min, args.z_max, count)
+    factors = hypergeom.h_factors(mu_f, rho_star, pairs, z_values)
+    h_values = np.prod(factors, axis=-1)
     lines = [header]
-    for z in np.linspace(args.z_min, args.z_max, args.count):
-        factors = hypergeom.h_factors(mu_f, rho_star, pairs, float(z))
-        h = float(np.prod(factors))
-        cells = [format(float(z), ".17g"), format(h, ".17g")]
-        cells += [format(float(f), ".17g") for f in factors]
+    for z, h, row in zip(z_values, h_values, factors):
+        cells = [format(float(z), ".17g"), format(float(h), ".17g")]
+        cells += [format(float(f), ".17g") for f in row]
         lines.append(",".join(cells))
     _deliver("\n".join(lines) + "\n", args.output)
     return 0

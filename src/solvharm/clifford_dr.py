@@ -139,11 +139,9 @@ def clifford_generators(l: int, copies: int = 1) -> CliffordModule:
     return module
 
 
-def build_heisenberg_type(cm: CliffordModule) -> MetricLieAlgebra:
-    """Two-step nilpotent algebra on v + z with <[V,W], Z_a> = <J_a V, W>.
-
-    Basis order (V_1..V_m, Z_1..Z_l).
-    """
+def _heisenberg_triples(cm: CliffordModule, offset: int) -> list:
+    """Brackets <[V_p, V_q], Z_a> = <J_a V_p, V_q> as sparse triples, with
+    V_1..V_m, Z_1..Z_l at the indices ``offset`` .. ``offset + m + l - 1``."""
     m, l = cm.m, cm.l
     triples = []
     for p in range(m):
@@ -151,8 +149,16 @@ def build_heisenberg_type(cm: CliffordModule) -> MetricLieAlgebra:
             for a in range(l):
                 c = cm.generators[a][q, p]   # <J_a e_p, e_q>
                 if abs(c) > 1e-14:
-                    triples.append((p, q, m + a, c))
-    return MetricLieAlgebra(m + l, tuple(triples))
+                    triples.append((offset + p, offset + q, offset + m + a, c))
+    return triples
+
+
+def build_heisenberg_type(cm: CliffordModule) -> MetricLieAlgebra:
+    """Two-step nilpotent algebra on v + z with <[V,W], Z_a> = <J_a V, W>.
+
+    Basis order (V_1..V_m, Z_1..Z_l).
+    """
+    return MetricLieAlgebra(cm.m + cm.l, tuple(_heisenberg_triples(cm, 0)))
 
 
 def build_damek_ricci(cm: CliffordModule) -> MetricLieAlgebra:
@@ -161,17 +167,9 @@ def build_damek_ricci(cm: CliffordModule) -> MetricLieAlgebra:
     Basis order (H, V_1..V_m, Z_1..Z_l) with H at index 0.
     """
     m, l = cm.m, cm.l
-    triples = []
-    for p in range(m):
-        triples.append((0, 1 + p, 1 + p, 0.5))
-    for a in range(l):
-        triples.append((0, 1 + m + a, 1 + m + a, 1.0))
-    for p in range(m):
-        for q in range(p + 1, m):
-            for a in range(l):
-                c = cm.generators[a][q, p]
-                if abs(c) > 1e-14:
-                    triples.append((1 + p, 1 + q, 1 + m + a, c))
+    triples = [(0, 1 + p, 1 + p, 0.5) for p in range(m)]
+    triples += [(0, 1 + m + a, 1 + m + a, 1.0) for a in range(l)]
+    triples += _heisenberg_triples(cm, 1)
     return MetricLieAlgebra(1 + m + l, tuple(triples))
 
 

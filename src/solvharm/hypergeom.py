@@ -79,14 +79,24 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def gauss_f(a: float, b: float, c: float, z: float) -> float:
-    """F(a, b; c; z) on |z| < 1 by ``scipy.special.hyp2f1``."""
+def gauss_f(a: float, b: float, c: float, z):
+    """F(a, b; c; z) on |z| < 1 by ``scipy.special.hyp2f1``.
+
+    ``z`` may be an array; a scalar ``z`` gives a float.
+    """
     if _nonpositive_int(c):
         raise DomainError(f"parameter pole: c = {c} is a nonpositive integer")
-    if not abs(z) < 1.0:
-        raise DomainError(f"series argument must satisfy |z| < 1, got {z}")
-    return _finite(float(special.hyp2f1(a, b, c, z)),
-                   f"F({a}, {b}; {c}; {z})")
+    z = np.asarray(z, dtype=float)
+    outside = ~(np.abs(z) < 1.0)
+    if outside.any():
+        raise DomainError(
+            f"series argument must satisfy |z| < 1, got {z[outside].flat[0]}")
+    value = special.hyp2f1(a, b, c, z)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise NumericalError(f"F({a}, {b}; {c}; {z[bad].flat[0]}) is not "
+                             f"finite: {value[bad].flat[0]}")
+    return float(value) if value.ndim == 0 else value
 
 
 def fundamental_pair(p: HypergeomParams, z: float):
@@ -164,36 +174,44 @@ def stable_block_and_derivative(rho: float, theta: float, t: float):
 # the rigidity function h
 # ---------------------------------------------------------------------------
 
-def h_factors(mu, rho_star, pairs, z: float) -> np.ndarray:
-    """Individual factors of h at z, ordered (centers, kernels, pairs)."""
+def h_factors(mu, rho_star, pairs, z) -> np.ndarray:
+    """Individual factors of h at z, ordered (centers, kernels, pairs).
+
+    For an array ``z`` the result has shape ``(len(z), n_factors)``, one
+    C-contiguous row per z value, so a product over the last axis
+    multiplies in the same order as for a single z.
+    """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     rho_star = np.atleast_1d(np.asarray(rho_star, dtype=float))
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
-    values = []
-    for m in mu:
-        values.append(1.0 if z == 0.0 else gauss_f(m, 1 - m, 1 + m, z))
-    for r in rho_star:
-        values.append(1.0 if z == 0.0 else gauss_f(r, 1 - r, 1 + r, z))
-    for rho, theta in pairs:
+    z = np.asarray(z, dtype=float)
+    at_zero = z == 0.0
+    singles = np.concatenate([mu, rho_star])
+    values = np.empty(z.shape + (len(singles) + len(pairs),))
+    for i, m in enumerate(singles):
+        values[..., i] = np.where(at_zero, 1.0, gauss_f(m, 1 - m, 1 + m, z))
+    for i, (rho, theta) in enumerate(pairs, start=len(singles)):
         a, b = pair_exponents(rho, theta)
-        if z == 0.0:
-            values.append(a * b / rho + a * b / (1.0 - rho))
-        else:
-            num = (gauss_f(a, b, rho, z)
-                   + gauss_f(-a, -b, 1 - rho, z) - 2.0)
-            values.append(num / z)
-    return np.array(values)
+        num = gauss_f(a, b, rho, z) + gauss_f(-a, -b, 1 - rho, z) - 2.0
+        # the z -> 0 limit of num / z
+        limit = np.full(z.shape, a * b / rho + a * b / (1.0 - rho))
+        values[..., i] = np.divide(num, z, out=limit, where=~at_zero)
+    return values
 
 
-def h_function(mu, rho_star, pairs, z: float) -> float:
+def h_function(mu, rho_star, pairs, z):
     """The product h(z) of hypergeometric factors of the spectral data.
 
     At z = 0 the continuous limit prod_i (a_i b_i / rho_i +
-    a_i b_i / (1 - rho_i)) is returned.
+    a_i b_i / (1 - rho_i)) is returned.  An array ``z`` gives an array.
     """
-    if not 0.0 <= z < 1.0:
-        raise DomainError(f"h is evaluated on [0, 1), got z = {z}")
-    return float(np.prod(h_factors(mu, rho_star, pairs, z)))
+    z = np.asarray(z, dtype=float)
+    outside = ~((0.0 <= z) & (z < 1.0))
+    if outside.any():
+        raise DomainError(
+            f"h is evaluated on [0, 1), got z = {z[outside].flat[0]}")
+    h = np.prod(h_factors(mu, rho_star, pairs, z), axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
 def mean_curvature_analytic(d: StandardSolvableData, t: float,

@@ -463,15 +463,17 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
         dets = _density_dets(cols, vels)
 
     # orient so the density is positive right after 0, then check for
-    # conjugate points at the interior grid times
+    # conjugate points at the interior grid times.  det A(t) ~ t^(n-1)
+    # near 0, so the floor applies to the ratio to the flat density.
     interior = t_grid > 1e-9
     if np.any(interior):
         first = np.argmax(interior)
         sign = math.copysign(1.0, dets[first])
         dets = sign * dets
-        bad = interior & (dets < tols.det_floor)
+        t_in = t_grid[interior]
+        bad = dets[interior] / t_in ** (n - 1) < tols.det_floor
         if np.any(bad):
             raise ConjugatePointError(
-                f"volume density vanishes at t = {t_grid[np.argmax(bad)]:.6g}"
+                f"volume density vanishes at t = {t_in[np.argmax(bad)]:.6g}"
             )
     return dets

@@ -176,7 +176,9 @@ def _null_space(mat: np.ndarray, tol: float = _RANK_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of ``mat``."""
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1])
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
+    # V is complete in the reduced SVD unless ``mat`` is wide; the full U
+    # of a tall matrix (rows^2 doubles) is never read
+    _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     scale = max(1.0, s[0] if s.size else 1.0)
     rank = int(np.sum(s > tol * scale))
     return vt[rank:].T
@@ -453,9 +455,12 @@ def standard_decomposition(g: MetricLieAlgebra,
 
     Requires [s, s] of codimension one, ad_H self-adjoint on v and z
     (within ``tols.self_adjoint``) with positive eigenvalues.  The
-    returned data wraps a rescaled copy of the algebra whose top ad_H
-    eigenvalue is exactly 1, rebuilt in an adapted basis; rerunning on
-    that output reproduces the same spectral data.
+    center z of n = [s, s], the blocks of ad_H and j(Z) are contractions
+    of ``g.tensor``; dividing them by the top ad_H eigenvalue ``lam``
+    normalizes it to exactly 1, as for the metric rescaled by 1/lam.
+    The only algebra built is the returned one: that rescaled algebra
+    in an adapted basis.  Rerunning on it reproduces the same spectral
+    data.
     """
     n_basis = derived_algebra(g)
     if n_basis.shape[1] != g.dim - 1:
@@ -468,13 +473,14 @@ def standard_decomposition(g: MetricLieAlgebra,
     if h.shape[1] != 1:
         raise StructureError("orthogonal complement of [s, s] is not a line")
     h = h[:, 0]
+    m_n = n_basis.T @ ad_matrix(h, g) @ n_basis  # ad_H restricted to n
 
-    ad_h_full = ad_matrix(h, g)
-    m_n = n_basis.T @ ad_h_full @ n_basis  # ad_H restricted to n
-
-    # center of n determines the v / z split
-    n_alg = subalgebra(g, n_basis)
-    z_in_n = center_of(n_alg)
+    # center of n determines the v / z split; [n, n] lies in n, so the
+    # brackets [x, b_c] are read in n coordinates: t_n[a, c] = [b_a, b_c]
+    r = n_basis.shape[1]
+    t_n = np.einsum("ia,jc,ijk,kd->acd", n_basis, n_basis, g.tensor,
+                    n_basis, optimize=True)
+    z_in_n = _null_space(t_n.transpose(1, 2, 0).reshape(r * r, r))
     if z_in_n.shape[1] == 0:
         raise StructureError("nilradical candidate has trivial center")
     v_in_n = _null_space(z_in_n.T)
@@ -500,9 +506,7 @@ def standard_decomposition(g: MetricLieAlgebra,
                if ad_v.size else np.zeros(0))
     all_eigs = np.concatenate([mu_raw, rho_raw])
     if np.all(all_eigs < 0):
-        h = -h
-        ad_h_full, m_n, ad_z, ad_v = -ad_h_full, -m_n, -ad_z, -ad_v
-        mu_raw, rho_raw, all_eigs = -mu_raw, -rho_raw, -all_eigs
+        h, ad_z, ad_v, mu_raw, all_eigs = -h, -ad_z, -ad_v, -mu_raw, -all_eigs
     if np.min(all_eigs) <= tols.eigen_merge:
         raise NotStandardError(
             f"ad_H has a nonpositive eigenvalue ({np.min(all_eigs):.3e})"
@@ -511,26 +515,21 @@ def standard_decomposition(g: MetricLieAlgebra,
     if mu_raw.max() < lam - tols.eigen_merge:
         raise NotStandardError("top ad_H eigenvalue does not lie in the center")
 
-    # rescale the metric so the top eigenvalue is exactly 1
-    g_scaled = g.rescaled(1.0 / lam) if abs(lam - 1.0) > 1e-15 else g
-    ad_h_s = ad_matrix(h, g_scaled)
-    ad_z_s = z_in_n.T @ (n_basis.T @ ad_h_s @ n_basis) @ z_in_n
-    ad_v_s = v_in_n.T @ (n_basis.T @ ad_h_s @ n_basis) @ v_in_n
+    # every bracket scales by 1/lam, so the top eigenvalue becomes 1
+    scale = 1.0 / lam if abs(lam - 1.0) > 1e-15 else 1.0
+    ad_z, ad_v = scale * ad_z, scale * ad_v
 
-    mu, z_vecs = np.linalg.eigh(0.5 * (ad_z_s + ad_z_s.T))
+    mu, z_vecs = np.linalg.eigh(0.5 * (ad_z + ad_z.T))
     z_cols = n_basis @ z_in_n @ z_vecs      # ambient coords, mu ascending
     z_top = z_cols[:, -1]
 
-    # j(Z) for the canonical top eigenvector, in v coordinates
+    # j(Z)[p, q] = <[V_q, V_p], Z> for the canonical top eigenvector Z
     v_cols_raw = n_basis @ v_in_n
     m_v = v_cols_raw.shape[1]
-    j_top = np.zeros((m_v, m_v))
-    for q in range(m_v):
-        for p in range(m_v):
-            j_top[p, q] = bracket(v_cols_raw[:, q], v_cols_raw[:, p], g_scaled) @ z_top
-    sym_v = 0.5 * (ad_v_s + ad_v_s.T)
+    j_top = scale * np.einsum("iq,jp,ijk,k->pq", v_cols_raw, v_cols_raw,
+                              g.tensor, z_top, optimize=True)
     kernel_b, rho_star, pair_b, pairs = pair_decomposition(
-        sym_v, j_top, tols.eigen_merge
+        0.5 * (ad_v + ad_v.T), j_top, tols.eigen_merge
     )
 
     v_cols = (np.hstack([v_cols_raw @ kernel_b, v_cols_raw @ pair_b])
@@ -541,8 +540,9 @@ def standard_decomposition(g: MetricLieAlgebra,
     q_basis *= np.sign(np.sum(q_basis * basis, axis=0))
 
     tensor = np.einsum("ia,jb,ijk,kc->abc", q_basis, q_basis,
-                       g_scaled.tensor, q_basis, optimize=True)
-    adapted = MetricLieAlgebra.from_tensor(tensor, jacobi_tol=g.jacobi_tol)
+                       g.tensor, q_basis, optimize=True)
+    adapted = MetricLieAlgebra.from_tensor(scale * tensor,
+                                           jacobi_tol=g.jacobi_tol)
 
     n_pairs = len(pairs)
     v_idx = tuple(range(1, 1 + m_v))

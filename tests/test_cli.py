@@ -276,6 +276,27 @@ def test_trivial_derived_algebra_is_not_standard(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["scan-h", "--count", "-1"], "--count"),
+    (["analyze", "--density-times", "0.5,abc"], "--density-times"),
+    (["analyze", "--density-times", "2,1"], "--density-times"),
+    (["analyze", "--density-directions", "-3"], "--density-directions"),
+])
+def test_bad_grid_is_usage_error_before_any_work(argv, flag, tmp_path,
+                                                 monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("the algebra was loaded")
+
+    monkeypatch.setattr(cli, "_load_algebra", no_work)
+    out, csv = tmp_path / "out", tmp_path / "d.csv"
+    command, *options = argv
+    if command == "analyze":
+        options += ["--density-csv", str(csv)]
+    assert main([command, "alg.json", *options, "--output", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists() and not csv.exists()
+
+
 def test_analyze_one_dimensional_algebra_is_flat(tmp_path):
     alg = tmp_path / "line.json"
     alg.write_text(json.dumps({"dim": 1, "structure_constants": []}))

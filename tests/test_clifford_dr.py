@@ -67,6 +67,19 @@ def test_damek_ricci_dimensions():
     assert build_damek_ricci(clifford_generators(3)).dim == 8
 
 
+@pytest.mark.parametrize("l, copies", [(1, 1), (3, 2), (7, 1), (9, 1)])
+def test_damek_ricci_extends_heisenberg_type(l, copies):
+    # ad_H on v and z, then the Heisenberg brackets shifted past H
+    cm = clifford_generators(l, copies)
+    m = cm.m
+    heis = build_heisenberg_type(cm).structure_constants
+    dr = build_damek_ricci(cm).structure_constants
+    assert dr[:m + l] == tuple((0, i, i, 0.5 if i <= m else 1.0)
+                               for i in range(1, 1 + m + l))
+    assert dr[m + l:] == tuple((p + 1, q + 1, k + 1, c)
+                               for p, q, k, c in heis)
+
+
 def test_damek_ricci_ad_h_spectrum():
     cm = clifford_generators(2)
     g = build_damek_ricci(cm)

@@ -226,6 +226,18 @@ def test_stable_block_solves_jacobi_system():
     assert np.abs(resid).max() <= 1e-6
 
 
+def test_gauss_f_on_a_grid_keeps_every_check():
+    zs = np.linspace(-0.5, 0.9, 15)
+    values = gauss_f(0.3, 1.7, 0.9, zs)
+    assert np.array_equal(values, [gauss_f(0.3, 1.7, 0.9, z) for z in zs])
+    with pytest.raises(DomainError, match="got 1.0"):
+        gauss_f(0.5, 0.5, 1.5, np.array([0.2, 1.0]))
+    with pytest.raises(DomainError):
+        gauss_f(0.5, 0.5, -1.0, zs)
+    with pytest.raises(NumericalError):
+        gauss_f(300.0, 300.0, 0.5, np.array([0.1, 0.9]))
+
+
 # ---------------------------------------------------------------------------
 # the rigidity function h
 # ---------------------------------------------------------------------------
@@ -255,6 +267,24 @@ def test_h_factors_layout(dr_data):
     assert factors.shape == (3,)   # one leftover mu=1, two pairs
     np.testing.assert_allclose(factors[0], 1.0, atol=1e-13)
     np.testing.assert_allclose(factors[1:], -4.0, atol=1e-11)
+
+
+def test_h_on_a_grid_matches_pointwise(generic_pair_algebra, dr_data):
+    # one row per z, bit for bit, including the z = 0 limits
+    zs = np.linspace(0.0, 0.9, 40)
+    for d in (standard_decomposition(generic_pair_algebra), dr_data[(2, 1)]):
+        mu_f, rho_star, pairs = d.frame_factor_data()
+        grid = h_factors(mu_f, rho_star, pairs, zs)
+        rows = np.array([h_factors(mu_f, rho_star, pairs, z) for z in zs])
+        assert grid.shape == rows.shape == (len(zs), rows.shape[1])
+        assert np.array_equal(grid, rows)
+        h = h_function(mu_f, rho_star, pairs, zs)
+        assert np.array_equal(h, [h_function(mu_f, rho_star, pairs, z)
+                                  for z in zs])
+    assert h_factors([], [], np.zeros((0, 2)), zs).shape == (len(zs), 0)
+    np.testing.assert_array_equal(h_function([], [], np.zeros((0, 2)), zs), 1.0)
+    with pytest.raises(DomainError):
+        h_function([], [], [(0.5, 1.0)], np.array([0.5, -0.1]))
 
 
 def test_mean_curvature_analytic_damek_ricci(dr_data):

@@ -6,6 +6,7 @@ from scipy.special import beta
 
 from solvharm import jacobi_flow
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
+                                  build_heisenberg_type,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.config import DEFAULT_TOLS
 from solvharm.errors import ConjugatePointError, DomainError, NumericalError
@@ -392,6 +393,26 @@ def test_volume_density_central_matches_stable_frame(dr_data):
     for ti, det in zip(t, dets):
         i = np.argmin(np.abs(s.t_grid - ti))
         assert np.isclose(det, np.linalg.det(s.e[i]), rtol=1e-8)
+
+
+@pytest.mark.parametrize("key, t", [((7, 2), 0.25), ((8, 3), 0.5)])
+def test_volume_density_floor_is_scale_free(key, t):
+    # det A(t) ~ t^(n-1) near 0 (1.6e-14 at dim 24 and t = 1/4) is no
+    # conjugate point: the floor applies to det A(t) / t^(n-1)
+    g = build_damek_ricci(clifford_generators(*key))
+    v = np.random.default_rng(5).standard_normal(g.dim)
+    v /= np.linalg.norm(v)
+    m = g.dim - 1 - key[0]
+    expected = (2.0 * np.sinh(t / 2.0)) ** m * np.sinh(t) ** key[0]
+    np.testing.assert_allclose(volume_density(g, v, np.array([t])),
+                               [expected], rtol=1e-8)
+
+
+def test_volume_density_finds_heisenberg_conjugate_point():
+    g = build_heisenberg_type(clifford_generators(1))
+    with pytest.raises(ConjugatePointError, match="t = 8"):
+        volume_density(g, np.array([0.6, 0.0, 0.8]),
+                       np.linspace(0.5, 12.0, 24))
 
 
 def test_volume_density_requires_unit_vector():

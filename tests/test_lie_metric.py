@@ -1,6 +1,10 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from solvharm import lie_metric
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
                                   build_real_hyperbolic, clifford_generators)
@@ -188,6 +192,46 @@ def test_standard_decomposition_rejects_non_self_adjoint():
     g = MetricLieAlgebra(3, ((0, 1, 1, 1.0), (0, 1, 2, 1.0), (0, 2, 2, 1.0)))
     with pytest.raises(NotStandardError):
         standard_decomposition(g)
+
+
+def test_standard_decomposition_builds_only_the_adapted_algebra(
+        dr_algebras, haar_rotate, monkeypatch):
+    # the center of n, ad_H and j(Z) come from the input tensor: no
+    # subalgebra, bracket loop or rescaled copy, one Jacobi check
+    g0 = dr_algebras[(2, 1)]
+    inputs = (g0, haar_rotate(g0, 11), g0.rescaled(3.0))
+    reference = standard_decomposition(g0)
+    calls = Counter()
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items()
+               if key.split(".")[0] == "solvharm" and m is not None]
+    for name in ("subalgebra", "bracket", "center_of"):
+        original = getattr(lie_metric, name)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting(name, original))
+    for name in ("jacobi_residual", "rescaled"):
+        monkeypatch.setattr(MetricLieAlgebra, name,
+                            counting(name, getattr(MetricLieAlgebra, name)))
+    from_tensor = MetricLieAlgebra.__dict__["from_tensor"].__func__
+    monkeypatch.setattr(MetricLieAlgebra, "from_tensor",
+                        classmethod(counting("from_tensor", from_tensor)))
+
+    for g in inputs:
+        calls.clear()
+        d = standard_decomposition(g)
+        assert dict(calls) == {"from_tensor": 1, "jacobi_residual": 1}
+        for field in ("mu", "rho_star", "pairs"):
+            a, b = getattr(reference, field), getattr(d, field)
+            assert a.shape == b.shape
+            assert a.size == 0 or np.abs(a - b).max() <= 1e-12
 
 
 def test_standard_decomposition_idempotent(dr_data):
