@@ -25,6 +25,17 @@ from .errors import (DegenerateSpectrumError, NotStandardError, NumericalError,
 _MEAN_GRID = (0.5, 8.0, 26)
 _H_GRID = (0.05, 0.5, 50)
 
+# the Tolerances fields each subcommand's checks read: exactly these are
+# its --tol-* flags and the tolerances echoed in its report
+_DECOMPOSITION_TOLS = ("jacobi_identity", "self_adjoint", "eigen_merge")
+_COMMAND_TOLS = {
+    "analyze": tuple(f.name for f in dataclasses.fields(Tolerances)),
+    "scan-h": _DECOMPOSITION_TOLS,
+    "classify": _DECOMPOSITION_TOLS + ("classifier_zero",),
+    "riccati": ("pivot_rel", "riccati_residual", "riccati_symmetry",
+                "axis_band", "separation_band"),
+}
+
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -47,6 +58,11 @@ def _jsonable(value):
     if isinstance(value, (np.complexfloating, complex)):
         return {"re": float(value.real), "im": float(value.imag)}
     return value
+
+
+def _g17(value) -> str:
+    """%.17g of a float, with -0 written as 0."""
+    return format(float(value) + 0.0, ".17g")
 
 
 def _emit_json(value, out):
@@ -77,7 +93,7 @@ def _emit_json(value, out):
         if math.isnan(value) or math.isinf(value):
             out.write(json.dumps(str(value)))
         else:
-            out.write(format(value + 0.0 if value == 0.0 else value, ".17g"))
+            out.write(_g17(value))
     else:
         out.write(json.dumps(value))
 
@@ -134,9 +150,8 @@ def _load_algebra(path: str, tols: Tolerances) -> lie_metric.MetricLieAlgebra:
 # analysis pipeline
 # ---------------------------------------------------------------------------
 
-def _tolerances_dict(tols: Tolerances) -> dict:
-    return {f.name: getattr(tols, f.name)
-            for f in dataclasses.fields(Tolerances)}
+def _tolerances_dict(tols: Tolerances, command: str) -> dict:
+    return {name: getattr(tols, name) for name in _COMMAND_TOLS[command]}
 
 
 def _factor_entry(spec, cls):
@@ -156,7 +171,8 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     """Run the full analysis pipeline and assemble the report dict."""
     gamma, r_tensor = g.geometry
     r_norm = curvature.curvature_norm(r_tensor)
-    is_flat = r_norm <= tols.flat_norm
+    scale2 = curvature.scale_squared(g)
+    is_flat = r_norm <= tols.flat_norm * scale2
     is_einstein, c_const, resid = curvature.einstein_check(g, tols, r_tensor)
     growth = lie_metric.growth_type(g, seed=seed, tols=tols)
 
@@ -189,7 +205,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
             "reason": decomposition_error,
         }
         report["classification"] = "Flat" if is_flat else "Indeterminate"
-        report["tolerances"] = _tolerances_dict(tols)
+        report["tolerances"] = _tolerances_dict(tols, "analyze")
         return report
 
     report["standard_decomposition"] = {
@@ -253,7 +269,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
 
     nr = curvature.nabla_R_norm(g, gamma, r_tensor)
     ratio = nr / r_norm if r_norm > 0 else 0.0
-    symmetric = ratio <= tols.symmetry_ratio
+    symmetric = ratio <= tols.symmetry_ratio * math.sqrt(scale2)
     report["symmetry"] = {"nabla_r_norm": nr, "ratio": ratio,
                           "is_symmetric": symmetric}
 
@@ -268,7 +284,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     else:
         label = "Indeterminate"
     report["classification"] = label
-    report["tolerances"] = _tolerances_dict(tols)
+    report["tolerances"] = _tolerances_dict(tols, "analyze")
     return report
 
 
@@ -325,7 +341,7 @@ def _density_table(g, seed: int, directions: int, t_arr: np.ndarray,
     lines = ["direction_id,t,det"]
     for i, dets in enumerate(rows):
         for t, det in zip(t_arr, dets):
-            lines.append(f"{i},{format(float(t), '.17g')},{format(float(det), '.17g')}")
+            lines.append(f"{i},{_g17(t)},{_g17(det)}")
     return "\n".join(lines) + "\n"
 
 
@@ -366,6 +382,9 @@ def cmd_analyze(args, tols: Tolerances) -> int:
 
 def cmd_scan_h(args, tols: Tolerances) -> int:
     count = _positive_count(args.count, "--count")
+    for value, flag in ((args.z_min, "--z-min"), (args.z_max, "--z-max")):
+        if not -1.0 < value < 1.0:   # also NaN
+            raise _UsageError(f"{flag} must lie in (-1, 1), got {value}")
     g = _load_algebra(args.algebra, tols)
     try:
         data = lie_metric.standard_decomposition(g, tols)
@@ -380,9 +399,7 @@ def cmd_scan_h(args, tols: Tolerances) -> int:
     h_values = np.prod(factors, axis=-1)
     lines = [header]
     for z, h, row in zip(z_values, h_values, factors):
-        cells = [format(float(z), ".17g"), format(float(h), ".17g")]
-        cells += [format(float(f), ".17g") for f in row]
-        lines.append(",".join(cells))
+        lines.append(",".join(_g17(x) for x in (z, h, *row)))
     _deliver("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -399,7 +416,7 @@ def cmd_classify(args, tols: Tolerances) -> int:
         "schema": "solvharm-classify-v1",
         "is_rigid": rig.is_rigid,
         "factors": [_factor_entry(s, c) for s, c in rig.factors],
-        "tolerances": _tolerances_dict(tols),
+        "tolerances": _tolerances_dict(tols, "classify"),
     }
     _deliver(_render_json(report), args.output)
     return 0
@@ -425,7 +442,7 @@ def cmd_riccati(args, tols: Tolerances) -> int:
         "trace_l0": res.trace_l0,
         "formula_trace": formula,
         "spectrum": [{"re": s.real, "im": s.imag} for s in res.spectrum_ad_a],
-        "tolerances": _tolerances_dict(tols),
+        "tolerances": _tolerances_dict(tols, "riccati"),
     }
     _deliver(_render_json(report), args.output)
     if abs(res.trace_l0 - formula) > 1e-6:
@@ -441,11 +458,11 @@ def cmd_riccati(args, tols: Tolerances) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser):
-    for f in dataclasses.fields(Tolerances):
-        flag = "--tol-" + f.name.replace("_", "-")
-        parser.add_argument(flag, dest=f"tol_{f.name}", type=f.type,
-                            default=None, help=argparse.SUPPRESS)
+def _add_tolerance_flags(parser: argparse.ArgumentParser, names):
+    for name in names:
+        parser.add_argument("--tol-" + name.replace("_", "-"),
+                            dest=f"tol_{name}", type=float, default=None,
+                            help=argparse.SUPPRESS)
 
 
 def _collect_tolerances(args) -> Tolerances:
@@ -484,7 +501,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="write per-direction volume densities to CSV")
     p.add_argument("--density-directions", type=int, default=16)
     p.add_argument("--density-times", default="0.5,1,2")
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, _COMMAND_TOLS["analyze"])
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scan-h", help="sample the rigidity function h(z)")
@@ -493,19 +510,19 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--z-max", type=float, default=0.5)
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--output", default=None)
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, _COMMAND_TOLS["scan-h"])
     p.set_defaults(func=cmd_scan_h)
 
     p = sub.add_parser("classify", help="classify the factors of h")
     p.add_argument("algebra")
     p.add_argument("--output", default=None)
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, _COMMAND_TOLS["classify"])
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("riccati", help="maximal Riccati solution of a matrix")
     p.add_argument("matrix")
     p.add_argument("--output", default=None)
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, _COMMAND_TOLS["riccati"])
     p.set_defaults(func=cmd_riccati)
     return parser
 

@@ -3,9 +3,18 @@
 Every module takes its thresholds from a single :class:`Tolerances`
 record so that a run can be tightened or relaxed in one place.  The
 defaults are the contract values used throughout the test suite.  Each
-field is read by the check it names, and each one is also a ``--tol-*``
-flag of every subcommand but ``build``, which reads none; the special
-functions themselves come from ``scipy.special`` and have no knobs.
+field is read by the check it names, and is a ``--tol-*`` flag of
+exactly the subcommands that run that check: ``analyze`` runs them all,
+``build`` none.  The special functions come from ``scipy.special`` and
+have no knobs, and the test oracles keep their fixed parameters as
+module constants.
+
+The verdict thresholds are relative to the scale of the algebra.  With
+s^2 the sum of squares of the structure constants, which no orthogonal
+change of basis moves, |R| is compared with ``flat_norm * s^2``, the
+Ricci residual with ``einstein_residual * s^2`` and |nabla R| / |R|
+with ``symmetry_ratio * s``, so a verdict does not change when the
+metric is rescaled.
 """
 
 from dataclasses import dataclass, replace
@@ -27,7 +36,6 @@ class Tolerances:
     riccati_symmetry: float = 1e-9
     axis_band: float = 1e-9
     separation_band: float = 1e-7
-    horizon_cap: float = 80.0
 
     # ODE integration / boundary-value problems
     ode_rtol: float = 1e-11
@@ -40,7 +48,6 @@ class Tolerances:
     # conditioning guard of jacobi_flow (cond M(0) * series_tol)
     series_tol: float = 1e-13
     classifier_zero: float = 1e-10
-    h_deriv_step: float = 1e-6
 
     # geometry verdicts
     einstein_residual: float = 1e-8

@@ -28,6 +28,7 @@ __all__ = [
     "nabla_R",
     "nabla_R_norm",
     "curvature_norm",
+    "scale_squared",
 ]
 
 
@@ -53,18 +54,30 @@ def curvature_norm(r: np.ndarray) -> float:
     return float(np.sqrt((r**2).sum()))
 
 
+def scale_squared(g: MetricLieAlgebra) -> float:
+    """s^2, the sum of squares of the structure constants.
+
+    Curvature scales as s^2 when the metric is rescaled, and no
+    orthogonal change of basis moves s^2, so verdicts compare curvature
+    with tolerances times s^2.
+    """
+    return float((g.tensor ** 2).sum())
+
+
 def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS,
                    r=None):
     """Whether Ric = c id; returns (is_einstein, c, residual).
 
-    ``r`` defaults to the curvature tensor of ``g.geometry``.
+    The Frobenius residual |Ric - c id| is compared with
+    ``tols.einstein_residual`` times :func:`scale_squared`.  ``r``
+    defaults to the curvature tensor of ``g.geometry``.
     """
     if r is None:
         _, r = g.geometry
     ric = ricci(r)
     c = float(np.trace(ric)) / g.dim
     residual = float(np.linalg.norm(ric - c * np.eye(g.dim)))
-    return residual <= tols.einstein_residual, c, residual
+    return residual <= tols.einstein_residual * scale_squared(g), c, residual
 
 
 def sectional_curvature(r: np.ndarray, x, y) -> float:

@@ -214,12 +214,11 @@ def h_function(mu, rho_star, pairs, z):
     return float(h) if h.ndim == 0 else h
 
 
-def mean_curvature_analytic(d: StandardSolvableData, t: float,
-                            tols: Tolerances = DEFAULT_TOLS) -> float:
+def mean_curvature_analytic(d: StandardSolvableData, t: float) -> float:
     """m(t) = trace ad_H - d/dt log|h(z(t))| along the central geodesic."""
     mu_f, rho_star, pairs = d.frame_factor_data()
     z = z_of_t(t)
-    step = tols.h_deriv_step
+    step = 1e-6          # z step of the finite differences of h
     h0 = h_function(mu_f, rho_star, pairs, z)
     if abs(h0) < 1e-12:
         raise DomainError(f"h vanishes at z = {z}; mean curvature undefined")

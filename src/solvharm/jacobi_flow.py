@@ -26,8 +26,7 @@ from .curvature import central_frame_split, central_jacobi_blocks
 from .errors import (ConjugatePointError, DimensionError, DomainError,
                      NumericalError)
 from .hypergeom import stable_block_and_derivative, z_of_t
-from .lie_metric import (MetricLieAlgebra, StandardSolvableData,
-                         derived_algebra, _null_space)
+from .lie_metric import MetricLieAlgebra, StandardSolvableData, _null_space
 
 __all__ = [
     "JacobiTensorSample",
@@ -387,80 +386,50 @@ def to_parallel_frame(sample: JacobiTensorSample,
 # volume densities along arbitrary directions
 # ---------------------------------------------------------------------------
 
-def _density_dets(columns, velocities):
-    """Signed dets of [J_1 .. J_{n-1}, u] per grid point, sign-normalized."""
-    dets = np.array([
-        np.linalg.det(np.column_stack([c, u]))
-        for c, u in zip(columns, velocities)
-    ])
-    return dets
-
-
 def volume_density(g: MetricLieAlgebra, v, t_grid,
                    tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """det A_v(t) of the Jacobi tensor with A(0) = 0, A'(0) = id.
 
-    For v orthogonal to [s, s] the geodesic is a one-parameter subgroup
-    and the constant-coefficient Jacobi system is solved by one matrix
-    exponential per grid point; otherwise the geodesic equation
-    u' = -nabla_u u and the frame Jacobi system are integrated jointly.
-    Harmonicity makes the result independent of the direction v.
-    Gamma and R come from ``g.geometry``, so all directions of one
-    algebra share them.
+    The geodesic equation u' = -nabla_u u and the frame Jacobi system are
+    integrated jointly; det A is the determinant of the Jacobi columns
+    together with the velocity u.  Harmonicity makes the result
+    independent of the direction v.  Gamma and R come from
+    ``g.geometry``, so all directions of one algebra share them.
     """
     v = np.asarray(v, dtype=float)
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise DomainError("direction v must be a unit vector")
     t_grid = np.asarray(t_grid, dtype=float)
     n = g.dim
+    k = n - 1
     gamma, r_tensor = g.geometry
     perp = _null_space(v[np.newaxis, :])
+    # one matvec each for nabla_u (W^T[j, l]) and R(., u)u (R_u^T[j, l])
+    gamma_flat = gamma.reshape(n, n * n)                   # [i, (j, l)]
+    r_flat = r_tensor.transpose(1, 2, 0, 3).reshape(n * n, n * n)
 
-    derived = derived_algebra(g)
-    if derived.shape[1] == 0 or np.linalg.norm(derived.T @ v) <= 1e-12:
-        # one-parameter-subgroup geodesic: constant coefficients
-        w_conn = np.einsum("i,ijl->lj", v, gamma)      # nabla_v on the frame
-        r_v = np.einsum("a,b,jabl->lj", v, v, r_tensor)
-        s_t = perp.T @ w_conn @ perp
-        r_t = perp.T @ r_v @ perp
-        k = n - 1
-        companion = np.zeros((2 * k, 2 * k))
-        companion[:k, k:] = np.eye(k)
-        companion[k:, :k] = -(s_t @ s_t + r_t)
-        companion[k:, k:] = -2.0 * s_t
-        from .numerics import matrix_exponential
-        dets = []
-        for t in t_grid:
-            phi12 = matrix_exponential(t * companion)[:k, k:]
-            dets.append(np.linalg.det(phi12))
-        dets = np.array(dets)
-    else:
-        k = n - 1
-        # one matvec each for nabla_u (W^T[j, l]) and R(., u)u (R_u^T[j, l])
-        gamma_flat = gamma.reshape(n, n * n)                   # [i, (j, l)]
-        r_flat = r_tensor.transpose(1, 2, 0, 3).reshape(n * n, n * n)
+    def rhs(t, y):
+        u = y[:n]
+        c = y[n: n + n * k].reshape(n, k)
+        p = y[n + n * k:].reshape(n, k)
+        w_t = (u @ gamma_flat).reshape(n, n)
+        r_u = (np.outer(u, u).ravel() @ r_flat).reshape(n, n).T
+        du = -(u @ w_t)
+        w = w_t.T
+        dc = p - w @ c
+        dp = -r_u @ c - w @ p
+        return np.concatenate([du, dc.ravel(), dp.ravel()])
 
-        def rhs(t, y):
-            u = y[:n]
-            c = y[n: n + n * k].reshape(n, k)
-            p = y[n + n * k:].reshape(n, k)
-            w_t = (u @ gamma_flat).reshape(n, n)
-            r_u = (np.outer(u, u).ravel() @ r_flat).reshape(n, n).T
-            du = -(u @ w_t)
-            w = w_t.T
-            dc = p - w @ c
-            dp = -r_u @ c - w @ p
-            return np.concatenate([du, dc.ravel(), dp.ravel()])
-
-        y0 = np.concatenate([v, np.zeros(n * k), perp.ravel()])
-        span_end = max(float(t_grid[-1]), 1e-12)
-        sol = solve_ivp(rhs, (0.0, span_end), y0, method="DOP853",
-                        t_eval=t_grid, rtol=tols.ode_rtol, atol=tols.ode_atol)
-        if not sol.success:
-            raise NumericalError(f"geodesic integration failed: {sol.message}")
-        cols = [sol.y[n: n + n * k, i].reshape(n, k) for i in range(sol.t.size)]
-        vels = [sol.y[:n, i] for i in range(sol.t.size)]
-        dets = _density_dets(cols, vels)
+    y0 = np.concatenate([v, np.zeros(n * k), perp.ravel()])
+    span_end = max(float(t_grid[-1]), 1e-12)
+    sol = solve_ivp(rhs, (0.0, span_end), y0, method="DOP853",
+                    t_eval=t_grid, rtol=tols.ode_rtol, atol=tols.ode_atol)
+    if not sol.success:
+        raise NumericalError(f"geodesic integration failed: {sol.message}")
+    dets = np.array([
+        np.linalg.det(np.column_stack([y[n: n + n * k].reshape(n, k), y[:n]]))
+        for y in sol.y.T
+    ])
 
     # orient so the density is positive right after 0, then check for
     # conjugate points at the interior grid times.  det A(t) ~ t^(n-1)

@@ -26,6 +26,8 @@ __all__ = [
     "finite_horizon_shape",
 ]
 
+_HORIZON_CAP = 80.0   # farthest horizon of finite_horizon_shape
+
 
 @dataclass(frozen=True)
 class RiccatiResult:
@@ -150,9 +152,9 @@ def finite_horizon_shape(ad_a, r: float,
     a = as_square(ad_a)
     if not r > 0:
         raise DomainError("horizon r must be positive")
-    if r > tols.horizon_cap:
+    if r > _HORIZON_CAP:
         raise DomainError(
-            f"horizon {r} exceeds the cap {tols.horizon_cap}; "
+            f"horizon {r} exceeds the cap {_HORIZON_CAP}; "
             "spectra this slow should use the algebraic solver"
         )
     n = a.shape[0]

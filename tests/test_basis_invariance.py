@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from solvharm.cli import build_report
+from solvharm.clifford_dr import (build_flat, build_heisenberg_type,
+                                  build_real_hyperbolic, clifford_generators)
 from solvharm.config import DEFAULT_TOLS
 from solvharm.curvature import curvature_norm, einstein_check, nabla_R_norm
 from solvharm.lie_metric import standard_decomposition
@@ -68,3 +70,27 @@ def test_rescaled_metric_gives_canonical_results(name, factor, canonical,
     assert abs(_symmetry_ratio(g) - factor * _symmetry_ratio(g0)) <= 1e-10
     assert (build_report(g)["classification"]
             == canonical_reports[name]["classification"])
+
+
+@pytest.fixture(scope="module")
+def scale_inputs(dr_algebras, perturbed_theta_algebra, generic_pair_algebra):
+    return {"dr-1-1": dr_algebras[(1, 1)], "dr-2-1": dr_algebras[(2, 1)],
+            "dr-3-1": dr_algebras[(3, 1)],
+            "perturbed-theta": perturbed_theta_algebra,
+            "generic-pair": generic_pair_algebra,
+            "heisenberg-3": build_heisenberg_type(clifford_generators(1)),
+            "real-hyperbolic-4": build_real_hyperbolic(4),
+            "flat-3": build_flat(3)}
+
+
+@pytest.mark.parametrize("name", ["dr-1-1", "dr-2-1", "dr-3-1",
+                                  "perturbed-theta", "generic-pair",
+                                  "heisenberg-3", "real-hyperbolic-4",
+                                  "flat-3"])
+def test_label_is_scale_free(name, scale_inputs):
+    # Flat, Einstein and symmetric compare with tolerances times the
+    # scale of the brackets, so no rescaling makes a space look flat
+    g = scale_inputs[name]
+    label = build_report(g)["classification"]
+    assert [build_report(g.rescaled(c))["classification"]
+            for c in (1e-6, 1e-3, 1e3)] == [label] * 3

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -152,6 +153,17 @@ def test_analyze_density_sidecar(tmp_path):
         assert np.ptp(values) <= 1e-8 * max(values)
 
 
+def test_density_csv_writes_zero_without_sign(tmp_path):
+    alg = tmp_path / "dr.json"
+    main(["build", "damek-ricci", "--l", "1", "--output", str(alg)])
+    csv = tmp_path / "density.csv"
+    assert main(["analyze", str(alg), "--density-csv", str(csv),
+                 "--density-times", "0,0.5", "--density-directions", "2",
+                 "--output", str(tmp_path / "rep.json")]) == 0
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [det for _, t, det in rows if t == "0"] == ["0", "0"]
+
+
 def test_scan_h_not_standard_exit_3(tmp_path):
     alg = tmp_path / "heis.json"
     main(["build", "heisenberg", "--l", "1", "--output", str(alg)])
@@ -266,6 +278,84 @@ def test_build_takes_no_tolerance_flags(capsys):
     assert "--tol-flat-norm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan-h", "alg.json", "--tol-mean-constancy", "1"],
+    ["classify", "alg.json", "--tol-ode-rtol", "1"],
+    ["riccati", "m.json", "--tol-h-constancy", "1"],
+    ["analyze", "alg.json", "--tol-horizon-cap", "1"],
+])
+def test_unread_tolerance_flag_is_usage_error(argv, capsys):
+    # a flag whose check the command never runs would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[2] in capsys.readouterr().err
+
+
+def _registered_tolerances(command):
+    sub = next(a for a in cli.make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest[len("tol_"):] for a in sub.choices[command]._actions
+            if a.dest.startswith("tol_")}
+
+
+def test_each_command_takes_exactly_the_tolerances_it_reads(
+        tmp_path, monkeypatch, dr_algebras, generic_pair_algebra,
+        perturbed_theta_algebra, haar_rotate):
+    import dataclasses
+
+    from solvharm.config import Tolerances
+    fields = {f.name for f in dataclasses.fields(Tolerances)}
+    reads = set()
+
+    class Recording(Tolerances):
+        def __getattribute__(self, name):
+            if name in fields:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    report_echo = cli._tolerances_dict
+
+    def echo(*args):   # the echo reads every flag: not a check
+        before = set(reads)
+        out = report_echo(*args)
+        reads.intersection_update(before)
+        return out
+
+    monkeypatch.setattr(cli, "_tolerances_dict", echo)
+    monkeypatch.setattr(cli, "_collect_tolerances", lambda args: Recording())
+
+    algebras = [generic_pair_algebra, perturbed_theta_algebra,
+                dr_algebras[(2, 1)], haar_rotate(dr_algebras[(3, 1)], 7)]
+    paths = []
+    for i, g in enumerate(algebras):
+        paths.append(tmp_path / f"alg{i}.json")
+        paths[-1].write_text(json.dumps(algebra_to_dict(g)))
+    matrices = [[[0.5, 0, 0], [0, 0.5, 0], [0, 0, 1.0]],
+                [[1.0, 0.2], [0.0, 0.5]]]
+    out, csv = tmp_path / "out", tmp_path / "d.csv"
+    runs = {
+        "analyze": [["analyze", str(p), "--density-csv", str(csv),
+                     "--density-directions", "2"] for p in paths],
+        "scan-h": [["scan-h", str(p), "--count", "5"] for p in paths],
+        "classify": [["classify", str(p)] for p in paths],
+        "riccati": [],
+    }
+    for i, m in enumerate(matrices):
+        path = tmp_path / f"m{i}.json"
+        path.write_text(json.dumps({"matrix": m}))
+        runs["riccati"].append(["riccati", str(path)])
+    counts = {}
+    for command, argvs in runs.items():
+        reads.clear()
+        for argv in argvs:
+            assert main([*argv, "--output", str(out)]) == 0
+        assert reads == _registered_tolerances(command), command
+        counts[command] = len(reads)
+    assert counts == {"analyze": 20, "scan-h": 3, "classify": 4,
+                      "riccati": 5}
+
+
 @pytest.mark.parametrize("command", ["classify", "scan-h"])
 def test_trivial_derived_algebra_is_not_standard(command, tmp_path, capsys):
     alg = tmp_path / "line.json"
@@ -281,6 +371,8 @@ def test_trivial_derived_algebra_is_not_standard(command, tmp_path, capsys):
     (["analyze", "--density-times", "0.5,abc"], "--density-times"),
     (["analyze", "--density-times", "2,1"], "--density-times"),
     (["analyze", "--density-directions", "-3"], "--density-directions"),
+    (["scan-h", "--z-max", "1.0"], "--z-max"),
+    (["scan-h", "--z-min", "nan"], "--z-min"),
 ])
 def test_bad_grid_is_usage_error_before_any_work(argv, flag, tmp_path,
                                                  monkeypatch, capsys):
