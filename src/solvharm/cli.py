@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import clifford_dr, curvature, hypergeom, jacobi_flow, lie_metric, riccati
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, TRACE_IDENTITY_REL, Tolerances
 from .errors import (DegenerateSpectrumError, NotStandardError, NumericalError,
                      SolvharmError, StructureError)
 
@@ -445,7 +445,8 @@ def cmd_riccati(args, tols: Tolerances) -> int:
         "tolerances": _tolerances_dict(tols, "riccati"),
     }
     _deliver(_render_json(report), args.output)
-    if abs(res.trace_l0 - formula) > 1e-6:
+    if abs(res.trace_l0 - formula) > (TRACE_IDENTITY_REL
+                                      * max(1.0, abs(formula))):
         sys.stderr.write(
             f"trace identity violated: trace L0 = {res.trace_l0!r} vs "
             f"formula {formula!r}\n"

@@ -14,7 +14,10 @@ s^2 the sum of squares of the structure constants, which no orthogonal
 change of basis moves, |R| is compared with ``flat_norm * s^2``, the
 Ricci residual with ``einstein_residual * s^2`` and |nabla R| / |R|
 with ``symmetry_ratio * s``, so a verdict does not change when the
-metric is rescaled.
+metric is rescaled.  For the same reason the Jacobi residual checked
+when an algebra is built is compared with ``jacobi_identity * s^2``, and
+the ``riccati`` trace identity with ``TRACE_IDENTITY_REL`` relative to
+the closed-form trace.
 """
 
 from dataclasses import dataclass, replace
@@ -61,3 +64,7 @@ class Tolerances:
 
 
 DEFAULT_TOLS = Tolerances()
+
+# relative bound on |trace L0 - formula| / max(1, |formula|) in the
+# ``riccati`` command; trace L0 scales with the matrix entries
+TRACE_IDENTITY_REL = 1e-6

@@ -10,15 +10,16 @@ paper's closed forms: e^{-t} on the H-Z normal, incomplete beta
 functions on the center and kernel slots, and the hypergeometric pair
 blocks of :mod:`hypergeom`.  The finite-horizon boundary problems, solved
 by ODE integration, remain as their oracle.  The volume-density test
-integrates the frame system along arbitrary directions using the full
-connection and curvature tensors.
+integrates the linearized geodesic flow along arbitrary directions in
+the left-trivialization, from the connection and the brackets alone;
+it never reads the curvature tensor.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.special import beta, betainc
 
 from .config import DEFAULT_TOLS, Tolerances
@@ -390,46 +391,69 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
                    tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """det A_v(t) of the Jacobi tensor with A(0) = 0, A'(0) = id.
 
-    The geodesic equation u' = -nabla_u u and the frame Jacobi system are
-    integrated jointly; det A is the determinant of the Jacobi columns
-    together with the velocity u.  Harmonicity makes the result
-    independent of the direction v.  Gamma and R come from
-    ``g.geometry``, so all directions of one algebra share them.
+    Jacobi fields are the linearization of the Euler-Arnold geodesic flow
+    u' = -nabla_u u.  In the left-trivialization J = dL_gamma xi, a
+    variation (xi, eta) of the flow, with eta the variation of u, solves
+
+    * u' = -nabla_u u,               u(0) = v;
+    * xi' = eta + [xi, u],           xi(0) = 0;
+    * eta' = -2 nabla_u eta + [u, eta],  eta(0) = an orthonormal basis of
+      the complement of v,
+
+    so D_t J(0) = eta(0), and det A is the determinant of the columns xi
+    together with u in the orthonormal left-invariant frame.  The system
+    needs only Gamma and the brackets, never the curvature tensor.
+    Harmonicity makes the result independent of the direction v.  Gamma
+    comes from ``g.geometry``, so all directions of one algebra share it.
     """
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:   # NaN fails too
         raise DomainError("direction v must be a unit vector")
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or not t_grid[0] >= 0.0 \
+            or not np.all(np.diff(t_grid) > 0.0):
+        raise DomainError("t_grid must be a strictly increasing grid of "
+                          "nonnegative times")
     n = g.dim
     k = n - 1
-    gamma, r_tensor = g.geometry
+    gamma, _ = g.geometry
     perp = _null_space(v[np.newaxis, :])
-    # one matvec each for nabla_u (W^T[j, l]) and R(., u)u (R_u^T[j, l])
+    # one matvec each for nabla_u (a[j, l]) and ad_u (ad[j, l])
     gamma_flat = gamma.reshape(n, n * n)                   # [i, (j, l)]
-    r_flat = r_tensor.transpose(1, 2, 0, 3).reshape(n * n, n * n)
+    tensor_flat = g.tensor.reshape(n, n * n)
 
     def rhs(t, y):
         u = y[:n]
-        c = y[n: n + n * k].reshape(n, k)
-        p = y[n + n * k:].reshape(n, k)
-        w_t = (u @ gamma_flat).reshape(n, n)
-        r_u = (np.outer(u, u).ravel() @ r_flat).reshape(n, n).T
-        du = -(u @ w_t)
-        w = w_t.T
-        dc = p - w @ c
-        dp = -r_u @ c - w @ p
-        return np.concatenate([du, dc.ravel(), dp.ravel()])
+        xi = y[n: n + n * k].reshape(n, k)
+        eta = y[n + n * k:].reshape(n, k)
+        a = (u @ gamma_flat).reshape(n, n)
+        ad = (u @ tensor_flat).reshape(n, n)
+        du = -(u @ a)
+        dxi = eta - ad.T @ xi
+        deta = -(2.0 * a - ad).T @ eta
+        return np.concatenate([du, dxi.ravel(), deta.ravel()])
 
     y0 = np.concatenate([v, np.zeros(n * k), perp.ravel()])
-    span_end = max(float(t_grid[-1]), 1e-12)
-    sol = solve_ivp(rhs, (0.0, span_end), y0, method="DOP853",
-                    t_eval=t_grid, rtol=tols.ode_rtol, atol=tols.ode_atol)
-    if not sol.success:
-        raise NumericalError(f"geodesic integration failed: {sol.message}")
-    dets = np.array([
-        np.linalg.det(np.column_stack([y[n: n + n * k].reshape(n, k), y[:n]]))
-        for y in sol.y.T
-    ])
+    solver = DOP853(rhs, 0.0, y0, max(float(t_grid[-1]), 1e-12),
+                    rtol=tols.ode_rtol, atol=tols.ode_atol)
+    samples, done = [], 0
+    try:
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise NumericalError(f"geodesic integration failed: {message}")
+            upto = np.searchsorted(t_grid, solver.t, side="right")
+            if upto > done:
+                samples.append(solver.dense_output()(t_grid[done:upto]))
+                done = upto
+    finally:
+        # the solver reaches itself through its wrapped right-hand sides;
+        # unlinking them frees its stage arrays now, not at the next
+        # cyclic garbage collection
+        solver.fun = solver.fun_vectorized = None
+    y = np.hstack(samples).T                                # (nt, state)
+    dets = np.linalg.det(np.concatenate(
+        [y[:, n: n + n * k].reshape(-1, n, k), y[:, :n, np.newaxis]], axis=2))
 
     # orient so the density is positive right after 0, then check for
     # conjugate points at the interior grid times.  det A(t) ~ t^(n-1)

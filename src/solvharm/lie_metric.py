@@ -52,9 +52,11 @@ class MetricLieAlgebra:
 
     ``structure_constants`` holds sparse quadruples ``(i, j, k, c)`` with
     ``i < j``; antisymmetry is implicit in the storage.  Construction
-    validates the Jacobi identity within ``jacobi_tol``, which the
-    algebras derived from this one (rescaled, subalgebras, the adapted
-    basis of the standard decomposition) inherit.
+    validates the Jacobi identity within ``jacobi_tol`` times the sum of
+    squares of the structure constants, so that rescaling the metric
+    does not change the verdict.  The algebras derived from this one
+    (rescaled, subalgebras, the adapted basis of the standard
+    decomposition) inherit ``jacobi_tol``.
     """
 
     dim: int
@@ -82,8 +84,10 @@ class MetricLieAlgebra:
         object.__setattr__(self, "structure_constants", tuple(cleaned))
         object.__setattr__(self, "_tensor", tensor)
         resid = self.jacobi_residual()
-        if resid > self.jacobi_tol:
-            raise StructureError(f"Jacobi identity violated: residual {resid:.3e}")
+        bound = self.jacobi_tol * float((tensor ** 2).sum())
+        if not resid <= bound:   # NaN brackets fail too
+            raise StructureError(f"Jacobi identity violated: residual "
+                                 f"{resid:.3e} > {bound:.3e}")
 
     @classmethod
     def from_tensor(cls, tensor, prune: float = _PRUNE_TOL,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from solvharm.cli import build_report
-from solvharm.clifford_dr import (build_flat, build_heisenberg_type,
+from solvharm.clifford_dr import (build_damek_ricci, build_flat,
+                                  build_heisenberg_type,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.config import DEFAULT_TOLS
 from solvharm.curvature import curvature_norm, einstein_check, nabla_R_norm
@@ -73,23 +74,31 @@ def test_rescaled_metric_gives_canonical_results(name, factor, canonical,
 
 
 @pytest.fixture(scope="module")
-def scale_inputs(dr_algebras, perturbed_theta_algebra, generic_pair_algebra):
+def scale_inputs(dr_algebras, perturbed_theta_algebra, generic_pair_algebra,
+                 haar_rotate):
+    dr_7_2 = build_damek_ricci(clifford_generators(7, 2))
     return {"dr-1-1": dr_algebras[(1, 1)], "dr-2-1": dr_algebras[(2, 1)],
             "dr-3-1": dr_algebras[(3, 1)],
             "perturbed-theta": perturbed_theta_algebra,
             "generic-pair": generic_pair_algebra,
             "heisenberg-3": build_heisenberg_type(clifford_generators(1)),
             "real-hyperbolic-4": build_real_hyperbolic(4),
-            "flat-3": build_flat(3)}
+            "flat-3": build_flat(3),
+            # the Jacobi residual of a rotated basis is rounding noise that
+            # grows as c^2 (5e-10 at c = 1e3)
+            "rotated-dr-3-1": haar_rotate(dr_algebras[(3, 1)], 11),
+            "rotated-dr-7-2": haar_rotate(dr_7_2, 11)}
 
 
 @pytest.mark.parametrize("name", ["dr-1-1", "dr-2-1", "dr-3-1",
                                   "perturbed-theta", "generic-pair",
                                   "heisenberg-3", "real-hyperbolic-4",
-                                  "flat-3"])
+                                  "flat-3", "rotated-dr-3-1",
+                                  "rotated-dr-7-2"])
 def test_label_is_scale_free(name, scale_inputs):
-    # Flat, Einstein and symmetric compare with tolerances times the
-    # scale of the brackets, so no rescaling makes a space look flat
+    # Flat, Einstein, symmetric and the Jacobi identity compare with
+    # tolerances times the scale of the brackets, so no rescaling makes a
+    # space look flat or stops it from being built
     g = scale_inputs[name]
     label = build_report(g)["classification"]
     assert [build_report(g.rescaled(c))["classification"]

@@ -204,6 +204,20 @@ def test_riccati_report(tmp_path):
     assert np.allclose(report["x"], 0.0)
 
 
+def test_riccati_trace_check_is_relative(tmp_path, monkeypatch):
+    # for entries ~1e6, trace L0 and the formula agree to ~1e-10 relative,
+    # which is ~4e-4 in absolute terms
+    mat = tmp_path / "m.json"
+    m = np.random.default_rng(1).standard_normal((6, 6)) * 1e6
+    mat.write_text(json.dumps({"matrix": m.tolist()}))
+    out = tmp_path / "r.json"
+    assert main(["riccati", str(mat), "--output", str(out)]) == 0
+    exact = cli.riccati.horosphere_mean_curvature_formula
+    monkeypatch.setattr(cli.riccati, "horosphere_mean_curvature_formula",
+                        lambda a: exact(a) * (1.0 + 1e-5))
+    assert main(["riccati", str(mat), "--output", str(out)]) == 4
+
+
 def test_riccati_degenerate_exit_5(tmp_path):
     mat = tmp_path / "m.json"
     mat.write_text("[[1e-08]]")

@@ -1,10 +1,13 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import beta
 
-from solvharm import jacobi_flow
+from oracles import covariant_volume_density
+from solvharm import curvature, jacobi_flow
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
                                   build_real_hyperbolic, clifford_generators)
@@ -419,3 +422,76 @@ def test_volume_density_requires_unit_vector():
     g = build_flat(3)
     with pytest.raises(DomainError):
         volume_density(g, np.array([2.0, 0.0, 0.0]), np.array([1.0]))
+    with pytest.raises(DomainError):
+        volume_density(g, np.array([np.nan, 0.0, 0.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("t_grid", [[1.0, 0.5], [-0.5, 1.0], [0.5, 0.5],
+                                    [], [[0.5, 1.0]], [0.5, float("nan")]])
+def test_volume_density_rejects_bad_grid(t_grid):
+    g = build_flat(3)
+    with pytest.raises(DomainError, match="t_grid"):
+        volume_density(g, np.array([1.0, 0.0, 0.0]), np.array(t_grid))
+
+
+@pytest.fixture(scope="module")
+def oracle_inputs(dr_algebras, perturbed_theta_algebra, haar_rotate):
+    return {"dr-2-1": dr_algebras[(2, 1)],
+            "dr-7-2": build_damek_ricci(clifford_generators(7, 2)),
+            "rotated-dr-3-1": haar_rotate(dr_algebras[(3, 1)], 11),
+            "perturbed-theta": perturbed_theta_algebra,
+            "heisenberg-3": build_heisenberg_type(clifford_generators(1))}
+
+
+@pytest.mark.parametrize("name", ["dr-2-1", "dr-7-2", "rotated-dr-3-1",
+                                  "perturbed-theta", "heisenberg-3"])
+def test_volume_density_matches_covariant_oracle(name, oracle_inputs):
+    # the linearized geodesic flow and the covariant Jacobi equation with
+    # the full curvature tensor give one determinant
+    g = oracle_inputs[name]
+    t = np.array([0.5, 1.0, 2.0])
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        v = rng.standard_normal(g.dim)
+        v /= np.linalg.norm(v)
+        np.testing.assert_allclose(volume_density(g, v, t),
+                                   covariant_volume_density(g, v, t),
+                                   rtol=1e-9)
+
+
+def test_volume_density_never_reads_curvature(monkeypatch):
+    g = build_damek_ricci(clifford_generators(2, 1))   # fresh instance
+    monkeypatch.setattr(curvature, "curvature_tensor",
+                        lambda g, gamma: np.full((g.dim,) * 4, np.nan))
+    assert np.isnan(g.geometry[1]).all()
+    t = np.array([0.5, 1.0, 2.0])
+    expected = (2.0 * np.sinh(t / 2.0)) ** 4 * np.sinh(t) ** 2
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        v = rng.standard_normal(g.dim)
+        v /= np.linalg.norm(v)
+        np.testing.assert_allclose(volume_density(g, v, t), expected,
+                                   rtol=1e-8)
+
+
+def test_volume_density_keeps_nothing_alive():
+    # with the cyclic collector off, whatever a call leaves in a reference
+    # cycle accumulates (the ODE solver's stage arrays, 144 kB at dim 24)
+    g = build_damek_ricci(clifford_generators(7, 2))
+    rng = np.random.default_rng(4)
+    dirs = rng.standard_normal((9, g.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    t = np.array([0.5, 1.0, 2.0])
+    volume_density(g, dirs[0], t)   # computes g.geometry, kept on purpose
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for v in dirs[1:]:
+            volume_density(g, v, t)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after - before < 2 ** 20

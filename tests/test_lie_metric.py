@@ -295,6 +295,8 @@ def test_jacobi_identity_guard():
     # Jac(e0, e1, e2) = [[e0,e1],e2] + [[e2,e0],e1] = [e0,e2] = e1 here
     with pytest.raises(StructureError):
         MetricLieAlgebra(3, ((0, 1, 0, 1.0), (0, 2, 1, 1.0)))
+    with pytest.raises(StructureError):
+        MetricLieAlgebra(3, ((0, 1, 2, float("nan")),))
 
 
 def test_j_squared_commutes_with_ad_h(dr_data):
