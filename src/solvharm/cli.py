@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -169,11 +168,10 @@ def _factor_entry(spec, cls):
 def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
                  tols: Tolerances = DEFAULT_TOLS) -> dict:
     """Run the full analysis pipeline and assemble the report dict."""
-    gamma, r_tensor = g.geometry
-    r_norm = curvature.curvature_norm(r_tensor)
+    r_norm = curvature.curvature_norm(g.curvature)
     scale2 = curvature.scale_squared(g)
     is_flat = r_norm <= tols.flat_norm * scale2
-    is_einstein, c_const, resid = curvature.einstein_check(g, tols, r_tensor)
+    is_einstein, c_const, resid = curvature.einstein_check(g, tols)
     growth = lie_metric.growth_type(g, seed=seed, tols=tols)
 
     derived = lie_metric.derived_algebra(g)
@@ -267,7 +265,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
         "factors": [_factor_entry(s, c) for s, c in rig.factors],
     }
 
-    nr = curvature.nabla_R_norm(g, gamma, r_tensor)
+    nr = curvature.nabla_R_norm(g)
     ratio = nr / r_norm if r_norm > 0 else 0.0
     symmetric = ratio <= tols.symmetry_ratio * math.sqrt(scale2)
     report["symmetry"] = {"nabla_r_norm": nr, "ratio": ratio,
@@ -286,17 +284,6 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     report["classification"] = label
     report["tolerances"] = _tolerances_dict(tols, "analyze")
     return report
-
-
-def _thread_count(raw: str) -> int:
-    """Worker count from a ``SOLVHARM_THREADS`` value, clamped to
-    ``[1, os.cpu_count()]``; a non-integer value is a usage error."""
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise _UsageError(
-            f"SOLVHARM_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _positive_count(value: int, flag: str) -> int:
@@ -322,22 +309,12 @@ def _density_times(raw: str) -> np.ndarray:
 
 
 def _density_table(g, seed: int, directions: int, t_arr: np.ndarray,
-                   tols: Tolerances, workers: int):
-    """Per-direction volume densities, fanned out across worker threads."""
+                   tols: Tolerances):
+    """Volume densities along seeded unit directions, one after another on
+    the algebra's shared connection."""
     rng = np.random.default_rng(seed)
-    dirs = []
-    for _ in range(directions):
-        v = rng.standard_normal(g.dim)
-        dirs.append(v / np.linalg.norm(v))
-
-    def run(v):
-        return jacobi_flow.volume_density(g, v, t_arr, tols)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, dirs))
-    else:
-        rows = [run(v) for v in dirs]
+    rows = [jacobi_flow.volume_density(g, v / np.linalg.norm(v), t_arr, tols)
+            for v in rng.standard_normal((directions, g.dim))]
     lines = ["direction_id,t,det"]
     for i, dets in enumerate(rows):
         for t, det in zip(t_arr, dets):
@@ -367,7 +344,6 @@ def cmd_build(args, tols: Tolerances) -> int:
 
 def cmd_analyze(args, tols: Tolerances) -> int:
     if args.density_csv:   # reject bad values before any work is done
-        workers = _thread_count(os.environ.get("SOLVHARM_THREADS", "1"))
         directions = _positive_count(args.density_directions,
                                      "--density-directions")
         times = _density_times(args.density_times)
@@ -375,7 +351,7 @@ def cmd_analyze(args, tols: Tolerances) -> int:
     report = build_report(g, seed=args.seed, tols=tols)
     _deliver(_render_json(report), args.output)
     if args.density_csv:
-        table = _density_table(g, args.seed, directions, times, tols, workers)
+        table = _density_table(g, args.seed, directions, times, tols)
         _write_atomic(args.density_csv, table)
     return 0
 

@@ -15,9 +15,10 @@ change of basis moves, |R| is compared with ``flat_norm * s^2``, the
 Ricci residual with ``einstein_residual * s^2`` and |nabla R| / |R|
 with ``symmetry_ratio * s``, so a verdict does not change when the
 metric is rescaled.  For the same reason the Jacobi residual checked
-when an algebra is built is compared with ``jacobi_identity * s^2``, and
-the ``riccati`` trace identity with ``TRACE_IDENTITY_REL`` relative to
-the closed-form trace.
+when an algebra is built is compared with ``jacobi_identity * s^2``, the
+antisymmetry defect of an input bracket tensor with ``ANTISYMMETRY_REL``
+relative to its largest entry, and the ``riccati`` trace identity with
+``TRACE_IDENTITY_REL`` relative to the closed-form trace.
 """
 
 from dataclasses import dataclass, replace
@@ -68,3 +69,8 @@ DEFAULT_TOLS = Tolerances()
 # relative bound on |trace L0 - formula| / max(1, |formula|) in the
 # ``riccati`` command; trace L0 scales with the matrix entries
 TRACE_IDENTITY_REL = 1e-6
+
+# relative bound on max|T + T^t| / max|T| for a bracket tensor T given to
+# ``MetricLieAlgebra.from_tensor``; the roundoff of a change of basis
+# scales with the entries
+ANTISYMMETRY_REL = 1e-12

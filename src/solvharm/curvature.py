@@ -64,17 +64,14 @@ def scale_squared(g: MetricLieAlgebra) -> float:
     return float((g.tensor ** 2).sum())
 
 
-def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS,
-                   r=None):
+def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS):
     """Whether Ric = c id; returns (is_einstein, c, residual).
 
-    The Frobenius residual |Ric - c id| is compared with
-    ``tols.einstein_residual`` times :func:`scale_squared`.  ``r``
-    defaults to the curvature tensor of ``g.geometry``.
+    Ric is read off ``g.curvature``.  The Frobenius residual
+    |Ric - c id| is compared with ``tols.einstein_residual`` times
+    :func:`scale_squared`.
     """
-    if r is None:
-        _, r = g.geometry
-    ric = ricci(r)
+    ric = ricci(g.curvature)
     c = float(np.trace(ric)) / g.dim
     residual = float(np.linalg.norm(ric - c * np.eye(g.dim)))
     return residual <= tols.einstein_residual * scale_squared(g), c, residual
@@ -162,16 +159,13 @@ def jacobi_operator_central(d: StandardSolvableData, t: float) -> np.ndarray:
     return central_jacobi_blocks(*d.frame_factor_data(), t)
 
 
-def nabla_R(g: MetricLieAlgebra, gamma=None, r=None) -> np.ndarray:
+def nabla_R(g: MetricLieAlgebra) -> np.ndarray:
     """Covariant derivative (nabla_{e_l} R)(e_i, e_j) e_k, index [l,i,j,k,:].
 
     Holds four n^5 arrays; :func:`nabla_R_norm` computes the norm without
     them, and this function stays as its oracle.
     """
-    if gamma is None:
-        gamma = levi_civita(g)
-    if r is None:
-        r = curvature_tensor(g, gamma)
+    gamma, r = g.connection, g.curvature
     term0 = np.einsum("ijkm,lmp->lijkp", r, gamma)
     term1 = np.einsum("lim,mjkp->lijkp", gamma, r)
     term2 = np.einsum("ljm,imkp->lijkp", gamma, r)
@@ -179,10 +173,10 @@ def nabla_R(g: MetricLieAlgebra, gamma=None, r=None) -> np.ndarray:
     return term0 - term1 - term2 - term3
 
 
-def nabla_R_norm(g: MetricLieAlgebra, gamma=None, r=None) -> float:
+def nabla_R_norm(g: MetricLieAlgebra) -> float:
     """Frobenius norm of nabla R; zero iff the space is locally symmetric.
 
-    ``gamma`` and ``r`` default to ``g.geometry``.  The square norm is
+    Reads ``g.connection`` and ``g.curvature``.  The square norm is
     accumulated one derivative index l at a time, so memory stays O(n^4):
 
         (nabla_l R)(e_i, e_j) e_k = nabla_l (R(e_i, e_j) e_k)
@@ -193,10 +187,7 @@ def nabla_R_norm(g: MetricLieAlgebra, gamma=None, r=None) -> float:
     R is antisymmetric in (i, j), so the third term is minus the (i, j)
     transpose of the second.
     """
-    if gamma is None:
-        gamma = g.geometry[0]
-    if r is None:
-        r = g.geometry[1]
+    gamma, r = g.connection, g.curvature
     n = g.dim
     by_first = r.reshape(n, n ** 3)           # [m, (j, k, p)]
     by_third = r.reshape(n * n, n, n)         # [(i, j), m, p]

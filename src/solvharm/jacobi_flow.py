@@ -131,8 +131,7 @@ def covariant_derivative_along(d: StandardSolvableData, t: float,
         raise DimensionError(f"field must have shape ({d.algebra.dim},)")
     vh, vz = central_velocity(t)
     u = vh * d.h_vector + vz * d.z_top_vector
-    gamma, _ = d.algebra.geometry
-    return np.einsum("i,ijk,j->k", u, gamma, field)
+    return np.einsum("i,ijk,j->k", u, d.algebra.connection, field)
 
 
 def _frame_rhs(frame: CentralGeodesicFrame, k: int, m: int):
@@ -404,7 +403,8 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
     together with u in the orthonormal left-invariant frame.  The system
     needs only Gamma and the brackets, never the curvature tensor.
     Harmonicity makes the result independent of the direction v.  Gamma
-    comes from ``g.geometry``, so all directions of one algebra share it.
+    comes from ``g.connection``, so all directions of one algebra share
+    it, and R is never formed.
     """
     v = np.asarray(v, dtype=float)
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:   # NaN fails too
@@ -416,7 +416,7 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
                           "nonnegative times")
     n = g.dim
     k = n - 1
-    gamma, _ = g.geometry
+    gamma = g.connection
     perp = _null_space(v[np.newaxis, :])
     # one matvec each for nabla_u (a[j, l]) and ad_u (ad[j, l])
     gamma_flat = gamma.reshape(n, n * n)                   # [i, (j, l)]

@@ -10,12 +10,12 @@ geodesic and rigidity machinery downstream.
 """
 
 import enum
-import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import ANTISYMMETRY_REL, DEFAULT_TOLS, Tolerances
 from .errors import DimensionError, NotStandardError, StructureError
 from .numerics import as_square, eigenvalues
 
@@ -42,8 +42,6 @@ __all__ = [
 
 _RANK_TOL = 1e-10
 _PRUNE_TOL = 1e-14
-# serializes the first computation of an algebra's connection and curvature
-_GEOMETRY_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,6 @@ class MetricLieAlgebra:
     _tensor: np.ndarray = field(repr=False, compare=False, default=None)
     jacobi_tol: float = field(repr=False, compare=False,
                               default=DEFAULT_TOLS.jacobi_identity)
-    _geometry: tuple = field(repr=False, compare=False, default=None,
-                             init=False)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -98,8 +94,8 @@ class MetricLieAlgebra:
         n = t.shape[0]
         if t.shape != (n, n, n):
             raise DimensionError(f"bracket tensor must be cubic, got {t.shape}")
-        anti = t + np.swapaxes(t, 0, 1)
-        if np.abs(anti).max() > 1e-12:
+        defect = np.abs(t + np.swapaxes(t, 0, 1)).max(initial=0.0)
+        if defect > ANTISYMMETRY_REL * np.abs(t).max(initial=0.0):
             raise StructureError("bracket tensor is not antisymmetric")
         upper = np.triu(np.ones((n, n), dtype=bool), k=1)[:, :, None]
         idx = np.argwhere(upper & (np.abs(t) > prune))   # (i, j, k) row-major
@@ -110,25 +106,25 @@ class MetricLieAlgebra:
     def tensor(self) -> np.ndarray:
         return self._tensor
 
-    @property
-    def geometry(self):
-        """``(Gamma, R)`` of :func:`curvature.levi_civita` and
-        :func:`curvature.curvature_tensor`, read-only.
+    # computed on first use and shared by every consumer of this instance;
+    # one that reads only Gamma never forms the n^4 tensor R
 
-        Computed on first use and kept on this instance, so every consumer
-        of one algebra shares a single connection and curvature; the lock
-        makes concurrent first uses (worker threads) compute them once.
-        """
-        if self._geometry is None:
-            with _GEOMETRY_LOCK:
-                if self._geometry is None:
-                    from . import curvature   # curvature imports this module
-                    gamma = curvature.levi_civita(self)
-                    r = curvature.curvature_tensor(self, gamma)
-                    gamma.flags.writeable = False
-                    r.flags.writeable = False
-                    object.__setattr__(self, "_geometry", (gamma, r))
-        return self._geometry
+    @cached_property
+    def connection(self) -> np.ndarray:
+        """Gamma of :func:`curvature.levi_civita`, read-only."""
+        from . import curvature   # curvature imports this module
+        gamma = curvature.levi_civita(self)
+        gamma.flags.writeable = False
+        return gamma
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """R of :func:`curvature.curvature_tensor` for :attr:`connection`,
+        read-only."""
+        from . import curvature
+        r = curvature.curvature_tensor(self, self.connection)
+        r.flags.writeable = False
+        return r
 
     def jacobi_residual(self) -> float:
         """max norm of Jac(e_i, e_j, e_k) over all basis triples."""

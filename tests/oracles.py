@@ -17,7 +17,7 @@ def covariant_volume_density(g, v, t_grid, tols=DEFAULT_TOLS):
     left-invariant frame coefficients c of the Jacobi columns and
     p = D_t c, with c(0) = 0 and p(0) an orthonormal basis of the
     complement of v.  Each right-hand side contracts u (x) u with the
-    n^2 x n^2 curvature tensor of ``g.geometry``.  det A = det[c, u],
+    n^2 x n^2 curvature tensor ``g.curvature``.  det A = det[c, u],
     oriented positive at the first grid time after 0, as in
     :func:`jacobi_flow.volume_density`.
     """
@@ -25,7 +25,7 @@ def covariant_volume_density(g, v, t_grid, tols=DEFAULT_TOLS):
     t_grid = np.asarray(t_grid, dtype=float)
     n = g.dim
     k = n - 1
-    gamma, r_tensor = g.geometry
+    gamma, r_tensor = g.connection, g.curvature
     gamma_flat = gamma.reshape(n, n * n)
     r_flat = r_tensor.transpose(1, 2, 0, 3).reshape(n * n, n * n)
 

@@ -1,6 +1,5 @@
 import argparse
 import json
-import os
 import subprocess
 import sys
 
@@ -10,6 +9,7 @@ import pytest
 from solvharm import cli
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import build_damek_ricci, clifford_generators
+from solvharm.jacobi_flow import volume_density
 from solvharm.lie_metric import algebra_to_dict
 
 
@@ -134,13 +134,8 @@ def test_analyze_density_sidecar(tmp_path):
     alg = tmp_path / "dr.json"
     main(["build", "damek-ricci", "--l", "1", "--output", str(alg)])
     csv = tmp_path / "density.csv"
-    env = dict(os.environ, SOLVHARM_THREADS="2")
-    res = subprocess.run(
-        [sys.executable, "-m", "solvharm.cli", "analyze", str(alg),
-         "--density-csv", str(csv), "--density-directions", "4",
-         "--density-times", "0.5,1"],
-        capture_output=True, text=True, env=env,
-    )
+    res = _run(["analyze", str(alg), "--density-csv", str(csv),
+                "--density-directions", "4", "--density-times", "0.5,1"])
     assert res.returncode == 0
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "direction_id,t,det"
@@ -151,6 +146,17 @@ def test_analyze_density_sidecar(tmp_path):
         dets.setdefault(t, []).append(float(det))
     for values in dets.values():
         assert np.ptp(values) <= 1e-8 * max(values)
+    # the rows are volume_density on the directions drawn from --seed 0
+    g = build_damek_ricci(clifford_generators(1))
+    times = np.array([0.5, 1.0])
+    rng = np.random.default_rng(0)
+    expected = []
+    for i in range(4):
+        v = rng.standard_normal(g.dim)
+        for t, det in zip(times, volume_density(g, v / np.linalg.norm(v),
+                                                times)):
+            expected.append(f"{i},{cli._g17(t)},{cli._g17(det)}")
+    assert lines[1:] == expected
 
 
 def test_density_csv_writes_zero_without_sign(tmp_path):
@@ -437,32 +443,3 @@ def test_tol_jacobi_identity_reaches_construction_check(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["is_rigid"] is True
     assert report["tolerances"]["jacobi_identity"] == 1e-3
-
-
-def test_thread_count_is_clamped(monkeypatch):
-    # only the parser runs: no pool and no thread is started
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert cli._thread_count("1") == 1
-    assert cli._thread_count("3") == 3
-    assert cli._thread_count(str(10 ** 12)) == 4
-    assert cli._thread_count("0") == 1
-    assert cli._thread_count("-7") == 1
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._thread_count("8") == 1
-
-
-@pytest.mark.parametrize("raw", ["two", "1.5", ""])
-def test_thread_count_rejects_non_integers(raw):
-    with pytest.raises(cli._UsageError, match="SOLVHARM_THREADS"):
-        cli._thread_count(raw)
-
-
-def test_bad_thread_count_is_usage_error_before_any_work(tmp_path,
-                                                         monkeypatch):
-    alg = tmp_path / "dr.json"
-    main(["build", "damek-ricci", "--l", "1", "--output", str(alg)])
-    out = tmp_path / "rep.json"
-    monkeypatch.setenv("SOLVHARM_THREADS", "many")
-    assert main(["analyze", str(alg), "--output", str(out),
-                 "--density-csv", str(tmp_path / "d.csv")]) == 2
-    assert not out.exists()

@@ -1,6 +1,4 @@
 import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -319,21 +317,11 @@ def test_nabla_r_norm_matches_full_tensor(name, seed, dr_algebras,
         <= 1e-12 * max(1.0, r_norm)
 
 
-def test_nabla_r_norm_explicit_geometry_matches_default(dr_algebras):
-    g = dr_algebras[(2, 1)]
-    gamma = levi_civita(g)
-    r = curvature_tensor(g, gamma)
-    assert nabla_R_norm(g, gamma, r) == nabla_R_norm(g)
-    # a non-contiguous copy of R (same values) gives the same norm
-    r_f = np.asfortranarray(r)
-    assert nabla_R_norm(g, gamma, r_f) == nabla_R_norm(g)
-
-
 def test_nabla_r_norm_memory_stays_order_n4():
     # one full n^5 term of nabla R on DR (7, 3) is 32^5 doubles = 268 MB
     g = build_damek_ricci(clifford_generators(7, 3))
     assert g.dim == 32
-    g.geometry    # Gamma and R are not part of the norm's own footprint
+    g.curvature   # Gamma and R are not part of the norm's own footprint
     tracemalloc.start()
     try:
         value = nabla_R_norm(g)
@@ -345,7 +333,8 @@ def test_nabla_r_norm_memory_stays_order_n4():
 
 
 # ---------------------------------------------------------------------------
-# Gamma and R are computed once per algebra instance
+# Gamma and R are computed at most once per algebra instance, R only when
+# a consumer reads it
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -379,50 +368,13 @@ def test_volume_density_shares_geometry(geometry_calls, rng):
     dirs[0] = _basis(g.dim, 0)   # H: the one-parameter-subgroup branch
     rows = [volume_density(g, v / np.linalg.norm(v), np.array([0.5, 1.0]))
             for v in dirs]
-    assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 1}
+    assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 0}
     assert np.ptp(rows, axis=0).max() <= 1e-8 * np.abs(rows).max()
 
 
 def test_geometry_is_read_only(dr_algebras):
-    gamma, r = dr_algebras[(1, 1)].geometry
+    g = dr_algebras[(1, 1)]
     with pytest.raises(ValueError):
-        r[0, 0, 0, 0] = 1.0
+        g.curvature[0, 0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        gamma[0, 0, 0] = 1.0
-
-
-def test_geometry_first_use_from_many_threads(monkeypatch):
-    # more threads than cores, a short switch interval and a slow
-    # levi_civita: an unguarded check-then-set would compute twice
-    g = build_damek_ricci(clifford_generators(1, 2))
-    calls = []
-    original = curvature.levi_civita
-
-    def slow(alg):
-        calls.append(threading.get_ident())
-        time.sleep(0.05)
-        return original(alg)
-
-    monkeypatch.setattr(curvature, "levi_civita", slow)
-    n_threads = 8
-    barrier = threading.Barrier(n_threads)
-    seen = [None] * n_threads
-
-    def worker(i):
-        barrier.wait(timeout=10)
-        seen[i] = g.geometry
-
-    threads = [threading.Thread(target=worker, args=(i,))
-               for i in range(n_threads)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(calls) == 1
-    assert all(s is seen[0] for s in seen)
+        g.connection[0, 0, 0] = 1.0

@@ -461,9 +461,11 @@ def test_volume_density_matches_covariant_oracle(name, oracle_inputs):
 
 def test_volume_density_never_reads_curvature(monkeypatch):
     g = build_damek_ricci(clifford_generators(2, 1))   # fresh instance
-    monkeypatch.setattr(curvature, "curvature_tensor",
-                        lambda g, gamma: np.full((g.dim,) * 4, np.nan))
-    assert np.isnan(g.geometry[1]).all()
+
+    def forbidden(g, gamma):
+        raise AssertionError("volume_density formed the curvature tensor")
+
+    monkeypatch.setattr(curvature, "curvature_tensor", forbidden)
     t = np.array([0.5, 1.0, 2.0])
     expected = (2.0 * np.sinh(t / 2.0)) ** 4 * np.sinh(t) ** 2
     rng = np.random.default_rng(3)
@@ -482,7 +484,7 @@ def test_volume_density_keeps_nothing_alive():
     dirs = rng.standard_normal((9, g.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     t = np.array([0.5, 1.0, 2.0])
-    volume_density(g, dirs[0], t)   # computes g.geometry, kept on purpose
+    volume_density(g, dirs[0], t)   # computes g.connection, kept on purpose
     gc.collect()
     gc.disable()
     tracemalloc.start()

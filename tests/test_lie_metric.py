@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.stats import ortho_group
 
 from solvharm import lie_metric
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
@@ -362,6 +363,31 @@ def test_jacobi_tolerance_reaches_derived_algebras(dr_algebras):
     assert g.rescaled(2.0).jacobi_tol == 1e-6
     assert subalgebra(g, np.eye(g.dim)).jacobi_tol == 1e-6
     assert standard_decomposition(g, loose).algebra.jacobi_tol == 1e-6
+
+
+@pytest.fixture(scope="module")
+def rotated_dr_7_2_tensor():
+    """DR (7, 2) brackets in a Haar-random basis: antisymmetric only up to
+    the roundoff of the rotation."""
+    g = build_damek_ricci(clifford_generators(7, 2))
+    q = ortho_group.rvs(g.dim, random_state=1)
+    return np.einsum("ia,jb,ijk,kc->abc", q, q, g.tensor, q, optimize=True)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e4, 1e5])
+def test_from_tensor_antisymmetry_is_scale_free(rotated_dr_7_2_tensor, c):
+    t = rotated_dr_7_2_tensor
+    assert np.abs(t + np.swapaxes(t, 0, 1)).max() > 0.0
+    assert MetricLieAlgebra.from_tensor(t * c).dim == 24
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e4])
+def test_from_tensor_rejects_relative_antisymmetry_defect(
+        rotated_dr_7_2_tensor, c):
+    t = rotated_dr_7_2_tensor.copy()
+    t[0, 1, 2] += 1e-9 * np.abs(t).max()
+    with pytest.raises(StructureError, match="not antisymmetric"):
+        MetricLieAlgebra.from_tensor(t * c)
 
 
 # ---------------------------------------------------------------------------
