@@ -3,9 +3,10 @@
 Geodesics tangent to the top central direction Z admit an explicit
 orthonormal frame in which the Jacobi equation decouples into scalar
 blocks and 2x2 rotation blocks; it is the adapted basis that
-``standard_decomposition`` builds, with Z = ``d.z_top_vector``.  The stable tensor E(t) is the limit of
-boundary problems E_r(0) = id, E_r(r) = 0 (``finite_horizon_tensor``
-solves those by ODE integration), and each block has a closed form in
+``standard_decomposition`` builds, with Z = ``d.z_top_vector``.  The
+stable tensor E(t) is the limit of boundary problems E_r(0) = id,
+E_r(r) = 0 (``finite_horizon_tensor`` in ``tests/oracles.py`` solves
+those by ODE integration), and each block has a closed form in
 z = z(t): e^{-t} on the H-Z normal, 2 cosh^m(t) I_z(m, m) (incomplete
 beta function, I_z(m, m) = z^m F(m, 1-m; 1+m; z) / (m B(m, m))) on a
 center or kernel slot with parameter m, and M(t) M(0)^{-1} with the

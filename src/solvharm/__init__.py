@@ -25,23 +25,18 @@ from .clifford_dr import (CliffordModule, build_damek_ricci, build_flat,
                           clifford_generators, irreducible_module_dim)
 from .curvature import (central_jacobi_blocks, curvature_norm,
                         curvature_tensor, einstein_check, jacobi_operator_H,
-                        jacobi_operator_central, levi_civita, nabla_R,
-                        nabla_R_norm, ricci, sectional_curvature)
-from .riccati import (RiccatiResult, finite_horizon_shape,
-                      horosphere_mean_curvature_formula,
+                        levi_civita, nabla_R_norm, ricci, sectional_curvature)
+from .riccati import (RiccatiResult, horosphere_mean_curvature_formula,
                       solve_algebraic_riccati_max)
 from .jacobi_flow import (CentralGeodesicFrame, JacobiTensorSample,
-                          central_velocity, covariant_derivative_along,
-                          finite_horizon_tensor, integrate_jacobi,
                           mean_curvature_numeric, stable_jacobi_tensor,
-                          to_parallel_frame, volume_density)
+                          volume_density)
 from .hypergeom import (CenterFactor, FactorClassification, FactorSpec,
                         HypergeomParams, KernelFactor, MonodromyCoeffs,
                         PairFactor, RigidityReport, classify_factor,
                         factors_from_data, fundamental_pair, gamma, gauss_f,
-                        h_factors, h_function, mean_curvature_analytic,
-                        monodromy_coeffs, pair_exponents, reciprocal_gamma,
-                        rigidity_conclusion, stable_block_and_derivative,
-                        z_of_t)
+                        h_factors, h_function, monodromy_coeffs,
+                        pair_exponents, reciprocal_gamma, rigidity_conclusion,
+                        stable_block_and_derivative, z_of_t)
 
 __version__ = "0.1.0"

@@ -16,10 +16,12 @@ import tempfile
 
 import numpy as np
 
-from . import clifford_dr, curvature, hypergeom, jacobi_flow, lie_metric, riccati
+from . import (clifford_dr, curvature, hypergeom, jacobi_flow, lie_metric,
+               numerics, riccati)
 from .config import DEFAULT_TOLS, TRACE_IDENTITY_REL, Tolerances
-from .errors import (DegenerateSpectrumError, NotStandardError, NumericalError,
-                     SolvharmError, StructureError)
+from .errors import (DegenerateSpectrumError, DimensionError,
+                     NotStandardError, NumericalError, SolvharmError,
+                     StructureError)
 
 _MEAN_GRID = (0.5, 8.0, 26)
 _H_GRID = (0.05, 0.5, 50)
@@ -402,9 +404,10 @@ def cmd_riccati(args, tols: Tolerances) -> int:
     data = _load_json(args.matrix)
     raw = data.get("matrix", data) if isinstance(data, dict) else data
     try:
-        mat = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"matrix file must hold a square array: {exc}")
+        mat = numerics.as_square(raw)
+    except (TypeError, ValueError, DimensionError, NumericalError) as exc:
+        raise _UsageError(
+            f"malformed matrix file {args.matrix}: {exc}") from exc
     formula = riccati.horosphere_mean_curvature_formula(mat)
     try:
         res = riccati.solve_algebraic_riccati_max(mat, tols)

@@ -16,9 +16,11 @@ Ricci residual with ``einstein_residual * s^2`` and |nabla R| / |R|
 with ``symmetry_ratio * s``, so a verdict does not change when the
 metric is rescaled.  For the same reason the Jacobi residual checked
 when an algebra is built is compared with ``jacobi_identity * s^2``, the
-antisymmetry defect of an input bracket tensor with ``ANTISYMMETRY_REL``
-relative to its largest entry, and the ``riccati`` trace identity with
-``TRACE_IDENTITY_REL`` relative to the closed-form trace.
+antisymmetry defect and the pruned entries of an input bracket tensor
+with ``ANTISYMMETRY_REL`` and the prune tolerance relative to its
+largest entry, the ad_H eigenvalues of the standard decomposition with
+``eigen_merge`` relative to the largest one, and the ``riccati`` trace
+identity with ``TRACE_IDENTITY_REL`` relative to the closed-form trace.
 """
 
 from dataclasses import dataclass, replace

@@ -9,6 +9,7 @@ algebra.  Homogeneity makes values at the identity global.
 import math
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DomainError
@@ -22,10 +23,8 @@ __all__ = [
     "einstein_check",
     "sectional_curvature",
     "jacobi_operator_H",
-    "jacobi_operator_central",
     "central_frame_split",
     "central_jacobi_blocks",
-    "nabla_R",
     "nabla_R_norm",
     "curvature_norm",
     "scale_squared",
@@ -144,33 +143,7 @@ def central_jacobi_blocks(mus, rho_stars, pairs, t: float) -> np.ndarray:
                  - s * s * (1.0 - rho) ** 2)
         offd = s * theta * (rho - 0.5)
         blocks.append(np.array([[diag1, offd], [offd, diag2]]) / (c * c))
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n))
-    pos = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[pos:pos + k, pos:pos + k] = b
-        pos += k
-    return out
-
-
-def jacobi_operator_central(d: StandardSolvableData, t: float) -> np.ndarray:
-    """R(t) along the central geodesic, in the canonical frame of Z."""
-    return central_jacobi_blocks(*d.frame_factor_data(), t)
-
-
-def nabla_R(g: MetricLieAlgebra) -> np.ndarray:
-    """Covariant derivative (nabla_{e_l} R)(e_i, e_j) e_k, index [l,i,j,k,:].
-
-    Holds four n^5 arrays; :func:`nabla_R_norm` computes the norm without
-    them, and this function stays as its oracle.
-    """
-    gamma, r = g.connection, g.curvature
-    term0 = np.einsum("ijkm,lmp->lijkp", r, gamma)
-    term1 = np.einsum("lim,mjkp->lijkp", gamma, r)
-    term2 = np.einsum("ljm,imkp->lijkp", gamma, r)
-    term3 = np.einsum("lkm,ijmp->lijkp", gamma, r)
-    return term0 - term1 - term2 - term3
+    return block_diag(*blocks)
 
 
 def nabla_R_norm(g: MetricLieAlgebra) -> float:

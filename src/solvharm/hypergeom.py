@@ -36,7 +36,6 @@ __all__ = [
     "stable_block_and_derivative",
     "h_factors",
     "h_function",
-    "mean_curvature_analytic",
     "gamma",
     "reciprocal_gamma",
     "monodromy_coeffs",
@@ -212,27 +211,6 @@ def h_function(mu, rho_star, pairs, z):
             f"h is evaluated on [0, 1), got z = {z[outside].flat[0]}")
     h = np.prod(h_factors(mu, rho_star, pairs, z), axis=-1)
     return float(h) if h.ndim == 0 else h
-
-
-def mean_curvature_analytic(d: StandardSolvableData, t: float) -> float:
-    """m(t) = trace ad_H - d/dt log|h(z(t))| along the central geodesic."""
-    mu_f, rho_star, pairs = d.frame_factor_data()
-    z = z_of_t(t)
-    step = 1e-6          # z step of the finite differences of h
-    h0 = h_function(mu_f, rho_star, pairs, z)
-    if abs(h0) < 1e-12:
-        raise DomainError(f"h vanishes at z = {z}; mean curvature undefined")
-    if z > step:
-        hp = h_function(mu_f, rho_star, pairs, z + step)
-        hm = h_function(mu_f, rho_star, pairs, z - step)
-        dh_dz = (hp - hm) / (2.0 * step)
-    else:
-        # too close to z = 0 for the central stencil: one-sided, 2nd order
-        hp = h_function(mu_f, rho_star, pairs, z + step)
-        hpp = h_function(mu_f, rho_star, pairs, z + 2.0 * step)
-        dh_dz = (-3.0 * h0 + 4.0 * hp - hpp) / (2.0 * step)
-    dz_dt = -2.0 * z * (1.0 - z)
-    return d.trace_ad_h - dh_dz / h0 * dz_dt
 
 
 # ---------------------------------------------------------------------------

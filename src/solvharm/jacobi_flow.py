@@ -1,4 +1,4 @@
-"""Jacobi fields along geodesics: integration, stable tensors, densities.
+"""Jacobi fields along geodesics: stable tensors and volume densities.
 
 Everything is phrased in left-invariant frames, where the connection and
 the Jacobi operator along the distinguished geodesics have explicit
@@ -8,59 +8,42 @@ normal bundle, read off the adapted basis of the standard decomposition,
 in which the stable Jacobi tensor is evaluated block by block from the
 paper's closed forms: e^{-t} on the H-Z normal, incomplete beta
 functions on the center and kernel slots, and the hypergeometric pair
-blocks of :mod:`hypergeom`.  The finite-horizon boundary problems, solved
-by ODE integration, remain as their oracle.  The volume-density test
-integrates the linearized geodesic flow along arbitrary directions in
-the left-trivialization, from the connection and the brackets alone;
-it never reads the curvature tensor.
+blocks of :mod:`hypergeom`.  The volume-density test integrates the
+linearized geodesic flow along arbitrary directions in the
+left-trivialization, from the connection and the brackets alone; it
+never reads the curvature tensor.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
 from scipy.special import beta, betainc
 
 from .config import DEFAULT_TOLS, Tolerances
 from .curvature import central_frame_split, central_jacobi_blocks
-from .errors import (ConjugatePointError, DimensionError, DomainError,
-                     NumericalError)
+from .errors import ConjugatePointError, DomainError, NumericalError
 from .hypergeom import stable_block_and_derivative, z_of_t
 from .lie_metric import MetricLieAlgebra, StandardSolvableData, _null_space
 
 __all__ = [
     "JacobiTensorSample",
     "CentralGeodesicFrame",
-    "central_velocity",
-    "covariant_derivative_along",
-    "integrate_jacobi",
-    "finite_horizon_tensor",
     "stable_jacobi_tensor",
     "mean_curvature_numeric",
-    "to_parallel_frame",
     "volume_density",
 ]
 
 
-def central_velocity(t: float):
-    """Velocity coefficients of the central geodesic on (H, Z)."""
-    return -math.tanh(t), 1.0 / math.cosh(t)
-
-
 @dataclass(frozen=True)
 class JacobiTensorSample:
-    """Jacobi tensor values on a time grid.
-
-    ``e_prime`` holds covariant derivatives; ``frame`` records whether
-    coefficients refer to the left-invariant central frame or its
-    parallel rotation.
-    """
+    """Jacobi tensor values on a time grid, in the left-invariant
+    central frame; ``e_prime`` holds covariant derivatives."""
 
     t_grid: np.ndarray
     e: np.ndarray          # (nt, k, m)
     e_prime: np.ndarray    # (nt, k, m)
-    frame: str = "left-invariant"
 
 
 @dataclass(frozen=True)
@@ -92,168 +75,8 @@ class CentralGeodesicFrame:
     def size(self) -> int:
         return 1 + len(self.mus) + len(self.rho_stars) + 2 * len(self.pairs)
 
-    def velocity_vector(self, t: float) -> np.ndarray:
-        vh, vz = central_velocity(t)
-        return vh * self.data.h_vector + vz * self.data.z_top_vector
-
-    def xi(self, t: float) -> np.ndarray:
-        """Parallel unit normal in the totally geodesic H-Z plane."""
-        return (self.data.h_vector / math.cosh(t)
-                + math.tanh(t) * self.data.z_top_vector)
-
-    def frame_matrix(self, t: float) -> np.ndarray:
-        """Columns of the frame in the algebra basis, (dim, dim-1)."""
-        return np.column_stack(
-            [self.xi(t), self.z_perp, self.kernel, self.pair_cols]
-        )
-
-    def connection(self, t: float) -> np.ndarray:
-        """Skew matrix W(t) with D/dt = d/dt + W on frame coefficients."""
-        k = self.size
-        w = np.zeros((k, k))
-        offset = 1 + len(self.mus) + len(self.rho_stars)
-        for i, (_, theta) in enumerate(self.pairs):
-            rate = theta / (2.0 * math.cosh(t))
-            w[offset + 2 * i, offset + 2 * i + 1] = rate
-            w[offset + 2 * i + 1, offset + 2 * i] = -rate
-        return w
-
     def jacobi_operator(self, t: float) -> np.ndarray:
         return central_jacobi_blocks(self.mus, self.rho_stars, self.pairs, t)
-
-
-def covariant_derivative_along(d: StandardSolvableData, t: float,
-                               field) -> np.ndarray:
-    """nabla_{gamma'(t)} of a left-invariant field along the central
-    geodesic, via the connection."""
-    field = np.asarray(field, dtype=float)
-    if field.shape != (d.algebra.dim,):
-        raise DimensionError(f"field must have shape ({d.algebra.dim},)")
-    vh, vz = central_velocity(t)
-    u = vh * d.h_vector + vz * d.z_top_vector
-    return np.einsum("i,ijk,j->k", u, d.algebra.connection, field)
-
-
-def _frame_rhs(frame: CentralGeodesicFrame, k: int, m: int):
-    def rhs(t, y):
-        c = y[: k * m].reshape(k, m)
-        p = y[k * m:].reshape(k, m)
-        w = frame.connection(t)
-        r = frame.jacobi_operator(t)
-        dc = p - w @ c
-        dp = -r @ c - w @ p
-        return np.concatenate([dc.ravel(), dp.ravel()])
-    return rhs
-
-
-def _solve_frame_system(frame: CentralGeodesicFrame, c0, p0, t_span, t_eval,
-                        tols: Tolerances):
-    k = frame.size
-    c0 = np.asarray(c0, dtype=float).reshape(k, -1)
-    p0 = np.asarray(p0, dtype=float).reshape(k, -1)
-    m = c0.shape[1]
-    y0 = np.concatenate([c0.ravel(), p0.ravel()])
-    sol = solve_ivp(
-        _frame_rhs(frame, k, m), t_span, y0, method="DOP853",
-        t_eval=t_eval, rtol=tols.ode_rtol, atol=tols.ode_atol,
-    )
-    if not sol.success:
-        raise NumericalError(f"Jacobi integration failed: {sol.message}")
-    nt = sol.t.size
-    c = sol.y[: k * m].T.reshape(nt, k, m)
-    p = sol.y[k * m:].T.reshape(nt, k, m)
-    return sol.t, c, p, sol.y[:, -1]
-
-
-def integrate_jacobi(d: StandardSolvableData, j0, j0prime,
-                     t_max: float, steps: int = 200,
-                     tols: Tolerances = DEFAULT_TOLS) -> JacobiTensorSample:
-    """Integrate the Jacobi system D^2 J + R(t) J = 0 in the central frame.
-
-    ``j0`` and ``j0prime`` are frame coefficients of the initial value
-    and initial covariant derivative (vectors or matrices of columns).
-    """
-    frame = CentralGeodesicFrame.build(d)
-    t_eval = np.linspace(0.0, t_max, steps + 1)
-    t, c, p, _ = _solve_frame_system(frame, j0, j0prime, (0.0, t_max),
-                                     t_eval, tols)
-    return JacobiTensorSample(t_grid=t, e=c, e_prime=p)
-
-
-def _frame_blocks(frame: CentralGeodesicFrame):
-    """(offset, size) of the decoupled diagonal blocks of the frame system."""
-    blocks = [(0, 1)]
-    pos = 1
-    for _ in range(len(frame.mus) + len(frame.rho_stars)):
-        blocks.append((pos, 1))
-        pos += 1
-    for _ in range(len(frame.pairs)):
-        blocks.append((pos, 2))
-        pos += 2
-    return blocks
-
-
-def _block_finite_horizon(frame: CentralGeodesicFrame, offset: int, size: int,
-                          t_grid, r: float, tols: Tolerances):
-    """E_r and its covariant derivative for one decoupled block.
-
-    Shooting per block keeps the terminal solve well conditioned: the
-    scalar blocks are exact divisions and the 2x2 pair blocks only mix
-    the growth rates of a single rotation plane.
-    """
-    sl = slice(offset, offset + size)
-
-    def rhs(t, y):
-        c = y[: 2 * size * size].reshape(size, 2 * size)
-        p = y[2 * size * size:].reshape(size, 2 * size)
-        w = frame.connection(t)[sl, sl]
-        rr = frame.jacobi_operator(t)[sl, sl]
-        return np.concatenate([(p - w @ c).ravel(), (-rr @ c - w @ p).ravel()])
-
-    eye, zero = np.eye(size), np.zeros((size, size))
-    y0 = np.concatenate([np.hstack([eye, zero]).ravel(),
-                         np.hstack([zero, eye]).ravel()])
-    t_eval = np.unique(np.concatenate([np.asarray(t_grid, float), [r]]))
-    sol = solve_ivp(rhs, (0.0, r), y0, method="DOP853", t_eval=t_eval,
-                    rtol=tols.ode_rtol, atol=tols.ode_atol)
-    if not sol.success:
-        raise NumericalError(f"Jacobi integration failed: {sol.message}")
-    nt = sol.t.size
-    c = sol.y[: 2 * size * size].T.reshape(nt, size, 2 * size)
-    p = sol.y[2 * size * size:].T.reshape(nt, size, 2 * size)
-    phi1, phi2 = c[:, :, :size], c[:, :, size:]
-    dphi1, dphi2 = p[:, :, :size], p[:, :, size:]
-    phi2_r = phi2[-1]
-    scale = max(np.abs(phi2_r).max(), 1.0)
-    if abs(np.linalg.det(phi2_r)) <= (tols.det_floor * scale) ** size:
-        raise ConjugatePointError(f"singular terminal solve at r = {r}")
-    coeff = -np.linalg.solve(phi2_r, phi1[-1])
-    keep = np.isin(sol.t, np.asarray(t_grid, float))
-    e_blk = phi1[keep] + phi2[keep] @ coeff
-    ep_blk = dphi1[keep] + dphi2[keep] @ coeff
-    return e_blk, ep_blk
-
-
-def finite_horizon_tensor(d: StandardSolvableData, t_grid, r: float,
-                          tols: Tolerances = DEFAULT_TOLS) -> JacobiTensorSample:
-    """Jacobi tensor with E(0) = id, E(r) = 0, sampled on ``t_grid``.
-
-    Each decoupled frame block is integrated with DOP853 and shot to the
-    horizon r.  As r grows this converges to :func:`stable_jacobi_tensor`;
-    it is the numerical oracle for those closed forms.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[-1] > r:
-        raise DomainError("horizon r must lie beyond the last grid point")
-    frame = CentralGeodesicFrame.build(d)
-    k = frame.size
-    e = np.zeros((t_grid.size, k, k))
-    ep = np.zeros((t_grid.size, k, k))
-    for offset, size in _frame_blocks(frame):
-        sl = slice(offset, offset + size)
-        e[:, sl, sl], ep[:, sl, sl] = _block_finite_horizon(
-            frame, offset, size, t_grid, r, tols)
-    return JacobiTensorSample(t_grid=t_grid, e=e, e_prime=ep)
 
 
 def _scalar_stable_block(m: float, t: np.ndarray, z: np.ndarray):
@@ -297,8 +120,8 @@ def stable_jacobi_tensor(d: StandardSolvableData, t_grid,
     """Stable Jacobi tensor E(t), E(0) = id, from the paper's closed forms.
 
     E is the limit r -> oo of the boundary problems E_r(0) = id,
-    E_r(r) = 0 (see :func:`finite_horizon_tensor`, kept as the numerical
-    oracle), along the geodesic tangent to the canonical top eigenvector
+    E_r(r) = 0 (integrated by ``finite_horizon_tensor`` of the test
+    oracles), along the geodesic tangent to the canonical top eigenvector
     ``d.z_top_vector``.  In the central frame, whose slots are the adapted
     basis of ``d`` (:class:`CentralGeodesicFrame`), it is block diagonal
     with the spectral data of :meth:`StandardSolvableData.frame_factor_data`
@@ -345,7 +168,7 @@ def mean_curvature_numeric(sample: JacobiTensorSample):
     log|det E| and the pointwise cross-check trace(-E' E^{-1}).
     """
     t = sample.t_grid
-    dets = np.array([np.linalg.det(e) for e in sample.e])
+    dets = np.linalg.det(sample.e)
     # a stable determinant decays exponentially but never changes sign;
     # a sign flip or underflow to zero marks a conjugate point
     if np.any(dets == 0.0) or np.any(np.sign(dets) != np.sign(dets[0])) \
@@ -353,33 +176,9 @@ def mean_curvature_numeric(sample: JacobiTensorSample):
         raise ConjugatePointError("det E vanishes on the grid")
     logs = np.log(np.abs(dets))
     m_fd = -np.gradient(logs, t)
-    m_trace = np.array([
-        -np.trace(ep @ np.linalg.inv(e))
-        for e, ep in zip(sample.e, sample.e_prime)
-    ])
+    m_trace = -np.trace(sample.e_prime @ np.linalg.inv(sample.e),
+                        axis1=1, axis2=2)
     return m_fd, m_trace
-
-
-def to_parallel_frame(sample: JacobiTensorSample,
-                      frame: CentralGeodesicFrame) -> JacobiTensorSample:
-    """Rotate pair blocks by theta/2 * gd(t) into the parallel frame."""
-    if sample.frame == "parallel":
-        return sample
-    offset = 1 + len(frame.mus) + len(frame.rho_stars)
-    e_out = sample.e.copy()
-    ep_out = sample.e_prime.copy()
-    for n, t in enumerate(sample.t_grid):
-        gd = math.asin(math.tanh(t))
-        rot = np.eye(frame.size)
-        for i, (_, theta) in enumerate(frame.pairs):
-            alpha = 0.5 * theta * gd
-            ca, sa = math.cos(alpha), math.sin(alpha)
-            sl = slice(offset + 2 * i, offset + 2 * i + 2)
-            rot[sl, sl] = np.array([[ca, sa], [-sa, ca]])   # R(alpha)^T
-        e_out[n] = rot @ sample.e[n]
-        ep_out[n] = rot @ sample.e_prime[n]
-    return JacobiTensorSample(t_grid=sample.t_grid.copy(), e=e_out,
-                              e_prime=ep_out, frame="parallel")
 
 
 # ---------------------------------------------------------------------------

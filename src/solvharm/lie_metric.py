@@ -89,16 +89,22 @@ class MetricLieAlgebra:
     def from_tensor(cls, tensor, prune: float = _PRUNE_TOL,
                     jacobi_tol: float = DEFAULT_TOLS.jacobi_identity
                     ) -> "MetricLieAlgebra":
-        """Build from a full bracket tensor ``T[i, j, :] = [e_i, e_j]``."""
+        """Build from a full bracket tensor ``T[i, j, :] = [e_i, e_j]``.
+
+        Entries at most ``prune`` times max|T| are dropped, so the
+        triples kept do not depend on the scale of the metric.
+        """
         t = np.asarray(tensor, dtype=float)
         n = t.shape[0]
         if t.shape != (n, n, n):
             raise DimensionError(f"bracket tensor must be cubic, got {t.shape}")
+        top = np.abs(t).max(initial=0.0)
         defect = np.abs(t + np.swapaxes(t, 0, 1)).max(initial=0.0)
-        if defect > ANTISYMMETRY_REL * np.abs(t).max(initial=0.0):
+        if defect > ANTISYMMETRY_REL * top:
             raise StructureError("bracket tensor is not antisymmetric")
         upper = np.triu(np.ones((n, n), dtype=bool), k=1)[:, :, None]
-        idx = np.argwhere(upper & (np.abs(t) > prune))   # (i, j, k) row-major
+        # (i, j, k) in row-major order
+        idx = np.argwhere(upper & (np.abs(t) > prune * top))
         triples = zip(*idx.T.tolist(), t[tuple(idx.T)].tolist())
         return cls(n, tuple(triples), jacobi_tol=jacobi_tol)
 
@@ -507,12 +513,13 @@ def standard_decomposition(g: MetricLieAlgebra,
     all_eigs = np.concatenate([mu_raw, rho_raw])
     if np.all(all_eigs < 0):
         h, ad_z, ad_v, mu_raw, all_eigs = -h, -ad_z, -ad_v, -mu_raw, -all_eigs
-    if np.min(all_eigs) <= tols.eigen_merge:
+    # both checks are relative to lam, so rescaling the metric moves neither
+    lam = float(np.abs(all_eigs).max())
+    if np.min(all_eigs) <= tols.eigen_merge * lam:
         raise NotStandardError(
             f"ad_H has a nonpositive eigenvalue ({np.min(all_eigs):.3e})"
         )
-    lam = float(np.max(all_eigs))
-    if mu_raw.max() < lam - tols.eigen_merge:
+    if mu_raw.max() < lam - tols.eigen_merge * lam:
         raise NotStandardError("top ad_H eigenvalue does not lie in the center")
 
     # every bracket scales by 1/lam, so the top eigenvalue becomes 1

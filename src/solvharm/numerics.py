@@ -10,7 +10,6 @@ import warnings
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DimensionError, NumericalError, SingularMatrixError
@@ -22,7 +21,6 @@ __all__ = [
     "solve_linear",
     "ordered_real_schur",
     "sorted_spectrum",
-    "spectra_match",
 ]
 
 
@@ -54,16 +52,6 @@ def eigenvalues(m) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
     return sorted_spectrum(vals)
-
-
-def spectra_match(a, b, tol: float = 1e-9) -> bool:
-    """Multiset comparison of two spectra, via optimal pairing."""
-    sa, sb = sorted_spectrum(a), sorted_spectrum(b)
-    if sa.shape != sb.shape:
-        return False
-    cost = np.abs(sa[:, None] - sb[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return bool(cost[rows, cols].max() <= tol * max(1.0, np.abs(sa).max()))
 
 
 def matrix_exponential(m) -> np.ndarray:

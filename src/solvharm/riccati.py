@@ -4,8 +4,7 @@ The homogeneous equation X^2 + X ad_A + ad_A^T X = 0 governs the second
 fundamental form of stable horospheres along geodesics perpendicular to
 the derived algebra: the shape operator is L0 = -D_A - X with X the
 maximal symmetric solution, and trace L0 = -sum |Re sigma| over the
-spectrum of ad_A.  A finite-horizon boundary-value solver provides an
-independent oracle converging monotonically to -L0.
+spectrum of ad_A.
 """
 
 from dataclasses import dataclass
@@ -13,20 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import (ConjugatePointError, DegenerateSpectrumError,
-                     DomainError, NumericalError, SingularMatrixError)
+from .errors import (DegenerateSpectrumError, NumericalError,
+                     SingularMatrixError)
 from .lie_metric import symmetric_skew_split
-from .numerics import (as_square, eigenvalues, matrix_exponential,
-                       ordered_real_schur, solve_linear)
+from .numerics import as_square, eigenvalues, ordered_real_schur, solve_linear
 
 __all__ = [
     "RiccatiResult",
     "solve_algebraic_riccati_max",
     "horosphere_mean_curvature_formula",
-    "finite_horizon_shape",
 ]
-
-_HORIZON_CAP = 80.0   # farthest horizon of finite_horizon_shape
 
 
 @dataclass(frozen=True)
@@ -136,40 +131,3 @@ def solve_algebraic_riccati_max(ad_a,
     return RiccatiResult(
         x=x, l0=l0, spectrum_ad_a=spec, trace_l0=float(np.trace(l0))
     )
-
-
-def finite_horizon_shape(ad_a, r: float,
-                         tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Second fundamental form U_r = -E_r'(0) of a sphere at distance r.
-
-    Solves the constant-coefficient Jacobi system along the geodesic of
-    A in the left-invariant frame, (d/dt + S_A)^2 E + R_A E = 0 with
-    R_A = -D_A^2 - [D_A, S_A] and boundary conditions E(0) = id,
-    E(r) = 0, via one matrix exponential of the companion system and a
-    terminal linear solve.  U_r converges monotonically (decreasing) to
-    D_A + X as r grows.
-    """
-    a = as_square(ad_a)
-    if not r > 0:
-        raise DomainError("horizon r must be positive")
-    if r > _HORIZON_CAP:
-        raise DomainError(
-            f"horizon {r} exceeds the cap {_HORIZON_CAP}; "
-            "spectra this slow should use the algebraic solver"
-        )
-    n = a.shape[0]
-    d_sym, s_skew = symmetric_skew_split(a)
-    r_a = -d_sym @ d_sym - (d_sym @ s_skew - s_skew @ d_sym)
-    companion = np.zeros((2 * n, 2 * n))
-    companion[:n, n:] = np.eye(n)
-    companion[n:, :n] = -(s_skew @ s_skew + r_a)
-    companion[n:, n:] = -2.0 * s_skew
-    phi = matrix_exponential(r * companion)
-    phi11, phi12 = phi[:n, :n], phi[:n, n:]
-    try:
-        p = -solve_linear(phi12, phi11, tols)
-    except SingularMatrixError as exc:
-        raise ConjugatePointError(
-            f"boundary solve singular at r = {r}: {exc}"
-        ) from exc
-    return -(p + s_skew)

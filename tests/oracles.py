@@ -1,13 +1,36 @@
-"""Slow reference implementations that the package's fast paths are
-checked against.  Nothing in ``src/`` imports this module."""
+"""Slow reference implementations that the package's fast paths and
+closed forms are checked against.  Nothing in ``src/`` imports this
+module.
+
+* :func:`covariant_volume_density`: the covariant Jacobi equation with the
+  full curvature tensor, against ``jacobi_flow.volume_density``;
+* :func:`integrate_jacobi` and :func:`finite_horizon_tensor`: the Jacobi
+  system in the central frame, integrated by one DOP853 driver, against
+  the closed forms of ``jacobi_flow.stable_jacobi_tensor``;
+* :func:`finite_horizon_shape`: second fundamental forms of spheres,
+  converging to the maximal Riccati solution;
+* :func:`nabla_R`: the n^5 tensor whose norm ``curvature.nabla_R_norm``
+  accumulates without forming it;
+* :func:`mean_curvature_analytic`: m(t) from finite differences of h;
+* :func:`spectra_match`: multiset comparison of two spectra.
+"""
 
 import math
 
 import numpy as np
+import scipy.optimize
 from scipy.integrate import solve_ivp
 
 from solvharm.config import DEFAULT_TOLS
-from solvharm.lie_metric import _null_space
+from solvharm.errors import (ConjugatePointError, DomainError, NumericalError,
+                             SingularMatrixError)
+from solvharm.hypergeom import h_function, z_of_t
+from solvharm.jacobi_flow import CentralGeodesicFrame, JacobiTensorSample
+from solvharm.lie_metric import _null_space, symmetric_skew_split
+from solvharm.numerics import (as_square, matrix_exponential, solve_linear,
+                               sorted_spectrum)
+
+HORIZON_CAP = 80.0   # farthest horizon of finite_horizon_shape
 
 
 def covariant_volume_density(g, v, t_grid, tols=DEFAULT_TOLS):
@@ -52,3 +75,218 @@ def covariant_volume_density(g, v, t_grid, tols=DEFAULT_TOLS):
     ])
     first = np.argmax(t_grid > 1e-9)
     return math.copysign(1.0, dets[first]) * dets
+
+
+# ---------------------------------------------------------------------------
+# the central geodesic and its frame
+# ---------------------------------------------------------------------------
+
+def central_velocity(t: float):
+    """Velocity coefficients of the central geodesic on (H, Z)."""
+    return -math.tanh(t), 1.0 / math.cosh(t)
+
+
+def velocity_vector(frame: CentralGeodesicFrame, t: float) -> np.ndarray:
+    vh, vz = central_velocity(t)
+    return vh * frame.data.h_vector + vz * frame.data.z_top_vector
+
+
+def xi(frame: CentralGeodesicFrame, t: float) -> np.ndarray:
+    """Parallel unit normal in the totally geodesic H-Z plane."""
+    return (frame.data.h_vector / math.cosh(t)
+            + math.tanh(t) * frame.data.z_top_vector)
+
+
+def frame_matrix(frame: CentralGeodesicFrame, t: float) -> np.ndarray:
+    """Columns of the frame in the algebra basis, (dim, dim-1)."""
+    return np.column_stack(
+        [xi(frame, t), frame.z_perp, frame.kernel, frame.pair_cols]
+    )
+
+
+def frame_connection(frame: CentralGeodesicFrame, t: float) -> np.ndarray:
+    """Skew matrix W(t) with D/dt = d/dt + W on frame coefficients."""
+    k = frame.size
+    w = np.zeros((k, k))
+    offset = 1 + len(frame.mus) + len(frame.rho_stars)
+    for i, (_, theta) in enumerate(frame.pairs):
+        rate = theta / (2.0 * math.cosh(t))
+        w[offset + 2 * i, offset + 2 * i + 1] = rate
+        w[offset + 2 * i + 1, offset + 2 * i] = -rate
+    return w
+
+
+def covariant_derivative_along(d, t: float, field) -> np.ndarray:
+    """nabla_{gamma'(t)} of a left-invariant field along the central
+    geodesic, via the connection."""
+    vh, vz = central_velocity(t)
+    u = vh * d.h_vector + vz * d.z_top_vector
+    return np.einsum("i,ijk,j->k", u, d.algebra.connection,
+                     np.asarray(field, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# Jacobi tensors by integration
+# ---------------------------------------------------------------------------
+
+def _integrate_frame(frame, c0, p0, t_max, t_eval, tols, block=slice(None)):
+    """Solve D^2 c + R(t) c = 0, D = d/dt + W(t), on the frame slots
+    ``block`` from c(0) = c0, D c(0) = p0 (columns), with DOP853.
+
+    Returns ``(t, c, p)`` with c and p of shape (nt, k, m).
+    """
+    c0 = np.asarray(c0, dtype=float)
+    k = c0.shape[0]
+    c0 = c0.reshape(k, -1)
+    m = c0.shape[1]
+    p0 = np.asarray(p0, dtype=float).reshape(k, m)
+
+    def rhs(t, y):
+        c, p = y.reshape(2, k, m)
+        w = frame_connection(frame, t)[block, block]
+        r = frame.jacobi_operator(t)[block, block]
+        return np.concatenate([(p - w @ c).ravel(), (-r @ c - w @ p).ravel()])
+
+    y0 = np.concatenate([c0.ravel(), p0.ravel()])
+    sol = solve_ivp(rhs, (0.0, t_max), y0, method="DOP853", t_eval=t_eval,
+                    rtol=tols.ode_rtol, atol=tols.ode_atol)
+    if not sol.success:
+        raise NumericalError(f"Jacobi integration failed: {sol.message}")
+    c, p = sol.y.T.reshape(-1, 2, k, m).transpose(1, 0, 2, 3)
+    return sol.t, c, p
+
+
+def integrate_jacobi(d, j0, j0prime, t_max: float, steps: int = 200,
+                     tols=DEFAULT_TOLS) -> JacobiTensorSample:
+    """Integrate the Jacobi system D^2 J + R(t) J = 0 in the central frame.
+
+    ``j0`` and ``j0prime`` are frame coefficients of the initial value
+    and initial covariant derivative (vectors or matrices of columns).
+    """
+    t, c, p = _integrate_frame(CentralGeodesicFrame.build(d), j0, j0prime,
+                               t_max, np.linspace(0.0, t_max, steps + 1),
+                               tols)
+    return JacobiTensorSample(t_grid=t, e=c, e_prime=p)
+
+
+def finite_horizon_tensor(d, t_grid, r: float,
+                          tols=DEFAULT_TOLS) -> JacobiTensorSample:
+    """Jacobi tensor with E(0) = id, E(r) = 0, sampled on ``t_grid``.
+
+    Each decoupled frame block (the scalar slots, then the 2x2 pair
+    planes) is integrated from E = (id, 0), E' = (0, id) and shot to the
+    horizon r.  Shooting per block keeps the terminal solve well
+    conditioned: the scalar blocks are exact divisions and the pair
+    blocks only mix the growth rates of a single rotation plane.  As r
+    grows this converges to :func:`jacobi_flow.stable_jacobi_tensor`.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid[-1] > r:
+        raise DomainError("horizon r must lie beyond the last grid point")
+    frame = CentralGeodesicFrame.build(d)
+    n_scalar = 1 + len(frame.mus) + len(frame.rho_stars)
+    blocks = ([slice(i, i + 1) for i in range(n_scalar)]
+              + [slice(i, i + 2) for i in range(n_scalar, frame.size, 2)])
+    t_eval = np.unique(np.concatenate([t_grid, [r]]))
+    keep = np.isin(t_eval, t_grid)
+    e = np.zeros((t_grid.size, frame.size, frame.size))
+    ep = np.zeros_like(e)
+    for sl in blocks:
+        size = sl.stop - sl.start
+        eye, zero = np.eye(size), np.zeros((size, size))
+        _, c, p = _integrate_frame(frame, np.hstack([eye, zero]),
+                                   np.hstack([zero, eye]), r, t_eval, tols,
+                                   block=sl)
+        phi1, phi2 = c[:, :, :size], c[:, :, size:]
+        phi2_r = phi2[-1]
+        scale = max(np.abs(phi2_r).max(), 1.0)
+        if abs(np.linalg.det(phi2_r)) <= (tols.det_floor * scale) ** size:
+            raise ConjugatePointError(f"singular terminal solve at r = {r}")
+        coeff = -np.linalg.solve(phi2_r, phi1[-1])
+        e[:, sl, sl] = phi1[keep] + phi2[keep] @ coeff
+        ep[:, sl, sl] = p[keep, :, :size] + p[keep, :, size:] @ coeff
+    return JacobiTensorSample(t_grid=t_grid, e=e, e_prime=ep)
+
+
+def finite_horizon_shape(ad_a, r: float, tols=DEFAULT_TOLS) -> np.ndarray:
+    """Second fundamental form U_r = -E_r'(0) of a sphere at distance r.
+
+    Solves the constant-coefficient Jacobi system along the geodesic of
+    A in the left-invariant frame, (d/dt + S_A)^2 E + R_A E = 0 with
+    R_A = -D_A^2 - [D_A, S_A] and boundary conditions E(0) = id,
+    E(r) = 0, via one matrix exponential of the companion system and a
+    terminal linear solve.  U_r converges monotonically (decreasing) to
+    D_A + X as r grows, X the maximal Riccati solution.
+    """
+    a = as_square(ad_a)
+    if not r > 0:
+        raise DomainError("horizon r must be positive")
+    if r > HORIZON_CAP:
+        raise DomainError(
+            f"horizon {r} exceeds the cap {HORIZON_CAP}; "
+            "spectra this slow should use the algebraic solver"
+        )
+    n = a.shape[0]
+    d_sym, s_skew = symmetric_skew_split(a)
+    r_a = -d_sym @ d_sym - (d_sym @ s_skew - s_skew @ d_sym)
+    companion = np.zeros((2 * n, 2 * n))
+    companion[:n, n:] = np.eye(n)
+    companion[n:, :n] = -(s_skew @ s_skew + r_a)
+    companion[n:, n:] = -2.0 * s_skew
+    phi = matrix_exponential(r * companion)
+    phi11, phi12 = phi[:n, :n], phi[:n, n:]
+    try:
+        p = -solve_linear(phi12, phi11, tols)
+    except SingularMatrixError as exc:
+        raise ConjugatePointError(
+            f"boundary solve singular at r = {r}: {exc}"
+        ) from exc
+    return -(p + s_skew)
+
+
+# ---------------------------------------------------------------------------
+# curvature, mean curvature and spectra
+# ---------------------------------------------------------------------------
+
+def nabla_R(g) -> np.ndarray:
+    """Covariant derivative (nabla_{e_l} R)(e_i, e_j) e_k, index [l,i,j,k,:].
+
+    Holds four n^5 arrays.
+    """
+    gamma, r = g.connection, g.curvature
+    term0 = np.einsum("ijkm,lmp->lijkp", r, gamma)
+    term1 = np.einsum("lim,mjkp->lijkp", gamma, r)
+    term2 = np.einsum("ljm,imkp->lijkp", gamma, r)
+    term3 = np.einsum("lkm,ijmp->lijkp", gamma, r)
+    return term0 - term1 - term2 - term3
+
+
+def mean_curvature_analytic(d, t: float) -> float:
+    """m(t) = trace ad_H - d/dt log|h(z(t))| along the central geodesic."""
+    mu_f, rho_star, pairs = d.frame_factor_data()
+    z = z_of_t(t)
+    step = 1e-6          # z step of the finite differences of h
+    h0 = h_function(mu_f, rho_star, pairs, z)
+    if abs(h0) < 1e-12:
+        raise DomainError(f"h vanishes at z = {z}; mean curvature undefined")
+    if z > step:
+        hp = h_function(mu_f, rho_star, pairs, z + step)
+        hm = h_function(mu_f, rho_star, pairs, z - step)
+        dh_dz = (hp - hm) / (2.0 * step)
+    else:
+        # too close to z = 0 for the central stencil: one-sided, 2nd order
+        hp = h_function(mu_f, rho_star, pairs, z + step)
+        hpp = h_function(mu_f, rho_star, pairs, z + 2.0 * step)
+        dh_dz = (-3.0 * h0 + 4.0 * hp - hpp) / (2.0 * step)
+    dz_dt = -2.0 * z * (1.0 - z)
+    return d.trace_ad_h - dh_dz / h0 * dz_dt
+
+
+def spectra_match(a, b, tol: float = 1e-9) -> bool:
+    """Multiset comparison of two spectra, via optimal pairing."""
+    sa, sb = sorted_spectrum(a), sorted_spectrum(b)
+    if sa.shape != sb.shape:
+        return False
+    cost = np.abs(sa[:, None] - sb[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return bool(cost[rows, cols].max() <= tol * max(1.0, np.abs(sa).max()))

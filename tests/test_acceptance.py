@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from oracles import finite_horizon_shape, frame_connection, integrate_jacobi
 from solvharm.cli import main
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_real_hyperbolic, clifford_generators)
@@ -18,12 +19,11 @@ from solvharm.hypergeom import (CenterFactor, KernelFactor, PairFactor,
                                 classify_factor, h_function,
                                 rigidity_conclusion,
                                 stable_block_and_derivative)
-from solvharm.jacobi_flow import (CentralGeodesicFrame, integrate_jacobi,
+from solvharm.jacobi_flow import (CentralGeodesicFrame,
                                   mean_curvature_numeric,
                                   stable_jacobi_tensor, volume_density)
 from solvharm.lie_metric import MetricLieAlgebra, standard_decomposition
-from solvharm.riccati import (finite_horizon_shape,
-                              horosphere_mean_curvature_formula,
+from solvharm.riccati import (horosphere_mean_curvature_formula,
                               solve_algebraic_riccati_max)
 
 _T_MODULE_START = time.perf_counter()
@@ -114,7 +114,7 @@ def test_criterion_3_closed_form_vs_integration():
         j0[off: off + 2] = m0
         j0p = np.zeros((k, 2))
         j0p[off: off + 2] = m0p
-        j0p += frame.connection(0.0) @ j0
+        j0p += frame_connection(frame, 0.0) @ j0
         s = integrate_jacobi(d, j0, j0p, 10.0, steps=100)
         for i, t in enumerate(s.t_grid):
             mt, _ = stable_block_and_derivative(rho, theta, t)

@@ -102,4 +102,4 @@ def test_label_is_scale_free(name, scale_inputs):
     g = scale_inputs[name]
     label = build_report(g)["classification"]
     assert [build_report(g.rescaled(c))["classification"]
-            for c in (1e-6, 1e-3, 1e3)] == [label] * 3
+            for c in (1e-9, 1e-6, 1e-3, 1e3)] == [label] * 4

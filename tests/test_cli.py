@@ -230,6 +230,19 @@ def test_riccati_degenerate_exit_5(tmp_path):
     assert main(["riccati", str(mat)]) == 5
 
 
+@pytest.mark.parametrize("text", ['{"matrix": [[1, 2, 3], [4, 5, 6]]}',
+                                  "[1.0, 2.0]", "[]",
+                                  '{"matrix": [[1.0, NaN], [0.0, 1.0]]}'],
+                         ids=["2x3", "1-d", "empty", "nan"])
+def test_riccati_malformed_matrix_exit_2(text, tmp_path, capsys):
+    mat = tmp_path / "m.json"
+    mat.write_text(text)
+    out = tmp_path / "r.json"
+    assert main(["riccati", str(mat), "--output", str(out)]) == 2
+    assert "malformed matrix file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_2():
     res = _run(["build", "nonsense"])
     assert res.returncode == 2

@@ -4,17 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import nabla_R
 from solvharm import curvature, lie_metric
 from solvharm.cli import build_report
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.curvature import (central_frame_split, curvature_norm,
                                 curvature_tensor, einstein_check,
-                                jacobi_operator_H, jacobi_operator_central,
-                                levi_civita, nabla_R, nabla_R_norm, ricci,
-                                sectional_curvature)
+                                jacobi_operator_H, levi_civita, nabla_R_norm,
+                                ricci, sectional_curvature)
 from solvharm.errors import DomainError
-from solvharm.jacobi_flow import volume_density
+from solvharm.jacobi_flow import CentralGeodesicFrame, volume_density
 from solvharm.lie_metric import (MetricLieAlgebra, ad_matrix,
                                  standard_decomposition,
                                  symmetric_skew_split)
@@ -176,24 +176,20 @@ def test_jacobi_operator_h_rejects_bad_direction(dr_data):
 
 
 def test_central_operator_at_zero_and_infinity(dr_data):
-    d = dr_data[(2, 1)]
-    op0 = jacobi_operator_central(d, 0.0)
+    frame = CentralGeodesicFrame.build(dr_data[(2, 1)])
+    op0 = frame.jacobi_operator(0.0)
     # center factor mu = 1 at slot 1: R(0) Z* = -mu Z*
     assert np.isclose(op0[1, 1], -1.0)
     # t -> infinity: center block tends to -mu^2
-    op_inf = jacobi_operator_central(d, 40.0)
+    op_inf = frame.jacobi_operator(40.0)
     assert np.isclose(op_inf[1, 1], -1.0, atol=1e-12)
 
     # a center eigenvalue mu < 1 on an abelian nilpotent part
     mu = 0.6
     g = MetricLieAlgebra(3, ((0, 1, 1, mu), (0, 2, 2, 1.0)))
-    dd = standard_decomposition(g)
-    assert np.isclose(
-        jacobi_operator_central(dd, 0.0)[1, 1], -mu
-    )
-    assert np.isclose(
-        jacobi_operator_central(dd, 40.0)[1, 1], -mu * mu
-    )
+    frame = CentralGeodesicFrame.build(standard_decomposition(g))
+    assert np.isclose(frame.jacobi_operator(0.0)[1, 1], -mu)
+    assert np.isclose(frame.jacobi_operator(40.0)[1, 1], -mu * mu)
 
 
 def _assert_frame_matches_transported_tensor(d, times):
@@ -203,12 +199,13 @@ def _assert_frame_matches_transported_tensor(d, times):
     alg = d.algebra
     r = curvature_tensor(alg, levi_civita(alg))
     _, z_perp, _, kernel, _, pair_cols = central_frame_split(d)
+    central = CentralGeodesicFrame.build(d)
     for t in times:
         u = -np.tanh(t) * d.h_vector + d.z_top_vector / np.cosh(t)
         xi = d.h_vector / np.cosh(t) + np.tanh(t) * d.z_top_vector
         frame = np.column_stack([xi, z_perp, kernel, pair_cols])
         oracle = frame.T @ np.einsum("a,b,jabl->lj", u, u, r) @ frame
-        formula = jacobi_operator_central(d, t)
+        formula = central.jacobi_operator(t)
         assert np.abs(oracle - formula).max() <= 1e-10
         # quadratic-form symmetry of R(t) in the transported frame
         assert np.abs(oracle - oracle.T).max() <= 1e-8

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import mean_curvature_analytic
 from solvharm.errors import DomainError, NumericalError
 from solvharm.hypergeom import (CenterFactor, HypergeomParams, KernelFactor,
                                 PairFactor, classify_factor, factors_from_data,
                                 fundamental_pair, gamma, gauss_f, h_factors,
-                                h_function, mean_curvature_analytic,
-                                monodromy_coeffs, pair_exponents,
+                                h_function, monodromy_coeffs, pair_exponents,
                                 reciprocal_gamma, rigidity_conclusion,
                                 stable_block_and_derivative, z_of_t)
 from solvharm.lie_metric import standard_decomposition

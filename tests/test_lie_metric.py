@@ -396,9 +396,10 @@ def test_from_tensor_rejects_relative_antisymmetry_defect(
 
 def _loop_triples(t, prune=1e-14):
     n = t.shape[0]
+    floor = prune * np.abs(t).max()
     return [(i, j, k, float(t[i, j, k])) for i in range(n)
             for j in range(i + 1, n) for k in range(n)
-            if abs(t[i, j, k]) > prune]
+            if abs(t[i, j, k]) > floor]
 
 
 def _loop_nilpotency_class(g):

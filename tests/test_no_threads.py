@@ -1,6 +1,6 @@
 """The package starts no threads or processes of its own: the density
 sidecar runs its directions one after another, and BLAS threading is left
-to the environment."""
+to the environment.  Nor does it import the test oracles."""
 
 import ast
 import pathlib
@@ -23,3 +23,9 @@ def _imported_roots(path):
                          ids=lambda p: p.name)
 def test_module_imports_no_concurrency(path):
     assert CONCURRENCY.isdisjoint(_imported_roots(path))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_no_test_oracle(path):
+    assert {"oracles", "tests"}.isdisjoint(_imported_roots(path))

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import finite_horizon_shape, spectra_match
 from solvharm.config import DEFAULT_TOLS
 from solvharm.errors import DegenerateSpectrumError, DomainError
-from solvharm.numerics import eigenvalues, spectra_match
-from solvharm.riccati import (RiccatiResult, finite_horizon_shape,
-                              horosphere_mean_curvature_formula,
+from solvharm.numerics import eigenvalues
+from solvharm.riccati import (RiccatiResult, horosphere_mean_curvature_formula,
                               solve_algebraic_riccati_max)
 
 
