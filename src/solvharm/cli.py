@@ -49,7 +49,10 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        if (value.dtype.kind == "f" and value.ndim and value.size
+                and np.isfinite(value).all()):
+            return value   # written a row at a time by _emit_json
+        return _jsonable(value.tolist())
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
     if isinstance(value, (np.integer, int)):
@@ -84,6 +87,12 @@ def _emit_json(value, out):
                 out.write(", ")
             _emit_json(v, out)
         out.write("]")
+    elif isinstance(value, np.ndarray):   # finite floats, see _jsonable
+        if value.ndim > 1:
+            _emit_json(list(value), out)
+        else:
+            out.write("[" + ", ".join(map("{:.17g}".format,
+                                          (value + 0.0).tolist())) + "]")
     elif isinstance(value, bool):
         out.write("true" if value else "false")
     elif value is None:
@@ -375,9 +384,9 @@ def cmd_scan_h(args, tols: Tolerances) -> int:
     z_values = np.linspace(args.z_min, args.z_max, count)
     factors = hypergeom.h_factors(mu_f, rho_star, pairs, z_values)
     h_values = np.prod(factors, axis=-1)
-    lines = [header]
-    for z, h, row in zip(z_values, h_values, factors):
-        lines.append(",".join(_g17(x) for x in (z, h, *row)))
+    table = np.column_stack([z_values, h_values, factors]) + 0.0
+    row_format = ",".join(["{:.17g}"] * table.shape[1]).format
+    lines = [header] + [row_format(*row) for row in table.tolist()]
     _deliver("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -12,13 +12,16 @@ module constants.
 The verdict thresholds are relative to the scale of the algebra.  With
 s^2 the sum of squares of the structure constants, which no orthogonal
 change of basis moves, |R| is compared with ``flat_norm * s^2``, the
-Ricci residual with ``einstein_residual * s^2`` and |nabla R| / |R|
-with ``symmetry_ratio * s``, so a verdict does not change when the
-metric is rescaled.  For the same reason the Jacobi residual checked
+Ricci residual with ``einstein_residual * s^2``, |nabla R| / |R|
+with ``symmetry_ratio * s`` and the real parts of ad_X (the growth
+type) with ``growth_real_part * s``, so a verdict does not change when
+the metric is rescaled.  For the same reason the Jacobi residual checked
 when an algebra is built is compared with ``jacobi_identity * s^2``, the
 antisymmetry defect and the pruned entries of an input bracket tensor
 with ``ANTISYMMETRY_REL`` and the prune tolerance relative to its
-largest entry, the ad_H eigenvalues of the standard decomposition with
+largest entry, the rank of bracket-derived matrices (derived algebra,
+centers, lower central series) with a fixed ``1e-10 * s``, the ad_H
+eigenvalues of the standard decomposition with
 ``eigen_merge`` relative to the largest one, and the ``riccati`` trace
 identity with ``TRACE_IDENTITY_REL`` relative to the closed-form trace.
 """

@@ -14,7 +14,7 @@ from scipy.linalg import block_diag
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DomainError
 from .lie_metric import (MetricLieAlgebra, StandardSolvableData, ad_matrix,
-                         symmetric_skew_split)
+                         scale_squared, symmetric_skew_split)
 
 __all__ = [
     "levi_civita",
@@ -51,16 +51,6 @@ def ricci(r: np.ndarray) -> np.ndarray:
 
 def curvature_norm(r: np.ndarray) -> float:
     return float(np.sqrt((r**2).sum()))
-
-
-def scale_squared(g: MetricLieAlgebra) -> float:
-    """s^2, the sum of squares of the structure constants.
-
-    Curvature scales as s^2 when the metric is rescaled, and no
-    orthogonal change of basis moves s^2, so verdicts compare curvature
-    with tolerances times s^2.
-    """
-    return float((g.tensor ** 2).sum())
 
 
 def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS):

@@ -10,6 +10,7 @@ geodesic and rigidity machinery downstream.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,6 +37,7 @@ __all__ = [
     "jmap_from_split",
     "pair_decomposition",
     "growth_type",
+    "scale_squared",
     "algebra_to_dict",
     "algebra_from_dict",
 ]
@@ -169,38 +171,58 @@ def symmetric_skew_split(m):
     return d, a - d
 
 
-def _orthonormal_span(columns: np.ndarray, tol: float = _RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the given column set."""
+def scale_squared(g: MetricLieAlgebra) -> float:
+    """s^2, the sum of squares of the structure constants.
+
+    Curvature scales as s^2 when the metric is rescaled, and no
+    orthogonal change of basis moves s^2, so verdicts compare curvature
+    with tolerances times s^2, and bracket-derived quantities with
+    tolerances times s.
+    """
+    return float((g.tensor ** 2).sum())
+
+
+def _bracket_scale(g: MetricLieAlgebra) -> float:
+    return math.sqrt(scale_squared(g))
+
+
+def _orthonormal_span(columns: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Orthonormal basis (columns) of the span of the given column set.
+
+    Singular values above ``_RANK_TOL * scale`` count as rank; ``scale`` is
+    the size of the entries' source (1 for orthonormal columns, the
+    bracket scale for columns made of structure constants).
+    """
     if columns.size == 0:
         return np.zeros((columns.shape[0], 0))
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > _RANK_TOL * scale))
     return u[:, :rank]
 
 
-def _null_space(mat: np.ndarray, tol: float = _RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of ``mat``."""
+def _null_space(mat: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of ``mat``, with rank
+    decided as in :func:`_orthonormal_span`."""
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1])
     # V is complete in the reduced SVD unless ``mat`` is wide; the full U
     # of a tall matrix (rows^2 doubles) is never read
     _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    scale = max(1.0, s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol * scale))
+    rank = int(np.sum(s > _RANK_TOL * scale))
     return vt[rank:].T
 
 
 def derived_algebra(g: MetricLieAlgebra) -> np.ndarray:
     """Orthonormal basis (columns) of [g, g]."""
     cols = g.tensor.reshape(g.dim * g.dim, g.dim).T
-    return _orthonormal_span(cols)
+    return _orthonormal_span(cols, _bracket_scale(g))
 
 
 def center_of(g: MetricLieAlgebra) -> np.ndarray:
     """Orthonormal basis (columns) of {z : [z, x] = 0 for all x}."""
     # stack the maps x -> [x, e_j] over all j
     mat = g.tensor.transpose(1, 2, 0).reshape(g.dim * g.dim, g.dim)
-    return _null_space(mat)
+    return _null_space(mat, _bracket_scale(g))
 
 
 def subalgebra(g: MetricLieAlgebra, basis: np.ndarray,
@@ -230,12 +252,13 @@ def subalgebra(g: MetricLieAlgebra, basis: np.ndarray,
 def nilpotency_class(g: MetricLieAlgebra):
     """Length of the lower central series, or ``None`` if not nilpotent."""
     current = np.eye(g.dim)
+    scale = _bracket_scale(g)
     step = 0
     while current.shape[1] > 0:
         step += 1
         # images[k, (i, a)] = [e_i, current[:, a]]_k
         images = np.einsum("ijk,ja->kia", g.tensor, current)
-        nxt = _orthonormal_span(images.reshape(g.dim, -1))
+        nxt = _orthonormal_span(images.reshape(g.dim, -1), scale)
         if nxt.shape[1] >= current.shape[1]:
             return None
         current = nxt
@@ -252,8 +275,11 @@ def growth_type(g: MetricLieAlgebra, samples: int = 64, seed: int = 0,
     """Volume-growth type via the spectra of sampled ad_X.
 
     Subexponential iff every tested ad_X (all basis vectors plus random
-    unit combinations) has only purely imaginary eigenvalues.
+    unit combinations) has only purely imaginary eigenvalues: real parts
+    at most ``tols.growth_real_part`` times the bracket scale, so
+    rescaling the metric does not change the type.
     """
+    floor = tols.growth_real_part * _bracket_scale(g)
     rng = np.random.default_rng(seed)
     candidates = list(np.eye(g.dim))
     for _ in range(samples):
@@ -261,7 +287,7 @@ def growth_type(g: MetricLieAlgebra, samples: int = 64, seed: int = 0,
         candidates.append(v / np.linalg.norm(v))
     for x in candidates:
         spec = eigenvalues(ad_matrix(x, g))
-        if np.abs(spec.real).max() > tols.growth_real_part:
+        if np.abs(spec.real).max() > floor:
             return GrowthType.EXPONENTIAL
     return GrowthType.SUBEXPONENTIAL
 
@@ -486,7 +512,8 @@ def standard_decomposition(g: MetricLieAlgebra,
     r = n_basis.shape[1]
     t_n = np.einsum("ia,jc,ijk,kd->acd", n_basis, n_basis, g.tensor,
                     n_basis, optimize=True)
-    z_in_n = _null_space(t_n.transpose(1, 2, 0).reshape(r * r, r))
+    z_in_n = _null_space(t_n.transpose(1, 2, 0).reshape(r * r, r),
+                         _bracket_scale(g))
     if z_in_n.shape[1] == 0:
         raise StructureError("nilradical candidate has trivial center")
     v_in_n = _null_space(z_in_n.T)

@@ -4,12 +4,14 @@ The homogeneous equation X^2 + X ad_A + ad_A^T X = 0 governs the second
 fundamental form of stable horospheres along geodesics perpendicular to
 the derived algebra: the shape operator is L0 = -D_A - X with X the
 maximal symmetric solution, and trace L0 = -sum |Re sigma| over the
-spectrum of ad_A.
+spectrum of ad_A.  The solver takes one ordered real Schur form of ad_A
+and one Lyapunov solve on its strictly stable block.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (DegenerateSpectrumError, NumericalError,
@@ -64,12 +66,15 @@ def solve_algebraic_riccati_max(ad_a,
                                 tols: Tolerances = DEFAULT_TOLS) -> RiccatiResult:
     """Maximal symmetric solution of X^2 + X ad_A + ad_A^T X = 0.
 
-    Via the real Schur form of the 2n x 2n block matrix
-    ``[[-ad_A, -I], [0, ad_A^T]]``: the graph of the maximal solution is
-    the invariant subspace combining the strictly stable spectral
-    subspace with, for eigenvalues on the imaginary axis, the
-    corresponding invariant subspace of -ad_A itself (on which the
-    maximal solution vanishes).  Eigenvalues inside the ambiguity band
+    One ordered real Schur form ad_A = Q T Q^T puts the eigenvalues on
+    or right of the imaginary axis first (Q1, T11) and the strictly
+    stable ones last (Q2, T22).  The equation has no constant term, so
+    on the stable part X^{-1} solves a Lyapunov equation: with
+    T22 Y + Y T22^T = -I the maximal solution is X = Q2 Y^{-1} Q2^T,
+    read off the graph U1 = [Q1, Q2 Y], U2 = [0, Q2] (the stable
+    invariant subspace of ``[[-ad_A, -I], [0, ad_A^T]]`` plus the axis
+    subspace of ad_A, on which X vanishes).  With no stable eigenvalue
+    X is exactly 0.  Eigenvalues inside the ambiguity band
     ``(axis_band, separation_band)`` raise
     :class:`DegenerateSpectrumError` with diagnostics.
     """
@@ -84,37 +89,25 @@ def solve_algebraic_riccati_max(ad_a,
             diagnostics={"eigenvalues": spec[ambiguous],
                          "band": (tols.axis_band, tols.separation_band)},
         )
-    axis = re <= tols.axis_band
-    n_axis = int(axis.sum())
     cut = -0.5 * (tols.axis_band + tols.separation_band)
+    n_stable = int((spec.real < cut).sum())
+    k = n - n_stable
 
-    big = np.zeros((2 * n, 2 * n))
-    big[:n, :n] = -a
-    big[:n, n:] = -np.eye(n)
-    big[n:, n:] = a.T
-
-    # strictly stable part of the doubled system
-    _, z, sdim = ordered_real_schur(big, lambda x, y: x < cut)
-    if sdim != n - n_axis:
+    t, q, sdim = ordered_real_schur(a, lambda x, y: x >= cut)
+    if sdim != k:
         raise DegenerateSpectrumError(
-            f"strictly stable subspace has dimension {sdim}, "
-            f"expected {n - n_axis}",
+            f"axis and antistable subspace has dimension {sdim}, "
+            f"expected {k}",
             diagnostics={"eigenvalues": spec},
         )
-    u = np.zeros((2 * n, n))
-    u[:, : n - n_axis] = z[:, : n - n_axis]
-    if n_axis:
-        # axis part: invariant subspace of ad_A itself, embedded as
-        # graph directions on which X acts by zero
-        _, q, sdim_axis = ordered_real_schur(a, lambda x, y: abs(x) < -cut)
-        if sdim_axis != n_axis:
-            raise DegenerateSpectrumError(
-                f"axis subspace has dimension {sdim_axis}, expected {n_axis}",
-                diagnostics={"eigenvalues": spec},
-            )
-        u[:n, n - n_axis:] = q[:, :n_axis]
+    u1, u2 = q.copy(), np.zeros((n, n))
+    if n_stable:
+        y = scipy.linalg.solve_continuous_lyapunov(t[k:, k:],
+                                                   -np.eye(n_stable))
+        u1[:, k:] = q[:, k:] @ y
+        u2[:, k:] = q[:, k:]
 
-    x = _graph_solution(u[:n], u[n:], tols)
+    x = _graph_solution(u1, u2, tols)
     resid = float(np.linalg.norm(x @ x + x @ a + a.T @ x))
     if resid > tols.riccati_residual * max(1.0, np.linalg.norm(a) ** 2):
         raise NumericalError(

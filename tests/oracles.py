@@ -12,9 +12,16 @@ module.
 * :func:`nabla_R`: the n^5 tensor whose norm ``curvature.nabla_R_norm``
   accumulates without forming it;
 * :func:`mean_curvature_analytic`: m(t) from finite differences of h;
-* :func:`spectra_match`: multiset comparison of two spectra.
+* :func:`spectra_match`: multiset comparison of two spectra;
+* :func:`riccati_max_doubled`: the maximal Riccati solution from the
+  2n x 2n doubled matrix, against ``riccati.solve_algebraic_riccati_max``;
+* :func:`render_json_scalar`: the report writer one value at a time,
+  against the row-at-a-time ``cli._render_json``.
 """
 
+import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -27,7 +34,8 @@ from solvharm.errors import (ConjugatePointError, DomainError, NumericalError,
 from solvharm.hypergeom import h_function, z_of_t
 from solvharm.jacobi_flow import CentralGeodesicFrame, JacobiTensorSample
 from solvharm.lie_metric import _null_space, symmetric_skew_split
-from solvharm.numerics import (as_square, matrix_exponential, solve_linear,
+from solvharm.numerics import (as_square, matrix_exponential,
+                               ordered_real_schur, solve_linear,
                                sorted_spectrum)
 
 HORIZON_CAP = 80.0   # farthest horizon of finite_horizon_shape
@@ -169,6 +177,28 @@ def integrate_jacobi(d, j0, j0prime, t_max: float, steps: int = 200,
     return JacobiTensorSample(t_grid=t, e=c, e_prime=p)
 
 
+def _frame_blocks(frame: CentralGeodesicFrame):
+    """The decoupled blocks of ``frame`` as ``(slots, sub, sub_slots)``.
+
+    ``sub`` holds the xi slot and this block alone, so its operator and
+    connection at ``sub_slots`` are the block's, evaluated without the
+    rest of the frame: xi, each scalar slot, then each pair plane.
+    """
+    none, no_pairs = np.zeros(0), np.zeros((0, 2))
+    alone = dataclasses.replace(frame, mus=none, rho_stars=none,
+                                pairs=no_pairs)
+    blocks = [(slice(0, 1), alone, slice(0, 1))]
+    slot = 1
+    for field in ("mus", "rho_stars", "pairs"):
+        width = 2 if field == "pairs" else 1
+        for value in getattr(frame, field):
+            sub = dataclasses.replace(alone, **{field: np.array([value])})
+            blocks.append((slice(slot, slot + width), sub,
+                           slice(1, 1 + width)))
+            slot += width
+    return blocks
+
+
 def finite_horizon_tensor(d, t_grid, r: float,
                           tols=DEFAULT_TOLS) -> JacobiTensorSample:
     """Jacobi tensor with E(0) = id, E(r) = 0, sampled on ``t_grid``.
@@ -184,19 +214,16 @@ def finite_horizon_tensor(d, t_grid, r: float,
     if t_grid[-1] > r:
         raise DomainError("horizon r must lie beyond the last grid point")
     frame = CentralGeodesicFrame.build(d)
-    n_scalar = 1 + len(frame.mus) + len(frame.rho_stars)
-    blocks = ([slice(i, i + 1) for i in range(n_scalar)]
-              + [slice(i, i + 2) for i in range(n_scalar, frame.size, 2)])
     t_eval = np.unique(np.concatenate([t_grid, [r]]))
     keep = np.isin(t_eval, t_grid)
     e = np.zeros((t_grid.size, frame.size, frame.size))
     ep = np.zeros_like(e)
-    for sl in blocks:
+    for sl, sub, sub_sl in _frame_blocks(frame):
         size = sl.stop - sl.start
         eye, zero = np.eye(size), np.zeros((size, size))
-        _, c, p = _integrate_frame(frame, np.hstack([eye, zero]),
+        _, c, p = _integrate_frame(sub, np.hstack([eye, zero]),
                                    np.hstack([zero, eye]), r, t_eval, tols,
-                                   block=sl)
+                                   block=sub_sl)
         phi1, phi2 = c[:, :, :size], c[:, :, size:]
         phi2_r = phi2[-1]
         scale = max(np.abs(phi2_r).max(), 1.0)
@@ -290,3 +317,82 @@ def spectra_match(a, b, tol: float = 1e-9) -> bool:
     cost = np.abs(sa[:, None] - sb[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return bool(cost[rows, cols].max() <= tol * max(1.0, np.abs(sa).max()))
+
+
+# ---------------------------------------------------------------------------
+# Riccati and the report writer
+# ---------------------------------------------------------------------------
+
+def riccati_max_doubled(ad_a, tols=DEFAULT_TOLS) -> np.ndarray:
+    """Maximal symmetric solution of X^2 + X A + A^T X = 0 from the real
+    Schur form of the doubled matrix ``[[-A, -I], [0, A^T]]``.
+
+    Its strictly stable invariant subspace, together with the axis
+    subspace of A embedded as [Q_axis; 0] (where X vanishes), is the
+    graph [I; X] of the maximal solution.
+    """
+    a = as_square(ad_a)
+    n = a.shape[0]
+    cut = -0.5 * (tols.axis_band + tols.separation_band)
+    big = np.block([[-a, -np.eye(n)], [np.zeros((n, n)), a.T]])
+    _, z, sdim = ordered_real_schur(big, lambda x, y: x < cut)
+    _, q, n_axis = ordered_real_schur(a, lambda x, y: abs(x) < -cut)
+    assert sdim + n_axis == n, (sdim, n_axis)
+    u = np.hstack([z[:, :sdim],
+                   np.vstack([q[:, :n_axis], np.zeros((n, n_axis))])])
+    x = np.linalg.solve(u[:n].T, u[n:].T).T
+    return 0.5 * (x + x.T)
+
+
+def _scalar_jsonable(value):
+    if isinstance(value, dict):
+        return {str(k): _scalar_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_scalar_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _scalar_jsonable(value.tolist())
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    if isinstance(value, (np.floating, float)):
+        return float(value)
+    if isinstance(value, (np.complexfloating, complex)):
+        return {"re": float(value.real), "im": float(value.imag)}
+    return value
+
+
+def _scalar_emit(value, out):
+    if isinstance(value, dict):
+        out.write("{" + ", ".join(
+            json.dumps(str(k)) + ": " + _scalar_text(v)
+            for k, v in value.items()) + "}")
+    elif isinstance(value, (list, tuple)):
+        out.write("[" + ", ".join(_scalar_text(v) for v in value) + "]")
+    elif isinstance(value, bool):
+        out.write("true" if value else "false")
+    elif value is None:
+        out.write("null")
+    elif isinstance(value, int):
+        out.write(str(value))
+    elif isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            out.write(json.dumps(str(value)))
+        else:
+            out.write(format(value + 0.0, ".17g"))
+    else:
+        out.write(json.dumps(value))
+
+
+def _scalar_text(value) -> str:
+    buf = io.StringIO()
+    _scalar_emit(value, buf)
+    return buf.getvalue()
+
+
+def render_json_scalar(value) -> str:
+    """A report as the CLI writes it: fixed key order, %.17g floats with
+    -0 written as 0, non-finite floats as strings, complex numbers as
+    {"re", "im"}; every array expanded and written one element at a
+    time."""
+    return _scalar_text(_scalar_jsonable(value)) + "\n"

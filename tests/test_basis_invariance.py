@@ -10,9 +10,11 @@ from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.config import DEFAULT_TOLS
 from solvharm.curvature import curvature_norm, einstein_check, nabla_R_norm
-from solvharm.lie_metric import standard_decomposition
+from solvharm.lie_metric import growth_type, standard_decomposition
 
 NAMES = ["dr-2-1", "dr-3-1", "perturbed-theta", "generic-pair"]
+# metric rescalings under which no verdict may change
+SCALES = (1e-12, 1e-10, 1e-9, 1e-6, 1e-3, 1e3)
 
 
 @pytest.fixture(scope="module")
@@ -102,4 +104,14 @@ def test_label_is_scale_free(name, scale_inputs):
     g = scale_inputs[name]
     label = build_report(g)["classification"]
     assert [build_report(g.rescaled(c))["classification"]
-            for c in (1e-9, 1e-6, 1e-3, 1e3)] == [label] * 4
+            for c in SCALES] == [label] * len(SCALES)
+
+
+@pytest.mark.parametrize("name", ["dr-1-1", "dr-2-1", "heisenberg-3",
+                                  "real-hyperbolic-4", "flat-3",
+                                  "rotated-dr-7-2"])
+def test_growth_is_scale_free(name, scale_inputs):
+    # Re sigma(ad_X) scales with the brackets, and so does its threshold
+    g = scale_inputs[name]
+    growth = growth_type(g)
+    assert [growth_type(g.rescaled(c)) for c in SCALES] == [growth] * len(SCALES)

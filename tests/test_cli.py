@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from solvharm import cli
+from oracles import render_json_scalar
+from solvharm import cli, hypergeom
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import build_damek_ricci, clifford_generators
+from solvharm.lie_metric import standard_decomposition
 from solvharm.jacobi_flow import volume_density
 from solvharm.lie_metric import algebra_to_dict
 
@@ -186,6 +188,51 @@ def test_scan_h_csv(tmp_path, capsys):
     assert lines[0].startswith("z,h,factor_1")
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert np.abs(np.array(values) + 4.0).max() <= 1e-9
+
+
+def test_scan_h_rows_match_scalar_writer(tmp_path, generic_pair_algebra):
+    # z from -0.9 to 0.9 crosses 0; each row is one format call, each
+    # value formatted as _g17 formats it
+    alg = tmp_path / "g.json"
+    alg.write_text(cli._render_json(algebra_to_dict(generic_pair_algebra)))
+    out = tmp_path / "h.csv"
+    assert main(["scan-h", str(alg), "--z-min", "-0.9", "--z-max", "0.9",
+                 "--count", "37", "--output", str(out)]) == 0
+    mu_f, rho_star, pairs = standard_decomposition(
+        generic_pair_algebra).frame_factor_data()
+    z_values = np.linspace(-0.9, 0.9, 37)
+    factors = hypergeom.h_factors(mu_f, rho_star, pairs, z_values)
+    rows = [",".join(cli._g17(x) for x in (z, h, *row)) for z, h, row
+            in zip(z_values, np.prod(factors, axis=-1), factors)]
+    assert out.read_text().splitlines()[1:] == rows
+
+
+_ARRAYS = {
+    "dense": np.random.default_rng(3).standard_normal((4, 5)),
+    "signed_zero": np.array([[-0.0, 0.0], [1.0, -2.5]]),
+    "extremes": np.array([1e300, -1e-300, 5e-324, 1.7976931348623157e308]),
+    "nonfinite": np.array([[1.0, np.nan], [np.inf, -np.inf]]),
+    "zero_d": np.array(-0.0),
+    "empty": np.zeros(0),
+    "empty_rows": np.zeros((0, 3)),
+    "empty_cols": np.zeros((3, 0)),
+    "ints": np.arange(-3, 3).reshape(2, 3),
+    "complex": np.array([1 + 2j, -0.0 - 1j]),
+    "bools": np.array([True, False]),
+    "float32": np.array([0.1, -0.0, 3.0], dtype=np.float32),
+    "three_d": np.arange(24.0).reshape(2, 3, 4) / 7.0,
+    "column": np.array([[-0.0], [1e-17]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAYS))
+def test_render_json_matches_scalar_writer(name):
+    a = _ARRAYS[name]
+    report = {"schema": "x", "array": a, "nested": {"inner": {"a": a},
+                                                     "list": [a, -0.0, 1]},
+              "scalars": (np.float64(-0.0), np.int64(7), 2.5j, None, "s")}
+    assert cli._render_json(report) == render_json_scalar(report)
+    assert cli._render_json(a) == render_json_scalar(a)
 
 
 def test_classify_reports_factors(tmp_path):

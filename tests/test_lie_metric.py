@@ -1,3 +1,4 @@
+import math
 import sys
 from collections import Counter
 
@@ -16,8 +17,9 @@ from solvharm.lie_metric import (GrowthType, MetricLieAlgebra,
                                  algebra_from_dict, algebra_to_dict, bracket,
                                  center_of, derived_algebra, extract_jmap,
                                  growth_type, jmap_from_split,
-                                 nilpotency_class, standard_decomposition,
-                                 subalgebra, symmetric_skew_split)
+                                 nilpotency_class, scale_squared,
+                                 standard_decomposition, subalgebra,
+                                 symmetric_skew_split)
 
 HEISENBERG = MetricLieAlgebra(3, ((0, 1, 2, 1.0),))   # [V1, V2] = Z
 
@@ -409,7 +411,8 @@ def _loop_nilpotency_class(g):
         step += 1
         images = [bracket(_basis(g.dim, i), current[:, a], g)
                   for i in range(g.dim) for a in range(current.shape[1])]
-        nxt = _orthonormal_span(np.array(images).T)
+        nxt = _orthonormal_span(np.array(images).T,
+                                math.sqrt(scale_squared(g)))
         if nxt.shape[1] >= current.shape[1]:
             return None
         current = nxt

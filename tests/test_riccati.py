@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import finite_horizon_shape, spectra_match
+from oracles import finite_horizon_shape, riccati_max_doubled, spectra_match
 from solvharm.config import DEFAULT_TOLS
 from solvharm.errors import DegenerateSpectrumError, DomainError
+from solvharm.lie_metric import symmetric_skew_split
 from solvharm.numerics import eigenvalues
 from solvharm.riccati import (RiccatiResult, horosphere_mean_curvature_formula,
                               solve_algebraic_riccati_max)
@@ -28,6 +29,76 @@ def _random_solvable_type(rng, n, low=0.3, high=0.75):
     t[iu] += 0.3 * rng.standard_normal(len(iu[0]))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return q @ t @ q.T
+
+
+_AXIS_BLOCKS = {
+    "skew": np.array([[0.0, -0.8], [0.8, 0.0]]),
+    "nilpotent": np.array([[0.0, 1.0], [0.0, 0.0]]),
+    "zero": np.zeros((1, 1)),
+}
+
+
+def _with_axis_block(rng, n, kinds):
+    """Block upper-triangular matrix: a random solvable-type block on the
+    leading slots, then the axis blocks ``kinds``, coupled above the
+    diagonal.  Rotated unless a block is nilpotent: a rotation moves a
+    Jordan block's eigenvalues by sqrt(eps), into the ambiguity band."""
+    blocks = [_AXIS_BLOCKS[k] for k in kinds]   # "nilpotent" comes last
+    m = n - sum(b.shape[0] for b in blocks)
+    t = np.zeros((n, n))
+    t[:m, :m] = _random_solvable_type(rng, m)
+    i = m
+    for b in blocks:
+        t[i: i + b.shape[0], i: i + b.shape[0]] = b
+        i += b.shape[0]
+    t[:m, m:] = 0.3 * rng.standard_normal((m, n - m))
+    if "nilpotent" in kinds:
+        # uncoupled: a Jordan block coupled to the stable block moves the
+        # closed-loop eigenvalues by sqrt(eps) ~ 1.5e-8, past the absolute
+        # 1e-8 of the closed-loop check, with either solver
+        t[:m, -2:] = 0.0
+        return t
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q @ t @ q.T
+
+
+def _oracle_cases(rng):
+    for n in range(2, 13):
+        for _ in range(4):
+            yield _random_solvable_type(rng, n)
+        if n >= 3:
+            yield _with_axis_block(rng, n, ["skew"])
+            yield _with_axis_block(rng, n, ["nilpotent"])
+            yield _with_axis_block(rng, n, ["zero"])
+        if n >= 5:
+            yield _with_axis_block(rng, n, ["skew", "nilpotent"])
+            yield _with_axis_block(rng, n, ["zero", "skew"])
+    yield _AXIS_BLOCKS["skew"]
+    yield _AXIS_BLOCKS["nilpotent"]
+    yield np.array([[-1.0, 0.7], [0.0, 0.0]])
+
+
+def test_matches_doubled_schur_oracle(rng):
+    count = 0
+    for a in _oracle_cases(rng):
+        x = solve_algebraic_riccati_max(a).x
+        ref = riccati_max_doubled(a)
+        assert (np.linalg.norm(x - ref)
+                <= 1e-10 * max(1.0, np.linalg.norm(ref))), a
+        count += 1
+    assert count > 80
+
+
+def test_no_stable_eigenvalue_gives_exact_zero(rng, dr_data):
+    # |Re sigma| <= 0.75 before the shift: every eigenvalue antistable
+    cases = [_random_solvable_type(rng, n) + 2.0 * np.eye(n)
+             for n in (1, 4, 9)]
+    cases += [_AXIS_BLOCKS["skew"], _AXIS_BLOCKS["nilpotent"],
+              dr_data[(1, 1)].ad_h(), dr_data[(3, 1)].ad_h()]
+    for a in cases:
+        res = solve_algebraic_riccati_max(a)
+        assert np.all(res.x == 0.0)
+        assert np.array_equal(res.l0, -symmetric_skew_split(a)[0])
 
 
 def test_scalar_closed_form():
