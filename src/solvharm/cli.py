@@ -152,7 +152,7 @@ def _load_algebra(path: str, tols: Tolerances) -> lie_metric.MetricLieAlgebra:
     data = _load_json(path)
     try:
         return lie_metric.algebra_from_dict(data, tols)
-    except (StructureError, ValueError, TypeError) as exc:
+    except (StructureError, DimensionError, ValueError, TypeError) as exc:
         raise _UsageError(f"malformed algebra file {path}: {exc}") from exc
 
 

@@ -9,7 +9,6 @@ algebra.  Homogeneity makes values at the identity global.
 import math
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DomainError
@@ -38,10 +37,22 @@ def levi_civita(g: MetricLieAlgebra) -> np.ndarray:
 
 
 def curvature_tensor(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
-    """R[i, j, k, :] = R(e_i, e_j) e_k for the given connection."""
-    second = np.einsum("jkm,iml->ijkl", gamma, gamma)
-    bracket_term = np.einsum("ijm,mkl->ijkl", g.tensor, gamma)
-    return second - np.einsum("jikl->ijkl", second) - bracket_term
+    """R[i, j, k, :] = R(e_i, e_j) e_k for the given connection.
+
+    R(e_i, e_j) e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k
+    - nabla_[e_i, e_j] e_k, with both terms BLAS products: the second
+    covariant derivatives ``gamma[j, k, :] @ gamma[i]`` as n stacked
+    products, the bracket term as one.  They share one buffer, so R and
+    that buffer are the only n^4 arrays held at once.
+    """
+    n = g.dim
+    buf = np.matmul(gamma.reshape(n * n, n), gamma)   # [i, (j, k), l]
+    second = buf.reshape(n, n, n, n)
+    r = second - second.transpose(1, 0, 2, 3)
+    np.matmul(g.tensor.reshape(n * n, n), gamma.reshape(n, n * n),
+              out=buf.reshape(n * n, n * n))          # [(i, j), (k, l)]
+    r -= second
+    return r
 
 
 def ricci(r: np.ndarray) -> np.ndarray:
@@ -119,21 +130,25 @@ def central_jacobi_blocks(mus, rho_stars, pairs, t: float) -> np.ndarray:
 
     The first slot is the parallel unit normal inside the totally
     geodesic H-Z plane (constant curvature -1); the remaining blocks are
-    the closed forms of the operator along the central geodesic.
+    the closed forms of the operator along the central geodesic, 1x1 for
+    the center and kernel slots and 2x2 for each pair, written into one
+    zero matrix.
     """
     s, c = np.sinh(t), np.cosh(t)
-    blocks = [np.array([[-1.0]])]
-    for mu in np.atleast_1d(mus):
-        blocks.append(np.array([[-(mu + s * s * mu * mu) / (c * c)]]))
-    for rho in np.atleast_1d(rho_stars):
-        blocks.append(np.array([[-(rho + s * s * rho * rho) / (c * c)]]))
-    for rho, theta in np.atleast_2d(pairs) if len(pairs) else []:
-        diag1 = theta * theta / 4.0 - rho - s * s * rho * rho
-        diag2 = (theta * theta / 4.0 - (1.0 - rho)
-                 - s * s * (1.0 - rho) ** 2)
-        offd = s * theta * (rho - 0.5)
-        blocks.append(np.array([[diag1, offd], [offd, diag2]]) / (c * c))
-    return block_diag(*blocks)
+    singles = np.concatenate([np.atleast_1d(mus),
+                              np.atleast_1d(rho_stars)]).astype(float)
+    rho, theta = np.asarray(pairs, dtype=float).reshape(-1, 2).T
+    size = 1 + len(singles) + 2 * len(rho)
+    op = np.zeros((size, size))
+    op[0, 0] = -1.0
+    d = np.arange(1, 1 + len(singles))
+    op[d, d] = -(singles + s * s * singles * singles) / (c * c)
+    p = np.arange(1 + len(singles), size, 2)
+    op[p, p] = (theta * theta / 4.0 - rho - s * s * rho * rho) / (c * c)
+    op[p + 1, p + 1] = (theta * theta / 4.0 - (1.0 - rho)
+                        - s * s * (1.0 - rho) ** 2) / (c * c)
+    op[p, p + 1] = op[p + 1, p] = s * theta * (rho - 0.5) / (c * c)
+    return op
 
 
 def nabla_R_norm(g: MetricLieAlgebra) -> float:

@@ -45,9 +45,16 @@ __all__ = [
 ]
 
 
-def z_of_t(t: float) -> float:
-    """Geodesic series variable z = (1 - tanh t)/2, evaluated stably."""
-    return 1.0 / (1.0 + math.exp(2.0 * t))
+def z_of_t(t):
+    """Geodesic series variable z = (1 - tanh t)/2 = 1/(1 + e^{2t}).
+
+    The second form has no cancellation.  ``t`` may be an array; a
+    scalar ``t`` gives a float.  Past t ~ 354, e^{2t} overflows and z is
+    0.
+    """
+    with np.errstate(over="ignore"):
+        z = 1.0 / (1.0 + np.exp(2.0 * np.asarray(t, dtype=float)))
+    return float(z) if z.ndim == 0 else z
 
 
 def _nonpositive_int(x: float, tol: float = 1e-12) -> bool:
@@ -98,19 +105,21 @@ def gauss_f(a: float, b: float, c: float, z):
     return float(value) if value.ndim == 0 else value
 
 
-def fundamental_pair(p: HypergeomParams, z: float):
+def fundamental_pair(p: HypergeomParams, z):
     """The solution pair (u1, u1', u2, u2') of the hypergeometric equation.
 
     u1 = F(a,b;c;z) is regular at 0; u2 = z^(1-c) F(1+a-c,1+b-c;2-c;z)
-    is independent of it for c not an integer.
+    is independent of it for c not an integer.  ``z`` may be an array.
     """
     a, b, c = p.a, p.b, p.c
     if _integer(c):
         raise DomainError(
             f"degenerate fundamental pair: c = {c} is an integer"
         )
-    if not 0.0 < z < 1.0:
-        raise DomainError(f"z must lie in (0, 1), got {z}")
+    z = np.asarray(z, dtype=float)
+    outside = ~((0.0 < z) & (z < 1.0))
+    if outside.any():
+        raise DomainError(f"z must lie in (0, 1), got {z[outside].flat[0]}")
     u1 = gauss_f(a, b, c, z)
     u1p = a * b / c * gauss_f(a + 1, b + 1, c + 1, z)
     u2 = z ** (1.0 - c) * gauss_f(1 + a - c, 1 + b - c, 2 - c, z)
@@ -138,35 +147,48 @@ def _check_pair_params(rho: float, theta: float):
         raise DomainError(f"pair parameter theta must be positive, got {theta}")
 
 
-def stable_block_and_derivative(rho: float, theta: float, t: float):
+def _blocks(m00, m01, m10, m11) -> np.ndarray:
+    """2x2 blocks from entries of one shape s, stacked to s + (2, 2)."""
+    return np.stack([np.stack([m00, m01], axis=-1),
+                     np.stack([m10, m11], axis=-1)], axis=-2)
+
+
+def stable_block_and_derivative(rho: float, theta: float, t):
     """Stable block M(t) and its plain time derivative M'(t).
 
     Columns, read as coefficients (f, g) on the left-invariant pair
     (V, ~V), are the special bounded solutions of the pair Jacobi
-    equation; M(t) tends to 0 as t -> infinity (z -> 0).  Each column is a first-kind solution from ker(d/dt - B(t)) plus a
-    Killing-field solution from ker(d/dt - A(t)); the derivative follows
-    from those two linear factorizations without finite differences.
+    equation; M(t) tends to 0 as t -> infinity (z -> 0).  Each column is
+    a first-kind solution s from ker(d/dt - B(t)) plus a Killing-field
+    solution from ker(d/dt - A(t)), with A = tanh(t) diag(rho, 1 - rho)
+    and B = A + sech(t) theta [[0, -1], [1, 0]]; the derivative
+    B s + A k follows from those two linear factorizations without
+    finite differences.  ``t`` may be an array: the whole grid is one
+    evaluation of the hypergeometric functions, and the blocks have
+    shape ``t.shape + (2, 2)``, so a scalar ``t`` gives 2x2 matrices.
     """
     _check_pair_params(rho, theta)
-    z = z_of_t(t)
+    t = np.asarray(t, dtype=float)
     a, b = pair_exponents(rho, theta)
-    u1, u1p, u2, u2p = fundamental_pair(HypergeomParams(a, b, rho), z)
-    ch, th, sech = math.cosh(t), math.tanh(t), 1.0 / math.cosh(t)
-    a_mat = th * np.diag([rho, 1.0 - rho])
-    b_op = a_mat + sech * np.array([[0.0, -theta], [theta, 0.0]])
-
-    def ker_b_solution(u, up):
-        return np.array([-(ch ** -rho) * up, 2.0 * theta * ch ** (1.0 - rho) * u])
-
-    s1 = ker_b_solution(u1, u1p)
-    s2 = ker_b_solution(u2, u2p)
-    k1 = np.array([ch ** rho, 0.0])
-    k2 = np.array([0.0, ch ** (1.0 - rho)])
-    col1 = s1 - 2.0 * theta * k2
-    col2 = s2 + 4.0 ** rho * (1.0 - rho) * k1
-    dcol1 = b_op @ s1 - 2.0 * theta * (a_mat @ k2)
-    dcol2 = b_op @ s2 + 4.0 ** rho * (1.0 - rho) * (a_mat @ k1)
-    return np.column_stack([col1, col2]), np.column_stack([dcol1, dcol2])
+    u1, u1p, u2, u2p = fundamental_pair(HypergeomParams(a, b, rho),
+                                        z_of_t(t))
+    ch, th = np.cosh(t), np.tanh(t)
+    sech = 1.0 / ch
+    # ker B solutions s = (-cosh^-rho u', 2 theta cosh^(1-rho) u) and the
+    # Killing fields k1 = (cosh^rho, 0), k2 = (0, cosh^(1-rho)) of ker A
+    lo, hi, k1 = ch ** -rho, ch ** (1.0 - rho), ch ** rho
+    s1 = (-lo * u1p, 2.0 * theta * hi * u1)
+    s2 = (-lo * u2p, 2.0 * theta * hi * u2)
+    b1, b2 = ((th * rho * s[0] - sech * theta * s[1],
+               sech * theta * s[0] + th * (1.0 - rho) * s[1])
+              for s in (s1, s2))
+    kappa = 4.0 ** rho * (1.0 - rho)
+    # col1 = s1 - 2 theta k2, col2 = s2 + kappa k1
+    m = _blocks(s1[0], s2[0] + kappa * k1,
+                s1[1] - 2.0 * theta * hi, s2[1])
+    dm = _blocks(b1[0], b2[0] + kappa * (th * rho * k1),
+                 b1[1] - 2.0 * theta * (th * (1.0 - rho) * hi), b2[1])
+    return m, dm
 
 
 # ---------------------------------------------------------------------------

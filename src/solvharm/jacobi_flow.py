@@ -94,8 +94,11 @@ def _scalar_stable_block(m: float, t: np.ndarray, z: np.ndarray):
 
 def _pair_stable_block(rho: float, theta: float, t_grid: np.ndarray,
                        tols: Tolerances):
-    """E = M(t) M(0)^-1 and its covariant derivative for one pair block."""
-    m0, _ = stable_block_and_derivative(rho, theta, 0.0)
+    """E = M(t) M(0)^-1 and its covariant derivative for one pair block,
+    from one evaluation of M on t = 0 and the grid."""
+    m, dm = stable_block_and_derivative(rho, theta,
+                                        np.concatenate([[0.0], t_grid]))
+    m0, m, dm = m[0], m[1:], dm[1:]
     cond = np.linalg.cond(m0)
     if cond * tols.series_tol > tols.bvp_converged:
         raise NumericalError(
@@ -105,14 +108,10 @@ def _pair_stable_block(rho: float, theta: float, t_grid: np.ndarray,
             f"{tols.bvp_converged:.2g}"
         )
     m0_inv = np.linalg.inv(m0)
-    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    e = np.empty((t_grid.size, 2, 2))
-    ep = np.empty((t_grid.size, 2, 2))
-    for n, t in enumerate(t_grid):
-        m_t, dm_t = stable_block_and_derivative(rho, theta, t)
-        e[n] = m_t @ m0_inv
-        ep[n] = (dm_t + theta / (2.0 * math.cosh(t)) * rot @ m_t) @ m0_inv
-    return e, ep
+    # the frame connection W = theta / (2 cosh t) [[0, 1], [-1, 0]]
+    rate = (theta / (2.0 * np.cosh(t_grid)))[:, None, None]
+    w_m = rate * np.stack([m[:, 1], -m[:, 0]], axis=1)
+    return m @ m0_inv, (dm + w_m) @ m0_inv
 
 
 def stable_jacobi_tensor(d: StandardSolvableData, t_grid,
@@ -146,7 +145,7 @@ def stable_jacobi_tensor(d: StandardSolvableData, t_grid,
     ep = np.zeros((t_grid.size, k, k))
     e[:, 0, 0] = np.exp(-t_grid)
     ep[:, 0, 0] = -e[:, 0, 0]
-    z = np.array([z_of_t(t) for t in t_grid])
+    z = z_of_t(t_grid)
     scalars = np.concatenate([frame.mus, frame.rho_stars])
     for i, m in enumerate(scalars, start=1):
         e[:, i, i], ep[:, i, i] = _scalar_stable_block(m, t_grid, z)

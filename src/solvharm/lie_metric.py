@@ -50,13 +50,21 @@ _PRUNE_TOL = 1e-14
 class MetricLieAlgebra:
     """Real Lie algebra with ``[e_i, e_j] = sum_k c_ijk e_k`` and <,> = id.
 
-    ``structure_constants`` holds sparse quadruples ``(i, j, k, c)`` with
-    ``i < j``; antisymmetry is implicit in the storage.  Construction
-    validates the Jacobi identity within ``jacobi_tol`` times the sum of
-    squares of the structure constants, so that rescaling the metric
-    does not change the verdict.  The algebras derived from this one
-    (rescaled, subalgebras, the adapted basis of the standard
-    decomposition) inherit ``jacobi_tol``.
+    ``structure_constants`` is given as rows ``(i, j, k, c)`` (any
+    sequence of 4-sequences, or an ``(m, 4)`` array) with integer indices
+    ``0 <= i < j < dim`` and ``0 <= k < dim``, and is stored as a tuple of
+    ``(int, int, int, float)`` quadruples in the given order; antisymmetry
+    is implicit in the storage, and a repeated ``(i, j, k)`` adds up.
+    The rows are parsed once as an array and accumulated into the
+    bracket tensor by ``np.add.at`` / ``np.subtract.at``, which keep the
+    row order.  A row of other than 4 entries, or an index that is not a
+    finite integer, raises :class:`StructureError`; an index out of range
+    raises :class:`DimensionError`.  Construction validates the Jacobi
+    identity within ``jacobi_tol`` times the sum of squares of the
+    structure constants, so that rescaling the metric does not change
+    the verdict.  The algebras derived from this one (rescaled,
+    subalgebras, the adapted basis of the standard decomposition)
+    inherit ``jacobi_tol``.
     """
 
     dim: int
@@ -68,18 +76,35 @@ class MetricLieAlgebra:
     def __post_init__(self):
         if self.dim <= 0:
             raise DimensionError("algebra dimension must be positive")
+        try:
+            rows = np.asarray(self.structure_constants, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise StructureError(f"structure constants must be rows "
+                                 f"(i, j, k, c) of numbers: {exc}") from exc
+        if rows.shape == (0,):
+            rows = rows.reshape(0, 4)
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise StructureError(
+                "structure constants must be rows (i, j, k, c)")
+        ijk = rows[:, :3]
+        i, j, k = ijk.T
+        whole = (np.isfinite(ijk) & (ijk == np.round(ijk))).all(axis=1)
+        in_range = (0 <= i) & (i < j) & (j < self.dim) & (0 <= k) \
+            & (k < self.dim)
+        for ok, error, what in (
+                (whole, StructureError, "has a non-integer index"),
+                (in_range, DimensionError,
+                 f"is out of range for dim {self.dim}")):
+            if not ok.all():
+                row = list(self.structure_constants[int(np.argmin(ok))])
+                raise error(f"structure constant {row} {what}")
+        i, j, k = ijk.astype(np.intp).T
+        c = rows[:, 3]
         tensor = np.zeros((self.dim, self.dim, self.dim))
-        cleaned = []
-        for (i, j, k, c) in self.structure_constants:
-            i, j, k, c = int(i), int(j), int(k), float(c)
-            if not (0 <= i < j < self.dim and 0 <= k < self.dim):
-                raise DimensionError(
-                    f"structure constant ({i},{j},{k}) out of range for dim {self.dim}"
-                )
-            tensor[i, j, k] += c
-            tensor[j, i, k] -= c
-            cleaned.append((i, j, k, c))
-        object.__setattr__(self, "structure_constants", tuple(cleaned))
+        np.add.at(tensor, (i, j, k), c)
+        np.subtract.at(tensor, (j, i, k), c)
+        object.__setattr__(self, "structure_constants", tuple(zip(
+            i.tolist(), j.tolist(), k.tolist(), c.tolist())))
         object.__setattr__(self, "_tensor", tensor)
         resid = self.jacobi_residual()
         bound = self.jacobi_tol * float((tensor ** 2).sum())
@@ -107,8 +132,8 @@ class MetricLieAlgebra:
         upper = np.triu(np.ones((n, n), dtype=bool), k=1)[:, :, None]
         # (i, j, k) in row-major order
         idx = np.argwhere(upper & (np.abs(t) > prune * top))
-        triples = zip(*idx.T.tolist(), t[tuple(idx.T)].tolist())
-        return cls(n, tuple(triples), jacobi_tol=jacobi_tol)
+        rows = np.column_stack([idx, t[tuple(idx.T)]])
+        return cls(n, rows, jacobi_tol=jacobi_tol)
 
     @property
     def tensor(self) -> np.ndarray:
@@ -135,11 +160,19 @@ class MetricLieAlgebra:
         return r
 
     def jacobi_residual(self) -> float:
-        """max norm of Jac(e_i, e_j, e_k) over all basis triples."""
+        """max norm of Jac(e_i, e_j, e_k) over all basis triples.
+
+        ``E[i, j, k, :] = [[e_i, e_j], e_k]`` is one BLAS product, and the
+        cyclic sum is accumulated into one more n^4 array, so at most two
+        are held at once.
+        """
         t = self._tensor
-        e = np.einsum("ijm,mkl->ijkl", t, t)
-        jac = e + np.einsum("jkil->ijkl", e) + np.einsum("kijl->ijkl", e)
-        return float(np.sqrt((jac**2).sum(axis=-1)).max())
+        n = self.dim
+        e = (t.reshape(n * n, n) @ t.reshape(n, n * n)).reshape(n, n, n, n)
+        jac = e + e.transpose(2, 0, 1, 3)    # E[i,j,k] + E[j,k,i]
+        jac += e.transpose(1, 2, 0, 3)       # + E[k,i,j]
+        np.square(jac, out=jac)
+        return math.sqrt(float(jac.sum(axis=-1).max()))
 
     def rescaled(self, factor: float) -> "MetricLieAlgebra":
         """Algebra of the metric scaled so all brackets pick up ``factor``."""
@@ -640,7 +673,6 @@ def algebra_from_dict(data: dict,
     within ``tols.jacobi_identity``."""
     if not isinstance(data, dict) or "dim" not in data:
         raise StructureError("algebra JSON must contain 'dim'")
-    consts = data.get("structure_constants", [])
     return MetricLieAlgebra(int(data["dim"]),
-                            tuple(tuple(row) for row in consts),
+                            data.get("structure_constants", []),
                             jacobi_tol=tols.jacobi_identity)

@@ -2,6 +2,18 @@
 closed forms are checked against.  Nothing in ``src/`` imports this
 module.
 
+* :func:`structure_tensor_loop`: the bracket tensor and stored triples
+  accumulated one row at a time, against the array parse of
+  ``lie_metric.MetricLieAlgebra``;
+* :func:`jacobi_residual_einsum` and :func:`curvature_einsum`: the Jacobi
+  residual and R by unordered ``einsum``, against the BLAS products of
+  ``MetricLieAlgebra.jacobi_residual`` and ``curvature.curvature_tensor``;
+* :func:`central_jacobi_blocks_block_diag`: the frame Jacobi operator
+  assembled block by block, against ``curvature.central_jacobi_blocks``;
+* :func:`stable_block_scalar` and :func:`pair_stable_block_per_t`: the
+  hypergeometric pair block at one t at a time, from 2x2 matrix
+  products, against the whole-grid ``hypergeom.stable_block_and_derivative``
+  and ``jacobi_flow._pair_stable_block``;
 * :func:`covariant_volume_density`: the covariant Jacobi equation with the
   full curvature tensor, against ``jacobi_flow.volume_density``;
 * :func:`integrate_jacobi` and :func:`finite_horizon_tensor`: the Jacobi
@@ -27,11 +39,13 @@ import math
 import numpy as np
 import scipy.optimize
 from scipy.integrate import solve_ivp
+from scipy.linalg import block_diag
 
 from solvharm.config import DEFAULT_TOLS
 from solvharm.errors import (ConjugatePointError, DomainError, NumericalError,
                              SingularMatrixError)
-from solvharm.hypergeom import h_function, z_of_t
+from solvharm.hypergeom import (HypergeomParams, fundamental_pair,
+                                h_function, pair_exponents, z_of_t)
 from solvharm.jacobi_flow import CentralGeodesicFrame, JacobiTensorSample
 from solvharm.lie_metric import _null_space, symmetric_skew_split
 from solvharm.numerics import (as_square, matrix_exponential,
@@ -39,6 +53,95 @@ from solvharm.numerics import (as_square, matrix_exponential,
                                sorted_spectrum)
 
 HORIZON_CAP = 80.0   # farthest horizon of finite_horizon_shape
+
+
+# ---------------------------------------------------------------------------
+# brackets, Jacobi identity and curvature by loops and einsum
+# ---------------------------------------------------------------------------
+
+def structure_tensor_loop(dim, rows):
+    """``(tensor, triples)`` of rows (i, j, k, c), one row at a time."""
+    tensor = np.zeros((dim, dim, dim))
+    cleaned = []
+    for (i, j, k, c) in rows:
+        i, j, k, c = int(i), int(j), int(k), float(c)
+        tensor[i, j, k] += c
+        tensor[j, i, k] -= c
+        cleaned.append((i, j, k, c))
+    return tensor, tuple(cleaned)
+
+
+def jacobi_residual_einsum(t) -> float:
+    """max over basis triples of |[[e_i,e_j],e_k] + cyclic|."""
+    e = np.einsum("ijm,mkl->ijkl", t, t)
+    jac = e + np.einsum("jkil->ijkl", e) + np.einsum("kijl->ijkl", e)
+    return float(np.sqrt((jac**2).sum(axis=-1)).max())
+
+
+def curvature_einsum(t, gamma) -> np.ndarray:
+    """R[i, j, k, :] = R(e_i, e_j) e_k from brackets ``t`` and Gamma."""
+    second = np.einsum("jkm,iml->ijkl", gamma, gamma)
+    bracket_term = np.einsum("ijm,mkl->ijkl", t, gamma)
+    return second - np.einsum("jikl->ijkl", second) - bracket_term
+
+
+def central_jacobi_blocks_block_diag(mus, rho_stars, pairs, t) -> np.ndarray:
+    """The frame Jacobi operator from one small array per block."""
+    s, c = np.sinh(t), np.cosh(t)
+    blocks = [np.array([[-1.0]])]
+    for m in np.concatenate([np.atleast_1d(mus), np.atleast_1d(rho_stars)]):
+        blocks.append(np.array([[-(m + s * s * m * m) / (c * c)]]))
+    for rho, theta in np.asarray(pairs, dtype=float).reshape(-1, 2):
+        diag1 = theta * theta / 4.0 - rho - s * s * rho * rho
+        diag2 = (theta * theta / 4.0 - (1.0 - rho)
+                 - s * s * ((1.0 - rho) * (1.0 - rho)))
+        offd = s * theta * (rho - 0.5)
+        blocks.append(np.array([[diag1, offd], [offd, diag2]]) / (c * c))
+    return block_diag(*blocks)
+
+
+# ---------------------------------------------------------------------------
+# the stable pair block one time at a time
+# ---------------------------------------------------------------------------
+
+def stable_block_scalar(rho: float, theta: float, t: float):
+    """M(t) and M'(t) of ``hypergeom.stable_block_and_derivative`` at one
+    scalar t: first-kind columns from ker(d/dt - B) plus Killing columns
+    from ker(d/dt - A), with A and B as 2x2 matrices."""
+    z = 1.0 / (1.0 + math.exp(2.0 * t))
+    a, b = pair_exponents(rho, theta)
+    u1, u1p, u2, u2p = fundamental_pair(HypergeomParams(a, b, rho), z)
+    ch, th, sech = math.cosh(t), math.tanh(t), 1.0 / math.cosh(t)
+    a_mat = th * np.diag([rho, 1.0 - rho])
+    b_op = a_mat + sech * np.array([[0.0, -theta], [theta, 0.0]])
+
+    def ker_b_solution(u, up):
+        return np.array([-(ch ** -rho) * up,
+                         2.0 * theta * ch ** (1.0 - rho) * u])
+
+    s1 = ker_b_solution(u1, u1p)
+    s2 = ker_b_solution(u2, u2p)
+    k1 = np.array([ch ** rho, 0.0])
+    k2 = np.array([0.0, ch ** (1.0 - rho)])
+    col1 = s1 - 2.0 * theta * k2
+    col2 = s2 + 4.0 ** rho * (1.0 - rho) * k1
+    dcol1 = b_op @ s1 - 2.0 * theta * (a_mat @ k2)
+    dcol2 = b_op @ s2 + 4.0 ** rho * (1.0 - rho) * (a_mat @ k1)
+    return np.column_stack([col1, col2]), np.column_stack([dcol1, dcol2])
+
+
+def pair_stable_block_per_t(rho: float, theta: float, t_grid):
+    """E = M(t) M(0)^-1 and its covariant derivative on ``t_grid``, from
+    :func:`stable_block_scalar` at each t."""
+    m0_inv = np.linalg.inv(stable_block_scalar(rho, theta, 0.0)[0])
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    e = np.empty((len(t_grid), 2, 2))
+    ep = np.empty((len(t_grid), 2, 2))
+    for n, t in enumerate(t_grid):
+        m_t, dm_t = stable_block_scalar(rho, theta, t)
+        e[n] = m_t @ m0_inv
+        ep[n] = (dm_t + theta / (2.0 * math.cosh(t)) * rot @ m_t) @ m0_inv
+    return e, ep
 
 
 def covariant_volume_density(g, v, t_grid, tols=DEFAULT_TOLS):

@@ -66,6 +66,21 @@ def test_analyze_malformed_exit_2(tmp_path):
     assert main(["analyze", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("row", [
+    "[0, 5, 1, 1.0]", "[0, 1.5, 1, 1.0]", "[0, null, 1, 1.0]",
+    "[0, NaN, 1, 1.0]", "[0, Infinity, 1, 1.0]", "[0, 1, 2]",
+    "[0, 1, 2, 1.0, 0.0]", "[0, 1, 2, 1.0], [0, 1]",
+], ids=["out-of-range", "non-integer", "null", "nan", "inf", "three-entries",
+        "five-entries", "ragged"])
+def test_malformed_indices_exit_2(row, tmp_path, capsys):
+    alg = tmp_path / "bad.json"
+    alg.write_text('{"dim": 3, "structure_constants": [' + row + ']}')
+    out = tmp_path / "out.json"
+    assert main(["analyze", str(alg), "--output", str(out)]) == 2
+    assert "malformed algebra file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_perturbed_label(tmp_path):
     from solvharm.lie_metric import MetricLieAlgebra
     g = MetricLieAlgebra(4, ((0, 1, 1, 0.5), (0, 2, 2, 0.5),

@@ -4,19 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import nabla_R
+from oracles import central_jacobi_blocks_block_diag, curvature_einsum, nabla_R
 from solvharm import curvature, lie_metric
 from solvharm.cli import build_report
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_real_hyperbolic, clifford_generators)
-from solvharm.curvature import (central_frame_split, curvature_norm,
-                                curvature_tensor, einstein_check,
+from solvharm.curvature import (central_frame_split, central_jacobi_blocks,
+                                curvature_norm, curvature_tensor,
+                                einstein_check,
                                 jacobi_operator_H, levi_civita, nabla_R_norm,
                                 ricci, sectional_curvature)
 from solvharm.errors import DomainError
 from solvharm.jacobi_flow import CentralGeodesicFrame, volume_density
 from solvharm.lie_metric import (MetricLieAlgebra, ad_matrix,
-                                 standard_decomposition,
+                                 scale_squared, standard_decomposition,
                                  symmetric_skew_split)
 
 
@@ -327,6 +328,55 @@ def test_nabla_r_norm_memory_stays_order_n4():
         tracemalloc.stop()
     assert value > 1.0
     assert peak < 64 * 2 ** 20
+
+
+def test_jacobi_check_and_curvature_hold_two_n4_arrays():
+    # DR (7, 3): one n^4 array is 32^4 doubles = 8.4 MB; the Jacobi check
+    # of the construction and R each hold at most two of them at once
+    rows = build_damek_ricci(clifford_generators(7, 3)).structure_constants
+    tracemalloc.start()
+    try:
+        g = MetricLieAlgebra(32, rows)
+        _, build_peak = tracemalloc.get_traced_memory()
+        gamma = levi_civita(g)
+        tracemalloc.reset_peak()
+        r = curvature_tensor(g, gamma)
+        _, r_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.shape == (32,) * 4
+    assert build_peak <= 18.5e6
+    assert r_peak <= 18.5e6
+
+
+def test_curvature_matches_einsum(dr_algebras, perturbed_theta_algebra,
+                                  generic_pair_algebra, haar_rotate):
+    cases = [*dr_algebras.values(), perturbed_theta_algebra,
+             generic_pair_algebra, haar_rotate(dr_algebras[(3, 1)], 7),
+             haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 7)]
+    for g in cases:
+        got = curvature_tensor(g, g.connection)
+        want = curvature_einsum(g.tensor, g.connection)
+        assert np.abs(got - want).max() <= 1e-14 * scale_squared(g)
+
+
+def test_central_jacobi_blocks_match_block_diag(dr_data, haar_rotate):
+    rng = np.random.default_rng(3)
+    spectra = [d.frame_factor_data() for d in dr_data.values()]
+    spectra.append(standard_decomposition(KERNEL_PAIR_CENTER)
+                   .frame_factor_data())
+    spectra.append(standard_decomposition(
+        haar_rotate(dr_data[(3, 1)].algebra, 7)).frame_factor_data())
+    spectra.append((np.zeros(0), np.zeros(0), np.zeros((0, 2))))
+    spectra += [(rng.uniform(0.1, 1.0, a), rng.uniform(0.1, 0.9, b),
+                 np.column_stack([rng.uniform(0.05, 0.5, c),
+                                  rng.uniform(0.1, 2.0, c)]))
+                for a, b, c in rng.integers(0, 4, (40, 3))]
+    for mus, rho_stars, pairs in spectra:
+        for t in (0.0, 0.4, 1.3, 3.0, 40.0):
+            got = central_jacobi_blocks(mus, rho_stars, pairs, t)
+            want = central_jacobi_blocks_block_diag(mus, rho_stars, pairs, t)
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

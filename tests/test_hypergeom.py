@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mean_curvature_analytic
+from oracles import mean_curvature_analytic, stable_block_scalar
 from solvharm.errors import DomainError, NumericalError
 from solvharm.hypergeom import (CenterFactor, HypergeomParams, KernelFactor,
                                 PairFactor, classify_factor, factors_from_data,
@@ -186,6 +186,28 @@ def test_stable_block_vanishes_at_origin():
     assert all(n2 < n1 for n1, n2 in zip(norms, norms[1:]))
     rates = [n / z_of_t(t) ** (rho / 2.0) for n, t in zip(norms, ts)]
     assert max(rates) <= 10.0 * min(rates)
+
+
+@pytest.mark.parametrize("rho,theta", [(0.5, 1.0), (0.25, 0.5), (0.3, 0.8),
+                                       (0.1, 3.0), (0.5, 1e-3)])
+def test_stable_block_grid_matches_scalar_calls(rho, theta):
+    t = np.concatenate([[0.0], np.linspace(0.5, 8.0, 26), [20.0]])
+    z = z_of_t(t)
+    assert z.shape == t.shape
+    np.testing.assert_allclose(z, [z_of_t(x) for x in t], rtol=1e-15, atol=0)
+    m, dm = stable_block_and_derivative(rho, theta, t)
+    assert m.shape == dm.shape == (t.size, 2, 2)
+    for n, tn in enumerate(t):
+        # the columns cancel against Killing fields of size up to
+        # cosh(t)^max(rho, 1 - rho): roundoff is relative to those
+        bound = 1e-14 * math.cosh(tn) ** max(rho, 1.0 - rho)
+        single = stable_block_and_derivative(rho, theta, tn)
+        for got, want in zip((m[n], dm[n]), single):
+            assert want.shape == (2, 2)
+            assert np.abs(got - want).max() <= bound
+        for got, want in zip((m[n], dm[n]),
+                             stable_block_scalar(rho, theta, tn)):
+            assert np.abs(got - want).max() <= bound
 
 
 def test_stable_block_determinant_law():

@@ -9,7 +9,7 @@ from scipy.special import beta
 from oracles import (central_velocity, covariant_derivative_along,
                      covariant_volume_density, finite_horizon_tensor,
                      frame_connection, frame_matrix, integrate_jacobi,
-                     velocity_vector)
+                     pair_stable_block_per_t, velocity_vector)
 from solvharm import curvature, jacobi_flow
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
@@ -270,6 +270,43 @@ def test_stable_tensor_does_not_integrate(monkeypatch):
     s = stable_jacobi_tensor(d, np.linspace(0.5, 8.0, 26))
     assert len(calls) == 0
     assert s.e.shape == (26, 31, 31)
+
+
+def test_pair_blocks_one_grid_call_per_distinct_pair(
+        monkeypatch, dr_data, generic_pair_algebra, haar_rotate):
+    original = jacobi_flow.stable_block_and_derivative
+    calls = []
+
+    def counting(rho, theta, t):
+        calls.append((rho, theta, np.shape(t)))
+        return original(rho, theta, t)
+
+    monkeypatch.setattr(jacobi_flow, "stable_block_and_derivative", counting)
+    grid = np.linspace(0.5, 8.0, 26)
+    rotated = haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 7)
+    for d in (dr_data[(3, 1)], standard_decomposition(generic_pair_algebra),
+              standard_decomposition(rotated)):
+        calls.clear()
+        s = stable_jacobi_tensor(d, grid)
+        distinct = {tuple(p) for p in d.pairs.tolist()}
+        assert len(calls) == len(distinct)
+        assert {(rho, theta) for rho, theta, _ in calls} == distinct
+        assert all(shape == (grid.size + 1,) for *_, shape in calls)
+        frame = CentralGeodesicFrame.build(d)
+        off = 1 + len(frame.mus) + len(frame.rho_stars)
+        for i, (rho, theta) in enumerate(frame.pairs):
+            sl = slice(off + 2 * i, off + 2 * i + 2)
+            e, ep = pair_stable_block_per_t(rho, theta, grid)
+            # roundoff relative to the Killing-field scale of the block,
+            # carried through M(0)^-1
+            m0_inv = np.linalg.inv(stable_block_and_derivative(
+                rho, theta, 0.0)[0])
+            bound = (1e-14 * np.cosh(grid) ** max(rho, 1.0 - rho)
+                     * np.linalg.norm(m0_inv, 2))
+            assert np.all(np.abs(s.e[:, sl, sl] - e).max(axis=(1, 2))
+                          <= bound)
+            assert np.all(np.abs(s.e_prime[:, sl, sl] - ep).max(axis=(1, 2))
+                          <= bound)
 
 
 def test_finite_horizon_monotone_shape_operators(dr_data):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
+from oracles import jacobi_residual_einsum, structure_tensor_loop
 from solvharm import lie_metric
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
@@ -302,6 +303,29 @@ def test_jacobi_identity_guard():
         MetricLieAlgebra(3, ((0, 1, 2, float("nan")),))
 
 
+@pytest.mark.parametrize("rows,error", [
+    (((0, 5, 1, 1.0),), DimensionError),
+    (((1, 0, 2, 1.0),), DimensionError),
+    (((0, 1, -1, 1.0),), DimensionError),
+    (((1e300, 1, 2, 1.0),), DimensionError),
+    (((0, 1.5, 1, 1.0),), StructureError),
+    (((0, None, 1, 1.0),), StructureError),
+    (((0, float("nan"), 1, 1.0),), StructureError),
+    (((0, float("inf"), 1, 1.0),), StructureError),
+    (((0, 1, 2),), StructureError),
+    (((0, 1, 2, 1.0, 0.0),), StructureError),
+    (((0, 1, 2, 1.0), (0, 1)), StructureError),
+    (((), (), ()), StructureError),
+    ((0, 1, 2, 1.0), StructureError),
+    (((0, 1, 2, "x"),), StructureError),
+], ids=["j-out", "i-not-below-j", "k-negative", "huge", "non-integer",
+        "none", "nan", "inf", "three", "five", "ragged", "empty-rows",
+        "flat", "text"])
+def test_malformed_rows_raise_typed_errors(rows, error):
+    with pytest.raises(error):
+        MetricLieAlgebra(3, rows)
+
+
 def test_j_squared_commutes_with_ad_h(dr_data):
     d = dr_data[(3, 1)]
     j = extract_jmap(d)
@@ -440,3 +464,52 @@ def test_bracket_array_forms_match_loops(key, haar_rotate):
     jmap = jmap_from_split(d.algebra, d.v_indices, d.z_indices)
     loop = _loop_jmap(d.algebra, list(d.v_indices), list(d.z_indices))
     assert np.array_equal(jmap.generators, loop)
+
+
+# ---------------------------------------------------------------------------
+# the array parse and the BLAS Jacobi check against the loops they replaced
+# ---------------------------------------------------------------------------
+
+# a repeated (i, j, k) adds up in row order: (0.1 + 0.2) + 0.3 differs from
+# 0.1 + (0.2 + 0.3) in the last bit
+REPEATED_ROWS = ((0, 1, 2, 0.1), (0, 1, 2, 0.2), (0, 1, 2, 0.3),
+                 (0, 2, 1, -0.0), (0, 1, 2, -0.6))
+
+
+@pytest.fixture(scope="module")
+def parse_cases(dr_algebras, perturbed_theta_algebra, generic_pair_algebra,
+                haar_rotate):
+    return [*dr_algebras.values(), perturbed_theta_algebra,
+            generic_pair_algebra, haar_rotate(dr_algebras[(3, 1)], 7),
+            haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 7),
+            MetricLieAlgebra(3, REPEATED_ROWS)]
+
+
+def test_array_parse_matches_triple_loop(parse_cases):
+    for g in parse_cases:
+        as_dict = algebra_to_dict(g)["structure_constants"]
+        for rows in (g.structure_constants, as_dict, np.array(as_dict)):
+            built = MetricLieAlgebra(g.dim, rows)
+            tensor, triples = structure_tensor_loop(g.dim, rows)
+            assert built.tensor.tobytes() == tensor.tobytes()
+            assert built.structure_constants == triples
+            assert all(type(x) is int for row in triples for x in row[:3])
+            assert all(type(row[3]) is float for row in triples)
+        assert g.tensor.tobytes() == structure_tensor_loop(
+            g.dim, g.structure_constants)[0].tobytes()
+    assert [row[3] for row in parse_cases[-1].structure_constants] == \
+        [0.1, 0.2, 0.3, -0.0, -0.6]
+
+
+def test_jacobi_residual_matches_einsum(parse_cases):
+    rng = np.random.default_rng(5)
+    rows = [(i, j, k, c) for (i, j, k), c in zip(
+        [(i, j, k) for i in range(5) for j in range(i + 1, 5)
+         for k in range(5)], rng.standard_normal(50))]
+    # a bracket that violates the Jacobi identity, admitted by jacobi_tol
+    broken = MetricLieAlgebra(5, rows, jacobi_tol=math.inf)
+    assert broken.jacobi_residual() > 1.0
+    for g in [*parse_cases, broken]:
+        scale = scale_squared(g)
+        assert abs(g.jacobi_residual() - jacobi_residual_einsum(g.tensor)) \
+            <= 1e-14 * scale
