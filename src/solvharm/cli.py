@@ -417,12 +417,13 @@ def cmd_riccati(args, tols: Tolerances) -> int:
     except (TypeError, ValueError, DimensionError, NumericalError) as exc:
         raise _UsageError(
             f"malformed matrix file {args.matrix}: {exc}") from exc
-    formula = riccati.horosphere_mean_curvature_formula(mat)
     try:
         res = riccati.solve_algebraic_riccati_max(mat, tols)
     except DegenerateSpectrumError as exc:
         sys.stderr.write(f"degenerate spectrum: {exc}\n")
         return 5
+    # horosphere_mean_curvature_formula on the spectrum the solve computed
+    formula = float(-np.abs(res.spectrum_ad_a.real).sum())
     report = {
         "schema": "solvharm-riccati-v1",
         "x": res.x,

@@ -18,6 +18,7 @@ from .lie_metric import (MetricLieAlgebra, StandardSolvableData, ad_matrix,
 __all__ = [
     "levi_civita",
     "curvature_tensor",
+    "flow_operator",
     "ricci",
     "einstein_check",
     "sectional_curvature",
@@ -53,6 +54,23 @@ def curvature_tensor(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
               out=buf.reshape(n * n, n * n))          # [(i, j), (k, l)]
     r -= second
     return r
+
+
+def flow_operator(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
+    """The stacked bracket operator -[T | 2 Gamma - T], shape (n, 2 n^2).
+
+    For a velocity u, ``(u @ op).reshape(2, n, n)`` holds -ad_u and -c_u,
+    c_u = 2 nabla_u - ad_u, with row j the image of e_j: the coefficients
+    of the linearized geodesic flow of :func:`jacobi_flow.volume_density`
+    from one matvec.  The sign is stored so the flow needs no negation.
+    """
+    n = g.dim
+    t = g.tensor.reshape(n, n * n)
+    op = np.empty((n, 2 * n * n))
+    np.negative(t, out=op[:, :n * n])
+    np.multiply(gamma.reshape(n, n * n), -2.0, out=op[:, n * n:])
+    op[:, n * n:] += t
+    return op
 
 
 def ricci(r: np.ndarray) -> np.ndarray:

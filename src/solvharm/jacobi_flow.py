@@ -192,17 +192,22 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
     u' = -nabla_u u.  In the left-trivialization J = dL_gamma xi, a
     variation (xi, eta) of the flow, with eta the variation of u, solves
 
-    * u' = -nabla_u u,               u(0) = v;
-    * xi' = eta + [xi, u],           xi(0) = 0;
-    * eta' = -2 nabla_u eta + [u, eta],  eta(0) = an orthonormal basis of
-      the complement of v,
+    * u' = -1/2 c_u u,            u(0) = v;
+    * xi' = eta - ad_u xi,         xi(0) = 0;
+    * eta' = -c_u eta,             eta(0) = an orthonormal basis of the
+      complement of v,
 
-    so D_t J(0) = eta(0), and det A is the determinant of the columns xi
-    together with u in the orthonormal left-invariant frame.  The system
-    needs only Gamma and the brackets, never the curvature tensor.
-    Harmonicity makes the result independent of the direction v.  Gamma
-    comes from ``g.connection``, so all directions of one algebra share
-    it, and R is never formed.
+    with c_u = 2 nabla_u - ad_u; the u equation is u' = -nabla_u u
+    because ad_u u = [u, u] = 0.  So D_t J(0) = eta(0), and det A is the
+    determinant of the columns xi together with u in the orthonormal
+    left-invariant frame.  Each right-hand side contracts u once with
+    the stacked bracket operator ``g.flow_operator``, which gives -ad_u
+    and -c_u, then takes one batched product of those with the stacked
+    (xi, eta) and one n x n product with u, all written into one output
+    buffer.  The operator is built once per algebra from
+    ``g.connection`` and the brackets, so all directions share it, and
+    R is never formed.  Harmonicity makes the result independent of the
+    direction v.
     """
     v = np.asarray(v, dtype=float)
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:   # NaN fails too
@@ -214,24 +219,21 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
                           "nonnegative times")
     n = g.dim
     k = n - 1
-    gamma = g.connection
+    nk = n * k
+    op = g.flow_operator
     perp = _null_space(v[np.newaxis, :])
-    # one matvec each for nabla_u (a[j, l]) and ad_u (ad[j, l])
-    gamma_flat = gamma.reshape(n, n * n)                   # [i, (j, l)]
-    tensor_flat = g.tensor.reshape(n, n * n)
 
     def rhs(t, y):
         u = y[:n]
-        xi = y[n: n + n * k].reshape(n, k)
-        eta = y[n + n * k:].reshape(n, k)
-        a = (u @ gamma_flat).reshape(n, n)
-        ad = (u @ tensor_flat).reshape(n, n)
-        du = -(u @ a)
-        dxi = eta - ad.T @ xi
-        deta = -(2.0 * a - ad).T @ eta
-        return np.concatenate([du, dxi.ravel(), deta.ravel()])
+        w = (u @ op).reshape(2, n, n)                     # -ad_u, -c_u
+        dy = np.empty_like(y)
+        d = dy[n:].reshape(2, n, k)
+        np.matmul(w.transpose(0, 2, 1), y[n:].reshape(2, n, k), out=d)
+        d[0] += y[n + nk:].reshape(n, k)
+        np.multiply(u @ w[1], 0.5, out=dy[:n])
+        return dy
 
-    y0 = np.concatenate([v, np.zeros(n * k), perp.ravel()])
+    y0 = np.concatenate([v, np.zeros(nk), perp.ravel()])
     solver = DOP853(rhs, 0.0, y0, max(float(t_grid[-1]), 1e-12),
                     rtol=tols.ode_rtol, atol=tols.ode_atol)
     samples, done = [], 0
@@ -251,7 +253,7 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
         solver.fun = solver.fun_vectorized = None
     y = np.hstack(samples).T                                # (nt, state)
     dets = np.linalg.det(np.concatenate(
-        [y[:, n: n + n * k].reshape(-1, n, k), y[:, :n, np.newaxis]], axis=2))
+        [y[:, n: n + nk].reshape(-1, n, k), y[:, :n, np.newaxis]], axis=2))
 
     # orient so the density is positive right after 0, then check for
     # conjugate points at the interior grid times.  det A(t) ~ t^(n-1)

@@ -11,6 +11,7 @@ geodesic and rigidity machinery downstream.
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -158,6 +159,15 @@ class MetricLieAlgebra:
         r = curvature.curvature_tensor(self, self.connection)
         r.flags.writeable = False
         return r
+
+    @cached_property
+    def flow_operator(self) -> np.ndarray:
+        """The stacked bracket operator of :func:`curvature.flow_operator`
+        for :attr:`connection`, read-only."""
+        from . import curvature
+        op = curvature.flow_operator(self, self.connection)
+        op.flags.writeable = False
+        return op
 
     def jacobi_residual(self) -> float:
         """max norm of Jac(e_i, e_j, e_k) over all basis triples.
@@ -670,9 +680,13 @@ def algebra_to_dict(g: MetricLieAlgebra) -> dict:
 def algebra_from_dict(data: dict,
                       tols: Tolerances = DEFAULT_TOLS) -> MetricLieAlgebra:
     """Inverse of :func:`algebra_to_dict`; the Jacobi identity is checked
-    within ``tols.jacobi_identity``."""
+    within ``tols.jacobi_identity``.  ``dim`` must be an integer (a JSON
+    float, bool or string raises :class:`StructureError`)."""
     if not isinstance(data, dict) or "dim" not in data:
         raise StructureError("algebra JSON must contain 'dim'")
-    return MetricLieAlgebra(int(data["dim"]),
+    dim = data["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise StructureError(f"algebra 'dim' must be an integer, got {dim!r}")
+    return MetricLieAlgebra(int(dim),
                             data.get("structure_constants", []),
                             jacobi_tol=tols.jacobi_identity)

@@ -15,7 +15,9 @@ module.
   products, against the whole-grid ``hypergeom.stable_block_and_derivative``
   and ``jacobi_flow._pair_stable_block``;
 * :func:`covariant_volume_density`: the covariant Jacobi equation with the
-  full curvature tensor, against ``jacobi_flow.volume_density``;
+  full curvature tensor, and :func:`three_matvec_volume_density`: the
+  linearized geodesic flow with nabla_u, ad_u and nabla_u u contracted
+  separately, both against ``jacobi_flow.volume_density``;
 * :func:`integrate_jacobi` and :func:`finite_horizon_tensor`: the Jacobi
   system in the central frame, integrated by one DOP853 driver, against
   the closed forms of ``jacobi_flow.stable_jacobi_tensor``;
@@ -144,6 +146,29 @@ def pair_stable_block_per_t(rho: float, theta: float, t_grid):
     return e, ep
 
 
+def _flow_density(rhs, v, t_grid, tols):
+    """det[c, u] of the state (u, c, p), integrated by DOP853 from
+    u = v, c = 0 and p an orthonormal basis of the complement of v,
+    oriented positive at the first grid time after 0, as in
+    :func:`jacobi_flow.volume_density`."""
+    v = np.asarray(v, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float)
+    n = v.size
+    k = n - 1
+    perp = _null_space(v[np.newaxis, :])
+    y0 = np.concatenate([v, np.zeros(n * k), perp.ravel()])
+    sol = solve_ivp(rhs, (0.0, max(float(t_grid[-1]), 1e-12)), y0,
+                    method="DOP853", t_eval=t_grid, rtol=tols.ode_rtol,
+                    atol=tols.ode_atol)
+    assert sol.success, sol.message
+    dets = np.array([
+        np.linalg.det(np.column_stack([y[n: n + n * k].reshape(n, k), y[:n]]))
+        for y in sol.y.T
+    ])
+    first = np.argmax(t_grid > 1e-9)
+    return math.copysign(1.0, dets[first]) * dets
+
+
 def covariant_volume_density(g, v, t_grid, tols=DEFAULT_TOLS):
     """det A_v(t) from the covariant Jacobi equation D_t^2 J + R(J, u) u = 0.
 
@@ -151,12 +176,8 @@ def covariant_volume_density(g, v, t_grid, tols=DEFAULT_TOLS):
     left-invariant frame coefficients c of the Jacobi columns and
     p = D_t c, with c(0) = 0 and p(0) an orthonormal basis of the
     complement of v.  Each right-hand side contracts u (x) u with the
-    n^2 x n^2 curvature tensor ``g.curvature``.  det A = det[c, u],
-    oriented positive at the first grid time after 0, as in
-    :func:`jacobi_flow.volume_density`.
+    n^2 x n^2 curvature tensor ``g.curvature``.
     """
-    v = np.asarray(v, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
     n = g.dim
     k = n - 1
     gamma, r_tensor = g.connection, g.curvature
@@ -174,18 +195,34 @@ def covariant_volume_density(g, v, t_grid, tols=DEFAULT_TOLS):
         dp = -r_u @ c - w @ p
         return np.concatenate([-(u @ w_t), dc.ravel(), dp.ravel()])
 
-    perp = _null_space(v[np.newaxis, :])
-    y0 = np.concatenate([v, np.zeros(n * k), perp.ravel()])
-    sol = solve_ivp(rhs, (0.0, max(float(t_grid[-1]), 1e-12)), y0,
-                    method="DOP853", t_eval=t_grid, rtol=tols.ode_rtol,
-                    atol=tols.ode_atol)
-    assert sol.success, sol.message
-    dets = np.array([
-        np.linalg.det(np.column_stack([y[n: n + n * k].reshape(n, k), y[:n]]))
-        for y in sol.y.T
-    ])
-    first = np.argmax(t_grid > 1e-9)
-    return math.copysign(1.0, dets[first]) * dets
+    return _flow_density(rhs, v, t_grid, tols)
+
+
+def three_matvec_volume_density(g, v, t_grid, tols=DEFAULT_TOLS):
+    """det A_v(t) from the linearized geodesic flow, one term at a time.
+
+    The system of :func:`jacobi_flow.volume_density`, u' = -nabla_u u,
+    xi' = eta + [xi, u], eta' = -2 nabla_u eta + [u, eta], with nabla_u
+    and ad_u contracted from Gamma and the brackets separately and
+    nabla_u u as a third matvec.
+    """
+    n = g.dim
+    k = n - 1
+    gamma_flat = g.connection.reshape(n, n * n)
+    tensor_flat = g.tensor.reshape(n, n * n)
+
+    def rhs(t, y):
+        u = y[:n]
+        xi = y[n: n + n * k].reshape(n, k)
+        eta = y[n + n * k:].reshape(n, k)
+        a = (u @ gamma_flat).reshape(n, n)
+        ad = (u @ tensor_flat).reshape(n, n)
+        du = -(u @ a)
+        dxi = eta - ad.T @ xi
+        deta = -(2.0 * a - ad).T @ eta
+        return np.concatenate([du, dxi.ravel(), deta.ravel()])
+
+    return _flow_density(rhs, v, t_grid, tols)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import argparse
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import render_json_scalar
+import solvharm
 from solvharm import cli, hypergeom
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import build_damek_ricci, clifford_generators
@@ -16,9 +19,14 @@ from solvharm.lie_metric import algebra_to_dict
 
 
 def _run(argv, **kwargs):
+    # the child imports the same solvharm as the tests, also when only
+    # pytest's ``pythonpath`` setting put it on sys.path
+    src = os.path.dirname(os.path.dirname(solvharm.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "solvharm.cli", *argv],
-        capture_output=True, text=True, **kwargs
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), **kwargs
     )
 
 
@@ -79,6 +87,27 @@ def test_malformed_indices_exit_2(row, tmp_path, capsys):
     assert main(["analyze", str(alg), "--output", str(out)]) == 2
     assert "malformed algebra file" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dim", ["3.9", "true", '"3"', "3.0"],
+                         ids=["fraction", "bool", "string", "float"])
+def test_non_integer_dim_exit_2(dim, tmp_path, capsys):
+    # int() used to read 3.9 as 3 and true as 1
+    alg = tmp_path / "bad.json"
+    alg.write_text('{"dim": ' + dim + ', "structure_constants": []}')
+    out = tmp_path / "out.json"
+    assert main(["classify", str(alg), "--output", str(out)]) == 2
+    assert "malformed algebra file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_dim_still_loads(tmp_path):
+    alg = tmp_path / "hyperbolic.json"
+    alg.write_text('{"dim": 3, "structure_constants": '
+                   '[[0, 1, 1, 1.0], [0, 2, 2, 1.0]]}')
+    out = tmp_path / "out.json"
+    assert main(["classify", str(alg), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["is_rigid"] is True
 
 
 def test_analyze_perturbed_label(tmp_path):
@@ -280,9 +309,14 @@ def test_riccati_trace_check_is_relative(tmp_path, monkeypatch):
     mat.write_text(json.dumps({"matrix": m.tolist()}))
     out = tmp_path / "r.json"
     assert main(["riccati", str(mat), "--output", str(out)]) == 0
-    exact = cli.riccati.horosphere_mean_curvature_formula
-    monkeypatch.setattr(cli.riccati, "horosphere_mean_curvature_formula",
-                        lambda a: exact(a) * (1.0 + 1e-5))
+    # the formula is read off the solve's spectrum, so move trace L0
+    solve = cli.riccati.solve_algebraic_riccati_max
+
+    def off(a, tols):
+        res = solve(a, tols)
+        return dataclasses.replace(res, trace_l0=res.trace_l0 * (1.0 + 1e-5))
+
+    monkeypatch.setattr(cli.riccati, "solve_algebraic_riccati_max", off)
     assert main(["riccati", str(mat), "--output", str(out)]) == 4
 
 

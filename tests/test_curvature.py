@@ -380,14 +380,15 @@ def test_central_jacobi_blocks_match_block_diag(dr_data, haar_rotate):
 
 
 # ---------------------------------------------------------------------------
-# Gamma and R are computed at most once per algebra instance, R only when
-# a consumer reads it
+# Gamma, R and the flow operator are computed at most once per algebra
+# instance, R and the operator only when a consumer reads them
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
 def geometry_calls(monkeypatch):
-    """Counts of levi_civita / curvature_tensor calls made from now on."""
-    calls = {"levi_civita": 0, "curvature_tensor": 0}
+    """Counts of levi_civita / curvature_tensor / flow_operator calls made
+    from now on."""
+    calls = {"levi_civita": 0, "curvature_tensor": 0, "flow_operator": 0}
 
     def counting(name):
         original = getattr(curvature, name)
@@ -397,8 +398,8 @@ def geometry_calls(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(curvature, name, wrapper)
 
-    counting("levi_civita")
-    counting("curvature_tensor")
+    for name in calls:
+        counting(name)
     return calls
 
 
@@ -406,16 +407,18 @@ def test_build_report_computes_geometry_once(geometry_calls):
     g = build_damek_ricci(clifford_generators(2, 1))   # fresh instance
     report = build_report(g)
     assert report["classification"] == "DamekRicciNonsymmetric"
-    assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 1}
+    assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 1,
+                              "flow_operator": 0}
 
 
 def test_volume_density_shares_geometry(geometry_calls, rng):
     g = build_damek_ricci(clifford_generators(2, 1))
     dirs = rng.standard_normal((8, g.dim))
-    dirs[0] = _basis(g.dim, 0)   # H: the one-parameter-subgroup branch
+    dirs[0] = _basis(g.dim, 0)   # H, along which u stays constant
     rows = [volume_density(g, v / np.linalg.norm(v), np.array([0.5, 1.0]))
             for v in dirs]
-    assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 0}
+    assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 0,
+                              "flow_operator": 1}
     assert np.ptp(rows, axis=0).max() <= 1e-8 * np.abs(rows).max()
 
 
@@ -425,3 +428,5 @@ def test_geometry_is_read_only(dr_algebras):
         g.curvature[0, 0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         g.connection[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.flow_operator[0, 0] = 1.0

@@ -9,7 +9,8 @@ from scipy.special import beta
 from oracles import (central_velocity, covariant_derivative_along,
                      covariant_volume_density, finite_horizon_tensor,
                      frame_connection, frame_matrix, integrate_jacobi,
-                     pair_stable_block_per_t, velocity_vector)
+                     pair_stable_block_per_t, three_matvec_volume_density,
+                     velocity_vector)
 from solvharm import curvature, jacobi_flow
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
@@ -376,14 +377,13 @@ def test_volume_density_flat():
 def test_volume_density_real_hyperbolic(rng):
     g = build_real_hyperbolic(4)
     t = np.array([0.5, 1.0, 2.0])
-    # v = H is orthogonal to [s, s]: exercised by the constant-coefficient
-    # exponential path
+    # v = H is orthogonal to [s, s], so nabla_H H = 0 and u stays H
     h_dir = np.zeros(4)
     h_dir[0] = 1.0
     np.testing.assert_allclose(
         volume_density(g, h_dir, t), np.sinh(t) ** 3, rtol=1e-10
     )
-    # generic directions go through the joint geodesic integration
+    # along generic directions u turns
     for _ in range(3):
         v = rng.standard_normal(4)
         v /= np.linalg.norm(v)
@@ -481,6 +481,22 @@ def test_volume_density_matches_covariant_oracle(name, oracle_inputs):
                                    rtol=1e-9)
 
 
+@pytest.mark.parametrize("name", ["dr-2-1", "dr-7-2", "rotated-dr-3-1",
+                                  "perturbed-theta", "heisenberg-3"])
+def test_volume_density_matches_three_matvec_oracle(name, oracle_inputs):
+    # the stacked operator changes only the order of the sums in each
+    # right-hand side; the step sequence and the samples stay the same
+    g = oracle_inputs[name]
+    t = np.array([0.5, 1.0, 2.0])
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        v = rng.standard_normal(g.dim)
+        v /= np.linalg.norm(v)
+        np.testing.assert_allclose(volume_density(g, v, t),
+                                   three_matvec_volume_density(g, v, t),
+                                   rtol=1e-12, atol=0.0)
+
+
 def test_volume_density_never_reads_curvature(monkeypatch):
     g = build_damek_ricci(clifford_generators(2, 1))   # fresh instance
 
@@ -506,7 +522,7 @@ def test_volume_density_keeps_nothing_alive():
     dirs = rng.standard_normal((9, g.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     t = np.array([0.5, 1.0, 2.0])
-    volume_density(g, dirs[0], t)   # computes g.connection, kept on purpose
+    volume_density(g, dirs[0], t)   # builds g.flow_operator, kept on purpose
     gc.collect()
     gc.disable()
     tracemalloc.start()
