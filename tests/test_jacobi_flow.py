@@ -485,7 +485,7 @@ def test_volume_density_matches_covariant_oracle(name, oracle_inputs):
                                   "perturbed-theta", "heisenberg-3"])
 def test_volume_density_matches_three_matvec_oracle(name, oracle_inputs):
     # the stacked operator changes only the order of the sums in each
-    # right-hand side; the step sequence and the samples stay the same
+    # right-hand side, so the two integrations agree to rounding
     g = oracle_inputs[name]
     t = np.array([0.5, 1.0, 2.0])
     rng = np.random.default_rng(23)
