@@ -100,7 +100,7 @@ def sectional_curvature(r: np.ndarray, x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     gram = (x @ x) * (y @ y) - (x @ y) ** 2
-    if gram <= 1e-12 * max(1.0, (x @ x) * (y @ y)):
+    if gram <= 1e-12 * (x @ x) * (y @ y):   # scale free; zero vectors fail
         raise DomainError("sectional curvature needs a nondegenerate plane")
     num = np.einsum("i,j,k,ijkl,l->", x, y, y, r, x)
     return float(num / gram)
@@ -116,9 +116,10 @@ def jacobi_operator_H(g, a_vec) -> np.ndarray:
     a_vec = np.asarray(a_vec, dtype=float)
     if abs(np.linalg.norm(a_vec) - 1.0) > 1e-10:
         raise DomainError("A must be a unit vector")
-    # A perp [s,s]  <=>  no bracket has a component along A
+    # A perp [s,s]  <=>  no bracket has a component along A, measured
+    # against the bracket scale s as the rank decisions are
     leak = np.abs(np.einsum("ijk,k->ij", alg.tensor, a_vec)).max()
-    if leak > 1e-10:
+    if leak > 1e-10 * math.sqrt(scale_squared(alg)):
         raise DomainError("A is not orthogonal to the derived algebra")
     d, s = symmetric_skew_split(ad_matrix(a_vec, alg))
     return -d @ d - (d @ s - s @ d)
@@ -172,31 +173,37 @@ def central_jacobi_blocks(mus, rho_stars, pairs, t: float) -> np.ndarray:
 def nabla_R_norm(g: MetricLieAlgebra) -> float:
     """Frobenius norm of nabla R; zero iff the space is locally symmetric.
 
-    Reads ``g.connection`` and ``g.curvature``.  The square norm is
-    accumulated one derivative index l at a time, so memory stays O(n^4):
+    Reads ``g.connection`` and ``g.curvature``.  Write D_a for the skew
+    matrix Gamma_l = gamma[l] acting on slot a of R[i, j, k, q]; then
+    nabla_l R = -(D_1 + D_2 + D_3 + D_4) R.  R is antisymmetric in (i, j),
+    so D_2 R is minus the (i, j) transpose of D_1 R, and pair symmetry
+    makes D_3 R + D_4 R the pair swap of S_l = D_1 R + D_2 R:
 
-        (nabla_l R)(e_i, e_j) e_k = nabla_l (R(e_i, e_j) e_k)
-            - R(nabla_l e_i, e_j) e_k - R(e_i, nabla_l e_j) e_k
-            - R(e_i, e_j) nabla_l e_k,
+        nabla_l R = -(S_l + S_l^T),   ^T swapping (i, j) with (k, q).
 
-    each term a BLAS product of R with the matrix Gamma_l = gamma[l].
-    R is antisymmetric in (i, j), so the third term is minus the (i, j)
-    transpose of the second.
+    S_l is antisymmetric in both pairs, so it is kept on the index pairs
+    i < j and k < q only, an N x N matrix with N = n (n - 1) / 2, and
+    |nabla_l R|^2 = 4 |S_l + S_l^T|^2 there.  Each l costs one BLAS
+    product of Gamma_l with R on the columns k < q; the per-l buffers
+    are allocated once, so memory stays O(n^4).
     """
     gamma, r = g.connection, g.curvature
     n = g.dim
-    by_first = r.reshape(n, n ** 3)           # [m, (j, k, p)]
-    by_third = r.reshape(n * n, n, n)         # [(i, j), m, p]
-    acc = np.empty(r.shape)                   # nabla_l R
-    buf = np.empty(r.shape)    # one term at a time; C order, so the
-                               # reshaped out= targets are views of it
+    iu, ju = np.triu_indices(n, 1)
+    upper, lower = iu * n + ju, ju * n + iu   # flat (i, j) and (j, i), i < j
+    # R on the columns k < q, [m, (j, kq)]
+    rh = np.take(r.reshape(n * n, n * n), upper, axis=1).reshape(n, -1)
+    prod = np.empty(rh.shape)                 # D_1 R, [i, (j, kq)]
+    by_row = prod.reshape(n * n, len(upper))  # [(i, j), kq]; a view
+    s = np.empty((len(upper), len(upper)))    # S_l on i < j, k < q
+    w = np.empty(s.shape)
     total = 0.0
     for gam in gamma:
-        np.matmul(r, gam, out=acc)
-        np.matmul(gam, by_first, out=buf.reshape(n, n ** 3))
-        acc -= buf
-        acc += buf.transpose(1, 0, 2, 3)
-        np.matmul(gam, by_third, out=buf.reshape(n * n, n, n))
-        acc -= buf
-        total += float(np.vdot(acc, acc))
-    return math.sqrt(total)
+        np.matmul(gam, rh, out=prod)
+        # mode="clip" writes into out= directly; "raise" buffers a copy
+        np.take(by_row, upper, axis=0, out=s, mode="clip")
+        np.take(by_row, lower, axis=0, out=w, mode="clip")
+        s -= w
+        np.add(s, s.T, out=w)
+        total += float(np.vdot(w, w))
+    return math.sqrt(4.0 * total)

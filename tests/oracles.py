@@ -24,7 +24,10 @@ module.
 * :func:`finite_horizon_shape`: second fundamental forms of spheres,
   converging to the maximal Riccati solution;
 * :func:`nabla_R`: the n^5 tensor whose norm ``curvature.nabla_R_norm``
-  accumulates without forming it;
+  accumulates without forming it, and :func:`nabla_R_norm_three_products`:
+  that norm from all four slot terms, three n^4 products per derivative
+  index, against the one product on antisymmetric index pairs of
+  ``curvature.nabla_R_norm``;
 * :func:`mean_curvature_analytic`: m(t) from finite differences of h;
 * :func:`spectra_match`: multiset comparison of two spectra;
 * :func:`riccati_max_doubled`: the maximal Riccati solution from the
@@ -426,6 +429,39 @@ def nabla_R(g) -> np.ndarray:
     term2 = np.einsum("ljm,imkp->lijkp", gamma, r)
     term3 = np.einsum("lkm,ijmp->lijkp", gamma, r)
     return term0 - term1 - term2 - term3
+
+
+def nabla_R_norm_three_products(g) -> float:
+    """Frobenius norm of nabla R; zero iff the space is locally symmetric.
+
+    Reads ``g.connection`` and ``g.curvature``.  The square norm is
+    accumulated one derivative index l at a time, so memory stays O(n^4):
+
+        (nabla_l R)(e_i, e_j) e_k = nabla_l (R(e_i, e_j) e_k)
+            - R(nabla_l e_i, e_j) e_k - R(e_i, nabla_l e_j) e_k
+            - R(e_i, e_j) nabla_l e_k,
+
+    each term a BLAS product of R with the matrix Gamma_l = gamma[l].
+    R is antisymmetric in (i, j), so the third term is minus the (i, j)
+    transpose of the second.
+    """
+    gamma, r = g.connection, g.curvature
+    n = g.dim
+    by_first = r.reshape(n, n ** 3)           # [m, (j, k, p)]
+    by_third = r.reshape(n * n, n, n)         # [(i, j), m, p]
+    acc = np.empty(r.shape)                   # nabla_l R
+    buf = np.empty(r.shape)    # one term at a time; C order, so the
+                               # reshaped out= targets are views of it
+    total = 0.0
+    for gam in gamma:
+        np.matmul(r, gam, out=acc)
+        np.matmul(gam, by_first, out=buf.reshape(n, n ** 3))
+        acc -= buf
+        acc += buf.transpose(1, 0, 2, 3)
+        np.matmul(gam, by_third, out=buf.reshape(n * n, n, n))
+        acc -= buf
+        total += float(np.vdot(acc, acc))
+    return math.sqrt(total)
 
 
 def mean_curvature_analytic(d, t: float) -> float:

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import central_jacobi_blocks_block_diag, curvature_einsum, nabla_R
+from oracles import (central_jacobi_blocks_block_diag, curvature_einsum,
+                     nabla_R, nabla_R_norm_three_products)
 from solvharm import curvature, lie_metric
 from solvharm.cli import build_report
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
@@ -133,6 +134,17 @@ def test_sectional_curvature_cases(dr_algebras, rng):
         sectional_curvature(r, _basis(3, 0), 2.0 * _basis(3, 0))
 
 
+@pytest.mark.parametrize("c", [1e-7, 1.0, 1e5])
+def test_sectional_curvature_is_scale_free_in_the_vectors(dr_algebras, rng,
+                                                          c):
+    g = dr_algebras[(2, 1)]
+    for x, y in rng.standard_normal((5, 2, 7)):
+        assert sectional_curvature(g.curvature, c * x, c * y) == \
+            pytest.approx(sectional_curvature(g.curvature, x, y), rel=1e-12)
+    with pytest.raises(DomainError):
+        sectional_curvature(g.curvature, np.zeros(7), _basis(7, 0))
+
+
 def test_jacobi_operator_h_real_hyperbolic():
     g = build_real_hyperbolic(4)
     op = jacobi_operator_H(g, _basis(4, 0))
@@ -174,6 +186,16 @@ def test_jacobi_operator_h_rejects_bad_direction(dr_data):
         jacobi_operator_H(d, d.z_top_vector)   # not orthogonal to [s, s]
     with pytest.raises(DomainError):
         jacobi_operator_H(d, 2.0 * d.h_vector)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e6])
+def test_jacobi_operator_h_leak_check_is_relative_to_scale(dr_data, c):
+    d = dr_data[(2, 1)]
+    g = d.algebra.rescaled(c)
+    with pytest.raises(DomainError):
+        jacobi_operator_H(g, d.z_top_vector)   # in the derived algebra
+    np.testing.assert_allclose(jacobi_operator_H(g, d.h_vector) / c ** 2,
+                               jacobi_operator_H(d, d.h_vector), atol=1e-12)
 
 
 def test_central_operator_at_zero_and_infinity(dr_data):
@@ -313,6 +335,49 @@ def test_nabla_r_norm_matches_full_tensor(name, seed, dr_algebras,
     # absolute bound: DR (3, 1) is symmetric, its norm is pure roundoff
     assert abs(nabla_R_norm(g) - _nabla_r_norm_oracle(g)) \
         <= 1e-12 * max(1.0, r_norm)
+
+
+@pytest.mark.parametrize("name, symmetric", [
+    ("dr-1-1", True), ("dr-1-2", True), ("dr-2-1", False), ("dr-3-1", True),
+    ("perturbed-theta", False), ("generic-pair", False),
+    ("rot-dr-2-1", False), ("rot-dr-3-1", True), ("rot-dr-7-2", False)])
+def test_nabla_r_norm_matches_three_product_oracle(name, symmetric,
+                                                   dr_algebras,
+                                                   perturbed_theta_algebra,
+                                                   generic_pair_algebra,
+                                                   haar_rotate):
+    g = {"dr-1-1": lambda: dr_algebras[(1, 1)],
+         "dr-1-2": lambda: dr_algebras[(1, 2)],
+         "dr-2-1": lambda: dr_algebras[(2, 1)],
+         "dr-3-1": lambda: dr_algebras[(3, 1)],
+         "perturbed-theta": lambda: perturbed_theta_algebra,
+         "generic-pair": lambda: generic_pair_algebra,
+         "rot-dr-2-1": lambda: haar_rotate(dr_algebras[(2, 1)], 7),
+         "rot-dr-3-1": lambda: haar_rotate(dr_algebras[(3, 1)], 7),
+         "rot-dr-7-2": lambda: haar_rotate(
+             build_damek_ricci(clifford_generators(7, 2)), 7)}[name]()
+    value, oracle = nabla_R_norm(g), nabla_R_norm_three_products(g)
+    if symmetric:   # both norms are roundoff of a zero tensor
+        assert abs(value - oracle) <= 1e-12 * curvature_norm(g.curvature)
+    else:
+        assert oracle > 1e-3
+        assert abs(value - oracle) <= 1e-13 * oracle
+
+
+def test_nabla_r_norm_holds_under_two_n4_arrays():
+    # DR (7, 3): one n^4 array is 32^4 doubles = 8.4 MB; the three-product
+    # kernel holds two of them, the pair kernel about 1.5
+    g = build_damek_ricci(clifford_generators(7, 3))
+    assert g.dim == 32
+    g.curvature   # R is built beforehand, outside the kernel's footprint
+    tracemalloc.start()
+    try:
+        value = nabla_R_norm(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value > 1.0
+    assert peak <= 2 * 32 ** 4 * 8
 
 
 def test_nabla_r_norm_memory_stays_order_n4():
