@@ -13,16 +13,15 @@ from .errors import (ConjugatePointError, DegenerateSpectrumError,
                      DimensionError, DomainError, NotStandardError,
                      NumericalError, SingularMatrixError, SolvharmError,
                      StructureError)
-from .lie_metric import (GrowthType, JMap, MetricLieAlgebra,
-                         StandardSolvableData, ad_matrix, algebra_from_dict,
-                         algebra_to_dict, bracket, center_of, derived_algebra,
-                         extract_jmap, growth_type, jmap_from_split,
+from .lie_metric import (GrowthType, MetricLieAlgebra, StandardSolvableData,
+                         ad_matrix, algebra_from_dict, algebra_to_dict,
+                         bracket, center_of, derived_algebra, growth_type,
                          nilpotency_class, pair_decomposition,
                          standard_decomposition, subalgebra,
                          symmetric_skew_split)
 from .clifford_dr import (CliffordModule, build_damek_ricci, build_flat,
                           build_heisenberg_type, build_real_hyperbolic,
-                          clifford_generators, irreducible_module_dim)
+                          clifford_generators)
 from .curvature import (central_jacobi_blocks, curvature_norm,
                         curvature_tensor, einstein_check, jacobi_operator_H,
                         levi_civita, nabla_R_norm, ricci, sectional_curvature)

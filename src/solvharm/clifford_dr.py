@@ -17,7 +17,6 @@ from .lie_metric import MetricLieAlgebra
 
 __all__ = [
     "CliffordModule",
-    "irreducible_module_dim",
     "clifford_generators",
     "build_heisenberg_type",
     "build_damek_ricci",
@@ -61,16 +60,6 @@ def _eight_dim_family() -> np.ndarray:
             np.kron(_OMEGA, np.eye(4)),
             np.kron(_SIGMA, r_i), np.kron(_SIGMA, r_j), np.kron(_SIGMA, r_k)]
     return np.array(gens)
-
-
-def irreducible_module_dim(l: int) -> int:
-    """Dimension of the irreducible module of Cl with l negative generators."""
-    if l < 1:
-        raise DomainError("center dimension l must be >= 1")
-    table = {1: 2, 2: 4, 3: 4, 4: 8, 5: 8, 6: 8, 7: 8, 8: 16}
-    if l <= 8:
-        return table[l]
-    return 16 * irreducible_module_dim(l - 8)
 
 
 def _irreducible_generators(l: int) -> np.ndarray:

@@ -3,10 +3,9 @@
 The inner product is *always* the identity in the stored basis; a
 different left-invariant metric is represented by changing the structure
 constants through an orthogonalizing change of basis.  On top of the
-bracket algebra this module provides derived series, centers, the j-map
-of a two-step nilpotent part and the orthogonal standard decomposition
-``s = <H> + v + z`` with its spectral data, which drives all the
-geodesic and rigidity machinery downstream.
+bracket algebra this module provides derived series, centers and the
+orthogonal standard decomposition ``s = <H> + v + z`` with its spectral
+data, which drives all the geodesic and rigidity machinery downstream.
 """
 
 import enum
@@ -24,7 +23,6 @@ from .numerics import as_square, eigenvalues
 __all__ = [
     "MetricLieAlgebra",
     "StandardSolvableData",
-    "JMap",
     "GrowthType",
     "bracket",
     "ad_matrix",
@@ -34,8 +32,6 @@ __all__ = [
     "nilpotency_class",
     "subalgebra",
     "standard_decomposition",
-    "extract_jmap",
-    "jmap_from_split",
     "pair_decomposition",
     "growth_type",
     "scale_squared",
@@ -320,7 +316,10 @@ def growth_type(g: MetricLieAlgebra, samples: int = 64, seed: int = 0,
     Subexponential iff every tested ad_X (all basis vectors plus random
     unit combinations) has only purely imaginary eigenvalues: real parts
     at most ``tols.growth_real_part`` times the bracket scale, so
-    rescaling the metric does not change the type.
+    rescaling the metric does not change the type.  A nilpotent algebra
+    is subexponential: by Engel's theorem each ad_X is nilpotent, and
+    the real parts of its computed eigenvalues are the roundoff of its
+    Jordan blocks, of order eps^(1/k) for a block of size k.
     """
     floor = tols.growth_real_part * _bracket_scale(g)
     rng = np.random.default_rng(seed)
@@ -331,7 +330,8 @@ def growth_type(g: MetricLieAlgebra, samples: int = 64, seed: int = 0,
     for x in candidates:
         spec = eigenvalues(ad_matrix(x, g))
         if np.abs(spec.real).max() > floor:
-            return GrowthType.EXPONENTIAL
+            return (GrowthType.EXPONENTIAL if nilpotency_class(g) is None
+                    else GrowthType.SUBEXPONENTIAL)
     return GrowthType.SUBEXPONENTIAL
 
 
@@ -392,136 +392,83 @@ class StandardSolvableData:
         return self.mu[:-1].copy(), self.rho_star.copy(), self.pairs.copy()
 
 
-@dataclass(frozen=True)
-class JMap:
-    """Skew maps j(Z_a) on v defined by <j(Z)V, W> = <[V, W], Z>."""
-
-    generators: np.ndarray   # shape (l, m, m), one skew matrix per z-basis vector
-
-    def __call__(self, coeffs) -> np.ndarray:
-        """j(Z) for Z = sum_a coeffs[a] Z_a."""
-        c = np.asarray(coeffs, dtype=float)
-        if c.shape != (self.generators.shape[0],):
-            raise DimensionError(
-                f"expected {self.generators.shape[0]} center coefficients"
-            )
-        return np.einsum("a,apq->pq", c, self.generators)
-
-
-def pair_decomposition(ad_v: np.ndarray, j_v: np.ndarray,
+def pair_decomposition(rho: np.ndarray, vecs: np.ndarray, j_v: np.ndarray,
                        merge_tol: float = DEFAULT_TOLS.eigen_merge):
     """Simultaneous block structure of self-adjoint ad_H and skew j(Z) on v.
 
+    ``rho`` (ascending) and the columns of ``vecs`` are the eigenpairs of
+    ad_H on v; eigenvalues closer than ``merge_tol`` are merged into one
+    eigenspace E_rho.  ad_H is a derivation with ad_H Z = Z, so j(Z) maps
+    E_rho into E_{1-rho}, and K = j(Z)^T j(Z) preserves every E_rho.  One
+    ``eigh`` of K on each E_rho splits it into ker j(Z) and the active
+    vectors V_i with K V_i = theta_i^2 V_i.  Below 1/2 each V_i gives the
+    pair (V_i, j(Z)V_i / theta_i).  E_{1/2} is j(Z)-invariant: its planes
+    are picked one at a time, each from the active vector farthest from
+    the planes already picked, and stored with rho exactly 1/2.  Above
+    1/2 the active vectors are the partners already taken at 1 - rho, so
+    only the kernel is kept.
+
     Returns ``(kernel_basis, kernel_rhos, pair_basis, pairs)`` in the
-    coordinates of ``ad_v``: ``kernel_basis`` columns span ker j(Z) with
-    eigenvalues ``kernel_rhos``; ``pair_basis`` columns come in adjacent
-    couples (V_i, jV_i/theta_i) with rows ``(rho_i, theta_i)`` in
-    ``pairs``, oriented so theta_i > 0 and rho_i <= 1/2.  Eigenvalues
-    closer than ``merge_tol`` are merged into a single eigenspace.
+    coordinates of ``vecs``: ``kernel_basis`` columns span ker j(Z) with
+    eigenvalues ``kernel_rhos`` ascending; ``pair_basis`` columns come in
+    adjacent couples (V_i, j(Z)V_i / theta_i) with rows
+    ``(rho_i, theta_i)`` in ``pairs``, sorted by (rho, theta), with
+    theta_i > 0 and rho_i <= 1/2.  Raises :class:`NotStandardError` when
+    E_rho and E_{1-rho} hold different numbers of active vectors.
     """
-    m = ad_v.shape[0]
-    if m == 0:
-        return (np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)),
-                np.zeros((0, 2)))
-    sym = 0.5 * (ad_v + ad_v.T)
-    evals, evecs = np.linalg.eigh(sym)
-
-    # merge nearly equal eigenvalues into common eigenspaces
-    groups = []
+    m = len(rho)
+    k = j_v.T @ j_v
+    null_tol = 1e-10 * (max(1.0, float(np.linalg.norm(j_v, 2)))
+                        if j_v.size else 1.0)
+    kernel, kernel_rhos = [np.zeros((m, 0))], []
+    planes, pairs = [np.zeros((m, 0, 2))], []
+    active = []   # (rho, number of active vectors) per eigenspace
     start = 0
-    for idx in range(1, m + 1):
-        if idx == m or evals[idx] - evals[start] > merge_tol:
-            groups.append((float(np.mean(evals[start:idx])), evecs[:, start:idx]))
-            start = idx
-
-    scale = max(1.0, float(np.linalg.norm(j_v, 2))) if j_v.size else 1.0
-    kernel_cols, kernel_rhos = [], []
-    pair_cols, pair_data = [], []
-
-    def split_kernel(basis):
-        """Split an ad_H eigenspace into ker j(Z) and its complement."""
-        gram = basis.T @ (j_v.T @ j_v) @ basis
+    for stop in range(1, m + 1):
+        if stop < m and rho[stop] - rho[start] <= merge_tol:
+            continue
+        r, basis = float(np.mean(rho[start:stop])), vecs[:, start:stop]
+        start = stop
+        gram = basis.T @ k @ basis
         theta_sq, w = np.linalg.eigh(0.5 * (gram + gram.T))
-        theta_sq = np.clip(theta_sq, 0.0, None)
-        is_null = np.sqrt(theta_sq) <= 1e-10 * scale
-        return basis @ w[:, is_null], basis @ w[:, ~is_null], theta_sq[~is_null]
-
-    consumed = [False] * len(groups)
-    for gi, (rho, basis) in enumerate(groups):
-        if consumed[gi]:
-            continue
-        null_part, act_part, theta_sq = split_kernel(basis)
-        for col in null_part.T:
-            kernel_cols.append(col)
-            kernel_rhos.append(rho)
-        if act_part.shape[1] == 0:
-            consumed[gi] = True
-            continue
-        if abs(rho - 0.5) <= merge_tol:
-            # j(Z) preserves this eigenspace; extract rotation planes greedily
-            consumed[gi] = True
-            work = act_part
-            while work.shape[1] > 0:
-                gram = work.T @ (j_v.T @ j_v) @ work
-                th2, w = np.linalg.eigh(0.5 * (gram + gram.T))
-                v1 = work @ w[:, -1]
-                theta = float(np.sqrt(max(th2[-1], 0.0)))
-                v2 = (j_v @ v1) / theta
-                pair_cols.extend([v1, v2])
-                pair_data.append((0.5, theta))
-                proj = work - np.outer(v1, v1 @ work) - np.outer(v2, v2 @ work)
-                work = _orthonormal_span(proj)
-        elif rho < 0.5:
-            # partner eigenspace at 1 - rho
-            partner = None
-            for gj, (rho2, basis2) in enumerate(groups):
-                if not consumed[gj] and gj != gi and abs(rho + rho2 - 1.0) <= 2 * merge_tol:
-                    partner = gj
-                    break
-            if partner is None:
-                raise NotStandardError(
-                    f"no partner eigenspace at {1 - rho:.6f} for rho = {rho:.6f}"
-                )
-            th2, w = np.linalg.eigh(act_part.T @ (j_v.T @ j_v) @ act_part)
-            for col_idx in range(act_part.shape[1]):
-                v1 = act_part @ w[:, col_idx]
-                theta = float(np.sqrt(max(th2[col_idx], 0.0)))
-                v2 = (j_v @ v1) / theta
-                pair_cols.extend([v1, v2])
-                pair_data.append((rho, theta))
-            p_null, p_act, _ = split_kernel(groups[partner][1])
-            if p_act.shape[1] != act_part.shape[1]:
-                raise NotStandardError(
-                    "j(Z) does not pair the eigenspaces at "
-                    f"{rho:.6f} and {1 - rho:.6f}"
-                )
-            consumed[gi] = True
-            consumed[partner] = True
-            for col in p_null.T:
-                kernel_cols.append(col)
-                kernel_rhos.append(groups[partner][0])
-        else:
-            # rho > 1/2 and j acts nontrivially: partner was missing
-            raise NotStandardError(
-                f"unpaired eigenvalue {rho:.6f} > 1/2 outside ker j(Z)"
-            )
-
-    kernel_basis = (np.array(kernel_cols).T if kernel_cols
-                    else np.zeros((m, 0)))
-    pair_basis = np.array(pair_cols).T if pair_cols else np.zeros((m, 0))
-    order = np.argsort(kernel_rhos, kind="stable") if kernel_rhos else []
-    kernel_basis = kernel_basis[:, order] if len(kernel_rhos) else kernel_basis
-    kernel_rhos = np.array(kernel_rhos)[order] if len(kernel_rhos) else np.zeros(0)
-
-    if pair_data:
-        pairs = np.array(pair_data)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        pairs = pairs[order]
-        cols = pair_basis.reshape(m, -1, 2)[:, order, :].reshape(m, -1)
-        pair_basis = cols
-    else:
-        pairs = np.zeros((0, 2))
-    return kernel_basis, kernel_rhos, pair_basis, pairs
+        theta = np.sqrt(np.clip(theta_sq, 0.0, None))
+        null = theta <= null_tol
+        kernel.append(basis @ w[:, null])
+        kernel_rhos += [r] * int(null.sum())
+        act, theta = basis @ w[:, ~null], theta[~null]
+        if theta.size:
+            active.append((r, theta.size))
+        if r < 0.5 - merge_tol:
+            planes.append(np.stack([act, j_v @ act / theta], axis=2))
+            pairs += [(r, t) for t in theta]
+        elif r <= 0.5 + merge_tol:
+            # the complement of the planes picked so far is K- and
+            # j(Z)-invariant, so each residual stays a theta_i^2 eigenvector
+            # of K; the largest has squared norm >= 1 / (number of planes)
+            rest = act.copy()
+            for _ in range(theta.size // 2):
+                i = int(np.argmax(np.einsum("pi,pi->i", rest, rest)))
+                v1 = rest[:, i] / np.linalg.norm(rest[:, i])
+                jv1 = j_v @ v1
+                t = float(np.linalg.norm(jv1))
+                v2 = jv1 / t
+                rest -= np.outer(v1, v1 @ rest) + np.outer(v2, v2 @ rest)
+                planes.append(np.stack([v1, v2], axis=1)[:, None])
+                pairs.append((0.5, t))
+    # j(Z) maps the active vectors of E_rho onto those of E_{1-rho}, so
+    # the active dimensions mirror about 1/2, and E_{1/2} holds whole planes
+    if any(c != c2 or abs(r + r2 - 1.0) > 2 * merge_tol
+           or (abs(r - 0.5) <= merge_tol and c % 2)
+           for (r, c), (r2, c2) in zip(active, active[::-1])):
+        raise NotStandardError(
+            "j(Z) does not pair the ad_H eigenspaces E_rho and E_(1-rho); "
+            "active vectors per rho: "
+            + ", ".join(f"{r:.6f}: {c}" for r, c in active))
+    pairs = np.array(pairs).reshape(-1, 2)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    planes = np.concatenate(planes, axis=1)[:, order]
+    return (np.hstack(kernel), np.array(kernel_rhos),
+            planes.reshape(m, 2 * len(order)), pairs[order])
 
 
 def standard_decomposition(g: MetricLieAlgebra,
@@ -577,12 +524,14 @@ def standard_decomposition(g: MetricLieAlgebra,
                 f"ad_H not self-adjoint on {name} (residual {asym:.3e})"
             )
 
-    mu_raw = np.linalg.eigvalsh(0.5 * (ad_z + ad_z.T))
-    rho_raw = (np.linalg.eigvalsh(0.5 * (ad_v + ad_v.T))
-               if ad_v.size else np.zeros(0))
+    # one eigh per block; eigenvalues of -ad_H are the negated ones, reversed
+    mu_raw, z_vecs = np.linalg.eigh(0.5 * (ad_z + ad_z.T))
+    rho_raw, v_vecs = np.linalg.eigh(0.5 * (ad_v + ad_v.T))
+    if np.all(np.concatenate([mu_raw, rho_raw]) < 0):
+        h = -h
+        mu_raw, z_vecs = -mu_raw[::-1], z_vecs[:, ::-1]
+        rho_raw, v_vecs = -rho_raw[::-1], v_vecs[:, ::-1]
     all_eigs = np.concatenate([mu_raw, rho_raw])
-    if np.all(all_eigs < 0):
-        h, ad_z, ad_v, mu_raw, all_eigs = -h, -ad_z, -ad_v, -mu_raw, -all_eigs
     # both checks are relative to lam, so rescaling the metric moves neither
     lam = float(np.abs(all_eigs).max())
     if np.min(all_eigs) <= tols.eigen_merge * lam:
@@ -594,9 +543,7 @@ def standard_decomposition(g: MetricLieAlgebra,
 
     # every bracket scales by 1/lam, so the top eigenvalue becomes 1
     scale = 1.0 / lam if abs(lam - 1.0) > 1e-15 else 1.0
-    ad_z, ad_v = scale * ad_z, scale * ad_v
-
-    mu, z_vecs = np.linalg.eigh(0.5 * (ad_z + ad_z.T))
+    mu = scale * mu_raw
     z_cols = n_basis @ z_in_n @ z_vecs      # ambient coords, mu ascending
     z_top = z_cols[:, -1]
 
@@ -606,12 +553,11 @@ def standard_decomposition(g: MetricLieAlgebra,
     j_top = scale * np.einsum("iq,jp,ijk,k->pq", v_cols_raw, v_cols_raw,
                               g.tensor, z_top, optimize=True)
     kernel_b, rho_star, pair_b, pairs = pair_decomposition(
-        0.5 * (ad_v + ad_v.T), j_top, tols.eigen_merge
+        scale * rho_raw, v_vecs, j_top, tols.eigen_merge
     )
 
-    v_cols = (np.hstack([v_cols_raw @ kernel_b, v_cols_raw @ pair_b])
-              if m_v else np.zeros((g.dim, 0)))
-    basis = np.column_stack([h] + ([v_cols] if m_v else []) + [z_cols])
+    v_cols = np.hstack([v_cols_raw @ kernel_b, v_cols_raw @ pair_b])
+    basis = np.column_stack([h, v_cols, z_cols])
     # re-orthonormalize to wash out roundoff before the change of basis
     q_basis, _ = np.linalg.qr(basis)
     q_basis *= np.sign(np.sum(q_basis * basis, axis=0))
@@ -621,46 +567,15 @@ def standard_decomposition(g: MetricLieAlgebra,
     adapted = MetricLieAlgebra.from_tensor(scale * tensor,
                                            jacobi_tol=g.jacobi_tol)
 
-    n_pairs = len(pairs)
-    v_idx = tuple(range(1, 1 + m_v))
-    z_idx = tuple(range(1 + m_v, g.dim))
     return StandardSolvableData(
         algebra=adapted,
         h_index=0,
-        v_indices=v_idx,
-        z_indices=z_idx,
-        mu=np.asarray(mu, dtype=float),
-        rho_star=np.asarray(rho_star, dtype=float),
-        pairs=np.asarray(pairs, dtype=float).reshape(n_pairs, 2),
+        v_indices=tuple(range(1, 1 + m_v)),
+        z_indices=tuple(range(1 + m_v, g.dim)),
+        mu=mu,
+        rho_star=rho_star,
+        pairs=pairs,
     )
-
-
-def jmap_from_split(g: MetricLieAlgebra, v_indices, z_indices,
-                    tol: float = 1e-12) -> JMap:
-    """j-map of an explicit basis split n = v + z with z central in n.
-
-    Raises :class:`StructureError` when z is not central in n or some
-    j(Z_a) fails to be skew.
-    """
-    v_idx, z_idx = list(v_indices), list(z_indices)
-    # [Z_a, e_b] for every a in z, b in v + z
-    z_brackets = g.tensor[np.ix_(z_idx, v_idx + z_idx)]
-    for a, row in zip(z_idx, np.linalg.norm(z_brackets, axis=2)):
-        if (row > 1e-10).any():
-            raise StructureError(f"z-basis vector {a} is not central in n")
-    # gens[a, p, q] = <[V_q, V_p], Z_a>
-    gens = np.ascontiguousarray(
-        g.tensor[np.ix_(v_idx, v_idx, z_idx)].transpose(2, 1, 0))
-    for ai, a in enumerate(z_idx):
-        asym = np.linalg.norm(gens[ai] + gens[ai].T)
-        if asym > tol * max(1.0, np.linalg.norm(gens[ai])):
-            raise StructureError(f"j(Z_{a}) is not skew (residual {asym:.3e})")
-    return JMap(generators=gens)
-
-
-def extract_jmap(d: StandardSolvableData, tol: float = 1e-12) -> JMap:
-    """The j-map of the (adapted) algebra in ``d``."""
-    return jmap_from_split(d.algebra, d.v_indices, d.z_indices, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,11 @@ def solve_algebraic_riccati_max(ad_a,
     read off the graph U1 = [Q1, Q2 Y], U2 = [0, Q2] (the stable
     invariant subspace of ``[[-ad_A, -I], [0, ad_A^T]]`` plus the axis
     subspace of ad_A, on which X vanishes).  With no stable eigenvalue
-    X is exactly 0.  Eigenvalues inside the ambiguity band
-    ``(axis_band, separation_band)`` raise
-    :class:`DegenerateSpectrumError` with diagnostics.
+    X is exactly 0.  The closed-loop check reads spec(-ad_A - X) on the
+    stable block only; the axis block keeps the spectrum the split chose,
+    which a coupled nilpotent Jordan block moves by about sqrt(eps).
+    Eigenvalues inside the ambiguity band ``(axis_band, separation_band)``
+    raise :class:`DegenerateSpectrumError` with diagnostics.
     """
     a = as_square(ad_a)
     n = a.shape[0]
@@ -113,12 +115,15 @@ def solve_algebraic_riccati_max(ad_a,
         raise NumericalError(
             f"Riccati residual {resid:.3e} exceeds tolerance"
         )
-    closed = eigenvalues(-a - x)
-    if closed.real.max() > tols.riccati_residual:
-        raise NumericalError(
-            "stable closed-loop spectrum has a positive real part "
-            f"({closed.real.max():.3e})"
-        )
+    if n_stable:
+        # in the basis Q, -ad_A - X is block upper triangular with blocks
+        # -T11 and -T22 - Y^{-1}: only the second is closed by X
+        closed = eigenvalues(q[:, k:].T @ (-a - x) @ q[:, k:])
+        if closed.real.max() > tols.riccati_residual:
+            raise NumericalError(
+                "stable closed-loop spectrum has a positive real part "
+                f"({closed.real.max():.3e})"
+            )
     d_sym, _ = symmetric_skew_split(a)
     l0 = -d_sym - x
     return RiccatiResult(

@@ -5,6 +5,8 @@ module.
 * :func:`structure_tensor_loop`: the bracket tensor and stored triples
   accumulated one row at a time, against the array parse of
   ``lie_metric.MetricLieAlgebra``;
+* :func:`j_generators`: the maps j(Z_a) of a split n = v + z, one tensor
+  slice, for the Clifford-relation checks of the tests;
 * :func:`jacobi_residual_einsum` and :func:`curvature_einsum`: the Jacobi
   residual and R by unordered ``einsum``, against the BLAS products of
   ``MetricLieAlgebra.jacobi_residual`` and ``curvature.curvature_tensor``;
@@ -74,6 +76,12 @@ def structure_tensor_loop(dim, rows):
         tensor[j, i, k] -= c
         cleaned.append((i, j, k, c))
     return tensor, tuple(cleaned)
+
+
+def j_generators(g, v_indices, z_indices) -> np.ndarray:
+    """j(Z_a)[p, q] = <[V_q, V_p], Z_a>, stacked over the z indices."""
+    v, z = list(v_indices), list(z_indices)
+    return g.tensor[np.ix_(v, v, z)].transpose(2, 1, 0)
 
 
 def jacobi_residual_einsum(t) -> float:

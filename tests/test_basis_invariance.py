@@ -10,7 +10,8 @@ from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.config import DEFAULT_TOLS
 from solvharm.curvature import curvature_norm, einstein_check, nabla_R_norm
-from solvharm.lie_metric import growth_type, standard_decomposition
+from solvharm.lie_metric import (GrowthType, MetricLieAlgebra, growth_type,
+                                 standard_decomposition)
 
 NAMES = ["dr-2-1", "dr-3-1", "perturbed-theta", "generic-pair"]
 # metric rescalings under which no verdict may change
@@ -115,3 +116,30 @@ def test_growth_is_scale_free(name, scale_inputs):
     g = scale_inputs[name]
     growth = growth_type(g)
     assert [growth_type(g.rescaled(c)) for c in SCALES] == [growth] * len(SCALES)
+
+
+# filiform-n: [e0, e_i] = e_(i+1), one Jordan block of size n - 1 in ad_e0
+NILPOTENT = {
+    "heisenberg-3": build_heisenberg_type(clifford_generators(1)),
+    "filiform-4": MetricLieAlgebra(4, ((0, 1, 2, 1.0), (0, 2, 3, 1.0))),
+    "filiform-5": MetricLieAlgebra(5, ((0, 1, 2, 1.0), (0, 2, 3, 1.0),
+                                       (0, 3, 4, 1.0))),
+    "h-type-7-2": build_heisenberg_type(clifford_generators(7, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NILPOTENT))
+def test_nilpotent_growth_is_basis_free(name, haar_rotate):
+    # a rotated ad_X has eigenvalues of real part ~ eps^(1/k) |ad_X| for a
+    # Jordan block of size k, above the floor; Engel's theorem decides
+    g = NILPOTENT[name]
+    rotated = [haar_rotate(g, seed) for seed in range(6)]
+    assert {growth_type(x) for x in [g, *rotated]} == \
+        {GrowthType.SUBEXPONENTIAL}
+
+
+@pytest.mark.parametrize("key", [(1, 1), (2, 1), (3, 1), (7, 2)])
+def test_damek_ricci_growth_is_exponential_in_every_basis(key, haar_rotate):
+    g = build_damek_ricci(clifford_generators(*key))
+    rotated = [haar_rotate(g, seed) for seed in range(6)]
+    assert {growth_type(x) for x in [g, *rotated]} == {GrowthType.EXPONENTIAL}

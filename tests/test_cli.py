@@ -399,6 +399,52 @@ def test_exported_function_parameters_are_read():
     assert unread == []
 
 
+def test_every_export_has_a_caller():
+    # a public name that only tests reach is dead weight in the package:
+    # the package itself, a demo or the benchmark's tracer must use it
+    import ast
+    import importlib
+    import pathlib
+    import pkgutil
+
+    from test_tracer_targets import _tracer_module
+
+    def used_names(tree):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree)
+                if (isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load))
+                or isinstance(node, ast.Attribute)}
+
+    def defines(node, name):
+        if isinstance(node, ast.Assign):
+            return any(isinstance(t, ast.Name) and t.id == name
+                       for t in node.targets)
+        return getattr(node, "name", None) == name
+
+    tracer = _tracer_module()
+    outside = {attr.split(".")[0]
+               for _, attr in [*tracer.SPANS, *tracer.COUNTERS]}
+    root = pathlib.Path(__file__).resolve().parents[1]
+    for path in (root / "demos").glob("*.py"):
+        outside |= used_names(ast.parse(path.read_text()))
+    package = pathlib.Path(solvharm.__file__).parent
+    statements = []   # (module, top-level statement, names it uses)
+    for info in pkgutil.iter_modules(solvharm.__path__):
+        tree = ast.parse((package / f"{info.name}.py").read_text())
+        statements += [(info.name, node, used_names(node))
+                       for node in tree.body]
+    uncalled = []
+    for info in pkgutil.iter_modules(solvharm.__path__):
+        module = importlib.import_module(f"solvharm.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            if name not in outside and not any(
+                    name in names for owner, node, names in statements
+                    if not (owner == info.name and defines(node, name))):
+                uncalled.append(f"{info.name}.{name}")
+    assert uncalled == []
+
+
 def test_build_takes_no_tolerance_flags(capsys):
     # build reads no tolerance, so a --tol-* flag there is a usage error
     with pytest.raises(SystemExit) as exc:
@@ -493,6 +539,32 @@ def test_trivial_derived_algebra_is_not_standard(command, tmp_path, capsys):
     assert main([command, str(alg), "--output", str(out)]) == 3
     assert "derived algebra is trivial" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", [
+    # rho = 0.3 and 0.6: j(Z) maps E_0.3 onto E_0.6, and no E_0.7 exists
+    [[0, 1, 1, 0.3], [0, 2, 2, 0.6], [0, 3, 3, 1.0], [1, 2, 3, 0.8]],
+    # j(Z) maps the one vector of E_0.5 into E_0.3 + E_0.7: the active
+    # dimensions mirror (1, 1, 1), but E_0.5 holds no whole plane.
+    # [A, B] = Y/2 keeps A - B out of the center of n
+    [[0, 1, 1, 0.5], [0, 2, 2, 0.3], [0, 3, 3, 0.7], [0, 4, 4, 0.9],
+     [0, 5, 5, 1.0], [1, 2, 5, 0.5], [1, 3, 5, 0.5], [2, 3, 4, 0.5]],
+], ids=["no-partner", "odd-one-half"])
+def test_unpaired_eigenspaces_are_not_standard(rows, tmp_path, capsys):
+    # ad_H is no derivation here; the flag admits the Jacobi residual
+    alg = tmp_path / "unpaired.json"
+    alg.write_text(json.dumps({"dim": 1 + max(r[2] for r in rows),
+                               "structure_constants": rows}))
+    loose = ["--tol-jacobi-identity", "0.1"]
+    out = tmp_path / "out.json"
+    assert main(["classify", str(alg), *loose, "--output", str(out)]) == 3
+    assert "does not pair" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["analyze", str(alg), *loose, "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["standard_decomposition"]["status"] == "not-standard"
+    assert "does not pair" in report["standard_decomposition"]["reason"]
+    assert report["classification"] == "Indeterminate"
 
 
 @pytest.mark.parametrize("argv, flag", [

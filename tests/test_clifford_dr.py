@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import j_generators
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
-                                  build_real_hyperbolic, clifford_generators,
-                                  irreducible_module_dim)
+                                  build_real_hyperbolic, clifford_generators)
 from solvharm.errors import DomainError
-from solvharm.lie_metric import (ad_matrix, derived_algebra, extract_jmap,
-                                 growth_type, GrowthType, nilpotency_class,
+from solvharm.lie_metric import (ad_matrix, derived_algebra, growth_type,
+                                 GrowthType, nilpotency_class,
                                  standard_decomposition)
 
 
@@ -32,7 +32,7 @@ def test_l2_two_copies():
                                         (5, 8), (6, 8), (7, 8), (8, 16),
                                         (9, 32), (16, 256)])
 def test_module_dimension_table(l, expected):
-    assert irreducible_module_dim(l) == expected
+    assert clifford_generators(l).m == expected
 
 
 @pytest.mark.parametrize("l", range(1, 10))
@@ -53,11 +53,11 @@ def test_heisenberg_type_identity_random_z(rng):
     cm = clifford_generators(3, copies=1)
     g = build_damek_ricci(cm)
     d = standard_decomposition(g)
-    j = extract_jmap(d)
+    j = j_generators(d.algebra, d.v_indices, d.z_indices)
     for _ in range(20):
         zc = rng.standard_normal(len(d.z_indices))
         zc /= np.linalg.norm(zc)
-        jz = j(zc)
+        jz = np.einsum("a,apq->pq", zc, j)
         assert np.abs(jz @ jz + np.eye(cm.m)).max() <= 1e-10
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
-from oracles import jacobi_residual_einsum, structure_tensor_loop
+from oracles import (j_generators, jacobi_residual_einsum,
+                     structure_tensor_loop)
 from solvharm import lie_metric
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
@@ -16,8 +17,7 @@ from solvharm.errors import (DimensionError, NotStandardError, StructureError)
 from solvharm.lie_metric import (GrowthType, MetricLieAlgebra,
                                  _orthonormal_span, ad_matrix,
                                  algebra_from_dict, algebra_to_dict, bracket,
-                                 center_of, derived_algebra, extract_jmap,
-                                 growth_type, jmap_from_split,
+                                 center_of, derived_algebra, growth_type,
                                  nilpotency_class, scale_squared,
                                  standard_decomposition, subalgebra,
                                  symmetric_skew_split)
@@ -185,10 +185,22 @@ def test_standard_decomposition_rescales_metric():
 
 
 def test_standard_decomposition_flips_h_sign():
-    # [H, Z] = -Z: the unit normal must be flipped to get a positive spectrum
-    g = MetricLieAlgebra(2, ((0, 1, 1, -1.0),))
-    d = standard_decomposition(g)
-    np.testing.assert_allclose(d.mu, [1.0], atol=1e-14)
+    # ad_H and -ad_H: for one of the signs the unit normal of [s, s] has a
+    # negative spectrum, and flipping it negates and reverses the eigenpairs
+    for sign in (1.0, -1.0):
+        g = MetricLieAlgebra(2, ((0, 1, 1, sign),))
+        d = standard_decomposition(g)
+        np.testing.assert_allclose(d.mu, [1.0], atol=1e-14)
+        # kernel vectors at 0.4, a pair (0.3, 0.5) and mu = (0.8, 1)
+        g = MetricLieAlgebra(7, (
+            (0, 1, 1, 0.3 * sign), (0, 2, 2, 0.7 * sign),
+            (0, 3, 3, 0.4 * sign), (0, 4, 4, 0.4 * sign),
+            (0, 5, 5, 0.8 * sign), (0, 6, 6, sign),
+            (1, 2, 6, 0.5), (3, 4, 5, 0.9)))
+        d = standard_decomposition(g)
+        np.testing.assert_allclose(d.mu, [0.8, 1.0], atol=1e-14)
+        np.testing.assert_allclose(d.rho_star, [0.4, 0.4], atol=1e-14)
+        np.testing.assert_allclose(d.pairs, [[0.3, 0.5]], atol=1e-14)
 
 
 def test_standard_decomposition_rejects_non_self_adjoint():
@@ -249,50 +261,89 @@ def test_standard_decomposition_idempotent(dr_data):
         assert again.z_indices == d.z_indices
 
 
+# [H, V_i] = V_i / 2, [H, Z] = Z, [V1, V2] = 0.8 Z, [V3, V4] = 1.3 Z: two
+# values of theta in the one eigenspace E_{1/2}
+TWO_THETA = MetricLieAlgebra(6, (
+    (0, 1, 1, 0.5), (0, 2, 2, 0.5), (0, 3, 3, 0.5), (0, 4, 4, 0.5),
+    (0, 5, 5, 1.0), (1, 2, 5, 0.8), (3, 4, 5, 1.3)))
+
+
+@pytest.fixture(scope="module")
+def half_plane_cases(haar_rotate):
+    dr_8_3 = build_damek_ricci(clifford_generators(8, 3))
+    # in some of the rotations of TWO_THETA the pivot picks the 1.3 plane
+    # first, so the pairs are sorted afterwards
+    return {"rotated-dr-8-3": ([haar_rotate(dr_8_3, 5)], [(0.5, 1.0)] * 24),
+            "two-theta": ([TWO_THETA], [(0.5, 0.8), (0.5, 1.3)]),
+            "rotated-two-theta": (
+                [haar_rotate(TWO_THETA, seed) for seed in range(8)],
+                [(0.5, 0.8), (0.5, 1.3)])}
+
+
+@pytest.mark.parametrize("name", ["rotated-dr-8-3", "two-theta",
+                                  "rotated-two-theta"])
+def test_planes_of_one_half_eigenspace(name, half_plane_cases, monkeypatch):
+    # E_{1/2} is j(Z)-invariant and its planes are picked one at a time:
+    # none may be dropped, and the picked columns must be orthonormal
+    # before the adapted basis is re-orthonormalized
+    algebras, expected = half_plane_cases[name]
+    splits = []
+    original = lie_metric.pair_decomposition
+
+    def recording(*args):
+        splits.append(original(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(lie_metric, "pair_decomposition", recording)
+    for g in algebras:
+        d = standard_decomposition(g)
+        kernel_b, _, pair_b, _ = splits[-1]
+        b = np.hstack([kernel_b, pair_b])
+        assert b.shape == (len(d.v_indices),) * 2
+        assert np.abs(b.T @ b - np.eye(b.shape[1])).max() <= 1e-12
+        assert d.rho_star.size == 0
+        assert d.pairs.shape == (len(expected), 2)
+        assert np.abs(d.pairs - expected).max() <= 1e-12
+        # in the adapted basis j(Z) is one rotation block per plane
+        jz = j_generators(d.algebra, d.v_indices, d.z_indices[-1:])[0]
+        blocks = np.zeros_like(jz)
+        for i, (_, theta) in enumerate(d.pairs):
+            blocks[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[0.0, -theta],
+                                                        [theta, 0.0]]
+        assert np.abs(jz - blocks).max() <= 1e-12
+
+
+def _adapted_j(d):
+    return j_generators(d.algebra, d.v_indices, d.z_indices)
+
+
 def test_extract_jmap_heisenberg():
-    g = build_heisenberg_type(clifford_generators(1))
-    ext = build_damek_ricci(clifford_generators(1))
-    d = standard_decomposition(ext)
-    j = extract_jmap(d)
-    assert j.generators.shape == (1, 2, 2)
-    np.testing.assert_allclose(np.abs(j.generators[0]),
-                               [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
-    np.testing.assert_allclose(j.generators[0] + j.generators[0].T, 0.0,
-                               atol=1e-14)
-    del g
+    d = standard_decomposition(build_damek_ricci(clifford_generators(1)))
+    j = _adapted_j(d)
+    assert j.shape == (1, 2, 2)
+    np.testing.assert_allclose(np.abs(j[0]), [[0.0, 1.0], [1.0, 0.0]],
+                               atol=1e-12)
+    np.testing.assert_allclose(j[0] + j[0].T, 0.0, atol=1e-14)
 
 
 def test_extract_jmap_round_trip(dr_data):
-    # build-then-extract with the native basis split returns the input
-    # Clifford generators exactly
+    # the native basis split of the build returns the input Clifford
+    # generators exactly
     cm = clifford_generators(2)
     nil = build_heisenberg_type(cm)
-    j = jmap_from_split(nil, range(cm.m), range(cm.m, cm.m + cm.l))
-    np.testing.assert_allclose(j.generators, cm.generators, atol=1e-14)
+    j = j_generators(nil, range(cm.m), range(cm.m, cm.m + cm.l))
+    np.testing.assert_allclose(j, cm.generators, atol=1e-14)
 
     # after re-deriving the adapted basis the generators are conjugated
     # but keep the Clifford relations
-    d = dr_data[(2, 1)]
-    j = extract_jmap(d)
-    for gen in j.generators:
+    for gen in _adapted_j(dr_data[(2, 1)]):
         np.testing.assert_allclose(gen @ gen, -np.eye(4), atol=1e-10)
         np.testing.assert_allclose(gen + gen.T, 0.0, atol=1e-12)
 
 
 def test_extract_jmap_abelian_n_zero():
     d = standard_decomposition(build_real_hyperbolic(4))
-    j = extract_jmap(d)
-    assert j.generators.shape == (3, 0, 0)
-
-
-def test_extract_jmap_rejects_noncentral():
-    # z-indices deliberately wrong: v vectors are not central in n
-    d = standard_decomposition(build_damek_ricci(clifford_generators(1)))
-    bad = type(d)(algebra=d.algebra, h_index=0,
-                  v_indices=(3,), z_indices=(1, 2),
-                  mu=d.mu, rho_star=d.rho_star, pairs=d.pairs)
-    with pytest.raises(StructureError):
-        extract_jmap(bad)
+    assert _adapted_j(d).shape == (3, 0, 0)
 
 
 def test_jacobi_identity_guard():
@@ -328,14 +379,14 @@ def test_malformed_rows_raise_typed_errors(rows, error):
 
 def test_j_squared_commutes_with_ad_h(dr_data):
     d = dr_data[(3, 1)]
-    j = extract_jmap(d)
+    j = _adapted_j(d)
     v_idx = list(d.v_indices)
     ad_v = d.ad_h()[np.ix_(v_idx, v_idx)]
     rng = np.random.default_rng(7)
     for _ in range(5):
         zc = rng.standard_normal(len(d.z_indices))
         zc /= np.linalg.norm(zc)
-        jz = j(zc)
+        jz = np.einsum("a,apq->pq", zc, j)
         comm = jz @ jz @ ad_v - ad_v @ jz @ jz
         assert np.abs(comm).max() <= 1e-10
 
@@ -343,8 +394,7 @@ def test_j_squared_commutes_with_ad_h(dr_data):
 def test_j_maps_eigenspaces(generic_pair_algebra):
     # j(Z) sends the rho-eigenspace of ad_H|v to the (1-rho)-eigenspace
     d = standard_decomposition(generic_pair_algebra)
-    j = extract_jmap(d)
-    jz = j(np.array([1.0]))
+    jz = _adapted_j(d)[0]
     v_idx = list(d.v_indices)
     ad_v = d.ad_h()[np.ix_(v_idx, v_idx)]
     rho = d.pairs[0, 0]
@@ -443,15 +493,6 @@ def _loop_nilpotency_class(g):
     return step
 
 
-def _loop_jmap(g, v_idx, z_idx):
-    gens = np.zeros((len(z_idx), len(v_idx), len(v_idx)))
-    for ai, a in enumerate(z_idx):
-        for qi, q in enumerate(v_idx):
-            for pi, p in enumerate(v_idx):
-                gens[ai, pi, qi] = g.tensor[q, p, a]
-    return gens
-
-
 @pytest.mark.parametrize("key", [(1, 1), (2, 1), (3, 1), (7, 2)])
 def test_bracket_array_forms_match_loops(key, haar_rotate):
     cm = clifford_generators(*key)
@@ -460,10 +501,6 @@ def test_bracket_array_forms_match_loops(key, haar_rotate):
             rebuilt = MetricLieAlgebra.from_tensor(g.tensor)
             assert rebuilt.structure_constants == tuple(_loop_triples(g.tensor))
             assert nilpotency_class(g) == _loop_nilpotency_class(g)
-    d = standard_decomposition(build_damek_ricci(cm))
-    jmap = jmap_from_split(d.algebra, d.v_indices, d.z_indices)
-    loop = _loop_jmap(d.algebra, list(d.v_indices), list(d.z_indices))
-    assert np.array_equal(jmap.generators, loop)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def _with_axis_block(rng, n, kinds):
     leading slots, then the axis blocks ``kinds``, coupled above the
     diagonal.  Rotated unless a block is nilpotent: a rotation moves a
     Jordan block's eigenvalues by sqrt(eps), into the ambiguity band."""
-    blocks = [_AXIS_BLOCKS[k] for k in kinds]   # "nilpotent" comes last
+    blocks = [_AXIS_BLOCKS[k] for k in kinds]
     m = n - sum(b.shape[0] for b in blocks)
     t = np.zeros((n, n))
     t[:m, :m] = _random_solvable_type(rng, m)
@@ -53,10 +53,6 @@ def _with_axis_block(rng, n, kinds):
         i += b.shape[0]
     t[:m, m:] = 0.3 * rng.standard_normal((m, n - m))
     if "nilpotent" in kinds:
-        # uncoupled: a Jordan block coupled to the stable block moves the
-        # closed-loop eigenvalues by sqrt(eps) ~ 1.5e-8, past the absolute
-        # 1e-8 of the closed-loop check, with either solver
-        t[:m, -2:] = 0.0
         return t
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return q @ t @ q.T
