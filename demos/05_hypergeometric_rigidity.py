@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from solvharm import (CenterFactor, KernelFactor, PairFactor, classify_factor,
-                      gauss_f, h_function, monodromy_coeffs, HypergeomParams,
+                      gauss_f, h_factors, h_function,
                       stable_block_and_derivative)
 
 np.set_printoptions(precision=8, suppress=True)
@@ -29,25 +29,31 @@ print("\nstable block at (rho, theta, z) = (0.5, 1, 0.25):")
 print(stable_block_and_derivative(0.5, 1.0, math.atanh(0.5))[0])
 
 # h(z) for the 4-dimensional Damek-Ricci data is the constant -4 ...
-zs = np.linspace(0.05, 0.5, 6)
-print("\nh(z) for pairs [(1/2, 1)]:",
-      [round(h_function([], [], [(0.5, 1.0)], z), 10) for z in zs])
+zs = np.linspace(0.05, 0.5, 4)
+print("\nh(z) for pairs [(1/2, 1)]:  ", h_function([], [], [(0.5, 1.0)], zs))
 # ... while a perturbed pair factor visibly drifts.
-print("h(z) for pairs [(1/2, 0.8)]:",
-      [round(h_function([], [], [(0.5, 0.8)], z), 6) for z in zs])
+print("h(z) for pairs [(1/2, 0.8)]:", h_function([], [], [(0.5, 0.8)], zs))
 
-# Monodromy around z = 1 drives the classification: B12 vanishes exactly
-# when the continued branch stays in the span of the regular solution.
-for (a, b, c) in ((1.0, 0.0, 2.0), (0.5, 0.5, 1.5), (-1.0, 1.0, 0.5)):
-    m = monodromy_coeffs(HypergeomParams(a, b, c))
-    print(f"\nmonodromy (a,b,c)=({a},{b},{c}): B11={m.b11:.4f}, "
-          f"B12={m.b12:.4f}")
-
-# Factor-by-factor verdicts.
-print("\nclassification of candidate factors:")
+# The closed criterion: a center factor is constant iff mu = 1, a kernel
+# factor is unbounded, and a pair factor is bounded iff rho = 1/2 and its
+# exponents are a = -k, b = k for a positive integer k = theta.  Then both
+# of its series terminate and the factor is a polynomial of degree k - 1.
+print(f"\nclassification of candidate factors, each sampled at z = {zs}:")
 for factor in (CenterFactor(1.0), CenterFactor(0.6), KernelFactor(0.25),
                PairFactor(0.5, 1.0), PairFactor(0.5, 2.0),
-               PairFactor(0.5, np.sqrt(6.0)), PairFactor(0.3, 0.8)):
+               PairFactor(0.5, 3.0), PairFactor(0.5, math.sqrt(6.0)),
+               PairFactor(0.3, 0.8)):
+    if isinstance(factor, PairFactor):
+        a, b = factor.exponents
+        inputs = (f"pair rho = {factor.rho}, theta = {factor.theta:.6g}: "
+                  f"a = {a:.6g}, b = {b:.6g}")
+        values = h_factors([], [], [(factor.rho, factor.theta)], zs)
+    elif isinstance(factor, CenterFactor):
+        inputs = f"center mu = {factor.mu}"
+        values = h_factors([factor.mu], [], [], zs)
+    else:
+        inputs = f"kernel rho* = {factor.rho_star}"
+        values = h_factors([], [factor.rho_star], [], zs)
     res = classify_factor(factor)
-    extra = f" (degree {res.degree})" if res.degree is not None else ""
-    print(f"  {factor}: {res.label}{extra}")
+    extra = f" of degree {res.degree}" if res.degree is not None else ""
+    print(f"  {inputs} -> {res.label}{extra}\n    factor: {values[:, 0]}")

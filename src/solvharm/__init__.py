@@ -31,11 +31,10 @@ from .jacobi_flow import (CentralGeodesicFrame, JacobiTensorSample,
                           mean_curvature_numeric, stable_jacobi_tensor,
                           volume_density)
 from .hypergeom import (CenterFactor, FactorClassification, FactorSpec,
-                        HypergeomParams, KernelFactor, MonodromyCoeffs,
-                        PairFactor, RigidityReport, classify_factor,
-                        factors_from_data, fundamental_pair, gamma, gauss_f,
-                        h_factors, h_function, monodromy_coeffs,
-                        pair_exponents, reciprocal_gamma, rigidity_conclusion,
+                        HypergeomParams, KernelFactor, PairFactor,
+                        RigidityReport, classify_factor, factors_from_data,
+                        fundamental_pair, gauss_f, h_factors, h_function,
+                        pair_exponents, rigidity_conclusion,
                         stable_block_and_derivative, z_of_t)
 
 __version__ = "0.1.0"

@@ -192,7 +192,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
         "algebra": {
             "dim": g.dim,
             "derived_dim": int(derived.shape[1]),
-            "nilpotency_class": lie_metric.nilpotency_class(g),
+            "nilpotency_class": g.nilpotency_class,
         },
         "curvature": {"norm": r_norm, "flat": is_flat},
         "einstein": {"is_einstein": is_einstein, "constant": c_const,
@@ -344,7 +344,9 @@ def cmd_build(args, tols: Tolerances) -> int:
     elif kind == "real-hyperbolic":
         g = clifford_dr.build_real_hyperbolic(args.dim)
     else:
-        cm = clifford_dr.clifford_generators(args.l, args.copies)
+        cm = clifford_dr.clifford_generators(
+            _positive_count(args.l, "--l"),
+            _positive_count(args.copies, "--copies"))
         if kind == "heisenberg":
             g = clifford_dr.build_heisenberg_type(cm)
         else:

@@ -114,6 +114,8 @@ class CliffordModule:
 
 def clifford_generators(l: int, copies: int = 1) -> CliffordModule:
     """Generators on ``copies`` direct sums of the irreducible module."""
+    if l < 1:
+        raise DomainError(f"l must be >= 1, got {l}")
     if copies < 1:
         raise DomainError("copies must be >= 1")
     gens = _irreducible_generators(l)

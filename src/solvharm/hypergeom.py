@@ -1,16 +1,15 @@
 """Gauss hypergeometric machinery for the rigidity analysis.
 
-F(a,b;c;z) and the gamma function from ``scipy.special`` (arguments
-checked on the way in, a non-finite value raised as NumericalError), the
-fundamental solution pairs of the pair-block hypergeometric equation,
-the closed-form stable-field blocks, the product function h(z) whose
-constancy encodes asymptotic harmonicity, the analytic mean curvature,
-monodromy coefficients of the loop around z = 1, and the
-constant/polynomial/unbounded classifier for the factors of h.
+F(a,b;c;z) from ``scipy.special`` (arguments checked on the way in, a
+non-finite value raised as NumericalError), the fundamental solution
+pairs of the pair-block hypergeometric equation, the closed-form
+stable-field blocks, the product function h(z) whose constancy encodes
+asymptotic harmonicity, and the closed constant/polynomial/unbounded
+criterion for the factors of h continued around z = 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -22,7 +21,6 @@ from .lie_metric import StandardSolvableData
 
 __all__ = [
     "HypergeomParams",
-    "MonodromyCoeffs",
     "CenterFactor",
     "KernelFactor",
     "PairFactor",
@@ -36,9 +34,6 @@ __all__ = [
     "stable_block_and_derivative",
     "h_factors",
     "h_function",
-    "gamma",
-    "reciprocal_gamma",
-    "monodromy_coeffs",
     "classify_factor",
     "factors_from_data",
     "rigidity_conclusion",
@@ -71,18 +66,6 @@ class HypergeomParams:
     a: float
     b: float
     c: float
-
-
-@dataclass(frozen=True)
-class MonodromyCoeffs:
-    b11: complex
-    b12: complex
-
-
-def _finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise NumericalError(f"{what} is not finite: {value}")
-    return value
 
 
 def gauss_f(a: float, b: float, c: float, z):
@@ -242,48 +225,6 @@ def h_function(mu, rho_star, pairs, z):
 
 
 # ---------------------------------------------------------------------------
-# gamma kernels and monodromy
-# ---------------------------------------------------------------------------
-
-def gamma(x: float) -> float:
-    """Gamma function by ``scipy.special.gamma``; a pole is a DomainError."""
-    if _nonpositive_int(x):
-        raise DomainError(f"gamma pole at x = {x}")
-    return _finite(float(special.gamma(x)), f"gamma({x})")
-
-
-def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x) by ``scipy.special.rgamma``, exactly 0 at the poles."""
-    if _nonpositive_int(x):
-        return 0.0
-    return _finite(float(special.rgamma(x)), f"1/gamma({x})")
-
-
-def monodromy_coeffs(p: HypergeomParams,
-                     tols: Tolerances = DEFAULT_TOLS) -> MonodromyCoeffs:
-    """Continuation of u1 along the positive loop around z = 1.
-
-    The continued branch is B11 u1 + B12 u2.  Terminating series
-    (a or b a nonpositive integer) are single valued: (1, 0), which also
-    covers the integer-c center case mu = 1.  B12 is assembled from
-    reciprocal gammas so the integer-parameter zeros are exact.
-    """
-    a, b, c = p.a, p.b, p.c
-    if (_nonpositive_int(a, tols.classifier_zero)
-            or _nonpositive_int(b, tols.classifier_zero)):
-        return MonodromyCoeffs(complex(1.0), complex(0.0))
-    if _integer(c, tols.classifier_zero):
-        raise DomainError(f"monodromy formula needs c not an integer, got {c}")
-    phase = np.exp(1j * math.pi * (c - a - b))
-    b11 = 1.0 - 2j * phase * (math.sin(math.pi * a) * math.sin(math.pi * b)
-                              / math.sin(math.pi * c))
-    b12 = (-2j * math.pi * phase * gamma(c) * gamma(c - 1.0)
-           * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
-           * reciprocal_gamma(b) * reciprocal_gamma(a))
-    return MonodromyCoeffs(complex(b11), complex(b12))
-
-
-# ---------------------------------------------------------------------------
 # factor classification
 # ---------------------------------------------------------------------------
 
@@ -327,7 +268,6 @@ FactorSpec = Union[CenterFactor, KernelFactor, PairFactor]
 class FactorClassification:
     label: str                      # "constant" | "polynomial" | "unbounded"
     degree: Optional[int] = None    # for polynomials
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def is_bounded(self) -> bool:
@@ -338,36 +278,28 @@ def classify_factor(f: FactorSpec,
                     tols: Tolerances = DEFAULT_TOLS) -> FactorClassification:
     """Behavior of the analytic continuation of a factor of h around z = 1.
 
-    Center factors are constant exactly for mu = 1 (terminating series)
-    and unbounded otherwise; kernel factors are always unbounded.  For a
-    pair factor the continued branch is A/z + B z^-c + C z^-(1-c) plus a
-    bounded part; it stays bounded only when A = 0 and the singular
-    coefficients cancel, which forces c = 1/2 and b a positive integer,
-    giving a polynomial of degree b - 1.
+    The paper's closed criterion: a center factor is constant exactly for
+    mu = 1 (a terminating series) and unbounded otherwise; a kernel
+    factor is always unbounded; a pair factor (rho, theta) is bounded
+    exactly when rho = 1/2 and theta = k is a positive integer.  Then
+    its exponents are a = -k and b = k, both of its series terminate,
+    and it is a polynomial of degree k - 1.  Every comparison is made
+    within ``tols.classifier_zero``, and a and -b are snapped to the
+    nonpositive integers each on its own, since both half series must
+    terminate: near the edge of the window a can snap while b does not.
     """
     tol = tols.classifier_zero
     if isinstance(f, CenterFactor):
-        if abs(f.mu - 1.0) <= tol:
-            return FactorClassification("constant")
-        return FactorClassification("unbounded", diagnostics={"mu": f.mu})
+        return FactorClassification(
+            "constant" if abs(f.mu - 1.0) <= tol else "unbounded")
     if isinstance(f, KernelFactor):
-        return FactorClassification("unbounded",
-                                    diagnostics={"rho_star": f.rho_star})
+        return FactorClassification("unbounded")
     a, b = f.exponents
-    c = f.rho
-    m1 = monodromy_coeffs(HypergeomParams(a, b, c), tols)
-    m2 = monodromy_coeffs(HypergeomParams(-a, -b, 1.0 - c), tols)
-    coeff_a = m1.b11 + m2.b11 - 2.0
-    coeff_b, coeff_c = m1.b12, m2.b12
-    diag = {"A": coeff_a, "B": coeff_b, "C": coeff_c, "a": a, "b": b}
-    if abs(coeff_a) > tol:
-        return FactorClassification("unbounded", diagnostics=diag)
-    if abs(c - 0.5) <= tol and abs(coeff_b + coeff_c) <= tol:
-        if abs(b - round(b)) > 1e-8:
-            return FactorClassification("unbounded", diagnostics=diag)
-        return FactorClassification("polynomial", degree=int(round(b)) - 1,
-                                    diagnostics=diag)
-    return FactorClassification("unbounded", diagnostics=diag)
+    k = round(b)
+    if (abs(f.rho - 0.5) <= tol and _nonpositive_int(a, tol)
+            and _nonpositive_int(-b, tol) and k >= 1):
+        return FactorClassification("polynomial", degree=k - 1)
+    return FactorClassification("unbounded")
 
 
 def factors_from_data(d: StandardSolvableData):

@@ -165,6 +165,11 @@ class MetricLieAlgebra:
         op.flags.writeable = False
         return op
 
+    @cached_property
+    def nilpotency_class(self):
+        """The module function :func:`nilpotency_class`, run once."""
+        return nilpotency_class(self)
+
     def jacobi_residual(self) -> float:
         """max norm of Jac(e_i, e_j, e_k) over all basis triples.
 
@@ -330,7 +335,7 @@ def growth_type(g: MetricLieAlgebra, samples: int = 64, seed: int = 0,
     for x in candidates:
         spec = eigenvalues(ad_matrix(x, g))
         if np.abs(spec.real).max() > floor:
-            return (GrowthType.EXPONENTIAL if nilpotency_class(g) is None
+            return (GrowthType.EXPONENTIAL if g.nilpotency_class is None
                     else GrowthType.SUBEXPONENTIAL)
     return GrowthType.SUBEXPONENTIAL
 

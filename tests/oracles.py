@@ -32,6 +32,12 @@ module.
   ``curvature.nabla_R_norm``;
 * :func:`mean_curvature_analytic`: m(t) from finite differences of h;
 * :func:`spectra_match`: multiset comparison of two spectra;
+* :func:`gamma`, :func:`reciprocal_gamma`, :func:`monodromy_coeffs`
+  (with :class:`MonodromyCoeffs`) and :func:`classify_factor_monodromy`:
+  the continuation of each half series of a factor of h around z = 1
+  from gamma-ratio coefficients (DLMF 15.10), and the factor classifier
+  derived from it, against the closed criterion of
+  ``hypergeom.classify_factor``;
 * :func:`riccati_max_doubled`: the maximal Riccati solution from the
   2n x 2n doubled matrix, against ``riccati.solve_algebraic_riccati_max``;
 * :func:`render_json_scalar`: the report writer one value at a time,
@@ -45,13 +51,16 @@ import math
 
 import numpy as np
 import scipy.optimize
+from scipy import special
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag
 
 from solvharm.config import DEFAULT_TOLS
 from solvharm.errors import (ConjugatePointError, DomainError, NumericalError,
                              SingularMatrixError)
-from solvharm.hypergeom import (HypergeomParams, fundamental_pair,
+from solvharm.hypergeom import (CenterFactor, FactorClassification,
+                                HypergeomParams, KernelFactor, _integer,
+                                _nonpositive_int, fundamental_pair,
                                 h_function, pair_exponents, z_of_t)
 from solvharm.jacobi_flow import CentralGeodesicFrame, JacobiTensorSample
 from solvharm.lie_metric import _null_space, symmetric_skew_split
@@ -501,6 +510,89 @@ def spectra_match(a, b, tol: float = 1e-9) -> bool:
     cost = np.abs(sa[:, None] - sb[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return bool(cost[rows, cols].max() <= tol * max(1.0, np.abs(sa).max()))
+
+
+# ---------------------------------------------------------------------------
+# gamma, monodromy and the factor classifier they derive
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class MonodromyCoeffs:
+    b11: complex
+    b12: complex
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} is not finite: {value}")
+    return value
+
+
+def gamma(x: float) -> float:
+    """Gamma function by ``scipy.special.gamma``; a pole is a DomainError."""
+    if _nonpositive_int(x):
+        raise DomainError(f"gamma pole at x = {x}")
+    return _finite(float(special.gamma(x)), f"gamma({x})")
+
+
+def reciprocal_gamma(x: float) -> float:
+    """1/Gamma(x) by ``scipy.special.rgamma``, exactly 0 at the poles."""
+    if _nonpositive_int(x):
+        return 0.0
+    return _finite(float(special.rgamma(x)), f"1/gamma({x})")
+
+
+def monodromy_coeffs(p: HypergeomParams,
+                     tols=DEFAULT_TOLS) -> MonodromyCoeffs:
+    """Continuation of u1 along the positive loop around z = 1.
+
+    The continued branch is B11 u1 + B12 u2 (DLMF 15.10).  Terminating
+    series (a or b a nonpositive integer) are single valued: (1, 0),
+    which also covers the integer-c center case mu = 1.  B12 is
+    assembled from reciprocal gammas so the integer-parameter zeros are
+    exact.
+    """
+    a, b, c = p.a, p.b, p.c
+    if (_nonpositive_int(a, tols.classifier_zero)
+            or _nonpositive_int(b, tols.classifier_zero)):
+        return MonodromyCoeffs(complex(1.0), complex(0.0))
+    if _integer(c, tols.classifier_zero):
+        raise DomainError(f"monodromy formula needs c not an integer, got {c}")
+    phase = np.exp(1j * math.pi * (c - a - b))
+    b11 = 1.0 - 2j * phase * (math.sin(math.pi * a) * math.sin(math.pi * b)
+                              / math.sin(math.pi * c))
+    b12 = (-2j * math.pi * phase * gamma(c) * gamma(c - 1.0)
+           * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
+           * reciprocal_gamma(b) * reciprocal_gamma(a))
+    return MonodromyCoeffs(complex(b11), complex(b12))
+
+
+def classify_factor_monodromy(f, tols=DEFAULT_TOLS) -> FactorClassification:
+    """The factor classifier rebuilt from the monodromy of each half series.
+
+    A pair factor continues to A/z + B z^-c + C z^-(1-c) plus a bounded
+    part; it stays bounded only when A = 0 and the singular coefficients
+    cancel, which forces c = 1/2 and b a positive integer, giving a
+    polynomial of degree b - 1.  Against the closed criterion of
+    ``hypergeom.classify_factor``.
+    """
+    tol = tols.classifier_zero
+    if isinstance(f, CenterFactor):
+        return FactorClassification(
+            "constant" if abs(f.mu - 1.0) <= tol else "unbounded")
+    if isinstance(f, KernelFactor):
+        return FactorClassification("unbounded")
+    a, b = f.exponents
+    c = f.rho
+    m1 = monodromy_coeffs(HypergeomParams(a, b, c), tols)
+    m2 = monodromy_coeffs(HypergeomParams(-a, -b, 1.0 - c), tols)
+    if abs(m1.b11 + m2.b11 - 2.0) > tol:
+        return FactorClassification("unbounded")
+    if abs(c - 0.5) <= tol and abs(m1.b12 + m2.b12) <= tol:
+        if abs(b - round(b)) > 1e-8:
+            return FactorClassification("unbounded")
+        return FactorClassification("polynomial", degree=int(round(b)) - 1)
+    return FactorClassification("unbounded")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import render_json_scalar
 import solvharm
-from solvharm import cli, hypergeom
+from solvharm import cli, hypergeom, lie_metric
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import build_damek_ricci, clifford_generators
 from solvharm.lie_metric import standard_decomposition
@@ -41,6 +41,24 @@ def test_build_writes_deterministic_json(tmp_path):
     data = json.loads(out1.read_text())
     assert data["dim"] == 4
     assert all(i < j for i, j, _, _ in data["structure_constants"])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["damek-ricci", "--l", "0"], "--l"),
+    (["damek-ricci", "--l", "-1"], "--l"),
+    (["damek-ricci", "--copies", "0"], "--copies"),
+    (["heisenberg", "--l", "0"], "--l"),
+])
+def test_build_nonpositive_count_is_usage_error(argv, flag, tmp_path,
+                                                monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("the Clifford module was built")
+
+    monkeypatch.setattr(cli.clifford_dr, "clifford_generators", no_work)
+    out = tmp_path / "alg.json"
+    assert main(["build", *argv, "--output", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_flat(tmp_path):
@@ -609,6 +627,40 @@ def test_build_report_matches_cli(tmp_path):
     out = tmp_path / "rep.json"
     assert main(["analyze", str(alg), "--output", str(out)]) == 0
     assert json.loads(out.read_text())["classification"] == "RankOneSymmetric"
+
+
+def test_build_report_runs_lower_central_series_once(monkeypatch,
+                                                     haar_rotate):
+    # growth_type asks for the nilpotency class before it answers
+    # exponential, and the report prints it: one pass serves both
+    calls = []
+    original = lie_metric.nilpotency_class
+
+    def counting(g):
+        calls.append(1)
+        return original(g)
+
+    monkeypatch.setattr(lie_metric, "nilpotency_class", counting)
+    g = haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 1)
+    report = build_report(g)
+    assert report["growth"] == "exponential"
+    assert report["algebra"]["nilpotency_class"] is None
+    assert len(calls) == 1
+
+
+def test_tol_classifier_zero_reaches_criterion(tmp_path):
+    # pair (1/2, 2 + 1e-6): a polynomial of degree 1 only inside a window
+    # wider than 1e-6
+    alg = tmp_path / "pair.json"
+    alg.write_text(json.dumps({"dim": 4, "structure_constants": [
+        [0, 1, 1, 0.5], [0, 2, 2, 0.5], [0, 3, 3, 1.0], [1, 2, 3, 2.000001]]}))
+    out = tmp_path / "classify.json"
+    for tol, label, degree in ((None, "unbounded", None),
+                               ("1e-5", "polynomial", 1)):
+        flag = ["--tol-classifier-zero", tol] if tol else []
+        assert main(["classify", str(alg), *flag, "--output", str(out)]) == 0
+        (factor,) = json.loads(out.read_text())["factors"]
+        assert (factor["label"], factor["degree"]) == (label, degree)
 
 
 def test_tol_jacobi_identity_reaches_construction_check(tmp_path, capsys):

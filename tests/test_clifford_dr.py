@@ -105,6 +105,12 @@ def test_damek_ricci_standard_data(key, dr_data):
     np.testing.assert_allclose(d.pairs[:, 1], 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("l, copies", [(0, 1), (-1, 1), (1, 0), (2, -1)])
+def test_clifford_generators_reject_nonpositive_counts(l, copies):
+    with pytest.raises(DomainError):
+        clifford_generators(l, copies)
+
+
 def test_real_hyperbolic_minimal():
     g = build_real_hyperbolic(2)
     np.testing.assert_allclose(g.tensor[0, 1], [0.0, 1.0])

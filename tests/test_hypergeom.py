@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mean_curvature_analytic, stable_block_scalar
+from oracles import (classify_factor_monodromy, gamma,
+                     mean_curvature_analytic, monodromy_coeffs,
+                     reciprocal_gamma, stable_block_scalar)
+from solvharm.config import DEFAULT_TOLS
 from solvharm.errors import DomainError, NumericalError
 from solvharm.hypergeom import (CenterFactor, HypergeomParams, KernelFactor,
                                 PairFactor, classify_factor, factors_from_data,
-                                fundamental_pair, gamma, gauss_f, h_factors,
-                                h_function, monodromy_coeffs, pair_exponents,
-                                reciprocal_gamma, rigidity_conclusion,
+                                fundamental_pair, gauss_f, h_factors,
+                                h_function, pair_exponents,
+                                rigidity_conclusion,
                                 stable_block_and_derivative, z_of_t)
 from solvharm.lie_metric import standard_decomposition
 
@@ -336,7 +339,7 @@ def test_mean_curvature_analytic_tail(perturbed_theta_algebra):
 
 
 # ---------------------------------------------------------------------------
-# gamma and monodromy
+# gamma and monodromy, the oracles of the factor classifier
 # ---------------------------------------------------------------------------
 
 def test_gamma_values():
@@ -428,6 +431,52 @@ def test_classifier_examples():
         assert res.label == "polynomial" and res.degree == theta - 1
     assert classify_factor(PairFactor(0.5, math.sqrt(6.0))).label == "unbounded"
     assert classify_factor(PairFactor(0.3, 0.8)).label == "unbounded"
+
+
+# offsets around 1/2 and the integers: 0, +-1e-14 ... +-1e-8
+_OFFSETS = [0.0] + [sign * d for d in (1e-14, 1e-12, 1e-11, 2e-11, 5e-11,
+                                       7e-11, 9e-11, 1e-10, 1.5e-10, 2e-10,
+                                       5e-10, 1e-9, 1e-8)
+                    for sign in (1.0, -1.0)]
+
+
+def test_classifier_matches_monodromy_oracle_on_grid():
+    # every rho within the pair domain (rho <= 1/2 + 1e-12) and every
+    # integer theta +- offset, where the snap windows decide
+    rhos = ([0.5 + d for d in _OFFSETS if d <= 1e-12]
+            + np.linspace(0.01, 0.5, 50).tolist())
+    thetas = ([k + d for k in range(1, 21) for d in _OFFSETS]
+              + np.linspace(0.01, 20.5, 300).tolist())
+    labels = set()
+    for rho in rhos:
+        for theta in thetas:
+            f = PairFactor(rho, theta)
+            got, want = classify_factor(f), classify_factor_monodromy(f)
+            assert (got.label, got.degree) == (want.label, want.degree), \
+                (rho, theta)
+            labels.add((got.label, got.degree))
+    assert len(rhos) * len(thetas) == 55440
+    assert {("polynomial", k - 1) for k in range(1, 21)} < labels
+    for factor in (CenterFactor(1.0), CenterFactor(1.0 - 5e-11),
+                   CenterFactor(0.6), KernelFactor(0.25)):
+        got, want = classify_factor(factor), classify_factor_monodromy(factor)
+        assert (got.label, got.degree) == (want.label, want.degree)
+
+
+def test_classifier_degenerate_pairs_are_unbounded():
+    tols = DEFAULT_TOLS
+    # theta <= classifier_zero at rho = 1/2: a = -theta and b = theta both
+    # snap to 0, which is no positive integer (the monodromy classifier
+    # read a polynomial of degree -1)
+    for theta in (1e-11, tols.classifier_zero):
+        assert classify_factor(PairFactor(0.5, theta)).label == "unbounded"
+        assert classify_factor_monodromy(PairFactor(0.5, theta)).degree == -1
+    # rho <= classifier_zero: c = rho snaps to the integer 0, where the
+    # monodromy formula has no value
+    for rho in (1e-11, tols.classifier_zero):
+        assert classify_factor(PairFactor(rho, 1.0)).label == "unbounded"
+        with pytest.raises(DomainError):
+            classify_factor_monodromy(PairFactor(rho, 1.0))
 
 
 def test_classifier_rejects_invalid_spec():

@@ -1,4 +1,5 @@
-"""Special functions of ``hypergeom`` against mpmath at 40 digits.
+"""Special functions of ``hypergeom``, and the gamma and monodromy
+oracles of the factor classifier, against mpmath at 40 digits.
 
 The parameter families are the ones the pipeline evaluates: center and
 kernel factors F(m, 1-m; 1+m; z), the two halves of a pair factor
@@ -9,9 +10,8 @@ that ``fundamental_pair`` adds to the first of them.
 import numpy as np
 import pytest
 
-from solvharm.hypergeom import (HypergeomParams, gamma, gauss_f,
-                                monodromy_coeffs, pair_exponents,
-                                reciprocal_gamma)
+from oracles import gamma, monodromy_coeffs, reciprocal_gamma
+from solvharm.hypergeom import HypergeomParams, gauss_f, pair_exponents
 
 mpmath = pytest.importorskip("mpmath")
 
