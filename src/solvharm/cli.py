@@ -183,15 +183,14 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     scale2 = curvature.scale_squared(g)
     is_flat = r_norm <= tols.flat_norm * scale2
     is_einstein, c_const, resid = curvature.einstein_check(g, tols)
-    growth = lie_metric.growth_type(g, seed=seed, tols=tols)
+    growth = lie_metric.growth_type(g, tols=tols)
 
-    derived = lie_metric.derived_algebra(g)
     report = {
         "schema": "solvharm-analysis-v1",
         "seed": seed,
         "algebra": {
             "dim": g.dim,
-            "derived_dim": int(derived.shape[1]),
+            "derived_dim": int(g.derived_algebra.shape[1]),
             "nilpotency_class": g.nilpotency_class,
         },
         "curvature": {"norm": r_norm, "flat": is_flat},
@@ -339,6 +338,10 @@ def _density_table(g, seed: int, directions: int, t_arr: np.ndarray,
 
 def cmd_build(args, tols: Tolerances) -> int:
     kind = args.kind
+    low = {"flat": 1, "real-hyperbolic": 2}.get(kind)
+    if low is not None and args.dim < low:
+        raise _UsageError(f"--dim must be at least {low} for {kind}, "
+                          f"got {args.dim}")
     if kind == "flat":
         g = clifford_dr.build_flat(args.dim)
     elif kind == "real-hyperbolic":

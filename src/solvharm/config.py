@@ -13,9 +13,10 @@ The verdict thresholds are relative to the scale of the algebra.  With
 s^2 the sum of squares of the structure constants, which no orthogonal
 change of basis moves, |R| is compared with ``flat_norm * s^2``, the
 Ricci residual with ``einstein_residual * s^2``, |nabla R| / |R|
-with ``symmetry_ratio * s`` and the real parts of ad_X (the growth
-type) with ``growth_real_part * s``, so a verdict does not change when
-the metric is rescaled.  For the same reason the Jacobi residual checked
+with ``symmetry_ratio * s``, and for the growth type the real parts of
+ad_X with ``growth_real_part * s`` and the Killing form on [s, s] with
+``growth_real_part * s^2``, so a verdict does not change when the
+metric is rescaled.  For the same reason the Jacobi residual checked
 when an algebra is built is compared with ``jacobi_identity * s^2``, the
 antisymmetry defect and the pruned entries of an input bracket tensor
 with ``ANTISYMMETRY_REL`` and the prune tolerance relative to its

@@ -110,12 +110,12 @@ class MetricLieAlgebra:
                                  f"{resid:.3e} > {bound:.3e}")
 
     @classmethod
-    def from_tensor(cls, tensor, prune: float = _PRUNE_TOL,
+    def from_tensor(cls, tensor,
                     jacobi_tol: float = DEFAULT_TOLS.jacobi_identity
                     ) -> "MetricLieAlgebra":
         """Build from a full bracket tensor ``T[i, j, :] = [e_i, e_j]``.
 
-        Entries at most ``prune`` times max|T| are dropped, so the
+        Entries at most ``_PRUNE_TOL`` times max|T| are dropped, so the
         triples kept do not depend on the scale of the metric.
         """
         t = np.asarray(tensor, dtype=float)
@@ -128,7 +128,7 @@ class MetricLieAlgebra:
             raise StructureError("bracket tensor is not antisymmetric")
         upper = np.triu(np.ones((n, n), dtype=bool), k=1)[:, :, None]
         # (i, j, k) in row-major order
-        idx = np.argwhere(upper & (np.abs(t) > prune * top))
+        idx = np.argwhere(upper & (np.abs(t) > _PRUNE_TOL * top))
         rows = np.column_stack([idx, t[tuple(idx.T)]])
         return cls(n, rows, jacobi_tol=jacobi_tol)
 
@@ -164,6 +164,14 @@ class MetricLieAlgebra:
         op = curvature.flow_operator(self, self.connection)
         op.flags.writeable = False
         return op
+
+    @cached_property
+    def derived_algebra(self) -> np.ndarray:
+        """The module function :func:`derived_algebra`, run once,
+        read-only."""
+        basis = derived_algebra(self)
+        basis.flags.writeable = False
+        return basis
 
     @cached_property
     def nilpotency_class(self):
@@ -269,12 +277,11 @@ def center_of(g: MetricLieAlgebra) -> np.ndarray:
     return _null_space(mat, _bracket_scale(g))
 
 
-def subalgebra(g: MetricLieAlgebra, basis: np.ndarray,
-               tol: float = 1e-10) -> MetricLieAlgebra:
+def subalgebra(g: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
     """Restriction of ``g`` to the span of orthonormal ``basis`` columns.
 
     Raises :class:`StructureError` when the span is not closed under the
-    bracket within ``tol``.
+    bracket within ``_RANK_TOL``.
     """
     b = np.asarray(basis, dtype=float)
     r = b.shape[1]
@@ -284,7 +291,7 @@ def subalgebra(g: MetricLieAlgebra, basis: np.ndarray,
             w = bracket(b[:, a], b[:, c], g)
             coeffs = b.T @ w
             leak = np.linalg.norm(w - b @ coeffs)
-            if leak > tol * max(1.0, np.linalg.norm(w)):
+            if leak > _RANK_TOL * max(1.0, np.linalg.norm(w)):
                 raise StructureError(
                     f"span is not a subalgebra: bracket leaks {leak:.3e}"
                 )
@@ -294,10 +301,15 @@ def subalgebra(g: MetricLieAlgebra, basis: np.ndarray,
 
 
 def nilpotency_class(g: MetricLieAlgebra):
-    """Length of the lower central series, or ``None`` if not nilpotent."""
-    current = np.eye(g.dim)
+    """Length of the lower central series, or ``None`` if not nilpotent.
+
+    The series starts at ``g.derived_algebra``, its first term after g.
+    """
+    current = g.derived_algebra
+    if current.shape[1] >= g.dim:
+        return None
     scale = _bracket_scale(g)
-    step = 0
+    step = 1
     while current.shape[1] > 0:
         step += 1
         # images[k, (i, a)] = [e_i, current[:, a]]_k
@@ -314,30 +326,42 @@ class GrowthType(enum.Enum):
     SUBEXPONENTIAL = "subexponential"
 
 
-def growth_type(g: MetricLieAlgebra, samples: int = 64, seed: int = 0,
+def growth_type(g: MetricLieAlgebra,
                 tols: Tolerances = DEFAULT_TOLS) -> GrowthType:
-    """Volume-growth type via the spectra of sampled ad_X.
+    """Volume-growth type: exponential iff some ad_X has an eigenvalue off
+    the imaginary axis (Guivarc'h 1973, Jenkins 1973).
 
-    Subexponential iff every tested ad_X (all basis vectors plus random
-    unit combinations) has only purely imaginary eigenvalues: real parts
-    at most ``tols.growth_real_part`` times the bracket scale, so
-    rescaling the metric does not change the type.  A nilpotent algebra
-    is subexponential: by Engel's theorem each ad_X is nilpotent, and
-    the real parts of its computed eigenvalues are the roundoff of its
-    Jordan blocks, of order eps^(1/k) for a block of size k.
+    By Lie's theorem the radical acts by characters that vanish on
+    [s, s], and a compact Levi factor adds only imaginary parts, so
+    Re spec(ad_X) is linear in X modulo [s, s]: a basis of the orthogonal
+    complement of [s, s] decides, with real parts compared with
+    ``tols.growth_real_part`` times the bracket scale s.  If none shows
+    one, a noncompact Levi factor remains possible; it lies in [s, s] and
+    is seen by the Killing form B = tr(ad_X ad_Y), since B(X, X) is the
+    sum of the squared eigenvalues of ad_X and is positive only if one
+    of them has a real part.  This check sees the Levi factor only when
+    the top eigenvalue of B on [s, s] is above ``growth_real_part * s^2``.
+    Both thresholds scale with the metric, so rescaling does not change
+    the type.  A nilpotent algebra is subexponential: by Engel's theorem
+    each ad_X is nilpotent, and the real parts of its computed
+    eigenvalues are the roundoff of its Jordan blocks, of order
+    eps^(1/k) for a block of size k.
     """
-    floor = tols.growth_real_part * _bracket_scale(g)
-    rng = np.random.default_rng(seed)
-    candidates = list(np.eye(g.dim))
-    for _ in range(samples):
-        v = rng.standard_normal(g.dim)
-        candidates.append(v / np.linalg.norm(v))
-    for x in candidates:
-        spec = eigenvalues(ad_matrix(x, g))
-        if np.abs(spec.real).max() > floor:
-            return (GrowthType.EXPONENTIAL if g.nilpotency_class is None
-                    else GrowthType.SUBEXPONENTIAL)
-    return GrowthType.SUBEXPONENTIAL
+    s = _bracket_scale(g)
+    floor = tols.growth_real_part * s
+    derived = g.derived_algebra
+    exponential = any(np.abs(eigenvalues(ad_matrix(x, g)).real).max() > floor
+                      for x in _null_space(derived.T).T)
+    if not exponential and derived.shape[1]:
+        n = g.dim
+        # B[i, j] = sum_(l, k) [e_i, e_l]_k [e_j, e_k]_l
+        killing = (g.tensor.reshape(n, n * n)
+                   @ g.tensor.transpose(0, 2, 1).reshape(n, n * n).T)
+        top = np.linalg.eigvalsh(derived.T @ killing @ derived)[-1]
+        exponential = top > tols.growth_real_part * s * s
+    return (GrowthType.EXPONENTIAL
+            if exponential and g.nilpotency_class is None
+            else GrowthType.SUBEXPONENTIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +513,7 @@ def standard_decomposition(g: MetricLieAlgebra,
     in an adapted basis.  Rerunning on it reproduces the same spectral
     data.
     """
-    n_basis = derived_algebra(g)
+    n_basis = g.derived_algebra
     if n_basis.shape[1] != g.dim - 1:
         raise StructureError(
             f"derived algebra has codimension {g.dim - n_basis.shape[1]}, expected 1"
@@ -515,7 +539,7 @@ def standard_decomposition(g: MetricLieAlgebra,
 
     for (a, b, name) in ((v_in_n, z_in_n, "v -> z"), (z_in_n, v_in_n, "z -> v")):
         leak = np.linalg.norm(b.T @ m_n @ a)
-        if leak > tols.self_adjoint * max(1.0, np.linalg.norm(m_n)):
+        if leak > tols.self_adjoint * np.linalg.norm(m_n):
             raise NotStandardError(
                 f"ad_H mixes the blocks ({name} leak {leak:.3e})"
             )
@@ -524,7 +548,7 @@ def standard_decomposition(g: MetricLieAlgebra,
     ad_v = v_in_n.T @ m_n @ v_in_n
     for blk, name in ((ad_z, "z"), (ad_v, "v")):
         asym = np.linalg.norm(blk - blk.T)
-        if asym > tols.self_adjoint * max(1.0, np.linalg.norm(blk)):
+        if asym > tols.self_adjoint * np.linalg.norm(blk):
             raise NotStandardError(
                 f"ad_H not self-adjoint on {name} (residual {asym:.3e})"
             )

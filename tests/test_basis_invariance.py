@@ -1,16 +1,19 @@
 """Results must not depend on the orthonormal basis an algebra is given in,
 nor on a constant rescaling of its metric."""
 
+import json
+
 import numpy as np
 import pytest
 
-from solvharm.cli import build_report
+from solvharm.cli import build_report, main
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.config import DEFAULT_TOLS
 from solvharm.curvature import curvature_norm, einstein_check, nabla_R_norm
-from solvharm.lie_metric import (GrowthType, MetricLieAlgebra, growth_type,
+from solvharm.lie_metric import (GrowthType, MetricLieAlgebra,
+                                 algebra_to_dict, growth_type,
                                  standard_decomposition)
 
 NAMES = ["dr-2-1", "dr-3-1", "perturbed-theta", "generic-pair"]
@@ -90,7 +93,11 @@ def scale_inputs(dr_algebras, perturbed_theta_algebra, generic_pair_algebra,
             # the Jacobi residual of a rotated basis is rounding noise that
             # grows as c^2 (5e-10 at c = 1e3)
             "rotated-dr-3-1": haar_rotate(dr_algebras[(3, 1)], 11),
-            "rotated-dr-7-2": haar_rotate(dr_7_2, 11)}
+            "rotated-dr-7-2": haar_rotate(dr_7_2, 11),
+            # [H, X] = X/2 + Z/2: ad_H maps v into z, at every scale
+            "mixing-h": MetricLieAlgebra(4, (
+                (0, 1, 1, 0.5), (0, 1, 3, 0.5), (0, 2, 2, 0.5),
+                (0, 3, 3, 1.0), (1, 2, 3, 1.0)))}
 
 
 @pytest.mark.parametrize("name", ["dr-1-1", "dr-2-1", "dr-3-1",
@@ -106,6 +113,17 @@ def test_label_is_scale_free(name, scale_inputs):
     label = build_report(g)["classification"]
     assert [build_report(g.rescaled(c))["classification"]
             for c in SCALES] == [label] * len(SCALES)
+
+
+@pytest.mark.parametrize("name, status", [("dr-2-1", "ok"),
+                                          ("generic-pair", "ok"),
+                                          ("mixing-h", "not-standard")])
+def test_decomposition_status_is_scale_free(name, status, scale_inputs):
+    # the self-adjoint checks compare with tolerances times |ad_H|, with
+    # no absolute floor that a small metric would fall under
+    g = scale_inputs[name]
+    assert [build_report(g.rescaled(c))["standard_decomposition"]["status"]
+            for c in (1.0, *SCALES)] == [status] * (1 + len(SCALES))
 
 
 @pytest.mark.parametrize("name", ["dr-1-1", "dr-2-1", "heisenberg-3",
@@ -143,3 +161,78 @@ def test_damek_ricci_growth_is_exponential_in_every_basis(key, haar_rotate):
     g = build_damek_ricci(clifford_generators(*key))
     rotated = [haar_rotate(g, seed) for seed in range(6)]
     assert {growth_type(x) for x in [g, *rotated]} == {GrowthType.EXPONENTIAL}
+
+
+def _matrix_algebra(mats):
+    """span(mats) under the commutator, with ``mats`` declared orthonormal."""
+    m = np.array(mats, dtype=float)
+    flat = m.reshape(len(m), -1).T
+    comm = np.einsum("aij,bjk->abik", m, m)
+    comm = (comm - comm.transpose(1, 0, 2, 3)).reshape(len(m) ** 2, -1)
+    coef = np.linalg.lstsq(flat, comm.T, rcond=None)[0]
+    assert np.abs(flat @ coef - comm.T).max() <= 1e-14
+    return MetricLieAlgebra.from_tensor(coef.T.reshape(len(m), len(m), -1))
+
+
+def _e(n, i, j):
+    e = np.zeros((n, n))
+    e[i, j] = 1.0
+    return e
+
+
+def _pad(a, n):
+    """``a`` as the top-left block of an n x n matrix."""
+    b = np.zeros((n, n))
+    b[:len(a), :len(a)] = a
+    return b
+
+
+J = np.array([[0.0, -1.0], [1.0, 0.0]])
+H = np.diag([1.0, -1.0])
+F = np.array([[0.0, 1.0], [1.0, 0.0]])
+SO3 = [_e(3, 1, 2) - _e(3, 2, 1), _e(3, 2, 0) - _e(3, 0, 2),
+       _e(3, 0, 1) - _e(3, 1, 0)]
+SOL = [np.diag([1.0, -1.0, 0.0]), _e(3, 0, 2), _e(3, 1, 2)]
+# growth type from the Levi factor and the real parts of the radical's
+# weights: compact Levi factor and imaginary weights are subexponential
+REDUCTIVE_GROWTH = {
+    "so(3)": ([*SO3], GrowthType.SUBEXPONENTIAL),
+    "e(3)": ([_pad(a, 4) for a in SO3]
+             + [_e(4, 0, 3), _e(4, 1, 3), _e(4, 2, 3)],
+             GrowthType.SUBEXPONENTIAL),
+    "gl(2)": ([J, H, F, np.eye(2)], GrowthType.EXPONENTIAL),
+    "sl(2) x R^2": ([_pad(J, 3), _pad(H, 3), _pad(F, 3), _e(3, 0, 2),
+                     _e(3, 1, 2)], GrowthType.EXPONENTIAL),
+    "so(3) + sol": ([_pad(a, 6) for a in SO3]
+                    + [np.kron(np.diag([0.0, 1.0]), a) for a in SOL],
+                    GrowthType.EXPONENTIAL),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTIVE_GROWTH))
+def test_reductive_growth_in_every_basis_and_scale(name, haar_rotate):
+    mats, growth = REDUCTIVE_GROWTH[name]
+    g = _matrix_algebra(mats)
+    for x in [g, *(haar_rotate(g, seed) for seed in range(1, 7))]:
+        assert [growth_type(x.rescaled(c)) for c in SCALES] == \
+            [growth] * len(SCALES)
+
+
+def test_elliptic_basis_sl2_growth_does_not_depend_on_seed(tmp_path):
+    # J, J + H/10, J + F/10 declared orthonormal: ad_X has a real
+    # eigenvalue only on a narrow cone of directions, which a sample of
+    # random directions can miss
+    g = _matrix_algebra([J, J + 0.1 * H, J + 0.1 * F])
+    assert growth_type(g) is GrowthType.EXPONENTIAL
+    alg = tmp_path / "sl2.json"
+    alg.write_text(json.dumps(algebra_to_dict(g)))
+    texts = set()
+    for seed in range(8):
+        out = tmp_path / f"report-{seed}.json"
+        assert main(["analyze", str(alg), "--seed", str(seed),
+                     "--output", str(out)]) == 0
+        text = out.read_text()
+        assert f'"seed": {seed}, ' in text
+        texts.add(text.replace(f'"seed": {seed}, ', ""))
+    (text,) = texts
+    assert json.loads(text)["growth"] == "exponential"

@@ -61,6 +61,23 @@ def test_build_nonpositive_count_is_usage_error(argv, flag, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["flat", "--dim", "0"],
+    ["flat", "--dim", "-2"],
+    ["real-hyperbolic", "--dim", "1"],
+])
+def test_build_small_dim_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("the algebra was built")
+
+    monkeypatch.setattr(cli.clifford_dr, "build_flat", no_work)
+    monkeypatch.setattr(cli.clifford_dr, "build_real_hyperbolic", no_work)
+    out = tmp_path / "alg.json"
+    assert main(["build", *argv, "--output", str(out)]) == 2
+    assert "--dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_flat(tmp_path):
     out = tmp_path / "flat.json"
     assert main(["build", "flat", "--dim", "3", "--output", str(out)]) == 0
@@ -646,6 +663,32 @@ def test_build_report_runs_lower_central_series_once(monkeypatch,
     assert report["growth"] == "exponential"
     assert report["algebra"]["nilpotency_class"] is None
     assert len(calls) == 1
+
+
+def test_build_report_computes_derived_algebra_once(monkeypatch,
+                                                    haar_rotate):
+    # the report's derived_dim, the growth type, the lower central series
+    # and the standard decomposition all read g.derived_algebra, so the
+    # n x n^2 matrix of all brackets is decomposed once
+    calls, spans = [], []
+    derived, span = lie_metric.derived_algebra, lie_metric._orthonormal_span
+
+    def counting_derived(g):
+        calls.append(1)
+        return derived(g)
+
+    def counting_span(columns, *args):
+        spans.append(columns.shape)
+        return span(columns, *args)
+
+    monkeypatch.setattr(lie_metric, "derived_algebra", counting_derived)
+    monkeypatch.setattr(lie_metric, "_orthonormal_span", counting_span)
+    g = haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 1)
+    report = build_report(g)
+    assert report["standard_decomposition"]["status"] == "ok"
+    assert report["algebra"]["derived_dim"] == g.dim - 1
+    assert len(calls) == 1
+    assert spans.count((g.dim, g.dim * g.dim)) == 1
 
 
 def test_tol_classifier_zero_reaches_criterion(tmp_path):

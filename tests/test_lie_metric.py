@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 from collections import Counter
@@ -140,11 +141,24 @@ def test_nilpotency_class_cases(dr_algebras):
     assert nilpotency_class(heis_sum_l4) == 3
 
 
+def test_derived_algebra_is_kept_read_only(dr_algebras):
+    g = dr_algebras[(2, 1)]
+    basis = g.derived_algebra
+    assert basis is g.derived_algebra
+    assert not basis.flags.writeable
+    np.testing.assert_array_equal(basis, derived_algebra(g))
+
+
 def test_growth_type_cases(dr_algebras):
     assert growth_type(build_flat(4)) is GrowthType.SUBEXPONENTIAL
     h_type = build_heisenberg_type(clifford_generators(2))
     assert growth_type(h_type) is GrowthType.SUBEXPONENTIAL
     assert growth_type(dr_algebras[(1, 1)]) is GrowthType.EXPONENTIAL
+
+
+def test_growth_type_draws_no_samples():
+    # the verdict comes from theorems, so there is no seed to pass
+    assert list(inspect.signature(growth_type).parameters) == ["g", "tols"]
 
 
 def test_standard_decomposition_damek_ricci(dr_data):
