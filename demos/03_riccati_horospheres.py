@@ -11,8 +11,9 @@ acceptance suite.
 import numpy as np
 
 from solvharm import (build_damek_ricci, clifford_generators,
-                      horosphere_mean_curvature_formula,
-                      solve_algebraic_riccati_max, standard_decomposition)
+                      standard_decomposition)
+from solvharm.riccati import (horosphere_mean_curvature_formula,
+                              solve_algebraic_riccati_max)
 
 np.set_printoptions(precision=6, suppress=True)
 

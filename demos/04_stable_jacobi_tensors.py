@@ -18,9 +18,11 @@ m(t) = -d/dt log|det E(t)| constant.
 
 import numpy as np
 
-from solvharm import (CentralGeodesicFrame, build_damek_ricci,
-                      clifford_generators, mean_curvature_numeric,
-                      stable_jacobi_tensor, standard_decomposition)
+from solvharm import (build_damek_ricci, clifford_generators,
+                      standard_decomposition)
+from solvharm.jacobi_flow import (CentralGeodesicFrame,
+                                  mean_curvature_numeric,
+                                  stable_jacobi_tensor)
 from solvharm.lie_metric import MetricLieAlgebra
 
 np.set_printoptions(precision=6, suppress=True)

@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from solvharm import (CenterFactor, KernelFactor, PairFactor, classify_factor,
-                      gauss_f, h_factors, h_function,
-                      stable_block_and_derivative)
+from solvharm.hypergeom import (CenterFactor, KernelFactor, PairFactor,
+                                classify_factor, gauss_f, h_factors,
+                                h_function, stable_block_and_derivative)
 
 np.set_printoptions(precision=8, suppress=True)
 

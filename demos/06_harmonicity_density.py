@@ -9,7 +9,8 @@ bracket normalization even slightly shows up immediately.
 import numpy as np
 
 from solvharm import (build_damek_ricci, build_real_hyperbolic,
-                      clifford_generators, volume_density)
+                      clifford_generators)
+from solvharm.jacobi_flow import volume_density
 from solvharm.lie_metric import MetricLieAlgebra
 
 rng = np.random.default_rng(42)

@@ -6,6 +6,12 @@ Einstein constants, Jacobi operators), solve the horosphere Riccati
 equations, integrate stable Jacobi tensors, and evaluate the
 hypergeometric rigidity function whose constancy characterizes
 asymptotically harmonic Einstein solvmanifolds.
+
+The package root re-exports the numpy-only modules (``lie_metric``,
+``clifford_dr``, ``curvature``), so ``import solvharm`` and building and
+checking an algebra load no scipy.  The scipy-backed modules are imported
+by name: ``solvharm.riccati``, ``solvharm.jacobi_flow`` and
+``solvharm.hypergeom``.
 """
 
 from .config import DEFAULT_TOLS, Tolerances
@@ -25,16 +31,5 @@ from .clifford_dr import (CliffordModule, build_damek_ricci, build_flat,
 from .curvature import (central_jacobi_blocks, curvature_norm,
                         curvature_tensor, einstein_check, jacobi_operator_H,
                         levi_civita, nabla_R_norm, ricci, sectional_curvature)
-from .riccati import (RiccatiResult, horosphere_mean_curvature_formula,
-                      solve_algebraic_riccati_max)
-from .jacobi_flow import (CentralGeodesicFrame, JacobiTensorSample,
-                          mean_curvature_numeric, stable_jacobi_tensor,
-                          volume_density)
-from .hypergeom import (CenterFactor, FactorClassification, FactorSpec,
-                        HypergeomParams, KernelFactor, PairFactor,
-                        RigidityReport, classify_factor, factors_from_data,
-                        fundamental_pair, gauss_f, h_factors, h_function,
-                        pair_exponents, rigidity_conclusion,
-                        stable_block_and_derivative, z_of_t)
 
 __version__ = "0.1.0"

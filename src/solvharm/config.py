@@ -80,3 +80,8 @@ TRACE_IDENTITY_REL = 1e-6
 # ``MetricLieAlgebra.from_tensor``; the roundoff of a change of basis
 # scales with the entries
 ANTISYMMETRY_REL = 1e-12
+
+# bound on | |v| - 1 | for the unit vectors taken by
+# ``curvature.jacobi_operator_H`` and ``jacobi_flow.volume_density``;
+# a direction is unitless, so the bound is absolute
+UNIT_VECTOR_TOL = 1e-10

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, UNIT_VECTOR_TOL, Tolerances
 from .errors import DomainError
 from .lie_metric import (MetricLieAlgebra, StandardSolvableData, ad_matrix,
                          scale_squared, symmetric_skew_split)
@@ -114,7 +114,7 @@ def jacobi_operator_H(g, a_vec) -> np.ndarray:
     """
     alg = g.algebra if isinstance(g, StandardSolvableData) else g
     a_vec = np.asarray(a_vec, dtype=float)
-    if abs(np.linalg.norm(a_vec) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(a_vec) - 1.0) > UNIT_VECTOR_TOL:
         raise DomainError("A must be a unit vector")
     # A perp [s,s]  <=>  no bracket has a component along A, measured
     # against the bracket scale s as the rank decisions are

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import DOP853
 from scipy.special import beta, betainc
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, UNIT_VECTOR_TOL, Tolerances
 from .curvature import central_frame_split, central_jacobi_blocks
 from .errors import ConjugatePointError, DomainError, NumericalError
 from .hypergeom import stable_block_and_derivative, z_of_t
@@ -216,7 +216,7 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
     direction v.
     """
     v = np.asarray(v, dtype=float)
-    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:   # NaN fails too
+    if not abs(np.linalg.norm(v) - 1.0) <= UNIT_VECTOR_TOL:   # NaN fails too
         raise DomainError("direction v must be a unit vector")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or not t_grid[0] >= 0.0 \

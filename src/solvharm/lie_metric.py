@@ -280,18 +280,19 @@ def center_of(g: MetricLieAlgebra) -> np.ndarray:
 def subalgebra(g: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
     """Restriction of ``g`` to the span of orthonormal ``basis`` columns.
 
-    Raises :class:`StructureError` when the span is not closed under the
-    bracket within ``_RANK_TOL``.
+    Raises :class:`StructureError` when a bracket leaks out of the span
+    by more than ``_RANK_TOL`` times the bracket scale.
     """
     b = np.asarray(basis, dtype=float)
     r = b.shape[1]
+    scale = _bracket_scale(g)
     tensor = np.zeros((r, r, r))
     for a in range(r):
         for c in range(a + 1, r):
             w = bracket(b[:, a], b[:, c], g)
             coeffs = b.T @ w
             leak = np.linalg.norm(w - b @ coeffs)
-            if leak > _RANK_TOL * max(1.0, np.linalg.norm(w)):
+            if leak > _RANK_TOL * scale:
                 raise StructureError(
                     f"span is not a subalgebra: bracket leaks {leak:.3e}"
                 )

@@ -3,13 +3,14 @@
 Thin, contract-enforcing wrappers around LAPACK via numpy/scipy: we need
 eigenvalues, matrix exponentials, guarded linear solves and an ordered
 real Schur form.  All functions are pure and accept/return plain
-``numpy`` arrays.
+``numpy`` arrays.  ``as_square`` and ``eigenvalues`` need numpy alone;
+the other kernels import ``scipy.linalg`` when first called, so building
+and checking an algebra loads no scipy.
 """
 
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DimensionError, NumericalError, SingularMatrixError
@@ -56,6 +57,7 @@ def eigenvalues(m) -> np.ndarray:
 
 def matrix_exponential(m) -> np.ndarray:
     """exp(m) by scaling-and-squaring (scipy's Pade implementation)."""
+    import scipy.linalg
     a = as_square(m)
     with warnings.catch_warnings():
         # overflow is turned into an explicit error below
@@ -72,6 +74,7 @@ def solve_linear(a, b, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     Raises :class:`SingularMatrixError` when any LU pivot falls below
     ``tols.pivot_rel * ||a||``.
     """
+    import scipy.linalg
     a = as_square(a, "coefficient matrix")
     b_arr = np.asarray(b, dtype=float)
     if b_arr.shape[0] != a.shape[0]:
@@ -100,6 +103,7 @@ def ordered_real_schur(m, select):
     with ``m = Z T Z^T`` and ``sdim`` the dimension of the selected
     subspace (the span of the first ``sdim`` columns of ``Z``).
     """
+    import scipy.linalg
     a = as_square(m)
     try:
         t, z, sdim = scipy.linalg.schur(a, output="real", sort=select)

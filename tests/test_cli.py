@@ -18,16 +18,39 @@ from solvharm.jacobi_flow import volume_density
 from solvharm.lie_metric import algebra_to_dict
 
 
-def _run(argv, **kwargs):
+def _child_env():
     # the child imports the same solvharm as the tests, also when only
     # pytest's ``pythonpath`` setting put it on sys.path
     src = os.path.dirname(os.path.dirname(solvharm.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _run(argv, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "solvharm.cli", *argv],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), **kwargs
+        capture_output=True, text=True, env=_child_env(), **kwargs
     )
+
+
+def test_package_and_numpy_only_path_load_no_scipy():
+    # building and checking an algebra needs numpy alone; scipy loads
+    # with the first module that computes with it
+    script = "\n".join([
+        "import sys",
+        "import solvharm",
+        "from solvharm import clifford_dr, curvature, lie_metric",
+        "cm = clifford_dr.clifford_generators(2)",
+        "g = clifford_dr.build_damek_ricci(cm)",
+        "curvature.einstein_check(g)",
+        "curvature.nabla_R_norm(g)",
+        "lie_metric.algebra_to_dict(g)",
+        "print(sorted(m for m in sys.modules",
+        "             if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_child_env(), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_build_writes_deterministic_json(tmp_path):

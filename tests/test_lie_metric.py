@@ -432,6 +432,13 @@ def test_subalgebra_closure_error():
         subalgebra(g, basis)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-9, 1e-12])
+def test_subalgebra_leak_is_relative_to_bracket_scale(c):
+    # span(X, Y) in [X, Y] = Z leaks Z at every scale of the metric
+    with pytest.raises(StructureError):
+        subalgebra(HEISENBERG.rescaled(c), np.eye(3)[:, :2])
+
+
 def test_json_round_trip(dr_algebras):
     g = dr_algebras[(2, 1)]
     data = algebra_to_dict(g)
