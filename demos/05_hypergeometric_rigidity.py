@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from solvharm.hypergeom import (CenterFactor, KernelFactor, PairFactor,
-                                classify_factor, gauss_f, h_factors,
-                                h_function, stable_block_and_derivative)
+from solvharm.hypergeom import (classify_factor, gauss_f, h_factors,
+                                h_function, pair_exponents,
+                                stable_block_and_derivative)
 
 np.set_printoptions(precision=8, suppress=True)
 
@@ -39,21 +39,22 @@ print("h(z) for pairs [(1/2, 0.8)]:", h_function([], [], [(0.5, 0.8)], zs))
 # exponents are a = -k, b = k for a positive integer k = theta.  Then both
 # of its series terminate and the factor is a polynomial of degree k - 1.
 print(f"\nclassification of candidate factors, each sampled at z = {zs}:")
-for factor in (CenterFactor(1.0), CenterFactor(0.6), KernelFactor(0.25),
-               PairFactor(0.5, 1.0), PairFactor(0.5, 2.0),
-               PairFactor(0.5, 3.0), PairFactor(0.5, math.sqrt(6.0)),
-               PairFactor(0.3, 0.8)):
-    if isinstance(factor, PairFactor):
-        a, b = factor.exponents
-        inputs = (f"pair rho = {factor.rho}, theta = {factor.theta:.6g}: "
+for kind, *params in (("center", 1.0), ("center", 0.6), ("kernel", 0.25),
+                      ("pair", 0.5, 1.0), ("pair", 0.5, 2.0),
+                      ("pair", 0.5, 3.0), ("pair", 0.5, math.sqrt(6.0)),
+                      ("pair", 0.3, 0.8)):
+    if kind == "pair":
+        rho, theta = params
+        a, b = pair_exponents(rho, theta)
+        inputs = (f"pair rho = {rho}, theta = {theta:.6g}: "
                   f"a = {a:.6g}, b = {b:.6g}")
-        values = h_factors([], [], [(factor.rho, factor.theta)], zs)
-    elif isinstance(factor, CenterFactor):
-        inputs = f"center mu = {factor.mu}"
-        values = h_factors([factor.mu], [], [], zs)
+        values = h_factors([], [], [params], zs)
+    elif kind == "center":
+        inputs = f"center mu = {params[0]}"
+        values = h_factors(params, [], [], zs)
     else:
-        inputs = f"kernel rho* = {factor.rho_star}"
-        values = h_factors([], [factor.rho_star], [], zs)
-    res = classify_factor(factor)
-    extra = f" of degree {res.degree}" if res.degree is not None else ""
-    print(f"  {inputs} -> {res.label}{extra}\n    factor: {values[:, 0]}")
+        inputs = f"kernel rho* = {params[0]}"
+        values = h_factors([], params, [], zs)
+    label, degree = classify_factor(kind, *params)
+    extra = f" of degree {degree}" if degree is not None else ""
+    print(f"  {inputs} -> {label}{extra}\n    factor: {values[:, 0]}")

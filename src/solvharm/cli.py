@@ -19,9 +19,8 @@ import numpy as np
 from . import (clifford_dr, curvature, hypergeom, jacobi_flow, lie_metric,
                numerics, riccati)
 from .config import DEFAULT_TOLS, TRACE_IDENTITY_REL, Tolerances
-from .errors import (DegenerateSpectrumError, DimensionError,
-                     NotStandardError, NumericalError, SolvharmError,
-                     StructureError)
+from .errors import (DegenerateSpectrumError, DimensionError, NumericalError,
+                     SolvharmError, StructureError)
 
 _MEAN_GRID = (0.5, 8.0, 26)
 _H_GRID = (0.05, 0.5, 50)
@@ -117,9 +116,15 @@ def _render_json(value) -> str:
 
 
 def _write_atomic(path: str, text: str):
+    """Write ``text`` to a temporary file beside ``path`` and rename it
+    over ``path``, with the mode a plain ``open`` would give: 0o666 less
+    the umask (``mkstemp`` creates its file as 0o600)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".solvharm-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -156,24 +161,23 @@ def _load_algebra(path: str, tols: Tolerances) -> lie_metric.MetricLieAlgebra:
         raise _UsageError(f"malformed algebra file {path}: {exc}") from exc
 
 
+def _load_standard_data(path: str, tols: Tolerances):
+    """The standard decomposition of the algebra file at ``path``, or None
+    once stderr says why there is none (the caller exits 3)."""
+    g = _load_algebra(path, tols)
+    try:
+        return lie_metric.standard_decomposition(g, tols)
+    except StructureError as exc:
+        sys.stderr.write(f"not a standard solvable algebra: {exc}\n")
+        return None
+
+
 # ---------------------------------------------------------------------------
 # analysis pipeline
 # ---------------------------------------------------------------------------
 
 def _tolerances_dict(tols: Tolerances, command: str) -> dict:
     return {name: getattr(tols, name) for name in _COMMAND_TOLS[command]}
-
-
-def _factor_entry(spec, cls):
-    if isinstance(spec, hypergeom.CenterFactor):
-        params = {"kind": "center", "mu": spec.mu}
-    elif isinstance(spec, hypergeom.KernelFactor):
-        params = {"kind": "kernel", "rho_star": spec.rho_star}
-    else:
-        params = {"kind": "pair", "rho": spec.rho, "theta": spec.theta}
-    params["label"] = cls.label
-    params["degree"] = cls.degree
-    return params
 
 
 def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
@@ -204,7 +208,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     if not is_flat:
         try:
             data = lie_metric.standard_decomposition(g, tols)
-        except (StructureError, NotStandardError) as exc:
+        except StructureError as exc:
             decomposition_error = str(exc)
 
     if data is None:
@@ -230,7 +234,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     try:
         ricc = riccati.solve_algebraic_riccati_max(ad_h, tols)
         trace_l0 = ricc.trace_l0
-    except (NumericalError, DegenerateSpectrumError) as exc:
+    except NumericalError as exc:
         trace_l0 = None
         report.setdefault("warnings", []).append(f"riccati: {exc}")
     t_lo, t_hi, t_n = _MEAN_GRID
@@ -240,7 +244,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
         m_fd, _ = jacobi_flow.mean_curvature_numeric(sample)
         deviation = float(np.abs(m_fd - formula).max())
         numeric_mean = float(np.mean(m_fd))
-    except (NumericalError, SolvharmError) as exc:
+    except SolvharmError as exc:
         deviation = None
         numeric_mean = None
         report.setdefault("warnings", []).append(f"mean-curvature: {exc}")
@@ -269,11 +273,8 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
         "constant": h_constant,
     }
 
-    rig = hypergeom.rigidity_conclusion(data, tols)
-    report["rigidity"] = {
-        "is_rigid": rig.is_rigid,
-        "factors": [_factor_entry(s, c) for s, c in rig.factors],
-    }
+    is_rigid, factors = hypergeom.rigidity_conclusion(data, tols)
+    report["rigidity"] = {"is_rigid": is_rigid, "factors": factors}
 
     nr = curvature.nabla_R_norm(g)
     ratio = nr / r_norm if r_norm > 0 else 0.0
@@ -283,9 +284,9 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
 
     mean_constant = (deviation is not None
                      and deviation <= tols.mean_constancy)
-    if rig.is_rigid and is_einstein and symmetric:
+    if is_rigid and is_einstein and symmetric:
         label = "RankOneSymmetric"
-    elif rig.is_rigid and is_einstein:
+    elif is_rigid and is_einstein:
         label = "DamekRicciNonsymmetric"
     elif not h_constant or not mean_constant:
         label = "NotAsymptoticallyHarmonic"
@@ -360,6 +361,8 @@ def cmd_build(args, tols: Tolerances) -> int:
 
 def cmd_analyze(args, tols: Tolerances) -> int:
     if args.density_csv:   # reject bad values before any work is done
+        if args.seed < 0:
+            raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
         directions = _positive_count(args.density_directions,
                                      "--density-directions")
         times = _density_times(args.density_times)
@@ -377,11 +380,8 @@ def cmd_scan_h(args, tols: Tolerances) -> int:
     for value, flag in ((args.z_min, "--z-min"), (args.z_max, "--z-max")):
         if not -1.0 < value < 1.0:   # also NaN
             raise _UsageError(f"{flag} must lie in (-1, 1), got {value}")
-    g = _load_algebra(args.algebra, tols)
-    try:
-        data = lie_metric.standard_decomposition(g, tols)
-    except (StructureError, NotStandardError) as exc:
-        sys.stderr.write(f"not a standard solvable algebra: {exc}\n")
+    data = _load_standard_data(args.algebra, tols)
+    if data is None:
         return 3
     mu_f, rho_star, pairs = data.frame_factor_data()
     n_factors = len(mu_f) + len(rho_star) + len(pairs)
@@ -397,17 +397,14 @@ def cmd_scan_h(args, tols: Tolerances) -> int:
 
 
 def cmd_classify(args, tols: Tolerances) -> int:
-    g = _load_algebra(args.algebra, tols)
-    try:
-        data = lie_metric.standard_decomposition(g, tols)
-    except (StructureError, NotStandardError) as exc:
-        sys.stderr.write(f"not a standard solvable algebra: {exc}\n")
+    data = _load_standard_data(args.algebra, tols)
+    if data is None:
         return 3
-    rig = hypergeom.rigidity_conclusion(data, tols)
+    is_rigid, factors = hypergeom.rigidity_conclusion(data, tols)
     report = {
         "schema": "solvharm-classify-v1",
-        "is_rigid": rig.is_rigid,
-        "factors": [_factor_entry(s, c) for s, c in rig.factors],
+        "is_rigid": is_rigid,
+        "factors": factors,
         "tolerances": _tolerances_dict(tols, "classify"),
     }
     _deliver(_render_json(report), args.output)
@@ -453,11 +450,23 @@ def cmd_riccati(args, tols: Tolerances) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _tolerance(raw: str) -> float:
+    """A ``--tol-*`` value: a finite, nonnegative number."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:   # also NaN
+        raise argparse.ArgumentTypeError(
+            f"must be a finite nonnegative number, got {raw!r}")
+    return value
+
+
 def _add_tolerance_flags(parser: argparse.ArgumentParser, names):
     for name in names:
         parser.add_argument("--tol-" + name.replace("_", "-"),
-                            dest=f"tol_{name}", type=float, default=None,
-                            help=argparse.SUPPRESS)
+                            dest=f"tol_{name}", type=_tolerance,
+                            default=None, help=argparse.SUPPRESS)
 
 
 def _collect_tolerances(args) -> Tolerances:

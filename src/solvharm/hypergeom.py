@@ -9,8 +9,6 @@ criterion for the factors of h continued around z = 1.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 from scipy import special
@@ -20,13 +18,6 @@ from .errors import DomainError, NumericalError
 from .lie_metric import StandardSolvableData
 
 __all__ = [
-    "HypergeomParams",
-    "CenterFactor",
-    "KernelFactor",
-    "PairFactor",
-    "FactorSpec",
-    "FactorClassification",
-    "RigidityReport",
     "z_of_t",
     "gauss_f",
     "fundamental_pair",
@@ -35,7 +26,6 @@ __all__ = [
     "h_factors",
     "h_function",
     "classify_factor",
-    "factors_from_data",
     "rigidity_conclusion",
 ]
 
@@ -61,13 +51,6 @@ def _integer(x: float, tol: float = 1e-10) -> bool:
     return abs(x - round(x)) <= tol
 
 
-@dataclass(frozen=True)
-class HypergeomParams:
-    a: float
-    b: float
-    c: float
-
-
 def gauss_f(a: float, b: float, c: float, z):
     """F(a, b; c; z) on |z| < 1 by ``scipy.special.hyp2f1``.
 
@@ -88,13 +71,12 @@ def gauss_f(a: float, b: float, c: float, z):
     return float(value) if value.ndim == 0 else value
 
 
-def fundamental_pair(p: HypergeomParams, z):
+def fundamental_pair(a: float, b: float, c: float, z):
     """The solution pair (u1, u1', u2, u2') of the hypergeometric equation.
 
     u1 = F(a,b;c;z) is regular at 0; u2 = z^(1-c) F(1+a-c,1+b-c;2-c;z)
     is independent of it for c not an integer.  ``z`` may be an array.
     """
-    a, b, c = p.a, p.b, p.c
     if _integer(c):
         raise DomainError(
             f"degenerate fundamental pair: c = {c} is an integer"
@@ -159,8 +141,7 @@ def stable_block_and_derivative(rho: float, theta: float, t):
     _check_pair_params(rho, theta)
     t = np.asarray(t, dtype=float)
     a, b = pair_exponents(rho, theta)
-    u1, u1p, u2, u2p = fundamental_pair(HypergeomParams(a, b, rho),
-                                        z_of_t(t))
+    u1, u1p, u2, u2p = fundamental_pair(a, b, rho, z_of_t(t))
     ch, th = np.cosh(t), np.tanh(t)
     sech = 1.0 / ch
     # ker B solutions s = (-cosh^-rho u', 2 theta cosh^(1-rho) u) and the
@@ -228,55 +209,20 @@ def h_function(mu, rho_star, pairs, z):
 # factor classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CenterFactor:
-    mu: float
-
-    def __post_init__(self):
-        if not 0.0 < self.mu <= 1.0 + 1e-12:
-            raise DomainError(f"center factor needs 0 < mu <= 1, got {self.mu}")
+# the report keys of each factor kind's parameters
+_FACTOR_PARAMS = {"center": ("mu",), "kernel": ("rho_star",),
+                  "pair": ("rho", "theta")}
 
 
-@dataclass(frozen=True)
-class KernelFactor:
-    rho_star: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rho_star < 1.0:
-            raise DomainError(
-                f"kernel factor needs 0 < rho* < 1, got {self.rho_star}"
-            )
-
-
-@dataclass(frozen=True)
-class PairFactor:
-    rho: float
-    theta: float
-
-    def __post_init__(self):
-        _check_pair_params(self.rho, self.theta)
-
-    @property
-    def exponents(self):
-        return pair_exponents(self.rho, self.theta)
-
-
-FactorSpec = Union[CenterFactor, KernelFactor, PairFactor]
-
-
-@dataclass(frozen=True)
-class FactorClassification:
-    label: str                      # "constant" | "polynomial" | "unbounded"
-    degree: Optional[int] = None    # for polynomials
-
-    @property
-    def is_bounded(self) -> bool:
-        return self.label != "unbounded"
-
-
-def classify_factor(f: FactorSpec,
-                    tols: Tolerances = DEFAULT_TOLS) -> FactorClassification:
+def classify_factor(kind: str, *params: float,
+                    tols: Tolerances = DEFAULT_TOLS):
     """Behavior of the analytic continuation of a factor of h around z = 1.
+
+    ``kind`` is ``"center"`` (parameter mu in (0, 1]), ``"kernel"``
+    (rho* in (0, 1)) or ``"pair"`` (rho in (0, 1/2] and theta > 0);
+    a parameter out of range is a DomainError.  Returns
+    ``(label, degree)`` with label ``"constant"``, ``"polynomial"`` or
+    ``"unbounded"`` and the degree of a polynomial, else None.
 
     The paper's closed criterion: a center factor is constant exactly for
     mu = 1 (a terminating series) and unbounded otherwise; a kernel
@@ -289,44 +235,51 @@ def classify_factor(f: FactorSpec,
     terminate: near the edge of the window a can snap while b does not.
     """
     tol = tols.classifier_zero
-    if isinstance(f, CenterFactor):
-        return FactorClassification(
-            "constant" if abs(f.mu - 1.0) <= tol else "unbounded")
-    if isinstance(f, KernelFactor):
-        return FactorClassification("unbounded")
-    a, b = f.exponents
+    if kind == "center":
+        (mu,) = params
+        if not 0.0 < mu <= 1.0 + 1e-12:
+            raise DomainError(f"center factor needs 0 < mu <= 1, got {mu}")
+        return ("constant" if abs(mu - 1.0) <= tol else "unbounded"), None
+    if kind == "kernel":
+        (rho_star,) = params
+        if not 0.0 < rho_star < 1.0:
+            raise DomainError(
+                f"kernel factor needs 0 < rho* < 1, got {rho_star}")
+        return "unbounded", None
+    if kind != "pair":
+        raise ValueError(f"unknown factor kind {kind!r}")
+    rho, theta = params
+    _check_pair_params(rho, theta)
+    a, b = pair_exponents(rho, theta)
     k = round(b)
-    if (abs(f.rho - 0.5) <= tol and _nonpositive_int(a, tol)
+    if (abs(rho - 0.5) <= tol and _nonpositive_int(a, tol)
             and _nonpositive_int(-b, tol) and k >= 1):
-        return FactorClassification("polynomial", degree=k - 1)
-    return FactorClassification("unbounded")
-
-
-def factors_from_data(d: StandardSolvableData):
-    """Factor specs of the canonical central geodesic frame of ``d``."""
-    mu_f, rho_star, pairs = d.frame_factor_data()
-    factors = [CenterFactor(mu=float(m)) for m in mu_f]
-    factors += [KernelFactor(rho_star=float(r)) for r in rho_star]
-    factors += [PairFactor(rho=float(r), theta=float(t)) for r, t in pairs]
-    return factors
-
-
-@dataclass(frozen=True)
-class RigidityReport:
-    is_rigid: bool
-    factors: tuple     # pairs (FactorSpec, FactorClassification)
+        return "polynomial", k - 1
+    return "unbounded", None
 
 
 def rigidity_conclusion(d: StandardSolvableData,
-                        tols: Tolerances = DEFAULT_TOLS) -> RigidityReport:
+                        tols: Tolerances = DEFAULT_TOLS):
     """Whether the spectral data forces the Damek-Ricci structure.
 
     Rigid iff every factor of h is bounded and every polynomial factor
     has degree 0, i.e. h is constant.  By the classifier this means no
     kernel factors, every frame center eigenvalue 1 and every pair
     (1/2, 1) -- equivalently ad_H = id on z, id/2 on v and j(Z)^2 = -id.
-    The report carries every factor with its classification.
+    Returns ``(is_rigid, factors)``: one report row ``{"kind", the
+    parameters, "label", "degree"}`` per factor of h, in the order of
+    ``frame_factor_data()`` (centers, kernels, pairs).
     """
-    entries = tuple((f, classify_factor(f, tols)) for f in factors_from_data(d))
-    rigid = all(c.is_bounded and c.degree in (None, 0) for _, c in entries)
-    return RigidityReport(is_rigid=rigid, factors=entries)
+    mu_f, rho_star, pairs = d.frame_factor_data()
+    specs = ([("center", (m,)) for m in mu_f.tolist()]
+             + [("kernel", (r,)) for r in rho_star.tolist()]
+             + [("pair", tuple(p)) for p in pairs.tolist()])
+    factors = []
+    for kind, params in specs:
+        label, degree = classify_factor(kind, *params, tols=tols)
+        factors.append({"kind": kind,
+                        **dict(zip(_FACTOR_PARAMS[kind], params)),
+                        "label": label, "degree": degree})
+    rigid = all(f["label"] != "unbounded" and f["degree"] in (None, 0)
+                for f in factors)
+    return rigid, factors

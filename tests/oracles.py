@@ -58,9 +58,7 @@ from scipy.linalg import block_diag
 from solvharm.config import DEFAULT_TOLS
 from solvharm.errors import (ConjugatePointError, DomainError, NumericalError,
                              SingularMatrixError)
-from solvharm.hypergeom import (CenterFactor, FactorClassification,
-                                HypergeomParams, KernelFactor, _integer,
-                                _nonpositive_int, fundamental_pair,
+from solvharm.hypergeom import (_integer, _nonpositive_int, fundamental_pair,
                                 h_function, pair_exponents, z_of_t)
 from solvharm.jacobi_flow import CentralGeodesicFrame, JacobiTensorSample
 from solvharm.lie_metric import _null_space, symmetric_skew_split
@@ -132,7 +130,7 @@ def stable_block_scalar(rho: float, theta: float, t: float):
     from ker(d/dt - A), with A and B as 2x2 matrices."""
     z = 1.0 / (1.0 + math.exp(2.0 * t))
     a, b = pair_exponents(rho, theta)
-    u1, u1p, u2, u2p = fundamental_pair(HypergeomParams(a, b, rho), z)
+    u1, u1p, u2, u2p = fundamental_pair(a, b, rho, z)
     ch, th, sech = math.cosh(t), math.tanh(t), 1.0 / math.cosh(t)
     a_mat = th * np.diag([rho, 1.0 - rho])
     b_op = a_mat + sech * np.array([[0.0, -theta], [theta, 0.0]])
@@ -542,7 +540,7 @@ def reciprocal_gamma(x: float) -> float:
     return _finite(float(special.rgamma(x)), f"1/gamma({x})")
 
 
-def monodromy_coeffs(p: HypergeomParams,
+def monodromy_coeffs(a: float, b: float, c: float,
                      tols=DEFAULT_TOLS) -> MonodromyCoeffs:
     """Continuation of u1 along the positive loop around z = 1.
 
@@ -552,7 +550,6 @@ def monodromy_coeffs(p: HypergeomParams,
     assembled from reciprocal gammas so the integer-parameter zeros are
     exact.
     """
-    a, b, c = p.a, p.b, p.c
     if (_nonpositive_int(a, tols.classifier_zero)
             or _nonpositive_int(b, tols.classifier_zero)):
         return MonodromyCoeffs(complex(1.0), complex(0.0))
@@ -567,32 +564,33 @@ def monodromy_coeffs(p: HypergeomParams,
     return MonodromyCoeffs(complex(b11), complex(b12))
 
 
-def classify_factor_monodromy(f, tols=DEFAULT_TOLS) -> FactorClassification:
+def classify_factor_monodromy(kind, *params, tols=DEFAULT_TOLS):
     """The factor classifier rebuilt from the monodromy of each half series.
 
-    A pair factor continues to A/z + B z^-c + C z^-(1-c) plus a bounded
-    part; it stays bounded only when A = 0 and the singular coefficients
-    cancel, which forces c = 1/2 and b a positive integer, giving a
-    polynomial of degree b - 1.  Against the closed criterion of
-    ``hypergeom.classify_factor``.
+    Takes the arguments of ``hypergeom.classify_factor`` and returns its
+    ``(label, degree)``.  A pair factor continues to
+    A/z + B z^-c + C z^-(1-c) plus a bounded part; it stays bounded only
+    when A = 0 and the singular coefficients cancel, which forces
+    c = 1/2 and b a positive integer, giving a polynomial of degree
+    b - 1.  Against the closed criterion of ``hypergeom.classify_factor``.
     """
     tol = tols.classifier_zero
-    if isinstance(f, CenterFactor):
-        return FactorClassification(
-            "constant" if abs(f.mu - 1.0) <= tol else "unbounded")
-    if isinstance(f, KernelFactor):
-        return FactorClassification("unbounded")
-    a, b = f.exponents
-    c = f.rho
-    m1 = monodromy_coeffs(HypergeomParams(a, b, c), tols)
-    m2 = monodromy_coeffs(HypergeomParams(-a, -b, 1.0 - c), tols)
+    if kind == "center":
+        (mu,) = params
+        return ("constant" if abs(mu - 1.0) <= tol else "unbounded"), None
+    if kind == "kernel":
+        return "unbounded", None
+    c, theta = params
+    a, b = pair_exponents(c, theta)
+    m1 = monodromy_coeffs(a, b, c, tols)
+    m2 = monodromy_coeffs(-a, -b, 1.0 - c, tols)
     if abs(m1.b11 + m2.b11 - 2.0) > tol:
-        return FactorClassification("unbounded")
+        return "unbounded", None
     if abs(c - 0.5) <= tol and abs(m1.b12 + m2.b12) <= tol:
         if abs(b - round(b)) > 1e-8:
-            return FactorClassification("unbounded")
-        return FactorClassification("polynomial", degree=int(round(b)) - 1)
-    return FactorClassification("unbounded")
+            return "unbounded", None
+        return "polynomial", int(round(b)) - 1
+    return "unbounded", None
 
 
 # ---------------------------------------------------------------------------

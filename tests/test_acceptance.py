@@ -15,8 +15,7 @@ from solvharm.cli import main
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.curvature import einstein_check
-from solvharm.hypergeom import (CenterFactor, KernelFactor, PairFactor,
-                                classify_factor, h_function,
+from solvharm.hypergeom import (classify_factor, h_function,
                                 rigidity_conclusion,
                                 stable_block_and_derivative)
 from solvharm.jacobi_flow import (CentralGeodesicFrame,
@@ -210,14 +209,13 @@ def test_criterion_7_harmonicity_density():
 
 
 def test_criterion_8_classifier_correctness():
-    ok = classify_factor(CenterFactor(1.0)).label == "constant"
+    ok = classify_factor("center", 1.0)[0] == "constant"
     for mu in (0.3, 0.5, 0.9):
-        ok = ok and classify_factor(CenterFactor(mu)).label == "unbounded"
+        ok = ok and classify_factor("center", mu)[0] == "unbounded"
     for rho_star in (0.25, 0.5, 0.75):
-        ok = ok and classify_factor(KernelFactor(rho_star)).label == "unbounded"
-    res = classify_factor(PairFactor(0.5, 1.0))
-    ok = ok and res.label == "polynomial" and res.degree == 0
-    ok = ok and classify_factor(PairFactor(0.5, math.sqrt(6.0))).label == "unbounded"
+        ok = ok and classify_factor("kernel", rho_star)[0] == "unbounded"
+    ok = ok and classify_factor("pair", 0.5, 1.0) == ("polynomial", 0)
+    ok = ok and classify_factor("pair", 0.5, math.sqrt(6.0))[0] == "unbounded"
 
     # 30-case rigidity sweep: exactly the Damek-Ricci / real-hyperbolic
     # spectral data must come out rigid
@@ -248,7 +246,7 @@ def test_criterion_8_classifier_correctness():
         assert len(d.rho_star) == 2
         cases.append((d, False))
     assert len(cases) >= 30
-    sweep_ok = all(rigidity_conclusion(d).is_rigid == expected
+    sweep_ok = all(rigidity_conclusion(d)[0] == expected
                    for d, expected in cases)
     _check(8, f"factor classifier and rigidity sweep over {len(cases)} cases",
            ok and sweep_ok)

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -525,6 +526,52 @@ def test_unread_tolerance_flag_is_usage_error(argv, capsys):
     assert argv[2] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "alg.json", "--tol-classifier-zero", "nan"],
+    ["analyze", "alg.json", "--tol-eigen-merge", "-1"],
+    ["scan-h", "alg.json", "--tol-jacobi-identity", "nan"],
+    ["analyze", "alg.json", "--tol-flat-norm", "inf"],
+    ["riccati", "m.json", "--tol-pivot-rel=-inf"],
+    ["classify", "alg.json", "--tol-self-adjoint", "abc"],
+])
+def test_bad_tolerance_value_is_usage_error(argv, monkeypatch, capsys):
+    # NaN, infinite and negative thresholds are refused before any file
+    # is read, not turned into a silently different verdict
+    def no_work(*args):
+        raise AssertionError("an input file was read")
+
+    monkeypatch.setattr(cli, "_load_json", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[2].split("=")[0] in capsys.readouterr().err
+
+
+def test_zero_tolerance_is_accepted():
+    args = cli.make_parser().parse_args(
+        ["classify", "alg.json", "--tol-classifier-zero", "0"])
+    assert cli._collect_tolerances(args).classifier_zero == 0.0
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_files_get_mode_from_umask(umask, tmp_path):
+    # as a plain open() would: 0o666 less the umask, not mkstemp's 0o600
+    alg, rep, csv = (tmp_path / name for name in ("f.json", "r.json",
+                                                  "d.csv"))
+    old = os.umask(umask)
+    try:
+        assert main(["build", "flat", "--output", str(alg)]) == 0
+        assert main(["analyze", str(alg), "--output", str(rep),
+                     "--density-csv", str(csv),
+                     "--density-directions", "1"]) == 0
+    finally:
+        os.umask(old)
+    for path in (alg, rep, csv):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "d.csv", "f.json", "r.json"]
+
+
 def _registered_tolerances(command):
     sub = next(a for a in cli.make_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -632,6 +679,7 @@ def test_unpaired_eigenspaces_are_not_standard(rows, tmp_path, capsys):
     (["analyze", "--density-directions", "-3"], "--density-directions"),
     (["scan-h", "--z-max", "1.0"], "--z-max"),
     (["scan-h", "--z-min", "nan"], "--z-min"),
+    (["analyze", "--seed", "-1"], "--seed"),
 ])
 def test_bad_grid_is_usage_error_before_any_work(argv, flag, tmp_path,
                                                  monkeypatch, capsys):

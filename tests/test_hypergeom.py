@@ -8,10 +8,8 @@ from oracles import (classify_factor_monodromy, gamma,
                      reciprocal_gamma, stable_block_scalar)
 from solvharm.config import DEFAULT_TOLS
 from solvharm.errors import DomainError, NumericalError
-from solvharm.hypergeom import (CenterFactor, HypergeomParams, KernelFactor,
-                                PairFactor, classify_factor, factors_from_data,
-                                fundamental_pair, gauss_f, h_factors,
-                                h_function, pair_exponents,
+from solvharm.hypergeom import (classify_factor, fundamental_pair, gauss_f,
+                                h_factors, h_function, pair_exponents,
                                 rigidity_conclusion,
                                 stable_block_and_derivative, z_of_t)
 from solvharm.lie_metric import standard_decomposition
@@ -114,9 +112,8 @@ def test_pair_exponent_bounds(rng):
 def test_fundamental_pair_wronskian():
     rho, theta = 0.3, 0.8
     a, b = pair_exponents(rho, theta)
-    p = HypergeomParams(a, b, rho)
     for z in (0.1, 0.25, 0.45):
-        u1, u1p, u2, u2p = fundamental_pair(p, z)
+        u1, u1p, u2, u2p = fundamental_pair(a, b, rho, z)
         w = u1 * u2p - u2 * u1p
         expected = (1.0 - rho) * (z * (1.0 - z)) ** (-rho)
         assert abs(w - expected) <= 1e-10 * abs(expected)
@@ -124,19 +121,17 @@ def test_fundamental_pair_wronskian():
 
 def test_fundamental_pair_center_case():
     mu = 0.6
-    p = HypergeomParams(mu, 1.0 - mu, 1.0 + mu)
     for z in (0.2, 0.4):
-        _, _, u2, _ = fundamental_pair(p, z)
+        _, _, u2, _ = fundamental_pair(mu, 1.0 - mu, 1.0 + mu, z)
         assert abs(u2 - z ** (-mu)) <= 1e-12 * z ** (-mu)
 
 
 def test_fundamental_pair_solves_ode():
     rho, theta = 0.25, 0.5
     a, b = pair_exponents(rho, theta)
-    p = HypergeomParams(a, b, rho)
     for z in (0.15, 0.35):
         for picker in (0, 2):   # u1 and u2
-            f = lambda x: fundamental_pair(p, x)[picker]
+            f = lambda x: fundamental_pair(a, b, rho, x)[picker]
             resid = (z * (1 - z) * _second_derivative(f, z)
                      + (rho - 2 * rho * z) * _first_derivative(f, z)
                      + theta * theta * f(z))
@@ -145,7 +140,7 @@ def test_fundamental_pair_solves_ode():
 
 def test_fundamental_pair_rejects_integer_c():
     with pytest.raises(DomainError):
-        fundamental_pair(HypergeomParams(1.0, 0.0, 2.0), 0.3)
+        fundamental_pair(1.0, 0.0, 2.0, 0.3)
 
 
 def test_fundamental_pair_derivatives_are_derivatives(rng):
@@ -155,11 +150,10 @@ def test_fundamental_pair_derivatives_are_derivatives(rng):
         a = rng.uniform(-1.5, 1.5)
         b = rng.uniform(-1.5, 1.5)
         c = rng.uniform(0.15, 0.85)
-        p = HypergeomParams(a, b, c)
         z = rng.uniform(0.1, 0.6)
-        u1 = lambda x: fundamental_pair(p, x)[0]
-        u2 = lambda x: fundamental_pair(p, x)[2]
-        _, u1p, _, u2p = fundamental_pair(p, z)
+        u1 = lambda x: fundamental_pair(a, b, c, x)[0]
+        u2 = lambda x: fundamental_pair(a, b, c, x)[2]
+        _, u1p, _, u2p = fundamental_pair(a, b, c, z)
         assert abs(u1p - _first_derivative(u1, z)) <= 1e-8 * max(1.0, abs(u1p))
         assert abs(u2p - _first_derivative(u2, z)) <= 1e-8 * max(1.0, abs(u2p))
 
@@ -170,7 +164,7 @@ def test_fundamental_pair_product_form_on_pair_surface():
     rho, theta = 0.35, 0.7
     a, b = pair_exponents(rho, theta)
     for z in (0.1, 0.3, 0.45):
-        _, _, _, u2p = fundamental_pair(HypergeomParams(a, b, rho), z)
+        _, _, _, u2p = fundamental_pair(a, b, rho, z)
         product = ((1.0 - rho) * (z * (1.0 - z)) ** (-rho)
                    * gauss_f(-a, -b, 1.0 - rho, z))
         assert abs(u2p - product) <= 1e-11 * abs(product)
@@ -376,29 +370,29 @@ def test_reciprocal_gamma_zeros():
 
 
 def test_monodromy_center_terminating():
-    m = monodromy_coeffs(HypergeomParams(1.0, 0.0, 2.0))
+    m = monodromy_coeffs(1.0, 0.0, 2.0)
     assert m.b11 == 1.0 and m.b12 == 0.0
 
 
 def test_monodromy_center_nontrivial():
-    m = monodromy_coeffs(HypergeomParams(0.5, 0.5, 1.5))
+    m = monodromy_coeffs(0.5, 0.5, 1.5)
     assert abs(m.b12) > 0.1
 
 
 def test_monodromy_integer_parameter_zero():
-    m = monodromy_coeffs(HypergeomParams(-1.0, 1.0, 0.5))
+    m = monodromy_coeffs(-1.0, 1.0, 0.5)
     assert m.b12 == 0.0
     # c - a in Z_0^- forces B12 = 0 through the reciprocal gamma
-    m = monodromy_coeffs(HypergeomParams(1.5, 0.3, 0.5))
+    m = monodromy_coeffs(1.5, 0.3, 0.5)
     assert m.b12 == 0.0
     # and c - b likewise
-    m = monodromy_coeffs(HypergeomParams(0.3, 2.5, 0.5))
+    m = monodromy_coeffs(0.3, 2.5, 0.5)
     assert m.b12 == 0.0
 
 
 def test_monodromy_rejects_integer_c():
     with pytest.raises(DomainError):
-        monodromy_coeffs(HypergeomParams(0.3, 0.4, 1.0))
+        monodromy_coeffs(0.3, 0.4, 1.0)
 
 
 def test_monodromy_matches_numeric_continuation():
@@ -409,7 +403,7 @@ def test_monodromy_matches_numeric_continuation():
     # |B11|^2 + |B12|^2 > 0 and B11 -> 1 as the loop trivializes (b -> 0)
     drift = []
     for b in (0.5, 0.1, 0.01, 0.001):
-        m = monodromy_coeffs(HypergeomParams(0.7, b, 1.7))
+        m = monodromy_coeffs(0.7, b, 1.7)
         drift.append(abs(m.b11 - 1.0))
     assert all(y < x for x, y in zip(drift, drift[1:]))
 
@@ -419,18 +413,16 @@ def test_monodromy_matches_numeric_continuation():
 # ---------------------------------------------------------------------------
 
 def test_classifier_examples():
-    assert classify_factor(CenterFactor(1.0)).label == "constant"
+    assert classify_factor("center", 1.0) == ("constant", None)
     for mu in (0.3, 0.5, 0.9):
-        assert classify_factor(CenterFactor(mu)).label == "unbounded"
+        assert classify_factor("center", mu) == ("unbounded", None)
     for rho_star in (0.25, 0.5, 0.75):
-        assert classify_factor(KernelFactor(rho_star)).label == "unbounded"
-    res = classify_factor(PairFactor(0.5, 1.0))
-    assert res.label == "polynomial" and res.degree == 0
+        assert classify_factor("kernel", rho_star) == ("unbounded", None)
+    assert classify_factor("pair", 0.5, 1.0) == ("polynomial", 0)
     for theta in (2.0, 3.0):
-        res = classify_factor(PairFactor(0.5, float(theta)))
-        assert res.label == "polynomial" and res.degree == theta - 1
-    assert classify_factor(PairFactor(0.5, math.sqrt(6.0))).label == "unbounded"
-    assert classify_factor(PairFactor(0.3, 0.8)).label == "unbounded"
+        assert classify_factor("pair", 0.5, theta) == ("polynomial", theta - 1)
+    assert classify_factor("pair", 0.5, math.sqrt(6.0)) == ("unbounded", None)
+    assert classify_factor("pair", 0.3, 0.8) == ("unbounded", None)
 
 
 # offsets around 1/2 and the integers: 0, +-1e-14 ... +-1e-8
@@ -450,17 +442,15 @@ def test_classifier_matches_monodromy_oracle_on_grid():
     labels = set()
     for rho in rhos:
         for theta in thetas:
-            f = PairFactor(rho, theta)
-            got, want = classify_factor(f), classify_factor_monodromy(f)
-            assert (got.label, got.degree) == (want.label, want.degree), \
+            got = classify_factor("pair", rho, theta)
+            assert got == classify_factor_monodromy("pair", rho, theta), \
                 (rho, theta)
-            labels.add((got.label, got.degree))
+            labels.add(got)
     assert len(rhos) * len(thetas) == 55440
     assert {("polynomial", k - 1) for k in range(1, 21)} < labels
-    for factor in (CenterFactor(1.0), CenterFactor(1.0 - 5e-11),
-                   CenterFactor(0.6), KernelFactor(0.25)):
-        got, want = classify_factor(factor), classify_factor_monodromy(factor)
-        assert (got.label, got.degree) == (want.label, want.degree)
+    for factor in (("center", 1.0), ("center", 1.0 - 5e-11),
+                   ("center", 0.6), ("kernel", 0.25)):
+        assert classify_factor(*factor) == classify_factor_monodromy(*factor)
 
 
 def test_classifier_degenerate_pairs_are_unbounded():
@@ -469,25 +459,21 @@ def test_classifier_degenerate_pairs_are_unbounded():
     # snap to 0, which is no positive integer (the monodromy classifier
     # read a polynomial of degree -1)
     for theta in (1e-11, tols.classifier_zero):
-        assert classify_factor(PairFactor(0.5, theta)).label == "unbounded"
-        assert classify_factor_monodromy(PairFactor(0.5, theta)).degree == -1
+        assert classify_factor("pair", 0.5, theta) == ("unbounded", None)
+        assert classify_factor_monodromy("pair", 0.5, theta)[1] == -1
     # rho <= classifier_zero: c = rho snaps to the integer 0, where the
     # monodromy formula has no value
     for rho in (1e-11, tols.classifier_zero):
-        assert classify_factor(PairFactor(rho, 1.0)).label == "unbounded"
+        assert classify_factor("pair", rho, 1.0) == ("unbounded", None)
         with pytest.raises(DomainError):
-            classify_factor_monodromy(PairFactor(rho, 1.0))
+            classify_factor_monodromy("pair", rho, 1.0)
 
 
 def test_classifier_rejects_invalid_spec():
-    with pytest.raises(DomainError):
-        CenterFactor(1.5)
-    with pytest.raises(DomainError):
-        KernelFactor(1.0)
-    with pytest.raises(DomainError):
-        PairFactor(0.7, 1.0)
-    with pytest.raises(DomainError):
-        PairFactor(0.5, -1.0)
+    for factor in (("center", 1.5), ("center", 0.0), ("kernel", 1.0),
+                   ("pair", 0.7, 1.0), ("pair", 0.5, -1.0)):
+        with pytest.raises(DomainError):
+            classify_factor(*factor)
 
 
 def test_polynomial_pair_factor_really_is_polynomial():
@@ -500,19 +486,20 @@ def test_polynomial_pair_factor_really_is_polynomial():
 
 def test_rigidity_conclusion_cases(dr_data, perturbed_theta_algebra):
     for key in ((1, 1), (2, 1), (3, 1)):
-        rep = rigidity_conclusion(dr_data[key])
-        assert rep.is_rigid
-        assert all(c.is_bounded for _, c in rep.factors)
+        is_rigid, factors = rigidity_conclusion(dr_data[key])
+        assert is_rigid
+        assert all(f["label"] != "unbounded" for f in factors)
     from solvharm.clifford_dr import build_real_hyperbolic
-    rep = rigidity_conclusion(standard_decomposition(build_real_hyperbolic(5)))
-    assert rep.is_rigid
+    is_rigid, _ = rigidity_conclusion(
+        standard_decomposition(build_real_hyperbolic(5)))
+    assert is_rigid
 
     d = standard_decomposition(perturbed_theta_algebra)
-    rep = rigidity_conclusion(d)
-    assert not rep.is_rigid
-    offending = [s for s, c in rep.factors if c.label == "unbounded"]
-    assert len(offending) == 1 and isinstance(offending[0], PairFactor)
-    assert abs(offending[0].theta - 0.8) <= 1e-12
+    is_rigid, factors = rigidity_conclusion(d)
+    assert not is_rigid
+    offending = [f for f in factors if f["label"] == "unbounded"]
+    assert len(offending) == 1 and offending[0]["kind"] == "pair"
+    assert abs(offending[0]["theta"] - 0.8) <= 1e-12
 
 
 def _parameter_rule(d, tol=1e-8):
@@ -545,10 +532,10 @@ def test_rigidity_verdict_matches_parameter_rule(haar_rotate,
     labels = []
     for g, rigid in cases:
         d = standard_decomposition(g)
-        rep = rigidity_conclusion(d)
-        assert rep.is_rigid is rigid
+        is_rigid, factors = rigidity_conclusion(d)
+        assert is_rigid is rigid
         assert _parameter_rule(d) is rigid
-        labels.append(sorted((c.label, c.degree) for _, c in rep.factors))
+        labels.append(sorted((f["label"], f["degree"]) for f in factors))
     assert ("polynomial", 1) in labels[-2]
     assert len(standard_decomposition(kernel).rho_star) == 2
 
@@ -573,23 +560,40 @@ def test_classifier_evaluator_coherence(rng):
         cases.append(([1.0], [], [(0.5, theta)]))                # bad pair
     assert len(cases) >= 20
     for mu, rho_star, pairs in cases:
-        factors = ([CenterFactor(m) for m in mu]
-                   + [KernelFactor(r) for r in rho_star]
-                   + [PairFactor(r, t) for r, t in np.asarray(pairs).reshape(-1, 2)])
-        all_bounded = all(classify_factor(f).is_bounded for f in factors)
+        verdicts = ([classify_factor("center", m) for m in mu]
+                    + [classify_factor("kernel", r) for r in rho_star]
+                    + [classify_factor("pair", r, t)
+                       for r, t in np.asarray(pairs).reshape(-1, 2)])
+        all_bounded = all(label != "unbounded" for label, _ in verdicts)
         values = np.array([h_function(mu, rho_star, pairs, z) for z in zs])
         rel_var = (values.max() - values.min()) / max(np.abs(values).max(), 1e-30)
-        poly_degrees = [classify_factor(f).degree for f in factors
-                        if classify_factor(f).label == "polynomial"]
+        poly_degrees = [degree for label, degree in verdicts
+                        if label == "polynomial"]
         if all_bounded and all(deg == 0 for deg in poly_degrees):
             assert rel_var <= 1e-8
         if not all_bounded:
             assert rel_var > 1e-4
 
 
-def test_factors_from_data_layout(dr_data):
-    d = dr_data[(3, 1)]
-    factors = factors_from_data(d)
-    kinds = [type(f).__name__ for f in factors]
-    assert kinds.count("CenterFactor") == len(d.mu) - 1
-    assert kinds.count("PairFactor") == len(d.pairs)
+def test_rigidity_conclusion_rows_layout(dr_data):
+    # one row per factor of h in frame_factor_data() order (centers,
+    # kernels, pairs), keyed kind, its parameters, label, degree
+    from solvharm.lie_metric import MetricLieAlgebra
+    kernel = MetricLieAlgebra(5, ((0, 1, 1, 0.4), (0, 2, 2, 0.4),
+                                  (0, 3, 3, 0.8), (0, 4, 4, 1.0),
+                                  (1, 2, 3, 0.9)))
+    keys = {"center": ["mu"], "kernel": ["rho_star"],
+            "pair": ["rho", "theta"]}
+    for d in (dr_data[(3, 1)], standard_decomposition(kernel)):
+        mu_f, rho_star, pairs = d.frame_factor_data()
+        _, factors = rigidity_conclusion(d)
+        assert [f["kind"] for f in factors] == (
+            ["center"] * len(mu_f) + ["kernel"] * len(rho_star)
+            + ["pair"] * len(pairs))
+        assert [[f[k] for k in keys[f["kind"]]] for f in factors] == (
+            [[m] for m in mu_f.tolist()] + [[r] for r in rho_star.tolist()]
+            + pairs.tolist())
+        for f in factors:
+            assert list(f) == ["kind"] + keys[f["kind"]] + ["label", "degree"]
+            assert (f["label"], f["degree"]) == classify_factor(
+                f["kind"], *(f[k] for k in keys[f["kind"]]))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import gamma, monodromy_coeffs, reciprocal_gamma
-from solvharm.hypergeom import HypergeomParams, gauss_f, pair_exponents
+from solvharm.hypergeom import gauss_f, pair_exponents
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -93,10 +93,10 @@ def test_monodromy_coeffs_match_gamma_ratio_formula():
     terminating, general = _monodromy_params()
     assert terminating and general
     for a, b, c in terminating:
-        m = monodromy_coeffs(HypergeomParams(a, b, c))
+        m = monodromy_coeffs(a, b, c)
         assert (m.b11, m.b12) == (1.0, 0.0), (a, b, c)
     for a, b, c in general:
-        m = monodromy_coeffs(HypergeomParams(a, b, c))
+        m = monodromy_coeffs(a, b, c)
         a_, b_, c_ = mp.mpf(a), mp.mpf(b), mp.mpf(c)
         phase = mp.expjpi(c_ - a_ - b_)
         b11 = 1 - 2j * phase * mp.sinpi(a_) * mp.sinpi(b_) / mp.sinpi(c_)
@@ -115,7 +115,7 @@ def test_monodromy_coeffs_continue_u1_around_one():
     mp = mpmath
     checked = 0
     for a, b, c in _monodromy_params()[1]:
-        m = monodromy_coeffs(HypergeomParams(a, b, c))
+        m = monodromy_coeffs(a, b, c)
         a_, b_, c_ = mp.mpf(a), mp.mpf(b), mp.mpf(c)
         coeff = (mp.gamma(c_) * mp.gamma(a_ + b_ - c_)
                  * mp.rgamma(a_) * mp.rgamma(b_))
