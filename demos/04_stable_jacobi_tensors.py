@@ -3,7 +3,7 @@
 Geodesics tangent to the top central direction Z admit an explicit
 orthonormal frame in which the Jacobi equation decouples into scalar
 blocks and 2x2 rotation blocks; it is the adapted basis that
-``standard_decomposition`` builds, with Z = ``d.z_top_vector``.  The
+``standard_decomposition`` builds, whose last vector is Z.  The
 stable tensor E(t) is the limit of boundary problems E_r(0) = id,
 E_r(r) = 0 (``finite_horizon_tensor`` in ``tests/oracles.py`` solves
 those by ODE integration), and each block has a closed form in

@@ -182,12 +182,11 @@ def _tolerances_dict(tols: Tolerances, command: str) -> dict:
 
 def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
                  tols: Tolerances = DEFAULT_TOLS) -> dict:
-    """Run the full analysis pipeline and assemble the report dict."""
+    """The full analysis report, labelled by :func:`_classification`."""
     r_norm = curvature.curvature_norm(g.curvature)
     scale2 = curvature.scale_squared(g)
     is_flat = r_norm <= tols.flat_norm * scale2
     is_einstein, c_const, resid = curvature.einstein_check(g, tols)
-    growth = lie_metric.growth_type(g, tols=tols)
 
     report = {
         "schema": "solvharm-analysis-v1",
@@ -200,11 +199,10 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
         "curvature": {"norm": r_norm, "flat": is_flat},
         "einstein": {"is_einstein": is_einstein, "constant": c_const,
                      "residual": resid},
-        "growth": growth.value,
+        "growth": lie_metric.growth_type(g, tols=tols).value,
     }
 
-    decomposition_error = None
-    data = None
+    data, decomposition_error = None, None
     if not is_flat:
         try:
             data = lie_metric.standard_decomposition(g, tols)
@@ -216,7 +214,8 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
             "status": "flat" if is_flat else "not-standard",
             "reason": decomposition_error,
         }
-        report["classification"] = "Flat" if is_flat else "Indeterminate"
+        report["classification"] = _classification(
+            flat=is_flat, standard=False, einstein=is_einstein)
         report["tolerances"] = _tolerances_dict(tols, "analyze")
         return report
 
@@ -232,45 +231,39 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     ad_h = data.ad_h()
     formula = -riccati.horosphere_mean_curvature_formula(ad_h)
     try:
-        ricc = riccati.solve_algebraic_riccati_max(ad_h, tols)
-        trace_l0 = ricc.trace_l0
+        trace_l0 = riccati.solve_algebraic_riccati_max(ad_h, tols).trace_l0
     except NumericalError as exc:
         trace_l0 = None
         report.setdefault("warnings", []).append(f"riccati: {exc}")
-    t_lo, t_hi, t_n = _MEAN_GRID
-    grid = np.linspace(t_lo, t_hi, t_n)
     try:
-        sample = jacobi_flow.stable_jacobi_tensor(data, grid, tols)
+        sample = jacobi_flow.stable_jacobi_tensor(
+            data, np.linspace(*_MEAN_GRID), tols)
         m_fd, _ = jacobi_flow.mean_curvature_numeric(sample)
         deviation = float(np.abs(m_fd - formula).max())
         numeric_mean = float(np.mean(m_fd))
     except SolvharmError as exc:
-        deviation = None
-        numeric_mean = None
+        deviation = numeric_mean = None
         report.setdefault("warnings", []).append(f"mean-curvature: {exc}")
     report["mean_curvature"] = {
         "formula": formula,
         "riccati_trace_l0": trace_l0,
         "numeric": numeric_mean,
         "max_deviation": deviation,
-        "grid": [t_lo, t_hi, t_n],
+        "grid": list(_MEAN_GRID),
     }
 
     # h-scan on z in [0.05, 0.5]
-    mu_f, rho_star, pairs = data.frame_factor_data()
-    z_lo, z_hi, z_n = _H_GRID
-    z_values = np.linspace(z_lo, z_hi, z_n)
-    h_values = hypergeom.h_function(mu_f, rho_star, pairs, z_values)
+    h_values = hypergeom.h_function(*data.frame_factor_data(),
+                                    np.linspace(*_H_GRID))
     h_scale = max(float(np.abs(h_values).max()), 1e-30)
     drift = float((h_values.max() - h_values.min()) / h_scale)
-    h_constant = drift <= tols.h_constancy
     report["h_scan"] = {
-        "z_range": [z_lo, z_hi],
-        "count": z_n,
+        "z_range": list(_H_GRID[:2]),
+        "count": _H_GRID[2],
         "min": float(h_values.min()),
         "max": float(h_values.max()),
         "relative_drift": drift,
-        "constant": h_constant,
+        "constant": drift <= tols.h_constancy,
     }
 
     is_rigid, factors = hypergeom.rigidity_conclusion(data, tols)
@@ -282,19 +275,22 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     report["symmetry"] = {"nabla_r_norm": nr, "ratio": ratio,
                           "is_symmetric": symmetric}
 
-    mean_constant = (deviation is not None
-                     and deviation <= tols.mean_constancy)
-    if is_rigid and is_einstein and symmetric:
-        label = "RankOneSymmetric"
-    elif is_rigid and is_einstein:
-        label = "DamekRicciNonsymmetric"
-    elif not h_constant or not mean_constant:
-        label = "NotAsymptoticallyHarmonic"
-    else:
-        label = "Indeterminate"
-    report["classification"] = label
+    report["classification"] = _classification(
+        flat=False, standard=True, einstein=is_einstein, rigid=is_rigid,
+        symmetric=symmetric)
     report["tolerances"] = _tolerances_dict(tols, "analyze")
     return report
+
+
+def _classification(*, flat, standard, einstein, rigid=False, symmetric=False):
+    """The ``analyze`` label from its predicates (the README argues it)."""
+    if flat:
+        return "Flat"
+    if not standard:
+        return "Indeterminate"
+    if rigid and einstein:
+        return "RankOneSymmetric" if symmetric else "DamekRicciNonsymmetric"
+    return "NotAsymptoticallyHarmonic"
 
 
 def _positive_count(value: int, flag: str) -> int:
@@ -372,7 +368,16 @@ def cmd_analyze(args, tols: Tolerances) -> int:
     if args.density_csv:
         table = _density_table(g, args.seed, directions, times, tols)
         _write_atomic(args.density_csv, table)
-    return 0
+    # rigid: h is constant, m the closed formula; a missing m is a warning
+    rigid = report.get("rigidity", {}).get("is_rigid", False)
+    witnesses = [(f"{block}.{key}", report[block][key], bound)
+                 for block, key, bound in (
+                     ("h_scan", "relative_drift", tols.h_constancy),
+                     ("mean_curvature", "max_deviation", tols.mean_constancy))
+                 if rigid and (report[block][key] or 0.0) > bound]
+    for name, value, bound in witnesses:
+        sys.stderr.write(f"rigid, yet {name} = {value!r} exceeds {bound!r}\n")
+    return 4 if witnesses else 0
 
 
 def cmd_scan_h(args, tols: Tolerances) -> int:

@@ -25,6 +25,8 @@ centers, lower central series) with a fixed ``1e-10 * s``, the ad_H
 eigenvalues of the standard decomposition with
 ``eigen_merge`` relative to the largest one, and the ``riccati`` trace
 identity with ``TRACE_IDENTITY_REL`` relative to the closed-form trace.
+``h_constancy`` and ``mean_constancy`` bound the witnesses of a rigid
+verdict (sampled h drift, mean-curvature deviation), not the label.
 """
 
 from dataclasses import dataclass, replace

@@ -50,13 +50,13 @@ class JacobiTensorSample:
 class CentralGeodesicFrame:
     """Orthonormal frame of the normal bundle along the central geodesic.
 
-    The geodesic is tangent to the canonical top eigenvector
-    Z = ``data.z_top_vector``.  Slots: the parallel normal xi(t) inside
-    the H-Z plane, then the adapted basis vectors of ``data`` (see
-    :func:`curvature.central_frame_split`): the ad_H eigenvectors of z
-    other than Z, the kernel of j(Z) in v, and the rotation pairs
-    (V_i, ~V_i).  Only xi depends on t; the pair fields rotate with
-    connection speed theta_i / (2 cosh t).
+    The geodesic is tangent to the canonical top eigenvector Z, the
+    adapted basis vector ``data.z_indices[-1]``.  Slots: the parallel
+    normal xi(t) in the H-Z plane, then the adapted basis vectors of
+    ``data`` (see :func:`curvature.central_frame_split`): the ad_H
+    eigenvectors of z other than Z, the kernel of j(Z) in v, and the
+    rotation pairs (V_i, ~V_i).  Only xi depends on t; the pair fields
+    rotate with connection speed theta_i / (2 cosh t).
     """
 
     data: StandardSolvableData
@@ -121,7 +121,7 @@ def stable_jacobi_tensor(d: StandardSolvableData, t_grid,
     E is the limit r -> oo of the boundary problems E_r(0) = id,
     E_r(r) = 0 (integrated by ``finite_horizon_tensor`` of the test
     oracles), along the geodesic tangent to the canonical top eigenvector
-    ``d.z_top_vector``.  In the central frame, whose slots are the adapted
+    Z, ``d.z_indices[-1]``.  In the central frame, whose slots are the adapted
     basis of ``d`` (:class:`CentralGeodesicFrame`), it is block diagonal
     with the spectral data of :meth:`StandardSolvableData.frame_factor_data`
     (the numbers the h-scan reads), with z = z(t):

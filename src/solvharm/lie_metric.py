@@ -402,13 +402,6 @@ class StandardSolvableData:
         v[self.h_index] = 1.0
         return v
 
-    @property
-    def z_top_vector(self) -> np.ndarray:
-        """Canonical unit eigenvector Z for the top eigenvalue 1."""
-        v = np.zeros(self.algebra.dim)
-        v[self.z_indices[-1]] = 1.0
-        return v
-
     def ad_h(self) -> np.ndarray:
         return ad_matrix(self.h_vector, self.algebra)
 

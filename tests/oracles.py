@@ -247,6 +247,11 @@ def three_matvec_volume_density(g, v, t_grid, tols=DEFAULT_TOLS):
 # the central geodesic and its frame
 # ---------------------------------------------------------------------------
 
+def z_top_vector(d) -> np.ndarray:
+    """The canonical top eigenvector Z: the last adapted basis vector."""
+    return np.eye(d.algebra.dim)[d.z_indices[-1]]
+
+
 def central_velocity(t: float):
     """Velocity coefficients of the central geodesic on (H, Z)."""
     return -math.tanh(t), 1.0 / math.cosh(t)
@@ -254,13 +259,13 @@ def central_velocity(t: float):
 
 def velocity_vector(frame: CentralGeodesicFrame, t: float) -> np.ndarray:
     vh, vz = central_velocity(t)
-    return vh * frame.data.h_vector + vz * frame.data.z_top_vector
+    return vh * frame.data.h_vector + vz * z_top_vector(frame.data)
 
 
 def xi(frame: CentralGeodesicFrame, t: float) -> np.ndarray:
     """Parallel unit normal in the totally geodesic H-Z plane."""
     return (frame.data.h_vector / math.cosh(t)
-            + math.tanh(t) * frame.data.z_top_vector)
+            + math.tanh(t) * z_top_vector(frame.data))
 
 
 def frame_matrix(frame: CentralGeodesicFrame, t: float) -> np.ndarray:
@@ -286,7 +291,7 @@ def covariant_derivative_along(d, t: float, field) -> np.ndarray:
     """nabla_{gamma'(t)} of a left-invariant field along the central
     geodesic, via the connection."""
     vh, vz = central_velocity(t)
-    u = vh * d.h_vector + vz * d.z_top_vector
+    u = vh * d.h_vector + vz * z_top_vector(d)
     return np.einsum("i,ijk,j->k", u, d.algebra.connection,
                      np.asarray(field, dtype=float))
 

@@ -17,6 +17,7 @@ from solvharm.lie_metric import (GrowthType, MetricLieAlgebra,
                                  standard_decomposition)
 
 NAMES = ["dr-2-1", "dr-3-1", "perturbed-theta", "generic-pair"]
+NOT_AH = "NotAsymptoticallyHarmonic"
 # metric rescalings under which no verdict may change
 SCALES = (1e-12, 1e-10, 1e-9, 1e-6, 1e-3, 1e3)
 
@@ -79,6 +80,21 @@ def test_rescaled_metric_gives_canonical_results(name, factor, canonical,
             == canonical_reports[name]["classification"])
 
 
+def _pair_algebra(rho, theta):
+    return MetricLieAlgebra(4, ((0, 1, 1, rho), (0, 2, 2, 1.0 - rho),
+                                (0, 3, 3, 1.0), (1, 2, 3, theta)))
+
+
+# ad_H = 1/2 on V1..V4 and 1 on Z1, Z2, [V1, V2] = [V3, V4] = Z1: rigid
+# along Z1, yet not Einstein.  Its mu, rho_star and pairs depend on which
+# unit Z of the 2-dimensional top eigenspace the decomposition picks (Z1
+# gives two (1/2, 1) pairs, Z2 four kernel slots), so it is compared by
+# its label only, not by _assert_same_spectral_data
+SEVEN_DIM = MetricLieAlgebra(7, (
+    (0, 1, 1, 0.5), (0, 2, 2, 0.5), (0, 3, 3, 0.5), (0, 4, 4, 0.5),
+    (0, 5, 5, 1.0), (0, 6, 6, 1.0), (1, 2, 5, 1.0), (3, 4, 5, 1.0)))
+
+
 @pytest.fixture(scope="module")
 def scale_inputs(dr_algebras, perturbed_theta_algebra, generic_pair_algebra,
                  haar_rotate):
@@ -97,22 +113,42 @@ def scale_inputs(dr_algebras, perturbed_theta_algebra, generic_pair_algebra,
             # [H, X] = X/2 + Z/2: ad_H maps v into z, at every scale
             "mixing-h": MetricLieAlgebra(4, (
                 (0, 1, 1, 0.5), (0, 1, 3, 0.5), (0, 2, 2, 0.5),
-                (0, 3, 3, 1.0), (1, 2, 3, 1.0)))}
+                (0, 3, 3, 1.0), (1, 2, 3, 1.0))),
+            # within 1e-6 of the rigid pair (1/2, 1), and not rigid
+            "pair-theta-above": _pair_algebra(0.5, 1.0 + 1e-7),
+            "pair-theta-below": _pair_algebra(0.5, 1.0 - 1e-7),
+            "pair-rho-above": _pair_algebra(0.5 + 1e-6, 1.0),
+            "pair-rho-below": _pair_algebra(0.5 - 1e-6, 1.0),
+            "seven-dim": SEVEN_DIM,
+            # a basis in which the top Z picked lies near Z1: the sampled
+            # h drifts by only 2.5e-7
+            "rotated-seven-dim": haar_rotate(SEVEN_DIM, 0)}
 
 
-@pytest.mark.parametrize("name", ["dr-1-1", "dr-2-1", "dr-3-1",
-                                  "perturbed-theta", "generic-pair",
-                                  "heisenberg-3", "real-hyperbolic-4",
-                                  "flat-3", "rotated-dr-3-1",
-                                  "rotated-dr-7-2"])
+# the label of each input, in its given basis and at every scale
+LABELS = {
+    "dr-1-1": "RankOneSymmetric", "dr-2-1": "DamekRicciNonsymmetric",
+    "dr-3-1": "RankOneSymmetric", "perturbed-theta": NOT_AH,
+    "generic-pair": NOT_AH, "heisenberg-3": "Indeterminate",
+    "real-hyperbolic-4": "RankOneSymmetric", "flat-3": "Flat",
+    "rotated-dr-3-1": "RankOneSymmetric",
+    "rotated-dr-7-2": "DamekRicciNonsymmetric",
+    # the label reads rigidity by the closed criterion, not the sampled h
+    "pair-theta-above": NOT_AH, "pair-theta-below": NOT_AH,
+    "pair-rho-above": NOT_AH, "pair-rho-below": NOT_AH,
+    # rigid along the Z picked but not Einstein, or not rigid
+    "seven-dim": NOT_AH, "rotated-seven-dim": NOT_AH,
+}
+
+
+@pytest.mark.parametrize("name", list(LABELS))
 def test_label_is_scale_free(name, scale_inputs):
     # Flat, Einstein, symmetric and the Jacobi identity compare with
     # tolerances times the scale of the brackets, so no rescaling makes a
     # space look flat or stops it from being built
     g = scale_inputs[name]
-    label = build_report(g)["classification"]
     assert [build_report(g.rescaled(c))["classification"]
-            for c in SCALES] == [label] * len(SCALES)
+            for c in (1.0, *SCALES)] == [LABELS[name]] * (1 + len(SCALES))
 
 
 @pytest.mark.parametrize("name, status", [("dr-2-1", "ok"),

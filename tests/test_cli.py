@@ -215,6 +215,49 @@ def test_tol_bvp_converged_reaches_pair_guard(tmp_path):
     assert loose["classification"] == report["classification"]
 
 
+@pytest.mark.parametrize("name", ["perturbed-theta", "generic-pair",
+                                  "dr-2-1"])
+def test_label_ignores_witness_tolerances(name, tmp_path, dr_algebras,
+                                          perturbed_theta_algebra,
+                                          generic_pair_algebra):
+    # the label reads flat, standard, rigid, Einstein and symmetric; the
+    # h-scan and the mean curvature are witnesses, and no label reads them
+    g = {"perturbed-theta": perturbed_theta_algebra,
+         "generic-pair": generic_pair_algebra,
+         "dr-2-1": dr_algebras[(2, 1)]}[name]
+    loose = _analyze(tmp_path, g, "--tol-h-constancy", "1",
+                     "--tol-mean-constancy", "1")
+    assert loose["classification"] == _analyze(tmp_path, g)["classification"]
+
+
+@pytest.mark.parametrize("flag, block, key", [
+    ("--tol-h-constancy", "h_scan", "relative_drift"),
+    ("--tol-mean-constancy", "mean_curvature", "max_deviation")])
+def test_witness_tolerance_reaches_rigidity_check(flag, block, key, tmp_path,
+                                                  capsys):
+    # pair (1/2, 1 + 1e-11) is rigid within classifier_zero, and its h
+    # drifts by 4e-12: below that bound the witness contradicts the
+    # verdict, and analyze exits 4 once every output is written
+    from solvharm.lie_metric import MetricLieAlgebra
+    g = MetricLieAlgebra(4, ((0, 1, 1, 0.5), (0, 2, 2, 0.5),
+                             (0, 3, 3, 1.0), (1, 2, 3, 1.0 + 1e-11)))
+    report = _analyze(tmp_path, g)
+    value = report[block][key]
+    assert report["rigidity"]["is_rigid"] is True and value > 0.0
+    bound = value / 2.0
+    out, csv = tmp_path / "witnessed.json", tmp_path / "d.csv"
+    capsys.readouterr()
+    assert main(["analyze", str(tmp_path / "alg.json"), flag, repr(bound),
+                 "--density-csv", str(csv), "--density-directions", "1",
+                 "--output", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"{block}.{key} = {value!r}" in err and repr(bound) in err
+    witnessed = json.loads(out.read_text())
+    assert witnessed[block][key] == value
+    assert witnessed["classification"] == report["classification"]
+    assert csv.read_text().startswith("direction_id,t,det\n")
+
+
 def test_analyze_flat_motion_group(tmp_path):
     # non-abelian presentation of a flat space: [H, X] = Y, [H, Y] = -X
     from solvharm.lie_metric import MetricLieAlgebra

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (central_jacobi_blocks_block_diag, curvature_einsum,
-                     nabla_R, nabla_R_norm_three_products)
+                     nabla_R, nabla_R_norm_three_products, z_top_vector)
 from solvharm import curvature, lie_metric
 from solvharm.cli import build_report
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
@@ -183,7 +183,7 @@ def test_jacobi_operator_h_all_standard_builds(dr_data):
 def test_jacobi_operator_h_rejects_bad_direction(dr_data):
     d = dr_data[(1, 1)]
     with pytest.raises(DomainError):
-        jacobi_operator_H(d, d.z_top_vector)   # not orthogonal to [s, s]
+        jacobi_operator_H(d, z_top_vector(d))   # not orthogonal to [s, s]
     with pytest.raises(DomainError):
         jacobi_operator_H(d, 2.0 * d.h_vector)
 
@@ -193,7 +193,7 @@ def test_jacobi_operator_h_leak_check_is_relative_to_scale(dr_data, c):
     d = dr_data[(2, 1)]
     g = d.algebra.rescaled(c)
     with pytest.raises(DomainError):
-        jacobi_operator_H(g, d.z_top_vector)   # in the derived algebra
+        jacobi_operator_H(g, z_top_vector(d))   # in the derived algebra
     np.testing.assert_allclose(jacobi_operator_H(g, d.h_vector) / c ** 2,
                                jacobi_operator_H(d, d.h_vector), atol=1e-12)
 
@@ -224,8 +224,8 @@ def _assert_frame_matches_transported_tensor(d, times):
     _, z_perp, _, kernel, _, pair_cols = central_frame_split(d)
     central = CentralGeodesicFrame.build(d)
     for t in times:
-        u = -np.tanh(t) * d.h_vector + d.z_top_vector / np.cosh(t)
-        xi = d.h_vector / np.cosh(t) + np.tanh(t) * d.z_top_vector
+        u = -np.tanh(t) * d.h_vector + z_top_vector(d) / np.cosh(t)
+        xi = d.h_vector / np.cosh(t) + np.tanh(t) * z_top_vector(d)
         frame = np.column_stack([xi, z_perp, kernel, pair_cols])
         oracle = frame.T @ np.einsum("a,b,jabl->lj", u, u, r) @ frame
         formula = central.jacobi_operator(t)

@@ -10,7 +10,7 @@ from oracles import (central_velocity, covariant_derivative_along,
                      covariant_volume_density, finite_horizon_tensor,
                      frame_connection, frame_matrix, integrate_jacobi,
                      pair_stable_block_per_t, three_matvec_volume_density,
-                     velocity_vector)
+                     velocity_vector, z_top_vector)
 from solvharm import curvature, jacobi_flow
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
@@ -61,7 +61,7 @@ def test_covariant_derivative_closed_forms(dr_data):
         vel = velocity_vector(frame, t)
         sech = 1.0 / math.cosh(t)
         coeff_dot = (-sech**2) * d.h_vector \
-            + (-sech * math.tanh(t)) * d.z_top_vector
+            + (-sech * math.tanh(t)) * z_top_vector(d)
         total = coeff_dot + covariant_derivative_along(d, t, vel)
         np.testing.assert_allclose(total, 0.0, atol=1e-12)
 
@@ -411,7 +411,7 @@ def test_volume_density_central_matches_stable_frame(dr_data):
     # A(0) = 0, A'(0) = id integrated in the dedicated central frame
     d = dr_data[(1, 1)]
     t = np.array([0.5, 1.0, 2.0])
-    dets = volume_density(d.algebra, d.z_top_vector, t)
+    dets = volume_density(d.algebra, z_top_vector(d), t)
     frame = CentralGeodesicFrame.build(d)
     k = frame.size
     s = integrate_jacobi(d, np.zeros((k, k)), np.eye(k), 2.0, steps=20)
