@@ -26,14 +26,17 @@ _MEAN_GRID = (0.5, 8.0, 26)
 _H_GRID = (0.05, 0.5, 50)
 
 # the Tolerances fields each subcommand's checks read: exactly these are
-# its --tol-* flags and the tolerances echoed in its report
+# its --tol-* flags and the tolerances echoed in its report.  ad_H of a
+# standard decomposition has no stable eigenvalue, so the Riccati solve
+# of ``analyze`` never reaches the pivot guard
 _DECOMPOSITION_TOLS = ("jacobi_identity", "self_adjoint", "eigen_merge")
 _COMMAND_TOLS = {
-    "analyze": tuple(f.name for f in dataclasses.fields(Tolerances)),
+    "analyze": tuple(f.name for f in dataclasses.fields(Tolerances)
+                     if f.name != "pivot_rel"),
     "scan-h": _DECOMPOSITION_TOLS,
     "classify": _DECOMPOSITION_TOLS + ("classifier_zero",),
-    "riccati": ("pivot_rel", "riccati_residual", "riccati_symmetry",
-                "axis_band", "separation_band"),
+    "riccati": ("pivot_rel", "riccati_residual", "axis_band",
+                "separation_band"),
 }
 
 
@@ -41,35 +44,15 @@ _COMMAND_TOLS = {
 # deterministic serialization
 # ---------------------------------------------------------------------------
 
-def _jsonable(value):
-    """Normalize numpy/complex values into JSON-ready structures."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if (value.dtype.kind == "f" and value.ndim and value.size
-                and np.isfinite(value).all()):
-            return value   # written a row at a time by _emit_json
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.complexfloating, complex)):
-        return {"re": float(value.real), "im": float(value.imag)}
-    return value
-
-
 def _g17(value) -> str:
     """%.17g of a float, with -0 written as 0."""
     return format(float(value) + 0.0, ".17g")
 
 
 def _emit_json(value, out):
-    """Recursive writer with fixed key order and %.17g floats."""
+    """Recursive writer with fixed key order and %.17g floats.  numpy
+    values are written as the Python values they hold, a complex number
+    as {"re": ..., "im": ...} and a NaN or infinity as a string."""
     if isinstance(value, dict):
         out.write("{")
         for i, (k, v) in enumerate(value.items()):
@@ -86,23 +69,29 @@ def _emit_json(value, out):
                 out.write(", ")
             _emit_json(v, out)
         out.write("]")
-    elif isinstance(value, np.ndarray):   # finite floats, see _jsonable
-        if value.ndim > 1:
+    elif isinstance(value, np.ndarray):
+        if not (value.dtype.kind == "f" and value.ndim and value.size
+                and np.isfinite(value).all()):
+            _emit_json(value.tolist(), out)
+        elif value.ndim > 1:
             _emit_json(list(value), out)
-        else:
+        else:   # finite floats, written a row at a time
             out.write("[" + ", ".join(map("{:.17g}".format,
                                           (value + 0.0).tolist())) + "]")
-    elif isinstance(value, bool):
+    elif isinstance(value, (bool, np.bool_)):
         out.write("true" if value else "false")
     elif value is None:
         out.write("null")
-    elif isinstance(value, int):
-        out.write(str(value))
-    elif isinstance(value, float):
+    elif isinstance(value, (int, np.integer)):
+        out.write(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        value = float(value)
         if math.isnan(value) or math.isinf(value):
             out.write(json.dumps(str(value)))
         else:
             out.write(_g17(value))
+    elif isinstance(value, (complex, np.complexfloating)):
+        _emit_json({"re": float(value.real), "im": float(value.imag)}, out)
     else:
         out.write(json.dumps(value))
 
@@ -110,7 +99,7 @@ def _emit_json(value, out):
 def _render_json(value) -> str:
     import io
     buf = io.StringIO()
-    _emit_json(_jsonable(value), buf)
+    _emit_json(value, buf)
     buf.write("\n")
     return buf.getvalue()
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, UNIT_VECTOR_TOL, Tolerances
+from .config import DEFAULT_TOLS, RANK_REL, UNIT_VECTOR_TOL, Tolerances
 from .errors import DomainError
 from .lie_metric import (MetricLieAlgebra, StandardSolvableData, ad_matrix,
                          scale_squared, symmetric_skew_split)
@@ -119,7 +119,7 @@ def jacobi_operator_H(g, a_vec) -> np.ndarray:
     # A perp [s,s]  <=>  no bracket has a component along A, measured
     # against the bracket scale s as the rank decisions are
     leak = np.abs(np.einsum("ijk,k->ij", alg.tensor, a_vec)).max()
-    if leak > 1e-10 * math.sqrt(scale_squared(alg)):
+    if leak > RANK_REL * math.sqrt(scale_squared(alg)):
         raise DomainError("A is not orthogonal to the derived algebra")
     d, s = symmetric_skew_split(ad_matrix(a_vec, alg))
     return -d @ d - (d @ s - s @ d)

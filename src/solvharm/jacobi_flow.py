@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import DOP853
 from scipy.special import beta, betainc
 
-from .config import DEFAULT_TOLS, UNIT_VECTOR_TOL, Tolerances
+from .config import DEFAULT_TOLS, HYP2F1_REL, UNIT_VECTOR_TOL, Tolerances
 from .curvature import central_frame_split, central_jacobi_blocks
 from .errors import ConjugatePointError, DomainError, NumericalError
 from .hypergeom import stable_block_and_derivative, z_of_t
@@ -100,11 +100,11 @@ def _pair_stable_block(rho: float, theta: float, t_grid: np.ndarray,
                                         np.concatenate([[0.0], t_grid]))
     m0, m, dm = m[0], m[1:], dm[1:]
     cond = np.linalg.cond(m0)
-    if cond * tols.series_tol > tols.bvp_converged:
+    if cond * HYP2F1_REL > tols.bvp_converged:
         raise NumericalError(
             f"stable pair block (rho, theta) = ({rho:.6g}, {theta:.6g}) is "
             f"ill conditioned at t = 0: cond M(0) = {cond:.3g} limits its "
-            f"accuracy to {cond * tols.series_tol:.2g} > bvp_converged = "
+            f"accuracy to {cond * HYP2F1_REL:.2g} > bvp_converged = "
             f"{tols.bvp_converged:.2g}"
         )
     m0_inv = np.linalg.inv(m0)
@@ -135,7 +135,7 @@ def stable_jacobi_tensor(d: StandardSolvableData, t_grid,
       block M of :func:`hypergeom.stable_block_and_derivative`.
 
     ``e_prime`` is the covariant derivative c' + W c.  A pair block whose
-    M(0) is so ill conditioned that ``cond M(0) * tols.series_tol``
+    M(0) is so ill conditioned that ``cond M(0) * config.HYP2F1_REL``
     exceeds ``tols.bvp_converged`` (theta -> 0) raises NumericalError.
 
     Pair blocks lose accuracy with t like e^{t max(rho, 1 - rho)} eps,

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import ANTISYMMETRY_REL, DEFAULT_TOLS, Tolerances
+from .config import ANTISYMMETRY_REL, DEFAULT_TOLS, RANK_REL, Tolerances
 from .errors import DimensionError, NotStandardError, StructureError
 from .numerics import as_square, eigenvalues
 
@@ -39,7 +39,6 @@ __all__ = [
     "algebra_from_dict",
 ]
 
-_RANK_TOL = 1e-10
 _PRUNE_TOL = 1e-14
 
 
@@ -241,14 +240,14 @@ def _bracket_scale(g: MetricLieAlgebra) -> float:
 def _orthonormal_span(columns: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Orthonormal basis (columns) of the span of the given column set.
 
-    Singular values above ``_RANK_TOL * scale`` count as rank; ``scale`` is
+    Singular values above ``RANK_REL * scale`` count as rank; ``scale`` is
     the size of the entries' source (1 for orthonormal columns, the
     bracket scale for columns made of structure constants).
     """
     if columns.size == 0:
         return np.zeros((columns.shape[0], 0))
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    rank = int(np.sum(s > _RANK_TOL * scale))
+    rank = int(np.sum(s > RANK_REL * scale))
     return u[:, :rank]
 
 
@@ -260,7 +259,7 @@ def _null_space(mat: np.ndarray, scale: float = 1.0) -> np.ndarray:
     # V is complete in the reduced SVD unless ``mat`` is wide; the full U
     # of a tall matrix (rows^2 doubles) is never read
     _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    rank = int(np.sum(s > _RANK_TOL * scale))
+    rank = int(np.sum(s > RANK_REL * scale))
     return vt[rank:].T
 
 
@@ -281,7 +280,7 @@ def subalgebra(g: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
     """Restriction of ``g`` to the span of orthonormal ``basis`` columns.
 
     Raises :class:`StructureError` when a bracket leaks out of the span
-    by more than ``_RANK_TOL`` times the bracket scale.
+    by more than ``RANK_REL`` times the bracket scale.
     """
     b = np.asarray(basis, dtype=float)
     r = b.shape[1]
@@ -292,7 +291,7 @@ def subalgebra(g: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
             w = bracket(b[:, a], b[:, c], g)
             coeffs = b.T @ w
             leak = np.linalg.norm(w - b @ coeffs)
-            if leak > _RANK_TOL * scale:
+            if leak > RANK_REL * scale:
                 raise StructureError(
                     f"span is not a subalgebra: bracket leaks {leak:.3e}"
                 )

@@ -4,8 +4,9 @@ The homogeneous equation X^2 + X ad_A + ad_A^T X = 0 governs the second
 fundamental form of stable horospheres along geodesics perpendicular to
 the derived algebra: the shape operator is L0 = -D_A - X with X the
 maximal symmetric solution, and trace L0 = -sum |Re sigma| over the
-spectrum of ad_A.  The solver takes one ordered real Schur form of ad_A
-and one Lyapunov solve on its strictly stable block.
+spectrum of ad_A.  The solver takes one ordered real Schur form of ad_A,
+one Lyapunov solve on its strictly stable block and one linear solve
+against the Lyapunov solution.
 """
 
 from dataclasses import dataclass
@@ -44,24 +45,6 @@ def horosphere_mean_curvature_formula(ad_a) -> float:
     return float(-np.abs(spec.real).sum())
 
 
-def _graph_solution(u1: np.ndarray, u2: np.ndarray,
-                    tols: Tolerances) -> np.ndarray:
-    try:
-        x = solve_linear(u1.T, u2.T, tols).T
-    except SingularMatrixError as exc:
-        raise DegenerateSpectrumError(
-            "invariant subspace is not a graph over the base space",
-            diagnostics={"reason": str(exc)},
-        ) from exc
-    asym = np.linalg.norm(x - x.T)
-    if asym > tols.riccati_symmetry * max(1.0, np.linalg.norm(x)):
-        raise DegenerateSpectrumError(
-            f"graph solution not symmetric (residual {asym:.3e})",
-            diagnostics={"asymmetry": asym},
-        )
-    return 0.5 * (x + x.T)
-
-
 def solve_algebraic_riccati_max(ad_a,
                                 tols: Tolerances = DEFAULT_TOLS) -> RiccatiResult:
     """Maximal symmetric solution of X^2 + X ad_A + ad_A^T X = 0.
@@ -71,12 +54,13 @@ def solve_algebraic_riccati_max(ad_a,
     stable ones last (Q2, T22).  The equation has no constant term, so
     on the stable part X^{-1} solves a Lyapunov equation: with
     T22 Y + Y T22^T = -I the maximal solution is X = Q2 Y^{-1} Q2^T,
-    read off the graph U1 = [Q1, Q2 Y], U2 = [0, Q2] (the stable
-    invariant subspace of ``[[-ad_A, -I], [0, ad_A^T]]`` plus the axis
-    subspace of ad_A, on which X vanishes).  With no stable eigenvalue
-    X is exactly 0.  The closed-loop check reads spec(-ad_A - X) on the
-    stable block only; the axis block keeps the spectrum the split chose,
-    which a coupled nilpotent Jordan block moves by about sqrt(eps).
+    which vanishes on the axis and antistable subspace.  Y is solved
+    against Q2^T under the pivot guard of :func:`numerics.solve_linear`;
+    a singular Y raises :class:`DegenerateSpectrumError`.  With no stable
+    eigenvalue X is exactly 0 and no solve is made.  The closed-loop
+    check reads spec(-ad_A - X) on the stable block only; the axis block
+    keeps the spectrum the split chose, which a coupled nilpotent Jordan
+    block moves by about sqrt(eps).
     Eigenvalues inside the ambiguity band ``(axis_band, separation_band)``
     raise :class:`DegenerateSpectrumError` with diagnostics.
     """
@@ -102,14 +86,19 @@ def solve_algebraic_riccati_max(ad_a,
             f"expected {k}",
             diagnostics={"eigenvalues": spec},
         )
-    u1, u2 = q.copy(), np.zeros((n, n))
+    x = np.zeros((n, n))
     if n_stable:
+        q2 = q[:, k:]
         y = scipy.linalg.solve_continuous_lyapunov(t[k:, k:],
                                                    -np.eye(n_stable))
-        u1[:, k:] = q[:, k:] @ y
-        u2[:, k:] = q[:, k:]
-
-    x = _graph_solution(u1, u2, tols)
+        try:
+            x = q2 @ solve_linear(y, q2.T, tols)
+        except SingularMatrixError as exc:
+            raise DegenerateSpectrumError(
+                "Lyapunov solution of the stable block is singular",
+                diagnostics={"reason": str(exc)},
+            ) from exc
+        x = 0.5 * (x + x.T)
     resid = float(np.linalg.norm(x @ x + x @ a + a.T @ x))
     if resid > tols.riccati_residual * max(1.0, np.linalg.norm(a) ** 2):
         raise NumericalError(

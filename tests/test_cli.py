@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import json
 import os
+import pathlib
+import re
 import stat
 import subprocess
 import sys
@@ -560,6 +562,9 @@ def test_build_takes_no_tolerance_flags(capsys):
     ["classify", "alg.json", "--tol-ode-rtol", "1"],
     ["riccati", "m.json", "--tol-h-constancy", "1"],
     ["analyze", "alg.json", "--tol-horizon-cap", "1"],
+    ["riccati", "m.json", "--tol-riccati-symmetry", "1"],
+    ["analyze", "alg.json", "--tol-pivot-rel", "1"],
+    ["analyze", "alg.json", "--tol-series-tol", "1"],
 ])
 def test_unread_tolerance_flag_is_usage_error(argv, capsys):
     # a flag whose check the command never runs would change nothing
@@ -654,8 +659,9 @@ def test_each_command_takes_exactly_the_tolerances_it_reads(
     for i, g in enumerate(algebras):
         paths.append(tmp_path / f"alg{i}.json")
         paths[-1].write_text(json.dumps(algebra_to_dict(g)))
+    # only the last matrix has a stable eigenvalue: a solve, read pivot_rel
     matrices = [[[0.5, 0, 0], [0, 0.5, 0], [0, 0, 1.0]],
-                [[1.0, 0.2], [0.0, 0.5]]]
+                [[1.0, 0.2], [0.0, 0.5]], [[-1.0, 0.3], [0.0, 0.5]]]
     out, csv = tmp_path / "out", tmp_path / "d.csv"
     runs = {
         "analyze": [["analyze", str(p), "--density-csv", str(csv),
@@ -675,8 +681,34 @@ def test_each_command_takes_exactly_the_tolerances_it_reads(
             assert main([*argv, "--output", str(out)]) == 0
         assert reads == _registered_tolerances(command), command
         counts[command] = len(reads)
-    assert counts == {"analyze": 20, "scan-h": 3, "classify": 4,
-                      "riccati": 5}
+    assert counts == {"analyze": 17, "scan-h": 3, "classify": 4,
+                      "riccati": 4}
+
+
+def test_readme_tolerance_table_matches_the_parser():
+    # the README's --tol-* table lists each command's flags; analyze's
+    # row gives the record size, the flag count and the fields left out
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md")
+    table = readme.read_text().split("| command | `--tol-*` flags |", 1)[1]
+    rows = {}
+    for line in table.split("\n\n", 1)[0].splitlines():
+        if line.startswith("| `"):
+            command, flags = line.strip("| ").split(" | ")
+            rows[command.strip("`")] = flags
+    assert sorted(rows) == sorted([*cli._COMMAND_TOLS, "build"])
+    assert rows["build"] == "none" and _registered_tolerances("build") == set()
+
+    def named(flags):
+        return [name.replace("-", "_")
+                for name in re.findall(r"`([a-z-]+)`", flags)]
+
+    for command in ("scan-h", "classify", "riccati"):
+        assert named(rows[command]) == list(cli._COMMAND_TOLS[command])
+    fields = [f.name for f in dataclasses.fields(cli.Tolerances)]
+    analyze = cli._COMMAND_TOLS["analyze"]
+    assert [int(n) for n in re.findall(r"\d+", rows["analyze"])] == [
+        len(fields), len(analyze)]
+    assert named(rows["analyze"]) == [f for f in fields if f not in analyze]
 
 
 @pytest.mark.parametrize("command", ["classify", "scan-h"])

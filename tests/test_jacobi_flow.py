@@ -245,7 +245,7 @@ def test_scalar_block_betainc_matches_hypergeometric_form(m):
 
 def test_stable_tensor_ill_conditioned_pair_guard():
     # M(0) degrades like 0.5 / theta; at theta = 1e-6 its condition
-    # number times series_tol exceeds the default bvp_converged
+    # number times config.HYP2F1_REL exceeds the default bvp_converged
     d = standard_decomposition(_pair_block_algebra(0.5, 1e-6))
     grid = np.linspace(0.5, 8.0, 26)
     with pytest.raises(NumericalError, match="ill conditioned"):

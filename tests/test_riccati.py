@@ -69,6 +69,8 @@ def _oracle_cases(rng):
         if n >= 5:
             yield _with_axis_block(rng, n, ["skew", "nilpotent"])
             yield _with_axis_block(rng, n, ["zero", "skew"])
+    # one dense case at n = 64: stable, antistable and axis eigenvalues
+    yield _with_axis_block(rng, 64, ["skew", "zero"])
     yield _AXIS_BLOCKS["skew"]
     yield _AXIS_BLOCKS["nilpotent"]
     yield np.array([[-1.0, 0.7], [0.0, 0.0]])
