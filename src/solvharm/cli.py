@@ -26,17 +26,13 @@ _MEAN_GRID = (0.5, 8.0, 26)
 _H_GRID = (0.05, 0.5, 50)
 
 # the Tolerances fields each subcommand's checks read: exactly these are
-# its --tol-* flags and the tolerances echoed in its report.  ad_H of a
-# standard decomposition has no stable eigenvalue, so the Riccati solve
-# of ``analyze`` never reaches the pivot guard
+# its --tol-* flags and the tolerances echoed in its report
 _DECOMPOSITION_TOLS = ("jacobi_identity", "self_adjoint", "eigen_merge")
 _COMMAND_TOLS = {
-    "analyze": tuple(f.name for f in dataclasses.fields(Tolerances)
-                     if f.name != "pivot_rel"),
+    "analyze": tuple(f.name for f in dataclasses.fields(Tolerances)),
     "scan-h": _DECOMPOSITION_TOLS,
     "classify": _DECOMPOSITION_TOLS + ("classifier_zero",),
-    "riccati": ("pivot_rel", "riccati_residual", "axis_band",
-                "separation_band"),
+    "riccati": ("riccati_residual", "axis_band", "separation_band"),
 }
 
 

@@ -4,13 +4,11 @@ Every module takes its thresholds from a single :class:`Tolerances`
 record so that a run can be tightened or relaxed in one place.  The
 defaults are the contract values used throughout the test suite.  Each
 field is read by the check it names, and is a ``--tol-*`` flag of
-exactly the subcommands that run that check: ``analyze`` runs all but
-``pivot_rel`` (the ad_H of a standard decomposition has no stable
-eigenvalue, so its Riccati solution is 0 with no linear solve),
-``build`` none.  The special functions come from ``scipy.special`` and
-have no knobs: the pair-block guard of ``jacobi_flow`` takes their
-stated accuracy ``HYP2F1_REL`` as given.  The test oracles keep their
-fixed parameters as module constants.
+exactly the subcommands that run that check: ``analyze`` runs all of
+them, ``build`` none.  The special functions come from
+``scipy.special`` and have no knobs: the pair-block guard of
+``jacobi_flow`` takes their stated accuracy ``HYP2F1_REL`` as given.
+The test oracles keep their fixed parameters as module constants.
 
 The verdict thresholds are relative to the scale of the algebra.  With
 s^2 the sum of squares of the structure constants, which no orthogonal
@@ -38,9 +36,6 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    # dense linear algebra
-    pivot_rel: float = 1e-13
-
     # Lie-algebra structure checks
     jacobi_identity: float = 1e-12
     self_adjoint: float = 1e-8
@@ -82,6 +77,10 @@ TRACE_IDENTITY_REL = 1e-6
 # conditioning guard of ``jacobi_flow`` (cond M(0) * HYP2F1_REL against
 # ``bvp_converged``)
 HYP2F1_REL = 1e-13
+
+# ``numerics.solve_linear`` raises ``SingularMatrixError`` for an LU
+# pivot at or below PIVOT_REL * ||a||
+PIVOT_REL = 1e-13
 
 # singular values of bracket-derived matrices above RANK_REL * s count
 # as rank, with s the bracket scale (see the module docstring)

@@ -176,7 +176,7 @@ def mean_curvature_numeric(sample: JacobiTensorSample):
     dets = np.linalg.det(sample.e)
     # a stable determinant decays exponentially but never changes sign;
     # a sign flip or underflow to zero marks a conjugate point
-    if np.any(dets == 0.0) or np.any(np.sign(dets) != np.sign(dets[0])) \
+    if np.any(np.sign(dets) != np.sign(dets[0])) \
             or np.abs(dets).min() < 1e-300:
         raise ConjugatePointError("det E vanishes on the grid")
     logs = np.log(np.abs(dets))

@@ -384,7 +384,6 @@ class StandardSolvableData:
     """
 
     algebra: MetricLieAlgebra
-    h_index: int
     v_indices: tuple
     z_indices: tuple
     mu: np.ndarray          # all ad_H eigenvalues on z, ascending
@@ -398,7 +397,7 @@ class StandardSolvableData:
     @property
     def h_vector(self) -> np.ndarray:
         v = np.zeros(self.algebra.dim)
-        v[self.h_index] = 1.0
+        v[0] = 1.0
         return v
 
     def ad_h(self) -> np.ndarray:
@@ -513,10 +512,7 @@ def standard_decomposition(g: MetricLieAlgebra,
         )
     if n_basis.shape[1] == 0:
         raise StructureError("derived algebra is trivial")
-    h = _null_space(n_basis.T)
-    if h.shape[1] != 1:
-        raise StructureError("orthogonal complement of [s, s] is not a line")
-    h = h[:, 0]
+    h = _null_space(n_basis.T)[:, 0]
     m_n = n_basis.T @ ad_matrix(h, g) @ n_basis  # ad_H restricted to n
 
     # center of n determines the v / z split; [n, n] lies in n, so the
@@ -591,7 +587,6 @@ def standard_decomposition(g: MetricLieAlgebra,
 
     return StandardSolvableData(
         algebra=adapted,
-        h_index=0,
         v_indices=tuple(range(1, 1 + m_v)),
         z_indices=tuple(range(1 + m_v, g.dim)),
         mu=mu,

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import PIVOT_REL
 from .errors import DimensionError, NumericalError, SingularMatrixError
 
 __all__ = [
@@ -68,11 +68,13 @@ def matrix_exponential(m) -> np.ndarray:
     return e
 
 
-def solve_linear(a, b, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def solve_linear(a, b) -> np.ndarray:
     """Solve a x = b with an explicit pivot guard.
 
     Raises :class:`SingularMatrixError` when any LU pivot falls below
-    ``tols.pivot_rel * ||a||``.
+    ``PIVOT_REL * ||a||``.  The guard measures the spread of the pivots,
+    not singularity: a well-posed diag(1, 1e-14) trips it.  Only the
+    finite-horizon test oracle calls it, to flag a conjugate point.
     """
     import scipy.linalg
     a = as_square(a, "coefficient matrix")
@@ -87,10 +89,10 @@ def solve_linear(a, b, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     pivots = np.abs(np.diag(lu))
-    if norm_a == 0.0 or pivots.min() <= tols.pivot_rel * norm_a:
+    if norm_a == 0.0 or pivots.min() <= PIVOT_REL * norm_a:
         raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below {tols.pivot_rel:.0e} * ||a|| = "
-            f"{tols.pivot_rel * norm_a:.3e}"
+            f"pivot {pivots.min():.3e} below {PIVOT_REL:.0e} * ||a|| = "
+            f"{PIVOT_REL * norm_a:.3e}"
         )
     return scipy.linalg.lu_solve((lu, piv), b_arr, check_finite=False)
 

@@ -5,8 +5,8 @@ fundamental form of stable horospheres along geodesics perpendicular to
 the derived algebra: the shape operator is L0 = -D_A - X with X the
 maximal symmetric solution, and trace L0 = -sum |Re sigma| over the
 spectrum of ad_A.  The solver takes one ordered real Schur form of ad_A,
-one Lyapunov solve on its strictly stable block and one linear solve
-against the Lyapunov solution.
+one Lyapunov solve on its strictly stable block and one Cholesky
+factorization of the Lyapunov solution, which is positive definite.
 """
 
 from dataclasses import dataclass
@@ -15,10 +15,9 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import (DegenerateSpectrumError, NumericalError,
-                     SingularMatrixError)
+from .errors import DegenerateSpectrumError, NumericalError
 from .lie_metric import symmetric_skew_split
-from .numerics import as_square, eigenvalues, ordered_real_schur, solve_linear
+from .numerics import as_square, eigenvalues, ordered_real_schur
 
 __all__ = [
     "RiccatiResult",
@@ -54,13 +53,16 @@ def solve_algebraic_riccati_max(ad_a,
     stable ones last (Q2, T22).  The equation has no constant term, so
     on the stable part X^{-1} solves a Lyapunov equation: with
     T22 Y + Y T22^T = -I the maximal solution is X = Q2 Y^{-1} Q2^T,
-    which vanishes on the axis and antistable subspace.  Y is solved
-    against Q2^T under the pivot guard of :func:`numerics.solve_linear`;
-    a singular Y raises :class:`DegenerateSpectrumError`.  With no stable
-    eigenvalue X is exactly 0 and no solve is made.  The closed-loop
-    check reads spec(-ad_A - X) on the stable block only; the axis block
-    keeps the spectrum the split chose, which a coupled nilpotent Jordan
-    block moves by about sqrt(eps).
+    which vanishes on the axis and antistable subspace.  Y is positive
+    definite (Lyapunov's theorem), so with Y = L L^T and M = L^{-1} Q2^T,
+    X = M^T M is symmetric positive semidefinite by construction; a Y
+    that is not numerically positive definite raises
+    :class:`DegenerateSpectrumError`.  With no stable eigenvalue X is
+    exactly 0 and no factorization is made.  The residual and closed-loop
+    checks fail on NaN (X^2 overflows).  The closed-loop check reads
+    spec(-ad_A - X) on the stable block only; the axis block keeps the
+    spectrum the split chose, which a coupled nilpotent Jordan block
+    moves by about sqrt(eps).
     Eigenvalues inside the ambiguity band ``(axis_band, separation_band)``
     raise :class:`DegenerateSpectrumError` with diagnostics.
     """
@@ -92,23 +94,26 @@ def solve_algebraic_riccati_max(ad_a,
         y = scipy.linalg.solve_continuous_lyapunov(t[k:, k:],
                                                    -np.eye(n_stable))
         try:
-            x = q2 @ solve_linear(y, q2.T, tols)
-        except SingularMatrixError as exc:
+            # one triangle of Y would carry the solver's roundoff
+            # asymmetry into X, amplified by cond(Y)
+            l = scipy.linalg.cholesky(0.5 * (y + y.T), lower=True)
+        except np.linalg.LinAlgError as exc:
             raise DegenerateSpectrumError(
-                "Lyapunov solution of the stable block is singular",
-                diagnostics={"reason": str(exc)},
+                "Lyapunov solution of the stable block is not positive "
+                "definite", diagnostics={"reason": str(exc)},
             ) from exc
-        x = 0.5 * (x + x.T)
+        m = scipy.linalg.solve_triangular(l, q2.T, lower=True)
+        x = m.T @ m
     resid = float(np.linalg.norm(x @ x + x @ a + a.T @ x))
-    if resid > tols.riccati_residual * max(1.0, np.linalg.norm(a) ** 2):
+    if not resid <= tols.riccati_residual * max(1.0, np.linalg.norm(a) ** 2):
         raise NumericalError(
             f"Riccati residual {resid:.3e} exceeds tolerance"
         )
     if n_stable:
         # in the basis Q, -ad_A - X is block upper triangular with blocks
         # -T11 and -T22 - Y^{-1}: only the second is closed by X
-        closed = eigenvalues(q[:, k:].T @ (-a - x) @ q[:, k:])
-        if closed.real.max() > tols.riccati_residual:
+        closed = eigenvalues(q2.T @ (-a - x) @ q2)
+        if not closed.real.max() <= tols.riccati_residual:
             raise NumericalError(
                 "stable closed-loop spectrum has a positive real part "
                 f"({closed.real.max():.3e})"

@@ -398,7 +398,7 @@ def finite_horizon_tensor(d, t_grid, r: float,
     return JacobiTensorSample(t_grid=t_grid, e=e, e_prime=ep)
 
 
-def finite_horizon_shape(ad_a, r: float, tols=DEFAULT_TOLS) -> np.ndarray:
+def finite_horizon_shape(ad_a, r: float) -> np.ndarray:
     """Second fundamental form U_r = -E_r'(0) of a sphere at distance r.
 
     Solves the constant-coefficient Jacobi system along the geodesic of
@@ -426,7 +426,7 @@ def finite_horizon_shape(ad_a, r: float, tols=DEFAULT_TOLS) -> np.ndarray:
     phi = matrix_exponential(r * companion)
     phi11, phi12 = phi[:n, :n], phi[:n, n:]
     try:
-        p = -solve_linear(phi12, phi11, tols)
+        p = -solve_linear(phi12, phi11)
     except SingularMatrixError as exc:
         raise ConjugatePointError(
             f"boundary solve singular at r = {r}: {exc}"

@@ -430,6 +430,43 @@ def test_riccati_degenerate_exit_5(tmp_path):
     assert main(["riccati", str(mat)]) == 5
 
 
+def test_riccati_wide_stable_spectrum(tmp_path):
+    # X = diag(2e7, 4e-7) is exact; the pivots of Y spread by 1e14
+    a = np.diag([-1e7, -2e-7])
+    mat, out = tmp_path / "m.json", tmp_path / "r.json"
+    mat.write_text(json.dumps({"matrix": a.tolist()}))
+    assert main(["riccati", str(mat), "--output", str(out)]) == 0
+    np.testing.assert_allclose(json.loads(out.read_text())["x"],
+                               np.diag([2e7, 4e-7]), rtol=1e-12, atol=0.0)
+    # exit 0 includes the trace identity
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((2, 2)))
+    mat.write_text(json.dumps({"matrix": (q @ a @ q.T).tolist()}))
+    assert main(["riccati", str(mat), "--output", str(out)]) == 0
+
+
+def test_riccati_overflowing_residual_exit_1(tmp_path, capsys):
+    # X = 2e160, so X^2 overflows and the residual is NaN
+    mat, out = tmp_path / "m.json", tmp_path / "r.json"
+    mat.write_text("[[-1e160]]")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["riccati", str(mat), "--output", str(out)]) == 1
+    assert "Riccati residual nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_riccati_failed_factorization_exit_5(tmp_path, monkeypatch, capsys):
+    import scipy.linalg
+
+    def not_positive(*args, **kwargs):
+        raise np.linalg.LinAlgError("1-th leading minor not positive")
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", not_positive)
+    mat = tmp_path / "m.json"
+    mat.write_text("[[-1.0, 0.3], [0.0, 0.5]]")
+    assert main(["riccati", str(mat)]) == 5
+    assert "not positive definite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ['{"matrix": [[1, 2, 3], [4, 5, 6]]}',
                                   "[1.0, 2.0]", "[]",
                                   '{"matrix": [[1.0, NaN], [0.0, 1.0]]}'],
@@ -565,6 +602,7 @@ def test_build_takes_no_tolerance_flags(capsys):
     ["riccati", "m.json", "--tol-riccati-symmetry", "1"],
     ["analyze", "alg.json", "--tol-pivot-rel", "1"],
     ["analyze", "alg.json", "--tol-series-tol", "1"],
+    ["riccati", "m.json", "--tol-pivot-rel", "1"],
 ])
 def test_unread_tolerance_flag_is_usage_error(argv, capsys):
     # a flag whose check the command never runs would change nothing
@@ -579,7 +617,7 @@ def test_unread_tolerance_flag_is_usage_error(argv, capsys):
     ["analyze", "alg.json", "--tol-eigen-merge", "-1"],
     ["scan-h", "alg.json", "--tol-jacobi-identity", "nan"],
     ["analyze", "alg.json", "--tol-flat-norm", "inf"],
-    ["riccati", "m.json", "--tol-pivot-rel=-inf"],
+    ["riccati", "m.json", "--tol-axis-band=-inf"],
     ["classify", "alg.json", "--tol-self-adjoint", "abc"],
 ])
 def test_bad_tolerance_value_is_usage_error(argv, monkeypatch, capsys):
@@ -659,7 +697,7 @@ def test_each_command_takes_exactly_the_tolerances_it_reads(
     for i, g in enumerate(algebras):
         paths.append(tmp_path / f"alg{i}.json")
         paths[-1].write_text(json.dumps(algebra_to_dict(g)))
-    # only the last matrix has a stable eigenvalue: a solve, read pivot_rel
+    # only the last matrix has a stable eigenvalue: a Lyapunov solve
     matrices = [[[0.5, 0, 0], [0, 0.5, 0], [0, 0, 1.0]],
                 [[1.0, 0.2], [0.0, 0.5]], [[-1.0, 0.3], [0.0, 0.5]]]
     out, csv = tmp_path / "out", tmp_path / "d.csv"
@@ -682,7 +720,7 @@ def test_each_command_takes_exactly_the_tolerances_it_reads(
         assert reads == _registered_tolerances(command), command
         counts[command] = len(reads)
     assert counts == {"analyze": 17, "scan-h": 3, "classify": 4,
-                      "riccati": 4}
+                      "riccati": 3}
 
 
 def test_readme_tolerance_table_matches_the_parser():

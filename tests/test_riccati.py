@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oracles import finite_horizon_shape, riccati_max_doubled, spectra_match
 from solvharm.config import DEFAULT_TOLS
@@ -83,11 +84,17 @@ def test_matches_doubled_schur_oracle(rng):
         ref = riccati_max_doubled(a)
         assert (np.linalg.norm(x - ref)
                 <= 1e-10 * max(1.0, np.linalg.norm(ref))), a
+        # X = M^T M: symmetric with no rounding
+        assert np.array_equal(x, x.T), a
         count += 1
     assert count > 80
 
 
-def test_no_stable_eigenvalue_gives_exact_zero(rng, dr_data):
+def test_no_stable_eigenvalue_gives_exact_zero(rng, dr_data, monkeypatch):
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("Y factored with no stable eigenvalue")
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", no_factorization)
     # |Re sigma| <= 0.75 before the shift: every eigenvalue antistable
     cases = [_random_solvable_type(rng, n) + 2.0 * np.eye(n)
              for n in (1, 4, 9)]
