@@ -28,11 +28,13 @@ _H_GRID = (0.05, 0.5, 50)
 # the Tolerances fields each subcommand's checks read: exactly these are
 # its --tol-* flags and the tolerances echoed in its report
 _DECOMPOSITION_TOLS = ("jacobi_identity", "self_adjoint", "eigen_merge")
+_RICCATI_TOLS = ("riccati_residual", "axis_band", "separation_band")
 _COMMAND_TOLS = {
-    "analyze": tuple(f.name for f in dataclasses.fields(Tolerances)),
+    "analyze": tuple(f.name for f in dataclasses.fields(Tolerances)
+                     if f.name not in _RICCATI_TOLS),
     "scan-h": _DECOMPOSITION_TOLS,
     "classify": _DECOMPOSITION_TOLS + ("classifier_zero",),
-    "riccati": ("riccati_residual", "axis_band", "separation_band"),
+    "riccati": _RICCATI_TOLS,
 }
 
 
@@ -169,7 +171,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
                  tols: Tolerances = DEFAULT_TOLS) -> dict:
     """The full analysis report, labelled by :func:`_classification`."""
     r_norm = curvature.curvature_norm(g.curvature)
-    scale2 = curvature.scale_squared(g)
+    scale2 = lie_metric.scale_squared(g)
     is_flat = r_norm <= tols.flat_norm * scale2
     is_einstein, c_const, resid = curvature.einstein_check(g, tols)
 
@@ -215,11 +217,8 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     # mean curvature: closed formula vs numeric horosphere pipeline
     ad_h = data.ad_h()
     formula = -riccati.horosphere_mean_curvature_formula(ad_h)
-    try:
-        trace_l0 = riccati.solve_algebraic_riccati_max(ad_h, tols).trace_l0
-    except NumericalError as exc:
-        trace_l0 = None
-        report.setdefault("warnings", []).append(f"riccati: {exc}")
+    # ad_H has no stable eigenvalue: X = 0, trace L0 = -trace D_H = -trace ad_H
+    trace_l0 = -float(np.trace(ad_h))
     try:
         sample = jacobi_flow.stable_jacobi_tensor(
             data, np.linspace(*_MEAN_GRID), tols)

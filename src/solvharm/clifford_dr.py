@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PRUNE_REL
 from .errors import DomainError, StructureError
 from .lie_metric import MetricLieAlgebra
 
@@ -139,7 +140,7 @@ def _heisenberg_triples(cm: CliffordModule, offset: int) -> list:
         for q in range(p + 1, m):
             for a in range(l):
                 c = cm.generators[a][q, p]   # <J_a e_p, e_q>
-                if abs(c) > 1e-14:
+                if abs(c) > PRUNE_REL:   # |c| <= 1: J_a is orthogonal
                     triples.append((offset + p, offset + q, offset + m + a, c))
     return triples
 

@@ -4,8 +4,8 @@ Every module takes its thresholds from a single :class:`Tolerances`
 record so that a run can be tightened or relaxed in one place.  The
 defaults are the contract values used throughout the test suite.  Each
 field is read by the check it names, and is a ``--tol-*`` flag of
-exactly the subcommands that run that check: ``analyze`` runs all of
-them, ``build`` none.  The special functions come from
+exactly the subcommands that run that check: ``analyze`` runs all but
+the Riccati solver's, ``build`` none.  The special functions come from
 ``scipy.special`` and have no knobs: the pair-block guard of
 ``jacobi_flow`` takes their stated accuracy ``HYP2F1_REL`` as given.
 The test oracles keep their fixed parameters as module constants.
@@ -20,8 +20,8 @@ ad_X with ``growth_real_part * s`` and the Killing form on [s, s] with
 metric is rescaled.  For the same reason the Jacobi residual checked
 when an algebra is built is compared with ``jacobi_identity * s^2``, the
 antisymmetry defect and the pruned entries of an input bracket tensor
-with ``ANTISYMMETRY_REL`` and the prune tolerance relative to its
-largest entry, the rank of bracket-derived matrices (derived algebra,
+with ``ANTISYMMETRY_REL`` and ``PRUNE_REL`` relative to its largest
+entry, the rank of bracket-derived matrices (derived algebra,
 centers, lower central series) and the check that a direction is
 orthogonal to [s, s] with ``RANK_REL * s``, the ad_H eigenvalues of the
 standard decomposition with ``eigen_merge`` relative to the largest
@@ -88,8 +88,9 @@ RANK_REL = 1e-10
 
 # relative bound on max|T + T^t| / max|T| for a bracket tensor T given to
 # ``MetricLieAlgebra.from_tensor``; the roundoff of a change of basis
-# scales with the entries
+# scales with the entries.  Entries at most PRUNE_REL * max|T| are dropped
 ANTISYMMETRY_REL = 1e-12
+PRUNE_REL = 1e-14
 
 # bound on | |v| - 1 | for the unit vectors taken by
 # ``curvature.jacobi_operator_H`` and ``jacobi_flow.volume_density``;

@@ -27,7 +27,6 @@ __all__ = [
     "central_jacobi_blocks",
     "nabla_R_norm",
     "curvature_norm",
-    "scale_squared",
 ]
 
 

@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import ANTISYMMETRY_REL, DEFAULT_TOLS, RANK_REL, Tolerances
+from .config import (ANTISYMMETRY_REL, DEFAULT_TOLS, PRUNE_REL, RANK_REL,
+                     Tolerances)
 from .errors import DimensionError, NotStandardError, StructureError
 from .numerics import as_square, eigenvalues
 
@@ -38,8 +39,6 @@ __all__ = [
     "algebra_to_dict",
     "algebra_from_dict",
 ]
-
-_PRUNE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class MetricLieAlgebra:
                     ) -> "MetricLieAlgebra":
         """Build from a full bracket tensor ``T[i, j, :] = [e_i, e_j]``.
 
-        Entries at most ``_PRUNE_TOL`` times max|T| are dropped, so the
+        Entries at most ``PRUNE_REL`` times max|T| are dropped, so the
         triples kept do not depend on the scale of the metric.
         """
         t = np.asarray(tensor, dtype=float)
@@ -127,7 +126,7 @@ class MetricLieAlgebra:
             raise StructureError("bracket tensor is not antisymmetric")
         upper = np.triu(np.ones((n, n), dtype=bool), k=1)[:, :, None]
         # (i, j, k) in row-major order
-        idx = np.argwhere(upper & (np.abs(t) > _PRUNE_TOL * top))
+        idx = np.argwhere(upper & (np.abs(t) > PRUNE_REL * top))
         rows = np.column_stack([idx, t[tuple(idx.T)]])
         return cls(n, rows, jacobi_tol=jacobi_tol)
 
@@ -439,8 +438,8 @@ def pair_decomposition(rho: np.ndarray, vecs: np.ndarray, j_v: np.ndarray,
     """
     m = len(rho)
     k = j_v.T @ j_v
-    null_tol = 1e-10 * (max(1.0, float(np.linalg.norm(j_v, 2)))
-                        if j_v.size else 1.0)
+    null_tol = RANK_REL * (max(1.0, float(np.linalg.norm(j_v, 2)))
+                           if j_v.size else 1.0)
     kernel, kernel_rhos = [np.zeros((m, 0))], []
     planes, pairs = [np.zeros((m, 0, 2))], []
     active = []   # (rho, number of active vectors) per eigenspace

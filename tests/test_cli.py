@@ -15,7 +15,8 @@ from oracles import render_json_scalar
 import solvharm
 from solvharm import cli, hypergeom, lie_metric
 from solvharm.cli import build_report, main
-from solvharm.clifford_dr import build_damek_ricci, clifford_generators
+from solvharm.clifford_dr import (build_damek_ricci, build_real_hyperbolic,
+                                  clifford_generators)
 from solvharm.lie_metric import standard_decomposition
 from solvharm.jacobi_flow import volume_density
 from solvharm.lie_metric import algebra_to_dict
@@ -199,6 +200,42 @@ def test_analyze_generic_pair_stable_tensor(tmp_path, generic_pair_algebra):
     assert "warnings" not in report
     assert report["mean_curvature"]["numeric"] is not None
     assert report["classification"] == "NotAsymptoticallyHarmonic"
+
+
+def test_analyze_reads_trace_l0_without_the_riccati_solver(
+        tmp_path, monkeypatch, dr_algebras, generic_pair_algebra,
+        perturbed_theta_algebra, haar_rotate):
+    # every ad_H eigenvalue is positive, so X = 0 and trace L0 is
+    # -trace ad_H: the same value the solver gives, without the solve
+    algebras = [*dr_algebras.values(), generic_pair_algebra,
+                perturbed_theta_algebra,
+                haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 3),
+                build_real_hyperbolic(5)]
+    solve = cli.riccati.solve_algebraic_riccati_max
+    expected = [solve(standard_decomposition(g).ad_h()).trace_l0
+                for g in algebras]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("analyze ran the Riccati solver")
+
+    monkeypatch.setattr(cli.riccati, "solve_algebraic_riccati_max", no_solve)
+    for g, want in zip(algebras, expected):
+        mc = _analyze(tmp_path, g)["mean_curvature"]
+        assert mc["riccati_trace_l0"] == want
+        # the benchmark's identity; the report's formula is -trace L0
+        gap = abs(mc["riccati_trace_l0"] + mc["formula"])
+        assert gap <= 1e-8 * max(1.0, abs(mc["formula"]))
+
+
+def test_analyze_trace_l0_inside_the_riccati_band(tmp_path):
+    # an ad_H eigenvalue in (axis_band, separation_band) stops the
+    # riccati command, but not the closed form that analyze reads
+    g = lie_metric.algebra_from_dict(
+        {"dim": 3, "structure_constants": [[0, 1, 1, 5e-8], [0, 2, 2, 1.0]]})
+    report = _analyze(tmp_path, g)
+    assert "warnings" not in report
+    trace = float(np.trace(standard_decomposition(g).ad_h()))
+    assert report["mean_curvature"]["riccati_trace_l0"] == -trace
 
 
 def test_tol_bvp_converged_reaches_pair_guard(tmp_path):
@@ -603,6 +640,9 @@ def test_build_takes_no_tolerance_flags(capsys):
     ["analyze", "alg.json", "--tol-pivot-rel", "1"],
     ["analyze", "alg.json", "--tol-series-tol", "1"],
     ["riccati", "m.json", "--tol-pivot-rel", "1"],
+    ["analyze", "alg.json", "--tol-riccati-residual", "1"],
+    ["analyze", "alg.json", "--tol-axis-band", "1"],
+    ["analyze", "alg.json", "--tol-separation-band", "1"],
 ])
 def test_unread_tolerance_flag_is_usage_error(argv, capsys):
     # a flag whose check the command never runs would change nothing
@@ -719,7 +759,7 @@ def test_each_command_takes_exactly_the_tolerances_it_reads(
             assert main([*argv, "--output", str(out)]) == 0
         assert reads == _registered_tolerances(command), command
         counts[command] = len(reads)
-    assert counts == {"analyze": 17, "scan-h": 3, "classify": 4,
+    assert counts == {"analyze": 14, "scan-h": 3, "classify": 4,
                       "riccati": 3}
 
 
