@@ -71,11 +71,21 @@ def _emit_json(value, out):
         if not (value.dtype.kind == "f" and value.ndim and value.size
                 and np.isfinite(value).all()):
             _emit_json(value.tolist(), out)
-        elif value.ndim > 1:
+        elif value.ndim > 2:
             _emit_json(list(value), out)
-        else:   # finite floats, written a row at a time
-            out.write("[" + ", ".join(map("{:.17g}".format,
-                                          (value + 0.0).tolist())) + "]")
+        else:
+            # finite floats, a row at a time through one "[%.17g, ...]"
+            # row template ("%.17g" % x is format(x, ".17g")); adding 0.0
+            # writes -0 as 0
+            row = "[" + ", ".join(["%.17g"] * value.shape[-1]) + "]"
+            if value.ndim == 1:
+                out.write(row % tuple((value + 0.0).tolist()))
+            else:
+                out.write("[")
+                for i, r in enumerate(value):
+                    out.write((", " if i else "") +
+                              row % tuple((r + 0.0).tolist()))
+                out.write("]")
     elif isinstance(value, (bool, np.bool_)):
         out.write("true" if value else "false")
     elif value is None:

@@ -2,10 +2,12 @@
 
 Thin, contract-enforcing wrappers around LAPACK via numpy/scipy: we need
 eigenvalues, matrix exponentials, guarded linear solves and an ordered
-real Schur form.  All functions are pure and accept/return plain
-``numpy`` arrays.  ``as_square`` and ``eigenvalues`` need numpy alone;
-the other kernels import ``scipy.linalg`` when first called, so building
-and checking an algebra loads no scipy.
+real Schur form, whose one ``dgees`` call also gives the spectrum, so a
+caller that needs both factors the matrix once.  All functions are pure
+and accept/return plain ``numpy`` arrays.  ``as_square`` and
+``eigenvalues`` need numpy alone; the other kernels import
+``scipy.linalg`` when first called, so building and checking an algebra
+loads no scipy.
 """
 
 import warnings
@@ -101,14 +103,25 @@ def ordered_real_schur(m, select):
     """Real Schur form with the eigenvalues chosen by ``select`` leading.
 
     ``select(re, im)`` is applied to each eigenvalue; the corresponding
-    invariant subspace is moved to the front.  Returns ``(T, Z, sdim)``
-    with ``m = Z T Z^T`` and ``sdim`` the dimension of the selected
-    subspace (the span of the first ``sdim`` columns of ``Z``).
+    invariant subspace is moved to the front.  Returns
+    ``(T, Z, sdim, spectrum)`` with ``m = Z T Z^T``, ``sdim`` the
+    dimension of the selected subspace (the span of the first ``sdim``
+    columns of ``Z``) and ``spectrum`` the eigenvalues of ``T`` in
+    :func:`sorted_spectrum` order.  All four come from one LAPACK
+    ``dgees`` call, after the same workspace query ``scipy.linalg.schur``
+    makes; any nonzero ``info`` raises :class:`NumericalError`.
     """
-    import scipy.linalg
+    from scipy.linalg import lapack
     a = as_square(m)
-    try:
-        t, z, sdim = scipy.linalg.schur(a, output="real", sort=select)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    return t, z, int(sdim)
+    n = a.shape[0]
+    if n == 0:   # LAPACK rejects an empty matrix
+        return a.copy(), a.copy(), 0, np.zeros(0, dtype=complex)
+    lwork = int(lapack.dgees(lambda x, y: None, a, lwork=-1)[-2][0])
+    t, sdim, wr, wi, z, _, info = lapack.dgees(select, a, lwork=lwork,
+                                               sort_t=1)
+    if info:
+        reason = {n + 1: "Eigenvalues could not be separated for reordering.",
+                  n + 2: "Leading eigenvalues do not satisfy sort condition."
+                  }.get(info, "Schur form not found. Possibly ill-conditioned.")
+        raise NumericalError(f"Schur decomposition failed: {reason}")
+    return t, z, int(sdim), sorted_spectrum(wr + 1j * wi)

@@ -614,8 +614,8 @@ def riccati_max_doubled(ad_a, tols=DEFAULT_TOLS) -> np.ndarray:
     n = a.shape[0]
     cut = -0.5 * (tols.axis_band + tols.separation_band)
     big = np.block([[-a, -np.eye(n)], [np.zeros((n, n)), a.T]])
-    _, z, sdim = ordered_real_schur(big, lambda x, y: x < cut)
-    _, q, n_axis = ordered_real_schur(a, lambda x, y: abs(x) < -cut)
+    _, z, sdim, _ = ordered_real_schur(big, lambda x, y: x < cut)
+    _, q, n_axis, _ = ordered_real_schur(a, lambda x, y: abs(x) < -cut)
     assert sdim + n_axis == n, (sdim, n_axis)
     u = np.hstack([z[:, :sdim],
                    np.vstack([q[:, :n_axis], np.zeros((n, n_axis))])])

@@ -392,8 +392,22 @@ def test_scan_h_rows_match_scalar_writer(tmp_path, generic_pair_algebra):
     assert out.read_text().splitlines()[1:] == rows
 
 
+def _large_matrix():
+    """A seeded 192 x 192 matrix, the size of the largest benchmark
+    report, with signed zero, subnormals, the extreme finite values and
+    a decimal that needs all 17 digits."""
+    m = np.random.default_rng(11).standard_normal((192, 192))
+    m *= 10.0 ** np.random.default_rng(12).integers(-300, 300, m.shape)
+    m[0, :6] = [-0.0, 5e-324, 1e-310, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.1]
+    m[-1, -6:] = m[0, :6]
+    return m
+
+
 _ARRAYS = {
     "dense": np.random.default_rng(3).standard_normal((4, 5)),
+    "large": _large_matrix(),
+    "one_row": np.random.default_rng(4).standard_normal((1, 7)),
     "signed_zero": np.array([[-0.0, 0.0], [1.0, -2.5]]),
     "extremes": np.array([1e300, -1e-300, 5e-324, 1.7976931348623157e308]),
     "nonfinite": np.array([[1.0, np.nan], [np.inf, -np.inf]]),
@@ -416,8 +430,13 @@ def test_render_json_matches_scalar_writer(name):
     report = {"schema": "x", "array": a, "nested": {"inner": {"a": a},
                                                      "list": [a, -0.0, 1]},
               "scalars": (np.float64(-0.0), np.int64(7), 2.5j, None, "s")}
-    assert cli._render_json(report) == render_json_scalar(report)
-    assert cli._render_json(a) == render_json_scalar(a)
+    for value in (report, a):
+        got, want = cli._render_json(value), render_json_scalar(value)
+        # compare lengths and the first difference: pytest's diff of the
+        # megabyte a 192 x 192 report writes takes minutes
+        i = len(os.path.commonprefix([got, want]))
+        j = max(i - 40, 0)
+        assert i == len(got) == len(want), (got[j: i + 40], want[j: i + 40])
 
 
 def test_classify_reports_factors(tmp_path):
@@ -502,6 +521,38 @@ def test_riccati_failed_factorization_exit_5(tmp_path, monkeypatch, capsys):
     mat.write_text("[[-1.0, 0.3], [0.0, 0.5]]")
     assert main(["riccati", str(mat)]) == 5
     assert "not positive definite" in capsys.readouterr().err
+
+
+_ZERO_BANDS = ["--tol-axis-band", "0", "--tol-separation-band", "0"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix, flags", [
+    # eigenvalue sums -2 against a norm of 1e200
+    ([[-1.0, 1e200], [0.0, -1.0]], []),
+    # a stable eigenvalue below the underflow threshold, bands off
+    ([[-1e-320]], _ZERO_BANDS),
+], ids=["coupled", "subnormal"])
+def test_riccati_singular_lyapunov_exit_5(matrix, flags, tmp_path, capsys):
+    mat, out = tmp_path / "m.json", tmp_path / "r.json"
+    mat.write_text(json.dumps({"matrix": matrix}))
+    assert main(["riccati", str(mat), "--output", str(out), *flags]) == 5
+    err = capsys.readouterr().err
+    assert "eigenvalue sums of the stable block are within roundoff" in err
+    assert "positive definite" not in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_riccati_overflowing_lyapunov_exit_1(tmp_path, capsys):
+    # Y ~ 1e-261^2 / 1e-276^3 = 1e306: trsyl scales it down
+    mat, out = tmp_path / "m.json", tmp_path / "r.json"
+    mat.write_text('{"matrix": [[-1e-276, 1e-261], [0.0, -1e-276]]}')
+    assert main(["riccati", str(mat), "--output", str(out),
+                 *_ZERO_BANDS]) == 1
+    assert "Lyapunov solution of the stable block overflows" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ['{"matrix": [[1, 2, 3], [4, 5, 6]]}',

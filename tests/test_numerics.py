@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import spectra_match
-from solvharm.errors import DimensionError, SingularMatrixError
+from solvharm.errors import (DimensionError, NumericalError,
+                             SingularMatrixError)
 from solvharm.numerics import (eigenvalues, matrix_exponential,
                                ordered_real_schur, solve_linear,
                                sorted_spectrum)
@@ -74,10 +75,44 @@ def test_solve_singular_rejected():
 
 def test_ordered_schur_selects_stable_subspace():
     a = np.diag([-2.0, 1.0, -0.5])
-    t, z, sdim = ordered_real_schur(a, lambda re, im: re < 0)
+    t, z, sdim, spec = ordered_real_schur(a, lambda re, im: re < 0)
     assert sdim == 2
     assert set(np.round(np.diag(t)[:2], 12)) == {-2.0, -0.5}
     np.testing.assert_allclose(z @ t @ z.T, a, atol=1e-12)
+    np.testing.assert_array_equal(spec, [-2.0, -0.5, 1.0])
+    # a complex pair on each side of the axis, rotated: the spectrum
+    # comes from the same factorization and matches the eigensolver's
+    b = np.zeros((5, 5))
+    b[:2, :2] = [[0.4, 1.3], [-1.3, 0.4]]
+    b[2:4, 2:4] = [[-0.7, 0.5], [-2.0, -0.7]]
+    b[4, 4] = -1.1
+    b[np.triu_indices(5, k=1)] += 0.3
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))
+    b = q @ b @ q.T
+    t, z, sdim, spec = ordered_real_schur(b, lambda re, im: re < 0)
+    assert sdim == 3
+    np.testing.assert_allclose(z @ t @ z.T, b, atol=1e-12)
+    assert (np.abs(spec - eigenvalues(b)).max()
+            <= 1e-12 * np.linalg.norm(b))
+    assert np.count_nonzero(spec.imag) == 4
+    assert np.all(spec[:3].real < 0) and np.all(spec[3:].real > 0)
+
+
+def test_ordered_schur_empty_and_failure(monkeypatch):
+    t, z, sdim, spec = ordered_real_schur(np.zeros((0, 0)),
+                                          lambda re, im: re < 0)
+    assert t.shape == z.shape == (0, 0) and sdim == 0 and spec.size == 0
+    # every nonzero dgees info is a NumericalError
+    from scipy.linalg import lapack
+    gees = lapack.dgees
+    for info in (1, 4, 5, -3):
+        def failing(*args, _info=info, **kwargs):
+            return (*gees(*args, **kwargs)[:-1], _info)
+
+        monkeypatch.setattr(lapack, "dgees", failing)
+        with pytest.raises(NumericalError, match="Schur decomposition failed"):
+            ordered_real_schur(np.diag([-1.0, 2.0, 3.0]),
+                               lambda re, im: re < 0)
 
 
 _small_matrices = arrays(

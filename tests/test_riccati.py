@@ -5,8 +5,10 @@ import pytest
 import scipy.linalg
 
 from oracles import finite_horizon_shape, riccati_max_doubled, spectra_match
+from solvharm import riccati
 from solvharm.config import DEFAULT_TOLS
-from solvharm.errors import DegenerateSpectrumError, DomainError
+from solvharm.errors import (DegenerateSpectrumError, DomainError,
+                             NumericalError)
 from solvharm.lie_metric import symmetric_skew_split
 from solvharm.numerics import eigenvalues
 from solvharm.riccati import (RiccatiResult, horosphere_mean_curvature_formula,
@@ -88,6 +90,48 @@ def test_matches_doubled_schur_oracle(rng):
         assert np.array_equal(x, x.T), a
         count += 1
     assert count > 80
+
+
+def test_one_spectral_factorization(rng, monkeypatch):
+    calls = []
+
+    def recording(name, func):
+        def wrapper(m, *args, **kwargs):
+            calls.append((name, np.shape(m)))
+            return func(m, *args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("second Schur form")
+
+    monkeypatch.setattr(riccati, "eigenvalues",
+                        recording("eigenvalues", riccati.eigenvalues))
+    monkeypatch.setattr(riccati, "ordered_real_schur",
+                        recording("schur", riccati.ordered_real_schur))
+    monkeypatch.setattr(scipy.linalg, "schur", forbidden)
+    a = _with_axis_block(rng, 12, ["skew"])
+    res = solve_algebraic_riccati_max(a)
+    # the skew block's eigenvalues lie on the axis, within roundoff
+    n_stable = int((res.spectrum_ad_a.real < -DEFAULT_TOLS.axis_band).sum())
+    assert 0 < n_stable < 10
+    # ad_A is factored once; the eigensolver sees the closed-loop block
+    assert calls == [("schur", (12, 12)),
+                     ("eigenvalues", (n_stable, n_stable))]
+    assert (np.abs(res.spectrum_ad_a - eigenvalues(a)).max()
+            <= 1e-12 * np.linalg.norm(a))
+
+
+def test_failed_split_reports_band(monkeypatch):
+    def failing(*args, **kwargs):
+        raise NumericalError("Schur decomposition failed")
+
+    monkeypatch.setattr(riccati, "ordered_real_schur", failing)
+    with pytest.raises(DegenerateSpectrumError) as err:
+        solve_algebraic_riccati_max(np.array([[1e-8]]))
+    assert "band" in err.value.diagnostics
+    with pytest.raises(NumericalError, match="Schur") as err:
+        solve_algebraic_riccati_max(np.array([[-1.0]]))
+    assert not isinstance(err.value, DegenerateSpectrumError)
 
 
 def test_no_stable_eigenvalue_gives_exact_zero(rng, dr_data, monkeypatch):
