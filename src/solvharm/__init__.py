@@ -3,9 +3,9 @@
 Construct Heisenberg-type and Damek-Ricci algebras from Clifford
 modules, compute their left-invariant geometry (connection, curvature,
 Einstein constants, Jacobi operators), solve the horosphere Riccati
-equations, integrate stable Jacobi tensors, and evaluate the
-hypergeometric rigidity function whose constancy characterizes
-asymptotically harmonic Einstein solvmanifolds.
+equations, evaluate stable Jacobi tensors from closed forms (not by
+integration), and the hypergeometric rigidity function whose constancy
+characterizes asymptotically harmonic Einstein solvmanifolds.
 
 The package root re-exports the numpy-only modules (``lie_metric``,
 ``clifford_dr``, ``curvature``), so ``import solvharm`` and building and

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import (clifford_dr, curvature, hypergeom, jacobi_flow, lie_metric,
                numerics, riccati)
-from .config import DEFAULT_TOLS, TRACE_IDENTITY_REL, Tolerances
+from .config import DEFAULT_TOLS, H_SCALE_FLOOR, TRACE_IDENTITY_REL, Tolerances
 from .errors import (DegenerateSpectrumError, DimensionError, NumericalError,
                      SolvharmError, StructureError)
 
@@ -216,19 +216,18 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
         report["tolerances"] = _tolerances_dict(tols, "analyze")
         return report
 
+    # every ad_H eigenvalue is positive, so the closed mean curvature
+    # sum |Re sigma| is trace ad_H, X = 0 and trace L0 = -trace ad_H
+    formula = data.trace_ad_h
     report["standard_decomposition"] = {
         "status": "ok",
         "mu": list(data.mu),
         "rho_star": list(data.rho_star),
         "pairs": [list(p) for p in data.pairs],
-        "trace_ad_h": data.trace_ad_h,
+        "trace_ad_h": formula,
     }
 
     # mean curvature: closed formula vs numeric horosphere pipeline
-    ad_h = data.ad_h()
-    formula = -riccati.horosphere_mean_curvature_formula(ad_h)
-    # ad_H has no stable eigenvalue: X = 0, trace L0 = -trace D_H = -trace ad_H
-    trace_l0 = -float(np.trace(ad_h))
     try:
         sample = jacobi_flow.stable_jacobi_tensor(
             data, np.linspace(*_MEAN_GRID), tols)
@@ -240,7 +239,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
         report.setdefault("warnings", []).append(f"mean-curvature: {exc}")
     report["mean_curvature"] = {
         "formula": formula,
-        "riccati_trace_l0": trace_l0,
+        "riccati_trace_l0": -formula,
         "numeric": numeric_mean,
         "max_deviation": deviation,
         "grid": list(_MEAN_GRID),
@@ -249,7 +248,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     # h-scan on z in [0.05, 0.5]
     h_values = hypergeom.h_function(*data.frame_factor_data(),
                                     np.linspace(*_H_GRID))
-    h_scale = max(float(np.abs(h_values).max()), 1e-30)
+    h_scale = max(float(np.abs(h_values).max()), H_SCALE_FLOOR)
     drift = float((h_values.max() - h_values.min()) / h_scale)
     report["h_scan"] = {
         "z_range": list(_H_GRID[:2]),

@@ -96,3 +96,6 @@ PRUNE_REL = 1e-14
 # ``curvature.jacobi_operator_H`` and ``jacobi_flow.volume_density``;
 # a direction is unitless, so the bound is absolute
 UNIT_VECTOR_TOL = 1e-10
+
+UNIT_LAM_SNAP = 1e-15   # a top ad_H eigenvalue this close to 1 is taken as 1
+H_SCALE_FLOOR = 1e-30   # floor of max|h| in the h-scan drift: h = 0 drifts 0

@@ -136,7 +136,7 @@ def central_frame_split(d: StandardSolvableData):
     (``rho_stars``), and the pair planes (V_i, ~V_i) in v (``pairs``).
     """
     mus, rho_stars, pairs = d.frame_factor_data()
-    eye = np.eye(d.algebra.dim)
+    eye = np.eye(d.h_vector.size)
     z_idx, v_idx = list(d.z_indices), list(d.v_indices)
     k = len(rho_stars)
     return (mus, eye[:, z_idx[:-1]], rho_stars, eye[:, v_idx[:k]],

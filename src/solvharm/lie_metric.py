@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import (ANTISYMMETRY_REL, DEFAULT_TOLS, PRUNE_REL, RANK_REL,
-                     Tolerances)
+                     UNIT_LAM_SNAP, Tolerances)
 from .errors import DimensionError, NotStandardError, StructureError
 from .numerics import as_square, eigenvalues
 
@@ -371,7 +371,7 @@ def growth_type(g: MetricLieAlgebra,
 class StandardSolvableData:
     """Spectral data of the orthogonal split s = <H> + v + z.
 
-    The wrapped ``algebra`` is renormalized (top ad_H eigenvalue 1) and
+    ``algebra`` is the input renormalized (top ad_H eigenvalue 1) and
     rebuilt in an adapted orthonormal basis: index 0 is H, then the
     v-block (kernel vectors of j(Z) first, then 2-dimensional pair
     blocks (V_i, j(Z)V_i / theta_i)), then the z-block with ad_H
@@ -379,15 +379,30 @@ class StandardSolvableData:
     eigenvector Z.  This basis is the central frame of Z: along the
     geodesic tangent to Z the frame slots are its identity columns, with
     the eigenvalues ``mu`` (all but Z's), ``rho_star`` and ``pairs``
-    (see :func:`curvature.central_frame_split`).
+    (see :func:`curvature.central_frame_split`).  No algebra is built
+    until ``algebra`` is first read.  The data keep the input's brackets,
+    not the input, so its cached connection and curvature can be freed.
     """
 
-    algebra: MetricLieAlgebra
     v_indices: tuple
     z_indices: tuple
     mu: np.ndarray          # all ad_H eigenvalues on z, ascending
     rho_star: np.ndarray    # ad_H eigenvalues on ker j(Z) in v
     pairs: np.ndarray       # rows (rho_i, theta_i) for the 2x2 blocks
+    _tensor: np.ndarray = field(repr=False, compare=False)
+    _basis: np.ndarray = field(repr=False, compare=False)
+    _scale: float = field(repr=False, compare=False)
+    jacobi_tol: float = field(repr=False, compare=False)
+
+    @cached_property
+    def algebra(self) -> MetricLieAlgebra:
+        # re-orthonormalize to wash out roundoff before the change of basis
+        q_basis, _ = np.linalg.qr(self._basis)
+        q_basis *= np.sign(np.sum(q_basis * self._basis, axis=0))
+        tensor = np.einsum("ia,jb,ijk,kc->abc", q_basis, q_basis,
+                           self._tensor, q_basis, optimize=True)
+        return MetricLieAlgebra.from_tensor(self._scale * tensor,
+                                            jacobi_tol=self.jacobi_tol)
 
     @property
     def trace_ad_h(self) -> float:
@@ -395,7 +410,7 @@ class StandardSolvableData:
 
     @property
     def h_vector(self) -> np.ndarray:
-        v = np.zeros(self.algebra.dim)
+        v = np.zeros(len(self._basis))
         v[0] = 1.0
         return v
 
@@ -500,9 +515,9 @@ def standard_decomposition(g: MetricLieAlgebra,
     center z of n = [s, s], the blocks of ad_H and j(Z) are contractions
     of ``g.tensor``; dividing them by the top ad_H eigenvalue ``lam``
     normalizes it to exactly 1, as for the metric rescaled by 1/lam.
-    The only algebra built is the returned one: that rescaled algebra
-    in an adapted basis.  Rerunning on it reproduces the same spectral
-    data.
+    No algebra is built here: the rescaled algebra in an adapted basis
+    is built, and Jacobi-checked, when ``.algebra`` of the result is
+    first read.  Rerunning on it reproduces the same spectral data.
     """
     n_basis = g.derived_algebra
     if n_basis.shape[1] != g.dim - 1:
@@ -559,7 +574,7 @@ def standard_decomposition(g: MetricLieAlgebra,
         raise NotStandardError("top ad_H eigenvalue does not lie in the center")
 
     # every bracket scales by 1/lam, so the top eigenvalue becomes 1
-    scale = 1.0 / lam if abs(lam - 1.0) > 1e-15 else 1.0
+    scale = 1.0 / lam if abs(lam - 1.0) > UNIT_LAM_SNAP else 1.0
     mu = scale * mu_raw
     z_cols = n_basis @ z_in_n @ z_vecs      # ambient coords, mu ascending
     z_top = z_cols[:, -1]
@@ -574,23 +589,16 @@ def standard_decomposition(g: MetricLieAlgebra,
     )
 
     v_cols = np.hstack([v_cols_raw @ kernel_b, v_cols_raw @ pair_b])
-    basis = np.column_stack([h, v_cols, z_cols])
-    # re-orthonormalize to wash out roundoff before the change of basis
-    q_basis, _ = np.linalg.qr(basis)
-    q_basis *= np.sign(np.sum(q_basis * basis, axis=0))
-
-    tensor = np.einsum("ia,jb,ijk,kc->abc", q_basis, q_basis,
-                       g.tensor, q_basis, optimize=True)
-    adapted = MetricLieAlgebra.from_tensor(scale * tensor,
-                                           jacobi_tol=g.jacobi_tol)
-
     return StandardSolvableData(
-        algebra=adapted,
         v_indices=tuple(range(1, 1 + m_v)),
         z_indices=tuple(range(1 + m_v, g.dim)),
         mu=mu,
         rho_star=rho_star,
         pairs=pairs,
+        _tensor=g.tensor,
+        _basis=np.column_stack([h, v_cols, z_cols]),
+        _scale=scale,
+        jacobi_tol=g.jacobi_tol,
     )
 
 

@@ -7,13 +7,14 @@ import re
 import stat
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from oracles import render_json_scalar
 import solvharm
-from solvharm import cli, hypergeom, lie_metric
+from solvharm import cli, hypergeom, lie_metric, numerics
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import (build_damek_ricci, build_real_hyperbolic,
                                   clifford_generators)
@@ -205,12 +206,14 @@ def test_analyze_generic_pair_stable_tensor(tmp_path, generic_pair_algebra):
 def test_analyze_reads_trace_l0_without_the_riccati_solver(
         tmp_path, monkeypatch, dr_algebras, generic_pair_algebra,
         perturbed_theta_algebra, haar_rotate):
-    # every ad_H eigenvalue is positive, so X = 0 and trace L0 is
-    # -trace ad_H: the same value the solver gives, without the solve
+    # every ad_H eigenvalue is positive, so sum |Re sigma| is trace ad_H,
+    # X = 0 and trace L0 is -trace ad_H: the report writes the spectral
+    # data's trace three times.  The solver gives the same value bit for
+    # bit on the canonical builds and the fixtures; in a Haar-random basis
+    # its Schur form rounds differently
+    rotated = haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 3)
     algebras = [*dr_algebras.values(), generic_pair_algebra,
-                perturbed_theta_algebra,
-                haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 3),
-                build_real_hyperbolic(5)]
+                perturbed_theta_algebra, build_real_hyperbolic(5), rotated]
     solve = cli.riccati.solve_algebraic_riccati_max
     expected = [solve(standard_decomposition(g).ad_h()).trace_l0
                 for g in algebras]
@@ -220,11 +223,67 @@ def test_analyze_reads_trace_l0_without_the_riccati_solver(
 
     monkeypatch.setattr(cli.riccati, "solve_algebraic_riccati_max", no_solve)
     for g, want in zip(algebras, expected):
-        mc = _analyze(tmp_path, g)["mean_curvature"]
-        assert mc["riccati_trace_l0"] == want
-        # the benchmark's identity; the report's formula is -trace L0
-        gap = abs(mc["riccati_trace_l0"] + mc["formula"])
-        assert gap <= 1e-8 * max(1.0, abs(mc["formula"]))
+        report = _analyze(tmp_path, g)
+        mc = report["mean_curvature"]
+        trace = report["standard_decomposition"]["trace_ad_h"]
+        assert mc["formula"] == trace == -mc["riccati_trace_l0"]
+        if g is rotated:
+            assert abs(mc["riccati_trace_l0"] - want) <= 1e-14 * abs(want)
+        else:
+            assert mc["riccati_trace_l0"] == want
+
+
+def test_analyze_damek_ricci_closed_forms(tmp_path, dr_algebras):
+    # with m = dim v and k = dim z, a Damek-Ricci space normalized to
+    # top ad_H eigenvalue 1 has trace ad_H = m/2 + k and Einstein
+    # constant -(m + 4k)/4; the trace is exact on the builds
+    for (l, _), g in dr_algebras.items():
+        m, k = g.dim - 1 - l, l
+        report = _analyze(tmp_path, g)
+        mc = report["mean_curvature"]
+        assert report["standard_decomposition"]["trace_ad_h"] == m / 2 + k
+        assert mc["formula"] == m / 2 + k
+        assert mc["riccati_trace_l0"] == -(m / 2 + k)
+        c = report["einstein"]["constant"]
+        assert abs(c + (m + 4 * k) / 4) <= 1e-12 * (m + 4 * k) / 4
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "scan-h"])
+def test_each_command_checks_the_jacobi_identity_once(
+        command, tmp_path, monkeypatch, capsys, haar_rotate, dr_algebras):
+    # the loaded algebra is checked once; the standard decomposition
+    # builds no algebra, and analyze reads trace ad_H off the spectral
+    # data, so its one eigenvalue solve is the growth type's
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(algebra_to_dict(
+        haar_rotate(dr_algebras[(2, 1)], 5))))
+    calls = Counter()
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lie_metric.MetricLieAlgebra, "jacobi_residual",
+                        counting("jacobi_residual",
+                                 lie_metric.MetricLieAlgebra.jacobi_residual))
+    from_tensor = lie_metric.MetricLieAlgebra.__dict__["from_tensor"].__func__
+    monkeypatch.setattr(lie_metric.MetricLieAlgebra, "from_tensor",
+                        classmethod(counting("from_tensor", from_tensor)))
+    eigenvalues = numerics.eigenvalues
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "solvharm" and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is eigenvalues:
+                    monkeypatch.setattr(module, key,
+                                        counting("eigenvalues", eigenvalues))
+    assert main([command, str(alg)]) == 0
+    capsys.readouterr()
+    assert calls["jacobi_residual"] == 1
+    assert calls["from_tensor"] == 0
+    if command == "analyze":
+        assert calls["eigenvalues"] == 1
 
 
 def test_analyze_trace_l0_inside_the_riccati_band(tmp_path):

@@ -1,6 +1,8 @@
+import gc
 import inspect
 import math
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -227,7 +229,8 @@ def test_standard_decomposition_rejects_non_self_adjoint():
 def test_standard_decomposition_builds_only_the_adapted_algebra(
         dr_algebras, haar_rotate, monkeypatch):
     # the center of n, ad_H and j(Z) come from the input tensor: no
-    # subalgebra, bracket loop or rescaled copy, one Jacobi check
+    # subalgebra, bracket loop or rescaled copy, and no algebra at all
+    # until ``algebra`` is read; then one, checked once
     g0 = dr_algebras[(2, 1)]
     inputs = (g0, haar_rotate(g0, 11), g0.rescaled(3.0))
     reference = standard_decomposition(g0)
@@ -254,14 +257,41 @@ def test_standard_decomposition_builds_only_the_adapted_algebra(
     monkeypatch.setattr(MetricLieAlgebra, "from_tensor",
                         classmethod(counting("from_tensor", from_tensor)))
 
-    for g in inputs:
-        calls.clear()
-        d = standard_decomposition(g)
-        assert dict(calls) == {"from_tensor": 1, "jacobi_residual": 1}
+    def assert_spectral_data(d):
         for field in ("mu", "rho_star", "pairs"):
             a, b = getattr(reference, field), getattr(d, field)
             assert a.shape == b.shape
             assert a.size == 0 or np.abs(a - b).max() <= 1e-12
+        assert (d.v_indices, d.z_indices) == (reference.v_indices,
+                                              reference.z_indices)
+
+    for g in inputs:
+        calls.clear()
+        d = standard_decomposition(g)
+        assert dict(calls) == {}
+        assert_spectral_data(d)
+        adapted = d.algebra
+        assert dict(calls) == {"from_tensor": 1, "jacobi_residual": 1}
+        assert d.algebra is adapted
+        assert dict(calls) == {"from_tensor": 1, "jacobi_residual": 1}
+        assert adapted.dim == g.dim and d.h_vector.shape == (g.dim,)
+        calls.clear()
+        assert_spectral_data(standard_decomposition(adapted))
+        assert dict(calls) == {}
+
+
+def test_standard_decomposition_does_not_keep_its_input(dr_algebras):
+    # the data hold the input's brackets, not the input: its cached
+    # connection and curvature go with it
+    g = dr_algebras[(2, 1)].rescaled(2.0)
+    g.curvature
+    ref = weakref.ref(g)
+    d = standard_decomposition(g)
+    del g
+    gc.collect()
+    assert ref() is None
+    np.testing.assert_allclose(standard_decomposition(d.algebra).mu, d.mu,
+                               atol=1e-12)
 
 
 def test_standard_decomposition_idempotent(dr_data):
