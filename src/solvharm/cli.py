@@ -434,8 +434,7 @@ def cmd_riccati(args, tols: Tolerances) -> int:
         "tolerances": _tolerances_dict(tols, "riccati"),
     }
     _deliver(_render_json(report), args.output)
-    if abs(res.trace_l0 - formula) > (TRACE_IDENTITY_REL
-                                      * max(1.0, abs(formula))):
+    if abs(res.trace_l0 - formula) > TRACE_IDENTITY_REL * np.linalg.norm(mat):
         sys.stderr.write(
             f"trace identity violated: trace L0 = {res.trace_l0!r} vs "
             f"formula {formula!r}\n"

@@ -26,7 +26,7 @@ centers, lower central series) and the check that a direction is
 orthogonal to [s, s] with ``RANK_REL * s``, the ad_H eigenvalues of the
 standard decomposition with ``eigen_merge`` relative to the largest
 one, and the ``riccati`` trace identity with ``TRACE_IDENTITY_REL``
-relative to the closed-form trace.
+relative to the Frobenius norm of the matrix.
 ``h_constancy`` and ``mean_constancy`` bound the witnesses of a rigid
 verdict (sampled h drift, mean-curvature deviation), not the label.
 """
@@ -69,8 +69,8 @@ class Tolerances:
 
 DEFAULT_TOLS = Tolerances()
 
-# relative bound on |trace L0 - formula| / max(1, |formula|) in the
-# ``riccati`` command; trace L0 scales with the matrix entries
+# relative bound on |trace L0 - formula| / |A|_F in the ``riccati``
+# command; trace L0 scales with the matrix entries
 TRACE_IDENTITY_REL = 1e-6
 
 # relative accuracy of scipy.special.hyp2f1, assumed by the pair-block

@@ -179,17 +179,19 @@ class MetricLieAlgebra:
     def jacobi_residual(self) -> float:
         """max norm of Jac(e_i, e_j, e_k) over all basis triples.
 
-        ``E[i, j, k, :] = [[e_i, e_j], e_k]`` is one BLAS product, and the
-        cyclic sum is accumulated into one more n^4 array, so at most two
-        are held at once.
+        One i at a time, the cyclic terms [[e_i, e_j], e_k], [[e_j, e_k], e_i]
+        and [[e_k, e_i], e_j] are n x n^2 BLAS products summed into one
+        (j, k, :) array: about 3 n^3 doubles at the peak, with the tensor.
         """
         t = self._tensor
         n = self.dim
-        e = (t.reshape(n * n, n) @ t.reshape(n, n * n)).reshape(n, n, n, n)
-        jac = e + e.transpose(2, 0, 1, 3)    # E[i,j,k] + E[j,k,i]
-        jac += e.transpose(1, 2, 0, 3)       # + E[k,i,j]
-        np.square(jac, out=jac)
-        return math.sqrt(float(jac.sum(axis=-1).max()))
+        flat, worst = t.reshape(n, n * n), 0.0
+        for i in range(n):
+            jac = (t[i] @ flat).reshape(n, n, n)
+            jac += (t.reshape(n * n, n) @ t[:, i, :]).reshape(n, n, n)
+            jac += (t[:, i, :] @ flat).reshape(n, n, n).transpose(1, 0, 2)
+            worst = max(worst, np.einsum("jkl,jkl->jk", jac, jac).max())
+        return math.sqrt(float(worst))
 
     def rescaled(self, factor: float) -> "MetricLieAlgebra":
         """Algebra of the metric scaled so all brackets pick up ``factor``."""
@@ -367,7 +369,7 @@ def growth_type(g: MetricLieAlgebra,
 # standard decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardSolvableData:
     """Spectral data of the orthogonal split s = <H> + v + z.
 
@@ -381,7 +383,8 @@ class StandardSolvableData:
     the eigenvalues ``mu`` (all but Z's), ``rho_star`` and ``pairs``
     (see :func:`curvature.central_frame_split`).  No algebra is built
     until ``algebra`` is first read.  The data keep the input's brackets,
-    not the input, so its cached connection and curvature can be freed.
+    not the input, so its cached connection and curvature can be freed,
+    and compare equal only to themselves (the arrays are not compared).
     """
 
     v_indices: tuple
@@ -510,11 +513,15 @@ def standard_decomposition(g: MetricLieAlgebra,
                            tols: Tolerances = DEFAULT_TOLS) -> StandardSolvableData:
     """Orthogonal split s = <H> + v + z with normalized spectral data.
 
-    Requires [s, s] of codimension one, ad_H self-adjoint on v and z
-    (within ``tols.self_adjoint``) with positive eigenvalues.  The
-    center z of n = [s, s], the blocks of ad_H and j(Z) are contractions
-    of ``g.tensor``; dividing them by the top ad_H eigenvalue ``lam``
-    normalizes it to exactly 1, as for the metric rescaled by 1/lam.
+    Requires [s, s] of codimension one and m = ad_H|n normal on n = [s, s]
+    with positive eigenvalues: |m - m^T| <= ``tols.self_adjoint`` |m|, or
+    else |m m^T - m^T m| <= ``self_adjoint`` |m|^2 (Frobenius norms).  m
+    keeps the center z of n and v = z^perp, and its skew part is a
+    derivation, so the data and ``.algebra`` are read through its
+    symmetric part, an isometric algebra (Alekseevskii's modification).
+    z, the blocks of ad_H and j(Z) are contractions of ``g.tensor``;
+    dividing them by the top ad_H eigenvalue ``lam`` normalizes it to
+    exactly 1, as for the metric rescaled by 1/lam.
     No algebra is built here: the rescaled algebra in an adapted basis
     is built, and Jacobi-checked, when ``.algebra`` of the result is
     first read.  Rerunning on it reproduces the same spectral data.
@@ -540,22 +547,20 @@ def standard_decomposition(g: MetricLieAlgebra,
         raise StructureError("nilradical candidate has trivial center")
     v_in_n = _null_space(z_in_n.T)
 
-    for (a, b, name) in ((v_in_n, z_in_n, "v -> z"), (z_in_n, v_in_n, "z -> v")):
-        leak = np.linalg.norm(b.T @ m_n @ a)
-        if leak > tols.self_adjoint * np.linalg.norm(m_n):
+    # ad_H is a derivation, so it keeps z; normal, it keeps v = z^perp too
+    tensor, norm = g.tensor, np.linalg.norm(m_n)
+    if np.linalg.norm(m_n - m_n.T) > tols.self_adjoint * norm:
+        comm = np.linalg.norm(m_n @ m_n.T - m_n.T @ m_n)
+        if comm > tols.self_adjoint * norm ** 2:
             raise NotStandardError(
-                f"ad_H mixes the blocks ({name} leak {leak:.3e})"
-            )
+                f"ad_H not normal on [s, s] (residual {comm:.3e})")
+        # its skew part K is a derivation: bracket H by the symmetric part
+        skew = n_basis @ (0.5 * (m_n - m_n.T)) @ n_basis.T
+        tensor = (tensor - np.einsum("i,kj->ijk", h, skew)
+                  + np.einsum("j,ki->ijk", h, skew))
 
     ad_z = z_in_n.T @ m_n @ z_in_n
     ad_v = v_in_n.T @ m_n @ v_in_n
-    for blk, name in ((ad_z, "z"), (ad_v, "v")):
-        asym = np.linalg.norm(blk - blk.T)
-        if asym > tols.self_adjoint * np.linalg.norm(blk):
-            raise NotStandardError(
-                f"ad_H not self-adjoint on {name} (residual {asym:.3e})"
-            )
-
     # one eigh per block; eigenvalues of -ad_H are the negated ones, reversed
     mu_raw, z_vecs = np.linalg.eigh(0.5 * (ad_z + ad_z.T))
     rho_raw, v_vecs = np.linalg.eigh(0.5 * (ad_v + ad_v.T))
@@ -595,7 +600,7 @@ def standard_decomposition(g: MetricLieAlgebra,
         mu=mu,
         rho_star=rho_star,
         pairs=pairs,
-        _tensor=g.tensor,
+        _tensor=tensor,
         _basis=np.column_stack([h, v_cols, z_cols]),
         _scale=scale,
         jacobi_tol=g.jacobi_tol,

@@ -81,7 +81,8 @@ def solve_algebraic_riccati_max(ad_a,
     only by perturbing T22, raises :class:`DegenerateSpectrumError`,
     and a Y that overflows raises :class:`NumericalError`.  With no
     stable eigenvalue X is exactly 0 and no factorization is made.  The
-    residual and closed-loop checks fail on NaN (X^2 overflows).  The
+    residual and closed-loop checks compare with ``riccati_residual``
+    times |A|_F^2 and |A|_F and fail on NaN (X^2 overflows).  The
     closed-loop check reads spec(-ad_A - X) on the stable block only;
     the axis block keeps the spectrum the split chose, which a coupled
     nilpotent Jordan block moves by about sqrt(eps).
@@ -137,7 +138,7 @@ def solve_algebraic_riccati_max(ad_a,
         m = scipy.linalg.solve_triangular(l, q2.T, lower=True)
         x = m.T @ m
     resid = float(np.linalg.norm(x @ x + x @ a + a.T @ x))
-    if not resid <= tols.riccati_residual * max(1.0, np.linalg.norm(a) ** 2):
+    if not resid <= tols.riccati_residual * np.linalg.norm(a) ** 2:
         raise NumericalError(
             f"Riccati residual {resid:.3e} exceeds tolerance"
         )
@@ -145,7 +146,7 @@ def solve_algebraic_riccati_max(ad_a,
         # in the basis Q, -ad_A - X is block upper triangular with blocks
         # -T11 and -T22 - Y^{-1}: only the second is closed by X
         closed = eigenvalues(q2.T @ (-a - x) @ q2)
-        if not closed.real.max() <= tols.riccati_residual:
+        if not closed.real.max() <= tols.riccati_residual * np.linalg.norm(a):
             raise NumericalError(
                 "stable closed-loop spectrum has a positive real part "
                 f"({closed.real.max():.3e})"

@@ -12,6 +12,11 @@ module.
   ``MetricLieAlgebra.jacobi_residual`` and ``curvature.curvature_tensor``;
 * :func:`central_jacobi_blocks_block_diag`: the frame Jacobi operator
   assembled block by block, against ``curvature.central_jacobi_blocks``;
+* :func:`skew_derivations_commuting_with_ad_h` and :func:`add_to_ad_h`:
+  the skew derivations of [s, s] that commute with a self-adjoint ad_H,
+  as a null space, and the algebra with one of them added to ad_H, a
+  normal ad_H that ``lie_metric.standard_decomposition`` reads through
+  its symmetric part;
 * :func:`stable_block_scalar` and :func:`pair_stable_block_per_t`: the
   hypergeometric pair block at one t at a time, from 2x2 matrix
   products, against the whole-grid ``hypergeom.stable_block_and_derivative``
@@ -61,7 +66,8 @@ from solvharm.errors import (ConjugatePointError, DomainError, NumericalError,
 from solvharm.hypergeom import (_integer, _nonpositive_int, fundamental_pair,
                                 h_function, pair_exponents, z_of_t)
 from solvharm.jacobi_flow import CentralGeodesicFrame, JacobiTensorSample
-from solvharm.lie_metric import _null_space, symmetric_skew_split
+from solvharm.lie_metric import (MetricLieAlgebra, _null_space, ad_matrix,
+                                 derived_algebra, symmetric_skew_split)
 from solvharm.numerics import (as_square, matrix_exponential,
                                ordered_real_schur, solve_linear,
                                sorted_spectrum)
@@ -118,6 +124,56 @@ def central_jacobi_blocks_block_diag(mus, rho_stars, pairs, t) -> np.ndarray:
         offd = s * theta * (rho - 0.5)
         blocks.append(np.array([[diag1, offd], [offd, diag2]]) / (c * c))
     return block_diag(*blocks)
+
+
+# ---------------------------------------------------------------------------
+# skew derivations that commute with ad_H
+# ---------------------------------------------------------------------------
+
+def skew_derivations_commuting_with_ad_h(g, merge_tol=1e-9) -> np.ndarray:
+    """Basis ``(q, dim, dim)`` of the skew derivations K of n = [s, s] that
+    commute with a self-adjoint ad_H|n, in the ambient coordinates of
+    ``g`` (K vanishes on H and maps n into n).
+
+    K commutes with ad_H iff it keeps every ad_H eigenspace, so the
+    unknowns are one skew block per eigenspace; the derivation identity
+    K[x, y] = [Kx, y] + [x, Ky] on a basis of n is a linear system in
+    them, and its null space is the answer.
+    """
+    n_basis = derived_algebra(g)
+    h = _null_space(n_basis.T)[:, 0]
+    m_n = n_basis.T @ ad_matrix(h, g) @ n_basis
+    assert np.abs(m_n - m_n.T).max() <= 1e-12 * np.abs(m_n).max()
+    rho, vecs = np.linalg.eigh(m_n)
+    r = len(rho)
+    unknowns = []
+    for block in np.split(vecs, np.flatnonzero(np.diff(rho) > merge_tol) + 1,
+                          axis=1):
+        for a in range(block.shape[1]):
+            for b in range(a + 1, block.shape[1]):
+                unknowns.append(np.outer(block[:, a], block[:, b])
+                                - np.outer(block[:, b], block[:, a]))
+    if not unknowns:
+        return np.zeros((0, g.dim, g.dim))
+    # t_n[a, c, :] = [b_a, b_c] in n coordinates
+    t_n = np.einsum("ia,jc,ijk,kd->acd", n_basis, n_basis, g.tensor,
+                    n_basis)
+    k = np.array(unknowns)
+    defect = (np.einsum("pkm,acm->pack", k, t_n)
+              - np.einsum("pma,mck->pack", k, t_n)
+              - np.einsum("pmc,amk->pack", k, t_n))
+    coeffs = _null_space(defect.reshape(len(k), r ** 3).T)
+    return np.einsum("ia,pab,jb->pij", n_basis,
+                     np.tensordot(coeffs.T, k, axes=1), n_basis)
+
+
+def add_to_ad_h(g, k):
+    """``g`` with ``k`` added to ad_H, H the unit normal of [s, s]:
+    [x, y] + <h, x> k y - <h, y> k x."""
+    h = _null_space(derived_algebra(g).T)[:, 0]
+    tensor = (g.tensor + np.einsum("i,kj->ijk", h, k)
+              - np.einsum("j,ki->ijk", h, k))
+    return MetricLieAlgebra.from_tensor(tensor, jacobi_tol=g.jacobi_tol)
 
 
 # ---------------------------------------------------------------------------

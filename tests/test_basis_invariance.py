@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import add_to_ad_h, skew_derivations_commuting_with_ad_h
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
@@ -78,6 +79,56 @@ def test_rescaled_metric_gives_canonical_results(name, factor, canonical,
     assert abs(_symmetry_ratio(g) - factor * _symmetry_ratio(g0)) <= 1e-10
     assert (build_report(g)["classification"]
             == canonical_reports[name]["classification"])
+
+
+# dimension of the skew derivations of [s, s] that commute with ad_H
+SKEW_DIMS = {"dr-1-1": 1, "dr-1-2": 4, "dr-2-1": 4, "dr-3-1": 6,
+             "perturbed-theta": 1, "generic-pair": 0}
+
+
+@pytest.fixture(scope="module")
+def normal_h_inputs(dr_algebras, perturbed_theta_algebra,
+                    generic_pair_algebra):
+    """``(g, g with a random unit commuting skew derivation added to
+    ad_H)``."""
+    algebras = {f"dr-{l}-{c}": g for (l, c), g in dr_algebras.items()}
+    algebras["perturbed-theta"] = perturbed_theta_algebra
+    algebras["generic-pair"] = generic_pair_algebra
+    spaces = {name: skew_derivations_commuting_with_ad_h(g)
+              for name, g in algebras.items()}
+    assert {name: len(k) for name, k in spaces.items()} == SKEW_DIMS
+    rng = np.random.default_rng(7)
+    pairs = {}
+    for name, g in algebras.items():
+        if len(spaces[name]):
+            c = rng.standard_normal(len(spaces[name]))
+            k = np.tensordot(c / np.linalg.norm(c), spaces[name], axes=1)
+            assert np.linalg.norm(k) > 1.0   # far from self-adjoint
+            pairs[name] = (g, add_to_ad_h(g, k))
+    return pairs
+
+
+@pytest.mark.parametrize("name", [n for n, dim in SKEW_DIMS.items() if dim])
+def test_normal_ad_h_reads_as_its_symmetric_part(name, normal_h_inputs,
+                                                 haar_rotate):
+    # a skew derivation that commutes with ad_H can be taken out of ad_H
+    # by an isometry (Alekseevskii's modification): the label and the
+    # spectral data are those of the self-adjoint ad_H, in every basis
+    # and at every scale.  The adapted algebra brackets H by the
+    # symmetric part, so decomposing it again gives the same data
+    g0, g = normal_h_inputs[name]
+    d0 = standard_decomposition(g0)
+    label = build_report(g0)["classification"]
+    for x in (g, haar_rotate(g, 17), g.rescaled(1e-3), g.rescaled(1e3)):
+        d = standard_decomposition(x)
+        ad_h = d.ad_h()
+        assert np.abs(ad_h - ad_h.T).max() <= 1e-15
+        for other in (d, standard_decomposition(d.algebra)):
+            for field in ("mu", "rho_star", "pairs"):
+                a, b = getattr(d0, field), getattr(other, field)
+                assert a.shape == b.shape
+                assert a.size == 0 or np.abs(a - b).max() <= 2e-15
+        assert build_report(x)["classification"] == label
 
 
 def _pair_algebra(rho, theta):

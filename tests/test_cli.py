@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import render_json_scalar
+from oracles import add_to_ad_h, render_json_scalar
 import solvharm
 from solvharm import cli, hypergeom, lie_metric, numerics
 from solvharm.cli import build_report, main
@@ -192,6 +192,19 @@ def _analyze(tmp_path, g, *flags):
     out = tmp_path / "rep.json"
     assert main(["analyze", str(alg), *flags, "--output", str(out)]) == 0
     return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("w", [0.3, 1.0])
+def test_analyze_normal_ad_h_is_rank_one_symmetric(w, tmp_path, dr_algebras):
+    # DR (1,1) with w times the rotation of the X-Y plane added to ad_H:
+    # a normal ad_H, isometric to complex hyperbolic space
+    k = np.zeros((4, 4))
+    k[2, 1], k[1, 2] = w, -w
+    g = add_to_ad_h(dr_algebras[(1, 1)], k)
+    report = _analyze(tmp_path, g)
+    assert report["standard_decomposition"]["status"] == "ok"
+    assert report["classification"] == "RankOneSymmetric"
+    assert abs(report["einstein"]["constant"] + 1.5) <= 1e-12
 
 
 def test_analyze_generic_pair_stable_tensor(tmp_path, generic_pair_algebra):
@@ -537,6 +550,20 @@ def test_riccati_trace_check_is_relative(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.riccati, "solve_algebraic_riccati_max", off)
     assert main(["riccati", str(mat), "--output", str(out)]) == 4
+
+
+def test_riccati_trace_check_scales_with_the_matrix(tmp_path, capsys):
+    # every eigenvalue of the scaled matrix lies under the absolute
+    # axis band, so X = 0 and trace L0 = -trace D_A misses the formula;
+    # a bound floored at 1 let that pass
+    a = np.array([[1.0, 2.0, 0.0], [0.0, -1.5, 1.0], [0.0, 0.0, -0.5]])
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"matrix": a.tolist()}))
+    assert main(["riccati", str(mat)]) == 0
+    capsys.readouterr()
+    mat.write_text(json.dumps({"matrix": (a * 1e-100).tolist()}))
+    assert main(["riccati", str(mat)]) == 4
+    assert "trace identity violated" in capsys.readouterr().err
 
 
 def test_riccati_degenerate_exit_5(tmp_path):

@@ -2,6 +2,7 @@ import gc
 import inspect
 import math
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -222,8 +223,17 @@ def test_standard_decomposition_flips_h_sign():
 def test_standard_decomposition_rejects_non_self_adjoint():
     # ad_H has a nilpotent part on the abelian n: not standard
     g = MetricLieAlgebra(3, ((0, 1, 1, 1.0), (0, 1, 2, 1.0), (0, 2, 2, 1.0)))
-    with pytest.raises(NotStandardError):
+    with pytest.raises(NotStandardError, match="not normal"):
         standard_decomposition(g)
+
+
+def test_standard_data_compare_by_identity(dr_data, dr_algebras):
+    # the spectral arrays are not compared field by field, which raised
+    # for more than one z or v eigenvalue
+    d = dr_data[(2, 1)]
+    assert d == d
+    assert (d == standard_decomposition(dr_algebras[(2, 1)])) is False
+    assert len({d, d}) == 1
 
 
 def test_standard_decomposition_builds_only_the_adapted_algebra(
@@ -587,6 +597,19 @@ def test_array_parse_matches_triple_loop(parse_cases):
             g.dim, g.structure_constants)[0].tobytes()
     assert [row[3] for row in parse_cases[-1].structure_constants] == \
         [0.1, 0.2, 0.3, -0.0, -0.6]
+
+
+def test_jacobi_residual_memory_is_cubic():
+    # one i at a time: about 3 n^3 doubles, not two n^4 arrays
+    g = build_damek_ricci(clifford_generators(7, 2))
+    n = g.dim
+    tracemalloc.start()
+    try:
+        g.jacobi_residual()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n ** 3 * 8
 
 
 def test_jacobi_residual_matches_einsum(parse_cases):
