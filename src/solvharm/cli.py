@@ -8,6 +8,7 @@ produce byte-identical outputs.  Files are written atomically.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -492,7 +493,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--copies", type=int, default=1,
                    help="number of irreducible module copies")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("analyze", help="full geometric analysis report")
     p.add_argument("algebra")
@@ -503,7 +503,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--density-directions", type=int, default=16)
     p.add_argument("--density-times", default="0.5,1,2")
     _add_tolerance_flags(p, _COMMAND_TOLS["analyze"])
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scan-h", help="sample the rigidity function h(z)")
     p.add_argument("algebra")
@@ -512,34 +511,54 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--output", default=None)
     _add_tolerance_flags(p, _COMMAND_TOLS["scan-h"])
-    p.set_defaults(func=cmd_scan_h)
 
     p = sub.add_parser("classify", help="classify the factors of h")
     p.add_argument("algebra")
     p.add_argument("--output", default=None)
     _add_tolerance_flags(p, _COMMAND_TOLS["classify"])
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("riccati", help="maximal Riccati solution of a matrix")
     p.add_argument("matrix")
     p.add_argument("--output", default=None)
     _add_tolerance_flags(p, _COMMAND_TOLS["riccati"])
-    p.set_defaults(func=cmd_riccati)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call.  Parsing
+    leaves no state on a parser, so one serves every call."""
+    return make_parser()
+
+
+def _out_of_memory(command: str, exc: MemoryError) -> str:
+    """The exit-6 message: the subcommand and, for numpy's
+    ``_ArrayMemoryError``, the array it could not allocate."""
+    text = f"error: {command} ran out of memory"
+    shape = getattr(exc, "shape", None)
+    if shape is not None:
+        size = math.prod(shape) * exc.dtype.itemsize / 2 ** 30
+        text += (f": an array of shape {tuple(shape)} and type {exc.dtype} "
+                 f"needs {size:.3g} GiB")
+    return text + "\n"
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     tols = _collect_tolerances(args)
+    # looked up on each call, so a wrapped or patched cmd_* is the one run
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args, tols)
+        return handler(args, tols)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except SolvharmError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError as exc:
+        sys.stderr.write(_out_of_memory(args.command, exc))
+        return 6
 
 
 if __name__ == "__main__":

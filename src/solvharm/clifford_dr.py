@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PRUNE_REL
+from .config import CLIFFORD_RELATION_TOL, PRUNE_REL
 from .errors import DomainError, StructureError
 from .lie_metric import MetricLieAlgebra
 
@@ -124,7 +124,7 @@ def clifford_generators(l: int, copies: int = 1) -> CliffordModule:
         gens = np.array([np.kron(np.eye(copies), g) for g in gens])
     module = CliffordModule(l=l, m=gens.shape[1], generators=gens)
     resid = module.relation_residual()
-    if resid > 1e-12:
+    if resid > CLIFFORD_RELATION_TOL:
         raise StructureError(
             f"Clifford relations violated for l={l} (residual {resid:.3e})"
         )

@@ -99,3 +99,15 @@ UNIT_VECTOR_TOL = 1e-10
 
 UNIT_LAM_SNAP = 1e-15   # a top ad_H eigenvalue this close to 1 is taken as 1
 H_SCALE_FLOOR = 1e-30   # floor of max|h| in the h-scan drift: h = 0 drifts 0
+
+# fixed thresholds of single checks, in the units the comment gives
+# max deviation of a built Clifford module from J_a^2 = -1, J_a J_b = -J_b J_a
+# and J_a skew
+CLIFFORD_RELATION_TOL = 1e-12
+GRAM_FLOOR_REL = 1e-12   # a plane's Gram determinant over |x|^2 |y|^2
+NONPOSITIVE_INT_TOL = 1e-12   # a Gauss F c this near 0, -1, ... is a pole
+INTEGER_TOL = 1e-10   # a c this near an integer has no fundamental pair
+RANGE_SLACK = 1e-12   # roundoff allowed past rho <= 1/2 and mu <= 1
+DET_UNDERFLOW = 1e-300   # |det E| below this marks a conjugate point
+MIN_HORIZON = 1e-12   # the shortest volume-density integration, in time
+INTERIOR_T = 1e-9   # grid times past this are checked for conjugate points

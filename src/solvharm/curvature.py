@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, RANK_REL, UNIT_VECTOR_TOL, Tolerances
+from .config import (DEFAULT_TOLS, GRAM_FLOOR_REL, RANK_REL, UNIT_VECTOR_TOL,
+                     Tolerances)
 from .errors import DomainError
 from .lie_metric import (MetricLieAlgebra, StandardSolvableData, ad_matrix,
                          scale_squared, symmetric_skew_split)
@@ -43,7 +44,9 @@ def curvature_tensor(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
     - nabla_[e_i, e_j] e_k, with both terms BLAS products: the second
     covariant derivatives ``gamma[j, k, :] @ gamma[i]`` as n stacked
     products, the bracket term as one.  They share one buffer, so R and
-    that buffer are the only n^4 arrays held at once.
+    that buffer are the only n^4 arrays held at once: the peak is
+    16 n^4 bytes (2 n^4 doubles) beside the n^3 connection, and R keeps
+    8 n^4 of them.
     """
     n = g.dim
     buf = np.matmul(gamma.reshape(n * n, n), gamma)   # [i, (j, k), l]
@@ -99,7 +102,8 @@ def sectional_curvature(r: np.ndarray, x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     gram = (x @ x) * (y @ y) - (x @ y) ** 2
-    if gram <= 1e-12 * (x @ x) * (y @ y):   # scale free; zero vectors fail
+    # scale free; zero vectors fail
+    if gram <= GRAM_FLOOR_REL * (x @ x) * (y @ y):
         raise DomainError("sectional curvature needs a nondegenerate plane")
     num = np.einsum("i,j,k,ijkl,l->", x, y, y, r, x)
     return float(num / gram)
@@ -184,7 +188,11 @@ def nabla_R_norm(g: MetricLieAlgebra) -> float:
     i < j and k < q only, an N x N matrix with N = n (n - 1) / 2, and
     |nabla_l R|^2 = 4 |S_l + S_l^T|^2 there.  Each l costs one BLAS
     product of Gamma_l with R on the columns k < q; the per-l buffers
-    are allocated once, so memory stays O(n^4).
+    are allocated once, so memory stays O(n^4).  With N = n (n - 1) / 2,
+    they are R on k < q and its product (n^2 N doubles each) and S_l with
+    its sum buffer (N^2 doubles each): 8 n^3 (n - 1) + 4 n^2 (n - 1)^2
+    bytes, about 12 n^4, on top of the 8 n^4 of R, so the peak is about
+    20 n^4 bytes (2.5 n^4 doubles).
     """
     gamma, r = g.connection, g.curvature
     n = g.dim

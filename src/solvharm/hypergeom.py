@@ -13,7 +13,8 @@ import math
 import numpy as np
 from scipy import special
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import (DEFAULT_TOLS, INTEGER_TOL, NONPOSITIVE_INT_TOL,
+                     RANGE_SLACK, Tolerances)
 from .errors import DomainError, NumericalError
 from .lie_metric import StandardSolvableData
 
@@ -42,12 +43,12 @@ def z_of_t(t):
     return float(z) if z.ndim == 0 else z
 
 
-def _nonpositive_int(x: float, tol: float = 1e-12) -> bool:
+def _nonpositive_int(x: float, tol: float = NONPOSITIVE_INT_TOL) -> bool:
     r = round(x)
     return abs(x - r) <= tol and r <= 0
 
 
-def _integer(x: float, tol: float = 1e-10) -> bool:
+def _integer(x: float, tol: float = INTEGER_TOL) -> bool:
     return abs(x - round(x)) <= tol
 
 
@@ -106,7 +107,7 @@ def pair_exponents(rho: float, theta: float):
 
 
 def _check_pair_params(rho: float, theta: float):
-    if not (0.0 < rho <= 0.5 + 1e-12):
+    if not (0.0 < rho <= 0.5 + RANGE_SLACK):
         raise DomainError(f"pair parameter rho must be in (0, 1/2], got {rho}")
     if not theta > 0.0:
         raise DomainError(f"pair parameter theta must be positive, got {theta}")
@@ -237,7 +238,7 @@ def classify_factor(kind: str, *params: float,
     tol = tols.classifier_zero
     if kind == "center":
         (mu,) = params
-        if not 0.0 < mu <= 1.0 + 1e-12:
+        if not 0.0 < mu <= 1.0 + RANGE_SLACK:
             raise DomainError(f"center factor needs 0 < mu <= 1, got {mu}")
         return ("constant" if abs(mu - 1.0) <= tol else "unbounded"), None
     if kind == "kernel":

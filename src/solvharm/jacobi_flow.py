@@ -21,7 +21,8 @@ import numpy as np
 from scipy.integrate import DOP853
 from scipy.special import beta, betainc
 
-from .config import DEFAULT_TOLS, HYP2F1_REL, UNIT_VECTOR_TOL, Tolerances
+from .config import (DEFAULT_TOLS, DET_UNDERFLOW, HYP2F1_REL, INTERIOR_T,
+                     MIN_HORIZON, UNIT_VECTOR_TOL, Tolerances)
 from .curvature import central_frame_split, central_jacobi_blocks
 from .errors import ConjugatePointError, DomainError, NumericalError
 from .hypergeom import stable_block_and_derivative, z_of_t
@@ -177,7 +178,7 @@ def mean_curvature_numeric(sample: JacobiTensorSample):
     # a stable determinant decays exponentially but never changes sign;
     # a sign flip or underflow to zero marks a conjugate point
     if np.any(np.sign(dets) != np.sign(dets[0])) \
-            or np.abs(dets).min() < 1e-300:
+            or np.abs(dets).min() < DET_UNDERFLOW:
         raise ConjugatePointError("det E vanishes on the grid")
     logs = np.log(np.abs(dets))
     m_fd = -np.gradient(logs, t)
@@ -189,6 +190,15 @@ def mean_curvature_numeric(sample: JacobiTensorSample):
 # ---------------------------------------------------------------------------
 # volume densities along arbitrary directions
 # ---------------------------------------------------------------------------
+
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _overflow(log_det: float, t: float) -> NumericalError:
+    return NumericalError(
+        f"volume density overflows float64: log|det A| = {log_det:.6g} at "
+        f"t = {t:.6g}, past log(max float64) = {_LOG_MAX:.6g}")
+
 
 def volume_density(g: MetricLieAlgebra, v, t_grid,
                    tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -214,6 +224,11 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
     ``g.connection`` and the brackets, so all directions share it, and
     R is never formed.  Harmonicity makes the result independent of the
     direction v.
+
+    The density grows like e^{t trace ad_H}, so a metric scaled up by c
+    reaches float64's range c times sooner.  A density past that range
+    raises NumericalError naming the overflow, log|det A| and the time
+    the integration reached.
     """
     v = np.asarray(v, dtype=float)
     if not abs(np.linalg.norm(v) - 1.0) <= UNIT_VECTOR_TOL:   # NaN fails too
@@ -239,32 +254,47 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
         np.multiply(u @ w[1], 0.5, out=dy[:n])
         return dy
 
+    def frames(y):   # the columns xi and u of each state, (rows, n, n)
+        return np.concatenate(
+            [y[:, n: n + nk].reshape(-1, n, k), y[:, :n, np.newaxis]], axis=2)
+
     y0 = np.concatenate([v, np.zeros(nk), perp.ravel()])
-    solver = DOP853(rhs, 0.0, y0, max(float(t_grid[-1]), 1e-12),
-                    rtol=tols.ode_rtol, atol=tols.ode_atol)
-    samples, done = [], 0
-    try:
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise NumericalError(f"geodesic integration failed: {message}")
-            upto = np.searchsorted(t_grid, solver.t, side="right")
-            if upto > done:
-                samples.append(solver.dense_output()(t_grid[done:upto]))
-                done = upto
-    finally:
-        # the solver reaches itself through its wrapped right-hand sides;
-        # unlinking them frees its stage arrays now, not at the next
-        # cyclic garbage collection
-        solver.fun = solver.fun_vectorized = None
-    y = np.hstack(samples).T                                # (nt, state)
-    dets = np.linalg.det(np.concatenate(
-        [y[:, n: n + nk].reshape(-1, n, k), y[:, :n, np.newaxis]], axis=2))
+    # a density past float64's range overflows the stage sums of a step,
+    # which is then refused until the step size underflows; that failure
+    # is reported as the overflow, with no numpy warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        solver = DOP853(rhs, 0.0, y0, max(float(t_grid[-1]), MIN_HORIZON),
+                        rtol=tols.ode_rtol, atol=tols.ode_atol)
+        samples, done = [], 0
+        try:
+            while solver.status == "running":
+                message = solver.step()
+                if solver.status == "failed":
+                    log_det = np.linalg.slogdet(
+                        frames(solver.y[np.newaxis]))[1][0]
+                    if log_det > _LOG_MAX:
+                        raise _overflow(log_det, solver.t)
+                    raise NumericalError(
+                        f"geodesic integration failed: {message}")
+                upto = np.searchsorted(t_grid, solver.t, side="right")
+                if upto > done:
+                    samples.append(solver.dense_output()(t_grid[done:upto]))
+                    done = upto
+        finally:
+            # the solver reaches itself through its wrapped right-hand
+            # sides; unlinking them frees its stage arrays now, not at the
+            # next cyclic garbage collection
+            solver.fun = solver.fun_vectorized = None
+        states = frames(np.hstack(samples).T)
+        dets = np.linalg.det(states)
+        if not np.isfinite(dets).all():
+            bad = np.argmin(np.isfinite(dets))
+            raise _overflow(np.linalg.slogdet(states[bad])[1], t_grid[bad])
 
     # orient so the density is positive right after 0, then check for
     # conjugate points at the interior grid times.  det A(t) ~ t^(n-1)
     # near 0, so the floor applies to the ratio to the flat density.
-    interior = t_grid > 1e-9
+    interior = t_grid > INTERIOR_T
     if np.any(interior):
         first = np.argmax(interior)
         sign = math.copysign(1.0, dets[first])

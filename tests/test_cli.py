@@ -1080,3 +1080,119 @@ def test_tol_jacobi_identity_reaches_construction_check(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["is_rigid"] is True
     assert report["tolerances"]["jacobi_identity"] == 1e-3
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    alg = tmp_path / "dr.json"
+    builds = []
+    make_parser = cli.make_parser
+
+    def counting():
+        builds.append(1)
+        return make_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "make_parser", counting)
+    try:
+        assert main(["build", "damek-ricci", "--output", str(alg)]) == 0
+        for _ in range(3):
+            assert main(["classify", str(alg)]) == 0
+        with pytest.raises(SystemExit):
+            main(["classify"])
+        assert main(["scan-h", str(alg), "--count", "2"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def _outcomes(calls, capsys):
+    """(exit code, stdout, stderr) of each ``main`` call in turn."""
+    outcomes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outcomes.append((code, *capsys.readouterr()))
+    return outcomes
+
+
+def test_shared_parser_carries_no_state(tmp_path, monkeypatch, capsys):
+    # each call through the one parser of the process equals the same
+    # call through a parser of its own
+    alg, mat = tmp_path / "dr.json", tmp_path / "m.json"
+    main(["build", "damek-ricci", "--l", "1", "--output", str(alg)])
+    mat.write_text('[[0.5, 0, 0], [0, 0.5, 0], [0, 0, 1.0]]')
+    calls = [
+        ["analyze", str(alg), "--tol-einstein-residual", "1e-6"],
+        ["analyze", str(alg)],
+        ["analyze", str(alg), "--count", "3"],
+        ["analyze", str(alg), "--seed", "2"],
+        ["scan-h", str(alg), "--count", "4"],
+        ["classify", str(alg)],
+        ["riccati", str(mat)],
+        ["build", "damek-ricci", "--l", "2"],
+    ]
+    capsys.readouterr()
+    shared = _outcomes(calls, capsys)
+    monkeypatch.setattr(cli, "_parser", cli.make_parser)
+    fresh = _outcomes(calls, capsys)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 0]
+    assert [json.loads(out)["tolerances"]["einstein_residual"]
+            for _, out, _ in shared[:2]] == [1e-6, 1e-8]
+    assert "--count" in shared[2][2]
+
+
+def test_handler_is_looked_up_per_call(tmp_path, monkeypatch):
+    # the shared parser holds no handler, so a patched cmd_* is the one run
+    assert main(["classify", str(tmp_path / "missing.json")]) == 2
+    monkeypatch.setattr(cli, "cmd_classify", lambda args, tols: 7)
+    assert main(["classify", str(tmp_path / "missing.json")]) == 7
+
+
+def test_out_of_memory_is_exit_6(tmp_path):
+    # DR (8, 4), dim 73: R and its buffer are two 0.21 GiB arrays, more
+    # than is left of 600 MiB of address space after the imports (about
+    # 240 MiB); one child process, one BLAS thread
+    alg = tmp_path / "dr84.json"
+    assert main(["build", "damek-ricci", "--l", "8", "--copies", "4",
+                 "--output", str(alg)]) == 0
+    limit = 600 * 2 ** 20
+    script = "\n".join([
+        "import resource, sys",
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))",
+        "from solvharm.cli import main",
+        f"sys.exit(main(['analyze', {str(alg)!r}]))",
+    ])
+    env = dict(_child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 6, proc.stderr
+    assert proc.stdout == ""
+    # R itself, or the buffer before it where the imports take more
+    assert re.fullmatch(
+        r"error: analyze ran out of memory: an array of shape "
+        r"\((73, 73, 73, 73|73, 5329, 73)\) and type float64 needs "
+        r"0\.212 GiB\n", proc.stderr), proc.stderr
+
+
+def test_out_of_memory_message_without_shape():
+    assert cli._out_of_memory("scan-h", MemoryError()) == (
+        "error: scan-h ran out of memory\n")
+
+
+def test_density_overflow_is_a_clear_error(tmp_path):
+    # scaled by 1e3, trace ad_H is 4000 and the density passes float64's
+    # range near t = 0.18, inside the default --density-times
+    data = algebra_to_dict(build_damek_ricci(clifford_generators(2)))
+    data["structure_constants"] = [[i, j, k, c * 1e3] for i, j, k, c
+                                   in data["structure_constants"]]
+    alg, csv = tmp_path / "big.json", tmp_path / "d.csv"
+    alg.write_text(json.dumps(data))
+    res = _run(["analyze", str(alg), "--density-csv", str(csv)])
+    assert res.returncode == 1
+    assert re.fullmatch(
+        r"error: volume density overflows float64: log\|det A\| = \S+ at "
+        r"t = \S+, past log\(max float64\) = 709\.783\n", res.stderr)
+    assert not csv.exists()

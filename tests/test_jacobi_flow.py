@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -535,3 +536,26 @@ def test_volume_density_keeps_nothing_alive():
         tracemalloc.stop()
         gc.enable()
     assert after - before < 2 ** 20
+
+
+@pytest.mark.parametrize("times, reached", [
+    ([0.5, 1.0, 2.0], None),      # the integration stops on its own
+    ([0.01, 0.1, 0.2], "0.2"),    # it ends, and det A overflows at t = 0.2
+])
+def test_volume_density_overflow_is_named(dr_algebras, times, reached):
+    # scaled by 1e3, DR (2, 1) has trace ad_H = 4000, and its density
+    # e^{t trace ad_H} leaves float64 near t = 0.18
+    g = dr_algebras[(2, 1)]
+    big = MetricLieAlgebra.from_tensor(g.tensor * 1e3)
+    v = np.full(g.dim, g.dim ** -0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match="volume density overflows float64") as exc:
+            volume_density(big, v, np.array(times))
+    assert "log|det A| = " in str(exc.value)
+    if reached:
+        assert f"at t = {reached}," in str(exc.value)
+    # a grid that stays inside float64 is unchanged
+    dets = volume_density(big, v, np.array([0.01, 0.1]))
+    assert np.isfinite(dets).all()
