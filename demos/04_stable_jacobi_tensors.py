@@ -20,17 +20,15 @@ import numpy as np
 
 from solvharm import (build_damek_ricci, clifford_generators,
                       standard_decomposition)
-from solvharm.jacobi_flow import (CentralGeodesicFrame,
-                                  mean_curvature_numeric,
-                                  stable_jacobi_tensor)
+from solvharm.jacobi_flow import mean_curvature_numeric, stable_jacobi_tensor
 from solvharm.lie_metric import MetricLieAlgebra
 
 np.set_printoptions(precision=6, suppress=True)
 
 d = standard_decomposition(build_damek_ricci(clifford_generators(1)))
-frame = CentralGeodesicFrame.build(d)
-print("frame blocks: xi (H-Z plane), centers mu =", frame.mus,
-      ", pairs (rho, theta) =", frame.pairs.tolist())
+mus, _, pairs = d.frame_factor_data()
+print("frame blocks: xi (H-Z plane), centers mu =", mus,
+      ", pairs (rho, theta) =", pairs.tolist())
 
 grid = np.linspace(0.5, 8.0, 16)
 sample = stable_jacobi_tensor(d, grid)
@@ -39,7 +37,7 @@ print("\n   t     det E(t)      det E(t) * e^{2t}")
 for t, det in list(zip(grid, dets))[::5]:
     print(f"  {t:4.1f}  {det:12.5e}   {det * np.exp(2 * t):12.8f}")
 
-m_fd, m_trace = mean_curvature_numeric(sample)
+m_fd = mean_curvature_numeric(sample)
 print(f"\nmean curvature m(t): min {m_fd.min():.8f}, max {m_fd.max():.8f}"
       f"  (trace ad_H = {d.trace_ad_h})")
 
@@ -51,7 +49,8 @@ perturbed = MetricLieAlgebra(4, (
 ))
 dp = standard_decomposition(perturbed)
 sp = stable_jacobi_tensor(dp, np.linspace(0.0, 3.0, 16))
-_, m_perturbed = mean_curvature_numeric(sp)
+# pointwise m(t) = -trace(E' E^{-1}), with no finite-difference error
+m_perturbed = -np.trace(sp.e_prime @ np.linalg.inv(sp.e), axis1=1, axis2=2)
 print(f"\ntheta = 0.8 perturbation: m(t) ranges over "
       f"[{m_perturbed.min():.6f}, {m_perturbed.max():.6f}]"
       f"  (variation {m_perturbed.max() - m_perturbed.min():.2e})")

@@ -43,9 +43,13 @@ _COMMAND_TOLS = {
 # deterministic serialization
 # ---------------------------------------------------------------------------
 
-def _g17(value) -> str:
-    """%.17g of a float, with -0 written as 0."""
-    return format(float(value) + 0.0, ".17g")
+def _rows(table, sep=", ") -> list:
+    """Each row of a 2-D table of finite numbers as one string: every
+    value written %.17g (adding 0.0 writes -0 as 0), joined by ``sep``.
+    Every number the CLI writes goes through this one template."""
+    table = np.asarray(table, dtype=float) + 0.0
+    template = sep.join(["%.17g"] * table.shape[1])
+    return [template % tuple(row) for row in table.tolist()]
 
 
 def _emit_json(value, out):
@@ -74,19 +78,10 @@ def _emit_json(value, out):
             _emit_json(value.tolist(), out)
         elif value.ndim > 2:
             _emit_json(list(value), out)
+        elif value.ndim == 1:
+            out.write("[" + _rows(value[np.newaxis])[0] + "]")
         else:
-            # finite floats, a row at a time through one "[%.17g, ...]"
-            # row template ("%.17g" % x is format(x, ".17g")); adding 0.0
-            # writes -0 as 0
-            row = "[" + ", ".join(["%.17g"] * value.shape[-1]) + "]"
-            if value.ndim == 1:
-                out.write(row % tuple((value + 0.0).tolist()))
-            else:
-                out.write("[")
-                for i, r in enumerate(value):
-                    out.write((", " if i else "") +
-                              row % tuple((r + 0.0).tolist()))
-                out.write("]")
+            out.write("[[" + "], [".join(_rows(value)) + "]]")
     elif isinstance(value, (bool, np.bool_)):
         out.write("true" if value else "false")
     elif value is None:
@@ -98,7 +93,7 @@ def _emit_json(value, out):
         if math.isnan(value) or math.isinf(value):
             out.write(json.dumps(str(value)))
         else:
-            out.write(_g17(value))
+            out.write(_rows([[value]])[0])
     elif isinstance(value, (complex, np.complexfloating)):
         _emit_json({"re": float(value.real), "im": float(value.imag)}, out)
     else:
@@ -232,7 +227,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     try:
         sample = jacobi_flow.stable_jacobi_tensor(
             data, np.linspace(*_MEAN_GRID), tols)
-        m_fd, _ = jacobi_flow.mean_curvature_numeric(sample)
+        m_fd = jacobi_flow.mean_curvature_numeric(sample)
         deviation = float(np.abs(m_fd - formula).max())
         numeric_mean = float(np.mean(m_fd))
     except SolvharmError as exc:
@@ -316,11 +311,9 @@ def _density_table(g, seed: int, directions: int, t_arr: np.ndarray,
     rng = np.random.default_rng(seed)
     rows = [jacobi_flow.volume_density(g, v / np.linalg.norm(v), t_arr, tols)
             for v in rng.standard_normal((directions, g.dim))]
-    lines = ["direction_id,t,det"]
-    for i, dets in enumerate(rows):
-        for t, det in zip(t_arr, dets):
-            lines.append(f"{i},{_g17(t)},{_g17(det)}")
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([np.repeat(np.arange(directions), t_arr.size),
+                             np.tile(t_arr, directions), np.concatenate(rows)])
+    return "\n".join(["direction_id,t,det", *_rows(table, ",")]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +381,8 @@ def cmd_scan_h(args, tols: Tolerances) -> int:
     z_values = np.linspace(args.z_min, args.z_max, count)
     factors = hypergeom.h_factors(mu_f, rho_star, pairs, z_values)
     h_values = np.prod(factors, axis=-1)
-    table = np.column_stack([z_values, h_values, factors]) + 0.0
-    row_format = ",".join(["{:.17g}"] * table.shape[1]).format
-    lines = [header] + [row_format(*row) for row in table.tolist()]
-    _deliver("\n".join(lines) + "\n", args.output)
+    table = np.column_stack([z_values, h_values, factors])
+    _deliver("\n".join([header, *_rows(table, ",")]) + "\n", args.output)
     return 0
 
 
@@ -431,7 +422,7 @@ def cmd_riccati(args, tols: Tolerances) -> int:
         "l0": res.l0,
         "trace_l0": res.trace_l0,
         "formula_trace": formula,
-        "spectrum": [{"re": s.real, "im": s.imag} for s in res.spectrum_ad_a],
+        "spectrum": res.spectrum_ad_a,
         "tolerances": _tolerances_dict(tols, "riccati"),
     }
     _deliver(_render_json(report), args.output)

@@ -58,6 +58,8 @@ class CentralGeodesicFrame:
     eigenvectors of z other than Z, the kernel of j(Z) in v, and the
     rotation pairs (V_i, ~V_i).  Only xi depends on t; the pair fields
     rotate with connection speed theta_i / (2 cosh t).
+    :func:`stable_jacobi_tensor` reads only the spectral data and never
+    builds this frame; the test oracles integrate in it.
     """
 
     data: StandardSolvableData
@@ -125,7 +127,8 @@ def stable_jacobi_tensor(d: StandardSolvableData, t_grid,
     Z, ``d.z_indices[-1]``.  In the central frame, whose slots are the adapted
     basis of ``d`` (:class:`CentralGeodesicFrame`), it is block diagonal
     with the spectral data of :meth:`StandardSolvableData.frame_factor_data`
-    (the numbers the h-scan reads), with z = z(t):
+    (the numbers the h-scan reads, and all it reads of ``d``), with
+    z = z(t):
 
     * xi slot: E = e^{-t};
     * center and kernel slots with parameter m (mu_j or rho*_k):
@@ -146,19 +149,19 @@ def stable_jacobi_tensor(d: StandardSolvableData, t_grid,
     ``analyze`` grid stops at t = 8.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    frame = CentralGeodesicFrame.build(d)
-    k = frame.size
+    mus, rho_stars, pairs = d.frame_factor_data()
+    scalars = np.concatenate([mus, rho_stars])
+    offset = 1 + len(scalars)
+    k = offset + 2 * len(pairs)
     e = np.zeros((t_grid.size, k, k))
     ep = np.zeros((t_grid.size, k, k))
     e[:, 0, 0] = np.exp(-t_grid)
     ep[:, 0, 0] = -e[:, 0, 0]
     z = z_of_t(t_grid)
-    scalars = np.concatenate([frame.mus, frame.rho_stars])
     for i, m in enumerate(scalars, start=1):
         e[:, i, i], ep[:, i, i] = _scalar_stable_block(m, t_grid, z)
-    offset = 1 + len(scalars)
     pair_blocks = {}   # equal pairs, e.g. all of a Damek-Ricci build, share one
-    for i, (rho, theta) in enumerate(frame.pairs):
+    for i, (rho, theta) in enumerate(pairs):
         key = (float(rho), float(theta))
         if key not in pair_blocks:
             pair_blocks[key] = _pair_stable_block(rho, theta, t_grid, tols)
@@ -167,12 +170,9 @@ def stable_jacobi_tensor(d: StandardSolvableData, t_grid,
     return JacobiTensorSample(t_grid=t_grid, e=e, e_prime=ep)
 
 
-def mean_curvature_numeric(sample: JacobiTensorSample):
-    """Horosphere mean curvature m(t) = -d/dt log|det E(t)| on the grid.
-
-    Returns ``(m_fd, m_trace)``: central finite differences of
-    log|det E| and the pointwise cross-check trace(-E' E^{-1}).
-    """
+def mean_curvature_numeric(sample: JacobiTensorSample) -> np.ndarray:
+    """Horosphere mean curvature m(t) = -d/dt log|det E(t)| on the grid,
+    by central finite differences of log|det E|."""
     t = sample.t_grid
     dets = np.linalg.det(sample.e)
     # a stable determinant decays exponentially but never changes sign;
@@ -180,11 +180,7 @@ def mean_curvature_numeric(sample: JacobiTensorSample):
     if np.any(np.sign(dets) != np.sign(dets[0])) \
             or np.abs(dets).min() < DET_UNDERFLOW:
         raise ConjugatePointError("det E vanishes on the grid")
-    logs = np.log(np.abs(dets))
-    m_fd = -np.gradient(logs, t)
-    m_trace = -np.trace(sample.e_prime @ np.linalg.inv(sample.e),
-                        axis1=1, axis2=2)
-    return m_fd, m_trace
+    return -np.gradient(np.log(np.abs(dets)), t)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,15 @@ module.
   that norm from all four slot terms, three n^4 products per derivative
   index, against the one product on antisymmetric index pairs of
   ``curvature.nabla_R_norm``;
-* :func:`mean_curvature_analytic`: m(t) from finite differences of h;
+* :func:`mean_curvature_analytic`: m(t) from finite differences of h,
+  and :func:`mean_curvature_trace`: m(t) = -trace(E' E^{-1}) pointwise,
+  both against the finite differences of
+  ``jacobi_flow.mean_curvature_numeric``;
+* :func:`bracket_table`, :func:`jacobi_identity_exact` and
+  :func:`ricci_from_brackets`: the brackets as sparse triples in any
+  number type (``fractions.Fraction`` for exact arithmetic), the Jacobi
+  identity in that type, and Ric from the structure constants alone
+  (Besse 7.38), against ``curvature.ricci`` of R;
 * :func:`spectra_match`: multiset comparison of two spectra;
 * :func:`gamma`, :func:`reciprocal_gamma`, :func:`monodromy_coeffs`
   (with :class:`MonodromyCoeffs`) and :func:`classify_factor_monodromy`:
@@ -45,12 +53,14 @@ module.
   ``hypergeom.classify_factor``;
 * :func:`riccati_max_doubled`: the maximal Riccati solution from the
   2n x 2n doubled matrix, against ``riccati.solve_algebraic_riccati_max``;
-* :func:`render_json_scalar`: the report writer one value at a time,
-  against the row-at-a-time ``cli._render_json``.
+* :func:`g17` and :func:`render_json_scalar`: one number as the CLI
+  writes it, and the report writer one value at a time, against the
+  row-at-a-time formatter of ``cli``.
 """
 
 import dataclasses
 import io
+import itertools
 import json
 import math
 
@@ -561,6 +571,98 @@ def mean_curvature_analytic(d, t: float) -> float:
     return d.trace_ad_h - dh_dz / h0 * dz_dt
 
 
+def mean_curvature_trace(sample) -> np.ndarray:
+    """m(t) = -trace(E'(t) E(t)^{-1}) at each grid time: the pointwise
+    value that the finite differences of log|det E| approximate."""
+    return -np.trace(sample.e_prime @ np.linalg.inv(sample.e),
+                     axis1=1, axis2=2)
+
+
+# ---------------------------------------------------------------------------
+# Ricci curvature from the structure constants, in any number type
+# ---------------------------------------------------------------------------
+
+def bracket_table(g, number=float) -> dict:
+    """The nonzero c[i, j, k] = <[e_i, e_j], e_k> of ``g`` with both
+    orders of (i, j), each stored row converted by ``number``: with
+    ``fractions.Fraction`` the table is exact for rational builds."""
+    c = {}
+    for i, j, k, value in g.structure_constants:
+        value = number(value)
+        c[i, j, k] = c.get((i, j, k), 0) + value
+        c[j, i, k] = c.get((j, i, k), 0) - value
+    return {key: value for key, value in c.items() if value != 0}
+
+
+def _grouped(c, free, keep):
+    """{c's indices at ``keep``: {its index at ``free``: value}}."""
+    groups = {}
+    for key, value in c.items():
+        groups.setdefault(tuple(key[p] for p in keep), {})[key[free]] = value
+    return groups
+
+
+def jacobi_identity_exact(g, number=float) -> bool:
+    """Whether [[e_i, e_j], e_k] + cyclic = 0 for every basis triple, in
+    the arithmetic of ``number`` (exactly, for ``Fraction``)."""
+    by_pair = _grouped(bracket_table(g, number), 2, (0, 1))
+
+    def bracket(vec, k):   # [vec, e_k]
+        out = {}
+        for m, x in vec.items():
+            for l, y in by_pair.get((m, k), {}).items():
+                out[l] = out.get(l, 0) + x * y
+        return out
+
+    for i, j, k in itertools.combinations(range(g.dim), 3):
+        total = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, y in bracket(by_pair.get((a, b), {}), c).items():
+                total[l] = total.get(l, 0) + y
+        if any(total.values()):
+            return False
+    return True
+
+
+def ricci_from_brackets(g, number=float) -> list:
+    """Ric of the left-invariant metric from the brackets alone (Besse,
+    *Einstein Manifolds*, 7.38), as a list of rows in ``number``:
+
+    Ric(X, Y) = -1/2 sum_i <[X, e_i], [Y, e_i]> - 1/2 B(X, Y)
+                + 1/4 sum_ij <[e_i, e_j], X> <[e_i, e_j], Y>
+                - 1/2 (<[Z, X], Y> + <[Z, Y], X>),
+
+    with B the Killing form and <Z, W> = trace ad_W.  Each sum is taken
+    over the nonzero triples of :func:`bracket_table` only."""
+    n = g.dim
+    c = bracket_table(g, number)
+    zero = number(0)
+    ric = [[zero] * n for _ in range(n)]
+
+    def add(weight, left, right):
+        # ric[a][b] += weight * sum over keys of left[key][a] right[key][b]
+        for key, col_a in left.items():
+            for b, y in right.get(key, {}).items():
+                for a, x in col_a.items():
+                    ric[a][b] += weight * x * y
+
+    half, quarter = number(1) / 2, number(1) / 4
+    first = _grouped(c, 0, (1, 2))        # (i, k): {a: c[a, i, k]}
+    add(-half, first, first)
+    add(-half, first, {(j, k): col for (k, j), col in first.items()})   # B
+    last = _grouped(c, 2, (0, 1))         # (i, j): {a: c[i, j, a]}
+    add(quarter, last, last)
+    z = {}                                # <Z, e_w> = trace ad_{e_w}
+    for (w, j, k), value in c.items():
+        if j == k:
+            z[w] = z.get(w, zero) + value
+    for (w, a, b), value in c.items():
+        if w in z:
+            ric[a][b] -= half * z[w] * value
+            ric[b][a] -= half * z[w] * value
+    return ric
+
+
 def spectra_match(a, b, tol: float = 1e-9) -> bool:
     """Multiset comparison of two spectra, via optimal pairing."""
     sa, sb = sorted_spectrum(a), sorted_spectrum(b)
@@ -679,6 +781,11 @@ def riccati_max_doubled(ad_a, tols=DEFAULT_TOLS) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
+def g17(value) -> str:
+    """One finite number as the CLI writes it: %.17g, -0 written as 0."""
+    return format(float(value) + 0.0, ".17g")
+
+
 def _scalar_jsonable(value):
     if isinstance(value, dict):
         return {str(k): _scalar_jsonable(v) for k, v in value.items()}
@@ -714,7 +821,7 @@ def _scalar_emit(value, out):
         if math.isnan(value) or math.isinf(value):
             out.write(json.dumps(str(value)))
         else:
-            out.write(format(value + 0.0, ".17g"))
+            out.write(g17(value))
     else:
         out.write(json.dumps(value))
 

@@ -150,7 +150,7 @@ def test_criterion_5_mean_curvature_constancy():
         expected = cm.m / 2.0 + cm.l
         grid = np.linspace(0.5, 8.0, 26)
         s = stable_jacobi_tensor(d, grid)
-        m_fd, _ = mean_curvature_numeric(s)
+        m_fd = mean_curvature_numeric(s)
         worst_numeric = max(worst_numeric,
                             float(np.abs(m_fd - expected).max()))
         res = solve_algebraic_riccati_max(d.ad_h())

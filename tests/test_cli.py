@@ -12,9 +12,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import add_to_ad_h, render_json_scalar
+from oracles import add_to_ad_h, g17, render_json_scalar
 import solvharm
-from solvharm import cli, hypergeom, lie_metric, numerics
+from solvharm import cli, hypergeom, jacobi_flow, lie_metric, numerics
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import (build_damek_ricci, build_real_hyperbolic,
                                   clifford_generators)
@@ -246,6 +246,25 @@ def test_analyze_reads_trace_l0_without_the_riccati_solver(
             assert mc["riccati_trace_l0"] == want
 
 
+def test_analyze_builds_no_central_frame(tmp_path, monkeypatch, capsys):
+    # the stable tensor reads the spectral data alone: with the frame
+    # split refused, analyze writes the same report
+    alg = tmp_path / "dr.json"
+    main(["build", "damek-ricci", "--l", "2", "--output", str(alg)])
+    capsys.readouterr()
+    assert main(["analyze", str(alg)]) == 0
+    want = capsys.readouterr()
+
+    def refuse(d):
+        raise AssertionError("analyze split the central frame")
+
+    monkeypatch.setattr(jacobi_flow, "central_frame_split", refuse)
+    assert main(["analyze", str(alg)]) == 0
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
+    assert '"Damek' in got.out
+
+
 def test_analyze_damek_ricci_closed_forms(tmp_path, dr_algebras):
     # with m = dim v and k = dim z, a Damek-Ricci space normalized to
     # top ad_H eigenvalue 1 has trace ad_H = m/2 + k and Einstein
@@ -414,7 +433,7 @@ def test_analyze_density_sidecar(tmp_path):
         v = rng.standard_normal(g.dim)
         for t, det in zip(times, volume_density(g, v / np.linalg.norm(v),
                                                 times)):
-            expected.append(f"{i},{cli._g17(t)},{cli._g17(det)}")
+            expected.append(f"{i},{g17(t)},{g17(det)}")
     assert lines[1:] == expected
 
 
@@ -449,7 +468,7 @@ def test_scan_h_csv(tmp_path, capsys):
 
 def test_scan_h_rows_match_scalar_writer(tmp_path, generic_pair_algebra):
     # z from -0.9 to 0.9 crosses 0; each row is one format call, each
-    # value formatted as _g17 formats it
+    # value formatted on its own
     alg = tmp_path / "g.json"
     alg.write_text(cli._render_json(algebra_to_dict(generic_pair_algebra)))
     out = tmp_path / "h.csv"
@@ -459,7 +478,7 @@ def test_scan_h_rows_match_scalar_writer(tmp_path, generic_pair_algebra):
         generic_pair_algebra).frame_factor_data()
     z_values = np.linspace(-0.9, 0.9, 37)
     factors = hypergeom.h_factors(mu_f, rho_star, pairs, z_values)
-    rows = [",".join(cli._g17(x) for x in (z, h, *row)) for z, h, row
+    rows = [",".join(g17(x) for x in (z, h, *row)) for z, h, row
             in zip(z_values, np.prod(factors, axis=-1), factors)]
     assert out.read_text().splitlines()[1:] == rows
 

@@ -1,11 +1,15 @@
 import sys
 import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oracles import (central_jacobi_blocks_block_diag, curvature_einsum,
-                     nabla_R, nabla_R_norm_three_products, z_top_vector)
+                     jacobi_identity_exact, nabla_R,
+                     nabla_R_norm_three_products, ricci_from_brackets,
+                     z_top_vector)
 from solvharm import curvature, lie_metric
 from solvharm.cli import build_report
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
@@ -105,6 +109,54 @@ def test_einstein_cases(dr_algebras):
     for key in ((1, 1), (2, 1), (3, 1)):
         ok, c, resid = einstein_check(dr_algebras[key])
         assert ok and c < 0 and resid <= 1e-8
+
+
+def test_ricci_from_brackets_matches_ricci_of_r(
+        haar_rotate, generic_pair_algebra, perturbed_theta_algebra):
+    # Besse 7.38 in floats, on dense rotated bases and on non-Einstein
+    # algebras, against the contraction of R
+    dr72 = build_damek_ricci(clifford_generators(7, 2))
+    for g in (haar_rotate(dr72, 3), haar_rotate(dr72.rescaled(0.3), 4),
+              generic_pair_algebra, haar_rotate(perturbed_theta_algebra, 5)):
+        want = ricci(g.curvature)
+        got = np.array(ricci_from_brackets(g))
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def _exact_einstein_builds():
+    """Rational builds with their exact Einstein constants: DR with
+    m = dim v, k = dim z has -(m + 4k)/4, RH^n has -(n - 1)."""
+    for key in ((1, 1), (1, 2), (2, 1), (3, 1), (3, 2), (7, 2)):
+        cm = clifford_generators(*key)
+        yield pytest.param(build_damek_ricci(cm),
+                           Fraction(-(cm.m + 4 * cm.l), 4),
+                           id=f"dr-{key[0]}-{key[1]}")
+    for n in (2, 3, 5):
+        yield pytest.param(build_real_hyperbolic(n), Fraction(-(n - 1)),
+                           id=f"rh-{n}")
+    yield pytest.param(build_flat(4), Fraction(0), id="flat-4")
+
+
+@pytest.mark.parametrize("g, c", list(_exact_einstein_builds()))
+def test_exact_ricci_on_rational_builds(g, c):
+    # the stored structure constants are exact binary fractions, so the
+    # brackets are a Lie algebra and Ric = c id with zero tolerance
+    assert jacobi_identity_exact(g, Fraction)
+    ric = ricci_from_brackets(g, Fraction)
+    assert all(isinstance(x, Fraction) for row in ric for x in row)
+    assert ric == [[c if a == b else 0 for b in range(g.dim)]
+                   for a in range(g.dim)]
+    ok, constant, _ = einstein_check(g)
+    assert ok and abs(constant - float(c)) <= 1e-13 * max(1.0, abs(c))
+
+
+def test_exact_jacobi_check_sees_a_failure():
+    # [e0, e1] = e1, [e0, e2] = e2, [e1, e2] = e0 is no Lie bracket:
+    # the cyclic sum on (e0, e1, e2) is 2 e0
+    bad = SimpleNamespace(dim=3, structure_constants=(
+        (0, 1, 1, 1.0), (0, 2, 2, 1.0), (1, 2, 0, 1.0)))
+    assert not jacobi_identity_exact(bad, Fraction)
+    assert jacobi_identity_exact(build_real_hyperbolic(3), Fraction)
 
 
 def test_ricci_symmetric(dr_algebras):

@@ -317,7 +317,7 @@ def test_mean_curvature_analytic_matches_numeric(dr_data):
                                       stable_jacobi_tensor)
     d = dr_data[(2, 1)]
     grid = np.linspace(0.5, 8.0, 16)
-    m_fd, _ = mean_curvature_numeric(stable_jacobi_tensor(d, grid))
+    m_fd = mean_curvature_numeric(stable_jacobi_tensor(d, grid))
     analytic = np.array([mean_curvature_analytic(d, t) for t in grid])
     assert np.abs(m_fd - analytic).max() <= 1e-5
 

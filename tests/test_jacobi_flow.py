@@ -10,8 +10,9 @@ from scipy.special import beta
 from oracles import (central_velocity, covariant_derivative_along,
                      covariant_volume_density, finite_horizon_tensor,
                      frame_connection, frame_matrix, integrate_jacobi,
-                     pair_stable_block_per_t, three_matvec_volume_density,
-                     velocity_vector, z_top_vector)
+                     mean_curvature_trace, pair_stable_block_per_t,
+                     three_matvec_volume_density, velocity_vector,
+                     z_top_vector)
 from solvharm import curvature, jacobi_flow
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
@@ -327,7 +328,7 @@ def test_mean_curvature_real_hyperbolic():
     d = standard_decomposition(build_real_hyperbolic(n))
     grid = np.linspace(0.5, 8.0, 26)
     s = stable_jacobi_tensor(d, grid)
-    m_fd, m_trace = mean_curvature_numeric(s)
+    m_fd, m_trace = mean_curvature_numeric(s), mean_curvature_trace(s)
     assert np.abs(m_fd - (n - 1)).max() <= 1e-6
     assert np.abs(m_trace - (n - 1)).max() <= 1e-7
     assert np.abs(m_fd - m_trace).max() <= 1e-6
@@ -337,7 +338,7 @@ def test_mean_curvature_perturbed_not_constant(perturbed_theta_algebra):
     d = standard_decomposition(perturbed_theta_algebra)
     grid = np.linspace(0.0, 3.0, 31)
     s = stable_jacobi_tensor(d, grid)
-    m_fd, m_trace = mean_curvature_numeric(s)
+    m_fd, m_trace = mean_curvature_numeric(s), mean_curvature_trace(s)
     assert m_trace.max() - m_trace.min() > 1e-3
     assert m_fd.max() - m_fd.min() > 1e-3
     # for non-constant m the finite differences carry an O(h^2) bias
@@ -355,16 +356,13 @@ def test_mean_curvature_conjugate_point_guard():
 
 def test_mean_curvature_numeric_matches_per_time_loop(dr_data,
                                                       generic_pair_algebra):
-    # the stacked det and inverse against the per-t loops they replaced
+    # the stacked det against the per-t loop it replaced
     for d in [*dr_data.values(), standard_decomposition(generic_pair_algebra)]:
         s = stable_jacobi_tensor(d, np.linspace(0.5, 8.0, 26))
-        m_fd, m_trace = mean_curvature_numeric(s)
         dets = np.array([np.linalg.det(e) for e in s.e])
         assert np.array_equal(
-            m_fd, -np.gradient(np.log(np.abs(dets)), s.t_grid))
-        assert np.array_equal(m_trace, [
-            -np.trace(ep @ np.linalg.inv(e)) for e, ep in zip(s.e, s.e_prime)
-        ])
+            mean_curvature_numeric(s),
+            -np.gradient(np.log(np.abs(dets)), s.t_grid))
 
 
 def test_volume_density_flat():
@@ -393,18 +391,21 @@ def test_volume_density_real_hyperbolic(rng):
         )
 
 
-def test_volume_density_damek_ricci_closed_form(dr_algebras, rng):
+def test_volume_density_damek_ricci_closed_form(dr_algebras, haar_rotate,
+                                                rng):
     # harmonic closed form: det A(t) = (2 sinh(t/2))^m sinh(t)^l in every
-    # direction; exercises geodesic flow, connection and curvature jointly
-    t = np.array([0.5, 1.0, 2.0])
-    for (l, copies), g in dr_algebras.items():
+    # direction and in every orthonormal basis; exercises geodesic flow,
+    # connection and curvature jointly
+    t = np.array([0.5, 1.0, 2.0, 4.0])
+    for seed, ((l, copies), g) in enumerate(dr_algebras.items()):
         m = g.dim - 1 - l
         expected = (2.0 * np.sinh(t / 2.0)) ** m * np.sinh(t) ** l
-        for _ in range(2):
-            v = rng.standard_normal(g.dim)
-            v /= np.linalg.norm(v)
-            np.testing.assert_allclose(volume_density(g, v, t), expected,
-                                       rtol=1e-8)
+        for alg in (g, haar_rotate(g, seed)):
+            for _ in range(2):
+                v = rng.standard_normal(g.dim)
+                v /= np.linalg.norm(v)
+                np.testing.assert_allclose(volume_density(alg, v, t),
+                                           expected, rtol=1e-9)
 
 
 def test_volume_density_central_matches_stable_frame(dr_data):
