@@ -19,7 +19,8 @@ import numpy as np
 
 from . import (clifford_dr, curvature, hypergeom, jacobi_flow, lie_metric,
                numerics, riccati)
-from .config import DEFAULT_TOLS, H_SCALE_FLOOR, TRACE_IDENTITY_REL, Tolerances
+from .config import (DEFAULT_TOLS, H_SCALE_FLOOR, SCALE_WINDOW,
+                     TRACE_IDENTITY_REL, Tolerances)
 from .errors import (DegenerateSpectrumError, DimensionError, NumericalError,
                      SolvharmError, StructureError)
 
@@ -175,10 +176,15 @@ def _tolerances_dict(tols: Tolerances, command: str) -> dict:
 
 def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
                  tols: Tolerances = DEFAULT_TOLS) -> dict:
-    """The full analysis report, labelled by :func:`_classification`."""
+    """The full analysis report, labelled by :func:`_classification`.  A
+    bracket scale outside ``SCALE_WINDOW`` raises NumericalError first."""
+    s = math.sqrt(g.scale_squared)
+    if s and not 1 / SCALE_WINDOW <= s <= SCALE_WINDOW:
+        raise NumericalError(f"bracket scale s = {s:.3e} is outside the "
+                             f"window [{1 / SCALE_WINDOW:.0e}, "
+                             f"{SCALE_WINDOW:.0e}] that analyze can label")
     r_norm = curvature.curvature_norm(g.curvature)
-    scale2 = lie_metric.scale_squared(g)
-    is_flat = r_norm <= tols.flat_norm * scale2
+    is_flat = r_norm <= tols.flat_norm * g.scale_squared
     is_einstein, c_const, resid = curvature.einstein_check(g, tols)
 
     report = {
@@ -194,91 +200,84 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
                      "residual": resid},
         "growth": lie_metric.growth_type(g, tols=tols).value,
     }
-
-    data, decomposition_error = None, None
-    if not is_flat:
+    data = None
+    if is_flat:
+        report["standard_decomposition"] = {"status": "flat", "reason": None}
+    else:
         try:
             data = lie_metric.standard_decomposition(g, tols)
         except StructureError as exc:
-            decomposition_error = str(exc)
-
-    if data is None:
+            report["standard_decomposition"] = {"status": "not-standard",
+                                                "reason": str(exc)}
+    if data is not None:
+        # every ad_H eigenvalue is positive, so the closed mean curvature
+        # sum |Re sigma| is trace ad_H, X = 0 and trace L0 = -trace ad_H
+        formula = data.trace_ad_h
         report["standard_decomposition"] = {
-            "status": "flat" if is_flat else "not-standard",
-            "reason": decomposition_error,
+            "status": "ok",
+            "mu": list(data.mu),
+            "rho_star": list(data.rho_star),
+            "pairs": [list(p) for p in data.pairs],
+            "trace_ad_h": formula,
         }
-        report["classification"] = _classification(
-            flat=is_flat, standard=False, einstein=is_einstein)
-        report["tolerances"] = _tolerances_dict(tols, "analyze")
-        return report
 
-    # every ad_H eigenvalue is positive, so the closed mean curvature
-    # sum |Re sigma| is trace ad_H, X = 0 and trace L0 = -trace ad_H
-    formula = data.trace_ad_h
-    report["standard_decomposition"] = {
-        "status": "ok",
-        "mu": list(data.mu),
-        "rho_star": list(data.rho_star),
-        "pairs": [list(p) for p in data.pairs],
-        "trace_ad_h": formula,
-    }
+        # mean curvature: closed formula vs numeric horosphere pipeline
+        try:
+            sample = jacobi_flow.stable_jacobi_tensor(
+                data, np.linspace(*_MEAN_GRID), tols)
+            m_fd = jacobi_flow.mean_curvature_numeric(sample)
+            deviation = float(np.abs(m_fd - formula).max())
+            numeric_mean = float(np.mean(m_fd))
+        except SolvharmError as exc:
+            deviation = numeric_mean = None
+            report["warnings"] = [f"mean-curvature: {exc}"]
+        report["mean_curvature"] = {
+            "formula": formula,
+            "riccati_trace_l0": -formula,
+            "numeric": numeric_mean,
+            "max_deviation": deviation,
+            "grid": list(_MEAN_GRID),
+        }
 
-    # mean curvature: closed formula vs numeric horosphere pipeline
-    try:
-        sample = jacobi_flow.stable_jacobi_tensor(
-            data, np.linspace(*_MEAN_GRID), tols)
-        m_fd = jacobi_flow.mean_curvature_numeric(sample)
-        deviation = float(np.abs(m_fd - formula).max())
-        numeric_mean = float(np.mean(m_fd))
-    except SolvharmError as exc:
-        deviation = numeric_mean = None
-        report.setdefault("warnings", []).append(f"mean-curvature: {exc}")
-    report["mean_curvature"] = {
-        "formula": formula,
-        "riccati_trace_l0": -formula,
-        "numeric": numeric_mean,
-        "max_deviation": deviation,
-        "grid": list(_MEAN_GRID),
-    }
+        # h-scan on z in [0.05, 0.5]
+        h_values = hypergeom.h_function(*data.frame_factor_data(),
+                                        np.linspace(*_H_GRID))
+        h_scale = max(float(np.abs(h_values).max()), H_SCALE_FLOOR)
+        drift = float((h_values.max() - h_values.min()) / h_scale)
+        report["h_scan"] = {
+            "z_range": list(_H_GRID[:2]),
+            "count": _H_GRID[2],
+            "min": float(h_values.min()),
+            "max": float(h_values.max()),
+            "relative_drift": drift,
+            "constant": drift <= tols.h_constancy,
+        }
 
-    # h-scan on z in [0.05, 0.5]
-    h_values = hypergeom.h_function(*data.frame_factor_data(),
-                                    np.linspace(*_H_GRID))
-    h_scale = max(float(np.abs(h_values).max()), H_SCALE_FLOOR)
-    drift = float((h_values.max() - h_values.min()) / h_scale)
-    report["h_scan"] = {
-        "z_range": list(_H_GRID[:2]),
-        "count": _H_GRID[2],
-        "min": float(h_values.min()),
-        "max": float(h_values.max()),
-        "relative_drift": drift,
-        "constant": drift <= tols.h_constancy,
-    }
+        is_rigid, factors = hypergeom.rigidity_conclusion(data, tols)
+        report["rigidity"] = {"is_rigid": is_rigid, "factors": factors}
 
-    is_rigid, factors = hypergeom.rigidity_conclusion(data, tols)
-    report["rigidity"] = {"is_rigid": is_rigid, "factors": factors}
+        nr = curvature.nabla_R_norm(g)
+        ratio = nr / r_norm if r_norm > 0 else 0.0
+        report["symmetry"] = {"nabla_r_norm": nr, "ratio": ratio,
+                              "is_symmetric": ratio <= tols.symmetry_ratio * s}
 
-    nr = curvature.nabla_R_norm(g)
-    ratio = nr / r_norm if r_norm > 0 else 0.0
-    symmetric = ratio <= tols.symmetry_ratio * math.sqrt(scale2)
-    report["symmetry"] = {"nabla_r_norm": nr, "ratio": ratio,
-                          "is_symmetric": symmetric}
-
-    report["classification"] = _classification(
-        flat=False, standard=True, einstein=is_einstein, rigid=is_rigid,
-        symmetric=symmetric)
+    report["classification"] = _classification(report)
     report["tolerances"] = _tolerances_dict(tols, "analyze")
     return report
 
 
-def _classification(*, flat, standard, einstein, rigid=False, symmetric=False):
-    """The ``analyze`` label from its predicates (the README argues it)."""
-    if flat:
+def _classification(report: dict) -> str:
+    """The ``analyze`` label, read off the predicates the report prints:
+    ``curvature.flat``, ``standard_decomposition.status``,
+    ``einstein.is_einstein``, ``rigidity.is_rigid`` and
+    ``symmetry.is_symmetric`` (the README argues the rule)."""
+    if report["curvature"]["flat"]:
         return "Flat"
-    if not standard:
+    if report["standard_decomposition"]["status"] != "ok":
         return "Indeterminate"
-    if rigid and einstein:
-        return "RankOneSymmetric" if symmetric else "DamekRicciNonsymmetric"
+    if report["rigidity"]["is_rigid"] and report["einstein"]["is_einstein"]:
+        return ("RankOneSymmetric" if report["symmetry"]["is_symmetric"]
+                else "DamekRicciNonsymmetric")
     return "NotAsymptoticallyHarmonic"
 
 

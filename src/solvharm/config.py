@@ -100,6 +100,11 @@ UNIT_VECTOR_TOL = 1e-10
 UNIT_LAM_SNAP = 1e-15   # a top ad_H eigenvalue this close to 1 is taken as 1
 H_SCALE_FLOOR = 1e-30   # floor of max|h| in the h-scan drift: h = 0 drifts 0
 
+# ``analyze`` refuses a bracket scale 0 < s outside [1 / SCALE_WINDOW,
+# SCALE_WINDOW]: inside, s^6, the scale of |nabla R|^2, stays within
+# [1e-270, 1e270], which leaves float64 room for dimension factors
+SCALE_WINDOW = 1e45
+
 # fixed thresholds of single checks, in the units the comment gives
 # max deviation of a built Clifford module from J_a^2 = -1, J_a J_b = -J_b J_a
 # and J_a skew

@@ -14,7 +14,7 @@ from .config import (DEFAULT_TOLS, GRAM_FLOOR_REL, RANK_REL, UNIT_VECTOR_TOL,
                      Tolerances)
 from .errors import DomainError
 from .lie_metric import (MetricLieAlgebra, StandardSolvableData, ad_matrix,
-                         scale_squared, symmetric_skew_split)
+                         symmetric_skew_split)
 
 __all__ = [
     "levi_civita",
@@ -89,12 +89,12 @@ def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS):
 
     Ric is read off ``g.curvature``.  The Frobenius residual
     |Ric - c id| is compared with ``tols.einstein_residual`` times
-    :func:`scale_squared`.
+    ``g.scale_squared``.
     """
     ric = ricci(g.curvature)
     c = float(np.trace(ric)) / g.dim
     residual = float(np.linalg.norm(ric - c * np.eye(g.dim)))
-    return residual <= tols.einstein_residual * scale_squared(g), c, residual
+    return residual <= tols.einstein_residual * g.scale_squared, c, residual
 
 
 def sectional_curvature(r: np.ndarray, x, y) -> float:
@@ -122,7 +122,7 @@ def jacobi_operator_H(g, a_vec) -> np.ndarray:
     # A perp [s,s]  <=>  no bracket has a component along A, measured
     # against the bracket scale s as the rank decisions are
     leak = np.abs(np.einsum("ijk,k->ij", alg.tensor, a_vec)).max()
-    if leak > RANK_REL * math.sqrt(scale_squared(alg)):
+    if leak > RANK_REL * math.sqrt(alg.scale_squared):
         raise DomainError("A is not orthogonal to the derived algebra")
     d, s = symmetric_skew_split(ad_matrix(a_vec, alg))
     return -d @ d - (d @ s - s @ d)

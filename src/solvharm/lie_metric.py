@@ -35,7 +35,6 @@ __all__ = [
     "standard_decomposition",
     "pair_decomposition",
     "growth_type",
-    "scale_squared",
     "algebra_to_dict",
     "algebra_from_dict",
 ]
@@ -57,9 +56,11 @@ class MetricLieAlgebra:
     raises :class:`DimensionError`.  Construction validates the Jacobi
     identity within ``jacobi_tol`` times the sum of squares of the
     structure constants, so that rescaling the metric does not change
-    the verdict.  The algebras derived from this one (rescaled,
-    subalgebras, the adapted basis of the standard decomposition)
-    inherit ``jacobi_tol``.
+    the verdict.  That sum s^2 is ``scale_squared``, which no orthogonal
+    change of basis moves: every threshold compares curvature with a
+    tolerance times s^2, and bracket-derived quantities with one times s.
+    The algebras derived from this one (rescaled, subalgebras, the
+    adapted basis of the standard decomposition) inherit ``jacobi_tol``.
     """
 
     dim: int
@@ -67,6 +68,7 @@ class MetricLieAlgebra:
     _tensor: np.ndarray = field(repr=False, compare=False, default=None)
     jacobi_tol: float = field(repr=False, compare=False,
                               default=DEFAULT_TOLS.jacobi_identity)
+    scale_squared: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -101,8 +103,11 @@ class MetricLieAlgebra:
         object.__setattr__(self, "structure_constants", tuple(zip(
             i.tolist(), j.tolist(), k.tolist(), c.tolist())))
         object.__setattr__(self, "_tensor", tensor)
+        with np.errstate(over="ignore"):   # an s^2 past float64 is inf
+            object.__setattr__(self, "scale_squared",
+                               float((tensor ** 2).sum()))
         resid = self.jacobi_residual()
-        bound = self.jacobi_tol * float((tensor ** 2).sum())
+        bound = self.jacobi_tol * self.scale_squared
         if not resid <= bound:   # NaN brackets fail too
             raise StructureError(f"Jacobi identity violated: residual "
                                  f"{resid:.3e} > {bound:.3e}")
@@ -181,9 +186,14 @@ class MetricLieAlgebra:
 
         One i at a time, the cyclic terms [[e_i, e_j], e_k], [[e_j, e_k], e_i]
         and [[e_k, e_i], e_j] are n x n^2 BLAS products summed into one
-        (j, k, :) array: about 3 n^3 doubles at the peak, with the tensor.
+        (j, k, :) array.  They are taken on a copy of the tensor times
+        2^-e, with 2^e just above its largest entry, and the residual is
+        scaled back: both steps are exact, and no product overflows at any
+        scale float64 can hold.  The peak is about 4 n^3 doubles.
         """
-        t = self._tensor
+        # 2.0 ** 1024 is past float64, so e stops at 1023
+        e = min(math.frexp(np.abs(self._tensor).max(initial=0.0))[1], 1023)
+        t = np.ldexp(self._tensor, -e)
         n = self.dim
         flat, worst = t.reshape(n, n * n), 0.0
         for i in range(n):
@@ -191,7 +201,7 @@ class MetricLieAlgebra:
             jac += (t.reshape(n * n, n) @ t[:, i, :]).reshape(n, n, n)
             jac += (t[:, i, :] @ flat).reshape(n, n, n).transpose(1, 0, 2)
             worst = max(worst, np.einsum("jkl,jkl->jk", jac, jac).max())
-        return math.sqrt(float(worst))
+        return math.sqrt(float(worst)) * 2.0 ** e * 2.0 ** e
 
     def rescaled(self, factor: float) -> "MetricLieAlgebra":
         """Algebra of the metric scaled so all brackets pick up ``factor``."""
@@ -223,21 +233,6 @@ def symmetric_skew_split(m):
     return d, a - d
 
 
-def scale_squared(g: MetricLieAlgebra) -> float:
-    """s^2, the sum of squares of the structure constants.
-
-    Curvature scales as s^2 when the metric is rescaled, and no
-    orthogonal change of basis moves s^2, so verdicts compare curvature
-    with tolerances times s^2, and bracket-derived quantities with
-    tolerances times s.
-    """
-    return float((g.tensor ** 2).sum())
-
-
-def _bracket_scale(g: MetricLieAlgebra) -> float:
-    return math.sqrt(scale_squared(g))
-
-
 def _orthonormal_span(columns: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Orthonormal basis (columns) of the span of the given column set.
 
@@ -267,14 +262,14 @@ def _null_space(mat: np.ndarray, scale: float = 1.0) -> np.ndarray:
 def derived_algebra(g: MetricLieAlgebra) -> np.ndarray:
     """Orthonormal basis (columns) of [g, g]."""
     cols = g.tensor.reshape(g.dim * g.dim, g.dim).T
-    return _orthonormal_span(cols, _bracket_scale(g))
+    return _orthonormal_span(cols, math.sqrt(g.scale_squared))
 
 
 def center_of(g: MetricLieAlgebra) -> np.ndarray:
     """Orthonormal basis (columns) of {z : [z, x] = 0 for all x}."""
     # stack the maps x -> [x, e_j] over all j
     mat = g.tensor.transpose(1, 2, 0).reshape(g.dim * g.dim, g.dim)
-    return _null_space(mat, _bracket_scale(g))
+    return _null_space(mat, math.sqrt(g.scale_squared))
 
 
 def subalgebra(g: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
@@ -285,7 +280,7 @@ def subalgebra(g: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
     """
     b = np.asarray(basis, dtype=float)
     r = b.shape[1]
-    scale = _bracket_scale(g)
+    scale = math.sqrt(g.scale_squared)
     tensor = np.zeros((r, r, r))
     for a in range(r):
         for c in range(a + 1, r):
@@ -309,7 +304,7 @@ def nilpotency_class(g: MetricLieAlgebra):
     current = g.derived_algebra
     if current.shape[1] >= g.dim:
         return None
-    scale = _bracket_scale(g)
+    scale = math.sqrt(g.scale_squared)
     step = 1
     while current.shape[1] > 0:
         step += 1
@@ -348,7 +343,7 @@ def growth_type(g: MetricLieAlgebra,
     eigenvalues are the roundoff of its Jordan blocks, of order
     eps^(1/k) for a block of size k.
     """
-    s = _bracket_scale(g)
+    s = math.sqrt(g.scale_squared)
     floor = tols.growth_real_part * s
     derived = g.derived_algebra
     exponential = any(np.abs(eigenvalues(ad_matrix(x, g)).real).max() > floor
@@ -542,7 +537,7 @@ def standard_decomposition(g: MetricLieAlgebra,
     t_n = np.einsum("ia,jc,ijk,kd->acd", n_basis, n_basis, g.tensor,
                     n_basis, optimize=True)
     z_in_n = _null_space(t_n.transpose(1, 2, 0).reshape(r * r, r),
-                         _bracket_scale(g))
+                         math.sqrt(g.scale_squared))
     if z_in_n.shape[1] == 0:
         raise StructureError("nilradical candidate has trivial center")
     v_in_n = _null_space(z_in_n.T)

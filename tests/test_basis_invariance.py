@@ -2,6 +2,7 @@
 nor on a constant rescaling of its metric."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from solvharm.lie_metric import (GrowthType, MetricLieAlgebra,
 NAMES = ["dr-2-1", "dr-3-1", "perturbed-theta", "generic-pair"]
 NOT_AH = "NotAsymptoticallyHarmonic"
 # metric rescalings under which no verdict may change
-SCALES = (1e-12, 1e-10, 1e-9, 1e-6, 1e-3, 1e3)
+SCALES = (1e-40, 1e-12, 1e-10, 1e-9, 1e-6, 1e-3, 1e3, 1e40)
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +201,29 @@ def test_label_is_scale_free(name, scale_inputs):
     g = scale_inputs[name]
     assert [build_report(g.rescaled(c))["classification"]
             for c in (1.0, *SCALES)] == [LABELS[name]] * (1 + len(SCALES))
+
+
+# past the scale window, analyze exits 1 before any geometry is computed
+OUT_OF_WINDOW = (1e-160, 1e-100, 1e-60, 1e60, 1e100, 1e160)
+
+
+@pytest.mark.parametrize("name", ["dr-1-1", "dr-2-1", "rotated-dr-7-2",
+                                  "perturbed-theta"])
+def test_analyze_refuses_a_scale_outside_the_window(name, scale_inputs,
+                                                    tmp_path, capsys):
+    g = scale_inputs[name]
+    report = tmp_path / "report.json"
+    for c in OUT_OF_WINDOW:
+        path = tmp_path / f"{name}-{c:g}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no RuntimeWarning either
+            path.write_text(json.dumps(algebra_to_dict(g.rescaled(c))))
+            code = main(["analyze", str(path), "--output", str(report)])
+        out, err = capsys.readouterr()
+        assert (code, out, report.exists()) == (1, "", False)
+        assert err.startswith("error: bracket scale s = ")
+        assert err.endswith(" is outside the window [1e-45, 1e+45] that "
+                            "analyze can label\n")
 
 
 @pytest.mark.parametrize("name, status", [("dr-2-1", "ok"),

@@ -22,8 +22,7 @@ from solvharm.curvature import (central_frame_split, central_jacobi_blocks,
 from solvharm.errors import DomainError
 from solvharm.jacobi_flow import CentralGeodesicFrame, volume_density
 from solvharm.lie_metric import (MetricLieAlgebra, ad_matrix,
-                                 scale_squared, standard_decomposition,
-                                 symmetric_skew_split)
+                                 standard_decomposition, symmetric_skew_split)
 
 
 def _basis(n, i):
@@ -474,7 +473,7 @@ def test_curvature_matches_einsum(dr_algebras, perturbed_theta_algebra,
     for g in cases:
         got = curvature_tensor(g, g.connection)
         want = curvature_einsum(g.tensor, g.connection)
-        assert np.abs(got - want).max() <= 1e-14 * scale_squared(g)
+        assert np.abs(got - want).max() <= 1e-14 * g.scale_squared
 
 
 def test_central_jacobi_blocks_match_block_diag(dr_data, haar_rotate):

@@ -3,6 +3,7 @@ import inspect
 import math
 import sys
 import tracemalloc
+import warnings
 import weakref
 from collections import Counter
 
@@ -22,9 +23,8 @@ from solvharm.lie_metric import (GrowthType, MetricLieAlgebra,
                                  _orthonormal_span, ad_matrix,
                                  algebra_from_dict, algebra_to_dict, bracket,
                                  center_of, derived_algebra, growth_type,
-                                 nilpotency_class, scale_squared,
-                                 standard_decomposition, subalgebra,
-                                 symmetric_skew_split)
+                                 nilpotency_class, standard_decomposition,
+                                 subalgebra, symmetric_skew_split)
 
 HEISENBERG = MetricLieAlgebra(3, ((0, 1, 2, 1.0),))   # [V1, V2] = Z
 
@@ -547,7 +547,7 @@ def _loop_nilpotency_class(g):
         images = [bracket(_basis(g.dim, i), current[:, a], g)
                   for i in range(g.dim) for a in range(current.shape[1])]
         nxt = _orthonormal_span(np.array(images).T,
-                                math.sqrt(scale_squared(g)))
+                                math.sqrt(g.scale_squared))
         if nxt.shape[1] >= current.shape[1]:
             return None
         current = nxt
@@ -621,6 +621,21 @@ def test_jacobi_residual_matches_einsum(parse_cases):
     broken = MetricLieAlgebra(5, rows, jacobi_tol=math.inf)
     assert broken.jacobi_residual() > 1.0
     for g in [*parse_cases, broken]:
-        scale = scale_squared(g)
+        scale = g.scale_squared
         assert abs(g.jacobi_residual() - jacobi_residual_einsum(g.tensor)) \
             <= 1e-14 * scale
+
+
+def test_jacobi_residual_scales_exactly_by_powers_of_two(dr_algebras,
+                                                         haar_rotate):
+    # the terms are summed on the tensor times a power of two, so the
+    # residual of a copy rescaled by 2^k is the residual times 4^k, bit for
+    # bit, also at 2^520, where the unscaled products would overflow
+    g = haar_rotate(dr_algebras[(3, 1)], 5)
+    r = g.jacobi_residual()
+    assert r > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-200, 200, 520):
+            assert g.rescaled(2.0 ** k).jacobi_residual() \
+                == r * 2.0 ** k * 2.0 ** k
