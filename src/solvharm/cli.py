@@ -109,23 +109,39 @@ def _render_json(value) -> str:
     return buf.getvalue()
 
 
+def _check_writable(path: str):
+    """Raise :class:`_UsageError` unless the directory of ``path`` exists
+    and this process may create files in it.  It asks the kernel
+    (``os.access``) and creates nothing there."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.access(directory, os.W_OK | os.X_OK):
+        reason = ("not writable" if os.path.isdir(directory) else
+                  "not a directory" if os.path.exists(directory) else
+                  "missing")
+        raise _UsageError(f"cannot write {path}: {directory} is {reason}")
+
+
 def _write_atomic(path: str, text: str):
     """Write ``text`` to a temporary file beside ``path`` and rename it
     over ``path``, with the mode a plain ``open`` would give: 0o666 less
-    the umask (``mkstemp`` creates its file as 0o600)."""
+    the umask (``mkstemp`` creates its file as 0o600).  An ``OSError``
+    is raised as a :class:`SolvharmError` that names ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".solvharm-")
     umask = os.umask(0)
     os.umask(umask)
     try:
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".solvharm-")
+        try:
+            os.fchmod(fd, 0o666 & ~umask)
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise SolvharmError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _deliver(text: str, output):
@@ -178,13 +194,13 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
                  tols: Tolerances = DEFAULT_TOLS) -> dict:
     """The full analysis report, labelled by :func:`_classification`.  A
     bracket scale outside ``SCALE_WINDOW`` raises NumericalError first."""
-    s = math.sqrt(g.scale_squared)
+    s = g.scale
     if s and not 1 / SCALE_WINDOW <= s <= SCALE_WINDOW:
         raise NumericalError(f"bracket scale s = {s:.3e} is outside the "
                              f"window [{1 / SCALE_WINDOW:.0e}, "
                              f"{SCALE_WINDOW:.0e}] that analyze can label")
     r_norm = curvature.curvature_norm(g.curvature)
-    is_flat = r_norm <= tols.flat_norm * g.scale_squared
+    is_flat = r_norm <= tols.flat_norm * s * s
     is_einstein, c_const, resid = curvature.einstein_check(g, tols)
 
     report = {
@@ -539,6 +555,9 @@ def main(argv=None) -> int:
     # looked up on each call, so a wrapped or patched cmd_* is the one run
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        for path in (args.output, getattr(args, "density_csv", None)):
+            if path:
+                _check_writable(path)
         return handler(args, tols)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -11,17 +11,21 @@ the Riccati solver's, ``build`` none.  The special functions come from
 The test oracles keep their fixed parameters as module constants.
 
 The verdict thresholds are relative to the scale of the algebra.  With
-s^2 the sum of squares of the structure constants, which no orthogonal
-change of basis moves, |R| is compared with ``flat_norm * s^2``, the
-Ricci residual with ``einstein_residual * s^2``, |nabla R| / |R|
-with ``symmetry_ratio * s``, and for the growth type the real parts of
-ad_X with ``growth_real_part * s`` and the Killing form on [s, s] with
-``growth_real_part * s^2``, so a verdict does not change when the
+s the Frobenius norm of the bracket tensor (``MetricLieAlgebra.scale``,
+fixed once when the algebra is built), which no orthogonal change of
+basis moves, |R| is compared with ``flat_norm * s * s``, the Ricci
+residual with ``einstein_residual * s * s``, |nabla R| / |R| with
+``symmetry_ratio * s``, and for the growth type the real parts of ad_X
+with ``growth_real_part * s`` and the Killing form on [s, s] with
+``growth_real_part * s * s``, so a verdict does not change when the
 metric is rescaled.  For the same reason the Jacobi residual checked
-when an algebra is built is compared with ``jacobi_identity * s^2``, the
-antisymmetry defect and the pruned entries of an input bracket tensor
-with ``ANTISYMMETRY_REL`` and ``PRUNE_REL`` relative to its largest
-entry, the rank of bracket-derived matrices (derived algebra,
+when an algebra is built is taken relative to s^2, on the brackets
+times the power of two fixed with s, and compared with
+``jacobi_identity``; the normality test of the standard decomposition
+takes its norms in that unit too.  The antisymmetry defect and the
+pruned entries of an input bracket tensor are compared with
+``ANTISYMMETRY_REL`` and ``PRUNE_REL`` relative to its largest entry,
+the rank of bracket-derived matrices (derived algebra,
 centers, lower central series) and the check that a direction is
 orthogonal to [s, s] with ``RANK_REL * s``, the ad_H eigenvalues of the
 standard decomposition with ``eigen_merge`` relative to the largest

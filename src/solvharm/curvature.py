@@ -89,12 +89,13 @@ def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS):
 
     Ric is read off ``g.curvature``.  The Frobenius residual
     |Ric - c id| is compared with ``tols.einstein_residual`` times
-    ``g.scale_squared``.
+    ``g.scale * g.scale``.
     """
     ric = ricci(g.curvature)
     c = float(np.trace(ric)) / g.dim
     residual = float(np.linalg.norm(ric - c * np.eye(g.dim)))
-    return residual <= tols.einstein_residual * g.scale_squared, c, residual
+    return (residual <= tols.einstein_residual * g.scale * g.scale, c,
+            residual)
 
 
 def sectional_curvature(r: np.ndarray, x, y) -> float:
@@ -122,7 +123,7 @@ def jacobi_operator_H(g, a_vec) -> np.ndarray:
     # A perp [s,s]  <=>  no bracket has a component along A, measured
     # against the bracket scale s as the rank decisions are
     leak = np.abs(np.einsum("ijk,k->ij", alg.tensor, a_vec)).max()
-    if leak > RANK_REL * math.sqrt(alg.scale_squared):
+    if leak > RANK_REL * alg.scale:
         raise DomainError("A is not orthogonal to the derived algebra")
     d, s = symmetric_skew_split(ad_matrix(a_vec, alg))
     return -d @ d - (d @ s - s @ d)

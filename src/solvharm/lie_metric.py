@@ -18,7 +18,8 @@ import numpy as np
 
 from .config import (ANTISYMMETRY_REL, DEFAULT_TOLS, PRUNE_REL, RANK_REL,
                      UNIT_LAM_SNAP, Tolerances)
-from .errors import DimensionError, NotStandardError, StructureError
+from .errors import (DimensionError, NotStandardError, NumericalError,
+                     StructureError)
 from .numerics import as_square, eigenvalues
 
 __all__ = [
@@ -54,21 +55,31 @@ class MetricLieAlgebra:
     row order.  A row of other than 4 entries, or an index that is not a
     finite integer, raises :class:`StructureError`; an index out of range
     raises :class:`DimensionError`.  Construction validates the Jacobi
-    identity within ``jacobi_tol`` times the sum of squares of the
-    structure constants, so that rescaling the metric does not change
-    the verdict.  That sum s^2 is ``scale_squared``, which no orthogonal
-    change of basis moves: every threshold compares curvature with a
-    tolerance times s^2, and bracket-derived quantities with one times s.
-    The algebras derived from this one (rescaled, subalgebras, the
-    adapted basis of the standard decomposition) inherit ``jacobi_tol``.
+    identity within ``jacobi_tol`` relative to s^2, so that rescaling the
+    metric does not change the verdict.  The bracket scale s is
+    ``scale``, the Frobenius norm of the bracket tensor, which no
+    orthogonal change of basis moves.  It is fixed once here, with 2^e
+    just above the largest entry: s = 2^e |2^-e T|, and the checks that
+    run before any geometry (the Jacobi residual, the normality of ad_H)
+    work on the brackets times 2^-e.  Powers of two multiply exactly, so
+    no sum in them overflows or underflows.  An s past float64 raises
+    :class:`NumericalError`.  At the other end the rank thresholds
+    ``RANK_REL * s`` turn subnormal below s = 2e-298 and lose a digit
+    per decade, and round to 0 below s = 2.5e-314.  Scale-freeness is
+    tested from 1e-300 to 1e300.  Every threshold compares
+    bracket-derived quantities with a tolerance times s, and curvature
+    with one times s * s.  The algebras derived from this one (rescaled,
+    subalgebras, the adapted basis of the standard decomposition)
+    inherit ``jacobi_tol``.
     """
 
     dim: int
     structure_constants: tuple = ()
-    _tensor: np.ndarray = field(repr=False, compare=False, default=None)
+    _tensor: np.ndarray = field(init=False, repr=False, compare=False)
     jacobi_tol: float = field(repr=False, compare=False,
                               default=DEFAULT_TOLS.jacobi_identity)
-    scale_squared: float = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
+    _exponent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -103,14 +114,24 @@ class MetricLieAlgebra:
         object.__setattr__(self, "structure_constants", tuple(zip(
             i.tolist(), j.tolist(), k.tolist(), c.tolist())))
         object.__setattr__(self, "_tensor", tensor)
-        with np.errstate(over="ignore"):   # an s^2 past float64 is inf
-            object.__setattr__(self, "scale_squared",
-                               float((tensor ** 2).sum()))
+        # the tensor is antisymmetric, so its largest entry is max|T|;
+        # 2.0 ** 1024 is past float64, so e stops at 1023
+        e = min(math.frexp(tensor.max(initial=0.0))[1], 1023)
+        unit = np.ldexp(tensor, -e)
+        unit *= unit
+        # a float product past float64 is inf, without a warning
+        scale = math.sqrt(float(unit.sum())) * 2.0 ** e
+        if math.isinf(scale):
+            raise NumericalError(
+                f"bracket scale s = |T| is past float64 (largest bracket "
+                f"entry {tensor.max():.3e})")
+        object.__setattr__(self, "_exponent", e)
+        object.__setattr__(self, "scale", scale)
         resid = self.jacobi_residual()
-        bound = self.jacobi_tol * self.scale_squared
-        if not resid <= bound:   # NaN brackets fail too
+        if not resid <= self.jacobi_tol:   # NaN brackets fail too
             raise StructureError(f"Jacobi identity violated: residual "
-                                 f"{resid:.3e} > {bound:.3e}")
+                                 f"{resid:.3e} s^2 > {self.jacobi_tol:.3e} "
+                                 f"s^2")
 
     @classmethod
     def from_tensor(cls, tensor,
@@ -177,23 +198,31 @@ class MetricLieAlgebra:
         return basis
 
     @cached_property
+    def derived_complement(self) -> np.ndarray:
+        """Orthonormal basis (columns) of [s, s]^perp, run once,
+        read-only."""
+        basis = _null_space(self.derived_algebra.T)
+        basis.flags.writeable = False
+        return basis
+
+    @cached_property
     def nilpotency_class(self):
         """The module function :func:`nilpotency_class`, run once."""
         return nilpotency_class(self)
 
     def jacobi_residual(self) -> float:
-        """max norm of Jac(e_i, e_j, e_k) over all basis triples.
+        """max norm of Jac(e_i, e_j, e_k) over all basis triples, over s^2.
 
         One i at a time, the cyclic terms [[e_i, e_j], e_k], [[e_j, e_k], e_i]
         and [[e_k, e_i], e_j] are n x n^2 BLAS products summed into one
         (j, k, :) array.  They are taken on a copy of the tensor times
-        2^-e, with 2^e just above its largest entry, and the residual is
-        scaled back: both steps are exact, and no product overflows at any
-        scale float64 can hold.  The peak is about 4 n^3 doubles.
+        2^-e, the power of two fixed at load, and divided by its squared
+        norm (2^-e s)^2: the ratio is scale-free, and no product over- or
+        underflows while s is a normal float.  The peak is about 4 n^3
+        doubles.
         """
-        # 2.0 ** 1024 is past float64, so e stops at 1023
-        e = min(math.frexp(np.abs(self._tensor).max(initial=0.0))[1], 1023)
-        t = np.ldexp(self._tensor, -e)
+        t = np.ldexp(self._tensor, -self._exponent)
+        unit = math.ldexp(self.scale, -self._exponent)
         n = self.dim
         flat, worst = t.reshape(n, n * n), 0.0
         for i in range(n):
@@ -201,7 +230,7 @@ class MetricLieAlgebra:
             jac += (t.reshape(n * n, n) @ t[:, i, :]).reshape(n, n, n)
             jac += (t[:, i, :] @ flat).reshape(n, n, n).transpose(1, 0, 2)
             worst = max(worst, np.einsum("jkl,jkl->jk", jac, jac).max())
-        return math.sqrt(float(worst)) * 2.0 ** e * 2.0 ** e
+        return math.sqrt(float(worst)) / (unit * unit) if unit else 0.0
 
     def rescaled(self, factor: float) -> "MetricLieAlgebra":
         """Algebra of the metric scaled so all brackets pick up ``factor``."""
@@ -262,14 +291,14 @@ def _null_space(mat: np.ndarray, scale: float = 1.0) -> np.ndarray:
 def derived_algebra(g: MetricLieAlgebra) -> np.ndarray:
     """Orthonormal basis (columns) of [g, g]."""
     cols = g.tensor.reshape(g.dim * g.dim, g.dim).T
-    return _orthonormal_span(cols, math.sqrt(g.scale_squared))
+    return _orthonormal_span(cols, g.scale)
 
 
 def center_of(g: MetricLieAlgebra) -> np.ndarray:
     """Orthonormal basis (columns) of {z : [z, x] = 0 for all x}."""
     # stack the maps x -> [x, e_j] over all j
     mat = g.tensor.transpose(1, 2, 0).reshape(g.dim * g.dim, g.dim)
-    return _null_space(mat, math.sqrt(g.scale_squared))
+    return _null_space(mat, g.scale)
 
 
 def subalgebra(g: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
@@ -280,14 +309,13 @@ def subalgebra(g: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
     """
     b = np.asarray(basis, dtype=float)
     r = b.shape[1]
-    scale = math.sqrt(g.scale_squared)
     tensor = np.zeros((r, r, r))
     for a in range(r):
         for c in range(a + 1, r):
             w = bracket(b[:, a], b[:, c], g)
             coeffs = b.T @ w
             leak = np.linalg.norm(w - b @ coeffs)
-            if leak > RANK_REL * scale:
+            if leak > RANK_REL * g.scale:
                 raise StructureError(
                     f"span is not a subalgebra: bracket leaks {leak:.3e}"
                 )
@@ -304,13 +332,12 @@ def nilpotency_class(g: MetricLieAlgebra):
     current = g.derived_algebra
     if current.shape[1] >= g.dim:
         return None
-    scale = math.sqrt(g.scale_squared)
     step = 1
     while current.shape[1] > 0:
         step += 1
         # images[k, (i, a)] = [e_i, current[:, a]]_k
         images = np.einsum("ijk,ja->kia", g.tensor, current)
-        nxt = _orthonormal_span(images.reshape(g.dim, -1), scale)
+        nxt = _orthonormal_span(images.reshape(g.dim, -1), g.scale)
         if nxt.shape[1] >= current.shape[1]:
             return None
         current = nxt
@@ -343,11 +370,11 @@ def growth_type(g: MetricLieAlgebra,
     eigenvalues are the roundoff of its Jordan blocks, of order
     eps^(1/k) for a block of size k.
     """
-    s = math.sqrt(g.scale_squared)
+    s = g.scale
     floor = tols.growth_real_part * s
     derived = g.derived_algebra
     exponential = any(np.abs(eigenvalues(ad_matrix(x, g)).real).max() > floor
-                      for x in _null_space(derived.T).T)
+                      for x in g.derived_complement.T)
     if not exponential and derived.shape[1]:
         n = g.dim
         # B[i, j] = sum_(l, k) [e_i, e_l]_k [e_j, e_k]_l
@@ -528,7 +555,7 @@ def standard_decomposition(g: MetricLieAlgebra,
         )
     if n_basis.shape[1] == 0:
         raise StructureError("derived algebra is trivial")
-    h = _null_space(n_basis.T)[:, 0]
+    h = g.derived_complement[:, 0]
     m_n = n_basis.T @ ad_matrix(h, g) @ n_basis  # ad_H restricted to n
 
     # center of n determines the v / z split; [n, n] lies in n, so the
@@ -536,19 +563,21 @@ def standard_decomposition(g: MetricLieAlgebra,
     r = n_basis.shape[1]
     t_n = np.einsum("ia,jc,ijk,kd->acd", n_basis, n_basis, g.tensor,
                     n_basis, optimize=True)
-    z_in_n = _null_space(t_n.transpose(1, 2, 0).reshape(r * r, r),
-                         math.sqrt(g.scale_squared))
+    z_in_n = _null_space(t_n.transpose(1, 2, 0).reshape(r * r, r), g.scale)
     if z_in_n.shape[1] == 0:
         raise StructureError("nilradical candidate has trivial center")
     v_in_n = _null_space(z_in_n.T)
 
-    # ad_H is a derivation, so it keeps z; normal, it keeps v = z^perp too
-    tensor, norm = g.tensor, np.linalg.norm(m_n)
-    if np.linalg.norm(m_n - m_n.T) > tols.self_adjoint * norm:
-        comm = np.linalg.norm(m_n @ m_n.T - m_n.T @ m_n)
-        if comm > tols.self_adjoint * norm ** 2:
-            raise NotStandardError(
-                f"ad_H not normal on [s, s] (residual {comm:.3e})")
+    # ad_H is a derivation, so it keeps z; normal, it keeps v = z^perp too.
+    # The norms are taken on m times 2^-e, which is exact, so m m^T
+    # neither overflows nor underflows
+    unit = np.ldexp(m_n, -g._exponent)
+    tensor, norm = g.tensor, np.linalg.norm(unit)
+    if np.linalg.norm(unit - unit.T) > tols.self_adjoint * norm:
+        comm = float(np.linalg.norm(unit @ unit.T - unit.T @ unit))
+        if comm > tols.self_adjoint * norm * norm:
+            raise NotStandardError(f"ad_H not normal on [s, s] (residual "
+                                   f"{comm / (norm * norm):.3e} |m|^2)")
         # its skew part K is a derivation: bracket H by the symmetric part
         skew = n_basis @ (0.5 * (m_n - m_n.T)) @ n_basis.T
         tensor = (tensor - np.einsum("i,kj->ijk", h, skew)

@@ -14,6 +14,7 @@ from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.config import DEFAULT_TOLS
 from solvharm.curvature import curvature_norm, einstein_check, nabla_R_norm
+from solvharm.errors import NumericalError, StructureError
 from solvharm.lie_metric import (GrowthType, MetricLieAlgebra,
                                  algebra_to_dict, growth_type,
                                  standard_decomposition)
@@ -224,6 +225,99 @@ def test_analyze_refuses_a_scale_outside_the_window(name, scale_inputs,
         assert err.startswith("error: bracket scale s = ")
         assert err.endswith(" is outside the window [1e-45, 1e+45] that "
                             "analyze can label\n")
+        # s is named as it is, not as inf or 0
+        named = float(err[len("error: bracket scale s = "):].split()[0])
+        assert named == pytest.approx(c * np.linalg.norm(g.tensor),
+                                      rel=1e-3)
+
+
+# scales past the analyze window, from 1e-300 to 1e300: loading,
+# classify and scan-h work in the power-of-two unit fixed at load
+EXTREME = (1e-300, 1e-200, 1e-160, 1e154, 1e155, 1e160, 1e200, 1e300)
+# [e0, e1] = e2, [e0, e2] = e3, [e1, e2] = 0.7 e3, [e1, e3] = 0.4 e0: the
+# Jacobi residual is 0.075 s^2
+NOT_JACOBI = ((0, 1, 2, 1.0), (0, 2, 3, 1.0), (1, 2, 3, 0.7),
+              (1, 3, 0, 0.4))
+# [H, X] = X, [H, Y] = X + 2Y: ad_H is not normal on the abelian [s, s]
+NOT_NORMAL = ((0, 1, 1, 1.0), (0, 2, 1, 1.0), (0, 2, 2, 2.0))
+
+
+def _scaled(rows, c):
+    """Structure constant rows times ``c``, as an algebra file holds them."""
+    return [(i, j, k, v * c) for i, j, k, v in rows]
+
+
+def test_load_is_scale_free_at_extreme_scales(dr_algebras, scale_inputs):
+    # the Jacobi check neither passes as inf <= inf nor as 0 <= 0
+    loadable = [*dr_algebras.values(), scale_inputs["rotated-dr-7-2"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no RuntimeWarning either
+        for c in EXTREME:
+            with pytest.raises(StructureError, match="Jacobi identity"):
+                MetricLieAlgebra(4, _scaled(NOT_JACOBI, c))
+            for g in loadable:
+                MetricLieAlgebra(g.dim, _scaled(g.structure_constants, c))
+
+
+def test_a_scale_past_float64_is_refused_at_load(scale_inputs, tmp_path,
+                                                 capsys):
+    # each entry of DR (2,1) times 1.5e308 is a float, but |T| is not: a
+    # rank threshold RANK_REL * inf would call every bracket rank 0
+    g = scale_inputs["dr-2-1"]
+    past = [_scaled(g.structure_constants, 1.5e308),
+            [(0, 1, 1, float("inf"))]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in past:
+            with pytest.raises(NumericalError, match="past float64"):
+                MetricLieAlgebra(g.dim, rows)
+        path = tmp_path / "past.json"
+        path.write_text(json.dumps({"dim": g.dim,
+                                    "structure_constants": past[0]}))
+        for command in ("classify", "scan-h", "analyze"):
+            assert main([command, str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: bracket scale s = |T| is past "
+                                  "float64 (largest bracket entry ")
+            assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["dr-2-1", "real-hyperbolic-2",
+                                  "rotated-dr-7-2"])
+def test_classify_and_scan_h_are_scale_free(name, scale_inputs, tmp_path,
+                                            capsys):
+    g0 = (build_real_hyperbolic(2) if name == "real-hyperbolic-2"
+          else scale_inputs[name])
+    out = tmp_path / "classify.json"
+    rigid = []
+    for c in (1.0, *EXTREME):
+        rows = _scaled(g0.structure_constants, c)
+        path = tmp_path / f"{name}-{c:g}.json"
+        path.write_text(json.dumps({"dim": g0.dim,
+                                    "structure_constants": rows}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classify", str(path), "--output", str(out)]) == 0
+            assert main(["scan-h", str(path), "--output",
+                         str(tmp_path / "h.csv")]) == 0
+            _assert_same_spectral_data(g0, MetricLieAlgebra(g0.dim, rows))
+        rigid.append(json.loads(out.read_text())["is_rigid"])
+    assert rigid == [True] * (1 + len(EXTREME))
+    assert capsys.readouterr().err == ""
+
+
+def test_non_normal_ad_h_is_refused_at_every_scale(tmp_path, capsys):
+    path = tmp_path / "not-normal.json"
+    for c in (1.0, *SCALES, *EXTREME):
+        path.write_text(json.dumps({"dim": 3, "structure_constants":
+                                    _scaled(NOT_NORMAL, c)}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classify", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "ad_H not normal" in err
 
 
 @pytest.mark.parametrize("name, status", [("dr-2-1", "ok"),

@@ -1005,6 +1005,54 @@ def test_bad_grid_is_usage_error_before_any_work(argv, flag, tmp_path,
     assert not out.exists() and not csv.exists()
 
 
+def _output_commands(tmp_path):
+    """Each subcommand that writes a file, with the flag of that file."""
+    alg, mat = tmp_path / "rh3.json", tmp_path / "m.json"
+    alg.write_text(json.dumps(algebra_to_dict(build_real_hyperbolic(3))))
+    mat.write_text('{"matrix": [[0.5, 0], [0, 1.0]]}')
+    return [(["build", "flat"], "--output"),
+            (["analyze", str(alg)], "--output"),
+            (["analyze", str(alg), "--density-directions", "1",
+              "--output", str(tmp_path / "r.json")], "--density-csv"),
+            (["scan-h", str(alg)], "--output"),
+            (["classify", str(alg)], "--output"),
+            (["riccati", str(mat)], "--output")]
+
+
+@pytest.mark.parametrize("missing, reason", [
+    ("no-such-dir/out", "no-such-dir is missing"),
+    ("a-file/out", "a-file is not a directory")])
+def test_unwritable_output_directory_is_usage_error_before_any_work(
+        missing, reason, tmp_path, monkeypatch, capsys):
+    (tmp_path / "a-file").write_text("")
+    target = str(tmp_path / missing)
+    for argv, flag in _output_commands(tmp_path):
+        handler = "cmd_" + argv[0].replace("-", "_")
+
+        def no_work(*args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, handler, no_work)
+        assert main([*argv, flag, target]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {target}: {tmp_path}/{reason}\n"
+        monkeypatch.undo()
+
+
+def test_failed_write_is_one_error_line_exit_1(tmp_path, capsys):
+    # the directory is writable, but the target is a directory: the
+    # rename fails, and no temporary file is left behind
+    target = tmp_path / "taken"
+    target.mkdir()
+    for argv, flag in _output_commands(tmp_path):
+        assert main([*argv, flag, str(target)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: cannot write {target}: Is a directory\n"
+        assert list(target.iterdir()) == []
+    assert not [p for p in tmp_path.iterdir()
+                if p.name.startswith(".solvharm-")]
+
+
 def test_analyze_one_dimensional_algebra_is_flat(tmp_path):
     alg = tmp_path / "line.json"
     alg.write_text(json.dumps({"dim": 1, "structure_constants": []}))
@@ -1049,9 +1097,12 @@ def test_build_report_computes_derived_algebra_once(monkeypatch,
                                                     haar_rotate):
     # the report's derived_dim, the growth type, the lower central series
     # and the standard decomposition all read g.derived_algebra, so the
-    # n x n^2 matrix of all brackets is decomposed once
-    calls, spans = [], []
+    # n x n^2 matrix of all brackets is decomposed once; the growth type
+    # and the standard decomposition both read [s, s]^perp off
+    # g.derived_complement, so its null space is taken once too
+    calls, spans, nulls = [], [], []
     derived, span = lie_metric.derived_algebra, lie_metric._orthonormal_span
+    null_space = lie_metric._null_space
 
     def counting_derived(g):
         calls.append(1)
@@ -1061,14 +1112,20 @@ def test_build_report_computes_derived_algebra_once(monkeypatch,
         spans.append(columns.shape)
         return span(columns, *args)
 
+    def counting_null_space(mat, *args):
+        nulls.append(mat.shape)
+        return null_space(mat, *args)
+
     monkeypatch.setattr(lie_metric, "derived_algebra", counting_derived)
     monkeypatch.setattr(lie_metric, "_orthonormal_span", counting_span)
+    monkeypatch.setattr(lie_metric, "_null_space", counting_null_space)
     g = haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 1)
     report = build_report(g)
     assert report["standard_decomposition"]["status"] == "ok"
     assert report["algebra"]["derived_dim"] == g.dim - 1
     assert len(calls) == 1
     assert spans.count((g.dim, g.dim * g.dim)) == 1
+    assert nulls.count((g.dim - 1, g.dim)) == 1
 
 
 def test_tol_classifier_zero_reaches_criterion(tmp_path):

@@ -473,7 +473,7 @@ def test_curvature_matches_einsum(dr_algebras, perturbed_theta_algebra,
     for g in cases:
         got = curvature_tensor(g, g.connection)
         want = curvature_einsum(g.tensor, g.connection)
-        assert np.abs(got - want).max() <= 1e-14 * g.scale_squared
+        assert np.abs(got - want).max() <= 1e-14 * g.scale * g.scale
 
 
 def test_central_jacobi_blocks_match_block_diag(dr_data, haar_rotate):

@@ -20,7 +20,7 @@ from solvharm.clifford_dr import (build_damek_ricci, build_flat,
 from solvharm.config import DEFAULT_TOLS
 from solvharm.errors import (DimensionError, NotStandardError, StructureError)
 from solvharm.lie_metric import (GrowthType, MetricLieAlgebra,
-                                 _orthonormal_span, ad_matrix,
+                                 _null_space, _orthonormal_span, ad_matrix,
                                  algebra_from_dict, algebra_to_dict, bracket,
                                  center_of, derived_algebra, growth_type,
                                  nilpotency_class, standard_decomposition,
@@ -150,6 +150,18 @@ def test_derived_algebra_is_kept_read_only(dr_algebras):
     assert basis is g.derived_algebra
     assert not basis.flags.writeable
     np.testing.assert_array_equal(basis, derived_algebra(g))
+    perp = g.derived_complement
+    assert perp is g.derived_complement
+    assert not perp.flags.writeable
+    np.testing.assert_array_equal(perp, _null_space(basis.T))
+
+
+def test_the_tensor_is_built_from_the_rows_only():
+    # the bracket tensor is parsed from structure_constants, never passed in
+    with pytest.raises(TypeError):
+        MetricLieAlgebra(2, (), _tensor=np.ones((2, 2, 2)))
+    with pytest.raises(TypeError):
+        MetricLieAlgebra(2, (), scale=1.0)
 
 
 def test_growth_type_cases(dr_algebras):
@@ -546,8 +558,7 @@ def _loop_nilpotency_class(g):
         step += 1
         images = [bracket(_basis(g.dim, i), current[:, a], g)
                   for i in range(g.dim) for a in range(current.shape[1])]
-        nxt = _orthonormal_span(np.array(images).T,
-                                math.sqrt(g.scale_squared))
+        nxt = _orthonormal_span(np.array(images).T, g.scale)
         if nxt.shape[1] >= current.shape[1]:
             return None
         current = nxt
@@ -619,23 +630,26 @@ def test_jacobi_residual_matches_einsum(parse_cases):
          for k in range(5)], rng.standard_normal(50))]
     # a bracket that violates the Jacobi identity, admitted by jacobi_tol
     broken = MetricLieAlgebra(5, rows, jacobi_tol=math.inf)
-    assert broken.jacobi_residual() > 1.0
+    assert broken.jacobi_residual() > 0.01
     for g in [*parse_cases, broken]:
-        scale = g.scale_squared
-        assert abs(g.jacobi_residual() - jacobi_residual_einsum(g.tensor)) \
-            <= 1e-14 * scale
+        # the residual is relative to s^2
+        want = jacobi_residual_einsum(g.tensor) / (g.scale * g.scale)
+        assert abs(g.jacobi_residual() - want) <= 1e-14
 
 
 def test_jacobi_residual_scales_exactly_by_powers_of_two(dr_algebras,
                                                          haar_rotate):
-    # the terms are summed on the tensor times a power of two, so the
-    # residual of a copy rescaled by 2^k is the residual times 4^k, bit for
-    # bit, also at 2^520, where the unscaled products would overflow
+    # the terms are summed on the tensor times the power of two fixed at
+    # load, and divided by s^2 in the same unit, so a copy rescaled by 2^k
+    # has the same residual, bit for bit, also at 2^520, where the
+    # unscaled products would overflow, and at 2^-520, where they would
+    # underflow
     g = haar_rotate(dr_algebras[(3, 1)], 5)
     r = g.jacobi_residual()
     assert r > 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for k in (-200, 200, 520):
-            assert g.rescaled(2.0 ** k).jacobi_residual() \
-                == r * 2.0 ** k * 2.0 ** k
+        for k in (-520, -200, 200, 520):
+            h = g.rescaled(2.0 ** k)
+            assert h.jacobi_residual() == r
+            assert h.scale == g.scale * 2.0 ** k
