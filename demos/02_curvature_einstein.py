@@ -52,8 +52,7 @@ print("\nJacobi operator R(., H)H eigenvalues:",
 print("\nlocal-symmetry ratio |nabla R| / |R|:")
 for l, copies in ((1, 1), (1, 2), (2, 1), (3, 1), (3, 2), (5, 1), (7, 1)):
     g = build_damek_ricci(clifford_generators(l, copies))
-    ratio = nabla_R_norm(g) / curvature_norm(
-        curvature_tensor(g, levi_civita(g)))
+    ratio = nabla_R_norm(g) / curvature_norm(g)
     verdict = "symmetric" if ratio <= 1e-8 else "nonsymmetric"
     print(f"  l={l}, copies={copies} (dim {g.dim:2d}): "
           f"ratio={ratio:.3e}  -> {verdict}")

@@ -199,7 +199,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
         raise NumericalError(f"bracket scale s = {s:.3e} is outside the "
                              f"window [{1 / SCALE_WINDOW:.0e}, "
                              f"{SCALE_WINDOW:.0e}] that analyze can label")
-    r_norm = curvature.curvature_norm(g.curvature)
+    r_norm = curvature.curvature_norm(g)
     is_flat = r_norm <= tols.flat_norm * s * s
     is_einstein, c_const, resid = curvature.einstein_check(g, tols)
 
@@ -239,9 +239,9 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
 
         # mean curvature: closed formula vs numeric horosphere pipeline
         try:
-            sample = jacobi_flow.stable_jacobi_tensor(
-                data, np.linspace(*_MEAN_GRID), tols)
-            m_fd = jacobi_flow.mean_curvature_numeric(sample)
+            m_fd = jacobi_flow.mean_curvature_numeric(
+                jacobi_flow.stable_jacobi_tensor(
+                    data, np.linspace(*_MEAN_GRID), tols))
             deviation = float(np.abs(m_fd - formula).max())
             numeric_mean = float(np.mean(m_fd))
         except SolvharmError as exc:

@@ -109,6 +109,14 @@ H_SCALE_FLOOR = 1e-30   # floor of max|h| in the h-scan drift: h = 0 drifts 0
 # [1e-270, 1e270], which leaves float64 room for dimension factors
 SCALE_WINDOW = 1e45
 
+# bytes of one working block of the curvature stages: the chunk of rows i
+# of ``curvature.curvature_operator`` and the column and row blocks of
+# ``curvature.nabla_R_norm`` are sized to it, at least one row each.  A
+# chunk of all rows fits up to dim 19, and the product of
+# ``nabla_R_norm`` is one block up to dim 22, so dims <= 16 run every
+# stage as one block; at dim 32 a block is about n^4 / 8 doubles
+CURVATURE_BLOCK_BYTES = 2 ** 20
+
 # fixed thresholds of single checks, in the units the comment gives
 # max deviation of a built Clifford module from J_a^2 = -1, J_a J_b = -J_b J_a
 # and J_a skew

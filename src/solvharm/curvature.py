@@ -7,11 +7,12 @@ algebra.  Homogeneity makes values at the identity global.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import (DEFAULT_TOLS, GRAM_FLOOR_REL, RANK_REL, UNIT_VECTOR_TOL,
-                     Tolerances)
+from .config import (CURVATURE_BLOCK_BYTES, DEFAULT_TOLS, GRAM_FLOOR_REL,
+                     RANK_REL, UNIT_VECTOR_TOL, Tolerances)
 from .errors import DomainError
 from .lie_metric import (MetricLieAlgebra, StandardSolvableData, ad_matrix,
                          symmetric_skew_split)
@@ -19,6 +20,8 @@ from .lie_metric import (MetricLieAlgebra, StandardSolvableData, ad_matrix,
 __all__ = [
     "levi_civita",
     "curvature_tensor",
+    "CurvatureOperator",
+    "curvature_operator",
     "flow_operator",
     "ricci",
     "einstein_check",
@@ -40,13 +43,14 @@ def levi_civita(g: MetricLieAlgebra) -> np.ndarray:
 def curvature_tensor(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
     """R[i, j, k, :] = R(e_i, e_j) e_k for the given connection.
 
+    The dense n^4 form, kept for the demos and as the test oracle of
+    :func:`curvature_operator`, which is what ``analyze`` reads.
     R(e_i, e_j) e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k
     - nabla_[e_i, e_j] e_k, with both terms BLAS products: the second
     covariant derivatives ``gamma[j, k, :] @ gamma[i]`` as n stacked
     products, the bracket term as one.  They share one buffer, so R and
     that buffer are the only n^4 arrays held at once: the peak is
-    16 n^4 bytes (2 n^4 doubles) beside the n^3 connection, and R keeps
-    8 n^4 of them.
+    2 n^4 doubles beside the n^3 connection, and R keeps n^4 of them.
     """
     n = g.dim
     buf = np.matmul(gamma.reshape(n * n, n), gamma)   # [i, (j, k), l]
@@ -56,6 +60,66 @@ def curvature_tensor(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
               out=buf.reshape(n * n, n * n))          # [(i, j), (k, l)]
     r -= second
     return r
+
+
+class CurvatureOperator(NamedTuple):
+    """R as a symmetric operator on the 2-vectors, and the Ricci tensor.
+
+    ``matrix[p(i, j), p(k, q)] = <R(e_i, e_j) e_k, e_q>`` over the index
+    pairs i < j and k < q, numbered p(i, j) = j (j - 1) / 2 + i (by j,
+    then i; ``np.tril_indices(n, -1)`` lists them as (j, i)): N x N with
+    N = n (n - 1) / 2.  R is antisymmetric within each pair, so
+    |R| = 2 |matrix|_F.
+    """
+
+    matrix: np.ndarray
+    ricci: np.ndarray
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` each that fit ``CURVATURE_BLOCK_BYTES``, at
+    least one."""
+    return max(1, CURVATURE_BLOCK_BYTES // row_bytes)
+
+
+def curvature_operator(g: MetricLieAlgebra,
+                       gamma: np.ndarray) -> CurvatureOperator:
+    """R on the 2-vectors and Ric, in one pass that never holds R.
+
+    One chunk of rows i at a time, X[i, j] = Gamma_j Gamma_i for every j
+    is one BLAS product ``gamma.reshape(n * n, n) @ gamma[i0:i1]``.  Each
+    Gamma_i is skew, so X[i, j]^T = Gamma_i Gamma_j, and
+    R(e_i, e_j) = X - X^T - Gamma_[e_i, e_j], the bracket term a second
+    product into X's buffer.  Row i of the chunk gives the pairs (j, i),
+    j < i, as <R(e_j, e_i) e_k, e_q> = <R(e_i, e_j) e_q, e_k>, and its
+    share of Ric[j, k] = sum_i <R(e_i, e_j) e_k, e_i>.  A chunk is as
+    many rows (n^3 doubles each, at least one) as fit
+    ``config.CURVATURE_BLOCK_BYTES``, so the peak is the N^2 doubles of
+    the matrix, about n^4 / 4, and two chunk buffers.
+    """
+    n = g.dim
+    jl, il = np.tril_indices(n, -1)           # the pairs i < j, as (j, i)
+    swapped = jl * n + il                     # flat (q, k) of (k, q)
+    op = np.empty((len(il), len(il)))
+    ric = np.zeros((n, n))
+    chunk = min(n, _block_rows(8 * n ** 3))
+    x, r = np.empty((2, chunk, n, n, n))
+    for i0 in range(0, n, chunk):
+        i1 = min(n, i0 + chunk)
+        xc, rc = x[:i1 - i0], r[:i1 - i0]
+        np.matmul(gamma.reshape(n * n, n), gamma[i0:i1],
+                  out=xc.reshape(-1, n * n, n))
+        np.subtract(xc, xc.transpose(0, 1, 3, 2), out=rc)
+        np.matmul(g.tensor[i0:i1].reshape(-1, n), gamma.reshape(n, n * n),
+                  out=xc.reshape(-1, n * n))
+        rc -= xc
+        rows = np.arange(i1 - i0)
+        ric += rc[rows, :, :, rows + i0].sum(axis=0)
+        for i in range(max(i0, 1), i1):
+            # mode="clip" writes into out= directly; "raise" buffers a copy
+            np.take(rc[i - i0, :i].reshape(i, n * n), swapped, axis=1,
+                    out=op[i * (i - 1) // 2:i * (i + 1) // 2], mode="clip")
+    return CurvatureOperator(op, ric)
 
 
 def flow_operator(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
@@ -76,22 +140,24 @@ def flow_operator(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
 
 
 def ricci(r: np.ndarray) -> np.ndarray:
-    """Ricci tensor Ric[j, k] = sum_i <R(e_i, e_j) e_k, e_i>."""
+    """Ricci tensor Ric[j, k] = sum_i <R(e_i, e_j) e_k, e_i> of the dense
+    tensor of :func:`curvature_tensor`."""
     return np.einsum("ijki->jk", r)
 
 
-def curvature_norm(r: np.ndarray) -> float:
-    return float(np.sqrt((r**2).sum()))
+def curvature_norm(g: MetricLieAlgebra) -> float:
+    """|R|, twice the Frobenius norm of ``g.curvature_operator.matrix``."""
+    return 2.0 * float(np.linalg.norm(g.curvature_operator.matrix))
 
 
 def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS):
     """Whether Ric = c id; returns (is_einstein, c, residual).
 
-    Ric is read off ``g.curvature``.  The Frobenius residual
+    Ric is read off ``g.curvature_operator``.  The Frobenius residual
     |Ric - c id| is compared with ``tols.einstein_residual`` times
     ``g.scale * g.scale``.
     """
-    ric = ricci(g.curvature)
+    ric = g.curvature_operator.ricci
     c = float(np.trace(ric)) / g.dim
     residual = float(np.linalg.norm(ric - c * np.eye(g.dim)))
     return (residual <= tols.einstein_residual * g.scale * g.scale, c,
@@ -177,41 +243,79 @@ def central_jacobi_blocks(mus, rho_stars, pairs, t: float) -> np.ndarray:
 def nabla_R_norm(g: MetricLieAlgebra) -> float:
     """Frobenius norm of nabla R; zero iff the space is locally symmetric.
 
-    Reads ``g.connection`` and ``g.curvature``.  Write D_a for the skew
-    matrix Gamma_l = gamma[l] acting on slot a of R[i, j, k, q]; then
-    nabla_l R = -(D_1 + D_2 + D_3 + D_4) R.  R is antisymmetric in (i, j),
-    so D_2 R is minus the (i, j) transpose of D_1 R, and pair symmetry
-    makes D_3 R + D_4 R the pair swap of S_l = D_1 R + D_2 R:
+    Reads ``g.connection`` and ``g.curvature_operator``.  Write D_a for
+    the skew matrix Gamma_l = gamma[l] acting on slot a of R[i, j, k, q];
+    then nabla_l R = -(D_1 + D_2 + D_3 + D_4) R.  R is antisymmetric in
+    (i, j), so D_2 R is minus the (i, j) transpose of D_1 R, and pair
+    symmetry makes D_3 R + D_4 R the pair swap of S_l = D_1 R + D_2 R:
 
         nabla_l R = -(S_l + S_l^T),   ^T swapping (i, j) with (k, q).
 
     S_l is antisymmetric in both pairs, so it is kept on the index pairs
     i < j and k < q only, an N x N matrix with N = n (n - 1) / 2, and
-    |nabla_l R|^2 = 4 |S_l + S_l^T|^2 there.  Each l costs one BLAS
-    product of Gamma_l with R on the columns k < q; the per-l buffers
-    are allocated once, so memory stays O(n^4).  With N = n (n - 1) / 2,
-    they are R on k < q and its product (n^2 N doubles each) and S_l with
-    its sum buffer (N^2 doubles each): 8 n^3 (n - 1) + 4 n^2 (n - 1)^2
-    bytes, about 12 n^4, on top of the 8 n^4 of R, so the peak is about
-    20 n^4 bytes (2.5 n^4 doubles).
+    |nabla_l R|^2 = 4 |S_l + S_l^T|^2 there.  The sum is formed
+    explicitly: the expansion 2 |S_l|^2 + 2 tr(S_l S_l) cancels
+    catastrophically on symmetric spaces, where it is zero.
+
+    R on the columns k < q is gathered once from the operator, signed,
+    as rh[m, (j, Q)] = R[m, j, Q] (n^2 N doubles), and S_l (N^2 doubles)
+    is formed from D_1 R = ``Gamma_l @ rh``: its rows (i, j) minus its
+    rows (j, i).  The product is taken one block of columns j at a time,
+    sized to ``config.CURVATURE_BLOCK_BYTES``.  With the pairs numbered
+    by j, then i, column j's rows c > j start the pairs (j, c) and its
+    rows i < j complete the contiguous range of pairs (i, j), each from
+    a strided view.  Up to dim 22 the product is one block, and S_l two
+    row gathers.  S_l + S_l^T is summed one block of rows at a time, so
+    the peak is the operator, rh and S_l, about n^4 doubles, and one
+    block.
     """
-    gamma, r = g.connection, g.curvature
+    gamma, op = g.connection, g.curvature_operator.matrix
     n = g.dim
-    iu, ju = np.triu_indices(n, 1)
-    upper, lower = iu * n + ju, ju * n + iu   # flat (i, j) and (j, i), i < j
-    # R on the columns k < q, [m, (j, kq)]
-    rh = np.take(r.reshape(n * n, n * n), upper, axis=1).reshape(n, -1)
-    prod = np.empty(rh.shape)                 # D_1 R, [i, (j, kq)]
-    by_row = prod.reshape(n * n, len(upper))  # [(i, j), kq]; a view
-    s = np.empty((len(upper), len(upper)))    # S_l on i < j, k < q
-    w = np.empty(s.shape)
+    jl, il = np.tril_indices(n, -1)           # the pairs i < j, as (j, i)
+    npairs = len(il)
+    if not npairs:   # dim 1: no 2-vectors, R = 0
+        return 0.0
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[il, jl] = pair[jl, il] = np.arange(npairs)
+    # R[m, j, Q] is op[p(m, j), Q] for m < j and -op[p(j, m), Q] for m > j
+    rh = np.take(op, pair.ravel(), axis=0)
+    rh.reshape(n, n, npairs)[...] *= np.sign(
+        np.subtract.outer(np.arange(n), np.arange(n))).T[:, :, np.newaxis]
+    rh = rh.reshape(n, n * npairs)
+    width = min(n, _block_rows(8 * n * npairs))    # columns j per block
+    prod = np.empty((n, width * npairs))
+    s = np.empty((npairs, npairs))            # S_l on the pairs
+    if width == n:
+        upper, lower = il * n + jl, jl * n + il   # flat (i, j) and (j, i)
+        w = np.empty((npairs, npairs))
+    else:
+        w = prod
+        # the pairs (j, c), c > j
+        starts = [np.arange(j + 1, n) * np.arange(j, n - 1) // 2 + j
+                  for j in range(n)]
+    height = w.size // npairs
     total = 0.0
     for gam in gamma:
-        np.matmul(gam, rh, out=prod)
-        # mode="clip" writes into out= directly; "raise" buffers a copy
-        np.take(by_row, upper, axis=0, out=s, mode="clip")
-        np.take(by_row, lower, axis=0, out=w, mode="clip")
-        s -= w
-        np.add(s, s.T, out=w)
-        total += float(np.vdot(w, w))
+        for j0 in range(0, n, width):
+            j1 = min(n, j0 + width)
+            part = prod[:, :(j1 - j0) * npairs]
+            np.matmul(gam, rh[:, j0 * npairs:j1 * npairs], out=part)
+            if width == n:
+                by_row = part.reshape(n * n, npairs)
+                # mode="clip" writes into out= directly; "raise" buffers
+                np.take(by_row, upper, axis=0, out=s, mode="clip")
+                np.take(by_row, lower, axis=0, out=w, mode="clip")
+                s -= w
+            else:
+                by_column = part.reshape(n, j1 - j0, npairs)
+                for j in range(j0, j1):
+                    s[starts[j]] = by_column[j + 1:, j - j0]
+                for j in range(j0, j1):
+                    pairs = s[j * (j - 1) // 2:j * (j + 1) // 2]
+                    np.subtract(by_column[:j, j - j0], pairs, out=pairs)
+        for p0 in range(0, npairs, height):
+            p1 = min(npairs, p0 + height)
+            rows = w.ravel()[:(p1 - p0) * npairs].reshape(p1 - p0, npairs)
+            np.add(s[p0:p1], s[:, p0:p1].T, out=rows)
+            total += float(np.vdot(rows, rows))
     return math.sqrt(4.0 * total)

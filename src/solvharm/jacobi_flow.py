@@ -138,9 +138,13 @@ def stable_jacobi_tensor(d: StandardSolvableData, t_grid,
     * pair slots (rho, theta): E = M(t) M(0)^{-1} with the hypergeometric
       block M of :func:`hypergeom.stable_block_and_derivative`.
 
-    ``e_prime`` is the covariant derivative c' + W c.  A pair block whose
-    M(0) is so ill conditioned that ``cond M(0) * config.HYP2F1_REL``
-    exceeds ``tols.bvp_converged`` (theta -> 0) raises NumericalError.
+    ``e_prime`` is the covariant derivative c' + W c.  Pairs whose rho
+    and theta both agree with an earlier pair's within ``tols.eigen_merge``
+    share that pair's block, as ``standard_decomposition`` merges the
+    ad_H eigenvalues they come from: every pair of a Damek-Ricci build,
+    in any basis, takes one evaluation.  A pair block whose M(0) is so
+    ill conditioned that ``cond M(0) * config.HYP2F1_REL`` exceeds
+    ``tols.bvp_converged`` (theta -> 0) raises NumericalError.
 
     Pair blocks lose accuracy with t like e^{t max(rho, 1 - rho)} eps,
     from the cancellation of M(t) against Killing fields (see
@@ -160,13 +164,16 @@ def stable_jacobi_tensor(d: StandardSolvableData, t_grid,
     z = z_of_t(t_grid)
     for i, m in enumerate(scalars, start=1):
         e[:, i, i], ep[:, i, i] = _scalar_stable_block(m, t_grid, z)
-    pair_blocks = {}   # equal pairs, e.g. all of a Damek-Ricci build, share one
+    evaluated = []   # (rho, theta, block) of the pairs evaluated so far
     for i, (rho, theta) in enumerate(pairs):
-        key = (float(rho), float(theta))
-        if key not in pair_blocks:
-            pair_blocks[key] = _pair_stable_block(rho, theta, t_grid, tols)
+        block = next((b for r, t, b in evaluated
+                      if abs(rho - r) <= tols.eigen_merge
+                      and abs(theta - t) <= tols.eigen_merge), None)
+        if block is None:
+            block = _pair_stable_block(rho, theta, t_grid, tols)
+            evaluated.append((rho, theta, block))
         sl = slice(offset + 2 * i, offset + 2 * i + 2)
-        e[:, sl, sl], ep[:, sl, sl] = pair_blocks[key]
+        e[:, sl, sl], ep[:, sl, sl] = block
     return JacobiTensorSample(t_grid=t_grid, e=e, e_prime=ep)
 
 

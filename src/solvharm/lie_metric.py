@@ -161,7 +161,7 @@ class MetricLieAlgebra:
         return self._tensor
 
     # computed on first use and shared by every consumer of this instance;
-    # one that reads only Gamma never forms the n^4 tensor R
+    # one that reads only Gamma never forms the curvature operator
 
     @cached_property
     def connection(self) -> np.ndarray:
@@ -172,13 +172,15 @@ class MetricLieAlgebra:
         return gamma
 
     @cached_property
-    def curvature(self) -> np.ndarray:
-        """R of :func:`curvature.curvature_tensor` for :attr:`connection`,
-        read-only."""
+    def curvature_operator(self):
+        """R on the 2-vectors and Ric, :func:`curvature.curvature_operator`
+        for :attr:`connection`, read-only: N^2 doubles, N = n (n - 1) / 2,
+        where the dense R of :func:`curvature.curvature_tensor` is n^4."""
         from . import curvature
-        r = curvature.curvature_tensor(self, self.connection)
-        r.flags.writeable = False
-        return r
+        op = curvature.curvature_operator(self, self.connection)
+        for array in op:
+            array.flags.writeable = False
+        return op
 
     @cached_property
     def flow_operator(self) -> np.ndarray:
@@ -405,8 +407,9 @@ class StandardSolvableData:
     the eigenvalues ``mu`` (all but Z's), ``rho_star`` and ``pairs``
     (see :func:`curvature.central_frame_split`).  No algebra is built
     until ``algebra`` is first read.  The data keep the input's brackets,
-    not the input, so its cached connection and curvature can be freed,
-    and compare equal only to themselves (the arrays are not compared).
+    not the input, so its cached connection and curvature operator can be
+    freed, and compare equal only to themselves (the arrays are not
+    compared).
     """
 
     v_indices: tuple

@@ -32,9 +32,9 @@ module.
   converging to the maximal Riccati solution;
 * :func:`nabla_R`: the n^5 tensor whose norm ``curvature.nabla_R_norm``
   accumulates without forming it, and :func:`nabla_R_norm_three_products`:
-  that norm from all four slot terms, three n^4 products per derivative
-  index, against the one product on antisymmetric index pairs of
-  ``curvature.nabla_R_norm``;
+  that norm from all four slot terms of the dense R, three n^4 products
+  per derivative index, against the blocked products on antisymmetric
+  index pairs of ``curvature.nabla_R_norm``;
 * :func:`mean_curvature_analytic`: m(t) from finite differences of h,
   and :func:`mean_curvature_trace`: m(t) = -trace(E' E^{-1}) pointwise,
   both against the finite differences of
@@ -71,6 +71,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag
 
 from solvharm.config import DEFAULT_TOLS
+from solvharm.curvature import curvature_tensor
 from solvharm.errors import (ConjugatePointError, DomainError, NumericalError,
                              SingularMatrixError)
 from solvharm.hypergeom import (_integer, _nonpositive_int, fundamental_pair,
@@ -260,11 +261,12 @@ def covariant_volume_density(g, v, t_grid, tols=DEFAULT_TOLS):
     left-invariant frame coefficients c of the Jacobi columns and
     p = D_t c, with c(0) = 0 and p(0) an orthonormal basis of the
     complement of v.  Each right-hand side contracts u (x) u with the
-    n^2 x n^2 curvature tensor ``g.curvature``.
+    n^2 x n^2 curvature tensor of ``curvature.curvature_tensor``.
     """
     n = g.dim
     k = n - 1
-    gamma, r_tensor = g.connection, g.curvature
+    gamma = g.connection
+    r_tensor = curvature_tensor(g, gamma)
     gamma_flat = gamma.reshape(n, n * n)
     r_flat = r_tensor.transpose(1, 2, 0, 3).reshape(n * n, n * n)
 
@@ -509,7 +511,8 @@ def nabla_R(g) -> np.ndarray:
 
     Holds four n^5 arrays.
     """
-    gamma, r = g.connection, g.curvature
+    gamma = g.connection
+    r = curvature_tensor(g, gamma)
     term0 = np.einsum("ijkm,lmp->lijkp", r, gamma)
     term1 = np.einsum("lim,mjkp->lijkp", gamma, r)
     term2 = np.einsum("ljm,imkp->lijkp", gamma, r)
@@ -520,8 +523,9 @@ def nabla_R(g) -> np.ndarray:
 def nabla_R_norm_three_products(g) -> float:
     """Frobenius norm of nabla R; zero iff the space is locally symmetric.
 
-    Reads ``g.connection`` and ``g.curvature``.  The square norm is
-    accumulated one derivative index l at a time, so memory stays O(n^4):
+    Reads ``g.connection`` and the dense R of ``curvature_tensor``.  The
+    square norm is accumulated one derivative index l at a time, so memory
+    stays O(n^4):
 
         (nabla_l R)(e_i, e_j) e_k = nabla_l (R(e_i, e_j) e_k)
             - R(nabla_l e_i, e_j) e_k - R(e_i, nabla_l e_j) e_k
@@ -531,7 +535,8 @@ def nabla_R_norm_three_products(g) -> float:
     R is antisymmetric in (i, j), so the third term is minus the (i, j)
     transpose of the second.
     """
-    gamma, r = g.connection, g.curvature
+    gamma = g.connection
+    r = curvature_tensor(g, gamma)
     n = g.dim
     by_first = r.reshape(n, n ** 3)           # [m, (j, k, p)]
     by_third = r.reshape(n * n, n, n)         # [(i, j), m, p]

@@ -38,7 +38,7 @@ def canonical_reports(canonical):
 
 
 def _symmetry_ratio(g):
-    return nabla_R_norm(g) / curvature_norm(g.curvature)
+    return nabla_R_norm(g) / curvature_norm(g)
 
 
 def _assert_same_spectral_data(g0, g):

@@ -1228,11 +1228,12 @@ def test_handler_is_looked_up_per_call(tmp_path, monkeypatch):
 
 
 def test_out_of_memory_is_exit_6(tmp_path):
-    # DR (8, 4), dim 73: R and its buffer are two 0.21 GiB arrays, more
-    # than is left of 600 MiB of address space after the imports (about
-    # 240 MiB); one child process, one BLAS thread
-    alg = tmp_path / "dr84.json"
-    assert main(["build", "damek-ricci", "--l", "8", "--copies", "4",
+    # DR (8, 5), dim 89: the curvature operator (0.11 GiB), the signed
+    # gather of |nabla R| (0.23 GiB) and S_l (0.11 GiB) are more than is
+    # left of 600 MiB of address space after the imports (about 240 MiB);
+    # one child process, one BLAS thread.  DR (8, 4) now fits
+    alg = tmp_path / "dr85.json"
+    assert main(["build", "damek-ricci", "--l", "8", "--copies", "5",
                  "--output", str(alg)]) == 0
     limit = 600 * 2 ** 20
     script = "\n".join([
@@ -1246,11 +1247,11 @@ def test_out_of_memory_is_exit_6(tmp_path):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 6, proc.stderr
     assert proc.stdout == ""
-    # R itself, or the buffer before it where the imports take more
+    # the gather, or the operator before it where the imports take more
     assert re.fullmatch(
         r"error: analyze ran out of memory: an array of shape "
-        r"\((73, 73, 73, 73|73, 5329, 73)\) and type float64 needs "
-        r"0\.212 GiB\n", proc.stderr), proc.stderr
+        r"\((7921, 3916\) and type float64 needs 0\.231|3916, 3916\) and "
+        r"type float64 needs 0\.114) GiB\n", proc.stderr), proc.stderr
 
 
 def test_out_of_memory_message_without_shape():

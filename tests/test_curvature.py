@@ -1,3 +1,4 @@
+import json
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ from oracles import (central_jacobi_blocks_block_diag, curvature_einsum,
                      nabla_R_norm_three_products, ricci_from_brackets,
                      z_top_vector)
 from solvharm import curvature, lie_metric
-from solvharm.cli import build_report
+from solvharm.cli import build_report, main
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.curvature import (central_frame_split, central_jacobi_blocks,
@@ -21,7 +22,7 @@ from solvharm.curvature import (central_frame_split, central_jacobi_blocks,
                                 ricci, sectional_curvature)
 from solvharm.errors import DomainError
 from solvharm.jacobi_flow import CentralGeodesicFrame, volume_density
-from solvharm.lie_metric import (MetricLieAlgebra, ad_matrix,
+from solvharm.lie_metric import (MetricLieAlgebra, ad_matrix, algebra_to_dict,
                                  standard_decomposition, symmetric_skew_split)
 
 
@@ -117,9 +118,11 @@ def test_ricci_from_brackets_matches_ricci_of_r(
     dr72 = build_damek_ricci(clifford_generators(7, 2))
     for g in (haar_rotate(dr72, 3), haar_rotate(dr72.rescaled(0.3), 4),
               generic_pair_algebra, haar_rotate(perturbed_theta_algebra, 5)):
-        want = ricci(g.curvature)
         got = np.array(ricci_from_brackets(g))
-        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+        for want in (ricci(curvature_tensor(g, g.connection)),
+                     g.curvature_operator.ricci):
+            assert np.abs(got - want).max() \
+                <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 def _exact_einstein_builds():
@@ -189,11 +192,12 @@ def test_sectional_curvature_cases(dr_algebras, rng):
 def test_sectional_curvature_is_scale_free_in_the_vectors(dr_algebras, rng,
                                                           c):
     g = dr_algebras[(2, 1)]
+    r = curvature_tensor(g, g.connection)
     for x, y in rng.standard_normal((5, 2, 7)):
-        assert sectional_curvature(g.curvature, c * x, c * y) == \
-            pytest.approx(sectional_curvature(g.curvature, x, y), rel=1e-12)
+        assert sectional_curvature(r, c * x, c * y) == \
+            pytest.approx(sectional_curvature(r, x, y), rel=1e-12)
     with pytest.raises(DomainError):
-        sectional_curvature(g.curvature, np.zeros(7), _basis(7, 0))
+        sectional_curvature(r, np.zeros(7), _basis(7, 0))
 
 
 def test_jacobi_operator_h_real_hyperbolic():
@@ -353,6 +357,7 @@ def test_build_report_runs_pair_decomposition_once(monkeypatch,
 
 
 def test_nabla_r_symmetric_spaces(dr_algebras):
+    assert nabla_R_norm(build_flat(1)) == 0.0   # no 2-vectors at all
     assert nabla_R_norm(build_real_hyperbolic(3)) <= 1e-10
     # complex hyperbolic model: l = 1 with two module copies
     assert nabla_R_norm(dr_algebras[(1, 2)]) <= 1e-9
@@ -361,10 +366,7 @@ def test_nabla_r_symmetric_spaces(dr_algebras):
 def test_nabla_r_nonsymmetric_witness(dr_algebras):
     g = dr_algebras[(2, 1)]
     assert nabla_R_norm(g) > 1e-3
-    ratio = nabla_R_norm(g) / curvature_norm(
-        curvature_tensor(g, levi_civita(g))
-    )
-    assert ratio > 1e-3
+    assert nabla_R_norm(g) / curvature_norm(g) > 1e-3
 
 
 def _nabla_r_norm_oracle(g):
@@ -382,7 +384,7 @@ def test_nabla_r_norm_matches_full_tensor(name, seed, dr_algebras,
             "dr-2-1": dr_algebras[(2, 1)],
             "dr-3-1": dr_algebras[(3, 1)]}[name]
     g = haar_rotate(base, seed)
-    r_norm = curvature_norm(curvature_tensor(g, levi_civita(g)))
+    r_norm = curvature_norm(g)
     # absolute bound: DR (3, 1) is symmetric, its norm is pure roundoff
     assert abs(nabla_R_norm(g) - _nabla_r_norm_oracle(g)) \
         <= 1e-12 * max(1.0, r_norm)
@@ -391,7 +393,8 @@ def test_nabla_r_norm_matches_full_tensor(name, seed, dr_algebras,
 @pytest.mark.parametrize("name, symmetric", [
     ("dr-1-1", True), ("dr-1-2", True), ("dr-2-1", False), ("dr-3-1", True),
     ("perturbed-theta", False), ("generic-pair", False),
-    ("rot-dr-2-1", False), ("rot-dr-3-1", True), ("rot-dr-7-2", False)])
+    ("rot-dr-1-1", True), ("rot-dr-2-1", False), ("rot-dr-3-1", True),
+    ("rot-dr-7-1", True), ("rot-dr-7-2", False)])
 def test_nabla_r_norm_matches_three_product_oracle(name, symmetric,
                                                    dr_algebras,
                                                    perturbed_theta_algebra,
@@ -403,77 +406,98 @@ def test_nabla_r_norm_matches_three_product_oracle(name, symmetric,
          "dr-3-1": lambda: dr_algebras[(3, 1)],
          "perturbed-theta": lambda: perturbed_theta_algebra,
          "generic-pair": lambda: generic_pair_algebra,
+         "rot-dr-1-1": lambda: haar_rotate(dr_algebras[(1, 1)], 7),
          "rot-dr-2-1": lambda: haar_rotate(dr_algebras[(2, 1)], 7),
          "rot-dr-3-1": lambda: haar_rotate(dr_algebras[(3, 1)], 7),
+         "rot-dr-7-1": lambda: haar_rotate(
+             build_damek_ricci(clifford_generators(7, 1)), 7),
          "rot-dr-7-2": lambda: haar_rotate(
              build_damek_ricci(clifford_generators(7, 2)), 7)}[name]()
     value, oracle = nabla_R_norm(g), nabla_R_norm_three_products(g)
-    if symmetric:   # both norms are roundoff of a zero tensor
-        assert abs(value - oracle) <= 1e-12 * curvature_norm(g.curvature)
+    # both norms of a symmetric space are roundoff of a zero tensor, about
+    # 1e-15 |R|; the expansion 2 |S|^2 + 2 tr(S S) of |S + S^T|^2 leaves
+    # 4e-9 to 3e-8 |R| on the rotated DR (1, 1), (3, 1) and (7, 1), with
+    # a negative sum of squares on (1, 1) and (7, 1)
+    if symmetric:
+        assert abs(value - oracle) <= 1e-12 * curvature_norm(g)
     else:
         assert oracle > 1e-3
         assert abs(value - oracle) <= 1e-13 * oracle
 
 
-def test_nabla_r_norm_holds_under_two_n4_arrays():
-    # DR (7, 3): one n^4 array is 32^4 doubles = 8.4 MB; the three-product
-    # kernel holds two of them, the pair kernel about 1.5
-    g = build_damek_ricci(clifford_generators(7, 3))
-    assert g.dim == 32
-    g.curvature   # R is built beforehand, outside the kernel's footprint
-    tracemalloc.start()
-    try:
-        value = nabla_R_norm(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert value > 1.0
-    assert peak <= 2 * 32 ** 4 * 8
-
-
-def test_nabla_r_norm_memory_stays_order_n4():
-    # one full n^5 term of nabla R on DR (7, 3) is 32^5 doubles = 268 MB
-    g = build_damek_ricci(clifford_generators(7, 3))
-    assert g.dim == 32
-    g.curvature   # Gamma and R are not part of the norm's own footprint
-    tracemalloc.start()
-    try:
-        value = nabla_R_norm(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert value > 1.0
-    assert peak < 64 * 2 ** 20
-
-
-def test_jacobi_check_and_curvature_hold_two_n4_arrays():
-    # DR (7, 3): one n^4 array is 32^4 doubles = 8.4 MB; the Jacobi check
-    # of the construction and R each hold at most two of them at once
+def test_build_report_holds_under_five_quarters_n4():
+    # DR (7, 3): one n^4 array is 32^4 doubles = 8.4 MB.  Neither the
+    # load (its Jacobi check) nor the report allocates one: the report
+    # holds the operator on the 2-vectors, its signed gather and S_l
+    # (about n^4 doubles) and blocks of a fixed byte budget
     rows = build_damek_ricci(clifford_generators(7, 3)).structure_constants
+    bound = 1.25 * 32 ** 4 * 8
     tracemalloc.start()
     try:
         g = MetricLieAlgebra(32, rows)
         _, build_peak = tracemalloc.get_traced_memory()
-        gamma = levi_civita(g)
         tracemalloc.reset_peak()
-        r = curvature_tensor(g, gamma)
-        _, r_peak = tracemalloc.get_traced_memory()
+        report = build_report(g)
+        _, report_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert r.shape == (32,) * 4
-    assert build_peak <= 18.5e6
-    assert r_peak <= 18.5e6
+    assert report["classification"] == "DamekRicciNonsymmetric"
+    assert build_peak <= bound
+    assert report_peak <= bound
+
+
+def _curvature_cases(dr_algebras, perturbed_theta_algebra,
+                     generic_pair_algebra, haar_rotate):
+    return [*dr_algebras.values(), perturbed_theta_algebra,
+            generic_pair_algebra, haar_rotate(dr_algebras[(3, 1)], 7),
+            haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 7)]
 
 
 def test_curvature_matches_einsum(dr_algebras, perturbed_theta_algebra,
                                   generic_pair_algebra, haar_rotate):
-    cases = [*dr_algebras.values(), perturbed_theta_algebra,
-             generic_pair_algebra, haar_rotate(dr_algebras[(3, 1)], 7),
-             haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 7)]
-    for g in cases:
+    for g in _curvature_cases(dr_algebras, perturbed_theta_algebra,
+                              generic_pair_algebra, haar_rotate):
         got = curvature_tensor(g, g.connection)
         want = curvature_einsum(g.tensor, g.connection)
         assert np.abs(got - want).max() <= 1e-14 * g.scale * g.scale
+
+
+def test_curvature_operator_matches_dense_tensor(
+        dr_algebras, perturbed_theta_algebra, generic_pair_algebra,
+        haar_rotate):
+    # the operator is R on the pairs i < j, k < q, symmetric by pair
+    # symmetry, and carries Ric and |R| of the dense tensor
+    for g in _curvature_cases(dr_algebras, perturbed_theta_algebra,
+                              generic_pair_algebra, haar_rotate):
+        r = curvature_tensor(g, g.connection)
+        j, i = np.tril_indices(g.dim, -1)   # pairs i < j, by j then i
+        op = g.curvature_operator
+        bound = 1e-14 * g.scale * g.scale
+        assert np.abs(op.matrix - r[i, j][:, i, j]).max() <= bound
+        assert np.abs(op.matrix - op.matrix.T).max() <= bound
+        assert np.abs(op.ricci - ricci(r)).max() <= 10 * bound
+        assert curvature_norm(g) == pytest.approx(np.linalg.norm(r),
+                                                  rel=1e-14)
+
+
+@pytest.mark.parametrize("budget", [1, 2 ** 18, 2 ** 40])
+def test_blocked_curvature_stages_match_the_default(budget, monkeypatch,
+                                                    haar_rotate):
+    # one row i per chunk and one column j per block, chunks of 2 rows
+    # and blocks of 4 columns that split dim 24 unevenly, and one block
+    # for everything give one operator, one Ricci tensor and one
+    # |nabla R| up to roundoff (the default budget runs dim 24 in chunks
+    # of 9 rows and product blocks of 19 columns)
+    dr72 = haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 7)
+    want = dr72.curvature_operator
+    want_nr = nabla_R_norm(dr72)
+    monkeypatch.setattr(curvature, "CURVATURE_BLOCK_BYTES", budget)
+    g = MetricLieAlgebra(dr72.dim, dr72.structure_constants)
+    got = g.curvature_operator
+    bound = 1e-14 * g.scale * g.scale
+    assert np.abs(got.matrix - want.matrix).max() <= bound
+    assert np.abs(got.ricci - want.ricci).max() <= 10 * bound
+    assert nabla_R_norm(g) == pytest.approx(want_nr, rel=1e-13)
 
 
 def test_central_jacobi_blocks_match_block_diag(dr_data, haar_rotate):
@@ -502,9 +526,10 @@ def test_central_jacobi_blocks_match_block_diag(dr_data, haar_rotate):
 
 @pytest.fixture()
 def geometry_calls(monkeypatch):
-    """Counts of levi_civita / curvature_tensor / flow_operator calls made
-    from now on."""
-    calls = {"levi_civita": 0, "curvature_tensor": 0, "flow_operator": 0}
+    """Counts of levi_civita / curvature_tensor / curvature_operator /
+    flow_operator calls made from now on."""
+    calls = {"levi_civita": 0, "curvature_tensor": 0,
+             "curvature_operator": 0, "flow_operator": 0}
 
     def counting(name):
         original = getattr(curvature, name)
@@ -523,8 +548,31 @@ def test_build_report_computes_geometry_once(geometry_calls):
     g = build_damek_ricci(clifford_generators(2, 1))   # fresh instance
     report = build_report(g)
     assert report["classification"] == "DamekRicciNonsymmetric"
-    assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 1,
-                              "flow_operator": 0}
+    assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 0,
+                              "curvature_operator": 1, "flow_operator": 0}
+
+
+@pytest.mark.parametrize("argv, operator", [
+    (["analyze"], 1),
+    (["analyze", "--density-csv", "{tmp}/d.csv"], 1),
+    (["classify"], 0),
+    (["scan-h"], 0),
+], ids=["analyze", "analyze-density", "classify", "scan-h"])
+def test_only_analyze_builds_the_operator(argv, operator, geometry_calls,
+                                          tmp_path):
+    # each command loads a fresh algebra; classify and scan-h read the
+    # spectral data only, and the density sidecar reads the flow operator
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(
+        algebra_to_dict(build_damek_ricci(clifford_generators(2, 1)))))
+    args = [a.format(tmp=tmp_path) for a in argv[1:]]
+    assert main([argv[0], str(path), "--output", str(tmp_path / "out"),
+                 *args]) == 0
+    density = int("--density-csv" in argv)
+    assert geometry_calls == {"levi_civita": operator or density,
+                              "curvature_tensor": 0,
+                              "curvature_operator": operator,
+                              "flow_operator": density}
 
 
 def test_volume_density_shares_geometry(geometry_calls, rng):
@@ -534,14 +582,16 @@ def test_volume_density_shares_geometry(geometry_calls, rng):
     rows = [volume_density(g, v / np.linalg.norm(v), np.array([0.5, 1.0]))
             for v in dirs]
     assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 0,
-                              "flow_operator": 1}
+                              "curvature_operator": 0, "flow_operator": 1}
     assert np.ptp(rows, axis=0).max() <= 1e-8 * np.abs(rows).max()
 
 
 def test_geometry_is_read_only(dr_algebras):
     g = dr_algebras[(1, 1)]
     with pytest.raises(ValueError):
-        g.curvature[0, 0, 0, 0] = 1.0
+        g.curvature_operator.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.curvature_operator.ricci[0, 0] = 1.0
     with pytest.raises(ValueError):
         g.connection[0, 0, 0] = 1.0
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from oracles import (central_velocity, covariant_derivative_along,
                      three_matvec_volume_density, velocity_vector,
                      z_top_vector)
 from solvharm import curvature, jacobi_flow
+from solvharm.cli import build_report
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
                                   build_real_hyperbolic, clifford_generators)
@@ -291,9 +292,13 @@ def test_pair_blocks_one_grid_call_per_distinct_pair(
               standard_decomposition(rotated)):
         calls.clear()
         s = stable_jacobi_tensor(d, grid)
-        distinct = {tuple(p) for p in d.pairs.tolist()}
-        assert len(calls) == len(distinct)
-        assert {(rho, theta) for rho, theta, _ in calls} == distinct
+        # distinct within eigen_merge: the first of each group is evaluated
+        distinct = []
+        for p in d.pairs.tolist():
+            if all(np.abs(np.subtract(p, q)).max() > DEFAULT_TOLS.eigen_merge
+                   for q in distinct):
+                distinct.append(tuple(p))
+        assert [(rho, theta) for rho, theta, _ in calls] == distinct
         assert all(shape == (grid.size + 1,) for *_, shape in calls)
         frame = CentralGeodesicFrame.build(d)
         off = 1 + len(frame.mus) + len(frame.rho_stars)
@@ -310,6 +315,26 @@ def test_pair_blocks_one_grid_call_per_distinct_pair(
                           <= bound)
             assert np.all(np.abs(s.e_prime[:, sl, sl] - ep).max(axis=(1, 2))
                           <= bound)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_rotated_damek_ricci_pairs_share_one_block(seed, monkeypatch,
+                                                   haar_rotate):
+    # the pairs of a rotated DR (7, 2) differ in their last bits, and are
+    # one pair within eigen_merge: a report evaluates one pair block
+    calls = []
+    original = jacobi_flow._pair_stable_block
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi_flow, "_pair_stable_block", counting)
+    g = haar_rotate(build_damek_ricci(clifford_generators(7, 2)), seed)
+    report = build_report(g)
+    assert report["classification"] == "DamekRicciNonsymmetric"
+    assert len(calls) == 1
+    assert report["mean_curvature"]["max_deviation"] <= 1e-12
 
 
 def test_finite_horizon_monotone_shape_operators(dr_data):
@@ -503,9 +528,10 @@ def test_volume_density_never_reads_curvature(monkeypatch):
     g = build_damek_ricci(clifford_generators(2, 1))   # fresh instance
 
     def forbidden(g, gamma):
-        raise AssertionError("volume_density formed the curvature tensor")
+        raise AssertionError("volume_density formed the curvature")
 
     monkeypatch.setattr(curvature, "curvature_tensor", forbidden)
+    monkeypatch.setattr(curvature, "curvature_operator", forbidden)
     t = np.array([0.5, 1.0, 2.0])
     expected = (2.0 * np.sinh(t / 2.0)) ** 4 * np.sinh(t) ** 2
     rng = np.random.default_rng(3)

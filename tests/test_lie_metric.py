@@ -304,9 +304,9 @@ def test_standard_decomposition_builds_only_the_adapted_algebra(
 
 def test_standard_decomposition_does_not_keep_its_input(dr_algebras):
     # the data hold the input's brackets, not the input: its cached
-    # connection and curvature go with it
+    # connection and curvature operator go with it
     g = dr_algebras[(2, 1)].rescaled(2.0)
-    g.curvature
+    g.curvature_operator
     ref = weakref.ref(g)
     d = standard_decomposition(g)
     del g
