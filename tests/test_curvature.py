@@ -425,6 +425,56 @@ def test_nabla_r_norm_matches_three_product_oracle(name, symmetric,
         assert abs(value - oracle) <= 1e-13 * oracle
 
 
+def test_nabla_r_norm_holds_under_two_n4_arrays():
+    # DR (7, 3): one n^4 array is 32^4 doubles = 8.4 MB; the three-product
+    # kernel holds two of them, the pair kernel about one
+    g = build_damek_ricci(clifford_generators(7, 3))
+    assert g.dim == 32
+    g.curvature_operator   # built beforehand, outside the kernel's footprint
+    tracemalloc.start()
+    try:
+        value = nabla_R_norm(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value > 1.0
+    assert peak <= 2 * 32 ** 4 * 8
+
+
+def test_nabla_r_norm_memory_stays_order_n4():
+    # one full n^5 term of nabla R on DR (7, 3) is 32^5 doubles = 268 MB
+    g = build_damek_ricci(clifford_generators(7, 3))
+    assert g.dim == 32
+    g.curvature_operator   # Gamma and R are not part of the norm's footprint
+    tracemalloc.start()
+    try:
+        value = nabla_R_norm(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value > 1.0
+    assert peak < 64 * 2 ** 20
+
+
+def test_jacobi_check_and_curvature_hold_two_n4_arrays():
+    # DR (7, 3): one n^4 array is 32^4 doubles = 8.4 MB; the Jacobi check
+    # of the construction and the dense R each hold at most two of them
+    rows = build_damek_ricci(clifford_generators(7, 3)).structure_constants
+    tracemalloc.start()
+    try:
+        g = MetricLieAlgebra(32, rows)
+        _, build_peak = tracemalloc.get_traced_memory()
+        gamma = levi_civita(g)
+        tracemalloc.reset_peak()
+        r = curvature_tensor(g, gamma)
+        _, r_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.shape == (32,) * 4
+    assert build_peak <= 18.5e6
+    assert r_peak <= 18.5e6
+
+
 def test_build_report_holds_under_five_quarters_n4():
     # DR (7, 3): one n^4 array is 32^4 doubles = 8.4 MB.  Neither the
     # load (its Jacobi check) nor the report allocates one: the report
