@@ -191,17 +191,49 @@ def _tolerances_dict(tols: Tolerances, command: str) -> dict:
 
 
 def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
-                 tols: Tolerances = DEFAULT_TOLS) -> dict:
+                 tols: Tolerances = DEFAULT_TOLS, failures=None) -> dict:
     """The full analysis report, labelled by :func:`_classification`.  A
-    bracket scale outside ``SCALE_WINDOW`` raises NumericalError first."""
+    bracket scale outside ``SCALE_WINDOW`` raises NumericalError first.
+
+    An input that :func:`curvature.h_type_certificate` certifies
+    Damek-Ricci takes |R| and |nabla R| from
+    :func:`curvature.damek_ricci_norms` and Ric from
+    :func:`curvature.ricci_from_brackets`; no curvature operator is
+    formed.  There two derivations must agree: that Ric with
+    -(m + 4k) lam^2 / 4 id within ``einstein_residual * s^2``, and the
+    H-type certificate with ``rigidity.is_rigid``.  Each that does not
+    is appended to ``failures``, when it is a list, as a message naming
+    the identity, its value and its bound.  Every other input takes the
+    Lambda^2 operator and ``nabla_R_norm``.
+    """
     s = g.scale
     if s and not 1 / SCALE_WINDOW <= s <= SCALE_WINDOW:
         raise NumericalError(f"bracket scale s = {s:.3e} is outside the "
                              f"window [{1 / SCALE_WINDOW:.0e}, "
                              f"{SCALE_WINDOW:.0e}] that analyze can label")
-    r_norm = curvature.curvature_norm(g)
+    failures = [] if failures is None else failures
+    try:
+        data, reason = lie_metric.standard_decomposition(g, tols), None
+    except StructureError as exc:
+        data, reason = None, str(exc)
+    cert = (curvature.h_type_certificate(g, data, tols)
+            if data is not None else None)
+    if cert is None:
+        r_norm = curvature.curvature_norm(g)
+        is_einstein, c_const, resid = curvature.einstein_check(g, tols)
+    else:
+        r_norm, nr = curvature.damek_ricci_norms(cert)
+        ric = curvature.ricci_from_brackets(g)
+        is_einstein, c_const, resid = curvature.einstein_check(g, tols, ric)
+        c_dr = -(cert.m + 4 * cert.k) / 4 * cert.lam * cert.lam
+        gap = float(np.linalg.norm(ric - c_dr * np.eye(g.dim)))
+        bound = tols.einstein_residual * s * s
+        if not gap <= bound:
+            failures.append(
+                f"H-type, yet Ric from the brackets is not c id with "
+                f"c = -(m + 4k) lam^2 / 4 = {c_dr!r}: |Ric - c id| = "
+                f"{gap!r} exceeds {bound!r}")
     is_flat = r_norm <= tols.flat_norm * s * s
-    is_einstein, c_const, resid = curvature.einstein_check(g, tols)
 
     report = {
         "schema": "solvharm-analysis-v1",
@@ -216,15 +248,12 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
                      "residual": resid},
         "growth": lie_metric.growth_type(g, tols=tols).value,
     }
-    data = None
     if is_flat:
+        data = None
         report["standard_decomposition"] = {"status": "flat", "reason": None}
-    else:
-        try:
-            data = lie_metric.standard_decomposition(g, tols)
-        except StructureError as exc:
-            report["standard_decomposition"] = {"status": "not-standard",
-                                                "reason": str(exc)}
+    elif data is None:
+        report["standard_decomposition"] = {"status": "not-standard",
+                                            "reason": reason}
     if data is not None:
         # every ad_H eigenvalue is positive, so the closed mean curvature
         # sum |Re sigma| is trace ad_H, X = 0 and trace L0 = -trace ad_H
@@ -271,8 +300,11 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
 
         is_rigid, factors = hypergeom.rigidity_conclusion(data, tols)
         report["rigidity"] = {"is_rigid": is_rigid, "factors": factors}
-
-        nr = curvature.nabla_R_norm(g)
+        if cert is None:
+            nr = curvature.nabla_R_norm(g)
+        elif not is_rigid:
+            failures.append("H-type, yet rigidity.is_rigid = False along the "
+                            "chosen Z; every H-type input is rigid (True)")
         ratio = nr / r_norm if r_norm > 0 else 0.0
         report["symmetry"] = {"nabla_r_norm": nr, "ratio": ratio,
                               "is_symmetric": ratio <= tols.symmetry_ratio * s}
@@ -365,7 +397,8 @@ def cmd_analyze(args, tols: Tolerances) -> int:
                                      "--density-directions")
         times = _density_times(args.density_times)
     g = _load_algebra(args.algebra, tols)
-    report = build_report(g, seed=args.seed, tols=tols)
+    failures = []   # paper identities that failed on an H-type input
+    report = build_report(g, seed=args.seed, tols=tols, failures=failures)
     _deliver(_render_json(report), args.output)
     if args.density_csv:
         table = _density_table(g, args.seed, directions, times, tols)
@@ -379,7 +412,9 @@ def cmd_analyze(args, tols: Tolerances) -> int:
                  if rigid and (report[block][key] or 0.0) > bound]
     for name, value, bound in witnesses:
         sys.stderr.write(f"rigid, yet {name} = {value!r} exceeds {bound!r}\n")
-    return 4 if witnesses else 0
+    for message in failures:
+        sys.stderr.write(message + "\n")
+    return 4 if witnesses or failures else 0
 
 
 def cmd_scan_h(args, tols: Tolerances) -> int:

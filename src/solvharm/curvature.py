@@ -3,19 +3,25 @@
 Connection coefficients come from the Koszul formula applied to
 structure constants; curvature, Ricci, sectional curvatures, Jacobi
 operators and the covariant derivative of R are then pure tensor
-algebra.  Homogeneity makes values at the identity global.
+algebra.  Homogeneity makes values at the identity global.  On an input
+that :func:`h_type_certificate` certifies Damek-Ricci, |R| and
+|nabla R| have closed forms (:func:`damek_ricci_norms`) and Ric comes
+from the brackets alone (:func:`ricci_from_brackets`), so ``analyze``
+forms neither the curvature operator nor nabla R there.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import (CURVATURE_BLOCK_BYTES, DEFAULT_TOLS, GRAM_FLOOR_REL,
-                     RANK_REL, UNIT_VECTOR_TOL, Tolerances)
+from .config import (CLIFFORD_RELATION_TOL, CURVATURE_BLOCK_BYTES,
+                     DEFAULT_TOLS, GRAM_FLOOR_REL, RANK_REL, UNIT_VECTOR_TOL,
+                     Tolerances)
 from .errors import DomainError
 from .lie_metric import (MetricLieAlgebra, StandardSolvableData, ad_matrix,
-                         symmetric_skew_split)
+                         killing_form, symmetric_skew_split)
 
 __all__ = [
     "levi_civita",
@@ -24,7 +30,11 @@ __all__ = [
     "curvature_operator",
     "flow_operator",
     "ricci",
+    "ricci_from_brackets",
     "einstein_check",
+    "HTypeCertificate",
+    "h_type_certificate",
+    "damek_ricci_norms",
     "sectional_curvature",
     "jacobi_operator_H",
     "central_frame_split",
@@ -150,18 +160,134 @@ def curvature_norm(g: MetricLieAlgebra) -> float:
     return 2.0 * float(np.linalg.norm(g.curvature_operator.matrix))
 
 
-def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS):
+def ricci_from_brackets(g: MetricLieAlgebra) -> np.ndarray:
+    """Ric from the brackets alone (Besse, *Einstein Manifolds*, 7.38):
+
+        Ric(X, Y) = -1/2 sum_i <[X, e_i], [Y, e_i]> - 1/2 B(X, Y)
+                    + 1/4 sum_ij <[e_i, e_j], X> <[e_i, e_j], Y>
+                    - 1/2 (<[Z, X], Y> + <[Z, Y], X>),
+
+    with B the Killing form and <Z, W> = trace ad_W.  The three sums are
+    n x n^2 BLAS products of the bracket tensor, O(n^4) in time and n^3
+    doubles of memory; no connection or curvature is formed.
+    """
+    n = g.dim
+    t = g.tensor
+    by_first = t.reshape(n, n * n)            # [x, (i, k)] = <[e_x, e_i], e_k>
+    by_last = t.reshape(n * n, n)             # [(i, j), x] = <[e_i, e_j], e_x>
+    ric = -0.5 * (by_first @ by_first.T + killing_form(g))
+    ric += 0.25 * (by_last.T @ by_last)
+    mean = np.trace(t, axis1=1, axis2=2)      # <Z, e_w> = trace ad_(e_w)
+    z_term = np.tensordot(mean, t, axes=1)    # [x, y] = <[Z, e_x], e_y>
+    ric -= 0.5 * (z_term + z_term.T)
+    return ric
+
+
+def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS,
+                   ric=None):
     """Whether Ric = c id; returns (is_einstein, c, residual).
 
-    Ric is read off ``g.curvature_operator``.  The Frobenius residual
+    Ric is ``ric`` when given (``analyze`` passes
+    :func:`ricci_from_brackets` on a certified H-type input), else it is
+    read off ``g.curvature_operator``.  The Frobenius residual
     |Ric - c id| is compared with ``tols.einstein_residual`` times
     ``g.scale * g.scale``.
     """
-    ric = g.curvature_operator.ricci
+    if ric is None:
+        ric = g.curvature_operator.ricci
     c = float(np.trace(ric)) / g.dim
     residual = float(np.linalg.norm(ric - c * np.eye(g.dim)))
     return (residual <= tols.einstein_residual * g.scale * g.scale, c,
             residual)
+
+
+class HTypeCertificate(NamedTuple):
+    """An input that :func:`h_type_certificate` certified Damek-Ricci.
+
+    ad_H = lam (1/2 on v, 1 on z), m = dim v, k = dim z, and ``pq`` is
+    the sum over a < b < c of p_abc q_abc, where p_abc and q_abc count
+    the eigenvalues +lam^3 and -lam^3 of J_a J_b J_c.
+    """
+
+    lam: float
+    m: int
+    k: int
+    pq: int
+
+
+def h_type_certificate(g: MetricLieAlgebra, data: StandardSolvableData,
+                       tols: Tolerances = DEFAULT_TOLS):
+    """The :class:`HTypeCertificate` of ``g``, or None if ``g`` is not a
+    Damek-Ricci algebra in the frame of its standard decomposition.
+
+    The input's brackets are read in ``data.basis`` (H, v, z), with lam
+    the mean ad_H eigenvalue on z.  Certified means both of:
+
+    * they are the Damek-Ricci brackets of their own maps
+      J_a = j(Z_a) on v: [H, V] = lam V / 2, [H, Z] = lam Z and
+      [V, W] = sum_a <J_a V, W> Z_a, every other entry zero, within
+      ``tols.eigen_merge * lam`` (the bound that merges ad_H
+      eigenvalues);
+    * the J_a satisfy the H-type relations
+      J_a J_b + J_b J_a = -2 delta_ab lam^2 id over the orthonormal
+      z-basis, within ``CLIFFORD_RELATION_TOL * lam^2``.
+
+    m = 0 is real hyperbolic space.  On a certified input each
+    J_a J_b J_c (a < b < c) is symmetric and squares to lam^6 id, so its
+    trace is (p - q) lam^3 with p + q = m: the trace, rounded, gives
+    p_abc q_abc exactly.  The frame change is O(n^4) and the relations
+    O(k^2 m^3); ``data.algebra`` is not built.
+    """
+    m, k = len(data.v_indices), len(data.z_indices)
+    v, z = slice(1, 1 + m), slice(1 + m, None)   # H is index 0
+    n, basis = g.dim, data.basis
+    # t[a, b, c] = <[B_a, B_b], B_c> for the columns B of the basis
+    t = (basis.T @ (g.tensor @ basis).reshape(n, n * n)).reshape(n, n, n)
+    t = np.matmul(basis.T, t)
+    lam = float(np.trace(t[0, z, z])) / k
+    model = np.zeros_like(t)
+    model[0, v, v] = 0.5 * lam * np.eye(m)
+    model[0, z, z] = lam * np.eye(k)
+    model[:, 0] = -model[0]
+    model[v, v, z] = t[v, v, z]
+    if not np.abs(t - model).max() <= tols.eigen_merge * lam:
+        return None
+    j = t[v, v, z].transpose(2, 1, 0)        # J_a[q, p] = <[V_p, V_q], Z_a>
+    prods = np.matmul(j[:, np.newaxis], j[np.newaxis])   # [a, b] = J_a J_b
+    relation = prods + prods.transpose(1, 0, 2, 3)
+    relation[np.arange(k), np.arange(k)] += 2.0 * lam * lam * np.eye(m)
+    if not np.abs(relation).max(initial=0.0) <= (CLIFFORD_RELATION_TOL
+                                                 * lam * lam):
+        return None
+    # tr J_a J_b J_c / lam^3 = p_abc - q_abc over a < b < c
+    traces = np.tensordot(prods, j.transpose(0, 2, 1), axes=([2, 3], [1, 2]))
+    triples = tuple(np.array(list(itertools.combinations(range(k), 3)),
+                             dtype=np.intp).reshape(-1, 3).T)
+    split = np.rint(traces[triples] / (lam * lam * lam)).astype(np.int64)
+    pq = int(((m * m - split * split) // 4).sum())
+    return HTypeCertificate(lam, m, k, pq)
+
+
+def damek_ricci_norms(cert: HTypeCertificate):
+    """(|R|, |nabla R|) of a certified input, in closed form from the
+    curvature of Damek-Ricci spaces (Berndt, Tricerri and Vanhecke,
+    LNM 1598, ch. 4):
+
+        |R|^2       = lam^4 [(3k + 1) m^2 / 8 + (3k^2 + 20k + 1) m / 8
+                             + 2k (k + 1)],
+        |nabla R|^2 = lam^6 [(3/2) k (k - 1) (3 - k) m (m + 2)
+                             + 36 sum_(a<b<c) p_abc q_abc].
+
+    Both brackets are exact integers (the first over 8), so the second
+    is exactly 0 on the spaces of the J^2 condition (Cowling, Dooley,
+    Koranyi and Ricci, Adv. Math. 87, 1991), the symmetric ones: k <= 1,
+    k = 3 with |p - q| = m, and k = 7 with m = 8.
+    """
+    lam, m, k, pq = cert
+    r_sq = (3 * k + 1) * m * m + (3 * k * k + 20 * k + 1) * m \
+        + 16 * k * (k + 1)
+    nr_sq = 3 * k * (k - 1) // 2 * (3 - k) * m * (m + 2) + 36 * pq
+    return lam * lam * math.sqrt(r_sq / 8), lam * lam * lam * math.sqrt(nr_sq)
 
 
 def sectional_curvature(r: np.ndarray, x, y) -> float:

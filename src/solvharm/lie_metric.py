@@ -32,6 +32,7 @@ __all__ = [
     "derived_algebra",
     "center_of",
     "nilpotency_class",
+    "killing_form",
     "subalgebra",
     "standard_decomposition",
     "pair_decomposition",
@@ -346,6 +347,14 @@ def nilpotency_class(g: MetricLieAlgebra):
     return step
 
 
+def killing_form(g: MetricLieAlgebra) -> np.ndarray:
+    """B[i, j] = trace(ad_(e_i) ad_(e_j)) = sum_(l, k) [e_i, e_l]_k
+    [e_j, e_k]_l, one n x n^2 BLAS product."""
+    n = g.dim
+    return (g.tensor.reshape(n, n * n)
+            @ g.tensor.transpose(0, 2, 1).reshape(n, n * n).T)
+
+
 class GrowthType(enum.Enum):
     EXPONENTIAL = "exponential"
     SUBEXPONENTIAL = "subexponential"
@@ -378,11 +387,7 @@ def growth_type(g: MetricLieAlgebra,
     exponential = any(np.abs(eigenvalues(ad_matrix(x, g)).real).max() > floor
                       for x in g.derived_complement.T)
     if not exponential and derived.shape[1]:
-        n = g.dim
-        # B[i, j] = sum_(l, k) [e_i, e_l]_k [e_j, e_k]_l
-        killing = (g.tensor.reshape(n, n * n)
-                   @ g.tensor.transpose(0, 2, 1).reshape(n, n * n).T)
-        top = np.linalg.eigvalsh(derived.T @ killing @ derived)[-1]
+        top = np.linalg.eigvalsh(derived.T @ killing_form(g) @ derived)[-1]
         exponential = top > tols.growth_real_part * s * s
     return (GrowthType.EXPONENTIAL
             if exponential and g.nilpotency_class is None
@@ -423,12 +428,20 @@ class StandardSolvableData:
     jacobi_tol: float = field(repr=False, compare=False)
 
     @cached_property
-    def algebra(self) -> MetricLieAlgebra:
-        # re-orthonormalize to wash out roundoff before the change of basis
+    def basis(self) -> np.ndarray:
+        """The adapted basis as orthonormal columns in the input's
+        coordinates (H, then v, then z), read-only: the computed columns
+        re-orthonormalized, to wash out roundoff, with their signs kept."""
         q_basis, _ = np.linalg.qr(self._basis)
         q_basis *= np.sign(np.sum(q_basis * self._basis, axis=0))
-        tensor = np.einsum("ia,jb,ijk,kc->abc", q_basis, q_basis,
-                           self._tensor, q_basis, optimize=True)
+        q_basis.flags.writeable = False
+        return q_basis
+
+    @cached_property
+    def algebra(self) -> MetricLieAlgebra:
+        b = self.basis
+        tensor = np.einsum("ia,jb,ijk,kc->abc", b, b, self._tensor, b,
+                           optimize=True)
         return MetricLieAlgebra.from_tensor(self._scale * tensor,
                                             jacobi_tol=self.jacobi_tol)
 

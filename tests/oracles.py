@@ -17,6 +17,10 @@ module.
   as a null space, and the algebra with one of them added to ad_H, a
   normal ad_H that ``lie_metric.standard_decomposition`` reads through
   its symmetric part;
+* :func:`mixed_damek_ricci` and :func:`damek_ricci_scaled_j`: Damek-Ricci
+  builds of the mixed (p, q) Clifford modules, and of a module with one
+  J scaled, off H-type, for the closed-form path of ``cli.build_report``
+  and the dense path it leaves to every other input;
 * :func:`stable_block_scalar` and :func:`pair_stable_block_per_t`: the
   hypergeometric pair block at one t at a time, from 2x2 matrix
   products, against the whole-grid ``hypergeom.stable_block_and_derivative``
@@ -70,6 +74,8 @@ from scipy import special
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag
 
+from solvharm.clifford_dr import (CliffordModule, build_damek_ricci,
+                                  clifford_generators)
 from solvharm.config import DEFAULT_TOLS
 from solvharm.curvature import curvature_tensor
 from solvharm.errors import (ConjugatePointError, DomainError, NumericalError,
@@ -185,6 +191,39 @@ def add_to_ad_h(g, k):
     tensor = (g.tensor + np.einsum("i,kj->ijk", h, k)
               - np.einsum("j,ki->ijk", h, k))
     return MetricLieAlgebra.from_tensor(tensor, jacobi_tol=g.jacobi_tol)
+
+
+# ---------------------------------------------------------------------------
+# Damek-Ricci builds from modified Clifford modules
+# ---------------------------------------------------------------------------
+
+def _damek_ricci_from(l, copies, change):
+    """The Damek-Ricci algebra of ``copies`` of the irreducible module
+    for l, with ``change(generators, size)`` applied to a copy of its
+    generators (size = the irreducible dimension) first."""
+    cm = clifford_generators(l, copies)
+    gens = cm.generators.copy()
+    change(gens, cm.m // copies)
+    return build_damek_ricci(CliffordModule(l, cm.m, gens))
+
+
+def mixed_damek_ricci(l, p, q):
+    """The Damek-Ricci algebra of the (p, q) Clifford module, l = 3 mod 4:
+    p copies of one irreducible module and q of the other, made by
+    negating J_l on the last q copies.  (3; 1, 1) and (3; 2, 0) have equal
+    dim v and dim z; the first is not symmetric, the second is."""
+    def flip(gens, size):
+        gens[-1, p * size:, p * size:] *= -1.0
+    return _damek_ricci_from(l, p + q, flip)
+
+
+def damek_ricci_scaled_j(l, copies, factor, a=0):
+    """The Damek-Ricci brackets of (l, copies) with J_a times ``factor``:
+    still a Lie algebra with ad_H = (1/2, 1), but not H-type unless
+    ``factor`` is +-1."""
+    def scale(gens, size):
+        gens[a] *= factor
+    return _damek_ricci_from(l, copies, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import add_to_ad_h, g17, render_json_scalar
+from oracles import (add_to_ad_h, damek_ricci_scaled_j, g17,
+                     render_json_scalar)
 import solvharm
 from solvharm import cli, hypergeom, jacobi_flow, lie_metric, numerics
 from solvharm.cli import build_report, main
@@ -39,8 +40,10 @@ def _run(argv, **kwargs):
 
 
 def test_package_and_numpy_only_path_load_no_scipy():
-    # building and checking an algebra needs numpy alone; scipy loads
-    # with the first module that computes with it
+    # building and checking an algebra needs numpy alone, and so do both
+    # curvature paths: the dense stages, and the H-type certificate with
+    # its closed forms; scipy loads with the first module that computes
+    # with it
     script = "\n".join([
         "import sys",
         "import solvharm",
@@ -49,6 +52,11 @@ def test_package_and_numpy_only_path_load_no_scipy():
         "g = clifford_dr.build_damek_ricci(cm)",
         "curvature.einstein_check(g)",
         "curvature.nabla_R_norm(g)",
+        "cert = curvature.h_type_certificate(",
+        "    g, lie_metric.standard_decomposition(g))",
+        "assert cert is not None",
+        "curvature.damek_ricci_norms(cert)",
+        "curvature.einstein_check(g, ric=curvature.ricci_from_brackets(g))",
         "lie_metric.algebra_to_dict(g)",
         "print(sorted(m for m in sys.modules",
         "             if m == 'scipy' or m.startswith('scipy.')))",
@@ -1228,13 +1236,15 @@ def test_handler_is_looked_up_per_call(tmp_path, monkeypatch):
 
 
 def test_out_of_memory_is_exit_6(tmp_path):
-    # DR (8, 5), dim 89: the curvature operator (0.11 GiB), the signed
-    # gather of |nabla R| (0.23 GiB) and S_l (0.11 GiB) are more than is
-    # left of 600 MiB of address space after the imports (about 240 MiB);
-    # one child process, one BLAS thread.  DR (8, 4) now fits
+    # DR (8, 5) with J_1 off H-type by 1e-6, dim 89, so the dense path
+    # runs: the curvature operator (0.11 GiB), the signed gather of
+    # |nabla R| (0.23 GiB) and S_l (0.11 GiB) are more than is left of
+    # 600 MiB of address space after the imports (about 240 MiB); one
+    # child process, one BLAS thread.  DR (8, 4) fits, and the closed
+    # forms serve the H-type DR (8, 5) in far less
     alg = tmp_path / "dr85.json"
-    assert main(["build", "damek-ricci", "--l", "8", "--copies", "5",
-                 "--output", str(alg)]) == 0
+    alg.write_text(json.dumps(algebra_to_dict(
+        damek_ricci_scaled_j(8, 5, 1 + 1e-6))))
     limit = 600 * 2 ** 20
     script = "\n".join([
         "import resource, sys",

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -7,14 +8,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import (central_jacobi_blocks_block_diag, curvature_einsum,
-                     jacobi_identity_exact, nabla_R,
+from oracles import (add_to_ad_h, central_jacobi_blocks_block_diag,
+                     curvature_einsum, damek_ricci_scaled_j,
+                     jacobi_identity_exact, mixed_damek_ricci, nabla_R,
                      nabla_R_norm_three_products, ricci_from_brackets,
-                     z_top_vector)
-from solvharm import curvature, lie_metric
+                     skew_derivations_commuting_with_ad_h, z_top_vector)
+from solvharm import curvature, hypergeom, lie_metric
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_real_hyperbolic, clifford_generators)
+from solvharm.config import DEFAULT_TOLS
 from solvharm.curvature import (central_frame_split, central_jacobi_blocks,
                                 curvature_norm, curvature_tensor,
                                 einstein_check,
@@ -113,16 +116,18 @@ def test_einstein_cases(dr_algebras):
 
 def test_ricci_from_brackets_matches_ricci_of_r(
         haar_rotate, generic_pair_algebra, perturbed_theta_algebra):
-    # Besse 7.38 in floats, on dense rotated bases and on non-Einstein
-    # algebras, against the contraction of R
+    # Besse 7.38 in floats, the oracle's sparse sums and the package's
+    # BLAS products, on dense rotated bases and on non-Einstein algebras,
+    # against the contraction of R
     dr72 = build_damek_ricci(clifford_generators(7, 2))
     for g in (haar_rotate(dr72, 3), haar_rotate(dr72.rescaled(0.3), 4),
               generic_pair_algebra, haar_rotate(perturbed_theta_algebra, 5)):
-        got = np.array(ricci_from_brackets(g))
-        for want in (ricci(curvature_tensor(g, g.connection)),
-                     g.curvature_operator.ricci):
-            assert np.abs(got - want).max() \
-                <= 1e-13 * max(1.0, np.abs(want).max())
+        for got in (np.array(ricci_from_brackets(g)),
+                    curvature.ricci_from_brackets(g)):
+            for want in (ricci(curvature_tensor(g, g.connection)),
+                         g.curvature_operator.ricci):
+                assert np.abs(got - want).max() \
+                    <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 def _exact_einstein_builds():
@@ -476,24 +481,29 @@ def test_jacobi_check_and_curvature_hold_two_n4_arrays():
 
 
 def test_build_report_holds_under_five_quarters_n4():
-    # DR (7, 3): one n^4 array is 32^4 doubles = 8.4 MB.  Neither the
-    # load (its Jacobi check) nor the report allocates one: the report
-    # holds the operator on the 2-vectors, its signed gather and S_l
-    # (about n^4 doubles) and blocks of a fixed byte budget
-    rows = build_damek_ricci(clifford_generators(7, 3)).structure_constants
+    # dim 32: one n^4 array is 32^4 doubles = 8.4 MB.  Neither the load
+    # (its Jacobi check) nor the report allocates one.  DR (7, 3) takes
+    # the closed forms; with J_1 off H-type by 1e-6 it takes the dense
+    # path, which holds the operator on the 2-vectors, its signed gather
+    # and S_l (about n^4 doubles) and blocks of a fixed byte budget
     bound = 1.25 * 32 ** 4 * 8
-    tracemalloc.start()
-    try:
-        g = MetricLieAlgebra(32, rows)
-        _, build_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        report = build_report(g)
-        _, report_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report["classification"] == "DamekRicciNonsymmetric"
-    assert build_peak <= bound
-    assert report_peak <= bound
+    for base, label in (
+            (build_damek_ricci(clifford_generators(7, 3)),
+             "DamekRicciNonsymmetric"),
+            (damek_ricci_scaled_j(7, 3, 1 + 1e-6),
+             "NotAsymptoticallyHarmonic")):
+        tracemalloc.start()
+        try:
+            g = MetricLieAlgebra(32, base.structure_constants)
+            _, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report = build_report(g)
+            _, report_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report["classification"] == label
+        assert build_peak <= bound
+        assert report_peak <= bound
 
 
 def _curvature_cases(dr_algebras, perturbed_theta_algebra,
@@ -574,12 +584,10 @@ def test_central_jacobi_blocks_match_block_diag(dr_data, haar_rotate):
 # instance, R and the operator only when a consumer reads them
 # ---------------------------------------------------------------------------
 
-@pytest.fixture()
-def geometry_calls(monkeypatch):
-    """Counts of levi_civita / curvature_tensor / curvature_operator /
-    flow_operator calls made from now on."""
-    calls = {"levi_civita": 0, "curvature_tensor": 0,
-             "curvature_operator": 0, "flow_operator": 0}
+def _count_calls(monkeypatch, names):
+    """Counts of calls to the named ``curvature`` functions made from now
+    on, by name."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
         original = getattr(curvature, name)
@@ -594,12 +602,114 @@ def geometry_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def geometry_calls(monkeypatch):
+    """Counts of levi_civita / curvature_tensor / curvature_operator /
+    flow_operator calls made from now on."""
+    return _count_calls(monkeypatch, ("levi_civita", "curvature_tensor",
+                                      "curvature_operator", "flow_operator"))
+
+
 def test_build_report_computes_geometry_once(geometry_calls):
-    g = build_damek_ricci(clifford_generators(2, 1))   # fresh instance
+    # a fresh instance off H-type (J_1 times 1 + 1e-6), so the dense path
+    # runs; an H-type input builds no geometry at all (test below)
+    g = damek_ricci_scaled_j(2, 1, 1 + 1e-6)
     report = build_report(g)
-    assert report["classification"] == "DamekRicciNonsymmetric"
+    assert report["classification"] == "NotAsymptoticallyHarmonic"
     assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 0,
                               "curvature_operator": 1, "flow_operator": 0}
+
+
+def _analyze_file(tmp_path, g, *argv):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(algebra_to_dict(g)))
+    out = tmp_path / "report.json"
+    code = main(["analyze", str(path), "--output", str(out), *argv])
+    return code, json.loads(out.read_text())
+
+
+_CERTIFIED = {
+    "dr-1-1": lambda rot: build_damek_ricci(clifford_generators(1, 1)),
+    "dr-2-1": lambda rot: build_damek_ricci(clifford_generators(2, 1)),
+    "rot-dr-7-2": lambda rot: rot(
+        build_damek_ricci(clifford_generators(7, 2)), 7),
+    "mixed-3-1-1": lambda rot: mixed_damek_ricci(3, 1, 1),
+    "rot-mixed-3-2-0": lambda rot: rot(mixed_damek_ricci(3, 2, 0), 7),
+    "rh-3": lambda rot: build_real_hyperbolic(3),
+}
+
+
+def _dense_inputs(name, fixtures):
+    dr21 = build_damek_ricci(clifford_generators(2, 1))
+    return {
+        "perturbed-theta": lambda: fixtures["perturbed-theta"],
+        "generic-pair": lambda: fixtures["generic-pair"],
+        "dr-2-1-scaled-j": lambda: damek_ricci_scaled_j(2, 1, 1 + 1e-6),
+        # ad_H normal but not self-adjoint: isometric to DR (2, 1), but
+        # its brackets are not the Damek-Ricci ones in any frame
+        "dr-2-1-skew-ad-h": lambda: add_to_ad_h(
+            dr21, 0.3 * skew_derivations_commuting_with_ad_h(dr21)[0]),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFIED))
+def test_certified_inputs_skip_the_dense_curvature_stages(name, monkeypatch,
+                                                          tmp_path,
+                                                          haar_rotate):
+    calls = _count_calls(monkeypatch, ("curvature_operator", "nabla_R_norm"))
+    code, report = _analyze_file(tmp_path, _CERTIFIED[name](haar_rotate))
+    assert code == 0
+    assert report["classification"] in ("RankOneSymmetric",
+                                        "DamekRicciNonsymmetric")
+    assert calls == {"curvature_operator": 0, "nabla_R_norm": 0}
+
+
+@pytest.mark.parametrize("name", ["perturbed-theta", "generic-pair",
+                                  "dr-2-1-scaled-j", "dr-2-1-skew-ad-h"])
+def test_other_inputs_take_the_dense_curvature_stages(
+        name, monkeypatch, tmp_path, perturbed_theta_algebra,
+        generic_pair_algebra):
+    g = _dense_inputs(name, {"perturbed-theta": perturbed_theta_algebra,
+                             "generic-pair": generic_pair_algebra})
+    assert curvature.h_type_certificate(g, standard_decomposition(g)) is None
+    calls = _count_calls(monkeypatch, ("curvature_operator", "nabla_R_norm"))
+    code, report = _analyze_file(tmp_path, g)
+    assert code == 0
+    assert calls == {"curvature_operator": 1, "nabla_R_norm": 1}
+
+
+def test_certified_derivations_must_agree(monkeypatch, tmp_path, capsys):
+    # on DR (2, 1) Ric from the brackets is -(m + 4k) / 4 = -3 times id,
+    # and the H-type certificate implies rigidity along the chosen Z; a
+    # derivation patched to disagree makes analyze exit 4 once the report
+    # is written, naming the identity, its value and its bound
+    g = build_damek_ricci(clifford_generators(2, 1))
+    code, report = _analyze_file(tmp_path, g)
+    assert code == 0 and report["classification"] == "DamekRicciNonsymmetric"
+    capsys.readouterr()
+    original = curvature.ricci_from_brackets
+    # still Einstein, so only the second derivation can see it
+    monkeypatch.setattr(curvature, "ricci_from_brackets",
+                        lambda g: original(g) + 1e-6 * np.eye(g.dim))
+    code, shifted = _analyze_file(tmp_path, g)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert shifted["classification"] == "DamekRicciNonsymmetric"
+    bound = DEFAULT_TOLS.einstein_residual * g.scale * g.scale
+    gap = re.search(r"c = -\(m \+ 4k\) lam\^2 / 4 = -3\.0: "
+                    r"\|Ric - c id\| = (\S+) exceeds (\S+)\n", err)
+    assert gap and gap[2] == repr(bound)
+    assert float(gap[1]) == pytest.approx(1e-6 * np.sqrt(g.dim), rel=1e-6)
+    monkeypatch.setattr(curvature, "ricci_from_brackets", original)
+
+    rigidity = hypergeom.rigidity_conclusion
+    monkeypatch.setattr(hypergeom, "rigidity_conclusion",
+                        lambda d, tols: (False, rigidity(d, tols)[1]))
+    code, unrigid = _analyze_file(tmp_path, g)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert unrigid["classification"] == "NotAsymptoticallyHarmonic"
+    assert "rigidity.is_rigid = False" in err and "(True)" in err
 
 
 @pytest.mark.parametrize("argv, operator", [
@@ -611,10 +721,11 @@ def test_build_report_computes_geometry_once(geometry_calls):
 def test_only_analyze_builds_the_operator(argv, operator, geometry_calls,
                                           tmp_path):
     # each command loads a fresh algebra; classify and scan-h read the
-    # spectral data only, and the density sidecar reads the flow operator
+    # spectral data only, and the density sidecar reads the flow operator.
+    # The input is off H-type, so analyze takes the dense path
     path = tmp_path / "g.json"
     path.write_text(json.dumps(
-        algebra_to_dict(build_damek_ricci(clifford_generators(2, 1)))))
+        algebra_to_dict(damek_ricci_scaled_j(2, 1, 1 + 1e-6))))
     args = [a.format(tmp=tmp_path) for a in argv[1:]]
     assert main([argv[0], str(path), "--output", str(tmp_path / "out"),
                  *args]) == 0
