@@ -195,7 +195,9 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     """The full analysis report, labelled by :func:`_classification`.  A
     bracket scale outside ``SCALE_WINDOW`` raises NumericalError first.
 
-    An input that :func:`curvature.h_type_certificate` certifies
+    The standard decomposition and its H-type certificate come from
+    ``g.decomposition(tols)``, which the density sidecar reads too.  An
+    input that :func:`curvature.h_type_certificate` certifies
     Damek-Ricci takes |R| and |nabla R| from
     :func:`curvature.damek_ricci_norms` and Ric from
     :func:`curvature.ricci_from_brackets`; no curvature operator is
@@ -212,12 +214,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
                              f"window [{1 / SCALE_WINDOW:.0e}, "
                              f"{SCALE_WINDOW:.0e}] that analyze can label")
     failures = [] if failures is None else failures
-    try:
-        data, reason = lie_metric.standard_decomposition(g, tols), None
-    except StructureError as exc:
-        data, reason = None, str(exc)
-    cert = (curvature.h_type_certificate(g, data, tols)
-            if data is not None else None)
+    data, reason, cert = g.decomposition(tols)
     if cert is None:
         r_norm = curvature.curvature_norm(g)
         is_einstein, c_const, resid = curvature.einstein_check(g, tols)
@@ -354,7 +351,8 @@ def _density_times(raw: str) -> np.ndarray:
 def _density_table(g, seed: int, directions: int, t_arr: np.ndarray,
                    tols: Tolerances):
     """Volume densities along seeded unit directions, one after another on
-    the algebra's shared connection."""
+    the algebra's shared H-type certificate or, without one, its shared
+    flow operator."""
     rng = np.random.default_rng(seed)
     rows = [jacobi_flow.volume_density(g, v / np.linalg.norm(v), t_arr, tols)
             for v in rng.standard_normal((directions, g.dim))]

@@ -235,15 +235,18 @@ def h_type_certificate(g: MetricLieAlgebra, data: StandardSolvableData,
     m = 0 is real hyperbolic space.  On a certified input each
     J_a J_b J_c (a < b < c) is symmetric and squares to lam^6 id, so its
     trace is (p - q) lam^3 with p + q = m: the trace, rounded, gives
-    p_abc q_abc exactly.  The frame change is O(n^4) and the relations
-    O(k^2 m^3); ``data.algebra`` is not built.
+    p_abc q_abc exactly.  The checks run on the brackets times 2^-e, the
+    power of two fixed with ``g.scale``, which is exact, so lam^2 and
+    lam^3 neither over- nor underflow at any scale the algebra loads
+    at.  The frame change is O(n^4) and the relations O(k^2 m^3);
+    ``data.algebra`` is not built.
     """
     m, k = len(data.v_indices), len(data.z_indices)
     v, z = slice(1, 1 + m), slice(1 + m, None)   # H is index 0
     n, basis = g.dim, data.basis
     # t[a, b, c] = <[B_a, B_b], B_c> for the columns B of the basis
     t = (basis.T @ (g.tensor @ basis).reshape(n, n * n)).reshape(n, n, n)
-    t = np.matmul(basis.T, t)
+    t = np.ldexp(np.matmul(basis.T, t), -g._exponent)
     lam = float(np.trace(t[0, z, z])) / k
     model = np.zeros_like(t)
     model[0, v, v] = 0.5 * lam * np.eye(m)
@@ -265,7 +268,7 @@ def h_type_certificate(g: MetricLieAlgebra, data: StandardSolvableData,
                              dtype=np.intp).reshape(-1, 3).T)
     split = np.rint(traces[triples] / (lam * lam * lam)).astype(np.int64)
     pq = int(((m * m - split * split) // 4).sum())
-    return HTypeCertificate(lam, m, k, pq)
+    return HTypeCertificate(math.ldexp(lam, g._exponent), m, k, pq)
 
 
 def damek_ricci_norms(cert: HTypeCertificate):

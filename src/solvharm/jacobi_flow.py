@@ -8,10 +8,12 @@ normal bundle, read off the adapted basis of the standard decomposition,
 in which the stable Jacobi tensor is evaluated block by block from the
 paper's closed forms: e^{-t} on the H-Z normal, incomplete beta
 functions on the center and kernel slots, and the hypergeometric pair
-blocks of :mod:`hypergeom`.  The volume-density test integrates the
-linearized geodesic flow along arbitrary directions in the
-left-trivialization, from the connection and the brackets alone; it
-never reads the curvature tensor.
+blocks of :mod:`hypergeom`.  Volume densities of certified Damek-Ricci
+inputs (:func:`curvature.h_type_certificate`) are the closed form of
+harmonic Damek-Ricci spaces, the same in every direction; on every other
+input the linearized geodesic flow is integrated along the given
+direction in the left-trivialization, from the connection and the
+brackets alone.  Neither path reads the curvature tensor.
 """
 
 import math
@@ -23,7 +25,8 @@ from scipy.special import beta, betainc
 
 from .config import (DEFAULT_TOLS, DET_UNDERFLOW, HYP2F1_REL, INTERIOR_T,
                      MIN_HORIZON, UNIT_VECTOR_TOL, Tolerances)
-from .curvature import central_frame_split, central_jacobi_blocks
+from .curvature import (HTypeCertificate, central_frame_split,
+                        central_jacobi_blocks)
 from .errors import ConjugatePointError, DomainError, NumericalError
 from .hypergeom import stable_block_and_derivative, z_of_t
 from .lie_metric import MetricLieAlgebra, StandardSolvableData, _null_space
@@ -207,6 +210,71 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
                    tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """det A_v(t) of the Jacobi tensor with A(0) = 0, A'(0) = id.
 
+    On an input that :func:`curvature.h_type_certificate` certifies
+    Damek-Ricci, with ad_H = lam (1/2 on v, 1 on z), m = dim v and
+    k = dim z, the density is the same in every direction v, in closed
+    form (Berndt, Tricerri and Vanhecke, LNM 1598, ch. 4):
+
+        det A(t) = (2 sinh(lam t / 2) / lam)^m (sinh(lam t) / lam)^k,
+
+    evaluated as its logarithm (:func:`_damek_ricci_density`).  The
+    certificate is ``g.decomposition(tols).certificate``, computed once
+    per algebra instance, so all directions share it.  Every other input
+    takes :func:`_integrated_density`, the linearized geodesic flow,
+    which is also the test oracle of the closed form.
+
+    The density grows like e^{t trace ad_H}, so a metric scaled up by c
+    reaches float64's range c times sooner.  A density past that range
+    raises NumericalError naming the overflow, log|det A| and the first
+    grid time past the range (on the integrated path, the time the
+    integration reached if it stopped before the grid did).
+    """
+    v = np.asarray(v, dtype=float)
+    if not abs(np.linalg.norm(v) - 1.0) <= UNIT_VECTOR_TOL:   # NaN fails too
+        raise DomainError("direction v must be a unit vector")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or not t_grid[0] >= 0.0 \
+            or not np.all(np.diff(t_grid) > 0.0):
+        raise DomainError("t_grid must be a strictly increasing grid of "
+                          "nonnegative times")
+    cert = g.decomposition(tols).certificate
+    if cert is None:
+        return _integrated_density(g, v, t_grid, tols)
+    return _damek_ricci_density(cert, t_grid)
+
+
+def _damek_ricci_density(cert: HTypeCertificate,
+                         t_grid: np.ndarray) -> np.ndarray:
+    """The closed form of :func:`volume_density` for the certificate
+    ``cert``, from its logarithm
+
+        m (a / 2 + log((1 - e^-a) / lam))
+        + k (a + log((1 - e^-2a) / (2 lam)))
+
+    at a = lam t > 0, each 1 - e^-x taken by ``expm1``: no sinh
+    overflows, and m = 0 multiplies a finite logarithm, so there is no
+    0 log 0.  t = 0 gives 0.  A logarithm past log(max float64) raises
+    the overflow at the first grid time that reaches it.
+    """
+    lam, m, k = cert.lam, cert.m, cert.k
+    positive = t_grid > 0.0
+    a = lam * t_grid[positive]
+    log_det = (m * (0.5 * a + np.log(-np.expm1(-a) / lam))
+               + k * (a + np.log(-np.expm1(-2.0 * a) / lam / 2.0)))
+    past = log_det > _LOG_MAX
+    if past.any():
+        first = int(np.argmax(past))
+        raise _overflow(log_det[first], t_grid[positive][first])
+    dets = np.zeros_like(t_grid)
+    dets[positive] = np.exp(log_det)
+    return dets
+
+
+def _integrated_density(g: MetricLieAlgebra, v: np.ndarray,
+                        t_grid: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """:func:`volume_density` by integrating the geodesic flow, for a
+    unit ``v`` and a grid that function has checked.
+
     Jacobi fields are the linearization of the Euler-Arnold geodesic flow
     u' = -nabla_u u.  In the left-trivialization J = dL_gamma xi, a
     variation (xi, eta) of the flow, with eta the variation of u, solves
@@ -219,28 +287,17 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
     with c_u = 2 nabla_u - ad_u; the u equation is u' = -nabla_u u
     because ad_u u = [u, u] = 0.  So D_t J(0) = eta(0), and det A is the
     determinant of the columns xi together with u in the orthonormal
-    left-invariant frame.  Each right-hand side contracts u once with
+    left-invariant frame, integrated by DOP853 within ``tols.ode_rtol``
+    and ``tols.ode_atol``.  Each right-hand side contracts u once with
     the stacked bracket operator ``g.flow_operator``, which gives -ad_u
     and -c_u, then takes one batched product of those with the stacked
     (xi, eta) and one n x n product with u, all written into one output
     buffer.  The operator is built once per algebra from
     ``g.connection`` and the brackets, so all directions share it, and
-    R is never formed.  Harmonicity makes the result independent of the
-    direction v.
-
-    The density grows like e^{t trace ad_H}, so a metric scaled up by c
-    reaches float64's range c times sooner.  A density past that range
-    raises NumericalError naming the overflow, log|det A| and the time
-    the integration reached.
+    R is never formed.  A density whose ratio to the flat one t^(n-1)
+    falls below ``tols.det_floor`` at an interior grid time raises
+    ConjugatePointError.
     """
-    v = np.asarray(v, dtype=float)
-    if not abs(np.linalg.norm(v) - 1.0) <= UNIT_VECTOR_TOL:   # NaN fails too
-        raise DomainError("direction v must be a unit vector")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or not t_grid[0] >= 0.0 \
-            or not np.all(np.diff(t_grid) > 0.0):
-        raise DomainError("t_grid must be a strictly increasing grid of "
-                          "nonnegative times")
     n = g.dim
     k = n - 1
     nk = n * k

@@ -13,6 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "killing_form",
     "subalgebra",
     "standard_decomposition",
+    "Decomposition",
     "pair_decomposition",
     "growth_type",
     "algebra_to_dict",
@@ -81,6 +83,8 @@ class MetricLieAlgebra:
                               default=DEFAULT_TOLS.jacobi_identity)
     scale: float = field(init=False, repr=False, compare=False)
     _exponent: int = field(init=False, repr=False, compare=False)
+    _decompositions: dict = field(init=False, repr=False, compare=False,
+                                  default_factory=dict)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -191,6 +195,27 @@ class MetricLieAlgebra:
         op = curvature.flow_operator(self, self.connection)
         op.flags.writeable = False
         return op
+
+    def decomposition(self, tols: Tolerances = DEFAULT_TOLS
+                      ) -> "Decomposition":
+        """:func:`standard_decomposition` under ``tols`` and the
+        :func:`curvature.h_type_certificate` of its result, as a
+        :class:`Decomposition`, computed once per instance for each pair
+        (``tols.self_adjoint``, ``tols.eigen_merge``), the only fields
+        they read.  ``analyze`` and every
+        :func:`jacobi_flow.volume_density` call on this instance share
+        it."""
+        key = (tols.self_adjoint, tols.eigen_merge)
+        if key not in self._decompositions:
+            from . import curvature
+            try:
+                data, reason = standard_decomposition(self, tols), None
+            except StructureError as exc:
+                data, reason = None, str(exc)
+            cert = (curvature.h_type_certificate(self, data, tols)
+                    if data is not None else None)
+            self._decompositions[key] = Decomposition(data, reason, cert)
+        return self._decompositions[key]
 
     @cached_property
     def derived_algebra(self) -> np.ndarray:
@@ -466,6 +491,16 @@ class StandardSolvableData:
         ``mu``).
         """
         return self.mu[:-1].copy(), self.rho_star.copy(), self.pairs.copy()
+
+
+class Decomposition(NamedTuple):
+    """What :meth:`MetricLieAlgebra.decomposition` keeps: the standard
+    decomposition, or None and the reason there is none, and the H-type
+    certificate of :func:`curvature.h_type_certificate`, or None."""
+
+    data: Optional[StandardSolvableData]
+    reason: Optional[str]
+    certificate: "Optional[curvature.HTypeCertificate]"
 
 
 def pair_decomposition(rho: np.ndarray, vecs: np.ndarray, j_v: np.ndarray,

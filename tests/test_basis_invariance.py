@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import add_to_ad_h, skew_derivations_commuting_with_ad_h
+from oracles import (add_to_ad_h, damek_ricci_scaled_j,
+                     skew_derivations_commuting_with_ad_h)
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
@@ -15,6 +16,7 @@ from solvharm.clifford_dr import (build_damek_ricci, build_flat,
 from solvharm.config import DEFAULT_TOLS
 from solvharm.curvature import curvature_norm, einstein_check, nabla_R_norm
 from solvharm.errors import NumericalError, StructureError
+from solvharm.jacobi_flow import volume_density
 from solvharm.lie_metric import (GrowthType, MetricLieAlgebra,
                                  algebra_to_dict, growth_type,
                                  standard_decomposition)
@@ -305,6 +307,34 @@ def test_classify_and_scan_h_are_scale_free(name, scale_inputs, tmp_path,
         rigid.append(json.loads(out.read_text())["is_rigid"])
     assert rigid == [True] * (1 + len(EXTREME))
     assert capsys.readouterr().err == ""
+
+
+def test_h_type_certificate_is_scale_free_at_extreme_scales(scale_inputs):
+    # the certificate reads the brackets in the power-of-two unit: its
+    # lam^2 and lam^3 neither underflow, so that the relations would pass
+    # as 0 <= 0, nor overflow, so volume_density takes one path at every
+    # scale.  Below scale 1, at t = O(1) the density is t^(n-1) to
+    # rounding
+    t = np.array([0.5, 1.0, 2.0])
+    for g, certified in ((scale_inputs["dr-2-1"], True),
+                         (scale_inputs["rotated-dr-7-2"], True),
+                         (damek_ricci_scaled_j(2, 1, 1 + 1e-6), False)):
+        cert = g.decomposition().certificate
+        v = np.full(g.dim, g.dim ** -0.5)
+        for c in EXTREME:
+            scaled = MetricLieAlgebra(g.dim, _scaled(g.structure_constants,
+                                                     c))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = scaled.decomposition().certificate
+                if not certified:
+                    assert got is None, c
+                    continue
+                assert got._replace(lam=0.0) == cert._replace(lam=0.0), c
+                assert got.lam == pytest.approx(c * cert.lam, rel=1e-12)
+                if c < 1.0:
+                    np.testing.assert_allclose(volume_density(scaled, v, t),
+                                               t ** (g.dim - 1), rtol=1e-12)
 
 
 def test_non_normal_ad_h_is_refused_at_every_scale(tmp_path, capsys):

@@ -15,7 +15,8 @@ import pytest
 from oracles import (add_to_ad_h, damek_ricci_scaled_j, g17,
                      render_json_scalar)
 import solvharm
-from solvharm import cli, hypergeom, jacobi_flow, lie_metric, numerics
+from solvharm import (cli, curvature, hypergeom, jacobi_flow, lie_metric,
+                      numerics)
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import (build_damek_ricci, build_real_hyperbolic,
                                   clifford_generators)
@@ -443,6 +444,55 @@ def test_analyze_density_sidecar(tmp_path):
                                                 times)):
             expected.append(f"{i},{g17(t)},{g17(det)}")
     assert lines[1:] == expected
+
+
+def _count_density_work(monkeypatch):
+    """Counts of standard decompositions, H-type certificates and DOP853
+    integrations started from now on."""
+    calls = Counter()
+    for module, name in ((lie_metric, "standard_decomposition"),
+                         (curvature, "h_type_certificate"),
+                         (jacobi_flow, "DOP853")):
+        def counting(*args, _name=name, _original=getattr(module, name),
+                     **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_density_sidecar_shares_the_report_certificate(tmp_path,
+                                                        monkeypatch):
+    # the report and the 16 directions of the sidecar read one standard
+    # decomposition and one certificate, and the certificate gives every
+    # density in closed form
+    alg, csv = tmp_path / "dr.json", tmp_path / "d.csv"
+    main(["build", "damek-ricci", "--l", "2", "--output", str(alg)])
+    calls = _count_density_work(monkeypatch)
+    assert main(["analyze", str(alg), "--density-csv", str(csv),
+                 "--output", str(tmp_path / "rep.json")]) == 0
+    assert calls == {"standard_decomposition": 1, "h_type_certificate": 1}
+    assert len(csv.read_text().splitlines()) == 1 + 16 * 3
+
+
+def test_eigen_merge_flag_chooses_the_density_path(tmp_path, monkeypatch):
+    # ad_H = 1/2 -+ 1e-8 on v is H-type only once --tol-eigen-merge merges
+    # the two eigenvalues; the certificate then skips the integration
+    d = 1e-8
+    g = lie_metric.MetricLieAlgebra(4, ((0, 1, 1, 0.5 + d),
+                                        (0, 2, 2, 0.5 - d),
+                                        (0, 3, 3, 1.0), (1, 2, 3, 1.0)))
+    alg, csv = tmp_path / "g.json", tmp_path / "d.csv"
+    alg.write_text(json.dumps(algebra_to_dict(g)))
+    started = {}
+    for merge in (None, "1e-6"):
+        calls = _count_density_work(monkeypatch)
+        flag = ["--tol-eigen-merge", merge] if merge else []
+        assert main(["analyze", str(alg), "--density-csv", str(csv),
+                     "--density-directions", "2",
+                     "--output", str(tmp_path / "rep.json"), *flag]) == 0
+        started[merge] = calls["DOP853"]
+    assert started == {None: 2, "1e-6": 0}
 
 
 def test_density_csv_writes_zero_without_sign(tmp_path):

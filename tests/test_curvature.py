@@ -13,9 +13,10 @@ from oracles import (add_to_ad_h, central_jacobi_blocks_block_diag,
                      jacobi_identity_exact, mixed_damek_ricci, nabla_R,
                      nabla_R_norm_three_products, ricci_from_brackets,
                      skew_derivations_commuting_with_ad_h, z_top_vector)
-from solvharm import curvature, hypergeom, lie_metric
+from solvharm import curvature, hypergeom, jacobi_flow, lie_metric
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
+                                  build_heisenberg_type,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.config import DEFAULT_TOLS
 from solvharm.curvature import (central_frame_split, central_jacobi_blocks,
@@ -649,6 +650,8 @@ def _dense_inputs(name, fixtures):
         # its brackets are not the Damek-Ricci ones in any frame
         "dr-2-1-skew-ad-h": lambda: add_to_ad_h(
             dr21, 0.3 * skew_derivations_commuting_with_ad_h(dr21)[0]),
+        "heisenberg-3": lambda: build_heisenberg_type(clifford_generators(1)),
+        "flat-4": lambda: build_flat(4),
     }[name]()
 
 
@@ -676,6 +679,53 @@ def test_other_inputs_take_the_dense_curvature_stages(
     code, report = _analyze_file(tmp_path, g)
     assert code == 0
     assert calls == {"curvature_operator": 1, "nabla_R_norm": 1}
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFIED))
+def test_certified_density_never_integrates(name, monkeypatch, haar_rotate):
+    # a certified input's density is the closed form: it reads neither the
+    # connection nor the flow operator, starts no DOP853, and does not
+    # depend on the direction
+    g = _CERTIFIED[name](haar_rotate)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a certified density read the geodesic flow")
+    for attr in ("connection", "flow_operator"):
+        monkeypatch.setattr(MetricLieAlgebra, attr, property(forbidden))
+    monkeypatch.setattr(jacobi_flow, "DOP853", forbidden)
+    rng = np.random.default_rng(31)
+    t = np.array([0.0, 0.5, 1.0, 2.0])
+    rows = [volume_density(g, v / np.linalg.norm(v), t)
+            for v in rng.standard_normal((4, g.dim))]
+    assert all(np.array_equal(row, rows[0]) for row in rows)
+
+
+@pytest.mark.parametrize("name", ["perturbed-theta", "generic-pair",
+                                  "dr-2-1-scaled-j", "dr-2-1-skew-ad-h",
+                                  "heisenberg-3", "flat-4"])
+def test_other_densities_are_integrated(name, monkeypatch,
+                                        perturbed_theta_algebra,
+                                        generic_pair_algebra):
+    # every input without a certificate starts one DOP853 integration per
+    # direction and gets exactly what the integrated path gives
+    g = _dense_inputs(name, {"perturbed-theta": perturbed_theta_algebra,
+                             "generic-pair": generic_pair_algebra})
+    assert g.decomposition().certificate is None
+    started = []
+    solver = jacobi_flow.DOP853
+
+    def counting(*args, **kwargs):
+        started.append(1)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi_flow, "DOP853", counting)
+    t = np.array([0.0, 0.5, 1.0, 2.0])
+    for v in np.random.default_rng(37).standard_normal((3, g.dim)):
+        v /= np.linalg.norm(v)
+        assert np.array_equal(
+            volume_density(g, v, t),
+            jacobi_flow._integrated_density(g, v, t, DEFAULT_TOLS))
+    assert len(started) == 6
 
 
 def test_certified_derivations_must_agree(monkeypatch, tmp_path, capsys):
@@ -737,14 +787,29 @@ def test_only_analyze_builds_the_operator(argv, operator, geometry_calls,
 
 
 def test_volume_density_shares_geometry(geometry_calls, rng):
-    g = build_damek_ricci(clifford_generators(2, 1))
+    # off H-type (J_1 times 1 + 1e-6), so every direction integrates the
+    # flow; the density is DR (2, 1)'s to about the perturbation
+    g = damek_ricci_scaled_j(2, 1, 1 + 1e-6)
+    t = np.array([0.5, 1.0])
     dirs = rng.standard_normal((8, g.dim))
     dirs[0] = _basis(g.dim, 0)   # H, along which u stays constant
-    rows = [volume_density(g, v / np.linalg.norm(v), np.array([0.5, 1.0]))
-            for v in dirs]
+    rows = [volume_density(g, v / np.linalg.norm(v), t) for v in dirs]
     assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 0,
                               "curvature_operator": 0, "flow_operator": 1}
-    assert np.ptp(rows, axis=0).max() <= 1e-8 * np.abs(rows).max()
+    np.testing.assert_allclose(
+        rows, np.broadcast_to((2.0 * np.sinh(t / 2.0)) ** 4
+                              * np.sinh(t) ** 2, (8, 2)), rtol=1e-6)
+
+
+def test_certified_density_sidecar_builds_no_geometry(geometry_calls,
+                                                      tmp_path):
+    # an H-type input takes the closed forms in the report and the density
+    code, _ = _analyze_file(tmp_path,
+                            build_damek_ricci(clifford_generators(2, 1)),
+                            "--density-csv", str(tmp_path / "d.csv"))
+    assert code == 0
+    assert geometry_calls == {"levi_civita": 0, "curvature_tensor": 0,
+                              "curvature_operator": 0, "flow_operator": 0}
 
 
 def test_geometry_is_read_only(dr_algebras):

@@ -10,9 +10,10 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "solvharm"
 # module.function -> why the warnings it silences are expected
 ALLOWED = {
     "hypergeom.z_of_t": "e^(2t) overflows past t ~ 354, where z is 0",
-    "jacobi_flow.volume_density": "a density past float64's range "
-                                  "overflows the step's stage sums and "
-                                  "is reported as a NumericalError",
+    "jacobi_flow._integrated_density": "a density past float64's range "
+                                       "overflows the step's stage sums "
+                                       "and is reported as a "
+                                       "NumericalError",
 }
 
 

@@ -9,8 +9,9 @@ from scipy.special import beta
 
 from oracles import (central_velocity, covariant_derivative_along,
                      covariant_volume_density, finite_horizon_tensor,
-                     frame_connection, frame_matrix, integrate_jacobi,
-                     mean_curvature_trace, pair_stable_block_per_t,
+                     damek_ricci_scaled_j, frame_connection, frame_matrix,
+                     integrate_jacobi, mean_curvature_trace,
+                     mixed_damek_ricci, pair_stable_block_per_t,
                      three_matvec_volume_density, velocity_vector,
                      z_top_vector)
 from solvharm import curvature, jacobi_flow
@@ -25,6 +26,13 @@ from solvharm.jacobi_flow import (CentralGeodesicFrame, JacobiTensorSample,
                                   mean_curvature_numeric, stable_jacobi_tensor,
                                   volume_density)
 from solvharm.lie_metric import MetricLieAlgebra, standard_decomposition
+
+
+def _integrated(g, v, t):
+    """The integrated path of ``volume_density``, which certified H-type
+    inputs skip: their test oracle."""
+    return jacobi_flow._integrated_density(g, v, np.asarray(t, dtype=float),
+                                           DEFAULT_TOLS)
 
 
 def _pair_block_algebra(rho, theta):
@@ -416,21 +424,41 @@ def test_volume_density_real_hyperbolic(rng):
         )
 
 
-def test_volume_density_damek_ricci_closed_form(dr_algebras, haar_rotate,
-                                                rng):
-    # harmonic closed form: det A(t) = (2 sinh(t/2))^m sinh(t)^l in every
-    # direction and in every orthonormal basis; exercises geodesic flow,
-    # connection and curvature jointly
-    t = np.array([0.5, 1.0, 2.0, 4.0])
-    for seed, ((l, copies), g) in enumerate(dr_algebras.items()):
-        m = g.dim - 1 - l
-        expected = (2.0 * np.sinh(t / 2.0)) ** m * np.sinh(t) ** l
-        for alg in (g, haar_rotate(g, seed)):
-            for _ in range(2):
-                v = rng.standard_normal(g.dim)
-                v /= np.linalg.norm(v)
-                np.testing.assert_allclose(volume_density(alg, v, t),
-                                           expected, rtol=1e-9)
+def _closed_form_inputs(dr_algebras):
+    """(name, algebra, m, k) of the certified inputs the closed form is
+    checked on: every ``dr_algebras`` build, the mixed modules (3; 1,1)
+    and (7; 1,1), and RH^4 (m = 0)."""
+    inputs = [(f"dr-{l}-{c}", g, g.dim - 1 - l, l)
+              for (l, c), g in dr_algebras.items()]
+    inputs += [(f"mixed-{l}-1-1", mixed_damek_ricci(l, 1, 1), 2 * size, l)
+               for l, size in ((3, 4), (7, 8))]
+    inputs.append(("rh-4", build_real_hyperbolic(4), 0, 3))
+    return inputs
+
+
+def test_volume_density_damek_ricci_closed_form(dr_algebras, haar_rotate):
+    # harmonic closed form: det A(t) = (2 sinh(t/2))^m sinh(t)^k in every
+    # direction and in every orthonormal basis, checked against the
+    # integrated geodesic flow, the path every uncertified input takes.
+    # Scaling the brackets by c scales the density by c^-(n-1) at t / c
+    t = np.array([0.0, 0.1, 0.5, 1.0, 2.0, 4.0])
+    rng = np.random.default_rng(29)
+    for name, g, m, k in _closed_form_inputs(dr_algebras):
+        expected = (2.0 * np.sinh(t / 2.0)) ** m * np.sinh(t) ** k
+        variants = [(g, 1.0), (haar_rotate(g, 1), 1.0),
+                    (haar_rotate(g, 2), 1.0)]
+        variants += [(g.rescaled(c), c) for c in (2.0 ** 20, 2.0 ** -20, 3.7)]
+        for alg, c in variants:
+            assert alg.decomposition().certificate is not None, (name, c)
+            v = rng.standard_normal(g.dim)
+            v /= np.linalg.norm(v)
+            dets = volume_density(alg, v, t / c)
+            assert dets[0] == 0.0
+            oracle = _integrated(alg, v, t / c)
+            np.testing.assert_allclose(dets[1:], oracle[1:], rtol=1e-9,
+                                       err_msg=f"{name} c={c}")
+            np.testing.assert_allclose(dets * c ** (g.dim - 1), expected,
+                                       rtol=1e-12, err_msg=f"{name} c={c}")
 
 
 def test_volume_density_central_matches_stable_frame(dr_data):
@@ -456,8 +484,9 @@ def test_volume_density_floor_is_scale_free(key, t):
     v /= np.linalg.norm(v)
     m = g.dim - 1 - key[0]
     expected = (2.0 * np.sinh(t / 2.0)) ** m * np.sinh(t) ** key[0]
-    np.testing.assert_allclose(volume_density(g, v, np.array([t])),
-                               [expected], rtol=1e-8)
+    for density in (volume_density, _integrated):
+        np.testing.assert_allclose(density(g, v, np.array([t])),
+                                   [expected], rtol=1e-8)
 
 
 def test_volume_density_finds_heisenberg_conjugate_point():
@@ -512,14 +541,17 @@ def test_volume_density_matches_covariant_oracle(name, oracle_inputs):
                                   "perturbed-theta", "heisenberg-3"])
 def test_volume_density_matches_three_matvec_oracle(name, oracle_inputs):
     # the stacked operator changes only the order of the sums in each
-    # right-hand side, so the two integrations agree to rounding
+    # right-hand side, so the two integrations agree to rounding; the
+    # certified Damek-Ricci inputs are integrated through the oracle path
     g = oracle_inputs[name]
+    density = _integrated if name.startswith(("dr", "rotated")) \
+        else volume_density
     t = np.array([0.5, 1.0, 2.0])
     rng = np.random.default_rng(23)
     for _ in range(8):
         v = rng.standard_normal(g.dim)
         v /= np.linalg.norm(v)
-        np.testing.assert_allclose(volume_density(g, v, t),
+        np.testing.assert_allclose(density(g, v, t),
                                    three_matvec_volume_density(g, v, t),
                                    rtol=1e-12, atol=0.0)
 
@@ -544,8 +576,9 @@ def test_volume_density_never_reads_curvature(monkeypatch):
 
 def test_volume_density_keeps_nothing_alive():
     # with the cyclic collector off, whatever a call leaves in a reference
-    # cycle accumulates (the ODE solver's stage arrays, 144 kB at dim 24)
-    g = build_damek_ricci(clifford_generators(7, 2))
+    # cycle accumulates (the ODE solver's stage arrays, 144 kB at dim 24);
+    # DR (7, 2) off H-type, so the flow is integrated
+    g = damek_ricci_scaled_j(7, 2, 1 + 1e-6)
     rng = np.random.default_rng(4)
     dirs = rng.standard_normal((9, g.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -586,3 +619,17 @@ def test_volume_density_overflow_is_named(dr_algebras, times, reached):
     # a grid that stays inside float64 is unchanged
     dets = volume_density(big, v, np.array([0.01, 0.1]))
     assert np.isfinite(dets).all()
+
+
+def test_integrated_density_overflow_is_named():
+    # the integrated path reports the same overflow: DR (2, 1) off H-type,
+    # scaled by 1e3, leaves float64 near t = 0.18 too
+    big = MetricLieAlgebra.from_tensor(
+        damek_ricci_scaled_j(2, 1, 1 + 1e-6).tensor * 1e3)
+    assert big.decomposition().certificate is None
+    v = np.full(big.dim, big.dim ** -0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"volume density overflows "
+                           r"float64: log\|det A\| = \S+ at t = 0\.2,"):
+            volume_density(big, v, np.array([0.01, 0.1, 0.2]))
