@@ -30,6 +30,6 @@ from .clifford_dr import (CliffordModule, build_damek_ricci, build_flat,
                           clifford_generators)
 from .curvature import (central_jacobi_blocks, curvature_norm,
                         curvature_tensor, einstein_check, jacobi_operator_H,
-                        levi_civita, nabla_R_norm, ricci, sectional_curvature)
+                        levi_civita, nabla_R_norm, sectional_curvature)
 
 __version__ = "0.1.0"

@@ -1,13 +1,14 @@
 """Left-invariant Riemannian geometry at the identity.
 
 Connection coefficients come from the Koszul formula applied to
-structure constants; curvature, Ricci, sectional curvatures, Jacobi
-operators and the covariant derivative of R are then pure tensor
-algebra.  Homogeneity makes values at the identity global.  On an input
-that :func:`h_type_certificate` certifies Damek-Ricci, |R| and
-|nabla R| have closed forms (:func:`damek_ricci_norms`) and Ric comes
-from the brackets alone (:func:`ricci_from_brackets`), so ``analyze``
-forms neither the curvature operator nor nabla R there.
+structure constants; curvature, sectional curvatures, Jacobi operators
+and the covariant derivative of R are then pure tensor algebra.
+Homogeneity makes values at the identity global.  Ric comes from the
+brackets alone (:func:`ricci_from_brackets`) on every input, so the
+curvature operator carries R only.  On an input that
+:func:`h_type_certificate` certifies Damek-Ricci, |R| and |nabla R| have
+closed forms (:func:`damek_ricci_norms`), so ``analyze`` forms neither
+the curvature operator nor nabla R there.
 """
 
 import itertools
@@ -26,10 +27,8 @@ from .lie_metric import (MetricLieAlgebra, StandardSolvableData, ad_matrix,
 __all__ = [
     "levi_civita",
     "curvature_tensor",
-    "CurvatureOperator",
     "curvature_operator",
     "flow_operator",
-    "ricci",
     "ricci_from_brackets",
     "einstein_check",
     "HTypeCertificate",
@@ -72,46 +71,36 @@ def curvature_tensor(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
     return r
 
 
-class CurvatureOperator(NamedTuple):
-    """R as a symmetric operator on the 2-vectors, and the Ricci tensor.
-
-    ``matrix[p(i, j), p(k, q)] = <R(e_i, e_j) e_k, e_q>`` over the index
-    pairs i < j and k < q, numbered p(i, j) = j (j - 1) / 2 + i (by j,
-    then i; ``np.tril_indices(n, -1)`` lists them as (j, i)): N x N with
-    N = n (n - 1) / 2.  R is antisymmetric within each pair, so
-    |R| = 2 |matrix|_F.
-    """
-
-    matrix: np.ndarray
-    ricci: np.ndarray
-
-
 def _block_rows(row_bytes: int) -> int:
     """Rows of ``row_bytes`` each that fit ``CURVATURE_BLOCK_BYTES``, at
     least one."""
     return max(1, CURVATURE_BLOCK_BYTES // row_bytes)
 
 
-def curvature_operator(g: MetricLieAlgebra,
-                       gamma: np.ndarray) -> CurvatureOperator:
-    """R on the 2-vectors and Ric, in one pass that never holds R.
+def curvature_operator(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
+    """R as a symmetric operator on the 2-vectors, in one pass that never
+    holds R.
+
+    ``op[p(i, j), p(k, q)] = <R(e_i, e_j) e_k, e_q>`` over the index
+    pairs i < j and k < q, numbered p(i, j) = j (j - 1) / 2 + i (by j,
+    then i; ``np.tril_indices(n, -1)`` lists them as (j, i)): N x N with
+    N = n (n - 1) / 2.  R is antisymmetric within each pair, so
+    |R| = 2 |op|_F.
 
     One chunk of rows i at a time, X[i, j] = Gamma_j Gamma_i for every j
     is one BLAS product ``gamma.reshape(n * n, n) @ gamma[i0:i1]``.  Each
     Gamma_i is skew, so X[i, j]^T = Gamma_i Gamma_j, and
     R(e_i, e_j) = X - X^T - Gamma_[e_i, e_j], the bracket term a second
     product into X's buffer.  Row i of the chunk gives the pairs (j, i),
-    j < i, as <R(e_j, e_i) e_k, e_q> = <R(e_i, e_j) e_q, e_k>, and its
-    share of Ric[j, k] = sum_i <R(e_i, e_j) e_k, e_i>.  A chunk is as
-    many rows (n^3 doubles each, at least one) as fit
+    j < i, as <R(e_j, e_i) e_k, e_q> = <R(e_i, e_j) e_q, e_k>.  A chunk
+    is as many rows (n^3 doubles each, at least one) as fit
     ``config.CURVATURE_BLOCK_BYTES``, so the peak is the N^2 doubles of
-    the matrix, about n^4 / 4, and two chunk buffers.
+    the operator, about n^4 / 4, and two chunk buffers.
     """
     n = g.dim
     jl, il = np.tril_indices(n, -1)           # the pairs i < j, as (j, i)
     swapped = jl * n + il                     # flat (q, k) of (k, q)
     op = np.empty((len(il), len(il)))
-    ric = np.zeros((n, n))
     chunk = min(n, _block_rows(8 * n ** 3))
     x, r = np.empty((2, chunk, n, n, n))
     for i0 in range(0, n, chunk):
@@ -123,13 +112,11 @@ def curvature_operator(g: MetricLieAlgebra,
         np.matmul(g.tensor[i0:i1].reshape(-1, n), gamma.reshape(n, n * n),
                   out=xc.reshape(-1, n * n))
         rc -= xc
-        rows = np.arange(i1 - i0)
-        ric += rc[rows, :, :, rows + i0].sum(axis=0)
         for i in range(max(i0, 1), i1):
             # mode="clip" writes into out= directly; "raise" buffers a copy
             np.take(rc[i - i0, :i].reshape(i, n * n), swapped, axis=1,
                     out=op[i * (i - 1) // 2:i * (i + 1) // 2], mode="clip")
-    return CurvatureOperator(op, ric)
+    return op
 
 
 def flow_operator(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
@@ -149,15 +136,9 @@ def flow_operator(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
     return op
 
 
-def ricci(r: np.ndarray) -> np.ndarray:
-    """Ricci tensor Ric[j, k] = sum_i <R(e_i, e_j) e_k, e_i> of the dense
-    tensor of :func:`curvature_tensor`."""
-    return np.einsum("ijki->jk", r)
-
-
 def curvature_norm(g: MetricLieAlgebra) -> float:
-    """|R|, twice the Frobenius norm of ``g.curvature_operator.matrix``."""
-    return 2.0 * float(np.linalg.norm(g.curvature_operator.matrix))
+    """|R|, twice the Frobenius norm of ``g.curvature_operator``."""
+    return 2.0 * float(np.linalg.norm(g.curvature_operator))
 
 
 def ricci_from_brackets(g: MetricLieAlgebra) -> np.ndarray:
@@ -183,18 +164,16 @@ def ricci_from_brackets(g: MetricLieAlgebra) -> np.ndarray:
     return ric
 
 
-def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS,
-                   ric=None):
+def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS):
     """Whether Ric = c id; returns (is_einstein, c, residual).
 
-    Ric is ``ric`` when given (``analyze`` passes
-    :func:`ricci_from_brackets` on a certified H-type input), else it is
-    read off ``g.curvature_operator``.  The Frobenius residual
-    |Ric - c id| is compared with ``tols.einstein_residual`` times
-    ``g.scale * g.scale``.
+    Ric is :func:`ricci_from_brackets`, on every input, and c its mean
+    eigenvalue.  The Frobenius residual |Ric - c id| is compared with
+    ``tols.einstein_residual`` times ``g.scale * g.scale``.  Ric - c id
+    is traceless, so |Ric - c' id| = hypot(residual, sqrt(n) (c - c'))
+    for any other c'.
     """
-    if ric is None:
-        ric = g.curvature_operator.ricci
+    ric = ricci_from_brackets(g)
     c = float(np.trace(ric)) / g.dim
     residual = float(np.linalg.norm(ric - c * np.eye(g.dim)))
     return (residual <= tols.einstein_residual * g.scale * g.scale, c,
@@ -398,7 +377,7 @@ def nabla_R_norm(g: MetricLieAlgebra) -> float:
     the peak is the operator, rh and S_l, about n^4 doubles, and one
     block.
     """
-    gamma, op = g.connection, g.curvature_operator.matrix
+    gamma, op = g.connection, g.curvature_operator
     n = g.dim
     jl, il = np.tril_indices(n, -1)           # the pairs i < j, as (j, i)
     npairs = len(il)

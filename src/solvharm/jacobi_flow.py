@@ -353,14 +353,19 @@ def _integrated_density(g: MetricLieAlgebra, v: np.ndarray,
 
     # orient so the density is positive right after 0, then check for
     # conjugate points at the interior grid times.  det A(t) ~ t^(n-1)
-    # near 0, so the floor applies to the ratio to the flat density.
+    # near 0, so the floor applies to the ratio to the flat density,
+    # taken as the determinant of the frame with its xi columns divided
+    # by t: t^(n-1) alone can underflow, leaving 0 / 0
     interior = t_grid > INTERIOR_T
     if np.any(interior):
         first = np.argmax(interior)
         sign = math.copysign(1.0, dets[first])
         dets = sign * dets
         t_in = t_grid[interior]
-        bad = dets[interior] / t_in ** (n - 1) < tols.det_floor
+        scaled = states[interior]
+        scaled[:, :, :k] /= t_in[:, np.newaxis, np.newaxis]
+        ratios = np.linalg.det(scaled)
+        bad = math.copysign(1.0, ratios[0]) * ratios < tols.det_floor
         if np.any(bad):
             raise ConjugatePointError(
                 f"volume density vanishes at t = {t_in[np.argmax(bad)]:.6g}"

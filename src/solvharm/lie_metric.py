@@ -177,14 +177,13 @@ class MetricLieAlgebra:
         return gamma
 
     @cached_property
-    def curvature_operator(self):
-        """R on the 2-vectors and Ric, :func:`curvature.curvature_operator`
-        for :attr:`connection`, read-only: N^2 doubles, N = n (n - 1) / 2,
+    def curvature_operator(self) -> np.ndarray:
+        """R on the 2-vectors, :func:`curvature.curvature_operator` for
+        :attr:`connection`, read-only: N^2 doubles, N = n (n - 1) / 2,
         where the dense R of :func:`curvature.curvature_tensor` is n^4."""
         from . import curvature
         op = curvature.curvature_operator(self, self.connection)
-        for array in op:
-            array.flags.writeable = False
+        op.flags.writeable = False
         return op
 
     @cached_property

@@ -43,11 +43,15 @@ module.
   and :func:`mean_curvature_trace`: m(t) = -trace(E' E^{-1}) pointwise,
   both against the finite differences of
   ``jacobi_flow.mean_curvature_numeric``;
+* :func:`ricci`: Ric as the contraction of the dense R of
+  ``curvature.curvature_tensor``, against the bracket formula of
+  ``curvature.ricci_from_brackets`` that ``curvature.einstein_check``
+  reads;
 * :func:`bracket_table`, :func:`jacobi_identity_exact` and
   :func:`ricci_from_brackets`: the brackets as sparse triples in any
   number type (``fractions.Fraction`` for exact arithmetic), the Jacobi
   identity in that type, and Ric from the structure constants alone
-  (Besse 7.38), against ``curvature.ricci`` of R;
+  (Besse 7.38), against :func:`ricci` of R;
 * :func:`spectra_match`: multiset comparison of two spectra;
 * :func:`gamma`, :func:`reciprocal_gamma`, :func:`monodromy_coeffs`
   (with :class:`MonodromyCoeffs`) and :func:`classify_factor_monodromy`:
@@ -544,6 +548,12 @@ def finite_horizon_shape(ad_a, r: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # curvature, mean curvature and spectra
 # ---------------------------------------------------------------------------
+
+def ricci(r: np.ndarray) -> np.ndarray:
+    """Ricci tensor Ric[j, k] = sum_i <R(e_i, e_j) e_k, e_i> of the dense
+    tensor of ``curvature.curvature_tensor``."""
+    return np.einsum("ijki->jk", r)
+
 
 def nabla_R(g) -> np.ndarray:
     """Covariant derivative (nabla_{e_l} R)(e_i, e_j) e_k, index [l,i,j,k,:].

@@ -57,7 +57,6 @@ def test_package_and_numpy_only_path_load_no_scipy():
         "    g, lie_metric.standard_decomposition(g))",
         "assert cert is not None",
         "curvature.damek_ricci_norms(cert)",
-        "curvature.einstein_check(g, ric=curvature.ricci_from_brackets(g))",
         "lie_metric.algebra_to_dict(g)",
         "print(sorted(m for m in sys.modules",
         "             if m == 'scipy' or m.startswith('scipy.')))",
@@ -395,6 +394,12 @@ def test_witness_tolerance_reaches_rigidity_check(flag, block, key, tmp_path,
     assert witnessed[block][key] == value
     assert witnessed["classification"] == report["classification"]
     assert csv.read_text().startswith("direction_id,t,det\n")
+    # the library reports the same contradiction, without the CLI
+    tols = solvharm.DEFAULT_TOLS.with_overrides(
+        **{flag[len("--tol-"):].replace("-", "_"): bound})
+    failures = []
+    build_report(g, tols=tols, failures=failures)
+    assert failures == err.splitlines()
 
 
 def test_analyze_flat_motion_group(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from oracles import (add_to_ad_h, central_jacobi_blocks_block_diag,
                      curvature_einsum, damek_ricci_scaled_j,
                      jacobi_identity_exact, mixed_damek_ricci, nabla_R,
-                     nabla_R_norm_three_products, ricci_from_brackets,
+                     nabla_R_norm_three_products, ricci, ricci_from_brackets,
                      skew_derivations_commuting_with_ad_h, z_top_vector)
 from solvharm import curvature, hypergeom, jacobi_flow, lie_metric
 from solvharm.cli import build_report, main
@@ -23,7 +23,7 @@ from solvharm.curvature import (central_frame_split, central_jacobi_blocks,
                                 curvature_norm, curvature_tensor,
                                 einstein_check,
                                 jacobi_operator_H, levi_civita, nabla_R_norm,
-                                ricci, sectional_curvature)
+                                sectional_curvature)
 from solvharm.errors import DomainError
 from solvharm.jacobi_flow import CentralGeodesicFrame, volume_density
 from solvharm.lie_metric import (MetricLieAlgebra, ad_matrix, algebra_to_dict,
@@ -123,12 +123,11 @@ def test_ricci_from_brackets_matches_ricci_of_r(
     dr72 = build_damek_ricci(clifford_generators(7, 2))
     for g in (haar_rotate(dr72, 3), haar_rotate(dr72.rescaled(0.3), 4),
               generic_pair_algebra, haar_rotate(perturbed_theta_algebra, 5)):
+        want = ricci(curvature_tensor(g, g.connection))
         for got in (np.array(ricci_from_brackets(g)),
                     curvature.ricci_from_brackets(g)):
-            for want in (ricci(curvature_tensor(g, g.connection)),
-                         g.curvature_operator.ricci):
-                assert np.abs(got - want).max() \
-                    <= 1e-13 * max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() \
+                <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 def _exact_einstein_builds():
@@ -527,16 +526,15 @@ def test_curvature_operator_matches_dense_tensor(
         dr_algebras, perturbed_theta_algebra, generic_pair_algebra,
         haar_rotate):
     # the operator is R on the pairs i < j, k < q, symmetric by pair
-    # symmetry, and carries Ric and |R| of the dense tensor
+    # symmetry, and carries |R| of the dense tensor
     for g in _curvature_cases(dr_algebras, perturbed_theta_algebra,
                               generic_pair_algebra, haar_rotate):
         r = curvature_tensor(g, g.connection)
         j, i = np.tril_indices(g.dim, -1)   # pairs i < j, by j then i
         op = g.curvature_operator
         bound = 1e-14 * g.scale * g.scale
-        assert np.abs(op.matrix - r[i, j][:, i, j]).max() <= bound
-        assert np.abs(op.matrix - op.matrix.T).max() <= bound
-        assert np.abs(op.ricci - ricci(r)).max() <= 10 * bound
+        assert np.abs(op - r[i, j][:, i, j]).max() <= bound
+        assert np.abs(op - op.T).max() <= bound
         assert curvature_norm(g) == pytest.approx(np.linalg.norm(r),
                                                   rel=1e-14)
 
@@ -546,9 +544,9 @@ def test_blocked_curvature_stages_match_the_default(budget, monkeypatch,
                                                     haar_rotate):
     # one row i per chunk and one column j per block, chunks of 2 rows
     # and blocks of 4 columns that split dim 24 unevenly, and one block
-    # for everything give one operator, one Ricci tensor and one
-    # |nabla R| up to roundoff (the default budget runs dim 24 in chunks
-    # of 9 rows and product blocks of 19 columns)
+    # for everything give one operator and one |nabla R| up to roundoff
+    # (the default budget runs dim 24 in chunks of 9 rows and product
+    # blocks of 19 columns)
     dr72 = haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 7)
     want = dr72.curvature_operator
     want_nr = nabla_R_norm(dr72)
@@ -556,8 +554,7 @@ def test_blocked_curvature_stages_match_the_default(budget, monkeypatch,
     g = MetricLieAlgebra(dr72.dim, dr72.structure_constants)
     got = g.curvature_operator
     bound = 1e-14 * g.scale * g.scale
-    assert np.abs(got.matrix - want.matrix).max() <= bound
-    assert np.abs(got.ricci - want.ricci).max() <= 10 * bound
+    assert np.abs(got - want).max() <= bound
     assert nabla_R_norm(g) == pytest.approx(want_nr, rel=1e-13)
 
 
@@ -619,6 +616,33 @@ def test_build_report_computes_geometry_once(geometry_calls):
     assert report["classification"] == "NotAsymptoticallyHarmonic"
     assert geometry_calls == {"levi_civita": 1, "curvature_tensor": 0,
                               "curvature_operator": 1, "flow_operator": 0}
+
+
+@pytest.mark.parametrize("name", ["dr-2-1", "dr-2-1-scaled-j", "flat-4",
+                                  "heisenberg-3"])
+def test_analyze_computes_ricci_once(name, monkeypatch, tmp_path):
+    # one Ric per run, from the brackets, whichever path |R| takes
+    g = (build_damek_ricci(clifford_generators(2, 1)) if name == "dr-2-1"
+         else _dense_inputs(name, {}))
+    calls = _count_calls(monkeypatch, ("ricci_from_brackets",))
+    code, _ = _analyze_file(tmp_path, g)
+    assert code == 0
+    assert calls == {"ricci_from_brackets": 1}
+
+
+@pytest.mark.parametrize("key", [(2, 1), (3, 2), (7, 2)])
+def test_uncertified_einstein_block_matches_dense_ricci(key):
+    # off H-type (J_1 times 1 + 1e-6): c and the residual of the report
+    # are those of the contraction of the dense R
+    g = damek_ricci_scaled_j(*key, 1 + 1e-6)
+    assert g.decomposition().certificate is None
+    ric = ricci(curvature_tensor(g, g.connection))
+    c = np.trace(ric) / g.dim
+    residual = np.linalg.norm(ric - c * np.eye(g.dim))
+    einstein = build_report(g)["einstein"]
+    bound = 1e-13 * np.linalg.norm(ric)
+    assert abs(einstein["constant"] - c) <= bound
+    assert abs(einstein["residual"] - residual) <= bound
 
 
 def _analyze_file(tmp_path, g, *argv):
@@ -750,6 +774,11 @@ def test_certified_derivations_must_agree(monkeypatch, tmp_path, capsys):
                     r"\|Ric - c id\| = (\S+) exceeds (\S+)\n", err)
     assert gap and gap[2] == repr(bound)
     assert float(gap[1]) == pytest.approx(1e-6 * np.sqrt(g.dim), rel=1e-6)
+    # build_report leaves each message in ``failures``, the one source of
+    # exit 4, so a library caller sees it without the CLI
+    failures = []
+    build_report(g, failures=failures)
+    assert failures == err.splitlines()
     monkeypatch.setattr(curvature, "ricci_from_brackets", original)
 
     rigidity = hypergeom.rigidity_conclusion
@@ -760,6 +789,9 @@ def test_certified_derivations_must_agree(monkeypatch, tmp_path, capsys):
     assert code == 4
     assert unrigid["classification"] == "NotAsymptoticallyHarmonic"
     assert "rigidity.is_rigid = False" in err and "(True)" in err
+    failures = []
+    build_report(g, failures=failures)
+    assert failures == err.splitlines()
 
 
 @pytest.mark.parametrize("argv, operator", [
@@ -815,9 +847,7 @@ def test_certified_density_sidecar_builds_no_geometry(geometry_calls,
 def test_geometry_is_read_only(dr_algebras):
     g = dr_algebras[(1, 1)]
     with pytest.raises(ValueError):
-        g.curvature_operator.matrix[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        g.curvature_operator.ricci[0, 0] = 1.0
+        g.curvature_operator[0, 0] = 1.0
     with pytest.raises(ValueError):
         g.connection[0, 0, 0] = 1.0
     with pytest.raises(ValueError):

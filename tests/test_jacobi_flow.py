@@ -489,6 +489,20 @@ def test_volume_density_floor_is_scale_free(key, t):
                                    [expected], rtol=1e-8)
 
 
+def test_volume_density_floor_survives_underflow():
+    # dim 57 scaled by 2^20 at t = 0.1 / 2^20: t^56 underflows, and the
+    # density with it, but det A(t) / t^(n-1), near 1, is still checked
+    g = damek_ricci_scaled_j(8, 3, 1 + 1e-6).rescaled(2.0 ** 20)
+    v = np.eye(g.dim)[0]
+    t = np.array([0.1, 0.2]) / 2.0 ** 20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(volume_density(g, v, t), [0.0, 0.0])
+        with pytest.raises(ConjugatePointError, match="t = 9.53674e-08"):
+            volume_density(g, v, t, DEFAULT_TOLS.with_overrides(
+                det_floor=2.0))
+
+
 def test_volume_density_finds_heisenberg_conjugate_point():
     g = build_heisenberg_type(clifford_generators(1))
     with pytest.raises(ConjugatePointError, match="t = 8"):
