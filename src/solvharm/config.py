@@ -115,9 +115,8 @@ SCALE_WINDOW = 1e45
 # bytes of one working block of the curvature stages: the chunk of rows i
 # of ``curvature.curvature_operator`` and the column and row blocks of
 # ``curvature.nabla_R_norm`` are sized to it, at least one row each.  A
-# chunk of all rows fits up to dim 19, and the product of
-# ``nabla_R_norm`` is one block up to dim 22, so dims <= 16 run every
-# stage as one block; at dim 32 a block is about n^4 / 8 doubles
+# chunk of all rows fits up to dim 19; at dim 32 a block is about n^4 / 8
+# doubles
 CURVATURE_BLOCK_BYTES = 2 ** 20
 
 # fixed thresholds of single checks, in the units the comment gives

@@ -194,13 +194,13 @@ class HTypeCertificate(NamedTuple):
     pq: int
 
 
-def h_type_certificate(g: MetricLieAlgebra, data: StandardSolvableData,
+def h_type_certificate(data: StandardSolvableData,
                        tols: Tolerances = DEFAULT_TOLS):
-    """The :class:`HTypeCertificate` of ``g``, or None if ``g`` is not a
-    Damek-Ricci algebra in the frame of its standard decomposition.
+    """The :class:`HTypeCertificate` of ``data``, or None if the brackets
+    it reads are not Damek-Ricci in the frame of its decomposition.
 
-    The input's brackets are read in ``data.basis`` (H, v, z), with lam
-    the mean ad_H eigenvalue on z.  Certified means both of:
+    The brackets are ``data.adapted_brackets()``, in the basis (H, v, z),
+    with lam the mean ad_H eigenvalue on z.  Certified means both of:
 
     * they are the Damek-Ricci brackets of their own maps
       J_a = j(Z_a) on v: [H, V] = lam V / 2, [H, Z] = lam Z and
@@ -214,18 +214,15 @@ def h_type_certificate(g: MetricLieAlgebra, data: StandardSolvableData,
     m = 0 is real hyperbolic space.  On a certified input each
     J_a J_b J_c (a < b < c) is symmetric and squares to lam^6 id, so its
     trace is (p - q) lam^3 with p + q = m: the trace, rounded, gives
-    p_abc q_abc exactly.  The checks run on the brackets times 2^-e, the
-    power of two fixed with ``g.scale``, which is exact, so lam^2 and
-    lam^3 neither over- nor underflow at any scale the algebra loads
-    at.  The frame change is O(n^4) and the relations O(k^2 m^3);
-    ``data.algebra`` is not built.
+    p_abc q_abc exactly.  The checks run on the brackets times 2^-e,
+    which is exact, so lam^2 and lam^3 neither over- nor underflow at
+    any scale the algebra loads at; lam is returned times 2^e.  The
+    frame is O(n^4) and the relations O(k^2 m^3); ``data.algebra`` is
+    not built.
     """
     m, k = len(data.v_indices), len(data.z_indices)
     v, z = slice(1, 1 + m), slice(1 + m, None)   # H is index 0
-    n, basis = g.dim, data.basis
-    # t[a, b, c] = <[B_a, B_b], B_c> for the columns B of the basis
-    t = (basis.T @ (g.tensor @ basis).reshape(n, n * n)).reshape(n, n, n)
-    t = np.ldexp(np.matmul(basis.T, t), -g._exponent)
+    t, e = data.adapted_brackets()
     lam = float(np.trace(t[0, z, z])) / k
     model = np.zeros_like(t)
     model[0, v, v] = 0.5 * lam * np.eye(m)
@@ -247,7 +244,7 @@ def h_type_certificate(g: MetricLieAlgebra, data: StandardSolvableData,
                              dtype=np.intp).reshape(-1, 3).T)
     split = np.rint(traces[triples] / (lam * lam * lam)).astype(np.int64)
     pq = int(((m * m - split * split) // 4).sum())
-    return HTypeCertificate(math.ldexp(lam, g._exponent), m, k, pq)
+    return HTypeCertificate(math.ldexp(lam, e), m, k, pq)
 
 
 def damek_ricci_norms(cert: HTypeCertificate):
@@ -372,10 +369,9 @@ def nabla_R_norm(g: MetricLieAlgebra) -> float:
     sized to ``config.CURVATURE_BLOCK_BYTES``.  With the pairs numbered
     by j, then i, column j's rows c > j start the pairs (j, c) and its
     rows i < j complete the contiguous range of pairs (i, j), each from
-    a strided view.  Up to dim 22 the product is one block, and S_l two
-    row gathers.  S_l + S_l^T is summed one block of rows at a time, so
-    the peak is the operator, rh and S_l, about n^4 doubles, and one
-    block.
+    a strided view.  S_l + S_l^T is summed one block of rows at a time,
+    in the product's buffer, so the peak is the operator, rh and S_l,
+    about n^4 doubles, and one block.
     """
     gamma, op = g.connection, g.curvature_operator
     n = g.dim
@@ -393,37 +389,25 @@ def nabla_R_norm(g: MetricLieAlgebra) -> float:
     width = min(n, _block_rows(8 * n * npairs))    # columns j per block
     prod = np.empty((n, width * npairs))
     s = np.empty((npairs, npairs))            # S_l on the pairs
-    if width == n:
-        upper, lower = il * n + jl, jl * n + il   # flat (i, j) and (j, i)
-        w = np.empty((npairs, npairs))
-    else:
-        w = prod
-        # the pairs (j, c), c > j
-        starts = [np.arange(j + 1, n) * np.arange(j, n - 1) // 2 + j
-                  for j in range(n)]
-    height = w.size // npairs
+    # the pairs (j, c), c > j
+    starts = [np.arange(j + 1, n) * np.arange(j, n - 1) // 2 + j
+              for j in range(n)]
+    height = prod.size // npairs
     total = 0.0
     for gam in gamma:
         for j0 in range(0, n, width):
             j1 = min(n, j0 + width)
             part = prod[:, :(j1 - j0) * npairs]
             np.matmul(gam, rh[:, j0 * npairs:j1 * npairs], out=part)
-            if width == n:
-                by_row = part.reshape(n * n, npairs)
-                # mode="clip" writes into out= directly; "raise" buffers
-                np.take(by_row, upper, axis=0, out=s, mode="clip")
-                np.take(by_row, lower, axis=0, out=w, mode="clip")
-                s -= w
-            else:
-                by_column = part.reshape(n, j1 - j0, npairs)
-                for j in range(j0, j1):
-                    s[starts[j]] = by_column[j + 1:, j - j0]
-                for j in range(j0, j1):
-                    pairs = s[j * (j - 1) // 2:j * (j + 1) // 2]
-                    np.subtract(by_column[:j, j - j0], pairs, out=pairs)
+            by_column = part.reshape(n, j1 - j0, npairs)
+            for j in range(j0, j1):
+                s[starts[j]] = by_column[j + 1:, j - j0]
+            for j in range(j0, j1):
+                pairs = s[j * (j - 1) // 2:j * (j + 1) // 2]
+                np.subtract(by_column[:j, j - j0], pairs, out=pairs)
         for p0 in range(0, npairs, height):
             p1 = min(npairs, p0 + height)
-            rows = w.ravel()[:(p1 - p0) * npairs].reshape(p1 - p0, npairs)
+            rows = prod.ravel()[:(p1 - p0) * npairs].reshape(p1 - p0, npairs)
             np.add(s[p0:p1], s[:, p0:p1].T, out=rows)
             total += float(np.vdot(rows, rows))
     return math.sqrt(4.0 * total)

@@ -27,7 +27,8 @@ from .config import (DEFAULT_TOLS, DET_UNDERFLOW, HYP2F1_REL, INTERIOR_T,
                      MIN_HORIZON, UNIT_VECTOR_TOL, Tolerances)
 from .curvature import (HTypeCertificate, central_frame_split,
                         central_jacobi_blocks)
-from .errors import ConjugatePointError, DomainError, NumericalError
+from .errors import (ConjugatePointError, DimensionError, DomainError,
+                     NumericalError)
 from .hypergeom import stable_block_and_derivative, z_of_t
 from .lie_metric import MetricLieAlgebra, StandardSolvableData, _null_space
 
@@ -198,12 +199,19 @@ def mean_curvature_numeric(sample: JacobiTensorSample) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _LOG_MAX = math.log(np.finfo(float).max)
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def _overflow(log_det: float, t: float) -> NumericalError:
     return NumericalError(
         f"volume density overflows float64: log|det A| = {log_det:.6g} at "
         f"t = {t:.6g}, past log(max float64) = {_LOG_MAX:.6g}")
+
+
+def _underflow(log_det: float, t: float) -> NumericalError:
+    return NumericalError(
+        f"volume density underflows float64: log|det A| = {log_det:.6g} at "
+        f"t = {t:.6g}, below log(min normal float64) = {_LOG_TINY:.6g}")
 
 
 def volume_density(g: MetricLieAlgebra, v, t_grid,
@@ -227,9 +235,17 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
     reaches float64's range c times sooner.  A density past that range
     raises NumericalError naming the overflow, log|det A| and the first
     grid time past the range (on the integrated path, the time the
-    integration reached if it stopped before the grid did).
+    integration reached if it stopped before the grid did).  Near t = 0
+    it shrinks like t^(n-1): a density below the smallest normal float64
+    at a grid time t > 0 raises NumericalError naming the underflow,
+    log|det A| and the first such time, on both paths (on the integrated
+    path after the conjugate-point check).  A ``v`` of other than shape
+    ``(g.dim,)`` raises DimensionError.
     """
     v = np.asarray(v, dtype=float)
+    if v.shape != (g.dim,):
+        raise DimensionError(f"direction v must have shape ({g.dim},), got "
+                             f"{v.shape}")
     if not abs(np.linalg.norm(v) - 1.0) <= UNIT_VECTOR_TOL:   # NaN fails too
         raise DomainError("direction v must be a unit vector")
     t_grid = np.asarray(t_grid, dtype=float)
@@ -254,17 +270,19 @@ def _damek_ricci_density(cert: HTypeCertificate,
     at a = lam t > 0, each 1 - e^-x taken by ``expm1``: no sinh
     overflows, and m = 0 multiplies a finite logarithm, so there is no
     0 log 0.  t = 0 gives 0.  A logarithm past log(max float64) raises
-    the overflow at the first grid time that reaches it.
+    the overflow at the first grid time that reaches it, and one below
+    log(min normal float64) the underflow.
     """
     lam, m, k = cert.lam, cert.m, cert.k
     positive = t_grid > 0.0
     a = lam * t_grid[positive]
     log_det = (m * (0.5 * a + np.log(-np.expm1(-a) / lam))
                + k * (a + np.log(-np.expm1(-2.0 * a) / lam / 2.0)))
-    past = log_det > _LOG_MAX
-    if past.any():
-        first = int(np.argmax(past))
-        raise _overflow(log_det[first], t_grid[positive][first])
+    for past, error in ((log_det > _LOG_MAX, _overflow),
+                        (log_det < _LOG_TINY, _underflow)):
+        if past.any():
+            first = int(np.argmax(past))
+            raise error(log_det[first], t_grid[positive][first])
     dets = np.zeros_like(t_grid)
     dets[positive] = np.exp(log_det)
     return dets
@@ -370,4 +388,8 @@ def _integrated_density(g: MetricLieAlgebra, v: np.ndarray,
             raise ConjugatePointError(
                 f"volume density vanishes at t = {t_in[np.argmax(bad)]:.6g}"
             )
+    tiny = (t_grid > 0.0) & (np.abs(dets) < np.finfo(float).tiny)
+    if np.any(tiny):
+        first = int(np.argmax(tiny))
+        raise _underflow(np.linalg.slogdet(states[first])[1], t_grid[first])
     return dets

@@ -211,7 +211,7 @@ class MetricLieAlgebra:
                 data, reason = standard_decomposition(self, tols), None
             except StructureError as exc:
                 data, reason = None, str(exc)
-            cert = (curvature.h_type_certificate(self, data, tols)
+            cert = (curvature.h_type_certificate(data, tols)
                     if data is not None else None)
             self._decompositions[key] = Decomposition(data, reason, cert)
         return self._decompositions[key]
@@ -435,10 +435,10 @@ class StandardSolvableData:
     geodesic tangent to Z the frame slots are its identity columns, with
     the eigenvalues ``mu`` (all but Z's), ``rho_star`` and ``pairs``
     (see :func:`curvature.central_frame_split`).  No algebra is built
-    until ``algebra`` is first read.  The data keep the input's brackets,
-    not the input, so its cached connection and curvature operator can be
-    freed, and compare equal only to themselves (the arrays are not
-    compared).
+    until ``algebra`` is first read.  The data keep the brackets they
+    read (:meth:`adapted_brackets`) and e, not the input, so its cached
+    connection and curvature operator can be freed, and compare equal
+    only to themselves (the arrays are not compared).
     """
 
     v_indices: tuple
@@ -449,6 +449,7 @@ class StandardSolvableData:
     _tensor: np.ndarray = field(repr=False, compare=False)
     _basis: np.ndarray = field(repr=False, compare=False)
     _scale: float = field(repr=False, compare=False)
+    _exponent: int = field(repr=False, compare=False)
     jacobi_tol: float = field(repr=False, compare=False)
 
     @cached_property
@@ -461,12 +462,17 @@ class StandardSolvableData:
         q_basis.flags.writeable = False
         return q_basis
 
+    def adapted_brackets(self):
+        """``(t, e)``: t[a, b, c] = 2^-e <[B_a, B_b], B_c> over the columns
+        B of :attr:`basis`, e fixed at load; O(n^4), a fresh array."""
+        n, basis, e = len(self._basis), self.basis, self._exponent
+        t = basis.T @ (self._tensor @ basis).reshape(n, n * n)
+        return np.ldexp(np.matmul(basis.T, t.reshape(n, n, n)), -e), e
+
     @cached_property
     def algebra(self) -> MetricLieAlgebra:
-        b = self.basis
-        tensor = np.einsum("ia,jb,ijk,kc->abc", b, b, self._tensor, b,
-                           optimize=True)
-        return MetricLieAlgebra.from_tensor(self._scale * tensor,
+        t, e = self.adapted_brackets()
+        return MetricLieAlgebra.from_tensor(self._scale * np.ldexp(t, e),
                                             jacobi_tol=self.jacobi_tol)
 
     @property
@@ -589,8 +595,8 @@ def standard_decomposition(g: MetricLieAlgebra,
     with positive eigenvalues: |m - m^T| <= ``tols.self_adjoint`` |m|, or
     else |m m^T - m^T m| <= ``self_adjoint`` |m|^2 (Frobenius norms).  m
     keeps the center z of n and v = z^perp, and its skew part is a
-    derivation, so the data and ``.algebra`` are read through its
-    symmetric part, an isometric algebra (Alekseevskii's modification).
+    derivation, so the data, ``.algebra`` and the H-type certificate read
+    its symmetric part, an isometric algebra (Alekseevskii's modification).
     z, the blocks of ad_H and j(Z) are contractions of ``g.tensor``;
     dividing them by the top ad_H eigenvalue ``lam`` normalizes it to
     exactly 1, as for the metric rescaled by 1/lam.
@@ -677,6 +683,7 @@ def standard_decomposition(g: MetricLieAlgebra,
         _tensor=tensor,
         _basis=np.column_stack([h, v_cols, z_cols]),
         _scale=scale,
+        _exponent=g._exponent,
         jacobi_tol=g.jacobi_tol,
     )
 

@@ -54,7 +54,7 @@ def test_package_and_numpy_only_path_load_no_scipy():
         "curvature.einstein_check(g)",
         "curvature.nabla_R_norm(g)",
         "cert = curvature.h_type_certificate(",
-        "    g, lie_metric.standard_decomposition(g))",
+        "    lie_metric.standard_decomposition(g))",
         "assert cert is not None",
         "curvature.damek_ricci_norms(cert)",
         "lie_metric.algebra_to_dict(g)",
@@ -1322,6 +1322,25 @@ def test_out_of_memory_is_exit_6(tmp_path):
 def test_out_of_memory_message_without_shape():
     assert cli._out_of_memory("scan-h", MemoryError()) == (
         "error: scan-h ran out of memory\n")
+
+
+@pytest.mark.parametrize("factor", [None, 1 + 1e-6])
+def test_density_underflow_is_a_clear_error(tmp_path, factor):
+    # near t = 0 the density of DR (2, 1) is about t^6, below float64's
+    # normal range at t = 1e-60, on the closed form (certified) and the
+    # integrated path (J_1 scaled)
+    g = (build_damek_ricci(clifford_generators(2)) if factor is None
+         else damek_ricci_scaled_j(2, 1, factor))
+    alg, csv = tmp_path / "g.json", tmp_path / "d.csv"
+    alg.write_text(json.dumps(algebra_to_dict(g)))
+    res = _run(["analyze", str(alg), "--density-csv", str(csv),
+                "--density-times", "1e-60,1"])
+    assert res.returncode == 1
+    assert re.fullmatch(
+        r"error: volume density underflows float64: log\|det A\| = \S+ "
+        r"at t = 1e-60, below log\(min normal float64\) = -708\.396\n",
+        res.stderr)
+    assert not csv.exists()
 
 
 def test_density_overflow_is_a_clear_error(tmp_path):

@@ -653,6 +653,14 @@ def _analyze_file(tmp_path, g, *argv):
     return code, json.loads(out.read_text())
 
 
+def _skew_ad_h(l, copies):
+    """DR (l, copies) with 0.3 times a skew derivation that commutes with
+    ad_H added to ad_H: ad_H is normal, not self-adjoint, and the input's
+    brackets are not the Damek-Ricci ones in any frame."""
+    g = build_damek_ricci(clifford_generators(l, copies))
+    return add_to_ad_h(g, 0.3 * skew_derivations_commuting_with_ad_h(g)[0])
+
+
 _CERTIFIED = {
     "dr-1-1": lambda rot: build_damek_ricci(clifford_generators(1, 1)),
     "dr-2-1": lambda rot: build_damek_ricci(clifford_generators(2, 1)),
@@ -661,19 +669,19 @@ _CERTIFIED = {
     "mixed-3-1-1": lambda rot: mixed_damek_ricci(3, 1, 1),
     "rot-mixed-3-2-0": lambda rot: rot(mixed_damek_ricci(3, 2, 0), 7),
     "rh-3": lambda rot: build_real_hyperbolic(3),
+    # ad_H normal but not self-adjoint: the standard decomposition reads
+    # the symmetric-part modification, isometric to the input, and that
+    # is DR (2, 1) in the adapted frame, so the certificate reads it too
+    "dr-2-1-skew-ad-h": lambda rot: _skew_ad_h(2, 1),
+    "rot-dr-2-1-skew-ad-h": lambda rot: rot(_skew_ad_h(2, 1), 7),
 }
 
 
 def _dense_inputs(name, fixtures):
-    dr21 = build_damek_ricci(clifford_generators(2, 1))
     return {
         "perturbed-theta": lambda: fixtures["perturbed-theta"],
         "generic-pair": lambda: fixtures["generic-pair"],
         "dr-2-1-scaled-j": lambda: damek_ricci_scaled_j(2, 1, 1 + 1e-6),
-        # ad_H normal but not self-adjoint: isometric to DR (2, 1), but
-        # its brackets are not the Damek-Ricci ones in any frame
-        "dr-2-1-skew-ad-h": lambda: add_to_ad_h(
-            dr21, 0.3 * skew_derivations_commuting_with_ad_h(dr21)[0]),
         "heisenberg-3": lambda: build_heisenberg_type(clifford_generators(1)),
         "flat-4": lambda: build_flat(4),
     }[name]()
@@ -692,13 +700,13 @@ def test_certified_inputs_skip_the_dense_curvature_stages(name, monkeypatch,
 
 
 @pytest.mark.parametrize("name", ["perturbed-theta", "generic-pair",
-                                  "dr-2-1-scaled-j", "dr-2-1-skew-ad-h"])
+                                  "dr-2-1-scaled-j"])
 def test_other_inputs_take_the_dense_curvature_stages(
         name, monkeypatch, tmp_path, perturbed_theta_algebra,
         generic_pair_algebra):
     g = _dense_inputs(name, {"perturbed-theta": perturbed_theta_algebra,
                              "generic-pair": generic_pair_algebra})
-    assert curvature.h_type_certificate(g, standard_decomposition(g)) is None
+    assert curvature.h_type_certificate(standard_decomposition(g)) is None
     calls = _count_calls(monkeypatch, ("curvature_operator", "nabla_R_norm"))
     code, report = _analyze_file(tmp_path, g)
     assert code == 0
@@ -725,8 +733,8 @@ def test_certified_density_never_integrates(name, monkeypatch, haar_rotate):
 
 
 @pytest.mark.parametrize("name", ["perturbed-theta", "generic-pair",
-                                  "dr-2-1-scaled-j", "dr-2-1-skew-ad-h",
-                                  "heisenberg-3", "flat-4"])
+                                  "dr-2-1-scaled-j", "heisenberg-3",
+                                  "flat-4"])
 def test_other_densities_are_integrated(name, monkeypatch,
                                         perturbed_theta_algebra,
                                         generic_pair_algebra):
@@ -750,6 +758,25 @@ def test_other_densities_are_integrated(name, monkeypatch,
             volume_density(g, v, t),
             jacobi_flow._integrated_density(g, v, t, DEFAULT_TOLS))
     assert len(started) == 6
+
+
+@pytest.mark.parametrize("key", [(2, 1), (7, 2)])
+def test_skew_ad_h_certifies_with_its_damek_ricci_twin(key):
+    # at every scale the skew input gets its twin's certificate, and with
+    # it the twin's label and closed-form |R| and |nabla R|
+    twin = build_damek_ricci(clifford_generators(*key))
+    skew = _skew_ad_h(*key)
+    for c in (1e-30, 1.0, 1e30):
+        a, b = twin.rescaled(c), skew.rescaled(c)
+        got, want = (x.decomposition().certificate for x in (b, a))
+        assert got is not None and got[1:] == want[1:]
+        assert got.lam == pytest.approx(want.lam, rel=1e-14)
+        ours, theirs = build_report(b), build_report(a)
+        assert ours["classification"] == theirs["classification"]
+        for block, field in (("curvature", "norm"),
+                             ("symmetry", "nabla_r_norm")):
+            assert ours[block][field] == pytest.approx(theirs[block][field],
+                                                       rel=1e-14)
 
 
 def test_certified_derivations_must_agree(monkeypatch, tmp_path, capsys):

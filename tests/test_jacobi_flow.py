@@ -20,7 +20,8 @@ from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.config import DEFAULT_TOLS
-from solvharm.errors import ConjugatePointError, DomainError, NumericalError
+from solvharm.errors import (ConjugatePointError, DimensionError, DomainError,
+                             NumericalError)
 from solvharm.hypergeom import gauss_f, stable_block_and_derivative, z_of_t
 from solvharm.jacobi_flow import (CentralGeodesicFrame, JacobiTensorSample,
                                   mean_curvature_numeric, stable_jacobi_tensor,
@@ -492,15 +493,38 @@ def test_volume_density_floor_is_scale_free(key, t):
 def test_volume_density_floor_survives_underflow():
     # dim 57 scaled by 2^20 at t = 0.1 / 2^20: t^56 underflows, and the
     # density with it, but det A(t) / t^(n-1), near 1, is still checked
+    # first; the density itself then raises the underflow
     g = damek_ricci_scaled_j(8, 3, 1 + 1e-6).rescaled(2.0 ** 20)
     v = np.eye(g.dim)[0]
     t = np.array([0.1, 0.2]) / 2.0 ** 20
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(volume_density(g, v, t), [0.0, 0.0])
+        with pytest.raises(NumericalError, match=(
+                r"volume density underflows float64: log\|det A\| = "
+                r"-905\.\d+ at t = 9\.53674e-08, below log\(min normal "
+                r"float64\) = -708\.396$")):
+            volume_density(g, v, t)
         with pytest.raises(ConjugatePointError, match="t = 9.53674e-08"):
             volume_density(g, v, t, DEFAULT_TOLS.with_overrides(
                 det_floor=2.0))
+
+
+def test_closed_form_density_underflow_is_named():
+    # the closed form names the underflow as the integration above does:
+    # certified DR (8, 3) scaled by 2^20 is below float64's normal range
+    # at t = 0.1 / 2^20, and the first time past it is named
+    g = build_damek_ricci(clifford_generators(8, 3)).rescaled(2.0 ** 20)
+    assert g.decomposition().certificate is not None
+    v = np.eye(g.dim)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=(
+                r"underflows float64: log\|det A\| = -905\.\d+ at "
+                r"t = 9\.53674e-08,")):
+            volume_density(g, v, np.array([0.0, 0.1, 0.2, 10.0]) / 2 ** 20)
+        # a grid inside the range is unchanged
+        assert (volume_density(g, v, np.array([0.0, 10.0]) / 2 ** 20)[1]
+                > np.finfo(float).tiny)
 
 
 def test_volume_density_finds_heisenberg_conjugate_point():
@@ -516,6 +540,19 @@ def test_volume_density_requires_unit_vector():
         volume_density(g, np.array([2.0, 0.0, 0.0]), np.array([1.0]))
     with pytest.raises(DomainError):
         volume_density(g, np.array([np.nan, 0.0, 0.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("name", ["dr-2-1", "dr-2-1-scaled-j"])
+@pytest.mark.parametrize("shape", [(1,), (8,), (1, 7)])
+def test_volume_density_checks_the_direction_shape(name, shape):
+    # the closed form and the integrated path refuse the same shapes
+    g = (build_damek_ricci(clifford_generators(2, 1)) if name == "dr-2-1"
+         else damek_ricci_scaled_j(2, 1, 1 + 1e-6))
+    assert (g.decomposition().certificate is None) == (name != "dr-2-1")
+    v = np.zeros(shape)
+    v.flat[0] = 1.0
+    with pytest.raises(DimensionError, match=r"shape \(7,\)"):
+        volume_density(g, v, np.array([0.5, 1.0]))
 
 
 @pytest.mark.parametrize("t_grid", [[1.0, 0.5], [-0.5, 1.0], [0.5, 0.5],

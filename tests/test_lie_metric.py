@@ -316,6 +316,20 @@ def test_standard_decomposition_does_not_keep_its_input(dr_algebras):
                                atol=1e-12)
 
 
+def test_adapted_brackets_build_the_algebra(dr_algebras, haar_rotate):
+    # one frame, read by .algebra and the H-type certificate: the
+    # brackets in the adapted basis times 2^-e, with e the input's, and a
+    # fresh array on every call (no n^3 array stays on the data)
+    g = haar_rotate(dr_algebras[(2, 1)], 3).rescaled(3.0)
+    d = standard_decomposition(g)
+    t, e = d.adapted_brackets()
+    assert e == g._exponent
+    again, _ = d.adapted_brackets()
+    assert again is not t and np.array_equal(again, t)
+    np.testing.assert_allclose(d.algebra.tensor, np.ldexp(t, e) / 3.0,
+                               rtol=0, atol=1e-14)
+
+
 def test_standard_decomposition_idempotent(dr_data):
     for key in ((1, 1), (2, 1)):
         d = dr_data[key]
