@@ -29,13 +29,13 @@ _H_GRID = (0.05, 0.5, 50)
 
 # the Tolerances fields each subcommand's checks read: exactly these are
 # its --tol-* flags and the tolerances echoed in its report
-_DECOMPOSITION_TOLS = ("jacobi_identity", "self_adjoint", "eigen_merge")
+_SPECTRAL_TOLS = ("jacobi_identity", *lie_metric.DECOMPOSITION_TOLS)
 _RICCATI_TOLS = ("riccati_residual", "axis_band", "separation_band")
 _COMMAND_TOLS = {
     "analyze": tuple(f.name for f in dataclasses.fields(Tolerances)
                      if f.name not in _RICCATI_TOLS),
-    "scan-h": _DECOMPOSITION_TOLS,
-    "classify": _DECOMPOSITION_TOLS + ("classifier_zero",),
+    "scan-h": _SPECTRAL_TOLS,
+    "classify": (*_SPECTRAL_TOLS, "classifier_zero"),
     "riccati": _RICCATI_TOLS,
 }
 
@@ -172,14 +172,12 @@ def _load_algebra(path: str, tols: Tolerances) -> lie_metric.MetricLieAlgebra:
 
 
 def _load_standard_data(path: str, tols: Tolerances):
-    """The standard decomposition of the algebra file at ``path``, or None
-    once stderr says why there is none (the caller exits 3)."""
-    g = _load_algebra(path, tols)
-    try:
-        return lie_metric.standard_decomposition(g, tols)
-    except StructureError as exc:
-        sys.stderr.write(f"not a standard solvable algebra: {exc}\n")
-        return None
+    """The cached standard decomposition of the algebra file at ``path``,
+    or None once stderr says why there is none (the caller exits 3)."""
+    data, reason = _load_algebra(path, tols).decomposition(tols)
+    if data is None:
+        sys.stderr.write(f"not a standard solvable algebra: {reason}\n")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +196,10 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     The standard decomposition and its H-type certificate come from
     ``g.decomposition(tols)``, which the density sidecar reads too.  The
     Einstein block is :func:`curvature.einstein_check` on every input:
-    Ric from the brackets.  An input that
-    :func:`curvature.h_type_certificate` certifies Damek-Ricci takes |R|
-    and |nabla R| from :func:`curvature.damek_ricci_norms`, and no
-    curvature operator is formed; every other input takes them from the
-    Lambda^2 operator and ``nabla_R_norm``.
+    Ric from the brackets.  A certified input takes |R| and |nabla R|
+    from :func:`curvature.damek_ricci_norms`, and no curvature operator
+    is formed; every other input takes them from the Lambda^2 operator
+    and ``nabla_R_norm``.
 
     A paper identity that the report contradicts is appended to
     ``failures``, when it is a list, as a message naming the identity,
@@ -218,7 +215,8 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
                              f"window [{1 / SCALE_WINDOW:.0e}, "
                              f"{SCALE_WINDOW:.0e}] that analyze can label")
     failures = [] if failures is None else failures
-    data, reason, cert = g.decomposition(tols)
+    decomposition = g.decomposition(tols)
+    data, cert = decomposition.data, decomposition.certificate
     is_einstein, c_const, resid = curvature.einstein_check(g, tols)
     if cert is None:
         r_norm = curvature.curvature_norm(g)
@@ -253,7 +251,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
         report["standard_decomposition"] = {"status": "flat", "reason": None}
     elif data is None:
         report["standard_decomposition"] = {"status": "not-standard",
-                                            "reason": reason}
+                                            "reason": decomposition.reason}
     if data is not None:
         # every ad_H eigenvalue is positive, so the closed mean curvature
         # sum |Re sigma| is trace ad_H, X = 0 and trace L0 = -trace ad_H

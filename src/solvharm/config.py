@@ -29,9 +29,9 @@ the rank of bracket-derived matrices (derived algebra,
 centers, lower central series) and the check that a direction is
 orthogonal to [s, s] with ``RANK_REL * s``, the ad_H eigenvalues of the
 standard decomposition with ``eigen_merge`` relative to the largest
-one, lam (and so, in the H-type certificate of ``curvature``, the
-brackets against the Damek-Ricci ones of their maps J_a, with the J_a
-relations taken with ``CLIFFORD_RELATION_TOL`` relative to lam^2), and
+one, lam (and so, in ``lie_metric.h_type_certificate``, the brackets
+against the Damek-Ricci ones of their maps J_a, with the J_a relations
+taken with ``CLIFFORD_RELATION_TOL`` relative to lam^2), and
 the ``riccati`` trace identity with ``TRACE_IDENTITY_REL`` relative to
 the Frobenius norm of the matrix.
 ``h_constancy`` and ``mean_constancy`` bound the witnesses of a rigid
@@ -121,14 +121,13 @@ CURVATURE_BLOCK_BYTES = 2 ** 20
 
 # fixed thresholds of single checks, in the units the comment gives
 # max deviation of a built Clifford module from J_a^2 = -1, J_a J_b = -J_b J_a
-# and J_a skew; also of the maps J_a of an input from
-# J_a J_b + J_b J_a = -2 delta_ab lam^2 id, over lam^2, in
-# ``curvature.h_type_certificate``
+# and J_a skew; also of the maps J_a of a standard decomposition from
+# J_a J_b + J_b J_a = -2 delta_ab lam^2 id, over lam^2, in its H-type
+# certificate ``lie_metric.h_type_certificate``
 CLIFFORD_RELATION_TOL = 1e-12
 GRAM_FLOOR_REL = 1e-12   # a plane's Gram determinant over |x|^2 |y|^2
 NONPOSITIVE_INT_TOL = 1e-12   # a Gauss F c this near 0, -1, ... is a pole
 INTEGER_TOL = 1e-10   # a c this near an integer has no fundamental pair
 RANGE_SLACK = 1e-12   # roundoff allowed past rho <= 1/2 and mu <= 1
-DET_UNDERFLOW = 1e-300   # |det E| below this marks a conjugate point
 MIN_HORIZON = 1e-12   # the shortest volume-density integration, in time
 INTERIOR_T = 1e-9   # grid times past this are checked for conjugate points

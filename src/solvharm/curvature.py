@@ -5,24 +5,22 @@ structure constants; curvature, sectional curvatures, Jacobi operators
 and the covariant derivative of R are then pure tensor algebra.
 Homogeneity makes values at the identity global.  Ric comes from the
 brackets alone (:func:`ricci_from_brackets`) on every input, so the
-curvature operator carries R only.  On an input that
-:func:`h_type_certificate` certifies Damek-Ricci, |R| and |nabla R| have
-closed forms (:func:`damek_ricci_norms`), so ``analyze`` forms neither
-the curvature operator nor nabla R there.
+curvature operator carries R only.  On an input certified H-type by
+:func:`lie_metric.h_type_certificate`, |R| and |nabla R| have closed
+forms (:func:`damek_ricci_norms`), so ``analyze`` forms neither the
+curvature operator nor nabla R there.
 """
 
-import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .config import (CLIFFORD_RELATION_TOL, CURVATURE_BLOCK_BYTES,
-                     DEFAULT_TOLS, GRAM_FLOOR_REL, RANK_REL, UNIT_VECTOR_TOL,
-                     Tolerances)
-from .errors import DomainError
-from .lie_metric import (MetricLieAlgebra, StandardSolvableData, ad_matrix,
-                         killing_form, symmetric_skew_split)
+from .config import (CURVATURE_BLOCK_BYTES, DEFAULT_TOLS, GRAM_FLOOR_REL,
+                     RANK_REL, UNIT_VECTOR_TOL, Tolerances)
+from .errors import DimensionError, DomainError
+from .lie_metric import (HTypeCertificate, MetricLieAlgebra,
+                         StandardSolvableData, ad_matrix, killing_form,
+                         symmetric_skew_split)
 
 __all__ = [
     "levi_civita",
@@ -31,8 +29,6 @@ __all__ = [
     "flow_operator",
     "ricci_from_brackets",
     "einstein_check",
-    "HTypeCertificate",
-    "h_type_certificate",
     "damek_ricci_norms",
     "sectional_curvature",
     "jacobi_operator_H",
@@ -180,73 +176,6 @@ def einstein_check(g: MetricLieAlgebra, tols: Tolerances = DEFAULT_TOLS):
             residual)
 
 
-class HTypeCertificate(NamedTuple):
-    """An input that :func:`h_type_certificate` certified Damek-Ricci.
-
-    ad_H = lam (1/2 on v, 1 on z), m = dim v, k = dim z, and ``pq`` is
-    the sum over a < b < c of p_abc q_abc, where p_abc and q_abc count
-    the eigenvalues +lam^3 and -lam^3 of J_a J_b J_c.
-    """
-
-    lam: float
-    m: int
-    k: int
-    pq: int
-
-
-def h_type_certificate(data: StandardSolvableData,
-                       tols: Tolerances = DEFAULT_TOLS):
-    """The :class:`HTypeCertificate` of ``data``, or None if the brackets
-    it reads are not Damek-Ricci in the frame of its decomposition.
-
-    The brackets are ``data.adapted_brackets()``, in the basis (H, v, z),
-    with lam the mean ad_H eigenvalue on z.  Certified means both of:
-
-    * they are the Damek-Ricci brackets of their own maps
-      J_a = j(Z_a) on v: [H, V] = lam V / 2, [H, Z] = lam Z and
-      [V, W] = sum_a <J_a V, W> Z_a, every other entry zero, within
-      ``tols.eigen_merge * lam`` (the bound that merges ad_H
-      eigenvalues);
-    * the J_a satisfy the H-type relations
-      J_a J_b + J_b J_a = -2 delta_ab lam^2 id over the orthonormal
-      z-basis, within ``CLIFFORD_RELATION_TOL * lam^2``.
-
-    m = 0 is real hyperbolic space.  On a certified input each
-    J_a J_b J_c (a < b < c) is symmetric and squares to lam^6 id, so its
-    trace is (p - q) lam^3 with p + q = m: the trace, rounded, gives
-    p_abc q_abc exactly.  The checks run on the brackets times 2^-e,
-    which is exact, so lam^2 and lam^3 neither over- nor underflow at
-    any scale the algebra loads at; lam is returned times 2^e.  The
-    frame is O(n^4) and the relations O(k^2 m^3); ``data.algebra`` is
-    not built.
-    """
-    m, k = len(data.v_indices), len(data.z_indices)
-    v, z = slice(1, 1 + m), slice(1 + m, None)   # H is index 0
-    t, e = data.adapted_brackets()
-    lam = float(np.trace(t[0, z, z])) / k
-    model = np.zeros_like(t)
-    model[0, v, v] = 0.5 * lam * np.eye(m)
-    model[0, z, z] = lam * np.eye(k)
-    model[:, 0] = -model[0]
-    model[v, v, z] = t[v, v, z]
-    if not np.abs(t - model).max() <= tols.eigen_merge * lam:
-        return None
-    j = t[v, v, z].transpose(2, 1, 0)        # J_a[q, p] = <[V_p, V_q], Z_a>
-    prods = np.matmul(j[:, np.newaxis], j[np.newaxis])   # [a, b] = J_a J_b
-    relation = prods + prods.transpose(1, 0, 2, 3)
-    relation[np.arange(k), np.arange(k)] += 2.0 * lam * lam * np.eye(m)
-    if not np.abs(relation).max(initial=0.0) <= (CLIFFORD_RELATION_TOL
-                                                 * lam * lam):
-        return None
-    # tr J_a J_b J_c / lam^3 = p_abc - q_abc over a < b < c
-    traces = np.tensordot(prods, j.transpose(0, 2, 1), axes=([2, 3], [1, 2]))
-    triples = tuple(np.array(list(itertools.combinations(range(k), 3)),
-                             dtype=np.intp).reshape(-1, 3).T)
-    split = np.rint(traces[triples] / (lam * lam * lam)).astype(np.int64)
-    pq = int(((m * m - split * split) // 4).sum())
-    return HTypeCertificate(math.ldexp(lam, e), m, k, pq)
-
-
 def damek_ricci_norms(cert: HTypeCertificate):
     """(|R|, |nabla R|) of a certified input, in closed form from the
     curvature of Damek-Ricci spaces (Berndt, Tricerri and Vanhecke,
@@ -270,12 +199,19 @@ def damek_ricci_norms(cert: HTypeCertificate):
 
 
 def sectional_curvature(r: np.ndarray, x, y) -> float:
-    """K(x, y) = <R(x,y)y, x> / (|x|^2 |y|^2 - <x,y>^2)."""
+    """K(x, y) = <R(x,y)y, x> / (|x|^2 |y|^2 - <x,y>^2) for the dense R of
+    :func:`curvature_tensor`.  An ``x`` or ``y`` of other than shape
+    ``(n,)``, n = ``len(r)``, raises DimensionError; a degenerate plane,
+    or one with a NaN entry, raises DomainError."""
+    n = len(r)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.shape != (n,) or y.shape != (n,):
+        raise DimensionError(f"x and y must have shape ({n},), got "
+                             f"{x.shape} and {y.shape}")
     gram = (x @ x) * (y @ y) - (x @ y) ** 2
-    # scale free; zero vectors fail
-    if gram <= GRAM_FLOOR_REL * (x @ x) * (y @ y):
+    # scale free; zero vectors fail, and so does NaN
+    if not gram > GRAM_FLOOR_REL * (x @ x) * (y @ y):
         raise DomainError("sectional curvature needs a nondegenerate plane")
     num = np.einsum("i,j,k,ijkl,l->", x, y, y, r, x)
     return float(num / gram)
@@ -285,11 +221,16 @@ def jacobi_operator_H(g, a_vec) -> np.ndarray:
     """Jacobi operator R(. , A)A = -D_A^2 - [D_A, S_A] for A perp [s, s].
 
     ``g`` may be a :class:`MetricLieAlgebra` or a
-    :class:`StandardSolvableData` (its adapted algebra is used).
+    :class:`StandardSolvableData` (its adapted algebra is used).  An A
+    of other than shape ``(n,)`` raises DimensionError, one that is not
+    a unit vector (NaN included) DomainError.
     """
     alg = g.algebra if isinstance(g, StandardSolvableData) else g
     a_vec = np.asarray(a_vec, dtype=float)
-    if abs(np.linalg.norm(a_vec) - 1.0) > UNIT_VECTOR_TOL:
+    if a_vec.shape != (alg.dim,):
+        raise DimensionError(f"A must have shape ({alg.dim},), got "
+                             f"{a_vec.shape}")
+    if not abs(np.linalg.norm(a_vec) - 1.0) <= UNIT_VECTOR_TOL:
         raise DomainError("A must be a unit vector")
     # A perp [s,s]  <=>  no bracket has a component along A, measured
     # against the bracket scale s as the rank decisions are

@@ -8,8 +8,8 @@ normal bundle, read off the adapted basis of the standard decomposition,
 in which the stable Jacobi tensor is evaluated block by block from the
 paper's closed forms: e^{-t} on the H-Z normal, incomplete beta
 functions on the center and kernel slots, and the hypergeometric pair
-blocks of :mod:`hypergeom`.  Volume densities of certified Damek-Ricci
-inputs (:func:`curvature.h_type_certificate`) are the closed form of
+blocks of :mod:`hypergeom`.  Volume densities of certified H-type
+inputs (:func:`lie_metric.h_type_certificate`) are the closed form of
 harmonic Damek-Ricci spaces, the same in every direction; on every other
 input the linearized geodesic flow is integrated along the given
 direction in the left-trivialization, from the connection and the
@@ -23,14 +23,14 @@ import numpy as np
 from scipy.integrate import DOP853
 from scipy.special import beta, betainc
 
-from .config import (DEFAULT_TOLS, DET_UNDERFLOW, HYP2F1_REL, INTERIOR_T,
-                     MIN_HORIZON, UNIT_VECTOR_TOL, Tolerances)
-from .curvature import (HTypeCertificate, central_frame_split,
-                        central_jacobi_blocks)
+from .config import (DEFAULT_TOLS, HYP2F1_REL, INTERIOR_T, MIN_HORIZON,
+                     UNIT_VECTOR_TOL, Tolerances)
+from .curvature import central_frame_split, central_jacobi_blocks
 from .errors import (ConjugatePointError, DimensionError, DomainError,
                      NumericalError)
 from .hypergeom import stable_block_and_derivative, z_of_t
-from .lie_metric import MetricLieAlgebra, StandardSolvableData, _null_space
+from .lie_metric import (HTypeCertificate, MetricLieAlgebra,
+                         StandardSolvableData, _null_space)
 
 __all__ = [
     "JacobiTensorSample",
@@ -183,15 +183,14 @@ def stable_jacobi_tensor(d: StandardSolvableData, t_grid,
 
 def mean_curvature_numeric(sample: JacobiTensorSample) -> np.ndarray:
     """Horosphere mean curvature m(t) = -d/dt log|det E(t)| on the grid,
-    by central finite differences of log|det E|."""
-    t = sample.t_grid
-    dets = np.linalg.det(sample.e)
+    by central finite differences of log|det E| from ``slogdet``, which
+    reads a det E below float64's range (e^(-t trace ad_H) at large t)."""
+    signs, log_dets = np.linalg.slogdet(sample.e)
     # a stable determinant decays exponentially but never changes sign;
-    # a sign flip or underflow to zero marks a conjugate point
-    if np.any(np.sign(dets) != np.sign(dets[0])) \
-            or np.abs(dets).min() < DET_UNDERFLOW:
+    # a sign flip or a zero marks a conjugate point
+    if np.any(signs != signs[0]) or signs[0] == 0:
         raise ConjugatePointError("det E vanishes on the grid")
-    return -np.gradient(np.log(np.abs(dets)), t)
+    return -np.gradient(log_dets, sample.t_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +217,10 @@ def volume_density(g: MetricLieAlgebra, v, t_grid,
                    tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """det A_v(t) of the Jacobi tensor with A(0) = 0, A'(0) = id.
 
-    On an input that :func:`curvature.h_type_certificate` certifies
-    Damek-Ricci, with ad_H = lam (1/2 on v, 1 on z), m = dim v and
-    k = dim z, the density is the same in every direction v, in closed
-    form (Berndt, Tricerri and Vanhecke, LNM 1598, ch. 4):
+    On an input certified H-type (:func:`lie_metric.h_type_certificate`),
+    with ad_H = lam (1/2 on v, 1 on z), m = dim v and k = dim z, the
+    density is the same in every direction v, in closed form (Berndt,
+    Tricerri and Vanhecke, LNM 1598, ch. 4):
 
         det A(t) = (2 sinh(lam t / 2) / lam)^m (sinh(lam t) / lam)^k,
 

@@ -4,11 +4,12 @@ The inner product is *always* the identity in the stored basis; a
 different left-invariant metric is represented by changing the structure
 constants through an orthogonalizing change of basis.  On top of the
 bracket algebra this module provides derived series, centers and the
-orthogonal standard decomposition ``s = <H> + v + z`` with its spectral
-data, which drives all the geodesic and rigidity machinery downstream.
+standard decomposition ``s = <H> + v + z`` with its spectral data and
+H-type certificate, which drive the geodesic and rigidity machinery.
 """
 
 import enum
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -17,8 +18,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .config import (ANTISYMMETRY_REL, DEFAULT_TOLS, PRUNE_REL, RANK_REL,
-                     UNIT_LAM_SNAP, Tolerances)
+from .config import (ANTISYMMETRY_REL, CLIFFORD_RELATION_TOL, DEFAULT_TOLS,
+                     PRUNE_REL, RANK_REL, UNIT_LAM_SNAP, Tolerances)
 from .errors import (DimensionError, NotStandardError, NumericalError,
                      StructureError)
 from .numerics import as_square, eigenvalues
@@ -37,11 +38,16 @@ __all__ = [
     "subalgebra",
     "standard_decomposition",
     "Decomposition",
+    "HTypeCertificate",
+    "h_type_certificate",
     "pair_decomposition",
     "growth_type",
     "algebra_to_dict",
     "algebra_from_dict",
 ]
+
+# the Tolerances fields standard_decomposition reads: its cache key
+DECOMPOSITION_TOLS = ("self_adjoint", "eigen_merge")
 
 
 @dataclass(frozen=True)
@@ -197,23 +203,20 @@ class MetricLieAlgebra:
 
     def decomposition(self, tols: Tolerances = DEFAULT_TOLS
                       ) -> "Decomposition":
-        """:func:`standard_decomposition` under ``tols`` and the
-        :func:`curvature.h_type_certificate` of its result, as a
-        :class:`Decomposition`, computed once per instance for each pair
-        (``tols.self_adjoint``, ``tols.eigen_merge``), the only fields
-        they read.  ``analyze`` and every
+        """:func:`standard_decomposition` under ``tols``, or the reason
+        there is none, as a :class:`Decomposition`, computed once per
+        instance for the values of the fields in
+        :data:`DECOMPOSITION_TOLS`, the only ones it reads.  ``analyze``,
+        ``classify``, ``scan-h`` and every
         :func:`jacobi_flow.volume_density` call on this instance share
-        it."""
-        key = (tols.self_adjoint, tols.eigen_merge)
+        it, and with it the H-type certificate of its data."""
+        key = tuple(getattr(tols, name) for name in DECOMPOSITION_TOLS)
         if key not in self._decompositions:
-            from . import curvature
             try:
-                data, reason = standard_decomposition(self, tols), None
+                found = Decomposition(standard_decomposition(self, tols), None)
             except StructureError as exc:
-                data, reason = None, str(exc)
-            cert = (curvature.h_type_certificate(data, tols)
-                    if data is not None else None)
-            self._decompositions[key] = Decomposition(data, reason, cert)
+                found = Decomposition(None, str(exc))
+            self._decompositions[key] = found
         return self._decompositions[key]
 
     @cached_property
@@ -426,19 +429,21 @@ def growth_type(g: MetricLieAlgebra,
 class StandardSolvableData:
     """Spectral data of the orthogonal split s = <H> + v + z.
 
-    ``algebra`` is the input renormalized (top ad_H eigenvalue 1) and
-    rebuilt in an adapted orthonormal basis: index 0 is H, then the
-    v-block (kernel vectors of j(Z) first, then 2-dimensional pair
-    blocks (V_i, j(Z)V_i / theta_i)), then the z-block with ad_H
-    eigenvalues ascending, so the last basis vector is the canonical top
-    eigenvector Z.  This basis is the central frame of Z: along the
-    geodesic tangent to Z the frame slots are its identity columns, with
-    the eigenvalues ``mu`` (all but Z's), ``rho_star`` and ``pairs``
-    (see :func:`curvature.central_frame_split`).  No algebra is built
-    until ``algebra`` is first read.  The data keep the brackets they
-    read (:meth:`adapted_brackets`) and e, not the input, so its cached
-    connection and curvature operator can be freed, and compare equal
-    only to themselves (the arrays are not compared).
+    ``basis`` is the adapted orthonormal basis, columns in the input's
+    coordinates, read-only: index 0 is H, then the v-block (kernel
+    vectors of j(Z) first, then 2-dimensional pair blocks
+    (V_i, j(Z)V_i / theta_i)), then the z-block with ad_H eigenvalues
+    ascending, so the last basis vector is the canonical top eigenvector
+    Z.  This basis is the central frame of Z: along the geodesic tangent
+    to Z the frame slots are its identity columns, with the eigenvalues
+    ``mu`` (all but Z's), ``rho_star`` and ``pairs`` (see
+    :func:`curvature.central_frame_split`).  Computed when first read:
+    ``algebra``, the input renormalized (top ad_H eigenvalue 1) in that
+    basis, and ``certificate``, :func:`h_type_certificate`.  The data
+    keep the brackets they read (:meth:`adapted_brackets`) and e, not
+    the input, so its cached connection and curvature operator can be
+    freed, and compare equal only to themselves (the arrays are not
+    compared).
     """
 
     v_indices: tuple
@@ -446,26 +451,17 @@ class StandardSolvableData:
     mu: np.ndarray          # all ad_H eigenvalues on z, ascending
     rho_star: np.ndarray    # ad_H eigenvalues on ker j(Z) in v
     pairs: np.ndarray       # rows (rho_i, theta_i) for the 2x2 blocks
+    basis: np.ndarray = field(repr=False, compare=False)
     _tensor: np.ndarray = field(repr=False, compare=False)
-    _basis: np.ndarray = field(repr=False, compare=False)
     _scale: float = field(repr=False, compare=False)
     _exponent: int = field(repr=False, compare=False)
     jacobi_tol: float = field(repr=False, compare=False)
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        """The adapted basis as orthonormal columns in the input's
-        coordinates (H, then v, then z), read-only: the computed columns
-        re-orthonormalized, to wash out roundoff, with their signs kept."""
-        q_basis, _ = np.linalg.qr(self._basis)
-        q_basis *= np.sign(np.sum(q_basis * self._basis, axis=0))
-        q_basis.flags.writeable = False
-        return q_basis
+    eigen_merge: float = field(repr=False, compare=False)
 
     def adapted_brackets(self):
         """``(t, e)``: t[a, b, c] = 2^-e <[B_a, B_b], B_c> over the columns
         B of :attr:`basis`, e fixed at load; O(n^4), a fresh array."""
-        n, basis, e = len(self._basis), self.basis, self._exponent
+        n, basis, e = len(self.basis), self.basis, self._exponent
         t = basis.T @ (self._tensor @ basis).reshape(n, n * n)
         return np.ldexp(np.matmul(basis.T, t.reshape(n, n, n)), -e), e
 
@@ -475,13 +471,17 @@ class StandardSolvableData:
         return MetricLieAlgebra.from_tensor(self._scale * np.ldexp(t, e),
                                             jacobi_tol=self.jacobi_tol)
 
+    @cached_property
+    def certificate(self) -> "Optional[HTypeCertificate]":
+        return h_type_certificate(self)
+
     @property
     def trace_ad_h(self) -> float:
         return float(self.mu.sum() + self.rho_star.sum() + len(self.pairs))
 
     @property
     def h_vector(self) -> np.ndarray:
-        v = np.zeros(len(self._basis))
+        v = np.zeros(len(self.basis))
         v[0] = 1.0
         return v
 
@@ -500,12 +500,14 @@ class StandardSolvableData:
 
 class Decomposition(NamedTuple):
     """What :meth:`MetricLieAlgebra.decomposition` keeps: the standard
-    decomposition, or None and the reason there is none, and the H-type
-    certificate of :func:`curvature.h_type_certificate`, or None."""
+    decomposition, or None and the reason there is none."""
 
     data: Optional[StandardSolvableData]
     reason: Optional[str]
-    certificate: "Optional[curvature.HTypeCertificate]"
+
+    @property
+    def certificate(self) -> "Optional[HTypeCertificate]":
+        return None if self.data is None else self.data.certificate
 
 
 def pair_decomposition(rho: np.ndarray, vecs: np.ndarray, j_v: np.ndarray,
@@ -674,18 +676,90 @@ def standard_decomposition(g: MetricLieAlgebra,
     )
 
     v_cols = np.hstack([v_cols_raw @ kernel_b, v_cols_raw @ pair_b])
+    # re-orthonormalized once, to wash out roundoff, with the signs kept
+    computed = np.column_stack([h, v_cols, z_cols])
+    basis, _ = np.linalg.qr(computed)
+    basis *= np.sign(np.sum(basis * computed, axis=0))
+    basis.flags.writeable = False
     return StandardSolvableData(
         v_indices=tuple(range(1, 1 + m_v)),
         z_indices=tuple(range(1 + m_v, g.dim)),
         mu=mu,
         rho_star=rho_star,
         pairs=pairs,
+        basis=basis,
         _tensor=tensor,
-        _basis=np.column_stack([h, v_cols, z_cols]),
         _scale=scale,
         _exponent=g._exponent,
         jacobi_tol=g.jacobi_tol,
+        eigen_merge=tols.eigen_merge,
     )
+
+
+class HTypeCertificate(NamedTuple):
+    """The H-type certificate of standard data (:func:`h_type_certificate`).
+
+    ad_H = lam (1/2 on v, 1 on z), m = dim v, k = dim z, and ``pq`` is
+    the sum over a < b < c of p_abc q_abc, where p_abc and q_abc count
+    the eigenvalues +lam^3 and -lam^3 of J_a J_b J_c.
+    """
+
+    lam: float
+    m: int
+    k: int
+    pq: int
+
+
+def h_type_certificate(data: StandardSolvableData):
+    """The :class:`HTypeCertificate` of ``data`` (``data.certificate``),
+    or None if the brackets it reads are not Damek-Ricci in its frame.
+
+    The brackets are ``data.adapted_brackets()``, in the basis (H, v, z),
+    with lam the mean ad_H eigenvalue on z.  Certified means both of:
+
+    * they are the Damek-Ricci brackets of their own maps
+      J_a = j(Z_a) on v: [H, V] = lam V / 2, [H, Z] = lam Z and
+      [V, W] = sum_a <J_a V, W> Z_a, every other entry zero, within
+      ``data.eigen_merge * lam`` (the bound that merged their ad_H
+      eigenvalues);
+    * the J_a satisfy the H-type relations
+      J_a J_b + J_b J_a = -2 delta_ab lam^2 id over the orthonormal
+      z-basis, within ``CLIFFORD_RELATION_TOL * lam^2``.
+
+    m = 0 is real hyperbolic space.  On a certified input each
+    J_a J_b J_c (a < b < c) is symmetric and squares to lam^6 id, so its
+    trace is (p - q) lam^3 with p + q = m: the trace, rounded, gives
+    p_abc q_abc exactly.  The checks run on the brackets times 2^-e,
+    which is exact, so lam^2 and lam^3 neither over- nor underflow at
+    any scale the algebra loads at; lam is returned times 2^e.  The
+    frame is O(n^4) and the relations O(k^2 m^3); ``data.algebra`` is
+    not built.
+    """
+    m, k = len(data.v_indices), len(data.z_indices)
+    v, z = slice(1, 1 + m), slice(1 + m, None)   # H is index 0
+    t, e = data.adapted_brackets()
+    lam = float(np.trace(t[0, z, z])) / k
+    model = np.zeros_like(t)
+    model[0, v, v] = 0.5 * lam * np.eye(m)
+    model[0, z, z] = lam * np.eye(k)
+    model[:, 0] = -model[0]
+    model[v, v, z] = t[v, v, z]
+    if not np.abs(t - model).max() <= data.eigen_merge * lam:
+        return None
+    j = t[v, v, z].transpose(2, 1, 0)        # J_a[q, p] = <[V_p, V_q], Z_a>
+    prods = np.matmul(j[:, np.newaxis], j[np.newaxis])   # [a, b] = J_a J_b
+    relation = prods + prods.transpose(1, 0, 2, 3)
+    relation[np.arange(k), np.arange(k)] += 2.0 * lam * lam * np.eye(m)
+    if not np.abs(relation).max(initial=0.0) <= (CLIFFORD_RELATION_TOL
+                                                 * lam * lam):
+        return None
+    # tr J_a J_b J_c / lam^3 = p_abc - q_abc over a < b < c
+    traces = np.tensordot(prods, j.transpose(0, 2, 1), axes=([2, 3], [1, 2]))
+    triples = tuple(np.array(list(itertools.combinations(range(k), 3)),
+                             dtype=np.intp).reshape(-1, 3).T)
+    split = np.rint(traces[triples] / (lam * lam * lam)).astype(np.int64)
+    pq = int(((m * m - split * split) // 4).sum())
+    return HTypeCertificate(math.ldexp(lam, e), m, k, pq)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_package_and_numpy_only_path_load_no_scipy():
         "g = clifford_dr.build_damek_ricci(cm)",
         "curvature.einstein_check(g)",
         "curvature.nabla_R_norm(g)",
-        "cert = curvature.h_type_certificate(",
+        "cert = lie_metric.h_type_certificate(",
         "    lie_metric.standard_decomposition(g))",
         "assert cert is not None",
         "curvature.damek_ricci_norms(cert)",
@@ -456,7 +456,7 @@ def _count_density_work(monkeypatch):
     integrations started from now on."""
     calls = Counter()
     for module, name in ((lie_metric, "standard_decomposition"),
-                         (curvature, "h_type_certificate"),
+                         (lie_metric, "h_type_certificate"),
                          (jacobi_flow, "DOP853")):
         def counting(*args, _name=name, _original=getattr(module, name),
                      **kwargs):
@@ -478,6 +478,26 @@ def test_density_sidecar_shares_the_report_certificate(tmp_path,
                  "--output", str(tmp_path / "rep.json")]) == 0
     assert calls == {"standard_decomposition": 1, "h_type_certificate": 1}
     assert len(csv.read_text().splitlines()) == 1 + 16 * 3
+
+
+@pytest.mark.parametrize("command", ["classify", "scan-h"])
+def test_spectral_commands_read_the_cached_decomposition(command, tmp_path,
+                                                         monkeypatch):
+    # classify and scan-h take the standard decomposition from the
+    # algebra's cache, as analyze does, and never read its certificate
+    alg = tmp_path / "dr.json"
+    main(["build", "damek-ricci", "--l", "2", "--output", str(alg)])
+    calls = _count_density_work(monkeypatch)
+    cached = lie_metric.MetricLieAlgebra.decomposition
+
+    def counting(*args, **kwargs):
+        calls["decomposition"] += 1
+        return cached(*args, **kwargs)
+
+    monkeypatch.setattr(lie_metric.MetricLieAlgebra, "decomposition",
+                        counting)
+    assert main([command, str(alg), "--output", str(tmp_path / "out")]) == 0
+    assert calls == {"decomposition": 1, "standard_decomposition": 1}
 
 
 def test_eigen_merge_flag_chooses_the_density_path(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from solvharm.curvature import (central_frame_split, central_jacobi_blocks,
                                 einstein_check,
                                 jacobi_operator_H, levi_civita, nabla_R_norm,
                                 sectional_curvature)
-from solvharm.errors import DomainError
+from solvharm.errors import DimensionError, DomainError
 from solvharm.jacobi_flow import CentralGeodesicFrame, volume_density
 from solvharm.lie_metric import (MetricLieAlgebra, ad_matrix, algebra_to_dict,
                                  standard_decomposition, symmetric_skew_split)
@@ -217,6 +217,34 @@ def test_jacobi_operator_h_damek_ricci(dr_data):
     np.testing.assert_allclose(
         np.diag(op), [0.0, -0.25, -0.25, -0.25, -0.25, -1.0, -1.0], atol=1e-12
     )
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (8,)])
+def test_vector_arguments_must_have_shape_n(dr_data, shape):
+    # numpy's einsum raised a ValueError deep inside for these shapes
+    d = dr_data[(2, 1)]
+    r = curvature_tensor(d.algebra, d.algebra.connection)
+    bad = np.zeros(shape)
+    bad.flat[0] = 1.0
+    with pytest.raises(DimensionError, match=r"shape \(7,\)"):
+        jacobi_operator_H(d, bad)
+    for x, y in ((_basis(7, 1), bad), (bad, _basis(7, 1))):
+        with pytest.raises(DimensionError, match=r"shape \(7,\)"):
+            sectional_curvature(r, x, y)
+
+
+def test_vector_arguments_with_nan_are_refused(dr_data):
+    # a NaN fails every comparison, so the checks are written as the
+    # negation of the comparison that accepts
+    d = dr_data[(2, 1)]
+    r = curvature_tensor(d.algebra, d.algebra.connection)
+    nan = _basis(7, 0)
+    nan[1] = np.nan
+    with pytest.raises(DomainError, match="unit vector"):
+        jacobi_operator_H(d, nan)
+    for x, y in ((_basis(7, 2), nan), (nan, _basis(7, 2))):
+        with pytest.raises(DomainError, match="nondegenerate plane"):
+            sectional_curvature(r, x, y)
 
 
 def test_jacobi_operator_h_matches_tensor_generic():
@@ -706,7 +734,7 @@ def test_other_inputs_take_the_dense_curvature_stages(
         generic_pair_algebra):
     g = _dense_inputs(name, {"perturbed-theta": perturbed_theta_algebra,
                              "generic-pair": generic_pair_algebra})
-    assert curvature.h_type_certificate(standard_decomposition(g)) is None
+    assert lie_metric.h_type_certificate(standard_decomposition(g)) is None
     calls = _count_calls(monkeypatch, ("curvature_operator", "nabla_R_norm"))
     code, report = _analyze_file(tmp_path, g)
     assert code == 0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import mixed_damek_ricci, nabla_R, ricci
-from solvharm import curvature
+from solvharm import curvature, lie_metric
 from solvharm.cli import build_report
 from solvharm.clifford_dr import (build_damek_ricci, build_real_hyperbolic,
                                   clifford_generators)
@@ -70,7 +70,7 @@ def _counts(name):
 @pytest.mark.parametrize("name", _BASES)
 def test_closed_forms_match_the_dense_stages(name, variant, haar_rotate):
     g, factor = _variant(name, variant, haar_rotate)
-    cert = curvature.h_type_certificate(standard_decomposition(g))
+    cert = lie_metric.h_type_certificate(standard_decomposition(g))
     assert cert is not None
     assert (cert.m, cert.k) == _counts(name)
     assert cert.lam == pytest.approx(factor, rel=1e-14)
@@ -103,7 +103,7 @@ def test_closed_forms_are_exact_on_dyadic_builds(name):
     # (math.fsum rounds once, and the exact sum is representable)
     g = _base(name)
     assert _dyadic(g.tensor)
-    cert = curvature.h_type_certificate(standard_decomposition(g))
+    cert = lie_metric.h_type_certificate(standard_decomposition(g))
     assert cert.lam == 1.0
     _, m, k, pq = cert
     r = curvature.curvature_tensor(g, g.connection)
@@ -128,12 +128,12 @@ def test_sum_pq_counts_the_sign_split_of_triple_products():
              "dr-2-1": 0, "rh-6": 0}
     for name, pq in cases.items():
         g = _base(name)
-        assert curvature.h_type_certificate(
+        assert lie_metric.h_type_certificate(
             standard_decomposition(g)).pq == pq
     g = _base("mixed-3-1-1")
     # |R|^2 = 192 and |nabla R|^2 = 576: |nabla R| / |R| = sqrt(3)
     r_norm, nr = curvature.damek_ricci_norms(
-        curvature.h_type_certificate(standard_decomposition(g)))
+        lie_metric.h_type_certificate(standard_decomposition(g)))
     assert (r_norm, nr) == (math.sqrt(192.0), 24.0)
 
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -684,3 +685,31 @@ def test_integrated_density_overflow_is_named():
         with pytest.raises(NumericalError, match=r"volume density overflows "
                            r"float64: log\|det A\| = \S+ at t = 0\.2,"):
             volume_density(big, v, np.array([0.01, 0.1, 0.2]))
+
+
+def test_failed_integration_names_the_overflow_at_the_time_reached():
+    # on the way to t = 1000 the step size underflows near t = 707, past
+    # float64's range: the failed solver's last state is reported, at the
+    # time it reached, which is no grid time
+    g = damek_ricci_scaled_j(2, 1, 1 + 1e-6)
+    v = np.random.default_rng(1).standard_normal(g.dim)
+    v /= np.linalg.norm(v)
+    t = np.array([0.0, 1.0, 1000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match="volume density overflows float64") as exc:
+            volume_density(g, v, t)
+    reached = float(re.search(r"at t = (\S+),", str(exc.value)).group(1))
+    assert t[1] < reached < t[-1]
+
+
+@pytest.mark.parametrize("dim", [88, 120])
+def test_mean_curvature_reads_det_e_past_float64(dim):
+    # det E(8) = e^(-8 trace ad_H) is below 1e-300 from RH^88 on and below
+    # float64's range at RH^120; its logarithm is not, and m = dim - 1
+    report = build_report(build_real_hyperbolic(dim))
+    assert "warnings" not in report
+    mean = report["mean_curvature"]
+    assert mean["numeric"] == pytest.approx(dim - 1, rel=1e-12)
+    assert mean["max_deviation"] <= DEFAULT_TOLS.mean_constancy

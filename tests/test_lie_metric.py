@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import inspect
 import math
@@ -17,7 +18,7 @@ from solvharm import lie_metric
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
                                   build_real_hyperbolic, clifford_generators)
-from solvharm.config import DEFAULT_TOLS
+from solvharm.config import DEFAULT_TOLS, Tolerances
 from solvharm.errors import (DimensionError, NotStandardError, StructureError)
 from solvharm.lie_metric import (GrowthType, MetricLieAlgebra,
                                  _null_space, _orthonormal_span, ad_matrix,
@@ -324,10 +325,61 @@ def test_adapted_brackets_build_the_algebra(dr_algebras, haar_rotate):
     d = standard_decomposition(g)
     t, e = d.adapted_brackets()
     assert e == g._exponent
+    # the stored basis is orthonormal to rounding and read-only
+    assert not d.basis.flags.writeable
+    np.testing.assert_allclose(d.basis.T @ d.basis, np.eye(g.dim), rtol=0,
+                               atol=1e-15)
     again, _ = d.adapted_brackets()
     assert again is not t and np.array_equal(again, t)
     np.testing.assert_allclose(d.algebra.tensor, np.ldexp(t, e) / 3.0,
                                rtol=0, atol=1e-14)
+
+
+def test_standard_decomposition_reads_exactly_its_cache_key():
+    # DECOMPOSITION_TOLS keys the algebra's cache and names the --tol-*
+    # flags of classify and scan-h, so it must be what the decomposition
+    # reads: on a standard input, a non-normal one and a nilpotent one
+    fields = {f.name for f in dataclasses.fields(Tolerances)}
+    reads = set()
+
+    class Recording(Tolerances):
+        def __getattribute__(self, name):
+            if name in fields:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    for g in (build_damek_ricci(clifford_generators(2, 1)), HEISENBERG,
+              MetricLieAlgebra(3, ((0, 1, 1, 1.0), (0, 1, 2, 1.0),
+                                   (0, 2, 2, 1.0)))):
+        try:
+            standard_decomposition(g, Recording())
+        except StructureError:
+            pass
+    assert reads == set(lie_metric.DECOMPOSITION_TOLS)
+
+
+def test_decomposition_is_cached_by_the_fields_it_reads(monkeypatch):
+    g = build_damek_ricci(clifford_generators(2, 1))   # fresh instance
+    calls = Counter()
+    for name in ("standard_decomposition", "h_type_certificate"):
+        def counting(*args, _original=getattr(lie_metric, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(lie_metric, name, counting)
+    first = g.decomposition()
+    other_fields = DEFAULT_TOLS.with_overrides(jacobi_identity=1e-3,
+                                               riccati_residual=1.0)
+    assert g.decomposition(other_fields) is first
+    assert calls == {"standard_decomposition": 1}
+    # the certificate is computed on its first read, once
+    assert first.certificate is first.data.certificate is not None
+    assert first.certificate is g.decomposition().certificate
+    assert calls == {"standard_decomposition": 1, "h_type_certificate": 1}
+    merged = g.decomposition(DEFAULT_TOLS.with_overrides(eigen_merge=1e-6))
+    assert merged is not first and merged.data.eigen_merge == 1e-6
+    assert calls["standard_decomposition"] == 2
+    # no data, no certificate
+    assert HEISENBERG.decomposition().certificate is None
 
 
 def test_standard_decomposition_idempotent(dr_data):
