@@ -190,8 +190,9 @@ def _tolerances_dict(tols: Tolerances, command: str) -> dict:
 
 def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
                  tols: Tolerances = DEFAULT_TOLS, failures=None) -> dict:
-    """The full analysis report, labelled by :func:`_classification`.  A
-    bracket scale outside ``SCALE_WINDOW`` raises NumericalError first.
+    """The full analysis report, labelled by :func:`_classification` from
+    the H-type certificate; Einstein, rigidity and symmetry are witnesses.
+    A bracket scale outside ``SCALE_WINDOW`` raises NumericalError first.
 
     The standard decomposition and its H-type certificate come from
     ``g.decomposition(tols)``, which the density sidecar reads too.  The
@@ -315,24 +316,23 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
         report["symmetry"] = {"nabla_r_norm": nr, "ratio": ratio,
                               "is_symmetric": ratio <= tols.symmetry_ratio * s}
 
-    report["classification"] = _classification(report)
+    report["classification"] = _classification(report, cert)
     report["tolerances"] = _tolerances_dict(tols, "analyze")
     return report
 
 
-def _classification(report: dict) -> str:
-    """The ``analyze`` label, read off the predicates the report prints:
-    ``curvature.flat``, ``standard_decomposition.status``,
-    ``einstein.is_einstein``, ``rigidity.is_rigid`` and
-    ``symmetry.is_symmetric`` (the README argues the rule)."""
+def _classification(report: dict, cert) -> str:
+    """The ``analyze`` label from ``curvature.flat``, the decomposition
+    status and the H-type certificate ``cert`` (the README): asymptotically
+    harmonic is H-type, and symmetric is |nabla R| = 0 in closed form."""
     if report["curvature"]["flat"]:
         return "Flat"
     if report["standard_decomposition"]["status"] != "ok":
         return "Indeterminate"
-    if report["rigidity"]["is_rigid"] and report["einstein"]["is_einstein"]:
-        return ("RankOneSymmetric" if report["symmetry"]["is_symmetric"]
-                else "DamekRicciNonsymmetric")
-    return "NotAsymptoticallyHarmonic"
+    if cert is None:
+        return "NotAsymptoticallyHarmonic"
+    return ("RankOneSymmetric" if curvature.damek_ricci_norms(cert)[1] == 0
+            else "DamekRicciNonsymmetric")
 
 
 def _positive_count(value: int, flag: str) -> int:

@@ -34,8 +34,8 @@ against the Damek-Ricci ones of their maps J_a, with the J_a relations
 taken with ``CLIFFORD_RELATION_TOL`` relative to lam^2), and
 the ``riccati`` trace identity with ``TRACE_IDENTITY_REL`` relative to
 the Frobenius norm of the matrix.
-``h_constancy`` and ``mean_constancy`` bound the witnesses of a rigid
-verdict (sampled h drift, mean-curvature deviation), not the label.
+``einstein_residual``, ``symmetry_ratio``, ``classifier_zero``,
+``h_constancy`` and ``mean_constancy`` bound witnesses, not the label.
 """
 
 from dataclasses import dataclass, replace

@@ -113,7 +113,9 @@ class MetricLieAlgebra:
         for ok, error, what in (
                 (whole, StructureError, "has a non-integer index"),
                 (in_range, DimensionError,
-                 f"is out of range for dim {self.dim}")):
+                 f"is out of range for dim {self.dim}"),
+                (np.isfinite(rows[:, 3]), StructureError,
+                 "has a non-finite coefficient")):
             if not ok.all():
                 row = list(self.structure_constants[int(np.argmin(ok))])
                 raise error(f"structure constant {row} {what}")
@@ -139,7 +141,7 @@ class MetricLieAlgebra:
         object.__setattr__(self, "_exponent", e)
         object.__setattr__(self, "scale", scale)
         resid = self.jacobi_residual()
-        if not resid <= self.jacobi_tol:   # NaN brackets fail too
+        if not resid <= self.jacobi_tol:
             raise StructureError(f"Jacobi identity violated: residual "
                                  f"{resid:.3e} s^2 > {self.jacobi_tol:.3e} "
                                  f"s^2")
@@ -157,6 +159,8 @@ class MetricLieAlgebra:
         n = t.shape[0]
         if t.shape != (n, n, n):
             raise DimensionError(f"bracket tensor must be cubic, got {t.shape}")
+        if not np.isfinite(t).all():
+            raise StructureError("bracket tensor has a non-finite entry")
         top = np.abs(t).max(initial=0.0)
         defect = np.abs(t + np.swapaxes(t, 0, 1)).max(initial=0.0)
         if defect > ANTISYMMETRY_REL * top:

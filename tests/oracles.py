@@ -211,13 +211,15 @@ def _damek_ricci_from(l, copies, change):
     return build_damek_ricci(CliffordModule(l, cm.m, gens))
 
 
-def mixed_damek_ricci(l, p, q):
+def mixed_damek_ricci(l, p, q, factor=1.0):
     """The Damek-Ricci algebra of the (p, q) Clifford module, l = 3 mod 4:
     p copies of one irreducible module and q of the other, made by
-    negating J_l on the last q copies.  (3; 1, 1) and (3; 2, 0) have equal
-    dim v and dim z; the first is not symmetric, the second is."""
+    negating J_l on the last q copies, with J_1 times ``factor``.
+    (3; 1, 1) and (3; 2, 0) have equal dim v and dim z; the first is not
+    symmetric, the second is."""
     def flip(gens, size):
         gens[-1, p * size:, p * size:] *= -1.0
+        gens[0] *= factor
     return _damek_ricci_from(l, p + q, flip)
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import (add_to_ad_h, damek_ricci_scaled_j,
+from oracles import (add_to_ad_h, damek_ricci_scaled_j, mixed_damek_ricci,
                      skew_derivations_commuting_with_ad_h)
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
@@ -206,6 +206,69 @@ def test_label_is_scale_free(name, scale_inputs):
             for c in (1.0, *SCALES)] == [LABELS[name]] * (1 + len(SCALES))
 
 
+# the near-Damek-Ricci ladder: J_1 times 1 + eps, with the J^2 label of
+# the build at eps = 0.  J_1^2 is off -lam^2 id by about 2 eps lam^2, and
+# the certificate takes the H-type relations within
+# CLIFFORD_RELATION_TOL = 1e-12 of lam^2
+LADDER_BUILDS = {
+    "dr-2-1": (lambda f: damek_ricci_scaled_j(2, 1, f),
+               "DamekRicciNonsymmetric"),
+    "dr-3-2": (lambda f: damek_ricci_scaled_j(3, 2, f), "RankOneSymmetric"),
+    "dr-7-2": (lambda f: damek_ricci_scaled_j(7, 2, f),
+               "DamekRicciNonsymmetric"),
+    "mixed-3-1-1": (lambda f: mixed_damek_ricci(3, 1, 1, f),
+                    "DamekRicciNonsymmetric"),
+}
+LADDER_EPS = (0.0, *(10.0 ** e for e in range(-14, -1)))
+CERTIFIED_EPS = 3   # 0, 1e-14 and 1e-13
+
+
+@pytest.fixture(scope="module")
+def ladder(haar_rotate):
+    """{(build, basis): [algebra per LADDER_EPS]}, basis "canonical" or
+    "haar"."""
+    rungs = {}
+    for name, (build, _) in LADDER_BUILDS.items():
+        algebras = [build(1.0 + eps) for eps in LADDER_EPS]
+        rungs[name, "canonical"] = algebras
+        rungs[name, "haar"] = [haar_rotate(g, 5) for g in algebras]
+    return rungs
+
+
+@pytest.mark.parametrize("basis", ["canonical", "haar"])
+@pytest.mark.parametrize("name", list(LADDER_BUILDS))
+def test_near_damek_ricci_label_switches_once(name, basis, ladder):
+    # the label is the certificate's, so it switches where the
+    # certificate does, at one eps in every basis: no Einstein, rigidity
+    # or symmetry tolerance can call an uncertified input Damek-Ricci
+    label = LADDER_BUILDS[name][1]
+    got = [build_report(g)["classification"]
+           for g in ladder[name, basis]]
+    want = [label] * CERTIFIED_EPS + [NOT_AH] * (len(LADDER_EPS)
+                                                  - CERTIFIED_EPS)
+    assert got == want
+
+
+WITNESS_TOLS = ("einstein_residual", "symmetry_ratio", "classifier_zero",
+                "h_constancy", "mean_constancy")
+
+
+@pytest.mark.parametrize("name", [*LADDER_BUILDS, "fixtures"])
+def test_label_does_not_read_the_witness_tolerances(name, ladder, canonical):
+    # a witness tolerance 100 times larger or smaller moves no label
+    inputs = ([canonical["perturbed-theta"], canonical["generic-pair"]]
+              if name == "fixtures" else
+              [*ladder[name, "canonical"], *ladder[name, "haar"]])
+    for g in inputs:
+        label = build_report(g)["classification"]
+        for field in WITNESS_TOLS:
+            for factor in (100.0, 0.01):
+                tols = DEFAULT_TOLS.with_overrides(
+                    **{field: getattr(DEFAULT_TOLS, field) * factor})
+                got = build_report(g, tols=tols)["classification"]
+                assert got == label, (field, factor)
+
+
 # past the scale window, analyze exits 1 before any geometry is computed
 OUT_OF_WINDOW = (1e-160, 1e-100, 1e-60, 1e60, 1e100, 1e160)
 
@@ -264,18 +327,19 @@ def test_load_is_scale_free_at_extreme_scales(dr_algebras, scale_inputs):
 def test_a_scale_past_float64_is_refused_at_load(scale_inputs, tmp_path,
                                                  capsys):
     # each entry of DR (2,1) times 1.5e308 is a float, but |T| is not: a
-    # rank threshold RANK_REL * inf would call every bracket rank 0
+    # rank threshold RANK_REL * inf would call every bracket rank 0.  An
+    # infinite entry is malformed input instead, refused before s is taken
     g = scale_inputs["dr-2-1"]
-    past = [_scaled(g.structure_constants, 1.5e308),
-            [(0, 1, 1, float("inf"))]]
+    past = _scaled(g.structure_constants, 1.5e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for rows in past:
-            with pytest.raises(NumericalError, match="past float64"):
-                MetricLieAlgebra(g.dim, rows)
+        with pytest.raises(NumericalError, match="past float64"):
+            MetricLieAlgebra(g.dim, past)
+        with pytest.raises(StructureError, match="non-finite coefficient"):
+            MetricLieAlgebra(g.dim, [(0, 1, 1, float("inf"))])
         path = tmp_path / "past.json"
         path.write_text(json.dumps({"dim": g.dim,
-                                    "structure_constants": past[0]}))
+                                    "structure_constants": past}))
         for command in ("classify", "scan-h", "analyze"):
             assert main([command, str(path)]) == 1
             out, err = capsys.readouterr()

@@ -1,6 +1,9 @@
-"""The ``analyze`` label: the rule on the predicates the report prints, and
-its verdict on every Damek-Ricci build up to dimension 25."""
+"""The ``analyze`` label: the rule on the printed predicates and the
+H-type certificate, its verdict on every Damek-Ricci build up to
+dimension 25 (canonical, Haar-rotated and rescaled), and its one
+owner."""
 
+import ast
 import itertools
 import pathlib
 import re
@@ -10,9 +13,14 @@ import pytest
 
 from solvharm.cli import _classification, build_report
 from solvharm.clifford_dr import build_damek_ricci, clifford_generators
+from solvharm.lie_metric import HTypeCertificate
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src" / "solvharm"
 PREDICATES = ("flat", "standard", "einstein", "rigid", "symmetric")
+# none, real hyperbolic space (symmetric) and DR (2,1) (not symmetric)
+CERTIFICATES = (None, HTypeCertificate(1.0, 0, 1, 0),
+                HTypeCertificate(1.0, 4, 2, 0))
 
 
 def _readme_labels():
@@ -24,7 +32,7 @@ def _readme_labels():
 
 
 def _report(flat, standard, einstein, rigid, symmetric):
-    """A report holding the five predicates and nothing else."""
+    """A report holding the five printed predicates and nothing else."""
     status = "ok" if standard else ("flat" if flat else "not-standard")
     return {"curvature": {"flat": flat},
             "standard_decomposition": {"status": status},
@@ -33,14 +41,15 @@ def _report(flat, standard, einstein, rigid, symmetric):
             "symmetry": {"is_symmetric": symmetric}}
 
 
-def _readme_rule(flat, standard, einstein, rigid, symmetric):
-    # the README's list, one bullet per branch, first match wins
+def _readme_rule(flat, standard, cert):
+    # the README's list, one bullet per branch, first match wins; of
+    # the CERTIFICATES, the one with k = dim z <= 1 is symmetric
     if flat:
         return "Flat"
     if not standard:
         return "Indeterminate"
-    if rigid and einstein:
-        return ("RankOneSymmetric" if symmetric
+    if cert is not None:
+        return ("RankOneSymmetric" if cert.k <= 1
                 else "DamekRicciNonsymmetric")
     return "NotAsymptoticallyHarmonic"
 
@@ -56,14 +65,19 @@ def test_readme_lists_the_five_labels():
                          ids=lambda v: "-".join(
                              p for p, x in zip(PREDICATES, v) if x) or "none")
 def test_rule_table(values):
-    # the rule reads the five printed predicates and nothing else: the
-    # report given holds no other key
-    assert _classification(_report(*values)) == _readme_rule(*values)
+    # the rule reads flat and standard of the five printed predicates,
+    # and the certificate: einstein, rigid and symmetric are witnesses
+    # that never move the label.  The report given holds no other key
+    flat, standard = values[:2]
+    for cert in CERTIFICATES:
+        assert (_classification(_report(*values), cert)
+                == _readme_rule(flat, standard, cert))
 
 
 def test_rule_table_reaches_every_label():
-    labels = {_classification(_report(*v))
-              for v in itertools.product((False, True), repeat=5)}
+    labels = {_classification(_report(*v), cert)
+              for v in itertools.product((False, True), repeat=5)
+              for cert in CERTIFICATES}
     assert labels == set(_readme_labels())
 
 
@@ -98,8 +112,52 @@ def _j_squared_criterion(cm) -> bool:
 
 
 @pytest.mark.parametrize("key", DR_BUILDS, ids=lambda k: f"dr-{k[0]}-{k[1]}")
-def test_label_matches_j_squared_criterion(key):
+def test_label_matches_j_squared_criterion(key, haar_rotate):
+    # the certificate is the label's only path to RankOneSymmetric and
+    # DamekRicciNonsymmetric, so it must not refuse a true Damek-Ricci
+    # input, in a Haar basis or at a scale inside SCALE_WINDOW either
     cm = clifford_generators(*key)
     want = ("RankOneSymmetric" if _j_squared_criterion(cm)
             else "DamekRicciNonsymmetric")
-    assert build_report(build_damek_ricci(cm))["classification"] == want
+    g = build_damek_ricci(cm)
+    assert build_report(g)["classification"] == want
+    for x in (haar_rotate(g, sum(key)), g.rescaled(1e-30), g.rescaled(1e30)):
+        assert build_report(x)["classification"] == want
+
+
+def _label_owners(path):
+    """The names of the functions of ``path`` that hold a string constant
+    naming a label, or "<module>" for one outside any function."""
+    labels = re.compile(r"\b(Flat|Indeterminate|RankOneSymmetric|"
+                        r"DamekRicciNonsymmetric|NotAsymptoticallyHarmonic)"
+                        r"\b")
+    owners = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and labels.search(node.value)):
+            owners.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), str(path)), "<module>")
+    return owners
+
+
+def test_one_function_owns_the_labels():
+    # every label string in the package, docstrings included, is inside
+    # cli._classification: no second rule can name a label
+    owners = {(p.name, name) for p in sorted(SRC.glob("*.py"))
+              for name in _label_owners(p)}
+    assert owners == {("cli.py", "_classification")}
+
+
+def test_the_owner_check_sees_a_second_rule(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text('"""Reads Flat."""\n\n\ndef _classification():\n'
+                      '    return "Flat"\n\n\ndef higher_rank(x):\n'
+                      '    return f"{x} NotAsymptoticallyHarmonic"\n')
+    assert _label_owners(module) == {"<module>", "_classification",
+                                     "higher_rank"}

@@ -148,9 +148,11 @@ def test_analyze_malformed_exit_2(tmp_path):
 @pytest.mark.parametrize("row", [
     "[0, 5, 1, 1.0]", "[0, 1.5, 1, 1.0]", "[0, null, 1, 1.0]",
     "[0, NaN, 1, 1.0]", "[0, Infinity, 1, 1.0]", "[0, 1, 2]",
-    "[0, 1, 2, 1.0, 0.0]", "[0, 1, 2, 1.0], [0, 1]",
+    "[0, 1, 2, 1.0, 0.0]", "[0, 1, 2, 1.0], [0, 1]", "[0, 1, 2, NaN]",
+    "[0, 1, 2, Infinity]", "[0, 1, 2, -Infinity]",
 ], ids=["out-of-range", "non-integer", "null", "nan", "inf", "three-entries",
-        "five-entries", "ragged"])
+        "five-entries", "ragged", "nan-coefficient", "inf-coefficient",
+        "minus-inf-coefficient"])
 def test_malformed_indices_exit_2(row, tmp_path, capsys):
     alg = tmp_path / "bad.json"
     alg.write_text('{"dim": 3, "structure_constants": [' + row + ']}')

@@ -841,8 +841,9 @@ def test_certified_derivations_must_agree(monkeypatch, tmp_path, capsys):
                         lambda d, tols: (False, rigidity(d, tols)[1]))
     code, unrigid = _analyze_file(tmp_path, g)
     err = capsys.readouterr().err
+    # the certificate decides the label; the contradicting witness exits 4
     assert code == 4
-    assert unrigid["classification"] == "NotAsymptoticallyHarmonic"
+    assert unrigid["classification"] == "DamekRicciNonsymmetric"
     assert "rigidity.is_rigid = False" in err and "(True)" in err
     failures = []
     build_report(g, failures=failures)

@@ -501,9 +501,13 @@ def test_jacobi_identity_guard():
     (((), (), ()), StructureError),
     ((0, 1, 2, 1.0), StructureError),
     (((0, 1, 2, "x"),), StructureError),
+    (((0, 1, 2, float("nan")),), StructureError),
+    (((0, 1, 2, float("inf")),), StructureError),
+    (((0, 1, 2, -float("inf")),), StructureError),
 ], ids=["j-out", "i-not-below-j", "k-negative", "huge", "non-integer",
         "none", "nan", "inf", "three", "five", "ragged", "empty-rows",
-        "flat", "text"])
+        "flat", "text", "nan-coefficient", "inf-coefficient",
+        "minus-inf-coefficient"])
 def test_malformed_rows_raise_typed_errors(rows, error):
     with pytest.raises(error):
         MetricLieAlgebra(3, rows)
@@ -603,6 +607,22 @@ def test_from_tensor_rejects_relative_antisymmetry_defect(
     t[0, 1, 2] += 1e-9 * np.abs(t).max()
     with pytest.raises(StructureError, match="not antisymmetric"):
         MetricLieAlgebra.from_tensor(t * c)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "minus-inf"])
+def test_non_finite_brackets_are_refused(value, dr_algebras):
+    # a NaN or infinite largest entry fails both the antisymmetry test and
+    # the prune mask, which read as the abelian algebra with scale 0
+    t = dr_algebras[(2, 1)].tensor.copy()
+    t[1, 3, 5], t[3, 1, 5] = value, -value
+    with pytest.raises(StructureError, match="non-finite entry"):
+        MetricLieAlgebra.from_tensor(t)
+    with pytest.raises(StructureError, match=r"structure constant "
+                       r"\[1, 3, 5, -?(nan|inf)\] has a non-finite "
+                       r"coefficient"):
+        MetricLieAlgebra(7, [*dr_algebras[(2, 1)].structure_constants,
+                             (1, 3, 5, value)])
 
 
 # ---------------------------------------------------------------------------
