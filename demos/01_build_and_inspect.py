@@ -7,10 +7,10 @@ on the constants.
 
 import numpy as np
 
-from solvharm import (ad_matrix, bracket, build_damek_ricci, build_flat,
+from solvharm import (ad_matrix, build_damek_ricci, build_flat,
                       build_heisenberg_type, build_real_hyperbolic,
-                      center_of, clifford_generators, derived_algebra,
-                      growth_type, nilpotency_class)
+                      clifford_generators, derived_algebra, growth_type,
+                      nilpotency_class, standard_decomposition)
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -38,16 +38,18 @@ print("\nad_H eigenvalues:", np.linalg.eigvalsh(ad_matrix(h, dr)))
 
 # the derived algebra [s, s] is exactly v + z (codimension one) ...
 print("derived algebra dimension:", derived_algebra(dr).shape[1])
-# ... and the center of the nilpotent part is z
-print("center of the Heisenberg part:", center_of(nil).shape[1],
-      "dimensional")
+# ... and the standard decomposition splits it into v and the center z
+# of the nilpotent part, as ``solvharm analyze`` does
+d = standard_decomposition(dr)
+print(f"standard decomposition: dim v = {len(d.v_indices)}, "
+      f"dim z = {len(d.z_indices)}")
 
-# Brackets at work: [V_1, V_2] lands in the center.
+# Brackets at work: [V_1, V_2] = ad_(V_1) V_2 lands in the center.
 v1 = np.zeros(dr.dim)
 v1[1] = 1.0
 v2 = np.zeros(dr.dim)
 v2[2] = 1.0
-print("\n[V1, V2] =", bracket(v1, v2, dr))
+print("\n[V1, V2] =", ad_matrix(v1, dr) @ v2)
 
 # Volume growth separates the flat, nilpotent and solvable worlds.
 for name, g in (("flat R^4", build_flat(4)),

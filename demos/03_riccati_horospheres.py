@@ -34,8 +34,9 @@ res = solve_algebraic_riccati_max(ad_a)
 print("\nnon-normal ad_A: X =")
 print(res.x)
 print("trace L0             :", res.trace_l0)
-print("-sum |Re sigma|      :", horosphere_mean_curvature_formula(ad_a))
-print("Riccati residual     :", res.residual(ad_a))
+# ``solvharm riccati`` reads the formula off the spectrum of the solve
+print("-sum |Re sigma|      :", -np.abs(res.spectrum_ad_a.real).sum())
+print("closed formula       :", horosphere_mean_curvature_formula(ad_a))
 
 # On a Damek-Ricci algebra, ad_H has spectrum {1/2 on v, 1 on z}, so the
 # horosphere mean curvature along H-geodesics is m/2 + l.

@@ -2,7 +2,7 @@
 
 Construct Heisenberg-type and Damek-Ricci algebras from Clifford
 modules, compute their left-invariant geometry (connection, curvature,
-Einstein constants, Jacobi operators), solve the horosphere Riccati
+Einstein constants, |nabla R|), solve the horosphere Riccati
 equations, evaluate stable Jacobi tensors from closed forms (not by
 integration), and the hypergeometric rigidity function whose constancy
 characterizes asymptotically harmonic Einstein solvmanifolds.
@@ -21,15 +21,14 @@ from .errors import (ConjugatePointError, DegenerateSpectrumError,
                      StructureError)
 from .lie_metric import (GrowthType, MetricLieAlgebra, StandardSolvableData,
                          ad_matrix, algebra_from_dict, algebra_to_dict,
-                         bracket, center_of, derived_algebra, growth_type,
-                         nilpotency_class, pair_decomposition,
-                         standard_decomposition, subalgebra,
-                         symmetric_skew_split)
+                         derived_algebra, growth_type, nilpotency_class,
+                         pair_decomposition, standard_decomposition,
+                         subalgebra, symmetric_skew_split)
 from .clifford_dr import (CliffordModule, build_damek_ricci, build_flat,
                           build_heisenberg_type, build_real_hyperbolic,
                           clifford_generators)
 from .curvature import (central_jacobi_blocks, curvature_norm,
-                        curvature_tensor, einstein_check, jacobi_operator_H,
-                        levi_civita, nabla_R_norm, sectional_curvature)
+                        curvature_tensor, einstein_check, levi_civita,
+                        nabla_R_norm)
 
 __version__ = "0.1.0"

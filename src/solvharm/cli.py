@@ -199,8 +199,8 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     Einstein block is :func:`curvature.einstein_check` on every input:
     Ric from the brackets.  A certified input takes |R| and |nabla R|
     from :func:`curvature.damek_ricci_norms`, and no curvature operator
-    is formed; every other input takes them from the Lambda^2 operator
-    and ``nabla_R_norm``.
+    is formed; every other input takes them from the Lambda^2 operator and
+    ``g.nabla_R_norm``, both kept on ``g`` for the next report.
 
     A paper identity that the report contradicts is appended to
     ``failures``, when it is a list, as a message naming the identity,
@@ -208,7 +208,8 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     within ``h_constancy`` or m off the closed formula by more than
     ``mean_constancy`` (a missing m is a warning); on a certified input,
     Ric off -(m + 4k) lam^2 / 4 id by more than
-    ``einstein_residual * s^2``, or ``rigidity.is_rigid`` False.
+    ``einstein_residual * s^2``, ``trace_ad_h`` off m/2 + k by more than
+    the certificate's bound (below), or ``rigidity.is_rigid`` False.
     """
     s = g.scale
     if s and not 1 / SCALE_WINDOW <= s <= SCALE_WINDOW:
@@ -224,14 +225,21 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
     else:
         r_norm, nr = curvature.damek_ricci_norms(cert)
         c_dr = -(cert.m + 4 * cert.k) / 4 * cert.lam * cert.lam
-        # Ric - c id is traceless, so this is |Ric - c_dr id|
-        gap = math.hypot(resid, math.sqrt(g.dim) * (c_const - c_dr))
-        bound = tols.einstein_residual * s * s
-        if not gap <= bound:
-            failures.append(
-                f"H-type, yet Ric from the brackets is not c id with "
-                f"c = -(m + 4k) lam^2 / 4 = {c_dr!r}: |Ric - c id| = "
-                f"{gap!r} exceeds {bound!r}")
+        trace = cert.m / 2 + cert.k
+        # Ric - c id is traceless, so the first gap is |Ric - c_dr id|; in
+        # units of lam each ad_H eigenvalue is certified within eigen_merge
+        # of 1/2 or 1, and the data divide by the top one, as far off lam
+        for identity, gap, bound in (
+                (f"Ric from the brackets is not c id with c = -(m + 4k) "
+                 f"lam^2 / 4 = {c_dr!r}: |Ric - c id| =",
+                 math.hypot(resid, math.sqrt(g.dim) * (c_const - c_dr)),
+                 tols.einstein_residual * s * s),
+                (f"trace_ad_h = {data.trace_ad_h!r} is not m/2 + k = "
+                 f"{trace!r}: off by", abs(data.trace_ad_h - trace),
+                 2 * data.eigen_merge * (cert.m + cert.k))):
+            if not gap <= bound:
+                failures.append(f"H-type, yet {identity} {gap!r} exceeds "
+                                f"{bound!r}")
     is_flat = r_norm <= tols.flat_norm * s * s
 
     report = {
@@ -300,7 +308,7 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
         is_rigid, factors = hypergeom.rigidity_conclusion(data, tols)
         report["rigidity"] = {"is_rigid": is_rigid, "factors": factors}
         if cert is None:
-            nr = curvature.nabla_R_norm(g)
+            nr = g.nabla_R_norm
         if is_rigid:
             for name, value, bound in (
                     ("h_scan.relative_drift", drift, tols.h_constancy),

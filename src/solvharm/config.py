@@ -25,9 +25,9 @@ times the power of two fixed with s, and compared with
 takes its norms in that unit too.  The antisymmetry defect and the
 pruned entries of an input bracket tensor are compared with
 ``ANTISYMMETRY_REL`` and ``PRUNE_REL`` relative to its largest entry,
-the rank of bracket-derived matrices (derived algebra,
-centers, lower central series) and the check that a direction is
-orthogonal to [s, s] with ``RANK_REL * s``, the ad_H eigenvalues of the
+the rank of bracket-derived matrices (derived algebra, the center of
+[s, s], lower central series) and the leak of a subalgebra's brackets
+with ``RANK_REL * s``, the ad_H eigenvalues of the
 standard decomposition with ``eigen_merge`` relative to the largest
 one, lam (and so, in ``lie_metric.h_type_certificate``, the brackets
 against the Damek-Ricci ones of their maps J_a, with the J_a relations
@@ -99,9 +99,8 @@ RANK_REL = 1e-10
 ANTISYMMETRY_REL = 1e-12
 PRUNE_REL = 1e-14
 
-# bound on | |v| - 1 | for the unit vectors taken by
-# ``curvature.jacobi_operator_H`` and ``jacobi_flow.volume_density``;
-# a direction is unitless, so the bound is absolute
+# bound on | |v| - 1 | for the direction of ``jacobi_flow.volume_density``,
+# absolute: a direction is unitless
 UNIT_VECTOR_TOL = 1e-10
 
 UNIT_LAM_SNAP = 1e-15   # a top ad_H eigenvalue this close to 1 is taken as 1
@@ -125,7 +124,6 @@ CURVATURE_BLOCK_BYTES = 2 ** 20
 # J_a J_b + J_b J_a = -2 delta_ab lam^2 id, over lam^2, in its H-type
 # certificate ``lie_metric.h_type_certificate``
 CLIFFORD_RELATION_TOL = 1e-12
-GRAM_FLOOR_REL = 1e-12   # a plane's Gram determinant over |x|^2 |y|^2
 NONPOSITIVE_INT_TOL = 1e-12   # a Gauss F c this near 0, -1, ... is a pole
 INTEGER_TOL = 1e-10   # a c this near an integer has no fundamental pair
 RANGE_SLACK = 1e-12   # roundoff allowed past rho <= 1/2 and mu <= 1

@@ -1,11 +1,12 @@
 """Left-invariant Riemannian geometry at the identity.
 
 Connection coefficients come from the Koszul formula applied to
-structure constants; curvature, sectional curvatures, Jacobi operators
-and the covariant derivative of R are then pure tensor algebra.
-Homogeneity makes values at the identity global.  Ric comes from the
-brackets alone (:func:`ricci_from_brackets`) on every input, so the
-curvature operator carries R only.  On an input certified H-type by
+structure constants; R on 2-vectors, Ric, the central Jacobi operators
+and the covariant derivative of R are then pure tensor algebra on the
+algebra's cached connection ``g.connection``, the one argument of each
+kernel.  Homogeneity makes values at the identity global.  Ric comes
+from the brackets alone (:func:`ricci_from_brackets`) on every input,
+so the curvature operator carries R only.  On an input certified H-type by
 :func:`lie_metric.h_type_certificate`, |R| and |nabla R| have closed
 forms (:func:`damek_ricci_norms`), so ``analyze`` forms neither the
 curvature operator nor nabla R there.
@@ -15,12 +16,9 @@ import math
 
 import numpy as np
 
-from .config import (CURVATURE_BLOCK_BYTES, DEFAULT_TOLS, GRAM_FLOOR_REL,
-                     RANK_REL, UNIT_VECTOR_TOL, Tolerances)
-from .errors import DimensionError, DomainError
+from .config import CURVATURE_BLOCK_BYTES, DEFAULT_TOLS, Tolerances
 from .lie_metric import (HTypeCertificate, MetricLieAlgebra,
-                         StandardSolvableData, ad_matrix, killing_form,
-                         symmetric_skew_split)
+                         StandardSolvableData, killing_form)
 
 __all__ = [
     "levi_civita",
@@ -30,8 +28,6 @@ __all__ = [
     "ricci_from_brackets",
     "einstein_check",
     "damek_ricci_norms",
-    "sectional_curvature",
-    "jacobi_operator_H",
     "central_frame_split",
     "central_jacobi_blocks",
     "nabla_R_norm",
@@ -45,10 +41,10 @@ def levi_civita(g: MetricLieAlgebra) -> np.ndarray:
     return 0.5 * (t - np.einsum("jki->ijk", t) - np.einsum("ikj->ijk", t))
 
 
-def curvature_tensor(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
-    """R[i, j, k, :] = R(e_i, e_j) e_k for the given connection.
+def curvature_tensor(g: MetricLieAlgebra) -> np.ndarray:
+    """R[i, j, k, :] = R(e_i, e_j) e_k for ``g.connection``.
 
-    The dense n^4 form, kept for the demos and as the test oracle of
+    The dense n^4 form, kept as the test oracle of
     :func:`curvature_operator`, which is what ``analyze`` reads.
     R(e_i, e_j) e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k
     - nabla_[e_i, e_j] e_k, with both terms BLAS products: the second
@@ -57,7 +53,7 @@ def curvature_tensor(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
     that buffer are the only n^4 arrays held at once: the peak is
     2 n^4 doubles beside the n^3 connection, and R keeps n^4 of them.
     """
-    n = g.dim
+    n, gamma = g.dim, g.connection
     buf = np.matmul(gamma.reshape(n * n, n), gamma)   # [i, (j, k), l]
     second = buf.reshape(n, n, n, n)
     r = second - second.transpose(1, 0, 2, 3)
@@ -73,9 +69,9 @@ def _block_rows(row_bytes: int) -> int:
     return max(1, CURVATURE_BLOCK_BYTES // row_bytes)
 
 
-def curvature_operator(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
-    """R as a symmetric operator on the 2-vectors, in one pass that never
-    holds R.
+def curvature_operator(g: MetricLieAlgebra) -> np.ndarray:
+    """R as a symmetric operator on the 2-vectors for ``g.connection``, in
+    one pass that never holds R.
 
     ``op[p(i, j), p(k, q)] = <R(e_i, e_j) e_k, e_q>`` over the index
     pairs i < j and k < q, numbered p(i, j) = j (j - 1) / 2 + i (by j,
@@ -93,7 +89,7 @@ def curvature_operator(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
     ``config.CURVATURE_BLOCK_BYTES``, so the peak is the N^2 doubles of
     the operator, about n^4 / 4, and two chunk buffers.
     """
-    n = g.dim
+    n, gamma = g.dim, g.connection
     jl, il = np.tril_indices(n, -1)           # the pairs i < j, as (j, i)
     swapped = jl * n + il                     # flat (q, k) of (k, q)
     op = np.empty((len(il), len(il)))
@@ -115,8 +111,9 @@ def curvature_operator(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
     return op
 
 
-def flow_operator(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
-    """The stacked bracket operator -[T | 2 Gamma - T], shape (n, 2 n^2).
+def flow_operator(g: MetricLieAlgebra) -> np.ndarray:
+    """The stacked bracket operator -[T | 2 Gamma - T] of ``g.connection``,
+    shape (n, 2 n^2).
 
     For a velocity u, ``(u @ op).reshape(2, n, n)`` holds -ad_u and -c_u,
     c_u = 2 nabla_u - ad_u, with row j the image of e_j: the coefficients
@@ -127,7 +124,7 @@ def flow_operator(g: MetricLieAlgebra, gamma: np.ndarray) -> np.ndarray:
     t = g.tensor.reshape(n, n * n)
     op = np.empty((n, 2 * n * n))
     np.negative(t, out=op[:, :n * n])
-    np.multiply(gamma.reshape(n, n * n), -2.0, out=op[:, n * n:])
+    np.multiply(g.connection.reshape(n, n * n), -2.0, out=op[:, n * n:])
     op[:, n * n:] += t
     return op
 
@@ -196,49 +193,6 @@ def damek_ricci_norms(cert: HTypeCertificate):
         + 16 * k * (k + 1)
     nr_sq = 3 * k * (k - 1) // 2 * (3 - k) * m * (m + 2) + 36 * pq
     return lam * lam * math.sqrt(r_sq / 8), lam * lam * lam * math.sqrt(nr_sq)
-
-
-def sectional_curvature(r: np.ndarray, x, y) -> float:
-    """K(x, y) = <R(x,y)y, x> / (|x|^2 |y|^2 - <x,y>^2) for the dense R of
-    :func:`curvature_tensor`.  An ``x`` or ``y`` of other than shape
-    ``(n,)``, n = ``len(r)``, raises DimensionError; a degenerate plane,
-    or one with a NaN entry, raises DomainError."""
-    n = len(r)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (n,) or y.shape != (n,):
-        raise DimensionError(f"x and y must have shape ({n},), got "
-                             f"{x.shape} and {y.shape}")
-    gram = (x @ x) * (y @ y) - (x @ y) ** 2
-    # scale free; zero vectors fail, and so does NaN
-    if not gram > GRAM_FLOOR_REL * (x @ x) * (y @ y):
-        raise DomainError("sectional curvature needs a nondegenerate plane")
-    num = np.einsum("i,j,k,ijkl,l->", x, y, y, r, x)
-    return float(num / gram)
-
-
-def jacobi_operator_H(g, a_vec) -> np.ndarray:
-    """Jacobi operator R(. , A)A = -D_A^2 - [D_A, S_A] for A perp [s, s].
-
-    ``g`` may be a :class:`MetricLieAlgebra` or a
-    :class:`StandardSolvableData` (its adapted algebra is used).  An A
-    of other than shape ``(n,)`` raises DimensionError, one that is not
-    a unit vector (NaN included) DomainError.
-    """
-    alg = g.algebra if isinstance(g, StandardSolvableData) else g
-    a_vec = np.asarray(a_vec, dtype=float)
-    if a_vec.shape != (alg.dim,):
-        raise DimensionError(f"A must have shape ({alg.dim},), got "
-                             f"{a_vec.shape}")
-    if not abs(np.linalg.norm(a_vec) - 1.0) <= UNIT_VECTOR_TOL:
-        raise DomainError("A must be a unit vector")
-    # A perp [s,s]  <=>  no bracket has a component along A, measured
-    # against the bracket scale s as the rank decisions are
-    leak = np.abs(np.einsum("ijk,k->ij", alg.tensor, a_vec)).max()
-    if leak > RANK_REL * alg.scale:
-        raise DomainError("A is not orthogonal to the derived algebra")
-    d, s = symmetric_skew_split(ad_matrix(a_vec, alg))
-    return -d @ d - (d @ s - s @ d)
 
 
 def central_frame_split(d: StandardSolvableData):

@@ -3,9 +3,9 @@
 The inner product is *always* the identity in the stored basis; a
 different left-invariant metric is represented by changing the structure
 constants through an orthogonalizing change of basis.  On top of the
-bracket algebra this module provides derived series, centers and the
-standard decomposition ``s = <H> + v + z`` with its spectral data and
-H-type certificate, which drive the geodesic and rigidity machinery.
+bracket tensor ([x, y] = ``ad_matrix(x, g) @ y``) this module provides
+the derived series, the growth type and the standard decomposition
+``s = <H> + v + z`` with its spectral data and H-type certificate.
 """
 
 import enum
@@ -28,11 +28,9 @@ __all__ = [
     "MetricLieAlgebra",
     "StandardSolvableData",
     "GrowthType",
-    "bracket",
     "ad_matrix",
     "symmetric_skew_split",
     "derived_algebra",
-    "center_of",
     "nilpotency_class",
     "killing_form",
     "subalgebra",
@@ -175,8 +173,9 @@ class MetricLieAlgebra:
     def tensor(self) -> np.ndarray:
         return self._tensor
 
-    # computed on first use and shared by every consumer of this instance;
-    # one that reads only Gamma never forms the curvature operator
+    # computed on first use by the ``curvature`` kernel looked up at call
+    # time (so a wrapped or patched one runs) and shared by every consumer
+    # of this instance; one that reads only Gamma never forms the operator
 
     @cached_property
     def connection(self) -> np.ndarray:
@@ -192,7 +191,7 @@ class MetricLieAlgebra:
         :attr:`connection`, read-only: N^2 doubles, N = n (n - 1) / 2,
         where the dense R of :func:`curvature.curvature_tensor` is n^4."""
         from . import curvature
-        op = curvature.curvature_operator(self, self.connection)
+        op = curvature.curvature_operator(self)
         op.flags.writeable = False
         return op
 
@@ -201,9 +200,15 @@ class MetricLieAlgebra:
         """The stacked bracket operator of :func:`curvature.flow_operator`
         for :attr:`connection`, read-only."""
         from . import curvature
-        op = curvature.flow_operator(self, self.connection)
+        op = curvature.flow_operator(self)
         op.flags.writeable = False
         return op
+
+    @cached_property
+    def nabla_R_norm(self) -> float:
+        """|nabla R| of :func:`curvature.nabla_R_norm`."""
+        from . import curvature
+        return curvature.nabla_R_norm(self)
 
     def decomposition(self, tols: Tolerances = DEFAULT_TOLS
                       ) -> "Decomposition":
@@ -272,15 +277,6 @@ class MetricLieAlgebra:
                                             jacobi_tol=self.jacobi_tol)
 
 
-def bracket(x, y, g: MetricLieAlgebra) -> np.ndarray:
-    """Lie bracket [x, y] by structure-constant contraction."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (g.dim,) or y.shape != (g.dim,):
-        raise DimensionError(f"vectors must have shape ({g.dim},)")
-    return np.einsum("i,j,ijk->k", x, y, g.tensor)
-
-
 def ad_matrix(x, g: MetricLieAlgebra) -> np.ndarray:
     """Matrix of ad_x = [x, .] in the orthonormal basis."""
     x = np.asarray(x, dtype=float)
@@ -328,34 +324,23 @@ def derived_algebra(g: MetricLieAlgebra) -> np.ndarray:
     return _orthonormal_span(cols, g.scale)
 
 
-def center_of(g: MetricLieAlgebra) -> np.ndarray:
-    """Orthonormal basis (columns) of {z : [z, x] = 0 for all x}."""
-    # stack the maps x -> [x, e_j] over all j
-    mat = g.tensor.transpose(1, 2, 0).reshape(g.dim * g.dim, g.dim)
-    return _null_space(mat, g.scale)
-
-
 def subalgebra(g: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
     """Restriction of ``g`` to the span of orthonormal ``basis`` columns.
 
-    Raises :class:`StructureError` when a bracket leaks out of the span
-    by more than ``RANK_REL`` times the bracket scale.
+    Every bracket of the basis is one contraction of the tensor.  Raises
+    :class:`StructureError` when a bracket leaks out of the span by more
+    than ``RANK_REL`` times the bracket scale.
     """
     b = np.asarray(basis, dtype=float)
-    r = b.shape[1]
-    tensor = np.zeros((r, r, r))
-    for a in range(r):
-        for c in range(a + 1, r):
-            w = bracket(b[:, a], b[:, c], g)
-            coeffs = b.T @ w
-            leak = np.linalg.norm(w - b @ coeffs)
-            if leak > RANK_REL * g.scale:
-                raise StructureError(
-                    f"span is not a subalgebra: bracket leaks {leak:.3e}"
-                )
-            tensor[a, c] = coeffs
-            tensor[c, a] = -coeffs
-    return MetricLieAlgebra.from_tensor(tensor, jacobi_tol=g.jacobi_tol)
+    # w[a, c] = [b_a, b_c], in the coordinates of g
+    w = np.einsum("ia,jc,ijk->ack", b, b, g.tensor, optimize=True)
+    coeffs = w @ b
+    leak = np.linalg.norm(w - coeffs @ b.T, axis=2).max(initial=0.0)
+    if leak > RANK_REL * g.scale:
+        raise StructureError(f"span is not a subalgebra: bracket leaks "
+                             f"{leak:.3e}")
+    coeffs = 0.5 * (coeffs - coeffs.transpose(1, 0, 2))   # exactly skew
+    return MetricLieAlgebra.from_tensor(coeffs, jacobi_tol=g.jacobi_tol)
 
 
 def nilpotency_class(g: MetricLieAlgebra):

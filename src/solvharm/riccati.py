@@ -39,10 +39,6 @@ class RiccatiResult:
     spectrum_ad_a: np.ndarray
     trace_l0: float
 
-    def residual(self, ad_a) -> float:
-        a = np.asarray(ad_a, dtype=float)
-        return float(np.linalg.norm(self.x @ self.x + self.x @ a + a.T @ self.x))
-
 
 def horosphere_mean_curvature_formula(ad_a) -> float:
     """Closed-form horosphere mean curvature: -sum |Re sigma| over spec(ad_A)."""

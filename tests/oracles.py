@@ -311,7 +311,7 @@ def covariant_volume_density(g, v, t_grid, tols=DEFAULT_TOLS):
     n = g.dim
     k = n - 1
     gamma = g.connection
-    r_tensor = curvature_tensor(g, gamma)
+    r_tensor = curvature_tensor(g)
     gamma_flat = gamma.reshape(n, n * n)
     r_flat = r_tensor.transpose(1, 2, 0, 3).reshape(n * n, n * n)
 
@@ -563,7 +563,7 @@ def nabla_R(g) -> np.ndarray:
     Holds four n^5 arrays.
     """
     gamma = g.connection
-    r = curvature_tensor(g, gamma)
+    r = curvature_tensor(g)
     term0 = np.einsum("ijkm,lmp->lijkp", r, gamma)
     term1 = np.einsum("lim,mjkp->lijkp", gamma, r)
     term2 = np.einsum("ljm,imkp->lijkp", gamma, r)
@@ -587,7 +587,7 @@ def nabla_R_norm_three_products(g) -> float:
     transpose of the second.
     """
     gamma = g.connection
-    r = curvature_tensor(g, gamma)
+    r = curvature_tensor(g)
     n = g.dim
     by_first = r.reshape(n, n ** 3)           # [m, (j, k, p)]
     by_third = r.reshape(n * n, n, n)         # [(i, j), m, p]

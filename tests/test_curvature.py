@@ -21,10 +21,8 @@ from solvharm.clifford_dr import (build_damek_ricci, build_flat,
 from solvharm.config import DEFAULT_TOLS
 from solvharm.curvature import (central_frame_split, central_jacobi_blocks,
                                 curvature_norm, curvature_tensor,
-                                einstein_check,
-                                jacobi_operator_H, levi_civita, nabla_R_norm,
-                                sectional_curvature)
-from solvharm.errors import DimensionError, DomainError
+                                einstein_check, levi_civita, nabla_R_norm)
+from solvharm.errors import DimensionError
 from solvharm.jacobi_flow import CentralGeodesicFrame, volume_density
 from solvharm.lie_metric import (MetricLieAlgebra, ad_matrix, algebra_to_dict,
                                  standard_decomposition, symmetric_skew_split)
@@ -76,13 +74,13 @@ def test_connection_invariants(builder):
 
 def test_curvature_flat_zero():
     g = build_flat(3)
-    r = curvature_tensor(g, levi_civita(g))
+    r = curvature_tensor(g)
     np.testing.assert_allclose(r, 0.0)
 
 
 def test_curvature_constant_negative_oracle(rng):
     g = build_real_hyperbolic(5)
-    r = curvature_tensor(g, levi_civita(g))
+    r = curvature_tensor(g)
     for _ in range(20):
         x, y = rng.standard_normal((2, 5))
         num = np.einsum("i,j,k,ijkl,l->", x, y, y, r, x)
@@ -92,7 +90,7 @@ def test_curvature_constant_negative_oracle(rng):
 
 def test_curvature_tensor_symmetries(dr_algebras):
     g = dr_algebras[(2, 1)]
-    r = curvature_tensor(g, levi_civita(g))
+    r = curvature_tensor(g)
     # antisymmetry in the first two slots
     assert np.abs(r + np.einsum("jikl->ijkl", r)).max() <= 1e-12
     # first Bianchi identity
@@ -123,7 +121,7 @@ def test_ricci_from_brackets_matches_ricci_of_r(
     dr72 = build_damek_ricci(clifford_generators(7, 2))
     for g in (haar_rotate(dr72, 3), haar_rotate(dr72.rescaled(0.3), 4),
               generic_pair_algebra, haar_rotate(perturbed_theta_algebra, 5)):
-        want = ricci(curvature_tensor(g, g.connection))
+        want = ricci(curvature_tensor(g))
         for got in (np.array(ricci_from_brackets(g)),
                     curvature.ricci_from_brackets(g)):
             assert np.abs(got - want).max() \
@@ -168,83 +166,62 @@ def test_exact_jacobi_check_sees_a_failure():
 
 def test_ricci_symmetric(dr_algebras):
     g = dr_algebras[(3, 1)]
-    ric = ricci(curvature_tensor(g, levi_civita(g)))
+    ric = ricci(curvature_tensor(g))
     np.testing.assert_allclose(ric, ric.T, atol=1e-12)
 
 
+def _sectional(r, x, y):
+    """K(x, y) = <R(x, y) y, x> / (|x|^2 |y|^2 - <x, y>^2) of the dense R."""
+    gram = (x @ x) * (y @ y) - (x @ y) ** 2
+    return np.einsum("i,j,k,ijkl,l->", x, y, y, r, x) / gram
+
+
 def test_sectional_curvature_cases(dr_algebras, rng):
-    g = build_real_hyperbolic(3)
-    r = curvature_tensor(g, levi_civita(g))
-    assert np.isclose(
-        sectional_curvature(r, _basis(3, 0), _basis(3, 1)), -1.0
-    )
-
-    flat = build_flat(3)
-    rf = curvature_tensor(flat, levi_civita(flat))
-    assert sectional_curvature(rf, _basis(3, 0), _basis(3, 1)) == 0.0
-
-    gdr = dr_algebras[(2, 1)]
-    rdr = curvature_tensor(gdr, levi_civita(gdr))
-    for _ in range(200):
-        x, y = rng.standard_normal((2, 7))
-        assert sectional_curvature(rdr, x, y) <= 1e-10
-
-    with pytest.raises(DomainError):
-        sectional_curvature(r, _basis(3, 0), 2.0 * _basis(3, 0))
+    r = curvature_tensor(build_real_hyperbolic(3))
+    assert np.isclose(_sectional(r, _basis(3, 0), _basis(3, 1)), -1.0)
+    rf = curvature_tensor(build_flat(3))
+    assert _sectional(rf, _basis(3, 0), _basis(3, 1)) == 0.0
+    # a Damek-Ricci space has K <= 0
+    rdr = curvature_tensor(dr_algebras[(2, 1)])
+    for x, y in rng.standard_normal((200, 2, 7)):
+        assert _sectional(rdr, x, y) <= 1e-10
 
 
-@pytest.mark.parametrize("c", [1e-7, 1.0, 1e5])
-def test_sectional_curvature_is_scale_free_in_the_vectors(dr_algebras, rng,
-                                                          c):
-    g = dr_algebras[(2, 1)]
-    r = curvature_tensor(g, g.connection)
-    for x, y in rng.standard_normal((5, 2, 7)):
-        assert sectional_curvature(r, c * x, c * y) == \
-            pytest.approx(sectional_curvature(r, x, y), rel=1e-12)
-    with pytest.raises(DomainError):
-        sectional_curvature(r, np.zeros(7), _basis(7, 0))
+def _jacobi_operator_h(g, a):
+    """R(., A)A = -D_A^2 - [D_A, S_A] for A perp [s, s], with D_A and S_A
+    the symmetric and skew parts of ad_A."""
+    d, s = symmetric_skew_split(ad_matrix(a, g))
+    return -d @ d - (d @ s - s @ d)
+
+
+def _jacobi_operator_of_r(g, a):
+    """R(., A)A contracted from the dense R."""
+    return np.einsum("a,b,jabl->lj", a, a, curvature_tensor(g))
 
 
 def test_jacobi_operator_h_real_hyperbolic():
-    g = build_real_hyperbolic(4)
-    op = jacobi_operator_H(g, _basis(4, 0))
+    op = _jacobi_operator_of_r(build_real_hyperbolic(4), _basis(4, 0))
     np.testing.assert_allclose(op[1:, 1:], -np.eye(3), atol=1e-12)
 
 
 def test_jacobi_operator_h_damek_ricci(dr_data):
     d = dr_data[(2, 1)]
-    op = jacobi_operator_H(d, d.h_vector)
+    op = _jacobi_operator_of_r(d.algebra, d.h_vector)
     np.testing.assert_allclose(
         np.diag(op), [0.0, -0.25, -0.25, -0.25, -0.25, -1.0, -1.0], atol=1e-12
     )
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (8,)])
-def test_vector_arguments_must_have_shape_n(dr_data, shape):
+def test_vector_arguments_must_have_shape_n(dr_algebras, shape):
     # numpy's einsum raised a ValueError deep inside for these shapes
-    d = dr_data[(2, 1)]
-    r = curvature_tensor(d.algebra, d.algebra.connection)
+    g = dr_algebras[(2, 1)]
     bad = np.zeros(shape)
     bad.flat[0] = 1.0
     with pytest.raises(DimensionError, match=r"shape \(7,\)"):
-        jacobi_operator_H(d, bad)
-    for x, y in ((_basis(7, 1), bad), (bad, _basis(7, 1))):
-        with pytest.raises(DimensionError, match=r"shape \(7,\)"):
-            sectional_curvature(r, x, y)
-
-
-def test_vector_arguments_with_nan_are_refused(dr_data):
-    # a NaN fails every comparison, so the checks are written as the
-    # negation of the comparison that accepts
-    d = dr_data[(2, 1)]
-    r = curvature_tensor(d.algebra, d.algebra.connection)
-    nan = _basis(7, 0)
-    nan[1] = np.nan
-    with pytest.raises(DomainError, match="unit vector"):
-        jacobi_operator_H(d, nan)
-    for x, y in ((_basis(7, 2), nan), (nan, _basis(7, 2))):
-        with pytest.raises(DomainError, match="nondegenerate plane"):
-            sectional_curvature(r, x, y)
+        ad_matrix(bad, g)
+    with pytest.raises(DimensionError, match=r"shape \(7,\)"):
+        volume_density(g, bad, np.array([1.0]))
 
 
 def test_jacobi_operator_h_matches_tensor_generic():
@@ -253,37 +230,16 @@ def test_jacobi_operator_h_matches_tensor_generic():
     a = _basis(3, 0)
     d_sym, s_skew = symmetric_skew_split(ad_matrix(a, g))
     assert np.abs(d_sym @ s_skew - s_skew @ d_sym).max() > 1e-3  # non-normal
-    op = jacobi_operator_H(g, a)
-    r = curvature_tensor(g, levi_civita(g))
-    contraction = np.einsum("a,b,jabl->lj", a, a, r)
-    np.testing.assert_allclose(op[1:, 1:], contraction[1:, 1:], atol=1e-10)
+    np.testing.assert_allclose(_jacobi_operator_h(g, a)[1:, 1:],
+                               _jacobi_operator_of_r(g, a)[1:, 1:],
+                               atol=1e-10)
 
 
 def test_jacobi_operator_h_all_standard_builds(dr_data):
     for d in dr_data.values():
-        a = d.h_vector
-        op = jacobi_operator_H(d, a)
-        r = curvature_tensor(d.algebra, levi_civita(d.algebra))
-        contraction = np.einsum("a,b,jabl->lj", a, a, r)
-        assert np.abs(op - contraction).max() <= 1e-10
-
-
-def test_jacobi_operator_h_rejects_bad_direction(dr_data):
-    d = dr_data[(1, 1)]
-    with pytest.raises(DomainError):
-        jacobi_operator_H(d, z_top_vector(d))   # not orthogonal to [s, s]
-    with pytest.raises(DomainError):
-        jacobi_operator_H(d, 2.0 * d.h_vector)
-
-
-@pytest.mark.parametrize("c", [1e-12, 1.0, 1e6])
-def test_jacobi_operator_h_leak_check_is_relative_to_scale(dr_data, c):
-    d = dr_data[(2, 1)]
-    g = d.algebra.rescaled(c)
-    with pytest.raises(DomainError):
-        jacobi_operator_H(g, z_top_vector(d))   # in the derived algebra
-    np.testing.assert_allclose(jacobi_operator_H(g, d.h_vector) / c ** 2,
-                               jacobi_operator_H(d, d.h_vector), atol=1e-12)
+        op = _jacobi_operator_h(d.algebra, d.h_vector)
+        assert np.abs(op - _jacobi_operator_of_r(d.algebra, d.h_vector)
+                      ).max() <= 1e-10
 
 
 def test_central_operator_at_zero_and_infinity(dr_data):
@@ -308,7 +264,7 @@ def _assert_frame_matches_transported_tensor(d, times):
     algebra contracted along the central geodesic, in the frame of
     :func:`central_frame_split`."""
     alg = d.algebra
-    r = curvature_tensor(alg, levi_civita(alg))
+    r = curvature_tensor(alg)
     _, z_perp, _, kernel, _, pair_cols = central_frame_split(d)
     central = CentralGeodesicFrame.build(d)
     for t in times:
@@ -497,9 +453,9 @@ def test_jacobi_check_and_curvature_hold_two_n4_arrays():
     try:
         g = MetricLieAlgebra(32, rows)
         _, build_peak = tracemalloc.get_traced_memory()
-        gamma = levi_civita(g)
+        g.connection
         tracemalloc.reset_peak()
-        r = curvature_tensor(g, gamma)
+        r = curvature_tensor(g)
         _, r_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -545,7 +501,7 @@ def test_curvature_matches_einsum(dr_algebras, perturbed_theta_algebra,
                                   generic_pair_algebra, haar_rotate):
     for g in _curvature_cases(dr_algebras, perturbed_theta_algebra,
                               generic_pair_algebra, haar_rotate):
-        got = curvature_tensor(g, g.connection)
+        got = curvature_tensor(g)
         want = curvature_einsum(g.tensor, g.connection)
         assert np.abs(got - want).max() <= 1e-14 * g.scale * g.scale
 
@@ -557,7 +513,7 @@ def test_curvature_operator_matches_dense_tensor(
     # symmetry, and carries |R| of the dense tensor
     for g in _curvature_cases(dr_algebras, perturbed_theta_algebra,
                               generic_pair_algebra, haar_rotate):
-        r = curvature_tensor(g, g.connection)
+        r = curvature_tensor(g)
         j, i = np.tril_indices(g.dim, -1)   # pairs i < j, by j then i
         op = g.curvature_operator
         bound = 1e-14 * g.scale * g.scale
@@ -646,6 +602,18 @@ def test_build_report_computes_geometry_once(geometry_calls):
                               "curvature_operator": 1, "flow_operator": 0}
 
 
+def test_second_report_reuses_nabla_r_norm(monkeypatch):
+    # |nabla R| is kept on the algebra like Gamma and the operator, so a
+    # second report of one uncertified instance runs no kernel again
+    g = damek_ricci_scaled_j(2, 1, 1 + 1e-6)
+    calls = _count_calls(monkeypatch, ("nabla_R_norm", "curvature_operator"))
+    first = build_report(g)
+    assert calls == {"nabla_R_norm": 1, "curvature_operator": 1}
+    assert build_report(g) == first
+    assert calls == {"nabla_R_norm": 1, "curvature_operator": 1}
+    assert g.nabla_R_norm == first["symmetry"]["nabla_r_norm"]
+
+
 @pytest.mark.parametrize("name", ["dr-2-1", "dr-2-1-scaled-j", "flat-4",
                                   "heisenberg-3"])
 def test_analyze_computes_ricci_once(name, monkeypatch, tmp_path):
@@ -664,7 +632,7 @@ def test_uncertified_einstein_block_matches_dense_ricci(key):
     # are those of the contraction of the dense R
     g = damek_ricci_scaled_j(*key, 1 + 1e-6)
     assert g.decomposition().certificate is None
-    ric = ricci(curvature_tensor(g, g.connection))
+    ric = ricci(curvature_tensor(g))
     c = np.trace(ric) / g.dim
     residual = np.linalg.norm(ric - c * np.eye(g.dim))
     einstein = build_report(g)["einstein"]
@@ -848,6 +816,24 @@ def test_certified_derivations_must_agree(monkeypatch, tmp_path, capsys):
     failures = []
     build_report(g, failures=failures)
     assert failures == err.splitlines()
+
+
+def test_certified_trace_must_be_m_over_2_plus_k(monkeypatch, tmp_path,
+                                                 capsys):
+    # on DR (2, 1), m = 4 and k = 2, so trace ad_H / lam = 4; a trace
+    # patched off it by 1e-6, past 2 eigen_merge (m + k) = 1.2e-8 and
+    # within mean_constancy, makes analyze exit 4 with this message alone
+    g = build_damek_ricci(clifford_generators(2, 1))
+    trace = lie_metric.StandardSolvableData.trace_ad_h
+    monkeypatch.setattr(lie_metric.StandardSolvableData, "trace_ad_h",
+                        property(lambda d: trace.fget(d) + 1e-6))
+    code, report = _analyze_file(tmp_path, g)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert report["classification"] == "DamekRicciNonsymmetric"
+    bound = 2 * DEFAULT_TOLS.eigen_merge * 6
+    assert err == (f"H-type, yet trace_ad_h = {4 + 1e-6!r} is not m/2 + k "
+                   f"= 4.0: off by {4 + 1e-6 - 4!r} exceeds {bound!r}\n")
 
 
 @pytest.mark.parametrize("argv, operator", [

@@ -81,7 +81,7 @@ def test_closed_forms_match_the_dense_stages(name, variant, haar_rotate):
     assert abs(r_norm - dense_r) <= 1e-12 * dense_r
     assert abs(nr - curvature.nabla_R_norm(g)) <= 1e-12 * dense_r * g.scale
     ric = curvature.ricci_from_brackets(g)
-    dense_ric = ricci(curvature.curvature_tensor(g, g.connection))
+    dense_ric = ricci(curvature.curvature_tensor(g))
     assert np.abs(ric - dense_ric).max() <= 1e-12 * dense_r
     c_dr = -(cert.m + 4 * cert.k) / 4 * cert.lam ** 2
     assert np.abs(ric - c_dr * np.eye(g.dim)).max() <= 1e-12 * dense_r
@@ -106,7 +106,7 @@ def test_closed_forms_are_exact_on_dyadic_builds(name):
     cert = lie_metric.h_type_certificate(standard_decomposition(g))
     assert cert.lam == 1.0
     _, m, k, pq = cert
-    r = curvature.curvature_tensor(g, g.connection)
+    r = curvature.curvature_tensor(g)
     nab = nabla_R(g)
     assert _dyadic(r) and _dyadic(nab)
     r_sq = Fraction(math.fsum((r * r).ravel()))

@@ -22,8 +22,8 @@ from solvharm.config import DEFAULT_TOLS, Tolerances
 from solvharm.errors import (DimensionError, NotStandardError, StructureError)
 from solvharm.lie_metric import (GrowthType, MetricLieAlgebra,
                                  _null_space, _orthonormal_span, ad_matrix,
-                                 algebra_from_dict, algebra_to_dict, bracket,
-                                 center_of, derived_algebra, growth_type,
+                                 algebra_from_dict, algebra_to_dict,
+                                 derived_algebra, growth_type,
                                  nilpotency_class, standard_decomposition,
                                  subalgebra, symmetric_skew_split)
 
@@ -36,26 +36,31 @@ def _basis(n, i):
     return v
 
 
+def _bracket(x, y, g):
+    """[x, y] = ad_x y."""
+    return ad_matrix(x, g) @ y
+
+
 def test_bracket_antisymmetry_on_basis():
     g = HEISENBERG
-    np.testing.assert_allclose(bracket(_basis(3, 0), _basis(3, 0), g), 0.0)
+    np.testing.assert_allclose(_bracket(_basis(3, 0), _basis(3, 0), g), 0.0)
 
 
 def test_bracket_heisenberg_relation():
     np.testing.assert_allclose(
-        bracket(_basis(3, 0), _basis(3, 1), HEISENBERG), [0.0, 0.0, 1.0]
+        _bracket(_basis(3, 0), _basis(3, 1), HEISENBERG), [0.0, 0.0, 1.0]
     )
 
 
 def test_bracket_damek_ricci_top_eigenvalue():
     g = build_damek_ricci(clifford_generators(1))
     h, z = _basis(4, 0), _basis(4, 3)
-    np.testing.assert_allclose(bracket(h, z, g), z)
+    np.testing.assert_allclose(_bracket(h, z, g), z)
 
 
 def test_bracket_dimension_mismatch():
     with pytest.raises(DimensionError):
-        bracket(np.zeros(2), np.zeros(3), HEISENBERG)
+        ad_matrix(np.zeros(2), HEISENBERG)
 
 
 def test_ad_matrix_abelian_zero():
@@ -113,23 +118,18 @@ def test_derived_algebra_heisenberg():
 
 
 def test_center_abelian_full():
-    assert center_of(build_flat(5)).shape == (5, 5)
+    # the standard decomposition splits n = [s, s] into v and its center
+    # z: an abelian n is all center
+    d = standard_decomposition(build_real_hyperbolic(5))
+    assert (d.v_indices, d.z_indices) == ((), (1, 2, 3, 4))
 
 
-def test_center_heisenberg_type():
-    g = build_heisenberg_type(clifford_generators(1))
-    c = center_of(g)
-    assert c.shape[1] == 1
-    np.testing.assert_allclose(np.abs(c[:, 0]), [0.0, 0.0, 1.0], atol=1e-14)
-
-
-def test_center_damek_ricci_trivial(dr_algebras):
-    g = dr_algebras[(1, 1)]
-    # independent oracle: kernel of the stacked maps x -> [x, e_j]
-    mat = g.tensor.transpose(1, 2, 0).reshape(g.dim * g.dim, g.dim)
-    rank = np.linalg.matrix_rank(mat, tol=1e-10)
-    assert rank == g.dim            # trivial kernel
-    assert center_of(g).shape[1] == 0
+def test_center_heisenberg_type(dr_data):
+    # n of DR (1, 1) is the Heisenberg algebra, with center span(Z)
+    d = dr_data[(1, 1)]
+    assert len(d.z_indices) == 1
+    np.testing.assert_allclose(np.abs(d.basis[:, d.z_indices[0]]),
+                               [0.0, 0.0, 0.0, 1.0], atol=1e-14)
 
 
 def test_nilpotency_class_cases(dr_algebras):
@@ -252,7 +252,7 @@ def test_standard_data_compare_by_identity(dr_data, dr_algebras):
 def test_standard_decomposition_builds_only_the_adapted_algebra(
         dr_algebras, haar_rotate, monkeypatch):
     # the center of n, ad_H and j(Z) come from the input tensor: no
-    # subalgebra, bracket loop or rescaled copy, and no algebra at all
+    # subalgebra or rescaled copy, and no algebra at all
     # until ``algebra`` is read; then one, checked once
     g0 = dr_algebras[(2, 1)]
     inputs = (g0, haar_rotate(g0, 11), g0.rescaled(3.0))
@@ -267,12 +267,12 @@ def test_standard_decomposition_builds_only_the_adapted_algebra(
 
     modules = [m for key, m in sys.modules.items()
                if key.split(".")[0] == "solvharm" and m is not None]
-    for name in ("subalgebra", "bracket", "center_of"):
-        original = getattr(lie_metric, name)
-        for module in modules:
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counting(name, original))
+    original = lie_metric.subalgebra
+    for module in modules:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key,
+                                    counting("subalgebra", original))
     for name in ("jacobi_residual", "rescaled"):
         monkeypatch.setattr(MetricLieAlgebra, name,
                             counting(name, getattr(MetricLieAlgebra, name)))
@@ -642,13 +642,23 @@ def _loop_nilpotency_class(g):
     step = 0
     while current.shape[1] > 0:
         step += 1
-        images = [bracket(_basis(g.dim, i), current[:, a], g)
+        images = [_bracket(_basis(g.dim, i), current[:, a], g)
                   for i in range(g.dim) for a in range(current.shape[1])]
         nxt = _orthonormal_span(np.array(images).T, g.scale)
         if nxt.shape[1] >= current.shape[1]:
             return None
         current = nxt
     return step
+
+
+def _loop_subalgebra_tensor(g, b):
+    r = b.shape[1]
+    t = np.zeros((r, r, r))
+    for a in range(r):
+        for c in range(a + 1, r):
+            t[a, c] = b.T @ _bracket(b[:, a], b[:, c], g)
+            t[c, a] = -t[a, c]
+    return t
 
 
 @pytest.mark.parametrize("key", [(1, 1), (2, 1), (3, 1), (7, 2)])
@@ -659,6 +669,13 @@ def test_bracket_array_forms_match_loops(key, haar_rotate):
             rebuilt = MetricLieAlgebra.from_tensor(g.tensor)
             assert rebuilt.structure_constants == tuple(_loop_triples(g.tensor))
             assert nilpotency_class(g) == _loop_nilpotency_class(g)
+            if g0.dim == cm.m + cm.l + 1:
+                # the nilradical n = [s, s] of a Damek-Ricci algebra is an
+                # ideal, so a subalgebra, and not abelian
+                n = g.derived_algebra
+                assert np.abs(subalgebra(g, n).tensor
+                              - _loop_subalgebra_tensor(g, n)).max() \
+                    <= 1e-14 * g.scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,19 @@
 """Each module of the package that declares ``__all__`` lists exactly its
 public top-level functions and classes, so a name moved from one module
-to another leaves no stale export behind and gains one where it lands."""
+to another leaves no stale export behind and gains one where it lands.
+Each name it lists is also read somewhere: by the package itself, the
+benchmark's tracer, the test oracles or the README tour, so an export
+that only its own tests call is seen as dead."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
+from test_demos import _readme_tour
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "solvharm"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "solvharm"
 
 
 def _names(path):
@@ -50,3 +56,54 @@ def test_the_check_sees_a_stale_export(tmp_path):
     exports, public = _names(module)
     assert exports != public
     assert (exports, public) == (["kept", "moved"], ["Added", "kept"])
+
+
+def _read_names(tree) -> set:
+    """Every name an AST reads: names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def _tracer_names() -> set:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {part for _, attr in [*tracer.SPANS, *tracer.COUNTERS]
+            for part in attr.split(".")}
+
+
+def _readers() -> set:
+    """The names read by the package (its ``__init__`` re-exports aside),
+    the tracer's ``SPANS`` and ``COUNTERS``, ``tests/oracles.py`` and the
+    README tour."""
+    trees = [ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")
+             if p.name != "__init__.py"]
+    trees += [ast.parse((ROOT / "tests" / "oracles.py").read_text()),
+              ast.parse(_readme_tour())]
+    return set().union(_tracer_names(), *map(_read_names, trees))
+
+
+def _unread(readers, paths) -> list:
+    return sorted(f"{p.stem}.{name}" for p in paths
+                  for name in _names(p)[0] if name not in readers)
+
+
+def test_every_export_is_read():
+    assert _unread(_readers(), _DECLARING) == []
+
+
+def test_the_read_check_sees_a_dead_export(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text('__all__ = ["used", "dead"]\n\n'
+                      "def used():\n    pass\n\n\ndef dead():\n"
+                      "    pass\n\n\nused()\n")
+    assert _unread(_read_names(ast.parse(module.read_text())),
+                   [module]) == ["m.dead"]
