@@ -128,8 +128,9 @@ def _write_inputs():
 
     INPUTS.mkdir(exist_ok=True)
     for name, argv in BUILT.items():
-        assert cli.main(["build", *argv, "--output",
-                         str(INPUTS / f"{name}.json")]) == 0
+        path = str(INPUTS / f"{name}.json")
+        if cli.main(["build", *argv, "--output", path]):
+            raise SystemExit(f"build {name} failed")
     dr21 = damek_ricci_scaled_j(2, 1, 1.0)
     derived = {
         "dr-2-1-haar": _haar_rotate(dr21, 5),

@@ -6,11 +6,11 @@ benchmark's tracer, the test oracles or the README tour, so an export
 that only its own tests call is seen as dead."""
 
 import ast
-import importlib.util
 import pathlib
 
 import pytest
 from test_demos import _readme_tour
+from test_tracer_targets import _tracer_module
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "solvharm"
@@ -72,10 +72,7 @@ def _read_names(tree) -> set:
 
 
 def _tracer_names() -> set:
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _tracer_module()
     return {part for _, attr in [*tracer.SPANS, *tracer.COUNTERS]
             for part in attr.split(".")}
 
