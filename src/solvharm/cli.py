@@ -3,7 +3,9 @@
 File formats are stable: the JSON algebra format of ``lie_metric``, CSV
 with a header row, and JSON reports with fixed key order and floats
 serialized at 17 significant digits, so identical inputs (plus --seed)
-produce byte-identical outputs.  Files are written atomically.
+produce byte-identical outputs.  Every output is streamed, a block of
+rows at a time, into stdout or into a temporary file beside its path that
+is then renamed over it, so no output is ever held whole as text.
 """
 
 import argparse
@@ -44,19 +46,40 @@ _COMMAND_TOLS = {
 # deterministic serialization
 # ---------------------------------------------------------------------------
 
-def _rows(table, sep=", ") -> list:
-    """Each row of a 2-D table of finite numbers as one string: every
-    value written %.17g (adding 0.0 writes -0 as 0), joined by ``sep``.
-    Every number the CLI writes goes through this one template."""
-    table = np.asarray(table, dtype=float) + 0.0
-    template = sep.join(["%.17g"] * table.shape[1])
-    return [template % tuple(row) for row in table.tolist()]
+# values per block of rows: each block is one ``tolist()`` and one write of
+# some 80 kB of text, so a table costs its own bytes plus one block, while
+# the per-block numpy and write calls stay a small share of the formatting
+_BLOCK_VALUES = 4096
+# the format of every number the CLI writes, spelled here only
+_NUMBER = "%.17g"
+
+
+def _rows(table, sep=", ", joiner="\n"):
+    """The rows of a 2-D table of finite numbers, at least one column
+    wide, as text, a block of about ``_BLOCK_VALUES`` values at a time:
+    every value written %.17g (adding 0.0 writes -0 as 0), values joined
+    by ``sep`` and rows by ``joiner``.  A block after the first starts
+    with ``joiner``, or with ``sep`` within a row wider than a block, so
+    the blocks in order are the whole text.  Every number the CLI writes
+    takes this template, ``_NUMBER``."""
+    table = np.asarray(table, dtype=float)
+    n_rows, width = table.shape
+    row_step = max(_BLOCK_VALUES // width, 1)
+    col_step = min(width, _BLOCK_VALUES)
+    for r in range(0, n_rows, row_step):
+        for c in range(0, width, col_step):
+            block = (table[r:r + row_step, c:c + col_step] + 0.0).tolist()
+            template = sep.join([_NUMBER] * len(block[0]))
+            text = joiner.join([template % tuple(row) for row in block])
+            yield (sep if c else joiner if r else "") + text
 
 
 def _emit_json(value, out):
     """Recursive writer with fixed key order and %.17g floats.  numpy
     values are written as the Python values they hold, a complex number
-    as {"re": ..., "im": ...} and a NaN or infinity as a string."""
+    as {"re": ..., "im": ...} and a NaN or infinity as a string.  A float
+    array is written a block of rows at a time by :func:`_rows`, and a
+    float scalar in its ``_NUMBER`` template."""
     if isinstance(value, dict):
         out.write("{")
         for i, (k, v) in enumerate(value.items()):
@@ -79,10 +102,13 @@ def _emit_json(value, out):
             _emit_json(value.tolist(), out)
         elif value.ndim > 2:
             _emit_json(list(value), out)
-        elif value.ndim == 1:
-            out.write("[" + _rows(value[np.newaxis])[0] + "]")
         else:
-            out.write("[[" + "], [".join(_rows(value)) + "]]")
+            one_d = value.ndim == 1
+            out.write("[" if one_d else "[[")
+            for text in _rows(value[np.newaxis] if one_d else value,
+                              joiner="], ["):
+                out.write(text)
+            out.write("]" if one_d else "]]")
     elif isinstance(value, (bool, np.bool_)):
         out.write("true" if value else "false")
     elif value is None:
@@ -94,19 +120,25 @@ def _emit_json(value, out):
         if math.isnan(value) or math.isinf(value):
             out.write(json.dumps(str(value)))
         else:
-            out.write(_rows([[value]])[0])
+            out.write(_NUMBER % (value + 0.0))
     elif isinstance(value, (complex, np.complexfloating)):
         _emit_json({"re": float(value.real), "im": float(value.imag)}, out)
     else:
         out.write(json.dumps(value))
 
 
-def _render_json(value) -> str:
-    import io
-    buf = io.StringIO()
-    _emit_json(value, buf)
-    buf.write("\n")
-    return buf.getvalue()
+def _write_json(value, out):
+    """``value`` as one JSON document and a newline."""
+    _emit_json(value, out)
+    out.write("\n")
+
+
+def _write_csv(header: str, table, out):
+    """A CSV file: ``header``, then one line per row of ``table``."""
+    out.write(header + "\n")
+    for text in _rows(table, ",", "\n"):
+        out.write(text)
+    out.write("\n")
 
 
 def _check_writable(path: str):
@@ -121,11 +153,13 @@ def _check_writable(path: str):
         raise _UsageError(f"cannot write {path}: {directory} is {reason}")
 
 
-def _write_atomic(path: str, text: str):
-    """Write ``text`` to a temporary file beside ``path`` and rename it
-    over ``path``, with the mode a plain ``open`` would give: 0o666 less
-    the umask (``mkstemp`` creates its file as 0o600).  An ``OSError``
-    is raised as a :class:`SolvharmError` that names ``path``."""
+def _write_atomic(path: str, write):
+    """Call ``write(handle)`` on a temporary file beside ``path`` and
+    rename it over ``path`` once ``write`` returns, with the mode a plain
+    ``open`` would give: 0o666 less the umask (``mkstemp`` creates its
+    file as 0o600).  If ``write`` raises, the temporary file is removed
+    and ``path`` is left as it was.  An ``OSError`` is raised as a
+    :class:`SolvharmError` that names ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
@@ -134,7 +168,7 @@ def _write_atomic(path: str, text: str):
         try:
             os.fchmod(fd, 0o666 & ~umask)
             with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+                write(handle)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -144,11 +178,14 @@ def _write_atomic(path: str, text: str):
         raise SolvharmError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _deliver(text: str, output):
+def _deliver(write, output):
+    """The one output path of every command: ``write(out)`` streams the
+    output into ``out``, the temporary file of :func:`_write_atomic` for
+    the path ``output`` or, without one, stdout."""
     if output:
-        _write_atomic(output, text)
+        _write_atomic(output, write)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _load_json(path: str):
@@ -369,13 +406,12 @@ def _density_table(g, seed: int, directions: int, t_arr: np.ndarray,
                    tols: Tolerances):
     """Volume densities along seeded unit directions, one after another on
     the algebra's shared H-type certificate or, without one, its shared
-    flow operator."""
+    flow operator: the rows (direction id, t, det)."""
     rng = np.random.default_rng(seed)
     rows = [jacobi_flow.volume_density(g, v / np.linalg.norm(v), t_arr, tols)
             for v in rng.standard_normal((directions, g.dim))]
-    table = np.column_stack([np.repeat(np.arange(directions), t_arr.size),
-                             np.tile(t_arr, directions), np.concatenate(rows)])
-    return "\n".join(["direction_id,t,det", *_rows(table, ",")]) + "\n"
+    return np.column_stack([np.repeat(np.arange(directions), t_arr.size),
+                            np.tile(t_arr, directions), np.concatenate(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +436,8 @@ def cmd_build(args, tols: Tolerances) -> int:
             g = clifford_dr.build_heisenberg_type(cm)
         else:
             g = clifford_dr.build_damek_ricci(cm)
-    _deliver(_render_json(lie_metric.algebra_to_dict(g)), args.output)
+    _deliver(functools.partial(_write_json, lie_metric.algebra_to_dict(g)),
+             args.output)
     return 0
 
 
@@ -414,10 +451,11 @@ def cmd_analyze(args, tols: Tolerances) -> int:
     g = _load_algebra(args.algebra, tols)
     failures = []   # paper identities the report contradicts
     report = build_report(g, seed=args.seed, tols=tols, failures=failures)
-    _deliver(_render_json(report), args.output)
+    _deliver(functools.partial(_write_json, report), args.output)
     if args.density_csv:
         table = _density_table(g, args.seed, directions, times, tols)
-        _write_atomic(args.density_csv, table)
+        _deliver(functools.partial(_write_csv, "direction_id,t,det", table),
+                 args.density_csv)
     for message in failures:
         sys.stderr.write(message + "\n")
     return 4 if failures else 0
@@ -438,7 +476,7 @@ def cmd_scan_h(args, tols: Tolerances) -> int:
     factors = hypergeom.h_factors(mu_f, rho_star, pairs, z_values)
     h_values = np.prod(factors, axis=-1)
     table = np.column_stack([z_values, h_values, factors])
-    _deliver("\n".join([header, *_rows(table, ",")]) + "\n", args.output)
+    _deliver(functools.partial(_write_csv, header, table), args.output)
     return 0
 
 
@@ -453,7 +491,7 @@ def cmd_classify(args, tols: Tolerances) -> int:
         "factors": factors,
         "tolerances": _tolerances_dict(tols, "classify"),
     }
-    _deliver(_render_json(report), args.output)
+    _deliver(functools.partial(_write_json, report), args.output)
     return 0
 
 
@@ -481,7 +519,7 @@ def cmd_riccati(args, tols: Tolerances) -> int:
         "spectrum": res.spectrum_ad_a,
         "tolerances": _tolerances_dict(tols, "riccati"),
     }
-    _deliver(_render_json(report), args.output)
+    _deliver(functools.partial(_write_json, report), args.output)
     if abs(res.trace_l0 - formula) > TRACE_IDENTITY_REL * np.linalg.norm(mat):
         sys.stderr.write(
             f"trace identity violated: trace L0 = {res.trace_l0!r} vs "

@@ -329,7 +329,8 @@ def subalgebra(g: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
 
     Every bracket of the basis is one contraction of the tensor.  Raises
     :class:`StructureError` when a bracket leaks out of the span by more
-    than ``RANK_REL`` times the bracket scale.
+    than ``RANK_REL`` times the bracket scale; a restricted bracket
+    entry at or below that threshold is read as 0.
     """
     b = np.asarray(basis, dtype=float)
     # w[a, c] = [b_a, b_c], in the coordinates of g
@@ -340,6 +341,9 @@ def subalgebra(g: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
         raise StructureError(f"span is not a subalgebra: bracket leaks "
                              f"{leak:.3e}")
     coeffs = 0.5 * (coeffs - coeffs.transpose(1, 0, 2))   # exactly skew
+    # roundoff at the leak check's threshold is no bracket: left in, it
+    # would set the scale that ``from_tensor`` prunes and checks against
+    coeffs[np.abs(coeffs) <= RANK_REL * g.scale] = 0.0
     return MetricLieAlgebra.from_tensor(coeffs, jacobi_tol=g.jacobi_tol)
 
 

@@ -42,12 +42,14 @@ BUILT = {
     "dr-1-1": ["damek-ricci", "--l", "1", "--copies", "1"],
     "dr-2-1": ["damek-ricci", "--l", "2", "--copies", "1"],
     "dr-3-1": ["damek-ricci", "--l", "3", "--copies", "1"],
+    "dr-3-2": ["damek-ricci", "--l", "3", "--copies", "2"],
     "dr-7-2": ["damek-ricci", "--l", "7", "--copies", "2"],
 }
 # every algebra, and so every analyze, classify and scan-h case
-ALGEBRAS = (*BUILT, "dr-2-1-haar", "dr-2-1-scaled-1e-30",
-            "dr-2-1-scaled-1e30", "near-dr-2-1-1e-13", "near-dr-7-2-1e-6",
-            "perturbed-theta", "generic-pair", "h2-x-h2")
+ALGEBRAS = (*BUILT, "mixed-3-1-1", "mixed-3-2-0", "dr-2-1-haar",
+            "dr-7-2-haar", "dr-2-1-scaled-1e-30", "dr-2-1-scaled-1e30",
+            "near-dr-2-1-1e-13", "near-dr-2-1-1e-12", "near-dr-7-2-1e-6",
+            "perturbed-theta", "generic-pair", "h2-x-h2", "dr-2-1-skew-ad-h")
 # a scale past ``config.SCALE_WINDOW`` (exit 1) and a fractional index
 # (exit 2): analyze only
 REFUSED = ("dr-2-1-scaled-1e50", "malformed")
@@ -122,7 +124,9 @@ def expected_files(name: str) -> dict:
 def _write_inputs():
     sys.path.insert(0, str(HERE.parent))   # the test oracles
     from conftest import _haar_rotate
-    from oracles import damek_ricci_scaled_j
+    from oracles import (add_to_ad_h, damek_ricci_scaled_j,
+                         mixed_damek_ricci,
+                         skew_derivations_commuting_with_ad_h)
 
     from solvharm import cli, lie_metric
 
@@ -133,11 +137,15 @@ def _write_inputs():
             raise SystemExit(f"build {name} failed")
     dr21 = damek_ricci_scaled_j(2, 1, 1.0)
     derived = {
+        "mixed-3-1-1": mixed_damek_ricci(3, 1, 1),
+        "mixed-3-2-0": mixed_damek_ricci(3, 2, 0),
         "dr-2-1-haar": _haar_rotate(dr21, 5),
+        "dr-7-2-haar": _haar_rotate(damek_ricci_scaled_j(7, 2, 1.0), 7),
         "dr-2-1-scaled-1e-30": dr21.rescaled(1e-30),
         "dr-2-1-scaled-1e30": dr21.rescaled(1e30),
         "dr-2-1-scaled-1e50": dr21.rescaled(1e50),
         "near-dr-2-1-1e-13": damek_ricci_scaled_j(2, 1, 1.0 + 1e-13),
+        "near-dr-2-1-1e-12": damek_ricci_scaled_j(2, 1, 1.0 + 1e-12),
         "near-dr-7-2-1e-6": damek_ricci_scaled_j(7, 2, 1.0 + 1e-6),
         "perturbed-theta": lie_metric.MetricLieAlgebra(4, (
             (0, 1, 1, 0.5), (0, 2, 2, 0.5), (0, 3, 3, 1.0), (1, 2, 3, 0.8))),
@@ -145,6 +153,10 @@ def _write_inputs():
             (0, 1, 1, 0.3), (0, 2, 2, 0.7), (0, 3, 3, 1.0), (1, 2, 3, 0.8))),
         "h2-x-h2": lie_metric.MetricLieAlgebra(4, (
             (0, 1, 1, 1.0), (2, 3, 3, 1.0))),
+        # DR (2,1) plus 0.3 times a skew derivation commuting with ad_H:
+        # ad_H normal, not self-adjoint, isometric to its DR twin
+        "dr-2-1-skew-ad-h": add_to_ad_h(
+            dr21, 0.3 * skew_derivations_commuting_with_ad_h(dr21)[0]),
     }
     for name, g in derived.items():
         (INPUTS / f"{name}.json").write_text(

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import io
 import json
 import os
 import pathlib
@@ -7,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -551,21 +553,31 @@ def test_scan_h_csv(tmp_path, capsys):
     assert np.abs(np.array(values) + 4.0).max() <= 1e-9
 
 
+def _render_json(value) -> str:
+    """``value`` through the CLI's streaming JSON writer, as text."""
+    buf = io.StringIO()
+    cli._write_json(value, buf)
+    return buf.getvalue()
+
+
 def test_scan_h_rows_match_scalar_writer(tmp_path, generic_pair_algebra):
-    # z from -0.9 to 0.9 crosses 0; each row is one format call, each
-    # value formatted on its own
+    # z from -0.9 to 0.9 crosses 0; each value formatted on its own.  The
+    # 3-column table (z, h, one pair factor) of the larger count spans 4
+    # blocks of rows, the last one short
     alg = tmp_path / "g.json"
-    alg.write_text(cli._render_json(algebra_to_dict(generic_pair_algebra)))
+    alg.write_text(_render_json(algebra_to_dict(generic_pair_algebra)))
     out = tmp_path / "h.csv"
-    assert main(["scan-h", str(alg), "--z-min", "-0.9", "--z-max", "0.9",
-                 "--count", "37", "--output", str(out)]) == 0
     mu_f, rho_star, pairs = standard_decomposition(
         generic_pair_algebra).frame_factor_data()
-    z_values = np.linspace(-0.9, 0.9, 37)
-    factors = hypergeom.h_factors(mu_f, rho_star, pairs, z_values)
-    rows = [",".join(g17(x) for x in (z, h, *row)) for z, h, row
-            in zip(z_values, np.prod(factors, axis=-1), factors)]
-    assert out.read_text().splitlines()[1:] == rows
+    for count in (37, 3 * (cli._BLOCK_VALUES // 3) + 5):
+        assert main(["scan-h", str(alg), "--z-min", "-0.9", "--z-max", "0.9",
+                     "--count", str(count), "--output", str(out)]) == 0
+        z_values = np.linspace(-0.9, 0.9, count)
+        factors = hypergeom.h_factors(mu_f, rho_star, pairs, z_values)
+        assert factors.shape[1] == 1
+        rows = [",".join(g17(x) for x in (z, h, *row)) for z, h, row
+                in zip(z_values, np.prod(factors, axis=-1), factors)]
+        assert out.read_text().splitlines()[1:] == rows
 
 
 def _large_matrix():
@@ -597,6 +609,14 @@ _ARRAYS = {
     "float32": np.array([0.1, -0.0, 3.0], dtype=np.float32),
     "three_d": np.arange(24.0).reshape(2, 3, 4) / 7.0,
     "column": np.array([[-0.0], [1e-17]]),
+    # more rows than one block holds, and not a multiple of a block's
+    "tall": np.random.default_rng(5).standard_normal(
+        (2 * cli._BLOCK_VALUES // 7 + 3, 7)),
+    # one row in three pieces, the last one short
+    "wide_row": np.random.default_rng(6).standard_normal(
+        2 * cli._BLOCK_VALUES + 11) * 1e-300,
+    "wide_rows": np.random.default_rng(7).standard_normal(
+        (2, cli._BLOCK_VALUES + 1)),
 }
 
 
@@ -607,7 +627,7 @@ def test_render_json_matches_scalar_writer(name):
                                                      "list": [a, -0.0, 1]},
               "scalars": (np.float64(-0.0), np.int64(7), 2.5j, None, "s")}
     for value in (report, a):
-        got, want = cli._render_json(value), render_json_scalar(value)
+        got, want = _render_json(value), render_json_scalar(value)
         # compare lengths and the first difference: pytest's diff of the
         # megabyte a 192 x 192 report writes takes minutes
         i = len(os.path.commonprefix([got, want]))
@@ -1136,6 +1156,64 @@ def test_failed_write_is_one_error_line_exit_1(tmp_path, capsys):
         assert list(target.iterdir()) == []
     assert not [p for p in tmp_path.iterdir()
                 if p.name.startswith(".solvharm-")]
+
+
+class _Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("existing", [None, "old bytes\n"])
+def test_a_writer_that_fails_midway_leaves_no_file(existing, tmp_path,
+                                                   monkeypatch):
+    # the output is streamed into the temporary file, so a failure after
+    # the first block must leave no part of it under either name
+    alg = tmp_path / "dr.json"
+    main(["build", "damek-ricci", "--l", "1", "--output", str(alg)])
+    out = tmp_path / "h.csv"
+    if existing is not None:
+        out.write_text(existing)
+    rows, blocks = cli._rows, []
+
+    def first_block_only(*args):
+        for text in rows(*args):
+            blocks.append(text)
+            yield text
+            raise _Interrupted
+
+    monkeypatch.setattr(cli, "_rows", first_block_only)
+    with pytest.raises(_Interrupted):
+        main(["scan-h", str(alg), "--count", str(cli._BLOCK_VALUES),
+              "--output", str(out)])
+    assert len(blocks) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["dr.json"] if existing is None else ["dr.json", "h.csv"])
+    if existing is not None:
+        assert out.read_text() == existing
+
+
+def test_scan_h_memory_is_bounded_by_its_table(tmp_path):
+    # the output streams a block at a time: the traced peak is the table,
+    # the factors it is stacked from and one block of text, not the whole
+    # CSV as text (10 times the table before streaming)
+    alg = tmp_path / "dr.json"
+    main(["build", "damek-ricci", "--l", "3", "--output", str(alg)])
+    out = tmp_path / "h.csv"
+    count, width = 20000, 6   # z, h and four factors: 0.96 MB of doubles
+    bound = 3 * count * width * 8
+    peaks = []
+    for n in (1, count):
+        tracemalloc.start()
+        try:
+            assert main(["scan-h", str(alg), "--count", str(n),
+                         "--output", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    lines = out.read_text().splitlines()
+    assert len(lines) == count + 1 and lines[0].count(",") == width - 1
+    fixed, peak = peaks
+    assert fixed <= 0.1 * bound
+    assert peak <= bound, (peak, bound)
 
 
 def test_analyze_one_dimensional_algebra_is_flat(tmp_path):

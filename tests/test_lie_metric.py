@@ -669,13 +669,15 @@ def test_bracket_array_forms_match_loops(key, haar_rotate):
             rebuilt = MetricLieAlgebra.from_tensor(g.tensor)
             assert rebuilt.structure_constants == tuple(_loop_triples(g.tensor))
             assert nilpotency_class(g) == _loop_nilpotency_class(g)
-            if g0.dim == cm.m + cm.l + 1:
-                # the nilradical n = [s, s] of a Damek-Ricci algebra is an
-                # ideal, so a subalgebra, and not abelian
-                n = g.derived_algebra
-                assert np.abs(subalgebra(g, n).tensor
-                              - _loop_subalgebra_tensor(g, n)).max() \
-                    <= 1e-14 * g.scale
+            # [g, g] is the nilradical of a Damek-Ricci algebra, an ideal
+            # and not abelian, and the center of an H-type algebra, where
+            # every bracket is 0 in any basis
+            n = g.derived_algebra
+            sub = subalgebra(g, n)
+            assert np.abs(sub.tensor - _loop_subalgebra_tensor(g, n)).max() \
+                <= 1e-14 * g.scale
+            if g0.dim == cm.m + cm.l:
+                assert sub.dim == cm.l and sub.structure_constants == ()
 
 
 # ---------------------------------------------------------------------------
