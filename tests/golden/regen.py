@@ -2,13 +2,14 @@
 code of every command run on them.
 
 ``python tests/golden/regen.py`` rewrites ``inputs/``, ``expected/`` and
-``cases.json`` from the current code.  A change that moves any of these
-files says which field moved, and why.  ``python tests/golden/regen.py
---run`` runs every case through ``cli.main`` in this one process and
-prints the results as JSON; ``tests/test_golden.py`` compares them with
-the committed files.  Report bytes depend on the BLAS thread count, so
-both run the cases in a child process with one BLAS / OpenMP / MKL
-thread (:func:`run_isolated`).
+``cases.json`` from the current code, and prints each file whose bytes
+changed: how many of its numbers moved, and the largest relative move.
+A change that moves any of these files says which field moved, and why.
+``python tests/golden/regen.py --run`` runs every case through
+``cli.main`` in this one process and prints the results as JSON;
+``tests/test_golden.py`` compares them with the committed files.  Report
+bytes depend on the BLAS thread count, so both run the cases in a child
+process with one BLAS / OpenMP / MKL thread (:func:`run_isolated`).
 
 The algebras are written by ``build`` or by ``algebra_to_dict``, so no
 run rebuilds them with Haar draws.  Paths are relative to this
@@ -20,8 +21,10 @@ byte.
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -33,6 +36,7 @@ MANIFEST = HERE / "cases.json"
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                    "MKL_NUM_THREADS")}
 CSV = "{csv}"   # the argv slot of a density sidecar's temporary path
+NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 # algebra name -> the build argv, for the inputs ``build`` writes
 BUILT = {
@@ -50,14 +54,26 @@ ALGEBRAS = (*BUILT, "mixed-3-1-1", "mixed-3-2-0", "dr-2-1-haar",
             "dr-7-2-haar", "dr-2-1-scaled-1e-30", "dr-2-1-scaled-1e30",
             "near-dr-2-1-1e-13", "near-dr-2-1-1e-12", "near-dr-7-2-1e-6",
             "perturbed-theta", "generic-pair", "h2-x-h2", "dr-2-1-skew-ad-h")
-# a scale past ``config.SCALE_WINDOW`` (exit 1) and a fractional index
-# (exit 2): analyze only
-REFUSED = ("dr-2-1-scaled-1e50", "malformed")
+# the malformed algebra files, one for each reason to exit 2: name -> text
+MALFORMED = {
+    "malformed": '{"dim": 3, "structure_constants": [[0, 1, 2.5, 1.0]]}',
+    "malformed-index-range":
+        '{"dim": 3, "structure_constants": [[0, 1, 3, 1.0]]}',
+    "malformed-inf-coefficient":
+        '{"dim": 3, "structure_constants": [[0, 1, 2, 1e999]]}',
+    "malformed-short-row": '{"dim": 3, "structure_constants": [[0, 1, 2]]}',
+    "malformed-float-dim":
+        '{"dim": 3.0, "structure_constants": [[0, 1, 2, 1.0]]}',
+    "malformed-truncated": '{"dim": 3, "structure_constants": [[0, 1, 2,',
+}
+# a scale past ``config.SCALE_WINDOW`` (exit 1) and the malformed files:
+# analyze only
+REFUSED = ("dr-2-1-scaled-1e50", *MALFORMED)
 MATRICES = {"riccati-ok": [[1.0, 2.0, 0.0], [0.0, -1.5, 1.0],
                            [0.0, 0.0, -0.5]],
             "riccati-degenerate": [[1e-08]]}   # exit 5
-# the density sidecar on one certified and one uncertified input
-DENSITY = ("dr-2-1", "perturbed-theta")
+# the density sidecar on one certified and two uncertified inputs
+DENSITY = ("dr-2-1", "perturbed-theta", "near-dr-7-2-1e-6")
 
 
 def cases() -> dict:
@@ -161,16 +177,51 @@ def _write_inputs():
     for name, g in derived.items():
         (INPUTS / f"{name}.json").write_text(
             json.dumps(lie_metric.algebra_to_dict(g)) + "\n")
-    (INPUTS / "malformed.json").write_text(
-        json.dumps({"dim": 3, "structure_constants": [[0, 1, 2.5, 1.0]]})
-        + "\n")
+    for name, text in MALFORMED.items():
+        (INPUTS / f"{name}.json").write_text(text + "\n")
     for name, matrix in MATRICES.items():
         (INPUTS / f"{name}.json").write_text(
             json.dumps({"matrix": matrix}) + "\n")
 
 
+def _snapshot() -> dict:
+    """Path -> bytes of every golden file."""
+    files = [MANIFEST, *(p for d in (INPUTS, EXPECTED) if d.exists()
+                         for p in d.iterdir())]
+    return {p: p.read_bytes() for p in files if p.exists()}
+
+
+def _moves(old: str, new: str) -> str:
+    """How the numbers of ``old`` moved in ``new``: how many changed and
+    the largest relative move, or "text changed" when more than the
+    numbers did."""
+    old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
+    if old_parts[::2] != new_parts[::2]:
+        return "text changed"
+    pairs = [(float(a), float(b))
+             for a, b in zip(old_parts[1::2], new_parts[1::2]) if a != b]
+    largest = max((abs(b - a) / abs(a) if a else math.inf
+                   for a, b in pairs), default=0.0)
+    return (f"{len(pairs)} values changed, largest relative move "
+            f"{largest:.3g}")
+
+
+def _print_moves(before: dict):
+    """One line for each golden file whose bytes differ from ``before``."""
+    after = _snapshot()
+    for path in sorted(before.keys() | after.keys()):
+        old, new = before.get(path), after.get(path)
+        if old == new:
+            continue
+        what = ("new" if old is None else "removed" if new is None
+                else _moves(old.decode(), new.decode()))
+        print(f"{path.relative_to(HERE)}: {what}")
+
+
 def regenerate():
-    """Rewrite the inputs, then every expected stream and the manifest."""
+    """Rewrite the inputs, then every expected stream and the manifest,
+    and print how each file that changed moved."""
+    before = _snapshot()
     _write_inputs()
     results = run_isolated()
     EXPECTED.mkdir(exist_ok=True)
@@ -183,6 +234,7 @@ def regenerate():
             if result[stream]:
                 path.write_text(result[stream], newline="")
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
+    _print_moves(before)
 
 
 if __name__ == "__main__":
