@@ -112,20 +112,24 @@ def curvature_operator(g: MetricLieAlgebra) -> np.ndarray:
 
 
 def flow_operator(g: MetricLieAlgebra) -> np.ndarray:
-    """The stacked bracket operator -[T | 2 Gamma - T] of ``g.connection``,
-    shape (n, 2 n^2).
+    """The stacked bracket operator [ad | -c] of ``g.connection``, shape
+    (n, 2 n^2).
 
-    For a velocity u, ``(u @ op).reshape(2, n, n)`` holds -ad_u and -c_u,
-    c_u = 2 nabla_u - ad_u, with row j the image of e_j: the coefficients
-    of the linearized geodesic flow of :func:`jacobi_flow.volume_density`
-    from one matvec.  The sign is stored so the flow needs no negation.
+    Row i holds the two n x n matrices of e_i, row-major, acting on
+    coefficient columns: ad_{e_i}, whose column j is [e_i, e_j], and
+    -c_{e_i} = ad_{e_i} - 2 nabla_{e_i}.  For a velocity u,
+    ``np.dot(u, op).reshape(2, n, n)`` holds ad_u and -c_u contiguously:
+    the coefficients of the linearized geodesic flow of
+    :func:`jacobi_flow.volume_density` from one matvec, with no transpose
+    or sign left for the flow.
     """
     n = g.dim
-    t = g.tensor.reshape(n, n * n)
     op = np.empty((n, 2 * n * n))
-    np.negative(t, out=op[:, :n * n])
-    np.multiply(g.connection.reshape(n, n * n), -2.0, out=op[:, n * n:])
-    op[:, n * n:] += t
+    blocks = op.reshape(n, 2, n, n)
+    # [i, 0, k, j] = <[e_i, e_j], e_k>
+    blocks[:, 0] = g.tensor.transpose(0, 2, 1)
+    np.multiply(g.connection.transpose(0, 2, 1), -2.0, out=blocks[:, 1])
+    blocks[:, 1] += blocks[:, 0]
     return op
 
 

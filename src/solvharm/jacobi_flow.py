@@ -296,22 +296,22 @@ def _integrated_density(g: MetricLieAlgebra, v: np.ndarray,
     u' = -nabla_u u.  In the left-trivialization J = dL_gamma xi, a
     variation (xi, eta) of the flow, with eta the variation of u, solves
 
-    * u' = -1/2 c_u u,            u(0) = v;
+    * u' = ad_u^T u,              u(0) = v;
     * xi' = eta - ad_u xi,         xi(0) = 0;
     * eta' = -c_u eta,             eta(0) = an orthonormal basis of the
       complement of v,
 
     with c_u = 2 nabla_u - ad_u; the u equation is u' = -nabla_u u
-    because ad_u u = [u, u] = 0.  So D_t J(0) = eta(0), and det A is the
-    determinant of the columns xi together with u in the orthonormal
-    left-invariant frame, integrated by DOP853 within ``tols.ode_rtol``
-    and ``tols.ode_atol``.  Each right-hand side contracts u once with
-    the stacked bracket operator ``g.flow_operator``, which gives -ad_u
-    and -c_u, then takes one batched product of those with the stacked
-    (xi, eta) and one n x n product with u, all written into one output
-    buffer.  The operator is built once per algebra from
-    ``g.connection`` and the brackets, so all directions share it, and
-    R is never formed.  A density whose ratio to the flat one t^(n-1)
+    because <nabla_u u, z> = -<[u, z], u> (Koszul).  So D_t J(0) =
+    eta(0), and det A is the determinant of the columns xi together with
+    u in the orthonormal left-invariant frame, integrated by DOP853
+    within ``tols.ode_rtol`` and ``tols.ode_atol``.  Each right-hand
+    side is four contiguous kernels into one output buffer: u contracted
+    with the stacked bracket operator ``g.flow_operator``, which gives
+    ad_u and -c_u; one batched product of those with the stacked
+    (xi, eta); one subtraction for xi'; and one n x n product for u'.
+    The operator is built once per algebra from ``g.connection`` and the
+    brackets, so all directions share it, and R is never formed.  A density whose ratio to the flat one t^(n-1)
     falls below ``tols.det_floor`` at an interior grid time raises
     ConjugatePointError.
     """
@@ -323,12 +323,11 @@ def _integrated_density(g: MetricLieAlgebra, v: np.ndarray,
 
     def rhs(t, y):
         u = y[:n]
-        w = (u @ op).reshape(2, n, n)                     # -ad_u, -c_u
+        w = np.dot(u, op).reshape(2, n, n)                # ad_u, -c_u
         dy = np.empty_like(y)
-        d = dy[n:].reshape(2, n, k)
-        np.matmul(w.transpose(0, 2, 1), y[n:].reshape(2, n, k), out=d)
-        d[0] += y[n + nk:].reshape(n, k)
-        np.multiply(u @ w[1], 0.5, out=dy[:n])
+        np.matmul(w, y[n:].reshape(2, n, k), out=dy[n:].reshape(2, n, k))
+        np.subtract(y[n + nk:], dy[n:n + nk], out=dy[n:n + nk])
+        np.dot(u, w[0], out=dy[:n])                       # ad_u^T u
         return dy
 
     def frames(y):   # the columns xi and u of each state, (rows, n, n)

@@ -198,7 +198,8 @@ class MetricLieAlgebra:
     @cached_property
     def flow_operator(self) -> np.ndarray:
         """The stacked bracket operator of :func:`curvature.flow_operator`
-        for :attr:`connection`, read-only."""
+        for :attr:`connection`, read-only: for each basis vector, ad and
+        -c as matrices on coefficient columns, (n, 2 n^2) doubles."""
         from . import curvature
         op = curvature.flow_operator(self)
         op.flags.writeable = False

@@ -566,15 +566,23 @@ def test_volume_density_rejects_bad_grid(t_grid):
 
 @pytest.fixture(scope="module")
 def oracle_inputs(dr_algebras, perturbed_theta_algebra, haar_rotate):
+    # near-dr-3-1-haar is uncertified and dense (87.5 % of its brackets
+    # are nonzero), so its flow reads every entry of the operator
+    near = haar_rotate(damek_ricci_scaled_j(3, 1, 1 + 1e-6), 5)
+    assert near.decomposition().certificate is None
     return {"dr-2-1": dr_algebras[(2, 1)],
             "dr-7-2": build_damek_ricci(clifford_generators(7, 2)),
             "rotated-dr-3-1": haar_rotate(dr_algebras[(3, 1)], 11),
             "perturbed-theta": perturbed_theta_algebra,
-            "heisenberg-3": build_heisenberg_type(clifford_generators(1))}
+            "heisenberg-3": build_heisenberg_type(clifford_generators(1)),
+            "near-dr-3-1-haar": near}
 
 
-@pytest.mark.parametrize("name", ["dr-2-1", "dr-7-2", "rotated-dr-3-1",
-                                  "perturbed-theta", "heisenberg-3"])
+ORACLE_INPUTS = ["dr-2-1", "dr-7-2", "rotated-dr-3-1", "perturbed-theta",
+                 "heisenberg-3", "near-dr-3-1-haar"]
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
 def test_volume_density_matches_covariant_oracle(name, oracle_inputs):
     # the linearized geodesic flow and the covariant Jacobi equation with
     # the full curvature tensor give one determinant
@@ -589,12 +597,12 @@ def test_volume_density_matches_covariant_oracle(name, oracle_inputs):
                                    rtol=1e-9)
 
 
-@pytest.mark.parametrize("name", ["dr-2-1", "dr-7-2", "rotated-dr-3-1",
-                                  "perturbed-theta", "heisenberg-3"])
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
 def test_volume_density_matches_three_matvec_oracle(name, oracle_inputs):
-    # the stacked operator changes only the order of the sums in each
-    # right-hand side, so the two integrations agree to rounding; the
-    # certified Damek-Ricci inputs are integrated through the oracle path
+    # the stacked operator sums in another order, and takes u' as
+    # ad_u^T u, which is -nabla_u u by Koszul, so the two integrations
+    # agree to rounding; the certified Damek-Ricci inputs are integrated
+    # through the oracle path
     g = oracle_inputs[name]
     density = _integrated if name.startswith(("dr", "rotated")) \
         else volume_density
