@@ -503,6 +503,7 @@ def cmd_riccati(args, tols: Tolerances) -> int:
     except (TypeError, ValueError, DimensionError, NumericalError) as exc:
         raise _UsageError(
             f"malformed matrix file {args.matrix}: {exc}") from exc
+    del data, raw   # the parsed lists, not kept through the solve
     try:
         res = riccati.solve_algebraic_riccati_max(mat, tols)
     except DegenerateSpectrumError as exc:

@@ -778,6 +778,24 @@ def test_riccati_malformed_matrix_exit_2(text, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_riccati_memory_leaves_out_the_parsed_input(tmp_path):
+    # the parsed JSON lists, about 4 times the matrix, are released once
+    # the matrix is converted: kept through the solve, the traced peak
+    # was 13.6 times the matrix
+    mat = np.random.default_rng(3).standard_normal((150, 150))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": mat.tolist()}))
+    out = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        assert main(["riccati", str(path), "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads(out.read_text())["x"]) == 150
+    assert peak <= 11 * mat.nbytes, peak / mat.nbytes
+
+
 def test_usage_error_exit_2():
     res = _run(["build", "nonsense"])
     assert res.returncode == 2
