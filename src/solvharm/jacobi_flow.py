@@ -311,8 +311,9 @@ def _integrated_density(g: MetricLieAlgebra, v: np.ndarray,
     ad_u and -c_u; one batched product of those with the stacked
     (xi, eta); one subtraction for xi'; and one n x n product for u'.
     The operator is built once per algebra from ``g.connection`` and the
-    brackets, so all directions share it, and R is never formed.  A density whose ratio to the flat one t^(n-1)
-    falls below ``tols.det_floor`` at an interior grid time raises
+    brackets, so all directions share it, and R is never formed.  A
+    density whose ratio to the flat one t^(n-1) falls below
+    ``tols.det_floor`` at an interior grid time raises
     ConjugatePointError.
     """
     n = g.dim

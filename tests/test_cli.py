@@ -780,8 +780,7 @@ def test_riccati_malformed_matrix_exit_2(text, tmp_path, capsys):
 
 def test_riccati_memory_leaves_out_the_parsed_input(tmp_path):
     # the parsed JSON lists, about 4 times the matrix, are released once
-    # the matrix is converted: kept through the solve, the traced peak
-    # was 13.6 times the matrix
+    # the matrix is converted, so they are not alive through the solve
     mat = np.random.default_rng(3).standard_normal((150, 150))
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"matrix": mat.tolist()}))
