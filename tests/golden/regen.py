@@ -38,7 +38,8 @@ ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 CSV = "{csv}"   # the argv slot of a density sidecar's temporary path
 NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
-# algebra name -> the build argv, for the inputs ``build`` writes
+# algebra name -> the build argv, for the inputs ``build`` writes; each
+# is also a ``build`` case
 BUILT = {
     "flat-3": ["flat", "--dim", "3"],
     "rh-4": ["real-hyperbolic", "--dim", "4"],
@@ -49,6 +50,15 @@ BUILT = {
     "dr-3-2": ["damek-ricci", "--l", "3", "--copies", "2"],
     "dr-7-2": ["damek-ricci", "--l", "7", "--copies", "2"],
 }
+# more ``build`` cases, not analyzed; l > 8 takes the mod-8 periodicity
+# path
+BUILD_ONLY = {
+    "dr-9-1": ["damek-ricci", "--l", "9"],
+    "heisenberg-3-2": ["heisenberg", "--l", "3", "--copies", "2"],
+}
+# inputs ``build`` writes that are analyzed only: the Jacobi check at load
+# takes 0.7 s of RH^88's 0.9 s analyze
+LARGE = {"rh-88": ["real-hyperbolic", "--dim", "88"]}
 # every algebra, and so every analyze, classify and scan-h case
 ALGEBRAS = (*BUILT, "mixed-3-1-1", "mixed-3-2-0", "dr-2-1-haar",
             "dr-7-2-haar", "dr-2-1-scaled-1e-30", "dr-2-1-scaled-1e30",
@@ -66,9 +76,9 @@ MALFORMED = {
         '{"dim": 3.0, "structure_constants": [[0, 1, 2, 1.0]]}',
     "malformed-truncated": '{"dim": 3, "structure_constants": [[0, 1, 2,',
 }
-# a scale past ``config.SCALE_WINDOW`` (exit 1) and the malformed files:
-# analyze only
-REFUSED = ("dr-2-1-scaled-1e50", *MALFORMED)
+# the large inputs, a scale past ``config.SCALE_WINDOW`` (exit 1) and the
+# malformed files: analyze only
+ANALYZE_ONLY = (*LARGE, "dr-2-1-scaled-1e50", *MALFORMED)
 MATRICES = {"riccati-ok": [[1.0, 2.0, 0.0], [0.0, -1.5, 1.0],
                            [0.0, 0.0, -0.5]],
             "riccati-degenerate": [[1e-08]]}   # exit 5
@@ -78,13 +88,14 @@ DENSITY = ("dr-2-1", "perturbed-theta", "near-dr-7-2-1e-6")
 
 def cases() -> dict:
     """Case name -> argv, paths relative to this directory."""
-    out = {}
+    out = {f"build-{name}": ["build", *argv]
+           for name, argv in {**BUILT, **BUILD_ONLY}.items()}
     for name in ALGEBRAS:
         path = f"inputs/{name}.json"
         out[f"analyze-{name}"] = ["analyze", path]
         out[f"classify-{name}"] = ["classify", path]
         out[f"scan-h-{name}"] = ["scan-h", path, "--count", "12"]
-    for name in REFUSED:
+    for name in ANALYZE_ONLY:
         out[f"analyze-{name}"] = ["analyze", f"inputs/{name}.json"]
     for name in DENSITY:
         out[f"density-{name}"] = ["analyze", f"inputs/{name}.json",
@@ -147,7 +158,7 @@ def _write_inputs():
     from solvharm import cli, lie_metric
 
     INPUTS.mkdir(exist_ok=True)
-    for name, argv in BUILT.items():
+    for name, argv in {**BUILT, **LARGE}.items():
         path = str(INPUTS / f"{name}.json")
         if cli.main(["build", *argv, "--output", path]):
             raise SystemExit(f"build {name} failed")
