@@ -68,10 +68,11 @@ def _rows(table, sep=", ", joiner="\n"):
     col_step = min(width, _BLOCK_VALUES)
     for r in range(0, n_rows, row_step):
         for c in range(0, width, col_step):
-            block = (table[r:r + row_step, c:c + col_step] + 0.0).tolist()
-            template = sep.join([_NUMBER] * len(block[0]))
-            text = joiner.join([template % tuple(row) for row in block])
-            yield (sep if c else joiner if r else "") + text
+            block = table[r:r + row_step, c:c + col_step] + 0.0
+            template = sep.join([_NUMBER] * block.shape[1])
+            # no list or text of this block is kept past the yield
+            yield (sep if c else joiner if r else "") + joiner.join(
+                [template % tuple(row) for row in block.tolist()])
 
 
 def _emit_json(value, out):
@@ -472,10 +473,11 @@ def cmd_scan_h(args, tols: Tolerances) -> int:
     mu_f, rho_star, pairs = data.frame_factor_data()
     n_factors = len(mu_f) + len(rho_star) + len(pairs)
     header = "z,h," + ",".join(f"factor_{i + 1}" for i in range(n_factors))
-    z_values = np.linspace(args.z_min, args.z_max, count)
-    factors = hypergeom.h_factors(mu_f, rho_star, pairs, z_values)
-    h_values = np.prod(factors, axis=-1)
-    table = np.column_stack([z_values, h_values, factors])
+    table = np.empty((count, 2 + n_factors))   # z, h, factors: one table
+    table[:, 0] = np.linspace(args.z_min, args.z_max, count)
+    factors = hypergeom.h_factors(mu_f, rho_star, pairs, table[:, 0],
+                                  out=table[:, 2:])
+    np.prod(factors, axis=-1, out=table[:, 1])
     _deliver(functools.partial(_write_csv, header, table), args.output)
     return 0
 

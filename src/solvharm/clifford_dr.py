@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CLIFFORD_RELATION_TOL, PRUNE_REL
+from .config import CLIFFORD_RELATION_TOL
 from .errors import DomainError, StructureError
-from .lie_metric import MetricLieAlgebra
+from .lie_metric import MetricLieAlgebra, damek_ricci_brackets
 
 __all__ = [
     "CliffordModule",
@@ -131,26 +131,13 @@ def clifford_generators(l: int, copies: int = 1) -> CliffordModule:
     return module
 
 
-def _heisenberg_triples(cm: CliffordModule, offset: int) -> list:
-    """Brackets <[V_p, V_q], Z_a> = <J_a V_p, V_q> as sparse triples, with
-    V_1..V_m, Z_1..Z_l at the indices ``offset`` .. ``offset + m + l - 1``."""
-    m, l = cm.m, cm.l
-    triples = []
-    for p in range(m):
-        for q in range(p + 1, m):
-            for a in range(l):
-                c = cm.generators[a][q, p]   # <J_a e_p, e_q>
-                if abs(c) > PRUNE_REL:   # |c| <= 1: J_a is orthogonal
-                    triples.append((offset + p, offset + q, offset + m + a, c))
-    return triples
-
-
 def build_heisenberg_type(cm: CliffordModule) -> MetricLieAlgebra:
     """Two-step nilpotent algebra on v + z with <[V,W], Z_a> = <J_a V, W>.
 
     Basis order (V_1..V_m, Z_1..Z_l).
     """
-    return MetricLieAlgebra(cm.m + cm.l, tuple(_heisenberg_triples(cm, 0)))
+    return MetricLieAlgebra.from_tensor(
+        damek_ricci_brackets(cm.generators, 1.0)[1:, 1:, 1:])
 
 
 def build_damek_ricci(cm: CliffordModule) -> MetricLieAlgebra:
@@ -158,19 +145,16 @@ def build_damek_ricci(cm: CliffordModule) -> MetricLieAlgebra:
 
     Basis order (H, V_1..V_m, Z_1..Z_l) with H at index 0.
     """
-    m, l = cm.m, cm.l
-    triples = [(0, 1 + p, 1 + p, 0.5) for p in range(m)]
-    triples += [(0, 1 + m + a, 1 + m + a, 1.0) for a in range(l)]
-    triples += _heisenberg_triples(cm, 1)
-    return MetricLieAlgebra(1 + m + l, tuple(triples))
+    return MetricLieAlgebra.from_tensor(
+        damek_ricci_brackets(cm.generators, 1.0))
 
 
 def build_real_hyperbolic(n: int) -> MetricLieAlgebra:
-    """Algebra of real hyperbolic n-space: ad_H = id on an abelian z."""
+    """Algebra of real hyperbolic n-space, the Damek-Ricci one of m = 0."""
     if n < 2:
         raise DomainError("real hyperbolic space needs dimension >= 2")
-    triples = tuple((0, i, i, 1.0) for i in range(1, n))
-    return MetricLieAlgebra(n, triples)
+    return MetricLieAlgebra.from_tensor(
+        damek_ricci_brackets(np.zeros((n - 1, 0, 0)), 1.0))
 
 
 def build_flat(dim: int) -> MetricLieAlgebra:

@@ -166,12 +166,12 @@ def stable_block_and_derivative(rho: float, theta: float, t):
 # the rigidity function h
 # ---------------------------------------------------------------------------
 
-def h_factors(mu, rho_star, pairs, z) -> np.ndarray:
+def h_factors(mu, rho_star, pairs, z, out=None) -> np.ndarray:
     """Individual factors of h at z, ordered (centers, kernels, pairs).
 
     For an array ``z`` the result has shape ``(len(z), n_factors)``, one
-    C-contiguous row per z value, so a product over the last axis
-    multiplies in the same order as for a single z.
+    row per z value, so a product over the last axis multiplies in the
+    same order as for a single z; in ``out`` when given, else new.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     rho_star = np.atleast_1d(np.asarray(rho_star, dtype=float))
@@ -179,15 +179,18 @@ def h_factors(mu, rho_star, pairs, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     at_zero = z == 0.0
     singles = np.concatenate([mu, rho_star])
-    values = np.empty(z.shape + (len(singles) + len(pairs),))
+    values = (np.empty(z.shape + (len(singles) + len(pairs),))
+              if out is None else out)
     for i, m in enumerate(singles):
         values[..., i] = np.where(at_zero, 1.0, gauss_f(m, 1 - m, 1 + m, z))
     for i, (rho, theta) in enumerate(pairs, start=len(singles)):
         a, b = pair_exponents(rho, theta)
-        num = gauss_f(a, b, rho, z) + gauss_f(-a, -b, 1 - rho, z) - 2.0
+        num = gauss_f(a, b, rho, z)
+        num += gauss_f(-a, -b, 1 - rho, z)
+        num -= 2.0
         # the z -> 0 limit of num / z
-        limit = np.full(z.shape, a * b / rho + a * b / (1.0 - rho))
-        values[..., i] = np.divide(num, z, out=limit, where=~at_zero)
+        values[..., i] = a * b / rho + a * b / (1.0 - rho)
+        np.divide(num, z, out=values[..., i], where=~at_zero)
     return values
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "Decomposition",
     "HTypeCertificate",
     "h_type_certificate",
+    "damek_ricci_brackets",
     "pair_decomposition",
     "growth_type",
     "algebra_to_dict",
@@ -46,6 +47,13 @@ __all__ = [
 
 # the Tolerances fields standard_decomposition reads: its cache key
 DECOMPOSITION_TOLS = ("self_adjoint", "eigen_merge")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only, as is every array an algebra or its
+    standard data keep: a write would desynchronize what is cached."""
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,7 @@ class MetricLieAlgebra:
         np.subtract.at(tensor, (j, i, k), c)
         object.__setattr__(self, "structure_constants", tuple(zip(
             i.tolist(), j.tolist(), k.tolist(), c.tolist())))
-        object.__setattr__(self, "_tensor", tensor)
+        object.__setattr__(self, "_tensor", _read_only(tensor))
         # the tensor is antisymmetric, so its largest entry is max|T|;
         # 2.0 ** 1024 is past float64, so e stops at 1023
         e = min(math.frexp(tensor.max(initial=0.0))[1], 1023)
@@ -151,7 +159,8 @@ class MetricLieAlgebra:
         """Build from a full bracket tensor ``T[i, j, :] = [e_i, e_j]``.
 
         Entries at most ``PRUNE_REL`` times max|T| are dropped, so the
-        triples kept do not depend on the scale of the metric.
+        triples kept do not depend on the scale of the metric.  On the
+        :mod:`clifford_dr` builds max|T| is 1.
         """
         t = np.asarray(tensor, dtype=float)
         n = t.shape[0]
@@ -167,10 +176,12 @@ class MetricLieAlgebra:
         # (i, j, k) in row-major order
         idx = np.argwhere(upper & (np.abs(t) > PRUNE_REL * top))
         rows = np.column_stack([idx, t[tuple(idx.T)]])
+        del t, tensor   # a temporary argument is freed before the Jacobi check
         return cls(n, rows, jacobi_tol=jacobi_tol)
 
     @property
     def tensor(self) -> np.ndarray:
+        """T[i, j, :] = [e_i, e_j], read-only, as every cache read from it."""
         return self._tensor
 
     # computed on first use by the ``curvature`` kernel looked up at call
@@ -181,9 +192,7 @@ class MetricLieAlgebra:
     def connection(self) -> np.ndarray:
         """Gamma of :func:`curvature.levi_civita`, read-only."""
         from . import curvature   # curvature imports this module
-        gamma = curvature.levi_civita(self)
-        gamma.flags.writeable = False
-        return gamma
+        return _read_only(curvature.levi_civita(self))
 
     @cached_property
     def curvature_operator(self) -> np.ndarray:
@@ -191,9 +200,7 @@ class MetricLieAlgebra:
         :attr:`connection`, read-only: N^2 doubles, N = n (n - 1) / 2,
         where the dense R of :func:`curvature.curvature_tensor` is n^4."""
         from . import curvature
-        op = curvature.curvature_operator(self)
-        op.flags.writeable = False
-        return op
+        return _read_only(curvature.curvature_operator(self))
 
     @cached_property
     def flow_operator(self) -> np.ndarray:
@@ -201,9 +208,7 @@ class MetricLieAlgebra:
         for :attr:`connection`, read-only: for each basis vector, ad and
         -c as matrices on coefficient columns, (n, 2 n^2) doubles."""
         from . import curvature
-        op = curvature.flow_operator(self)
-        op.flags.writeable = False
-        return op
+        return _read_only(curvature.flow_operator(self))
 
     @cached_property
     def nabla_R_norm(self) -> float:
@@ -233,17 +238,13 @@ class MetricLieAlgebra:
     def derived_algebra(self) -> np.ndarray:
         """The module function :func:`derived_algebra`, run once,
         read-only."""
-        basis = derived_algebra(self)
-        basis.flags.writeable = False
-        return basis
+        return _read_only(derived_algebra(self))
 
     @cached_property
     def derived_complement(self) -> np.ndarray:
         """Orthonormal basis (columns) of [s, s]^perp, run once,
         read-only."""
-        basis = _null_space(self.derived_algebra.T)
-        basis.flags.writeable = False
-        return basis
+        return _read_only(_null_space(self.derived_algebra.T))
 
     @cached_property
     def nilpotency_class(self):
@@ -437,7 +438,7 @@ class StandardSolvableData:
     keep the brackets they read (:meth:`adapted_brackets`) and e, not
     the input, so its cached connection and curvature operator can be
     freed, and compare equal only to themselves (the arrays are not
-    compared).
+    compared).  The arrays are read-only, as is everything cached.
     """
 
     v_indices: tuple
@@ -487,9 +488,9 @@ class StandardSolvableData:
 
         Returns ``(mu_frame, rho_star, pairs)`` where ``mu_frame`` drops
         the top eigenvalue (the Z direction itself, last in ascending
-        ``mu``).
+        ``mu``): read-only views.
         """
-        return self.mu[:-1].copy(), self.rho_star.copy(), self.pairs.copy()
+        return self.mu[:-1], self.rho_star, self.pairs
 
 
 class Decomposition(NamedTuple):
@@ -674,15 +675,14 @@ def standard_decomposition(g: MetricLieAlgebra,
     computed = np.column_stack([h, v_cols, z_cols])
     basis, _ = np.linalg.qr(computed)
     basis *= np.sign(np.sum(basis * computed, axis=0))
-    basis.flags.writeable = False
     return StandardSolvableData(
         v_indices=tuple(range(1, 1 + m_v)),
         z_indices=tuple(range(1 + m_v, g.dim)),
-        mu=mu,
-        rho_star=rho_star,
-        pairs=pairs,
-        basis=basis,
-        _tensor=tensor,
+        mu=_read_only(mu),
+        rho_star=_read_only(rho_star),
+        pairs=_read_only(pairs),
+        basis=_read_only(basis),
+        _tensor=_read_only(tensor),
         _scale=scale,
         _exponent=g._exponent,
         jacobi_tol=g.jacobi_tol,
@@ -704,6 +704,21 @@ class HTypeCertificate(NamedTuple):
     pq: int
 
 
+def damek_ricci_brackets(j, lam: float) -> np.ndarray:
+    """The dense bracket tensor of s = <H> + v + z of maps J_a, ``j`` of
+    shape (k, m, m), in the basis (H, v, z): [H, V] = lam V / 2,
+    [H, Z] = lam Z, <[V_p, V_q], Z_a> = J_a[q, p] and no other entry
+    (Berndt, Tricerri and Vanhecke, LNM 1598, ch. 4)."""
+    k, m = j.shape[:2]
+    v, z = slice(1, 1 + m), slice(1 + m, None)
+    t = np.zeros((1 + m + k,) * 3)
+    t[0, v, v] = 0.5 * lam * np.eye(m)
+    t[0, z, z] = lam * np.eye(k)
+    t[:, 0] = -t[0]
+    t[v, v, z] = j.transpose(2, 1, 0)
+    return t
+
+
 def h_type_certificate(data: StandardSolvableData):
     """The :class:`HTypeCertificate` of ``data`` (``data.certificate``),
     or None if the brackets it reads are not Damek-Ricci in its frame.
@@ -711,9 +726,8 @@ def h_type_certificate(data: StandardSolvableData):
     The brackets are ``data.adapted_brackets()``, in the basis (H, v, z),
     with lam the mean ad_H eigenvalue on z.  Certified means both of:
 
-    * they are the Damek-Ricci brackets of their own maps
-      J_a = j(Z_a) on v: [H, V] = lam V / 2, [H, Z] = lam Z and
-      [V, W] = sum_a <J_a V, W> Z_a, every other entry zero, within
+    * they are :func:`damek_ricci_brackets` of their own maps
+      J_a = j(Z_a) on v, the model the builds are made from, within
       ``data.eigen_merge * lam`` (the bound that merged their ad_H
       eigenvalues);
     * the J_a satisfy the H-type relations
@@ -733,14 +747,10 @@ def h_type_certificate(data: StandardSolvableData):
     v, z = slice(1, 1 + m), slice(1 + m, None)   # H is index 0
     t, e = data.adapted_brackets()
     lam = float(np.trace(t[0, z, z])) / k
-    model = np.zeros_like(t)
-    model[0, v, v] = 0.5 * lam * np.eye(m)
-    model[0, z, z] = lam * np.eye(k)
-    model[:, 0] = -model[0]
-    model[v, v, z] = t[v, v, z]
-    if not np.abs(t - model).max() <= data.eigen_merge * lam:
-        return None
     j = t[v, v, z].transpose(2, 1, 0)        # J_a[q, p] = <[V_p, V_q], Z_a>
+    if not np.abs(t - damek_ricci_brackets(j, lam)).max() \
+            <= data.eigen_merge * lam:
+        return None
     prods = np.matmul(j[:, np.newaxis], j[np.newaxis])   # [a, b] = J_a J_b
     relation = prods + prods.transpose(1, 0, 2, 3)
     relation[np.arange(k), np.arange(k)] += 2.0 * lam * lam * np.eye(m)

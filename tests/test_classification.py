@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from solvharm.cli import _classification, build_report
-from solvharm.clifford_dr import build_damek_ricci, clifford_generators
+from solvharm.clifford_dr import (build_damek_ricci, build_real_hyperbolic,
+                                  clifford_generators)
 from solvharm.lie_metric import HTypeCertificate
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -161,3 +162,19 @@ def test_the_owner_check_sees_a_second_rule(tmp_path):
                       '    return f"{x} NotAsymptoticallyHarmonic"\n')
     assert _label_owners(module) == {"<module>", "_classification",
                                      "higher_rank"}
+
+
+def test_every_build_to_dim_45_is_certified_as_built():
+    # the builds and the certificate read one bracket model: a build the
+    # certificate refused would read NotAsymptoticallyHarmonic
+    builds = _dr_builds(45)
+    assert max(l for l, _ in builds) == 9   # the mod-8 periodicity path
+    for l, copies in builds:
+        cm = clifford_generators(l, copies)
+        cert = build_damek_ricci(cm).decomposition().certificate
+        assert (cert.m, cert.k) == (cm.m, l)
+        assert cert.lam == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    for n in range(2, 31):
+        cert = build_real_hyperbolic(n).decomposition().certificate
+        assert (cert.m, cert.k) == (0, n - 1)
+        assert cert.lam == pytest.approx(1.0, rel=1e-12, abs=0.0)

@@ -157,6 +157,18 @@ def test_derived_algebra_is_kept_read_only(dr_algebras):
     np.testing.assert_array_equal(perp, _null_space(basis.T))
 
 
+def test_the_arrays_an_algebra_keeps_are_read_only(generic_pair_algebra):
+    # everything cached from them (connection, operators, decomposition,
+    # certificate, scale) would silently disagree with an array written
+    # in place
+    g = generic_pair_algebra
+    d = standard_decomposition(g)
+    for array in (g.tensor, d.mu, d.rho_star, d.pairs, d.basis, d._tensor,
+                  *d.frame_factor_data()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+
+
 def test_the_tensor_is_built_from_the_rows_only():
     # the bracket tensor is parsed from structure_constants, never passed in
     with pytest.raises(TypeError):
