@@ -149,7 +149,8 @@ def expected_files(name: str) -> dict:
 
 
 def _write_inputs():
-    sys.path.insert(0, str(HERE.parent))   # the test oracles
+    # the package, as the child of run_isolated sees it, and the oracles
+    sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parent)]
     from conftest import _haar_rotate
     from oracles import (add_to_ad_h, damek_ricci_scaled_j,
                          mixed_damek_ricci,
