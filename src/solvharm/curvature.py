@@ -135,7 +135,8 @@ def flow_operator(g: MetricLieAlgebra) -> np.ndarray:
 
 def curvature_norm(g: MetricLieAlgebra) -> float:
     """|R|, twice the Frobenius norm of ``g.curvature_operator``."""
-    return 2.0 * float(np.linalg.norm(g.curvature_operator))
+    op = g.curvature_operator   # einsum: the same sum at any BLAS thread count
+    return 2.0 * math.sqrt(float(np.einsum("ij,ij->", op, op)))
 
 
 def ricci_from_brackets(g: MetricLieAlgebra) -> np.ndarray:
@@ -308,5 +309,5 @@ def nabla_R_norm(g: MetricLieAlgebra) -> float:
             p1 = min(npairs, p0 + height)
             rows = prod.ravel()[:(p1 - p0) * npairs].reshape(p1 - p0, npairs)
             np.add(s[p0:p1], s[:, p0:p1].T, out=rows)
-            total += float(np.vdot(rows, rows))
+            total += float(np.einsum("ij,ij->", rows, rows))   # no BLAS
     return math.sqrt(4.0 * total)

@@ -12,7 +12,7 @@ import enum
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -49,6 +49,13 @@ __all__ = [
 DECOMPOSITION_TOLS = ("self_adjoint", "eigen_merge")
 
 
+def _upper_rows(t: np.ndarray, floor: float) -> np.ndarray:
+    """Rows (i, j, k, t[i, j, k]), i < j, |t[i, j, k]| > floor, row-major."""
+    upper = np.triu(np.ones(t.shape[:2], dtype=bool), k=1)[:, :, None]
+    idx = np.argwhere(upper & (np.abs(t) > floor))
+    return np.column_stack([idx, t[tuple(idx.T)]])
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     """``array``, made read-only, as is every array an algebra or its
     standard data keep: a write would desynchronize what is cached."""
@@ -56,28 +63,28 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricLieAlgebra:
     """Real Lie algebra with ``[e_i, e_j] = sum_k c_ijk e_k`` and <,> = id.
 
-    ``structure_constants`` is given as rows ``(i, j, k, c)`` (any
-    sequence of 4-sequences, or an ``(m, 4)`` array) with integer indices
-    ``0 <= i < j < dim`` and ``0 <= k < dim``, and is stored as a tuple of
-    ``(int, int, int, float)`` quadruples in the given order; antisymmetry
-    is implicit in the storage, and a repeated ``(i, j, k)`` adds up.
-    The rows are parsed once as an array and accumulated into the
-    bracket tensor by ``np.add.at`` / ``np.subtract.at``, which keep the
-    row order.  A row of other than 4 entries, or an index that is not a
-    finite integer, raises :class:`StructureError`; an index out of range
-    raises :class:`DimensionError`.  Construction validates the Jacobi
-    identity within ``jacobi_tol`` relative to s^2, so that rescaling the
-    metric does not change the verdict.  The bracket scale s is
-    ``scale``, the Frobenius norm of the bracket tensor, which no
-    orthogonal change of basis moves.  It is fixed once here, with 2^e
-    just above the largest entry: s = 2^e |2^-e T|, and the checks that
-    run before any geometry (the Jacobi residual, the normality of ad_H)
-    work on the brackets times 2^-e.  Powers of two multiply exactly, so
-    no sum in them overflows or underflows.  An s past float64 raises
+    The brackets are given as rows ``(i, j, k, c)`` (any sequence of
+    4-sequences, or an ``(m, 4)`` array) with integer indices
+    ``0 <= i < j < dim`` and ``0 <= k < dim``; antisymmetry is implicit.
+    The rows are parsed once as an array, summed into the bracket tensor
+    by ``np.add.at`` / ``np.subtract.at`` in row order (a repeated
+    ``(i, j, k)`` adds up), and dropped: the read-only tensor is the only
+    bracket data an algebra keeps, and an algebra equals only itself.
+    A row of other than 4 entries, or an index that is not a finite
+    integer, raises :class:`StructureError`; an index out of range raises
+    :class:`DimensionError`.  Construction validates the Jacobi identity
+    within ``jacobi_tol`` relative to s^2, so that rescaling the metric
+    does not change the verdict.  The bracket scale s is ``scale``, the
+    Frobenius norm of the bracket tensor, which no orthogonal change of
+    basis moves.  It is fixed once here, with 2^e just above the largest
+    entry: s = 2^e |2^-e T|, and the checks that run before any geometry
+    (the Jacobi residual, the normality of ad_H) work on the brackets
+    times 2^-e.  Powers of two multiply exactly, so no sum in them
+    overflows or underflows.  An s past float64 raises
     :class:`NumericalError`.  At the other end the rank thresholds
     ``RANK_REL * s`` turn subnormal below s = 2e-298 and lose a digit
     per decade, and round to 0 below s = 2.5e-314.  Scale-freeness is
@@ -89,20 +96,18 @@ class MetricLieAlgebra:
     """
 
     dim: int
-    structure_constants: tuple = ()
-    _tensor: np.ndarray = field(init=False, repr=False, compare=False)
-    jacobi_tol: float = field(repr=False, compare=False,
-                              default=DEFAULT_TOLS.jacobi_identity)
-    scale: float = field(init=False, repr=False, compare=False)
-    _exponent: int = field(init=False, repr=False, compare=False)
-    _decompositions: dict = field(init=False, repr=False, compare=False,
-                                  default_factory=dict)
+    structure_constants: InitVar[object]   # no default: no class attribute
+    _tensor: np.ndarray = field(init=False, repr=False)
+    jacobi_tol: float = field(repr=False, default=DEFAULT_TOLS.jacobi_identity)
+    scale: float = field(init=False, repr=False)
+    _exponent: int = field(init=False, repr=False)
+    _decompositions: dict = field(init=False, repr=False, default_factory=dict)
 
-    def __post_init__(self):
+    def __post_init__(self, structure_constants):
         if self.dim <= 0:
             raise DimensionError("algebra dimension must be positive")
         try:
-            rows = np.asarray(self.structure_constants, dtype=float)
+            rows = np.asarray(structure_constants, dtype=float)
         except (TypeError, ValueError) as exc:
             raise StructureError(f"structure constants must be rows "
                                  f"(i, j, k, c) of numbers: {exc}") from exc
@@ -123,15 +128,14 @@ class MetricLieAlgebra:
                 (np.isfinite(rows[:, 3]), StructureError,
                  "has a non-finite coefficient")):
             if not ok.all():
-                row = list(self.structure_constants[int(np.argmin(ok))])
+                bad = structure_constants[int(np.argmin(ok))]
+                row = np.asarray(bad, dtype=object).tolist()   # no np.float64
                 raise error(f"structure constant {row} {what}")
         i, j, k = ijk.astype(np.intp).T
-        c = rows[:, 3]
         tensor = np.zeros((self.dim, self.dim, self.dim))
-        np.add.at(tensor, (i, j, k), c)
-        np.subtract.at(tensor, (j, i, k), c)
-        object.__setattr__(self, "structure_constants", tuple(zip(
-            i.tolist(), j.tolist(), k.tolist(), c.tolist())))
+        np.add.at(tensor, (i, j, k), rows[:, 3])
+        np.subtract.at(tensor, (j, i, k), rows[:, 3])
+        del rows, ijk, i, j, k   # freed before the Jacobi check
         object.__setattr__(self, "_tensor", _read_only(tensor))
         # the tensor is antisymmetric, so its largest entry is max|T|;
         # 2.0 ** 1024 is past float64, so e stops at 1023
@@ -172,10 +176,7 @@ class MetricLieAlgebra:
         defect = np.abs(t + np.swapaxes(t, 0, 1)).max(initial=0.0)
         if defect > ANTISYMMETRY_REL * top:
             raise StructureError("bracket tensor is not antisymmetric")
-        upper = np.triu(np.ones((n, n), dtype=bool), k=1)[:, :, None]
-        # (i, j, k) in row-major order
-        idx = np.argwhere(upper & (np.abs(t) > PRUNE_REL * top))
-        rows = np.column_stack([idx, t[tuple(idx.T)]])
+        rows = _upper_rows(t, PRUNE_REL * top)
         del t, tensor   # a temporary argument is freed before the Jacobi check
         return cls(n, rows, jacobi_tol=jacobi_tol)
 
@@ -771,13 +772,11 @@ def h_type_certificate(data: StandardSolvableData):
 # ---------------------------------------------------------------------------
 
 def algebra_to_dict(g: MetricLieAlgebra) -> dict:
-    """The shared JSON format: 0-based sparse triples with i < j."""
-    return {
-        "dim": g.dim,
-        "structure_constants": [
-            [i, j, k, c] for (i, j, k, c) in g.structure_constants
-        ],
-    }
+    """The shared JSON format: the nonzero tensor entries with i < j, as
+    0-based rows (i, j, k, c) in the row-major order of ``from_tensor``."""
+    rows = _upper_rows(g.tensor, 0.0).tolist()
+    return {"dim": g.dim, "structure_constants":
+            [[int(i), int(j), int(k), c] for i, j, k, c in rows]}
 
 
 def algebra_from_dict(data: dict,

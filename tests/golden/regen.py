@@ -7,9 +7,11 @@ changed: how many of its numbers moved, and the largest relative move.
 A change that moves any of these files says which field moved, and why.
 ``python tests/golden/regen.py --run`` runs every case through
 ``cli.main`` in this one process and prints the results as JSON;
-``tests/test_golden.py`` compares them with the committed files.  Report
-bytes depend on the BLAS thread count, so both run the cases in a child
-process with one BLAS / OpenMP / MKL thread (:func:`run_isolated`).
+``tests/test_golden.py`` compares them with the committed files.  Both
+run the cases in a child process with one BLAS / OpenMP / MKL thread
+(:func:`run_isolated`); the test runs the analyze cases of the inputs
+with no H-type certificate, which sum |R| and |nabla R|, once more with
+two threads, and requires the same bytes.
 
 The algebras are written by ``build`` or by ``algebra_to_dict``, so no
 run rebuilds them with Haar draws.  Paths are relative to this
@@ -33,8 +35,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 INPUTS = HERE / "inputs"
 EXPECTED = HERE / "expected"
 MANIFEST = HERE / "cases.json"
-ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                   "MKL_NUM_THREADS")}
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CSV = "{csv}"   # the argv slot of a density sidecar's temporary path
 NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
@@ -106,9 +107,10 @@ def cases() -> dict:
     return out
 
 
-def run_cases() -> dict:
-    """Case name -> {"argv", "exit", "stdout", "stderr", "csv"}, every
-    case through ``cli.main`` in this process, from this directory."""
+def run_cases(names=()) -> dict:
+    """Case name -> {"argv", "exit", "stdout", "stderr", "csv"}, each case
+    of ``names`` (every case if empty) through ``cli.main`` in this
+    process, from this directory."""
     from solvharm import cli
 
     os.chdir(HERE)
@@ -116,6 +118,8 @@ def run_cases() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         sidecar = os.path.join(tmp, "density.csv")
         for name, argv in cases().items():
+            if names and name not in names:
+                continue
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
@@ -131,14 +135,16 @@ def run_cases() -> dict:
     return results
 
 
-def run_isolated() -> dict:
-    """:func:`run_cases` in a child process with one BLAS thread."""
+def run_isolated(threads: int = 1, names=()) -> dict:
+    """:func:`run_cases` of ``names`` in a child process with ``threads``
+    BLAS threads."""
     src = str(HERE.parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(HERE / "regen.py"), "--run"],
+        [sys.executable, str(HERE / "regen.py"), "--run", *names],
         capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=path, **ONE_THREAD))
+        env=dict(os.environ, PYTHONPATH=path,
+                 **{var: str(threads) for var in THREAD_VARS}))
     return json.loads(proc.stdout)
 
 
@@ -250,7 +256,7 @@ def regenerate():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--run"]:
-        json.dump(run_cases(), sys.stdout)
+    if sys.argv[1:2] == ["--run"]:
+        json.dump(run_cases(sys.argv[2:]), sys.stdout)
     else:
         regenerate()

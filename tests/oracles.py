@@ -2,9 +2,8 @@
 closed forms are checked against.  Nothing in ``src/`` imports this
 module.
 
-* :func:`structure_tensor_loop`: the bracket tensor and stored triples
-  accumulated one row at a time, against the array parse of
-  ``lie_metric.MetricLieAlgebra``;
+* :func:`structure_tensor_loop`: the bracket tensor accumulated one row
+  at a time, against the array parse of ``lie_metric.MetricLieAlgebra``;
 * :func:`j_generators`: the maps j(Z_a) of a split n = v + z, one tensor
   slice, for the Clifford-relation checks of the tests;
 * :func:`jacobi_residual_einsum` and :func:`curvature_einsum`: the Jacobi
@@ -88,7 +87,8 @@ from solvharm.hypergeom import (_integer, _nonpositive_int, fundamental_pair,
                                 h_function, pair_exponents, z_of_t)
 from solvharm.jacobi_flow import CentralGeodesicFrame, JacobiTensorSample
 from solvharm.lie_metric import (MetricLieAlgebra, _null_space, ad_matrix,
-                                 derived_algebra, symmetric_skew_split)
+                                 algebra_to_dict, derived_algebra,
+                                 symmetric_skew_split)
 from solvharm.numerics import (as_square, matrix_exponential,
                                ordered_real_schur, solve_linear,
                                sorted_spectrum)
@@ -101,15 +101,13 @@ HORIZON_CAP = 80.0   # farthest horizon of finite_horizon_shape
 # ---------------------------------------------------------------------------
 
 def structure_tensor_loop(dim, rows):
-    """``(tensor, triples)`` of rows (i, j, k, c), one row at a time."""
+    """The bracket tensor of rows (i, j, k, c), one row at a time."""
     tensor = np.zeros((dim, dim, dim))
-    cleaned = []
     for (i, j, k, c) in rows:
         i, j, k, c = int(i), int(j), int(k), float(c)
         tensor[i, j, k] += c
         tensor[j, i, k] -= c
-        cleaned.append((i, j, k, c))
-    return tensor, tuple(cleaned)
+    return tensor
 
 
 def j_generators(g, v_indices, z_indices) -> np.ndarray:
@@ -640,14 +638,14 @@ def mean_curvature_trace(sample) -> np.ndarray:
 
 def bracket_table(g, number=float) -> dict:
     """The nonzero c[i, j, k] = <[e_i, e_j], e_k> of ``g`` with both
-    orders of (i, j), each stored row converted by ``number``: with
+    orders of (i, j), each row of :func:`algebra_to_dict` (the nonzero
+    entries, one per (i, j, k) with i < j) converted by ``number``: with
     ``fractions.Fraction`` the table is exact for rational builds."""
     c = {}
-    for i, j, k, value in g.structure_constants:
-        value = number(value)
-        c[i, j, k] = c.get((i, j, k), 0) + value
-        c[j, i, k] = c.get((j, i, k), 0) - value
-    return {key: value for key, value in c.items() if value != 0}
+    for i, j, k, value in algebra_to_dict(g)["structure_constants"]:
+        c[i, j, k] = number(value)
+        c[j, i, k] = -c[i, j, k]
+    return c
 
 
 def _grouped(c, free, keep):

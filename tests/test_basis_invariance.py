@@ -312,6 +312,11 @@ def _scaled(rows, c):
     return [(i, j, k, v * c) for i, j, k, v in rows]
 
 
+def _rows(g):
+    """The rows of ``g``, as :func:`algebra_to_dict` writes them."""
+    return algebra_to_dict(g)["structure_constants"]
+
+
 def test_load_is_scale_free_at_extreme_scales(dr_algebras, scale_inputs):
     # the Jacobi check neither passes as inf <= inf nor as 0 <= 0
     loadable = [*dr_algebras.values(), scale_inputs["rotated-dr-7-2"]]
@@ -321,7 +326,7 @@ def test_load_is_scale_free_at_extreme_scales(dr_algebras, scale_inputs):
             with pytest.raises(StructureError, match="Jacobi identity"):
                 MetricLieAlgebra(4, _scaled(NOT_JACOBI, c))
             for g in loadable:
-                MetricLieAlgebra(g.dim, _scaled(g.structure_constants, c))
+                MetricLieAlgebra(g.dim, _scaled(_rows(g), c))
 
 
 def test_a_scale_past_float64_is_refused_at_load(scale_inputs, tmp_path,
@@ -330,7 +335,7 @@ def test_a_scale_past_float64_is_refused_at_load(scale_inputs, tmp_path,
     # rank threshold RANK_REL * inf would call every bracket rank 0.  An
     # infinite entry is malformed input instead, refused before s is taken
     g = scale_inputs["dr-2-1"]
-    past = _scaled(g.structure_constants, 1.5e308)
+    past = _scaled(_rows(g), 1.5e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="past float64"):
@@ -358,7 +363,7 @@ def test_classify_and_scan_h_are_scale_free(name, scale_inputs, tmp_path,
     out = tmp_path / "classify.json"
     rigid = []
     for c in (1.0, *EXTREME):
-        rows = _scaled(g0.structure_constants, c)
+        rows = _scaled(_rows(g0), c)
         path = tmp_path / f"{name}-{c:g}.json"
         path.write_text(json.dumps({"dim": g0.dim,
                                     "structure_constants": rows}))
@@ -386,8 +391,7 @@ def test_h_type_certificate_is_scale_free_at_extreme_scales(scale_inputs):
         cert = g.decomposition().certificate
         v = np.full(g.dim, g.dim ** -0.5)
         for c in EXTREME:
-            scaled = MetricLieAlgebra(g.dim, _scaled(g.structure_constants,
-                                                     c))
+            scaled = MetricLieAlgebra(g.dim, _scaled(_rows(g), c))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = scaled.decomposition().certificate

@@ -6,9 +6,9 @@ from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
                                   build_real_hyperbolic, clifford_generators)
 from solvharm.errors import DomainError
-from solvharm.lie_metric import (ad_matrix, derived_algebra, growth_type,
-                                 GrowthType, nilpotency_class,
-                                 standard_decomposition)
+from solvharm.lie_metric import (ad_matrix, algebra_to_dict,
+                                 derived_algebra, growth_type, GrowthType,
+                                 nilpotency_class, standard_decomposition)
 
 
 def test_l1_generator_is_plane_rotation():
@@ -72,12 +72,11 @@ def test_damek_ricci_extends_heisenberg_type(l, copies):
     # ad_H on v and z, then the Heisenberg brackets shifted past H
     cm = clifford_generators(l, copies)
     m = cm.m
-    heis = build_heisenberg_type(cm).structure_constants
-    dr = build_damek_ricci(cm).structure_constants
-    assert dr[:m + l] == tuple((0, i, i, 0.5 if i <= m else 1.0)
-                               for i in range(1, 1 + m + l))
-    assert dr[m + l:] == tuple((p + 1, q + 1, k + 1, c)
-                               for p, q, k, c in heis)
+    heis = algebra_to_dict(build_heisenberg_type(cm))["structure_constants"]
+    dr = algebra_to_dict(build_damek_ricci(cm))["structure_constants"]
+    assert dr[:m + l] == [[0, i, i, 0.5 if i <= m else 1.0]
+                          for i in range(1, 1 + m + l)]
+    assert dr[m + l:] == [[p + 1, q + 1, k + 1, c] for p, q, k, c in heis]
 
 
 def test_damek_ricci_ad_h_spectrum():
@@ -122,4 +121,4 @@ def test_real_hyperbolic_minimal():
 def test_flat_build():
     g = build_flat(3)
     assert g.dim == 3
-    assert g.structure_constants == ()
+    assert algebra_to_dict(g)["structure_constants"] == []

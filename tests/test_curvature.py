@@ -12,7 +12,8 @@ from oracles import (add_to_ad_h, central_jacobi_blocks_block_diag,
                      curvature_einsum, damek_ricci_scaled_j,
                      jacobi_identity_exact, mixed_damek_ricci, nabla_R,
                      nabla_R_norm_three_products, ricci, ricci_from_brackets,
-                     skew_derivations_commuting_with_ad_h, z_top_vector)
+                     skew_derivations_commuting_with_ad_h,
+                     structure_tensor_loop, z_top_vector)
 from solvharm import curvature, hypergeom, jacobi_flow, lie_metric
 from solvharm.cli import build_report, main
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
@@ -158,8 +159,8 @@ def test_exact_ricci_on_rational_builds(g, c):
 def test_exact_jacobi_check_sees_a_failure():
     # [e0, e1] = e1, [e0, e2] = e2, [e1, e2] = e0 is no Lie bracket:
     # the cyclic sum on (e0, e1, e2) is 2 e0
-    bad = SimpleNamespace(dim=3, structure_constants=(
-        (0, 1, 1, 1.0), (0, 2, 2, 1.0), (1, 2, 0, 1.0)))
+    bad = SimpleNamespace(dim=3, tensor=structure_tensor_loop(3, (
+        (0, 1, 1, 1.0), (0, 2, 2, 1.0), (1, 2, 0, 1.0))))
     assert not jacobi_identity_exact(bad, Fraction)
     assert jacobi_identity_exact(build_real_hyperbolic(3), Fraction)
 
@@ -340,7 +341,8 @@ def test_build_report_runs_pair_decomposition_once(monkeypatch,
         if name.startswith("solvharm") and hasattr(module,
                                                    "pair_decomposition"):
             monkeypatch.setattr(module, "pair_decomposition", counting)
-    g = MetricLieAlgebra(4, generic_pair_algebra.structure_constants)
+    g = MetricLieAlgebra(
+        4, algebra_to_dict(generic_pair_algebra)["structure_constants"])
     assert build_report(g)["classification"] == "NotAsymptoticallyHarmonic"
     assert len(calls) == 1
 
@@ -448,7 +450,8 @@ def test_nabla_r_norm_memory_stays_order_n4():
 def test_jacobi_check_and_curvature_hold_two_n4_arrays():
     # DR (7, 3): one n^4 array is 32^4 doubles = 8.4 MB; the Jacobi check
     # of the construction and the dense R each hold at most two of them
-    rows = build_damek_ricci(clifford_generators(7, 3)).structure_constants
+    rows = algebra_to_dict(build_damek_ricci(clifford_generators(7, 3)))[
+        "structure_constants"]
     tracemalloc.start()
     try:
         g = MetricLieAlgebra(32, rows)
@@ -476,9 +479,10 @@ def test_build_report_holds_under_five_quarters_n4():
              "DamekRicciNonsymmetric"),
             (damek_ricci_scaled_j(7, 3, 1 + 1e-6),
              "NotAsymptoticallyHarmonic")):
+        rows = algebra_to_dict(base)["structure_constants"]
         tracemalloc.start()
         try:
-            g = MetricLieAlgebra(32, base.structure_constants)
+            g = MetricLieAlgebra(32, rows)
             _, build_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             report = build_report(g)
@@ -535,7 +539,8 @@ def test_blocked_curvature_stages_match_the_default(budget, monkeypatch,
     want = dr72.curvature_operator
     want_nr = nabla_R_norm(dr72)
     monkeypatch.setattr(curvature, "CURVATURE_BLOCK_BYTES", budget)
-    g = MetricLieAlgebra(dr72.dim, dr72.structure_constants)
+    rows = algebra_to_dict(dr72)["structure_constants"]
+    g = MetricLieAlgebra(dr72.dim, rows)
     got = g.curvature_operator
     bound = 1e-14 * g.scale * g.scale
     assert np.abs(got - want).max() <= bound

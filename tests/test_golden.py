@@ -1,14 +1,17 @@
 """Every CLI command in ``tests/golden/`` writes the committed bytes, stderr
 and exit code: "byte-identical" as a test.  The cases run in one child
-process with one BLAS thread (``regen.run_isolated``), since report bytes
-depend on the thread count.  ``python tests/golden/regen.py`` rewrites the
-files; a change that moves one names the field and the reason."""
+process with one BLAS thread (``regen.run_isolated``), and the analyze
+cases of the uncertified inputs once more with two.  ``python
+tests/golden/regen.py`` rewrites the files; a change that moves one names
+the field and the reason."""
 
 import importlib.util
 import json
 import pathlib
 
 import pytest
+
+from solvharm.lie_metric import algebra_from_dict, algebra_to_dict
 
 REGEN = pathlib.Path(__file__).resolve().parent / "golden" / "regen.py"
 
@@ -46,3 +49,31 @@ def test_every_stream_is_byte_identical(results):
             if (result[stream] or None) != want:
                 moved.append(f"{name}.{stream}")
     assert not moved, f"golden outputs moved: {moved}"
+
+
+def test_uncertified_reports_do_not_read_the_thread_count(results):
+    # with no H-type certificate analyze sums |R| and |nabla R|, which a
+    # threaded BLAS dot would sum in an order set by its thread count
+    uncertified = set()
+    for name in regen.ALGEBRAS:
+        path = regen.INPUTS / f"{name}.json"
+        g = algebra_from_dict(json.loads(path.read_text()))
+        if g.decomposition().certificate is None:
+            uncertified.add(f"inputs/{name}.json")
+    assert "inputs/near-dr-7-2-1e-6.json" in uncertified
+    names = [name for name, argv in regen.cases().items()
+             if argv[0] == "analyze" and argv[1] in uncertified]
+    assert regen.run_isolated(2, names) == {name: results[name]
+                                            for name in names}
+
+
+def test_written_inputs_round_trip():
+    # algebra_to_dict reads the rows off the tensor: loaded and written
+    # again, each input regen.py writes with it keeps its committed bytes
+    written = ({*regen.ALGEBRAS, *regen.ANALYZE_ONLY}
+               - {*regen.BUILT, *regen.LARGE, *regen.MALFORMED})
+    assert len(written) == 14
+    for name in written:
+        text = (regen.INPUTS / f"{name}.json").read_text()
+        again = algebra_to_dict(algebra_from_dict(json.loads(text)))
+        assert json.dumps(again) + "\n" == text, name

@@ -633,8 +633,21 @@ def test_non_finite_brackets_are_refused(value, dr_algebras):
     with pytest.raises(StructureError, match=r"structure constant "
                        r"\[1, 3, 5, -?(nan|inf)\] has a non-finite "
                        r"coefficient"):
-        MetricLieAlgebra(7, [*dr_algebras[(2, 1)].structure_constants,
-                             (1, 3, 5, value)])
+        MetricLieAlgebra(7, [*algebra_to_dict(dr_algebras[(2, 1)])[
+            "structure_constants"], (1, 3, 5, value)])
+
+
+@pytest.mark.parametrize("row, error, what", [
+    ([0.0, 1.0, 2.5, 1.0], StructureError, "has a non-integer index"),
+    ([0.0, 1.0, 3.0, 1.0], DimensionError, "is out of range for dim 3"),
+    ([0.0, 1.0, 2.0, math.inf], StructureError,
+     "has a non-finite coefficient")], ids=["index", "range", "coefficient"])
+def test_array_rows_are_refused_in_plain_numbers(row, error, what):
+    # an (m, 4) array row prints as the list of numbers it holds, as a
+    # JSON row does, not as np.float64(...) reprs
+    with pytest.raises(error) as caught:
+        MetricLieAlgebra(3, np.array([[0.0, 1.0, 2.0, 1.0], row]))
+    assert str(caught.value) == f"structure constant {row} {what}"
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +692,8 @@ def test_bracket_array_forms_match_loops(key, haar_rotate):
     for g0 in (build_damek_ricci(cm), build_heisenberg_type(cm)):
         for g in (g0, haar_rotate(g0, 7)):
             rebuilt = MetricLieAlgebra.from_tensor(g.tensor)
-            assert rebuilt.structure_constants == tuple(_loop_triples(g.tensor))
+            assert algebra_to_dict(rebuilt)["structure_constants"] == [
+                list(row) for row in _loop_triples(g.tensor)]
             assert nilpotency_class(g) == _loop_nilpotency_class(g)
             # [g, g] is the nilradical of a Damek-Ricci algebra, an ideal
             # and not abelian, and the center of an H-type algebra, where
@@ -689,7 +703,7 @@ def test_bracket_array_forms_match_loops(key, haar_rotate):
             assert np.abs(sub.tensor - _loop_subalgebra_tensor(g, n)).max() \
                 <= 1e-14 * g.scale
             if g0.dim == cm.m + cm.l:
-                assert sub.dim == cm.l and sub.structure_constants == ()
+                assert sub.dim == cm.l and not sub.tensor.any()
 
 
 # ---------------------------------------------------------------------------
@@ -714,17 +728,39 @@ def parse_cases(dr_algebras, perturbed_theta_algebra, generic_pair_algebra,
 def test_array_parse_matches_triple_loop(parse_cases):
     for g in parse_cases:
         as_dict = algebra_to_dict(g)["structure_constants"]
-        for rows in (g.structure_constants, as_dict, np.array(as_dict)):
+        for rows in (as_dict, np.array(as_dict)):
             built = MetricLieAlgebra(g.dim, rows)
-            tensor, triples = structure_tensor_loop(g.dim, rows)
+            tensor = structure_tensor_loop(g.dim, rows)
             assert built.tensor.tobytes() == tensor.tobytes()
-            assert built.structure_constants == triples
-            assert all(type(x) is int for row in triples for x in row[:3])
-            assert all(type(row[3]) is float for row in triples)
-        assert g.tensor.tobytes() == structure_tensor_loop(
-            g.dim, g.structure_constants)[0].tobytes()
-    assert [row[3] for row in parse_cases[-1].structure_constants] == \
-        [0.1, 0.2, 0.3, -0.0, -0.6]
+            # the rows written are the loop tensor's nonzero entries
+            written = algebra_to_dict(built)["structure_constants"]
+            assert written == [list(row)
+                               for row in _loop_triples(tensor, prune=0.0)]
+            assert all(type(x) is int for row in written for x in row[:3])
+            assert all(type(row[3]) is float for row in written)
+    repeated = parse_cases[-1]
+    assert repeated.tensor.tobytes() == structure_tensor_loop(
+        3, REPEATED_ROWS).tobytes()
+    # written merged: the sum in row order, and no zero row
+    assert algebra_to_dict(repeated)["structure_constants"] == \
+        [[0, 1, 2, 0.1 + 0.2 + 0.3 - 0.6]]
+
+
+def test_an_algebra_keeps_only_its_tensor(haar_rotate):
+    # the rows a file holds are parsed into the tensor and dropped: 6,624
+    # rows of Python numbers would hold about seven times its bytes
+    g0 = haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 7)
+    data = algebra_to_dict(g0)
+    assert len(data["structure_constants"]) == 6624
+    tracemalloc.start()
+    try:
+        g = algebra_from_dict(data)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.5 * g.tensor.nbytes
+    with pytest.raises(AttributeError):
+        g.structure_constants
 
 
 def test_jacobi_residual_memory_is_cubic():
