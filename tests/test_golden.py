@@ -1,9 +1,8 @@
 """Every CLI command in ``tests/golden/`` writes the committed bytes, stderr
 and exit code: "byte-identical" as a test.  The cases run in one child
-process with one BLAS thread (``regen.run_isolated``), and the analyze
-cases of the uncertified inputs once more with two.  ``python
-tests/golden/regen.py`` rewrites the files; a change that moves one names
-the field and the reason."""
+process with one BLAS thread (``regen.run_isolated``), and every analyze
+case once more with two.  ``python tests/golden/regen.py`` rewrites the
+files; a change that moves one names the field and the reason."""
 
 import importlib.util
 import json
@@ -51,18 +50,12 @@ def test_every_stream_is_byte_identical(results):
     assert not moved, f"golden outputs moved: {moved}"
 
 
-def test_uncertified_reports_do_not_read_the_thread_count(results):
-    # with no H-type certificate analyze sums |R| and |nabla R|, which a
-    # threaded BLAS dot would sum in an order set by its thread count
-    uncertified = set()
-    for name in regen.ALGEBRAS:
-        path = regen.INPUTS / f"{name}.json"
-        g = algebra_from_dict(json.loads(path.read_text()))
-        if g.decomposition().certificate is None:
-            uncertified.add(f"inputs/{name}.json")
-    assert "inputs/near-dr-7-2-1e-6.json" in uncertified
+def test_analyze_reports_do_not_read_the_thread_count(results):
+    # the norms analyze sums over arrays (|Ric - c id|, and |R| and
+    # |nabla R| with no H-type certificate) are summed by einsum, not by a
+    # BLAS dot, whose threads would sum in an order set by their count
     names = [name for name, argv in regen.cases().items()
-             if argv[0] == "analyze" and argv[1] in uncertified]
+             if argv[0] == "analyze"]
     assert regen.run_isolated(2, names) == {name: results[name]
                                             for name in names}
 

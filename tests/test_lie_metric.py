@@ -145,6 +145,27 @@ def test_nilpotency_class_cases(dr_algebras):
     assert nilpotency_class(heis_sum_l4) == 3
 
 
+def test_the_series_and_the_decomposition_search_no_einsum_path(
+        dr_algebras, haar_rotate, monkeypatch):
+    # both contract in an order fixed in the code: the lower central series
+    # by one matrix product, and the decomposition by tensordot chains
+    solvable = [*dr_algebras.values(), haar_rotate(dr_algebras[(3, 1)], 7)]
+    nilpotent = build_heisenberg_type(clifford_generators(2))
+    calls, einsum = [], np.einsum
+
+    def spy(*operands, **kwargs):
+        calls.append(kwargs)
+        return einsum(*operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    for g in (*solvable, nilpotent):
+        nilpotency_class(g)
+    assert not calls
+    for g in solvable:
+        standard_decomposition(g)
+    assert calls and not any("optimize" in kwargs for kwargs in calls)
+
+
 def test_derived_algebra_is_kept_read_only(dr_algebras):
     g = dr_algebras[(2, 1)]
     basis = g.derived_algebra
@@ -764,7 +785,8 @@ def test_an_algebra_keeps_only_its_tensor(haar_rotate):
 
 
 def test_jacobi_residual_memory_is_cubic():
-    # one i at a time: about 3 n^3 doubles, not two n^4 arrays
+    # one i at a time: about 3 n^3 doubles (3.4 n^3 at this n = 24, with
+    # the small arrays), not two n^4 arrays
     g = build_damek_ricci(clifford_generators(7, 2))
     n = g.dim
     tracemalloc.start()
@@ -784,10 +806,25 @@ def test_jacobi_residual_matches_einsum(parse_cases):
     # a bracket that violates the Jacobi identity, admitted by jacobi_tol
     broken = MetricLieAlgebra(5, rows, jacobi_tol=math.inf)
     assert broken.jacobi_residual() > 0.01
-    for g in [*parse_cases, broken]:
+    # [e_a, e_b] = e_c and [e_c, e_d] = e_e, and no other bracket, break
+    # the identity at the one triple {a, b, d}: the first and the last
+    # triple i < j < k, where a loop bound off by one misses it
+    edges = [MetricLieAlgebra(6, rows, jacobi_tol=math.inf) for rows in (
+        ((0, 1, 3, 1.0), (2, 3, 4, -1.0)), ((3, 4, 0, 1.0), (0, 5, 1, 1.0)))]
+    for g in edges:
+        assert g.jacobi_residual() == 0.25   # |e_e| / s^2, with s^2 = 4
+    rotated = []
+    for seed, g in enumerate(edges):
+        q = ortho_group.rvs(g.dim, random_state=seed)
+        t = np.einsum("ia,jb,ijk,kc->abc", q, q, g.tensor, q, optimize=True)
+        rotated.append(MetricLieAlgebra.from_tensor(t, jacobi_tol=math.inf))
+    for g in [*parse_cases, broken, *edges, *rotated]:
         # the residual is relative to s^2
         want = jacobi_residual_einsum(g.tensor) / (g.scale * g.scale)
         assert abs(g.jacobi_residual() - want) <= 1e-14
+    for g in [*edges, *rotated]:
+        with pytest.raises(StructureError, match="Jacobi identity violated"):
+            algebra_from_dict(algebra_to_dict(g))
 
 
 def test_jacobi_residual_scales_exactly_by_powers_of_two(dr_algebras,
