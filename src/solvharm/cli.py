@@ -21,7 +21,7 @@ import numpy as np
 
 from . import (clifford_dr, curvature, hypergeom, jacobi_flow, lie_metric,
                numerics, riccati)
-from .config import (DEFAULT_TOLS, H_SCALE_FLOOR, SCALE_WINDOW,
+from .config import (DEFAULT_TOLS, H_SCALE_FLOOR, RANK_REL, SCALE_WINDOW,
                      TRACE_IDENTITY_REL, Tolerances)
 from .errors import (DegenerateSpectrumError, DimensionError, NumericalError,
                      SolvharmError, StructureError)
@@ -278,7 +278,9 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
             if not gap <= bound:
                 failures.append(f"H-type, yet {identity} {gap!r} exceeds "
                                 f"{bound!r}")
-    is_flat = r_norm <= tols.flat_norm * s * s
+    # flat needs unimodular (Milnor, Adv. Math. 21, 1976, Thm 1.5)
+    trace_form = math.hypot(*np.trace(g.tensor, axis1=1, axis2=2))
+    is_flat = trace_form <= RANK_REL * s and r_norm <= tols.flat_norm * s * s
 
     report = {
         "schema": "solvharm-analysis-v1",
@@ -293,13 +295,11 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
                      "residual": resid},
         "growth": lie_metric.growth_type(g, tols=tols).value,
     }
-    if is_flat:
-        data = None
-        report["standard_decomposition"] = {"status": "flat", "reason": None}
-    elif data is None:
-        report["standard_decomposition"] = {"status": "not-standard",
-                                            "reason": decomposition.reason}
-    if data is not None:
+    if data is None:
+        report["standard_decomposition"] = (
+            {"status": "flat", "reason": None} if is_flat else
+            {"status": "not-standard", "reason": decomposition.reason})
+    else:
         # every ad_H eigenvalue is positive, so the closed mean curvature
         # sum |Re sigma| is trace ad_H, X = 0 and trace L0 = -trace ad_H
         formula = data.trace_ad_h
@@ -368,17 +368,15 @@ def build_report(g: lie_metric.MetricLieAlgebra, seed: int = 0,
 
 
 def _classification(report: dict, cert) -> str:
-    """The ``analyze`` label from ``curvature.flat``, the decomposition
-    status and the H-type certificate ``cert`` (the README): asymptotically
-    harmonic is H-type, and symmetric is |nabla R| = 0 in closed form."""
-    if report["curvature"]["flat"]:
-        return "Flat"
+    """The ``analyze`` label (the README) from scale-free facts: the
+    decomposition status, then ``curvature.flat`` or the H-type ``cert``,
+    symmetric when its J^2 count, |nabla R| at lam = 1, is 0."""
     if report["standard_decomposition"]["status"] != "ok":
-        return "Indeterminate"
+        return "Flat" if report["curvature"]["flat"] else "Indeterminate"
     if cert is None:
         return "NotAsymptoticallyHarmonic"
-    return ("RankOneSymmetric" if curvature.damek_ricci_norms(cert)[1] == 0
-            else "DamekRicciNonsymmetric")
+    symmetric = curvature.damek_ricci_norms(cert._replace(lam=1.0))[1] == 0
+    return "RankOneSymmetric" if symmetric else "DamekRicciNonsymmetric"
 
 
 def _positive_count(value: int, flag: str) -> int:
@@ -472,7 +470,8 @@ def cmd_scan_h(args, tols: Tolerances) -> int:
         return 3
     mu_f, rho_star, pairs = data.frame_factor_data()
     n_factors = len(mu_f) + len(rho_star) + len(pairs)
-    header = "z,h," + ",".join(f"factor_{i + 1}" for i in range(n_factors))
+    header = ",".join(["z", "h", *(f"factor_{i + 1}"
+                                   for i in range(n_factors))])
     table = np.empty((count, 2 + n_factors))   # z, h, factors: one table
     table[:, 0] = np.linspace(args.z_min, args.z_max, count)
     factors = hypergeom.h_factors(mu_f, rho_star, pairs, table[:, 0],
@@ -561,7 +560,7 @@ def _collect_tolerances(args) -> Tolerances:
         v = getattr(args, f"tol_{f.name}", None)
         if v is not None:
             overrides[f.name] = v
-    return DEFAULT_TOLS.with_overrides(**overrides)
+    return dataclasses.replace(DEFAULT_TOLS, **overrides)
 
 
 def make_parser() -> argparse.ArgumentParser:

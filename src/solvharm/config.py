@@ -13,8 +13,10 @@ The test oracles keep their fixed parameters as module constants.
 The verdict thresholds are relative to the scale of the algebra.  With
 s the Frobenius norm of the bracket tensor (``MetricLieAlgebra.scale``,
 fixed once when the algebra is built), which no orthogonal change of
-basis moves, |R| is compared with ``flat_norm * s * s``, the Ricci
-residual with ``einstein_residual * s * s``, |nabla R| / |R| with
+basis moves, the trace form x -> tr ad_x with ``RANK_REL * s`` and,
+only where it passes (a flat algebra is unimodular), |R| with
+``flat_norm * s * s``, the Ricci residual with
+``einstein_residual * s * s``, |nabla R| / |R| with
 ``symmetry_ratio * s``, and for the growth type the real parts of ad_X
 with ``growth_real_part * s`` and the Killing form on [s, s] with
 ``growth_real_part * s * s``, so a verdict does not change when the
@@ -38,7 +40,7 @@ the Frobenius norm of the matrix.
 ``h_constancy`` and ``mean_constancy`` bound witnesses, not the label.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,6 @@ class Tolerances:
     flat_norm: float = 1e-10
     h_constancy: float = 1e-6
     mean_constancy: float = 1e-5
-
-    def with_overrides(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLS = Tolerances()

@@ -9,9 +9,8 @@ A change that moves any of these files says which field moved, and why.
 ``cli.main`` in this one process and prints the results as JSON;
 ``tests/test_golden.py`` compares them with the committed files.  Both
 run the cases in a child process with one BLAS / OpenMP / MKL thread
-(:func:`run_isolated`); the test runs the analyze cases of the inputs
-with no H-type certificate, which sum |R| and |nabla R|, once more with
-two threads, and requires the same bytes.
+(:func:`run_isolated`); the test runs every analyze case once more
+with two threads, and requires the same bytes.
 
 The algebras are written by ``build`` or by ``algebra_to_dict``, so no
 run rebuilds them with Haar draws.  Paths are relative to this

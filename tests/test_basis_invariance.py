@@ -1,6 +1,7 @@
 """Results must not depend on the orthonormal basis an algebra is given in,
 nor on a constant rescaling of its metric."""
 
+import dataclasses
 import json
 import warnings
 
@@ -263,7 +264,8 @@ def test_label_does_not_read_the_witness_tolerances(name, ladder, canonical):
         label = build_report(g)["classification"]
         for field in WITNESS_TOLS:
             for factor in (100.0, 0.01):
-                tols = DEFAULT_TOLS.with_overrides(
+                tols = dataclasses.replace(
+                    DEFAULT_TOLS,
                     **{field: getattr(DEFAULT_TOLS, field) * factor})
                 got = build_report(g, tols=tols)["classification"]
                 assert got == label, (field, factor)

@@ -44,11 +44,10 @@ def _report(flat, standard, einstein, rigid, symmetric):
 
 def _readme_rule(flat, standard, cert):
     # the README's list, one bullet per branch, first match wins; of
-    # the CERTIFICATES, the one with k = dim z <= 1 is symmetric
-    if flat:
-        return "Flat"
+    # the CERTIFICATES, the one with k = dim z <= 1 is symmetric.  A
+    # found standard decomposition is never read as Flat
     if not standard:
-        return "Indeterminate"
+        return "Flat" if flat else "Indeterminate"
     if cert is not None:
         return ("RankOneSymmetric" if cert.k <= 1
                 else "DamekRicciNonsymmetric")
@@ -73,6 +72,17 @@ def test_rule_table(values):
     for cert in CERTIFICATES:
         assert (_classification(_report(*values), cert)
                 == _readme_rule(flat, standard, cert))
+
+
+@pytest.mark.parametrize("lam", [2.0 ** -400, 2.0 ** 400],
+                         ids=["2^-400", "2^400"])
+def test_rule_table_does_not_read_lam(lam):
+    # symmetric is the J^2 count, not |nabla R| ~ lam^3, which under- or
+    # overflows at these lam: the label is the one at lam = 1
+    for values in itertools.product((False, True), repeat=5):
+        for cert in CERTIFICATES[1:]:
+            assert (_classification(_report(*values), cert._replace(lam=lam))
+                    == _classification(_report(*values), cert))
 
 
 def test_rule_table_reaches_every_label():

@@ -399,21 +399,43 @@ def test_witness_tolerance_reaches_rigidity_check(flag, block, key, tmp_path,
     assert witnessed["classification"] == report["classification"]
     assert csv.read_text().startswith("direction_id,t,det\n")
     # the library reports the same contradiction, without the CLI
-    tols = solvharm.DEFAULT_TOLS.with_overrides(
+    tols = dataclasses.replace(
+        solvharm.DEFAULT_TOLS,
         **{flag[len("--tol-"):].replace("-", "_"): bound})
     failures = []
     build_report(g, tols=tols, failures=failures)
     assert failures == err.splitlines()
 
 
+def _flat_motion_group():
+    """A non-abelian presentation of a flat space: [H, X] = Y,
+    [H, Y] = -X, unimodular, with no standard decomposition."""
+    return lie_metric.MetricLieAlgebra(3, ((0, 1, 2, 1.0), (0, 2, 1, -1.0)))
+
+
 def test_analyze_flat_motion_group(tmp_path):
-    # non-abelian presentation of a flat space: [H, X] = Y, [H, Y] = -X
-    from solvharm.lie_metric import MetricLieAlgebra
-    g = MetricLieAlgebra(3, ((0, 1, 2, 1.0), (0, 2, 1, -1.0)))
-    report = build_report(g)
+    report = build_report(_flat_motion_group())
     assert report["classification"] == "Flat"
     assert report["curvature"]["norm"] == 0.0
     assert report["growth"] == "subexponential"
+
+
+def test_flat_needs_unimodularity_and_no_standard_decomposition(
+        tmp_path, capsys):
+    # with flat-norm so loose that every |R| passes, only a unimodular
+    # input without a standard decomposition reads Flat (Milnor: a flat
+    # metric Lie algebra is unimodular, and tr ad_H > 0 on a standard one)
+    labels = {}
+    for kind, l in (("damek-ricci", "2"), ("heisenberg", "1")):
+        alg = tmp_path / f"{kind}.json"
+        assert main(["build", kind, "--l", l, "--output", str(alg)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(alg), "--tol-flat-norm", "1e300"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        labels[kind] = (report["classification"],
+                        report["curvature"]["flat"])
+    assert labels == {"damek-ricci": ("DamekRicciNonsymmetric", False),
+                      "heisenberg": ("Flat", True)}
 
 
 def test_analyze_not_standard_is_indeterminate(tmp_path):
@@ -558,6 +580,19 @@ def _render_json(value) -> str:
     buf = io.StringIO()
     cli._write_json(value, buf)
     return buf.getvalue()
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_scan_h_header_has_a_name_per_column(dim, tmp_path):
+    # RH^2 has no factor of h: its header is "z,h", with no empty name
+    alg, out = tmp_path / "rh.json", tmp_path / "h.csv"
+    main(["build", "real-hyperbolic", "--dim", str(dim), "--output",
+          str(alg)])
+    assert main(["scan-h", str(alg), "--count", "3",
+                 "--output", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header.startswith("z,h") and not header.endswith(",")
+    assert {len(row.split(",")) for row in rows} == {len(header.split(","))}
 
 
 def test_scan_h_rows_match_scalar_writer(tmp_path, generic_pair_algebra):
@@ -1015,13 +1050,17 @@ def test_each_command_takes_exactly_the_tolerances_it_reads(
     for i, g in enumerate(algebras):
         paths.append(tmp_path / f"alg{i}.json")
         paths[-1].write_text(json.dumps(algebra_to_dict(g)))
+    # the inputs above are not unimodular, so none reads flat_norm: the
+    # flat motion group, which scan-h and classify refuse, does
+    motion = tmp_path / "motion.json"
+    motion.write_text(json.dumps(algebra_to_dict(_flat_motion_group())))
     # only the last matrix has a stable eigenvalue: a Lyapunov solve
     matrices = [[[0.5, 0, 0], [0, 0.5, 0], [0, 0, 1.0]],
                 [[1.0, 0.2], [0.0, 0.5]], [[-1.0, 0.3], [0.0, 0.5]]]
     out, csv = tmp_path / "out", tmp_path / "d.csv"
     runs = {
         "analyze": [["analyze", str(p), "--density-csv", str(csv),
-                     "--density-directions", "2"] for p in paths],
+                     "--density-directions", "2"] for p in [*paths, motion]],
         "scan-h": [["scan-h", str(p), "--count", "5"] for p in paths],
         "classify": [["classify", str(p)] for p in paths],
         "riccati": [],

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import re
@@ -263,7 +264,7 @@ def test_stable_tensor_ill_conditioned_pair_guard():
     grid = np.linspace(0.5, 8.0, 26)
     with pytest.raises(NumericalError, match="ill conditioned"):
         stable_jacobi_tensor(d, grid)
-    loose = DEFAULT_TOLS.with_overrides(bvp_converged=1e-6)
+    loose = dataclasses.replace(DEFAULT_TOLS, bvp_converged=1e-6)
     s = stable_jacobi_tensor(d, grid, tols=loose)
     assert np.all(np.isfinite(s.e))
 
@@ -506,8 +507,8 @@ def test_volume_density_floor_survives_underflow():
                 r"float64\) = -708\.396$")):
             volume_density(g, v, t)
         with pytest.raises(ConjugatePointError, match="t = 9.53674e-08"):
-            volume_density(g, v, t, DEFAULT_TOLS.with_overrides(
-                det_floor=2.0))
+            volume_density(g, v, t, dataclasses.replace(DEFAULT_TOLS,
+                                                        det_floor=2.0))
 
 
 def test_closed_form_density_underflow_is_named():

@@ -400,15 +400,16 @@ def test_decomposition_is_cached_by_the_fields_it_reads(monkeypatch):
             return _original(*args)
         monkeypatch.setattr(lie_metric, name, counting)
     first = g.decomposition()
-    other_fields = DEFAULT_TOLS.with_overrides(jacobi_identity=1e-3,
-                                               riccati_residual=1.0)
+    other_fields = dataclasses.replace(DEFAULT_TOLS, jacobi_identity=1e-3,
+                                       riccati_residual=1.0)
     assert g.decomposition(other_fields) is first
     assert calls == {"standard_decomposition": 1}
     # the certificate is computed on its first read, once
     assert first.certificate is first.data.certificate is not None
     assert first.certificate is g.decomposition().certificate
     assert calls == {"standard_decomposition": 1, "h_type_certificate": 1}
-    merged = g.decomposition(DEFAULT_TOLS.with_overrides(eigen_merge=1e-6))
+    merged = g.decomposition(dataclasses.replace(DEFAULT_TOLS,
+                                                 eigen_merge=1e-6))
     assert merged is not first and merged.data.eigen_merge == 1e-6
     assert calls["standard_decomposition"] == 2
     # no data, no certificate
@@ -608,7 +609,7 @@ def test_jacobi_tolerance_reaches_derived_algebras(dr_algebras):
     data["structure_constants"][0][3] += 1e-9   # Jacobi residual 1e-9
     with pytest.raises(StructureError, match="Jacobi identity"):
         algebra_from_dict(data)
-    loose = DEFAULT_TOLS.with_overrides(jacobi_identity=1e-6)
+    loose = dataclasses.replace(DEFAULT_TOLS, jacobi_identity=1e-6)
     g = algebra_from_dict(data, loose)
     assert g.jacobi_tol == 1e-6
     # each of these rebuilds the algebra and checks it again
