@@ -50,9 +50,10 @@ BUILT = {
     "dr-3-2": ["damek-ricci", "--l", "3", "--copies", "2"],
     "dr-7-2": ["damek-ricci", "--l", "7", "--copies", "2"],
 }
-# more ``build`` cases, not analyzed; l > 8 takes the mod-8 periodicity
-# path
+# more ``build`` cases, not analyzed; l = 8 takes the eight-map branch of
+# the generator table, l > 8 the mod-8 periodicity path
 BUILD_ONLY = {
+    "dr-8-1": ["damek-ricci", "--l", "8"],
     "dr-9-1": ["damek-ricci", "--l", "9"],
     "heisenberg-3-2": ["heisenberg", "--l", "3", "--copies", "2"],
 }
