@@ -9,23 +9,26 @@ import numpy as np
 
 from solvharm import (ad_matrix, build_damek_ricci, build_flat,
                       build_heisenberg_type, build_real_hyperbolic,
-                      clifford_generators, derived_algebra, growth_type,
-                      nilpotency_class, standard_decomposition)
+                      clifford_generators, clifford_relation_defect,
+                      derived_algebra, growth_type, nilpotency_class,
+                      standard_decomposition)
 
 np.set_printoptions(precision=4, suppress=True)
 
-# A Clifford module: l anticommuting skew complex structures J_a on R^m.
-cm = clifford_generators(l=2, copies=1)
-print(f"Clifford module: l = {cm.l}, module dim m = {cm.m}")
+# A Clifford module is its generator array: l anticommuting skew complex
+# structures J_a on R^m, of shape (l, m, m).
+j = clifford_generators(l=2, copies=1)
+l, m = j.shape[:2]
+print(f"Clifford module: l = {l}, module dim m = {m}")
 print("first generator J_1:")
-print(cm.generators[0])
-print("relation residual (J_a^2 = -id, anticommutation):",
-      cm.relation_residual())
+print(j[0])
+print("relation defect (J_a J_b + J_b J_a + 2 delta_ab id):",
+      clifford_relation_defect(j))
 
 # The module defines a two-step nilpotent algebra of Heisenberg type on
 # v + z, and a solvable rank-one extension: the Damek-Ricci algebra.
-nil = build_heisenberg_type(cm)
-dr = build_damek_ricci(cm)
+nil = build_heisenberg_type(j)
+dr = build_damek_ricci(j)
 print(f"\nHeisenberg-type algebra: dim {nil.dim}, "
       f"nilpotency class {nilpotency_class(nil)}")
 print(f"Damek-Ricci algebra:     dim {dr.dim}, "

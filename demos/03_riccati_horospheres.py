@@ -40,8 +40,9 @@ print("closed formula       :", horosphere_mean_curvature_formula(ad_a))
 
 # On a Damek-Ricci algebra, ad_H has spectrum {1/2 on v, 1 on z}, so the
 # horosphere mean curvature along H-geodesics is m/2 + l.
-cm = clifford_generators(3)
-d = standard_decomposition(build_damek_ricci(cm))
+j = clifford_generators(3)
+l, m = j.shape[:2]
+d = standard_decomposition(build_damek_ricci(j))
 res = solve_algebraic_riccati_max(d.ad_h())
-print(f"\nDamek-Ricci (m={cm.m}, l={cm.l}): trace L0 = {res.trace_l0}"
-      f"  (expected -(m/2 + l) = {-(cm.m / 2 + cm.l)})")
+print(f"\nDamek-Ricci (m={m}, l={l}): trace L0 = {res.trace_l0}"
+      f"  (expected -(m/2 + l) = {-(m / 2 + l)})")

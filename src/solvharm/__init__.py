@@ -21,12 +21,12 @@ from .errors import (ConjugatePointError, DegenerateSpectrumError,
                      StructureError)
 from .lie_metric import (GrowthType, MetricLieAlgebra, StandardSolvableData,
                          ad_matrix, algebra_from_dict, algebra_to_dict,
-                         derived_algebra, growth_type, nilpotency_class,
-                         pair_decomposition, standard_decomposition,
-                         subalgebra, symmetric_skew_split)
-from .clifford_dr import (CliffordModule, build_damek_ricci, build_flat,
-                          build_heisenberg_type, build_real_hyperbolic,
-                          clifford_generators)
+                         clifford_relation_defect, derived_algebra,
+                         growth_type, nilpotency_class, pair_decomposition,
+                         standard_decomposition, subalgebra,
+                         symmetric_skew_split)
+from .clifford_dr import (build_damek_ricci, build_flat, build_heisenberg_type,
+                          build_real_hyperbolic, clifford_generators)
 from .curvature import (central_jacobi_blocks, curvature_norm,
                         curvature_tensor, einstein_check, levi_civita,
                         nabla_R_norm)

@@ -184,9 +184,13 @@ def _deliver(write, output):
     output into ``out``, the temporary file of :func:`_write_atomic` for
     the path ``output`` or, without one, stdout."""
     if output:
-        _write_atomic(output, write)
-    else:
+        return _write_atomic(output, write)
+    try:
         write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:   # the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SolvharmError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 def _load_json(path: str):
@@ -428,13 +432,13 @@ def cmd_build(args, tols: Tolerances) -> int:
     elif kind == "real-hyperbolic":
         g = clifford_dr.build_real_hyperbolic(args.dim)
     else:
-        cm = clifford_dr.clifford_generators(
+        j = clifford_dr.clifford_generators(
             _positive_count(args.l, "--l"),
             _positive_count(args.copies, "--copies"))
         if kind == "heisenberg":
-            g = clifford_dr.build_heisenberg_type(cm)
+            g = clifford_dr.build_heisenberg_type(j)
         else:
-            g = clifford_dr.build_damek_ricci(cm)
+            g = clifford_dr.build_damek_ricci(j)
     _deliver(functools.partial(_write_json, lie_metric.algebra_to_dict(g)),
              args.output)
     return 0
@@ -442,6 +446,10 @@ def cmd_build(args, tols: Tolerances) -> int:
 
 def cmd_analyze(args, tols: Tolerances) -> int:
     if args.density_csv:   # reject bad values before any work is done
+        if args.output and (os.path.realpath(args.output)
+                            == os.path.realpath(args.density_csv)):
+            raise _UsageError(f"--output and --density-csv name the same "
+                              f"file: {args.density_csv}")
         if args.seed < 0:
             raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
         directions = _positive_count(args.density_directions,

@@ -118,10 +118,10 @@ SCALE_WINDOW = 1e45
 CURVATURE_BLOCK_BYTES = 2 ** 20
 
 # fixed thresholds of single checks, in the units the comment gives
-# max deviation of a built Clifford module from J_a^2 = -1, J_a J_b = -J_b J_a
-# and J_a skew; also of the maps J_a of a standard decomposition from
-# J_a J_b + J_b J_a = -2 delta_ab lam^2 id, over lam^2, in its H-type
-# certificate ``lie_metric.h_type_certificate``
+# largest entry of J_a J_b + J_b J_a + 2 delta_ab lam^2 id over lam^2
+# (``lie_metric.clifford_relation_defect``), with lam = 1 for a built
+# module, which must also be skew within it, and lam the mean ad_H
+# eigenvalue on z in the H-type certificate ``h_type_certificate``
 CLIFFORD_RELATION_TOL = 1e-12
 NONPOSITIVE_INT_TOL = 1e-12   # a Gauss F c this near 0, -1, ... is a pole
 INTEGER_TOL = 1e-10   # a c this near an integer has no fundamental pair

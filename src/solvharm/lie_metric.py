@@ -9,7 +9,6 @@ the derived series, the growth type and the standard decomposition
 """
 
 import enum
-import itertools
 import math
 import numbers
 from dataclasses import InitVar, dataclass, field
@@ -38,6 +37,7 @@ __all__ = [
     "Decomposition",
     "HTypeCertificate",
     "h_type_certificate",
+    "clifford_relation_defect",
     "damek_ricci_brackets",
     "pair_decomposition",
     "growth_type",
@@ -723,6 +723,24 @@ def damek_ricci_brackets(j, lam: float) -> np.ndarray:
     return t
 
 
+def clifford_relation_defect(j, lam: float = 1.0, traces=None) -> float:
+    """The largest entry of J_a J_b + J_b J_a + 2 delta_ab lam^2 id over
+    a <= b for maps ``j`` of shape (k, m, m), 0.0 if m = 0, from products
+    formed one a at a time, over b >= a: at most 2 k m^2 doubles.  A
+    (k, k, k) ``traces`` receives tr J_a J_b J_c at [a, b > a, c]."""
+    k, m = j.shape[:2]
+    jt = None if traces is None else j.transpose(0, 2, 1).reshape(k, m * m)
+    defects = [0.0]
+    for a, ja in enumerate(j):
+        relation = ja @ j[a:]                   # J_a J_b, b >= a
+        if traces is not None:   # <J_a J_b, J_c^T>, J_c^T flat in row c of jt
+            traces[a, a + 1:] = relation[1:].reshape(k - a - 1, m * m) @ jt.T
+        relation += j[a:] @ ja
+        relation[0] += 2.0 * lam * lam * np.eye(m)
+        defects.append(np.abs(relation, out=relation).max(initial=0.0))
+    return float(np.max(defects))   # a NaN stays NaN
+
+
 def h_type_certificate(data: StandardSolvableData):
     """The :class:`HTypeCertificate` of ``data`` (``data.certificate``),
     or None if the brackets it reads are not Damek-Ricci in its frame.
@@ -755,17 +773,13 @@ def h_type_certificate(data: StandardSolvableData):
     if not np.abs(t - damek_ricci_brackets(j, lam)).max() \
             <= data.eigen_merge * lam:
         return None
-    prods = np.matmul(j[:, np.newaxis], j[np.newaxis])   # [a, b] = J_a J_b
-    relation = prods + prods.transpose(1, 0, 2, 3)
-    relation[np.arange(k), np.arange(k)] += 2.0 * lam * lam * np.eye(m)
-    if not np.abs(relation).max(initial=0.0) <= (CLIFFORD_RELATION_TOL
-                                                 * lam * lam):
+    traces = np.zeros((k, k, k))
+    if not clifford_relation_defect(j, lam, traces) <= (CLIFFORD_RELATION_TOL
+                                                        * lam * lam):
         return None
     # tr J_a J_b J_c / lam^3 = p_abc - q_abc over a < b < c
-    traces = np.tensordot(prods, j.transpose(0, 2, 1), axes=([2, 3], [1, 2]))
-    triples = tuple(np.array(list(itertools.combinations(range(k), 3)),
-                             dtype=np.intp).reshape(-1, 3).T)
-    split = np.rint(traces[triples] / (lam * lam * lam)).astype(np.int64)
+    a, b, c = np.ogrid[:k, :k, :k]
+    split = np.rint(traces[(a < b) & (b < c)] / lam ** 3).astype(np.int64)
     pq = int(((m * m - split * split) // 4).sum())
     return HTypeCertificate(math.ldexp(lam, e), m, k, pq)
 

@@ -77,8 +77,7 @@ from scipy import special
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag
 
-from solvharm.clifford_dr import (CliffordModule, build_damek_ricci,
-                                  clifford_generators)
+from solvharm.clifford_dr import build_damek_ricci, clifford_generators
 from solvharm.config import DEFAULT_TOLS
 from solvharm.curvature import curvature_tensor
 from solvharm.errors import (ConjugatePointError, DomainError, NumericalError,
@@ -203,10 +202,9 @@ def _damek_ricci_from(l, copies, change):
     """The Damek-Ricci algebra of ``copies`` of the irreducible module
     for l, with ``change(generators, size)`` applied to a copy of its
     generators (size = the irreducible dimension) first."""
-    cm = clifford_generators(l, copies)
-    gens = cm.generators.copy()
-    change(gens, cm.m // copies)
-    return build_damek_ricci(CliffordModule(l, cm.m, gens))
+    gens = clifford_generators(l, copies).copy()
+    change(gens, gens.shape[1] // copies)
+    return build_damek_ricci(gens)
 
 
 def mixed_damek_ricci(l, p, q, factor=1.0):

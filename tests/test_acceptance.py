@@ -145,9 +145,9 @@ def test_criterion_5_mean_curvature_constancy():
     worst_numeric = 0.0
     worst_formula = 0.0
     for l, copies in ((1, 1), (1, 2), (2, 1), (3, 1)):
-        cm = clifford_generators(l, copies)
-        d = standard_decomposition(build_damek_ricci(cm))
-        expected = cm.m / 2.0 + cm.l
+        j = clifford_generators(l, copies)
+        d = standard_decomposition(build_damek_ricci(j))
+        expected = j.shape[1] / 2.0 + l
         grid = np.linspace(0.5, 8.0, 26)
         s = stable_jacobi_tensor(d, grid)
         m_fd = mean_curvature_numeric(s)

@@ -96,7 +96,7 @@ def _dr_builds(max_dim):
     """(l, copies) of every Damek-Ricci build of dimension <= max_dim."""
     builds = []
     for l in itertools.count(1):
-        m = clifford_generators(l).m
+        m = clifford_generators(l).shape[1]
         if 1 + m + l > max_dim:
             return builds
         builds += [(l, c) for c in range(1, (max_dim - 1 - l) // m + 1)]
@@ -110,11 +110,12 @@ def test_every_small_build_is_listed():
     assert {l for l, _ in DR_BUILDS} == set(range(1, 9))
 
 
-def _j_squared_criterion(cm) -> bool:
-    """Whether the DR space of ``cm`` is symmetric, by the J^2 criterion
-    (Cowling-Dooley-Koranyi-Ricci, Adv. Math. 87, 1991): k = dim z <= 1,
-    or k = 3 and |tr J_1 J_2 J_3| = m, or k = 7 and m = 8."""
-    k, m, j = cm.l, cm.m, cm.generators
+def _j_squared_criterion(j) -> bool:
+    """Whether the DR space of maps ``j`` is symmetric, by the J^2
+    criterion (Cowling-Dooley-Koranyi-Ricci, Adv. Math. 87, 1991):
+    k = dim z <= 1, or k = 3 and |tr J_1 J_2 J_3| = m, or k = 7 and
+    m = 8."""
+    k, m = j.shape[:2]
     if k <= 1:
         return True
     if k == 3:
@@ -127,10 +128,10 @@ def test_label_matches_j_squared_criterion(key, haar_rotate):
     # the certificate is the label's only path to RankOneSymmetric and
     # DamekRicciNonsymmetric, so it must not refuse a true Damek-Ricci
     # input, in a Haar basis or at a scale inside SCALE_WINDOW either
-    cm = clifford_generators(*key)
-    want = ("RankOneSymmetric" if _j_squared_criterion(cm)
+    j = clifford_generators(*key)
+    want = ("RankOneSymmetric" if _j_squared_criterion(j)
             else "DamekRicciNonsymmetric")
-    g = build_damek_ricci(cm)
+    g = build_damek_ricci(j)
     assert build_report(g)["classification"] == want
     for x in (haar_rotate(g, sum(key)), g.rescaled(1e-30), g.rescaled(1e30)):
         assert build_report(x)["classification"] == want
@@ -180,9 +181,9 @@ def test_every_build_to_dim_45_is_certified_as_built():
     builds = _dr_builds(45)
     assert max(l for l, _ in builds) == 9   # the mod-8 periodicity path
     for l, copies in builds:
-        cm = clifford_generators(l, copies)
-        cert = build_damek_ricci(cm).decomposition().certificate
-        assert (cert.m, cert.k) == (cm.m, l)
+        j = clifford_generators(l, copies)
+        cert = build_damek_ricci(j).decomposition().certificate
+        assert (cert.m, cert.k) == (j.shape[1], l)
         assert cert.lam == pytest.approx(1.0, rel=1e-12, abs=0.0)
     for n in range(2, 31):
         cert = build_real_hyperbolic(n).decomposition().certificate

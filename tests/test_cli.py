@@ -51,8 +51,8 @@ def test_package_and_numpy_only_path_load_no_scipy():
         "import sys",
         "import solvharm",
         "from solvharm import clifford_dr, curvature, lie_metric",
-        "cm = clifford_dr.clifford_generators(2)",
-        "g = clifford_dr.build_damek_ricci(cm)",
+        "j = clifford_dr.clifford_generators(2)",
+        "g = clifford_dr.build_damek_ricci(j)",
         "curvature.einstein_check(g)",
         "curvature.nabla_R_norm(g)",
         "cert = lie_metric.h_type_certificate(",
@@ -1212,6 +1212,42 @@ def test_failed_write_is_one_error_line_exit_1(tmp_path, capsys):
         assert list(target.iterdir()) == []
     assert not [p for p in tmp_path.iterdir()
                 if p.name.startswith(".solvharm-")]
+
+
+def test_closed_stdout_is_one_error_line_exit_1(tmp_path):
+    # as in ``solvharm analyze x.json | head -c 300``: the reader is gone
+    # before the first byte; the small outputs fail at the flush, the
+    # scan midway through its blocks
+    alg = tmp_path / "dr.json"
+    main(["build", "damek-ricci", "--l", "2", "--output", str(alg)])
+    for argv in (["build", "damek-ricci", "--l", "2"],
+                 ["scan-h", str(alg), "--count", "200000"],
+                 ["analyze", str(alg)]):
+        with subprocess.Popen([sys.executable, "-m", "solvharm.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=_child_env()) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 1, argv
+        assert err == b"error: cannot write stdout: Broken pipe\n", argv
+
+
+def test_report_and_sidecar_on_one_path_is_usage_error(tmp_path,
+                                                      monkeypatch, capsys):
+    # the sidecar would replace the report: refused before any work
+    def no_work(*args):
+        raise AssertionError("the algebra was loaded")
+
+    monkeypatch.setattr(cli, "_load_algebra", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path / "x")
+    for output, csv in (("x", "x"), ("x", "./x"),
+                        (str(tmp_path / "x"), "link")):
+        assert main(["analyze", "alg.json", "--output", output,
+                     "--density-csv", csv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --output and --density-csv name the same file: {csv}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
 
 
 class _Interrupted(Exception):

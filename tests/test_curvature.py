@@ -133,9 +133,9 @@ def _exact_einstein_builds():
     """Rational builds with their exact Einstein constants: DR with
     m = dim v, k = dim z has -(m + 4k)/4, RH^n has -(n - 1)."""
     for key in ((1, 1), (1, 2), (2, 1), (3, 1), (3, 2), (7, 2)):
-        cm = clifford_generators(*key)
-        yield pytest.param(build_damek_ricci(cm),
-                           Fraction(-(cm.m + 4 * cm.l), 4),
+        j = clifford_generators(*key)
+        k, m = j.shape[:2]
+        yield pytest.param(build_damek_ricci(j), Fraction(-(m + 4 * k), 4),
                            id=f"dr-{key[0]}-{key[1]}")
     for n in (2, 3, 5):
         yield pytest.param(build_real_hyperbolic(n), Fraction(-(n - 1)),

@@ -21,7 +21,7 @@ def _dr_keys(max_dim):
     """(l, copies) of every Damek-Ricci build with l <= 8, copies <= 3 and
     dim 1 + m + l <= max_dim."""
     return [(l, c) for l in range(1, 9) for c in (1, 2, 3)
-            if 1 + clifford_generators(l, c).m + l <= max_dim]
+            if 1 + clifford_generators(l, c).shape[1] + l <= max_dim]
 
 
 _MIXED = [(3, 1, 1), (3, 2, 0), (7, 1, 1), (7, 2, 0)]

@@ -495,10 +495,11 @@ def test_extract_jmap_heisenberg():
 def test_extract_jmap_round_trip(dr_data):
     # the native basis split of the build returns the input Clifford
     # generators exactly
-    cm = clifford_generators(2)
-    nil = build_heisenberg_type(cm)
-    j = j_generators(nil, range(cm.m), range(cm.m, cm.m + cm.l))
-    np.testing.assert_allclose(j, cm.generators, atol=1e-14)
+    built = clifford_generators(2)
+    k, m = built.shape[:2]
+    nil = build_heisenberg_type(built)
+    j = j_generators(nil, range(m), range(m, m + k))
+    np.testing.assert_allclose(j, built, atol=1e-14)
 
     # after re-deriving the adapted basis the generators are conjugated
     # but keep the Clifford relations
@@ -710,8 +711,9 @@ def _loop_subalgebra_tensor(g, b):
 
 @pytest.mark.parametrize("key", [(1, 1), (2, 1), (3, 1), (7, 2)])
 def test_bracket_array_forms_match_loops(key, haar_rotate):
-    cm = clifford_generators(*key)
-    for g0 in (build_damek_ricci(cm), build_heisenberg_type(cm)):
+    j = clifford_generators(*key)
+    k, m = j.shape[:2]
+    for g0 in (build_damek_ricci(j), build_heisenberg_type(j)):
         for g in (g0, haar_rotate(g0, 7)):
             rebuilt = MetricLieAlgebra.from_tensor(g.tensor)
             assert algebra_to_dict(rebuilt)["structure_constants"] == [
@@ -724,8 +726,8 @@ def test_bracket_array_forms_match_loops(key, haar_rotate):
             sub = subalgebra(g, n)
             assert np.abs(sub.tensor - _loop_subalgebra_tensor(g, n)).max() \
                 <= 1e-14 * g.scale
-            if g0.dim == cm.m + cm.l:
-                assert sub.dim == cm.l and not sub.tensor.any()
+            if g0.dim == m + k:
+                assert sub.dim == k and not sub.tensor.any()
 
 
 # ---------------------------------------------------------------------------
