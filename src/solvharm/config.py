@@ -88,8 +88,9 @@ HYP2F1_REL = 1e-13
 # pivot at or below PIVOT_REL * ||a||
 PIVOT_REL = 1e-13
 
-# singular values of bracket-derived matrices above RANK_REL * s count
-# as rank, with s the bracket scale (see the module docstring)
+# every span, complement and kernel (``lie_metric._span_split``) counts
+# singular values above RANK_REL * s as rank, with s the bracket scale,
+# or 1 for orthonormal columns (see the module docstring)
 RANK_REL = 1e-10
 
 # relative bound on max|T + T^t| / max|T| for a bracket tensor T given to

@@ -30,7 +30,7 @@ from .errors import (ConjugatePointError, DimensionError, DomainError,
                      NumericalError)
 from .hypergeom import stable_block_and_derivative, z_of_t
 from .lie_metric import (HTypeCertificate, MetricLieAlgebra,
-                         StandardSolvableData, _null_space)
+                         StandardSolvableData, _span_split)
 
 __all__ = [
     "JacobiTensorSample",
@@ -320,7 +320,7 @@ def _integrated_density(g: MetricLieAlgebra, v: np.ndarray,
     k = n - 1
     nk = n * k
     op = g.flow_operator
-    perp = _null_space(v[np.newaxis, :])
+    perp = _span_split(v[:, np.newaxis])[1]
 
     def rhs(t, y):
         u = y[:n]
@@ -332,8 +332,8 @@ def _integrated_density(g: MetricLieAlgebra, v: np.ndarray,
         return dy
 
     def frames(y):   # the columns xi and u of each state, (rows, n, n)
-        return np.concatenate(
-            [y[:, n: n + nk].reshape(-1, n, k), y[:, :n, np.newaxis]], axis=2)
+        xi = y[:, n: n + nk].reshape(len(y), n, k)   # k = 0 at n = 1
+        return np.concatenate([xi, y[:, :n, np.newaxis]], axis=2)
 
     y0 = np.concatenate([v, np.zeros(nk), perp.ravel()])
     # a density past float64's range overflows the stage sums of a step,

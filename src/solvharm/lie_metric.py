@@ -245,7 +245,7 @@ class MetricLieAlgebra:
     def derived_complement(self) -> np.ndarray:
         """Orthonormal basis (columns) of [s, s]^perp, run once,
         read-only."""
-        return _read_only(_null_space(self.derived_algebra.T))
+        return _read_only(_span_split(self.derived_algebra)[1])
 
     @cached_property
     def nilpotency_class(self):
@@ -297,36 +297,27 @@ def symmetric_skew_split(m):
     return d, a - d
 
 
-def _orthonormal_span(columns: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the given column set.
-
-    Singular values above ``RANK_REL * scale`` count as rank; ``scale`` is
-    the size of the entries' source (1 for orthonormal columns, the
-    bracket scale for columns made of structure constants).
+def _span_split(columns: np.ndarray, scale: float = 1.0):
+    """``(span, complement)``: orthonormal bases (columns) of the span of
+    a (d, c) column set and of its orthogonal complement, split from the
+    full U of one SVD (U = I for c = 0).  Singular values above
+    ``RANK_REL * scale`` count as rank; ``scale`` is 1 for orthonormal
+    columns, the bracket scale for columns made of structure constants.
+    A wide set (c > d) is first replaced by the d x d transposed R factor
+    of its transpose, with the same U and singular values, so no d x c
+    factor is formed (Chan's R-SVD).
     """
-    if columns.size == 0:
-        return np.zeros((columns.shape[0], 0))
-    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    if columns.shape[1] > columns.shape[0]:
+        columns = np.linalg.qr(columns.T, mode="r").T
+    u, s, _ = np.linalg.svd(columns)
     rank = int(np.sum(s > RANK_REL * scale))
-    return u[:, :rank]
-
-
-def _null_space(mat: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of ``mat``, with rank
-    decided as in :func:`_orthonormal_span`."""
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1])
-    # V is complete in the reduced SVD unless ``mat`` is wide; the full U
-    # of a tall matrix (rows^2 doubles) is never read
-    _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    rank = int(np.sum(s > RANK_REL * scale))
-    return vt[rank:].T
+    return u[:, :rank], u[:, rank:]
 
 
 def derived_algebra(g: MetricLieAlgebra) -> np.ndarray:
     """Orthonormal basis (columns) of [g, g]."""
     cols = g.tensor.reshape(g.dim * g.dim, g.dim).T
-    return _orthonormal_span(cols, g.scale)
+    return _span_split(cols, g.scale)[0]
 
 
 def subalgebra(g: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
@@ -365,7 +356,7 @@ def nilpotency_class(g: MetricLieAlgebra):
         step += 1
         # images[i, a, :] = [e_i, current[:, a]]; only their span is read
         images = current.T @ g.tensor
-        nxt = _orthonormal_span(images.reshape(-1, g.dim).T, g.scale)
+        nxt = _span_split(images.reshape(-1, g.dim).T, g.scale)[0]
         if nxt.shape[1] >= current.shape[1]:
             return None
         current = nxt
@@ -593,11 +584,12 @@ def standard_decomposition(g: MetricLieAlgebra,
 
     Requires [s, s] of codimension one and m = ad_H|n normal on n = [s, s]
     with positive eigenvalues: |m - m^T| <= ``tols.self_adjoint`` |m|, or
-    else |m m^T - m^T m| <= ``self_adjoint`` |m|^2 (Frobenius norms).  m
-    keeps the center z of n and v = z^perp, and its skew part is a
-    derivation, so the data, ``.algebra`` and the H-type certificate read
-    its symmetric part, an isometric algebra (Alekseevskii's modification).
-    z, the blocks of ad_H and j(Z) are contractions of ``g.tensor``;
+    else |m m^T - m^T m| <= ``self_adjoint`` |m|^2 (Frobenius norms).  v
+    and z come from one factorization: the maps x -> <[x, y], w>, y, w
+    in n, span v, and z = v^perp in n is their common kernel, the center
+    of n.  m keeps both, and its skew part is a derivation, so the data,
+    ``.algebra`` and the H-type certificate read its symmetric part, an
+    isometric algebra (Alekseevskii's modification).  The blocks of ad_H and j(Z) are contractions of ``g.tensor``;
     dividing them by the top ad_H eigenvalue ``lam`` normalizes it to
     exactly 1, as for the metric rescaled by 1/lam.
     No algebra is built here: the rescaled algebra in an adapted basis
@@ -614,15 +606,15 @@ def standard_decomposition(g: MetricLieAlgebra,
     h = g.derived_complement[:, 0]
     m_n = n_basis.T @ ad_matrix(h, g) @ n_basis  # ad_H restricted to n
 
-    # the center of n splits v from z; [n, n] lies in n, so t_n[a, c] =
-    # [b_a, b_c] in n coordinates, contracted over i, then j, then k
+    # [n, n] lies in n, so t_n[a, c] = [b_a, b_c] in n coordinates,
+    # contracted over i, then j, then k; the maps a -> t_n[a, c, d] span v
     r = n_basis.shape[1]
     t_n = np.tensordot(np.tensordot(np.tensordot(
         g.tensor, n_basis, (0, 0)), n_basis, (0, 0)), n_basis, (0, 0))
-    z_in_n = _null_space(t_n.transpose(1, 2, 0).reshape(r * r, r), g.scale)
+    v_in_n, z_in_n = _span_split(t_n.transpose(1, 2, 0).reshape(r * r, r).T,
+                                 g.scale)
     if z_in_n.shape[1] == 0:
         raise StructureError("nilradical candidate has trivial center")
-    v_in_n = _null_space(z_in_n.T)
 
     # ad_H is a derivation, so it keeps z; normal, it keeps v = z^perp too.
     # The norms are taken on m times 2^-e, which is exact, so m m^T
@@ -769,7 +761,7 @@ def h_type_certificate(data: StandardSolvableData):
     v, z = slice(1, 1 + m), slice(1 + m, None)   # H is index 0
     t, e = data.adapted_brackets()
     lam = float(np.trace(t[0, z, z])) / k
-    j = t[v, v, z].transpose(2, 1, 0)        # J_a[q, p] = <[V_p, V_q], Z_a>
+    j = np.ascontiguousarray(t[v, v, z].T)   # J_a[q, p] = <[V_p, V_q], Z_a>
     if not np.abs(t - damek_ricci_brackets(j, lam)).max() \
             <= data.eigen_merge * lam:
         return None

@@ -12,6 +12,12 @@ run the cases in a child process with one BLAS / OpenMP / MKL thread
 (:func:`run_isolated`); the test runs every analyze case once more
 with two threads, and requires the same bytes.
 
+The bytes depend on the numeric stack: they were made with numpy
+2.4.6, scipy 1.17.1 and OpenBLAS's SkylakeX kernels
+(``OPENBLAS_CORETYPE=SkylakeX``, as the CI workflow sets it).  Other
+kernels, e.g. Haswell or Zen, move bits of the outputs, so regenerate
+and compare on that stack.
+
 The algebras are written by ``build`` or by ``algebra_to_dict``, so no
 run rebuilds them with Haar draws.  Paths are relative to this
 directory, which is the working directory of the run, and a density

@@ -78,14 +78,14 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag
 
 from solvharm.clifford_dr import build_damek_ricci, clifford_generators
-from solvharm.config import DEFAULT_TOLS
+from solvharm.config import DEFAULT_TOLS, RANK_REL
 from solvharm.curvature import curvature_tensor
 from solvharm.errors import (ConjugatePointError, DomainError, NumericalError,
                              SingularMatrixError)
 from solvharm.hypergeom import (_integer, _nonpositive_int, fundamental_pair,
                                 h_function, pair_exponents, z_of_t)
 from solvharm.jacobi_flow import CentralGeodesicFrame, JacobiTensorSample
-from solvharm.lie_metric import (MetricLieAlgebra, _null_space, ad_matrix,
+from solvharm.lie_metric import (MetricLieAlgebra, ad_matrix,
                                  algebra_to_dict, derived_algebra,
                                  symmetric_skew_split)
 from solvharm.numerics import (as_square, matrix_exponential,
@@ -93,6 +93,32 @@ from solvharm.numerics import (as_square, matrix_exponential,
                                sorted_spectrum)
 
 HORIZON_CAP = 80.0   # farthest horizon of finite_horizon_shape
+
+
+# ---------------------------------------------------------------------------
+# spans and kernels from one SVD of the matrix itself
+# ---------------------------------------------------------------------------
+
+def orthonormal_span_svd(columns, scale=1.0) -> np.ndarray:
+    """Orthonormal basis (columns) of the span of ``columns``, from the U
+    of their reduced SVD, with singular values above ``RANK_REL * scale``
+    counting as rank: the rank rule of ``lie_metric._span_split``, without
+    its R factor."""
+    if columns.size == 0:
+        return np.zeros((columns.shape[0], 0))
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    return u[:, :int(np.sum(s > RANK_REL * scale))]
+
+
+def null_space_svd(mat, scale=1.0) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of ``mat``, from the V of
+    its SVD, with rank decided as in :func:`orthonormal_span_svd`.  The
+    generated golden input ``dr-2-1-skew-ad-h`` reads its bases, so they
+    stay fixed when the package's rank helper changes its arithmetic."""
+    if mat.shape[0] == 0:
+        return np.eye(mat.shape[1])
+    _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    return vt[int(np.sum(s > RANK_REL * scale)):].T
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +185,7 @@ def skew_derivations_commuting_with_ad_h(g, merge_tol=1e-9) -> np.ndarray:
     them, and its null space is the answer.
     """
     n_basis = derived_algebra(g)
-    h = _null_space(n_basis.T)[:, 0]
+    h = null_space_svd(n_basis.T)[:, 0]
     m_n = n_basis.T @ ad_matrix(h, g) @ n_basis
     assert np.abs(m_n - m_n.T).max() <= 1e-12 * np.abs(m_n).max()
     rho, vecs = np.linalg.eigh(m_n)
@@ -180,7 +206,7 @@ def skew_derivations_commuting_with_ad_h(g, merge_tol=1e-9) -> np.ndarray:
     defect = (np.einsum("pkm,acm->pack", k, t_n)
               - np.einsum("pma,mck->pack", k, t_n)
               - np.einsum("pmc,amk->pack", k, t_n))
-    coeffs = _null_space(defect.reshape(len(k), r ** 3).T)
+    coeffs = null_space_svd(defect.reshape(len(k), r ** 3).T)
     return np.einsum("ia,pab,jb->pij", n_basis,
                      np.tensordot(coeffs.T, k, axes=1), n_basis)
 
@@ -188,7 +214,7 @@ def skew_derivations_commuting_with_ad_h(g, merge_tol=1e-9) -> np.ndarray:
 def add_to_ad_h(g, k):
     """``g`` with ``k`` added to ad_H, H the unit normal of [s, s]:
     [x, y] + <h, x> k y - <h, y> k x."""
-    h = _null_space(derived_algebra(g).T)[:, 0]
+    h = null_space_svd(derived_algebra(g).T)[:, 0]
     tensor = (g.tensor + np.einsum("i,kj->ijk", h, k)
               - np.einsum("j,ki->ijk", h, k))
     return MetricLieAlgebra.from_tensor(tensor, jacobi_tol=g.jacobi_tol)
@@ -281,7 +307,7 @@ def _flow_density(rhs, v, t_grid, tols):
     t_grid = np.asarray(t_grid, dtype=float)
     n = v.size
     k = n - 1
-    perp = _null_space(v[np.newaxis, :])
+    perp = null_space_svd(v[np.newaxis, :])
     y0 = np.concatenate([v, np.zeros(n * k), perp.ravel()])
     sol = solve_ivp(rhs, (0.0, max(float(t_grid[-1]), 1e-12)), y0,
                     method="DOP853", t_eval=t_grid, rtol=tols.ode_rtol,

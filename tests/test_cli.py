@@ -492,6 +492,17 @@ def _count_density_work(monkeypatch):
     return calls
 
 
+def test_density_sidecar_on_the_line(tmp_path):
+    # the 1-dim flat algebra has no Jacobi field: every density is t^0 = 1
+    alg, csv = tmp_path / "flat.json", tmp_path / "d.csv"
+    assert main(["build", "flat", "--dim", "1", "--output", str(alg)]) == 0
+    assert main(["analyze", str(alg), "--density-csv", str(csv),
+                 "--output", str(tmp_path / "rep.json")]) == 0
+    rows = csv.read_text().splitlines()
+    assert rows[0] == "direction_id,t,det" and len(rows) == 1 + 16 * 3
+    assert all(float(row.split(",")[2]) == 1.0 for row in rows[1:])
+
+
 def test_density_sidecar_shares_the_report_certificate(tmp_path,
                                                         monkeypatch):
     # the report and the 16 directions of the sidecar read one standard
@@ -1355,33 +1366,28 @@ def test_build_report_computes_derived_algebra_once(monkeypatch,
     # and the standard decomposition all read g.derived_algebra, so the
     # n x n^2 matrix of all brackets is decomposed once; the growth type
     # and the standard decomposition both read [s, s]^perp off
-    # g.derived_complement, so its null space is taken once too
-    calls, spans, nulls = [], [], []
-    derived, span = lie_metric.derived_algebra, lie_metric._orthonormal_span
-    null_space = lie_metric._null_space
+    # g.derived_complement, so the complement of the n x (n - 1) basis
+    # of [s, s] is taken once too
+    calls, splits = [], []
+    derived, split = lie_metric.derived_algebra, lie_metric._span_split
 
     def counting_derived(g):
         calls.append(1)
         return derived(g)
 
-    def counting_span(columns, *args):
-        spans.append(columns.shape)
-        return span(columns, *args)
-
-    def counting_null_space(mat, *args):
-        nulls.append(mat.shape)
-        return null_space(mat, *args)
+    def counting_split(columns, *args):
+        splits.append(columns.shape)
+        return split(columns, *args)
 
     monkeypatch.setattr(lie_metric, "derived_algebra", counting_derived)
-    monkeypatch.setattr(lie_metric, "_orthonormal_span", counting_span)
-    monkeypatch.setattr(lie_metric, "_null_space", counting_null_space)
+    monkeypatch.setattr(lie_metric, "_span_split", counting_split)
     g = haar_rotate(build_damek_ricci(clifford_generators(7, 2)), 1)
     report = build_report(g)
     assert report["standard_decomposition"]["status"] == "ok"
     assert report["algebra"]["derived_dim"] == g.dim - 1
     assert len(calls) == 1
-    assert spans.count((g.dim, g.dim * g.dim)) == 1
-    assert nulls.count((g.dim - 1, g.dim)) == 1
+    assert splits.count((g.dim, g.dim * g.dim)) == 1
+    assert splits.count((g.dim, g.dim - 1)) == 1
 
 
 def test_tol_classifier_zero_reaches_criterion(tmp_path):

@@ -409,6 +409,13 @@ def test_volume_density_flat():
     np.testing.assert_allclose(volume_density(g, v, t), t**3, rtol=1e-10)
 
 
+def test_volume_density_flat_line():
+    # n = 1: the frame is u alone, no Jacobi column, and det A = t^0 = 1
+    t = np.array([0.0, 0.5, 1.0, 2.0])
+    np.testing.assert_array_equal(volume_density(build_flat(1), [1.0], t),
+                                  np.ones(4))
+
+
 def test_volume_density_real_hyperbolic(rng):
     g = build_real_hyperbolic(4)
     t = np.array([0.5, 1.0, 2.0])

@@ -13,16 +13,15 @@ import pytest
 from scipy.stats import ortho_group
 
 from oracles import (j_generators, jacobi_residual_einsum,
-                     structure_tensor_loop)
+                     orthonormal_span_svd, structure_tensor_loop)
 from solvharm import lie_metric
 from solvharm.clifford_dr import (build_damek_ricci, build_flat,
                                   build_heisenberg_type,
                                   build_real_hyperbolic, clifford_generators)
-from solvharm.config import DEFAULT_TOLS, Tolerances
+from solvharm.config import DEFAULT_TOLS, RANK_REL, Tolerances
 from solvharm.errors import (DimensionError, NotStandardError, StructureError)
-from solvharm.lie_metric import (GrowthType, MetricLieAlgebra,
-                                 _null_space, _orthonormal_span, ad_matrix,
-                                 algebra_from_dict, algebra_to_dict,
+from solvharm.lie_metric import (GrowthType, MetricLieAlgebra, _span_split,
+                                 ad_matrix, algebra_from_dict, algebra_to_dict,
                                  derived_algebra, growth_type,
                                  nilpotency_class, standard_decomposition,
                                  subalgebra, symmetric_skew_split)
@@ -175,7 +174,74 @@ def test_derived_algebra_is_kept_read_only(dr_algebras):
     perp = g.derived_complement
     assert perp is g.derived_complement
     assert not perp.flags.writeable
-    np.testing.assert_array_equal(perp, _null_space(basis.T))
+    np.testing.assert_array_equal(perp, _span_split(basis)[1])
+
+
+# ---------------------------------------------------------------------------
+# the rank helper: the span of a column set and its complement
+# ---------------------------------------------------------------------------
+
+def _checked_split(columns, scale=1.0):
+    """``_span_split(columns, scale)``, checked: span and complement are
+    orthonormal and together a square orthogonal matrix, and the columns
+    are orthogonal to the complement up to the rank cut."""
+    span, complement = _span_split(columns, scale)
+    d = columns.shape[0]
+    q = np.hstack([span, complement])
+    assert q.shape == (d, d)
+    np.testing.assert_allclose(q.T @ q, np.eye(d), rtol=0, atol=1e-13)
+    top = np.linalg.norm(columns, 2) if columns.size else 0.0
+    assert np.abs(columns.T @ complement).max(initial=0.0) \
+        <= RANK_REL * scale + 1e-13 * top
+    return span, complement
+
+
+def _svd_rank(columns, scale=1.0):
+    """The count of singular values above ``RANK_REL * scale``."""
+    s = np.linalg.svd(columns, compute_uv=False)
+    return int(np.sum(s > RANK_REL * scale))
+
+
+def test_span_split_of_wide_tall_and_empty_sets(rng):
+    for shape, rank in (((5, 25), 5), ((6, 36), 3), ((7, 3), 3),
+                        ((7, 3), 2), ((4, 4), 1)):
+        d, c = shape
+        columns = rng.standard_normal((d, rank)) @ rng.standard_normal(
+            (rank, c))
+        span, _ = _checked_split(columns)
+        assert span.shape[1] == rank == _svd_rank(columns)
+    span, complement = _checked_split(np.zeros((4, 0)))
+    assert span.shape == (4, 0)
+    np.testing.assert_array_equal(complement, np.eye(4))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_span_split_cut_straddled_by_a_decade(scale):
+    # singular values 1e-9 and 1e-11 times the scale, a decade on each
+    # side of the cut RANK_REL * scale, in a wide set and its tall transpose
+    u = ortho_group.rvs(4, random_state=1)
+    v = ortho_group.rvs(10, random_state=2)[:, :4]
+    columns = u @ np.diag(scale * np.array([1.0, 0.5, 1e-9, 1e-11])) @ v.T
+    for cols in (columns, columns.T):
+        span, _ = _checked_split(cols, scale)
+        assert span.shape[1] == 3 == _svd_rank(cols, scale)
+
+
+@pytest.mark.parametrize("key", [(1, 1), (2, 1), (3, 2), (7, 2), (8, 3)])
+def test_span_split_rank_on_haar_damek_ricci(key, haar_rotate):
+    # the n x n^2 brackets span [s, s], of codimension 1, and the (r, r^2)
+    # brackets of n = [s, s] span v, of dimension m
+    m = clifford_generators(*key).shape[1]
+    g = haar_rotate(build_damek_ricci(clifford_generators(*key)), 3)
+    n = g.dim
+    brackets = g.tensor.reshape(n * n, n).T
+    span, _ = _checked_split(brackets, g.scale)
+    assert span.shape[1] == n - 1 == _svd_rank(brackets, g.scale)
+    t_n = np.einsum("ia,jc,ijk,kd->acd", span, span, g.tensor, span,
+                    optimize=True)
+    center = t_n.transpose(1, 2, 0).reshape((n - 1) ** 2, n - 1).T
+    v, _ = _checked_split(center, g.scale)
+    assert v.shape[1] == m == _svd_rank(center, g.scale)
 
 
 def test_the_arrays_an_algebra_keeps_are_read_only(generic_pair_algebra):
@@ -692,7 +758,7 @@ def _loop_nilpotency_class(g):
         step += 1
         images = [_bracket(_basis(g.dim, i), current[:, a], g)
                   for i in range(g.dim) for a in range(current.shape[1])]
-        nxt = _orthonormal_span(np.array(images).T, g.scale)
+        nxt = orthonormal_span_svd(np.array(images).T, g.scale)
         if nxt.shape[1] >= current.shape[1]:
             return None
         current = nxt
