@@ -10,8 +10,11 @@ characterizes asymptotically harmonic Einstein solvmanifolds.
 The package root re-exports the numpy-only modules (``lie_metric``,
 ``clifford_dr``, ``curvature``), so ``import solvharm`` and building and
 checking an algebra load no scipy.  The scipy-backed modules are imported
-by name: ``solvharm.riccati``, ``solvharm.jacobi_flow`` and
-``solvharm.hypergeom``.
+by name: ``solvharm.riccati`` loads ``scipy.linalg``, and
+``solvharm.hypergeom`` and ``solvharm.jacobi_flow`` load
+``scipy.special``.  No module loads scipy's ODE solvers: the volume
+density is integrated by ``ode._dop853``, Dormand-Prince 8(5,3) in
+numpy with scipy's ``DOP853`` arithmetic.
 """
 
 from .config import DEFAULT_TOLS, Tolerances

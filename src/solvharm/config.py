@@ -128,4 +128,8 @@ NONPOSITIVE_INT_TOL = 1e-12   # a Gauss F c this near 0, -1, ... is a pole
 INTEGER_TOL = 1e-10   # a c this near an integer has no fundamental pair
 RANGE_SLACK = 1e-12   # roundoff allowed past rho <= 1/2 and mu <= 1
 MIN_HORIZON = 1e-12   # the shortest volume-density integration, in time
+# ``ode._dop853`` starts from a step of max(1e-6, h0 / 1000) when both
+# the scaled |y'| and the scaled change of y' are at most this (scipy's and
+# Hairer's initial-step rule)
+INITIAL_STEP_FLOOR = 1e-15
 INTERIOR_T = 1e-9   # grid times past this are checked for conjugate points

@@ -13,14 +13,15 @@ inputs (:func:`lie_metric.h_type_certificate`) are the closed form of
 harmonic Damek-Ricci spaces, the same in every direction; on every other
 input the linearized geodesic flow is integrated along the given
 direction in the left-trivialization, from the connection and the
-brackets alone.  Neither path reads the curvature tensor.
+brackets alone, by the numpy-only DOP853 stepper of :mod:`ode`.
+Neither path reads the curvature tensor.  The module loads
+``scipy.special`` (the closed forms) and none of scipy's ODE solvers.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 from scipy.special import beta, betainc
 
 from .config import (DEFAULT_TOLS, HYP2F1_REL, INTERIOR_T, MIN_HORIZON,
@@ -31,6 +32,7 @@ from .errors import (ConjugatePointError, DimensionError, DomainError,
 from .hypergeom import stable_block_and_derivative, z_of_t
 from .lie_metric import (HTypeCertificate, MetricLieAlgebra,
                          StandardSolvableData, _span_split)
+from .ode import _dop853, _StepUnderflow
 
 __all__ = [
     "JacobiTensorSample",
@@ -304,12 +306,17 @@ def _integrated_density(g: MetricLieAlgebra, v: np.ndarray,
     with c_u = 2 nabla_u - ad_u; the u equation is u' = -nabla_u u
     because <nabla_u u, z> = -<[u, z], u> (Koszul).  So D_t J(0) =
     eta(0), and det A is the determinant of the columns xi together with
-    u in the orthonormal left-invariant frame, integrated by DOP853
-    within ``tols.ode_rtol`` and ``tols.ode_atol``.  Each right-hand
-    side is four contiguous kernels into one output buffer: u contracted
-    with the stacked bracket operator ``g.flow_operator``, which gives
-    ad_u and -c_u; one batched product of those with the stacked
-    (xi, eta); one subtraction for xi'; and one n x n product for u'.
+    u in the orthonormal left-invariant frame, integrated within
+    ``tols.ode_rtol`` and ``tols.ode_atol`` by ``ode._dop853``:
+    Dormand-Prince 8(5,3) with scipy's ``DOP853`` arithmetic in the same
+    order, so the densities are scipy's bit for bit, and a step size
+    that underflows is reported as scipy words it, or as the overflow
+    when the last state is past float64's range.  Each right-hand side
+    is four contiguous kernels, on views of its input and output
+    buffers made once per integration: u contracted with the stacked bracket
+    operator ``g.flow_operator``, which gives ad_u and -c_u; one batched
+    product of those with the stacked (xi, eta); one subtraction for
+    xi'; and one n x n product for u'.
     The operator is built once per algebra from ``g.connection`` and the
     brackets, so all directions share it, and R is never formed.  A
     density whose ratio to the flat one t^(n-1) falls below
@@ -321,15 +328,19 @@ def _integrated_density(g: MetricLieAlgebra, v: np.ndarray,
     nk = n * k
     op = g.flow_operator
     perp = _span_split(v[:, np.newaxis])[1]
+    w = np.empty(2 * n * n)
+    w3 = w.reshape(2, n, n)                                # ad_u, -c_u
 
-    def rhs(t, y):
-        u = y[:n]
-        w = np.dot(u, op).reshape(2, n, n)                # ad_u, -c_u
-        dy = np.empty_like(y)
-        np.matmul(w, y[n:].reshape(2, n, k), out=dy[n:].reshape(2, n, k))
-        np.subtract(y[n + nk:], dy[n:n + nk], out=dy[n:n + nk])
-        np.dot(u, w[0], out=dy[:n])                       # ad_u^T u
-        return dy
+    def bind(y, dy):   # y' into dy, from views of both made once
+        u, ys, eta = y[:n], y[n:].reshape(2, n, k), y[n + nk:]
+        du, dys, dxi = dy[:n], dy[n:].reshape(2, n, k), dy[n:n + nk]
+
+        def rhs():
+            np.dot(u, op, out=w)
+            np.matmul(w3, ys, out=dys)
+            np.subtract(eta, dxi, out=dxi)
+            np.dot(u, w3[0], out=du)                       # ad_u^T u
+        return rhs
 
     def frames(y):   # the columns xi and u of each state, (rows, n, n)
         xi = y[:, n: n + nk].reshape(len(y), n, k)   # k = 0 at n = 1
@@ -340,29 +351,16 @@ def _integrated_density(g: MetricLieAlgebra, v: np.ndarray,
     # which is then refused until the step size underflows; that failure
     # is reported as the overflow, with no numpy warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        solver = DOP853(rhs, 0.0, y0, max(float(t_grid[-1]), MIN_HORIZON),
-                        rtol=tols.ode_rtol, atol=tols.ode_atol)
-        samples, done = [], 0
         try:
-            while solver.status == "running":
-                message = solver.step()
-                if solver.status == "failed":
-                    log_det = np.linalg.slogdet(
-                        frames(solver.y[np.newaxis]))[1][0]
-                    if log_det > _LOG_MAX:
-                        raise _overflow(log_det, solver.t)
-                    raise NumericalError(
-                        f"geodesic integration failed: {message}")
-                upto = np.searchsorted(t_grid, solver.t, side="right")
-                if upto > done:
-                    samples.append(solver.dense_output()(t_grid[done:upto]))
-                    done = upto
-        finally:
-            # the solver reaches itself through its wrapped right-hand
-            # sides; unlinking them frees its stage arrays now, not at the
-            # next cyclic garbage collection
-            solver.fun = solver.fun_vectorized = None
-        states = frames(np.hstack(samples).T)
+            samples = _dop853(bind, y0, max(float(t_grid[-1]), MIN_HORIZON),
+                              t_grid, tols.ode_rtol, tols.ode_atol)[0]
+        except _StepUnderflow as failed:
+            log_det = np.linalg.slogdet(frames(failed.y[np.newaxis]))[1][0]
+            if log_det > _LOG_MAX:
+                raise _overflow(log_det, failed.t) from None
+            raise NumericalError(
+                f"geodesic integration failed: {failed}") from None
+        states = frames(samples)
         dets = np.linalg.det(states)
         if not np.isfinite(dets).all():
             bad = np.argmin(np.isfinite(dets))

@@ -3,7 +3,9 @@ code of every command run on them.
 
 ``python tests/golden/regen.py`` rewrites ``inputs/``, ``expected/`` and
 ``cases.json`` from the current code, and prints each file whose bytes
-changed: how many of its numbers moved, and the largest relative move.
+changed: how many of its numbers moved, and the largest move of one,
+|new - old| / max(|old|, |new|, 1), so a number that is roundoff itself
+(a residual of 1e-15 moving to 2e-15) reads as the roundoff move it is.
 A change that moves any of these files says which field moved, and why.
 ``python tests/golden/regen.py --run`` runs every case through
 ``cli.main`` in this one process and prints the results as JSON;
@@ -28,7 +30,6 @@ byte.
 import contextlib
 import io
 import json
-import math
 import os
 import pathlib
 import re
@@ -217,17 +218,16 @@ def _snapshot() -> dict:
 
 def _moves(old: str, new: str) -> str:
     """How the numbers of ``old`` moved in ``new``: how many changed and
-    the largest relative move, or "text changed" when more than the
-    numbers did."""
+    the largest |new - old| / max(|old|, |new|, 1), or "text changed"
+    when more than the numbers did."""
     old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
     if old_parts[::2] != new_parts[::2]:
         return "text changed"
     pairs = [(float(a), float(b))
              for a, b in zip(old_parts[1::2], new_parts[1::2]) if a != b]
-    largest = max((abs(b - a) / abs(a) if a else math.inf
+    largest = max((abs(b - a) / max(abs(a), abs(b), 1.0)
                    for a, b in pairs), default=0.0)
-    return (f"{len(pairs)} values changed, largest relative move "
-            f"{largest:.3g}")
+    return f"{len(pairs)} values changed, largest move {largest:.3g}"
 
 
 def _print_moves(before: dict):

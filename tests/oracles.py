@@ -31,6 +31,9 @@ module.
 * :func:`integrate_jacobi` and :func:`finite_horizon_tensor`: the Jacobi
   system in the central frame, integrated by one DOP853 driver, against
   the closed forms of ``jacobi_flow.stable_jacobi_tensor``;
+* :func:`scipy_dop853`: scipy's ``DOP853`` stepped with a dense output on
+  each step that passes a grid time, against the in-tree stepper
+  ``ode._dop853``, bit for bit;
 * :func:`finite_horizon_shape`: second fundamental forms of spheres,
   converging to the maximal Riccati solution;
 * :func:`nabla_R`: the n^5 tensor whose norm ``curvature.nabla_R_norm``
@@ -74,7 +77,7 @@ import math
 import numpy as np
 import scipy.optimize
 from scipy import special
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import block_diag
 
 from solvharm.clifford_dr import build_damek_ricci, clifford_generators
@@ -296,6 +299,40 @@ def pair_stable_block_per_t(rho: float, theta: float, t_grid):
         e[n] = m_t @ m0_inv
         ep[n] = (dm_t + theta / (2.0 * math.cosh(t)) * rot @ m_t) @ m0_inv
     return e, ep
+
+
+@dataclasses.dataclass(frozen=True)
+class Dop853Run:
+    """What :func:`scipy_dop853` saw: the states on the grid (None if the
+    run failed), the accepted steps, the right-hand side evaluations, the
+    steps that passed a grid time, and a failed run's last (t, y) and
+    message."""
+
+    samples: object
+    steps: int
+    nfev: int
+    dense: int
+    failure: object = None
+
+
+def scipy_dop853(fun, y0, t_end, t_grid, rtol, atol) -> Dop853Run:
+    """y' = fun(t, y) from y(0) = ``y0`` to ``t_end`` by scipy's DOP853,
+    sampled on ``t_grid`` by the dense output of each step that passes a
+    grid time, as ``jacobi_flow._integrated_density`` drove it before it
+    took the in-tree ``ode._dop853``."""
+    solver = DOP853(fun, 0.0, y0, t_end, rtol=rtol, atol=atol)
+    samples, steps, done = [], 0, 0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            return Dop853Run(None, steps, solver.nfev, len(samples),
+                             (solver.t, solver.y, message))
+        steps += 1
+        upto = np.searchsorted(t_grid, solver.t, side="right")
+        if upto > done:
+            samples.append(solver.dense_output()(t_grid[done:upto]))
+            done = upto
+    return Dop853Run(np.hstack(samples).T, steps, solver.nfev, len(samples))
 
 
 def _flow_density(rhs, v, t_grid, tols):

@@ -68,6 +68,30 @@ def test_package_and_numpy_only_path_load_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_loads_no_scipy_integrate(tmp_path):
+    # the volume density is integrated by the in-tree stepper, so neither
+    # the import, nor an analyze, nor a density sidecar that integrates
+    # (perturbed-theta has no H-type certificate) loads scipy.integrate
+    inputs = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+    out, csv = str(tmp_path / "rep.json"), str(tmp_path / "d.csv")
+    script = "\n".join([
+        "import sys",
+        "from solvharm.cli import main",
+        "seen = ['scipy.integrate' in sys.modules]",
+        f"assert main(['analyze', {str(inputs / 'dr-2-1.json')!r},",
+        f"             '--output', {out!r}]) == 0",
+        "seen.append('scipy.integrate' in sys.modules)",
+        f"assert main(['analyze', {str(inputs / 'perturbed-theta.json')!r},",
+        f"             '--density-csv', {csv!r}, '--output', {out!r}]) == 0",
+        "seen.append('scipy.integrate' in sys.modules)",
+        "print(seen)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_child_env(), check=True)
+    assert proc.stdout.strip() == "[False, False, False]"
+    assert len(pathlib.Path(csv).read_text().splitlines()) == 1 + 16 * 3
+
+
 def test_build_writes_deterministic_json(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -478,12 +502,13 @@ def test_analyze_density_sidecar(tmp_path):
 
 
 def _count_density_work(monkeypatch):
-    """Counts of standard decompositions, H-type certificates and DOP853
-    integrations started from now on."""
+    """Counts of standard decompositions, H-type certificates and
+    geodesic-flow integrations (``jacobi_flow._dop853``) started from now
+    on."""
     calls = Counter()
     for module, name in ((lie_metric, "standard_decomposition"),
                          (lie_metric, "h_type_certificate"),
-                         (jacobi_flow, "DOP853")):
+                         (jacobi_flow, "_dop853")):
         def counting(*args, _name=name, _original=getattr(module, name),
                      **kwargs):
             calls[_name] += 1
@@ -553,8 +578,37 @@ def test_eigen_merge_flag_chooses_the_density_path(tmp_path, monkeypatch):
         assert main(["analyze", str(alg), "--density-csv", str(csv),
                      "--density-directions", "2",
                      "--output", str(tmp_path / "rep.json"), *flag]) == 0
-        started[merge] = calls["DOP853"]
+        started[merge] = calls["_dop853"]
     assert started == {None: 2, "1e-6": 0}
+
+
+def test_ode_tolerance_flags_reach_the_integration(tmp_path, monkeypatch):
+    # a looser --tol-ode-rtol or --tol-ode-atol takes fewer steps on
+    # perturbed-theta, which has no H-type certificate, and moves its
+    # densities by less than the looser bound
+    alg = pathlib.Path(__file__).resolve().parent / "golden" / "inputs" / \
+        "perturbed-theta.json"
+    stepper = jacobi_flow._dop853
+    steps, dets = Counter(), {}
+
+    for flag in (None, "--tol-ode-rtol", "--tol-ode-atol"):
+        def counting(*args, _flag=flag):
+            samples, taken = stepper(*args)
+            steps[_flag] += taken
+            return samples, taken
+
+        monkeypatch.setattr(jacobi_flow, "_dop853", counting)
+        csv = tmp_path / "d.csv"
+        assert main(["analyze", str(alg), "--density-csv", str(csv),
+                     "--output", str(tmp_path / "rep.json"),
+                     *([flag, "1e-6"] if flag else [])]) == 0
+        dets[flag] = np.array([float(row.split(",")[2]) for row in
+                               csv.read_text().splitlines()[1:]])
+    assert steps[None] > steps["--tol-ode-rtol"] > 0
+    assert steps[None] > steps["--tol-ode-atol"] > 0
+    for flag in ("--tol-ode-rtol", "--tol-ode-atol"):
+        assert not np.array_equal(dets[flag], dets[None])
+        np.testing.assert_allclose(dets[flag], dets[None], rtol=1e-5, atol=0)
 
 
 def test_density_csv_writes_zero_without_sign(tmp_path):

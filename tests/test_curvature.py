@@ -717,7 +717,7 @@ def test_other_inputs_take_the_dense_curvature_stages(
 @pytest.mark.parametrize("name", sorted(_CERTIFIED))
 def test_certified_density_never_integrates(name, monkeypatch, haar_rotate):
     # a certified input's density is the closed form: it reads neither the
-    # connection nor the flow operator, starts no DOP853, and does not
+    # connection nor the flow operator, starts no integration, and does not
     # depend on the direction
     g = _CERTIFIED[name](haar_rotate)
 
@@ -725,7 +725,7 @@ def test_certified_density_never_integrates(name, monkeypatch, haar_rotate):
         raise AssertionError("a certified density read the geodesic flow")
     for attr in ("connection", "flow_operator"):
         monkeypatch.setattr(MetricLieAlgebra, attr, property(forbidden))
-    monkeypatch.setattr(jacobi_flow, "DOP853", forbidden)
+    monkeypatch.setattr(jacobi_flow, "_dop853", forbidden)
     rng = np.random.default_rng(31)
     t = np.array([0.0, 0.5, 1.0, 2.0])
     rows = [volume_density(g, v / np.linalg.norm(v), t)
@@ -739,19 +739,19 @@ def test_certified_density_never_integrates(name, monkeypatch, haar_rotate):
 def test_other_densities_are_integrated(name, monkeypatch,
                                         perturbed_theta_algebra,
                                         generic_pair_algebra):
-    # every input without a certificate starts one DOP853 integration per
+    # every input without a certificate starts one integration per
     # direction and gets exactly what the integrated path gives
     g = _dense_inputs(name, {"perturbed-theta": perturbed_theta_algebra,
                              "generic-pair": generic_pair_algebra})
     assert g.decomposition().certificate is None
     started = []
-    solver = jacobi_flow.DOP853
+    solver = jacobi_flow._dop853
 
     def counting(*args, **kwargs):
         started.append(1)
         return solver(*args, **kwargs)
 
-    monkeypatch.setattr(jacobi_flow, "DOP853", counting)
+    monkeypatch.setattr(jacobi_flow, "_dop853", counting)
     t = np.array([0.0, 0.5, 1.0, 2.0])
     for v in np.random.default_rng(37).standard_normal((3, g.dim)):
         v /= np.linalg.norm(v)
